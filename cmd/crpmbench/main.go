@@ -18,12 +18,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"libcrpm/internal/harness"
 	"libcrpm/internal/obs"
+	"libcrpm/internal/prof"
 )
 
 type experiment struct {
@@ -146,34 +146,12 @@ func run() int {
 		})
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if *memProfile != "" {
-		// Create eagerly so a bad path fails before hours of simulation.
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			return 1
-		}
-		defer func() {
-			defer f.Close()
-			runtime.GC() // report live objects, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-		}()
-	}
+	defer stopProf()
 
 	exps := experiments()
 	if *list {

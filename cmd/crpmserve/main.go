@@ -27,6 +27,9 @@
 // op (coordinated-omission-free). With -duration the run is time-bounded
 // (the op count follows from the offered load); otherwise -ops bounds it.
 //
+// -cpuprofile / -memprofile write pprof profiles of the run (host side; they
+// never affect stdout).
+//
 // All output on stdout (and in -json / -trace files) is a pure function of
 // the flags: timestamps are simulated picoseconds and streams are label-hash
 // seeded, so runs are byte-identical at any -parallel level. Wall-clock is
@@ -48,6 +51,7 @@ import (
 	"libcrpm/internal/harness"
 	"libcrpm/internal/measure"
 	"libcrpm/internal/obs"
+	"libcrpm/internal/prof"
 	"libcrpm/internal/replica"
 	"libcrpm/internal/server"
 	"libcrpm/internal/workload"
@@ -227,6 +231,8 @@ func run() int {
 	killPrimary := flag.Int("killprimary", -1, "crash this shard's primary mid-serve and fail over to its most-current secondary (requires -replicas)")
 	migrateSpec := flag.String("migrate", "", "live shard migrations: comma-separated KIND:SRC[>DST][@CUTS] entries, e.g. 'split:0@2,move:1>2@4,merge:3>1@6' (excludes -replicas)")
 	autosplit := flag.Int("autosplit", 0, "grow the service by splitting the hottest shard up to this many live shards (0 = off; excludes -migrate and -replicas)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile (after the run finishes) to this file")
 	flag.Parse()
 
 	mix, err := workload.YCSBByName(*mixName)
@@ -321,6 +327,12 @@ func run() int {
 			}
 		}
 	}
+	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer stopProf()
 	wallStart := time.Now()
 	if *killPrimary >= 0 {
 		// The kill point is the middle of the victim's serving span, so a

@@ -119,6 +119,9 @@ type Container struct {
 	// inc is the in-flight incremental checkpoint (pipeline.go); nil means
 	// idle, and every write-path pipeline guard vanishes.
 	inc *incState
+	// incFree is the last finished pipeline's drained state, reused by the
+	// next CheckpointBegin instead of allocating afresh.
+	incFree *incState
 
 	// Buffered-mode state.
 	buf           []byte      // DRAM working buffer

@@ -91,6 +91,68 @@ type incState struct {
 	// blocks the other region still misses.
 	plans   map[int]incPlan
 	fromCur *bitmap.Set
+
+	// Recycled across cuts (the incState itself is: Container.incFree):
+	// aside images whose block retired, and replayQuantum's scratch list.
+	freeImgs  [][]byte
+	completed []int
+}
+
+// newIncState allocates the pipeline's bitmaps and maps once; every later
+// cut resets and reuses them, so a steady-state cut allocates nothing that
+// scales with the heap, the dirty set or the staged set.
+func (c *Container) newIncState() *incState {
+	inc := &incState{
+		cutSegs:   bitmap.New(c.l.NMain),
+		cutBlocks: bitmap.New(c.l.TotalBlocks()),
+		aside:     make(map[int][]byte),
+	}
+	if c.opts.Mode == ModeBuffered {
+		inc.fromCur = bitmap.New(c.l.TotalBlocks())
+		inc.plans = make(map[int]incPlan)
+	} else {
+		inc.staged = bitmap.New(c.l.TotalBlocks())
+		inc.segCost = make(map[int]int)
+	}
+	return inc
+}
+
+// reset returns a recycled state to what a fresh one holds, whatever the
+// cut that last used it left behind; Begin then fills in the new cut.
+func (inc *incState) reset() {
+	inc.phase, inc.fcur, inc.rSeg = incFlush, 0, -1
+	inc.replayRem, inc.liftRem = 0, 0
+	inc.cutBlocks.ClearAll()
+	for b := range inc.aside {
+		inc.dropAside(b)
+	}
+	if inc.staged != nil {
+		inc.staged.ClearAll()
+		clear(inc.segCost)
+	} else {
+		clear(inc.plans)
+	}
+}
+
+// captureAside saves block b's cut-boundary image (src) aside, reusing a
+// retired image's storage when one is free.
+func (inc *incState) captureAside(b int, src []byte) {
+	var img []byte
+	if n := len(inc.freeImgs); n > 0 {
+		img, inc.freeImgs = inc.freeImgs[n-1], inc.freeImgs[:n-1]
+	} else {
+		img = make([]byte, len(src))
+	}
+	copy(img, src)
+	inc.aside[b] = img
+}
+
+// dropAside retires block b's aside image, if it has one, for reuse.
+func (inc *incState) dropAside(b int) {
+	if img, ok := inc.aside[b]; ok {
+		inc.freeImgs = append(inc.freeImgs, img)
+		delete(inc.aside, b)
+	}
 }
 
 type incPlan struct {
@@ -121,16 +183,15 @@ func (c *Container) CheckpointBegin() error {
 	// The cut clears dirty-segment state, so the OnWrite memo is stale.
 	c.lastBlk = -1
 	bps := c.l.BlocksPerSeg()
-	inc := &incState{
-		phase:     incFlush,
-		cutSegs:   c.dirtySegs.Clone(),
-		cutBlocks: bitmap.New(c.l.TotalBlocks()),
-		aside:     make(map[int][]byte),
-		rSeg:      -1,
+	inc := c.incFree
+	if inc == nil {
+		inc = c.newIncState()
 	}
+	c.incFree = nil
+	inc.reset()
+	inc.cutSegs.CopyFrom(c.dirtySegs)
 	if c.opts.Mode == ModeBuffered {
-		inc.fromCur = c.curDirty.Clone()
-		inc.plans = make(map[int]incPlan)
+		inc.fromCur.CopyFrom(c.curDirty)
 		eIdx := int(c.meta.CommittedEpoch() % 2)
 		for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
 			var p incPlan
@@ -168,8 +229,6 @@ func (c *Container) CheckpointBegin() error {
 		}
 		c.curDirty.ClearAll()
 	} else {
-		inc.staged = bitmap.New(c.l.TotalBlocks())
-		inc.segCost = make(map[int]int)
 		for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
 			c.dirtyBlocks.ForEachRunInRange(s*bps, (s+1)*bps, func(b0, b1 int) {
 				inc.cutBlocks.SetRange(b0, b1)
@@ -249,11 +308,10 @@ func (c *Container) stepCopy(budgetBytes int) {
 			src := inc.aside[b]
 			if src == nil {
 				src = c.buf[s*c.l.SegSize+boff : s*c.l.SegSize+boff+blk]
-			} else {
-				delete(inc.aside, b)
 			}
 			c.dev.ChargeDRAMCopy(blk)
 			c.dev.NTStore(p.targetOff+boff, src)
+			inc.dropAside(b)
 			if p.pendBackup {
 				c.pendingBackup.Clear(b)
 				if inc.fromCur.Test(b) {
@@ -391,7 +449,7 @@ func (c *Container) replayQuantum(budgetBytes int) {
 	}
 	bps, blk := c.l.BlocksPerSeg(), c.l.BlkSize
 	processed := 0
-	var completed []int
+	completed := inc.completed[:0]
 	for processed < budgetBytes {
 		if inc.rSeg < 0 {
 			// Next staged segment still quarantined (flipped segments'
@@ -461,6 +519,7 @@ func (c *Container) replayQuantum(budgetBytes int) {
 		}
 		c.dev.SFence() // all state flips durable
 	}
+	inc.completed = completed
 	// Lift: re-apply flipped segments' staged stores as ordinary
 	// next-epoch writes (they mark their lines dirty, so from here the
 	// normal protocol owns them). Volatile only — no fence needed, and a
@@ -477,7 +536,7 @@ func (c *Container) replayQuantum(budgetBytes int) {
 			c.dirtyBlocks.Set(b)
 			c.dirtySegs.Set(s)
 			inc.staged.Clear(b)
-			delete(inc.aside, b)
+			inc.dropAside(b)
 			inc.liftRem -= blk
 			processed += blk
 			b = inc.staged.NextSet(b + 1)
@@ -486,10 +545,11 @@ func (c *Container) replayQuantum(budgetBytes int) {
 }
 
 // incFinish closes the pipeline: metadata is re-sealed (the epoch's last
-// metadata mutation is behind us) and every write-path guard vanishes.
+// metadata mutation is behind us) and every write-path guard vanishes. The
+// drained state is kept for the next cut to reuse.
 func (c *Container) incFinish() {
 	c.meta.Seal()
-	c.inc = nil
+	c.incFree, c.inc = c.inc, nil
 	c.lastBlk = -1
 }
 
@@ -611,9 +671,7 @@ func (c *Container) incOnWriteDefault(inc *incState, off, n int) {
 		}
 		if inc.staged.Set(b) {
 			devOff := c.l.HeapToDevice(b * blk)
-			img := make([]byte, blk)
-			copy(img, c.dev.Working()[devOff:devOff+blk])
-			inc.aside[b] = img
+			inc.captureAside(b, c.dev.Working()[devOff:devOff+blk])
 			c.dev.ChargeDRAMCopy(blk)
 			c.dev.ChargeHook()
 			c.metrics.TraceEvents++
@@ -643,9 +701,7 @@ func (c *Container) incOnWriteBuffered(inc *incState, first, last int) {
 		if _, ok := inc.aside[b]; ok {
 			continue
 		}
-		img := make([]byte, blk)
-		copy(img, c.buf[b*blk:(b+1)*blk])
-		inc.aside[b] = img
+		inc.captureAside(b, c.buf[b*blk:(b+1)*blk])
 		c.dev.ChargeDRAMCopy(blk)
 	}
 }

@@ -406,3 +406,47 @@ func firstDiffAt(a, b []byte) int {
 	}
 	return -1
 }
+
+// TestIncrementalCutAllocsConstant is the allocation guard of the pooled
+// pipeline: once warm, a full cut cycle — dirty a set of blocks, Begin,
+// stage stores into every quarantined block (one aside image each), step
+// the flush, Commit, step the replay and the lift — allocates a constant
+// handful of objects, not one per staged block or per cut-sized bitmap.
+func TestIncrementalCutAllocsConstant(t *testing.T) {
+	for _, m := range modes() {
+		t.Run(m.String(), func(t *testing.T) {
+			_, c := newTestContainer(t, incOpts(m))
+			blk := c.Layout().BlkSize
+			cycle := func(blocks int) {
+				for b := 0; b < blocks; b++ {
+					writeU64(c, b*blk, uint64(b))
+				}
+				if err := c.CheckpointBegin(); err != nil {
+					t.Fatal(err)
+				}
+				for b := 0; b < blocks; b++ {
+					writeU64(c, b*blk+8, uint64(b)) // staged behind the write barrier
+				}
+				if _, err := c.CheckpointStep(4 * blk); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.CheckpointCommit(); err != nil {
+					t.Fatal(err)
+				}
+				for c.CheckpointInFlight() {
+					if _, err := c.CheckpointStep(4 * blk); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			total := c.Layout().TotalBlocks()
+			cycle(total) // warm the pools at the largest footprint
+			few := testing.AllocsPerRun(20, func() { cycle(8) })
+			many := testing.AllocsPerRun(20, func() { cycle(total) })
+			t.Logf("allocs per cut: %.0f at 8 staged blocks, %.0f at %d", few, many, total)
+			if few > 2 || many > 2 {
+				t.Fatalf("steady-state cut allocates %.0f objects at 8 staged blocks, %.0f at %d; want O(1)", few, many, total)
+			}
+		})
+	}
+}

@@ -249,7 +249,7 @@ func (sh *shard) maybeLogMig(op workload.Op) {
 	if !sh.migSpanSet[sh.ring.Slot(op.Key)] {
 		return
 	}
-	v, ok := sh.shadow[op.Key]
+	v, ok := sh.shadow.live[op.Key]
 	sh.migLog = append(sh.migLog, migEnt{key: op.Key, val: v, del: !ok})
 }
 
@@ -295,7 +295,7 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 				if err := sh.kv.Put(p.Key, p.Value); err != nil {
 					return err
 				}
-				sh.shadow[p.Key] = p.Value
+				sh.shadow.put(p.Key, p.Value)
 			}
 		}
 		if sh.id == sh.migSrc {
@@ -343,13 +343,13 @@ func (sh *shard) applyMigLog(log []migEnt) error {
 	for _, e := range log {
 		if e.del {
 			sh.kv.Delete(e.key)
-			delete(sh.shadow, e.key)
+			sh.shadow.del(e.key)
 			continue
 		}
 		if err := sh.kv.Put(e.key, e.val); err != nil {
 			return err
 		}
-		sh.shadow[e.key] = e.val
+		sh.shadow.put(e.key, e.val)
 	}
 	return nil
 }
@@ -455,7 +455,7 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 		box.flipsAt = append([]RingFlip(nil), sh.ringFlips...)
 		set := span.SlotSet()
 		var pairs []pds.Pair
-		for k, v := range sh.shadow {
+		for k, v := range sh.shadow.live {
 			if set[sh.ring.Slot(k)] {
 				pairs = append(pairs, pds.Pair{Key: k, Value: v})
 			}
@@ -535,7 +535,7 @@ func (s *Service) postFlip(sh *shard) error {
 	sh.flipPending = false
 	if sh.id == sh.migSrc {
 		var keys []uint64
-		for k := range sh.shadow {
+		for k := range sh.shadow.live {
 			if sh.migSpanSet[sh.ring.Slot(k)] {
 				keys = append(keys, k)
 			}
@@ -543,7 +543,7 @@ func (s *Service) postFlip(sh *shard) error {
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, k := range keys {
 			sh.kv.Delete(k)
-			delete(sh.shadow, k)
+			sh.shadow.del(k)
 		}
 		st := &sh.migStats[len(sh.migStats)-1]
 		st.FlipPS = sh.clock.NowPS()
@@ -646,7 +646,7 @@ func (s *Service) migEndDrain(c *mpi.Comm, sh *shard, incremental bool) error {
 func (s *Service) serveJoinedRank(c *mpi.Comm) {
 	rank := c.Rank()
 	defer s.containCrash(c, rank)
-	sh := newShardShell(rank, s.deviceSize)
+	sh := newShardShell(rank, s.deviceSize, s.cfg.StepBudget)
 	s.shards[rank] = sh
 	c.AttachClock(sh.clock)
 	if cr := s.cfg.Crash; cr != nil && cr.Shard == rank {
@@ -679,12 +679,12 @@ func (s *Service) provisionJoined(sh *shard) error {
 	if err := sh.init(ctr, s.cfg.DS, s.cfg.Buckets, s.cfg.Trace); err != nil {
 		return err
 	}
-	sh.snapshotForNextCut() // snaps[1] = {}: the join-epoch image
+	sh.snapshotForNextCut() // local epoch 1 = {}: the join-epoch image
 	if err := sh.ctr.Checkpoint(); err != nil {
 		return fmt.Errorf("server: shard %d bring-up checkpoint: %w", sh.id, err)
 	}
-	// snaps stay keyed by LOCAL epoch (verify paths subtract the offset),
-	// so the existing snapshot bookkeeping works unchanged.
+	// The shadow's cut images stay keyed by LOCAL epoch (verify paths
+	// subtract the offset), so the snapshot bookkeeping works unchanged.
 	sh.epochOff = box.joinEpoch - 1
 	sh.ring = box.ringAtJoin.Clone()
 	sh.ringFlips = append([]RingFlip(nil), box.flipsAt...)
@@ -762,7 +762,7 @@ func (s *Service) verifyRetired(sh *shard, landing uint64) []string {
 	if err := sh.reattach(ctr, s.cfg.DS); err != nil {
 		return []string{err.Error()}
 	}
-	want, ok := sh.snaps[local]
+	want, ok := sh.shadow.snapAt(local)
 	if !ok {
 		return []string{fmt.Sprintf("no shadow snapshot for retired epoch %d", local)}
 	}
@@ -833,8 +833,9 @@ func (s *Service) migVerify(res *Result) {
 	for k := uint64(0); k < s.cfg.Keys; k++ {
 		exp[k] = k
 	}
-	for _, so := range s.ops {
-		op := so.op
+	gens := s.newGenerators() // a fresh replay of the stream the run served
+	for i := 0; i < s.cfg.Ops; i++ {
+		op := gens[i%len(gens)].Next()
 		switch op.Kind {
 		case workload.OpUpdate, workload.OpInsert:
 			exp[op.Key] = op.Value
@@ -853,7 +854,7 @@ func (s *Service) migVerify(res *Result) {
 			misrouted++
 			continue
 		}
-		got, ok := sh.shadow[k]
+		got, ok := sh.shadow.live[k]
 		switch {
 		case !ok:
 			misrouted++
@@ -870,7 +871,7 @@ func (s *Service) migVerify(res *Result) {
 	total := 0
 	for _, sh := range s.shards {
 		if sh != nil {
-			total += len(sh.shadow)
+			total += len(sh.shadow.live)
 		}
 	}
 	if misrouted > 0 || wrong > 0 {

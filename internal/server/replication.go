@@ -228,13 +228,12 @@ func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState,
 // guarantees: a view of epoch e means exactly cut e's state, never a torn
 // or in-between image.
 func (sh *shard) checkSecondaryRead(plan replica.Plan, key, v uint64, ok bool) {
-	want, have := sh.snaps[plan.View]
-	if !have {
+	if !sh.shadow.retains(plan.View) {
 		sh.repViol = append(sh.repViol, fmt.Sprintf(
 			"replica %d served view %d with no retained snapshot", plan.Sec, plan.View))
 		return
 	}
-	wv, wok := want[key]
+	wv, wok := sh.shadow.at(plan.View, key)
 	if ok != wok || (ok && v != wv) {
 		sh.repViol = append(sh.repViol, fmt.Sprintf(
 			"replica %d view %d key %d: got %d,%v want %d,%v", plan.Sec, plan.View, key, v, ok, wv, wok))
@@ -258,7 +257,7 @@ func (sh *shard) verifyReplicas() []string {
 			bad = append(bad, fmt.Sprintf("replica %d never installed a cut", i))
 			continue
 		}
-		want, have := sh.snaps[sec.Installed()]
+		want, have := sh.shadow.snapAt(sec.Installed())
 		if !have {
 			bad = append(bad, fmt.Sprintf("replica %d at epoch %d: no retained snapshot", i, sec.Installed()))
 			continue
@@ -422,7 +421,7 @@ func (s *Service) failover(res *Result) {
 		if err := sh.reattach(ctr, s.cfg.DS); err != nil {
 			return []string{err.Error()}
 		}
-		want, ok := sh.snaps[land]
+		want, ok := sh.shadow.snapAt(land)
 		if !ok {
 			return []string{fmt.Sprintf("no shadow snapshot for landing epoch %d", land)}
 		}

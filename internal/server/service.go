@@ -271,37 +271,27 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// seqOp is one routed request with its global sequence number (the
-// round-robin interleave position across all client streams).
-type seqOp struct {
-	seq int
-	op  workload.Op
-}
-
-// Service is one configured run: pre-generated, pre-routed client
-// streams plus the shard set the run will build.
+// Service is one configured run: the validated config, the router, and the
+// shard set the run builds. The request stream is drawn batch by batch
+// while the run serves (feed.go).
 type Service struct {
 	cfg        Config
 	router     *Router
 	reg        region.Config
 	opts       core.Options
 	deviceSize int
-	streams    [][]seqOp
-	// ops is the un-routed global stream, used instead of streams when the
-	// run is migratory: ownership is then decided per op at dispatch time
-	// against each rank's live ring clone.
-	ops     []seqOp
-	batches int
-	shards  []*shard
-	errs    []error
-	box     *migBox
+	feed       *opFeed
+	batches    int
+	shards     []*shard
+	errs       []error
+	box        *migBox
 }
 
-// New validates the config and pre-generates every client's request
-// stream: ops are drawn round-robin across clients (client i issues
-// global requests i, i+Clients, ...), each seeded from a sched.SeedFor
-// label, then routed to their shard queues in global order. The streams
-// — and therefore everything downstream — are a pure function of cfg.
+// New validates the config and sizes the run. Requests are drawn
+// round-robin across clients (client i issues global requests i,
+// i+Clients, ...), each stream seeded from a sched.SeedFor label, and
+// dispatched in global order to the shard owning the key's ring slot. The
+// stream — and therefore everything downstream — is a pure function of cfg.
 func New(cfg Config) (*Service, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -313,7 +303,6 @@ func New(cfg Config) (*Service, error) {
 		router:  NewRouter(cfg.Shards),
 		reg:     reg,
 		opts:    mpi.ContainerOptions(reg, cfg.Mode),
-		streams: make([][]seqOp, cfg.Shards),
 		batches: (cfg.Ops + cfg.BatchOps - 1) / cfg.BatchOps,
 	}
 	if cfg.Backend == BackendInCLL {
@@ -328,25 +317,6 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.deviceSize = l.DeviceSize()
-	}
-	gens := make([]*workload.Generator, cfg.Clients)
-	for i := range gens {
-		seed := sched.SeedFor(fmt.Sprintf("serve/%d/client/%d", cfg.Seed, i))
-		gens[i] = workload.NewGenerator(cfg.Mix, cfg.Keys, i, cfg.Clients, seed)
-	}
-	if s.migratory() {
-		// Keep the stream global: ownership moves mid-run, so each rank
-		// filters per op against its live ring clone at dispatch time.
-		s.ops = make([]seqOp, 0, cfg.Ops)
-		for i := 0; i < cfg.Ops; i++ {
-			s.ops = append(s.ops, seqOp{seq: i, op: gens[i%cfg.Clients].Next()})
-		}
-		return s, nil
-	}
-	for i := 0; i < cfg.Ops; i++ {
-		op := gens[i%cfg.Clients].Next()
-		sh := s.router.Shard(op.Key)
-		s.streams[sh] = append(s.streams[sh], seqOp{seq: i, op: op})
 	}
 	return s, nil
 }
@@ -368,9 +338,9 @@ type ShardStats struct {
 	// Pause statistics over this shard's coordinated cuts (commit plus
 	// barrier wait; under the incremental pipeline, every checkpoint
 	// quantum), picoseconds.
-	PauseMeanPS, P99PausePS, P999PausePS, PauseMaxPS int64
-	Crashed                                          bool
-	CrashIndex                                       int64
+	P99PausePS, P999PausePS, PauseMaxPS int64
+	Crashed                             bool
+	CrashIndex                          int64
 	// Replication accounting (Config.Replicas > 0; zero otherwise).
 	// SecReads counts reads served by secondaries, UnmetReads the reads
 	// degraded to the primary because no replica met the SLA.
@@ -447,6 +417,7 @@ func (s *Service) Run() (*Result, error) {
 	maxN := s.maxShards()
 	s.shards = make([]*shard, maxN)
 	s.errs = make([]error, maxN)
+	s.feed = s.newFeed()
 	if s.migratory() {
 		s.box = &migBox{}
 	}
@@ -488,7 +459,7 @@ func (s *Service) Run() (*Result, error) {
 		// result: each cell reads only its own shard (and its replicas),
 		// and reduction is in shard order.
 		vs := sched.Map(len(s.shards), sched.Options{Workers: s.cfg.Parallel}, func(i int) [2][]string {
-			return [2][]string{s.shards[i].verify(s.shards[i].shadow), s.shards[i].verifyReplicas()}
+			return [2][]string{s.shards[i].verify(s.shards[i].shadow.live), s.shards[i].verifyReplicas()}
 		})
 		for i, bad := range vs {
 			for _, d := range bad[0] {
@@ -591,7 +562,7 @@ func (s *Service) containCrash(c *mpi.Comm, rank int) {
 func (s *Service) serveRank(c *mpi.Comm) {
 	rank := c.Rank()
 	defer s.containCrash(c, rank)
-	sh := newShardShell(rank, s.deviceSize)
+	sh := newShardShell(rank, s.deviceSize, s.cfg.StepBudget)
 	s.shards[rank] = sh
 	c.AttachClock(sh.clock)
 	if cr := s.cfg.Crash; cr != nil && cr.Shard == rank {
@@ -639,7 +610,7 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 		if err := sh.kv.Put(k, k); err != nil {
 			return err
 		}
-		sh.shadow[k] = k
+		sh.shadow.put(k, k)
 	}
 	sh.rec.End()
 	sh.statsBase = sh.dev.Stats()
@@ -661,24 +632,14 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 // serveLoop is the batched request loop, shared by boot ranks (startBatch
 // 0) and split-spawned ranks (which enter at the batch after their join,
 // already in step with the world's collective sequence). Each rank
-// dispatches an op iff its live ring clone owns the key — rings flip
-// identically at identical boundaries, so exactly one rank applies each
-// op. Migration-free runs never consult the ring (streams are pre-routed)
-// and skip every migration hook.
+// walks the shared batch feed and dispatches an op iff its ring owns the
+// key's slot — live ring clones flip identically at identical boundaries,
+// so exactly one rank applies each op. Migration-free runs read the
+// router's boot ring, which never changes, and skip every migration hook.
 func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
-	var my []seqOp
-	if s.migratory() {
-		my = s.ops
-	} else {
-		my = s.streams[sh.id]
-	}
-	idx := 0
-	if startBatch > 0 {
-		// seq i sits at s.ops[i]: jump to the first op of the entry batch.
-		idx = startBatch * s.cfg.BatchOps
-		if idx > len(my) {
-			idx = len(my)
-		}
+	owner := s.router.Ring() // immutable without migrations
+	if sh.ring != nil {
+		owner = sh.ring
 	}
 	incremental := s.cfg.StepBudget > 0
 	cutting, committed := false, false
@@ -687,34 +648,30 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 			sh.rec.Begin("epoch")
 			sh.inEpoch = true
 		}
-		hi := (b + 1) * s.cfg.BatchOps
-		for idx < len(my) && my[idx].seq < hi {
-			if sh.ring != nil && sh.ring.Owner(my[idx].op.Key) != sh.id {
-				idx++
+		for _, so := range s.feed.batch(b) {
+			if owner.OwnerOfSlot(so.slot) != sh.id {
 				continue
 			}
 			var err error
 			if sh.reps != nil {
-				err = s.applySLA(sh, my[idx].seq, my[idx].op)
+				err = s.applySLA(sh, so.seq, so.op)
 			} else {
-				err = sh.apply(my[idx].seq, my[idx].op)
+				err = sh.apply(so.seq, so.op)
 			}
 			if err != nil {
 				return err
 			}
 			if sh.appliedBits != nil {
-				markApplied(sh.appliedBits, my[idx].seq)
+				markApplied(sh.appliedBits, so.seq)
 				sh.roundOps++
-				sh.maybeLogMig(my[idx].op)
+				sh.maybeLogMig(so.op)
 			}
-			idx++
 		}
+		// Draw the next batch before the boundary collective: whichever rank
+		// finishes first generates while the others still serve.
+		s.feed.batch(b + 1)
 		if s.cfg.Progress != nil && sh.id == 0 {
-			done := hi
-			if done > s.cfg.Ops {
-				done = s.cfg.Ops
-			}
-			s.cfg.Progress(done, s.cfg.Ops)
+			s.cfg.Progress(min((b+1)*s.cfg.BatchOps, s.cfg.Ops), s.cfg.Ops)
 		}
 		if sh.reps != nil {
 			// Batch boundary: install every shipped delta whose simulated
@@ -974,16 +931,10 @@ func (s *Service) cutBegin(sh *shard) error {
 // happens here), and pipeline completion once the replay remainder does.
 // Returns the updated (cutting, committed) state.
 func (s *Service) cutStep(c *mpi.Comm, sh *shard, committed bool) (bool, bool, error) {
-	t0 := sh.clock.NowPS()
-	rem, err := sh.core.CheckpointStep(s.cfg.StepBudget)
+	rem, err := sh.quantum()
 	if err != nil {
 		return false, false, err
 	}
-	if step := sh.clock.NowPS() - t0; step > 0 {
-		sh.observePause(step)
-		sh.rec.Observe("ckpt/step_ps", obs.StepBounds, step)
-	}
-	sh.releaseAcks()
 	if c.AllreduceU64(uint64(rem), mpi.Sum) > 0 {
 		return true, committed, nil
 	}
@@ -1117,7 +1068,7 @@ func (s *Service) recoverAll(res *Result) {
 			return []string{err.Error()}
 		}
 		local := epoch - sh.epochOff
-		want, ok := sh.snaps[local]
+		want, ok := sh.shadow.snapAt(local)
 		if !ok {
 			return []string{fmt.Sprintf("no shadow snapshot for landing epoch %d (local %d)", epoch, local)}
 		}
@@ -1223,9 +1174,6 @@ func (s *Service) fillStats(res *Result) {
 		}
 		if sh.ctr != nil {
 			st.Epoch = sh.epochOff + sh.ctr.CommittedEpoch()
-		}
-		if sh.cuts > 0 {
-			st.PauseMeanPS = sh.pauseTotalPS / int64(sh.cuts)
 		}
 		if sh.reps != nil {
 			st.SecReads = sh.secReads

@@ -64,21 +64,21 @@ type shard struct {
 	kv    pds.KV
 	rec   *obs.Recorder
 
-	// shadow mirrors every acked mutation; snaps holds its copies at the
-	// last two cuts, keyed by the committed epoch each cut produced.
-	// Coordinated recovery can land at most one epoch behind a shard's
-	// latest commit, so two retained cuts always cover the landing epoch.
-	shadow map[uint64]uint64
-	snaps  map[uint64]map[uint64]uint64
+	// shadow mirrors every acked mutation and journals enough undo to
+	// reconstruct its image at the last two cuts, keyed by the committed
+	// epoch each cut produced (oracle.go). Coordinated recovery can land at
+	// most one epoch behind a shard's latest commit, so two retained cuts
+	// always cover the landing epoch.
+	shadow *oracle
 
 	acked    uint64 // ops acked since serving started
 	sinceCut uint64 // ops acked since the last cut
 	cuts     int
 
-	lat                      *measure.Histogram
-	pause                    *measure.Histogram
-	pauseTotalPS, pauseMaxPS int64
-	cutStartPS               int64
+	lat        *measure.Histogram
+	pause      *measure.Histogram
+	pauseMaxPS int64
+	cutStartPS int64
 	// roundPS is the aligned clock at the previous policy decision, the
 	// baseline for CutStats.Round.
 	roundPS   int64
@@ -89,8 +89,10 @@ type shard struct {
 	// Group commit (incremental cuts): while groupAck is set, apply defers
 	// acks into pendAcks; releaseAcks acknowledges them after the next
 	// checkpoint quantum's fence, so per-op latency absorbs the fence wait.
-	groupAck bool
-	pendAcks []pendAck
+	// stepBudget is that quantum's size in bytes (Config.StepBudget).
+	groupAck   bool
+	pendAcks   []pendAck
+	stepBudget int
 
 	// Open-loop measurement (Config.Measure != nil; both stay nil/zero
 	// otherwise, so the rig-off paths are byte-identical to a build
@@ -165,18 +167,18 @@ type shard struct {
 // newShardShell builds the volatile half of a shard — device, clock,
 // bookkeeping — so the request loop can arm crash injection on the device
 // before any container primitive runs. init builds the persistent half.
-func newShardShell(id, deviceSize int) *shard {
+func newShardShell(id, deviceSize, stepBudget int) *shard {
 	dev := nvm.NewDevice(deviceSize)
 	return &shard{
-		id:     id,
-		dev:    dev,
-		clock:  dev.Clock(),
-		shadow: make(map[uint64]uint64),
-		snaps:  make(map[uint64]map[uint64]uint64),
-		lat:    measure.NewHistogram(latencyBounds),
-		pause:  measure.NewHistogram(obs.PauseBounds),
-		migSrc: -1,
-		migDst: -1,
+		id:         id,
+		dev:        dev,
+		clock:      dev.Clock(),
+		shadow:     newOracle(),
+		lat:        measure.NewHistogram(latencyBounds),
+		pause:      measure.NewHistogram(obs.PauseBounds),
+		stepBudget: stepBudget,
+		migSrc:     -1,
+		migDst:     -1,
 	}
 }
 
@@ -260,17 +262,17 @@ type pendAck struct {
 // the simulated time the request consumed on this shard.
 //
 // Under the open-loop rig the request also has an intended arrival on the
-// shard's schedule: if the shard is idle ahead of it the clock advances to
-// the arrival (idle waiting adds no device primitives, so crash-injection
-// indices are untouched); if the shard is running behind, the op has been
-// queueing and the open-loop latency charges that wait — the
+// shard's schedule: if the shard is idle ahead of it the gap is spent on
+// the in-flight cut, if any, and the clock then advances to the arrival
+// (see idleUntil); if the shard is running behind, the op has been queueing
+// and the open-loop latency charges that wait — the
 // coordinated-omission-free accounting the rig exists for.
 func (sh *shard) apply(seq int, op workload.Op) error {
 	var intended int64
 	if sh.meas != nil {
 		intended = sh.msched.IntendedPS(seq)
-		if now := sh.clock.NowPS(); now < intended {
-			sh.clock.Advance(intended - now)
+		if err := sh.idleUntil(intended); err != nil {
+			return err
 		}
 	}
 	t0 := sh.clock.NowPS()
@@ -281,7 +283,7 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 		if err := sh.kv.Put(op.Key, op.Value); err != nil {
 			return err
 		}
-		sh.shadow[op.Key] = op.Value
+		sh.shadow.put(op.Key, op.Value)
 	case workload.OpScan:
 		sh.kv.Scan(op.Key, op.ScanLen)
 	case workload.OpRMW:
@@ -290,10 +292,10 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 		if err := sh.kv.Put(op.Key, v); err != nil {
 			return err
 		}
-		sh.shadow[op.Key] = v
+		sh.shadow.put(op.Key, v)
 	case workload.OpDelete:
 		sh.kv.Delete(op.Key)
-		delete(sh.shadow, op.Key)
+		sh.shadow.del(op.Key)
 	default:
 		return fmt.Errorf("server: shard %d: unknown op kind %v", sh.id, op.Kind)
 	}
@@ -309,6 +311,52 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 	sh.acked++
 	sh.sinceCut++
 	return nil
+}
+
+// idleUntil spends the idle gap ahead of the next arrival. A shard does not
+// sit idle while a cut is pending: if an incremental cut is in flight and
+// the arrival is still ahead, the gap retires one checkpoint quantum and
+// the held requests are acknowledged at its fence — so a request waits for
+// a quantum, never for the batch boundary, and the arrival a quantum
+// overruns waits at most that one quantum (the pause:BUDGET contract).
+// Only the cut's local work moves into the gaps: its global transitions
+// (commit plus barrier, pipeline idle) stay on cutStep's batch-boundary
+// allreduce, so the ranks remain in lockstep. Once nothing local is left —
+// the flush set drained ahead of the global commit, or the replay finished
+// — the quantum is free: the acks go out at once, with no span and no
+// pause sample, exactly as cutStep treats an empty step. With no cut in
+// flight the shard just waits, adding no device primitives.
+func (sh *shard) idleUntil(arrivalPS int64) error {
+	if sh.clock.NowPS() >= arrivalPS {
+		return nil
+	}
+	if sh.groupAck {
+		if _, err := sh.quantum(); err != nil {
+			return err
+		}
+	}
+	if now := sh.clock.NowPS(); now < arrivalPS {
+		sh.clock.Advance(arrivalPS - now)
+	}
+	return nil
+}
+
+// quantum retires one bounded quantum of the in-flight incremental cut and
+// acknowledges the held requests at its fence, returning the bytes still
+// pending in the cut's current phase. A quantum that retires nothing costs
+// nothing and records nothing; its acks still go out.
+func (sh *shard) quantum() (int, error) {
+	t0 := sh.clock.NowPS()
+	rem, err := sh.core.CheckpointStep(sh.stepBudget)
+	if err != nil {
+		return 0, err
+	}
+	if step := sh.clock.NowPS() - t0; step > 0 {
+		sh.observePause(step)
+		sh.rec.Observe("ckpt/step_ps", obs.StepBounds, step)
+	}
+	sh.releaseAcks()
+	return rem, nil
 }
 
 // releaseAcks acknowledges every deferred request at the current clock —
@@ -338,42 +386,26 @@ func (sh *shard) observePause(ps int64) {
 		return
 	}
 	sh.pause.Observe(ps)
-	sh.pauseTotalPS += ps
 	if ps > sh.pauseMaxPS {
 		sh.pauseMaxPS = ps
 	}
 }
 
-// snapshotForNextCut copies the shadow under the epoch the in-flight cut
-// will commit. Taken BEFORE the commit starts, so the snapshot exists no
-// matter where inside the commit a crash lands; older cuts beyond the
-// two-epoch recovery window are pruned.
+// snapshotForNextCut marks the shadow's present state as the image of the
+// epoch the in-flight cut will commit. Taken BEFORE the commit starts, so
+// the image exists no matter where inside the commit a crash lands; older
+// cuts beyond the two-epoch recovery window are pruned.
 func (sh *shard) snapshotForNextCut() {
 	next := sh.ctr.CommittedEpoch() + 1
-	cp := make(map[uint64]uint64, len(sh.shadow))
-	for k, v := range sh.shadow {
-		cp[k] = v
-	}
-	sh.snaps[next] = cp
+	floor := next - 1
 	if sh.reps != nil {
 		// Replicated retention floor: secondary-served reads are verified
-		// against the snapshot of the view they claim, so every epoch from
-		// the slowest replica's installed cut up must stay (the recovery
-		// window next-1 included — installed never exceeds committed here).
-		floor := sh.reps.MinInstalled()
-		if next-1 < floor {
-			floor = next - 1
-		}
-		for e := range sh.snaps {
-			if e < floor {
-				delete(sh.snaps, e)
-			}
-		}
-		return
+		// against the image of the view they claim, so every epoch from the
+		// slowest replica's installed cut up must stay (the recovery window
+		// next-1 included — installed never exceeds committed here).
+		floor = min(floor, sh.reps.MinInstalled())
 	}
-	if next >= 2 {
-		delete(sh.snaps, next-2)
-	}
+	sh.shadow.cut(next, floor)
 }
 
 // dirtyBlockBytes estimates the shard's pending checkpoint footprint.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"libcrpm/internal/measure"
 	"libcrpm/internal/server"
 	"libcrpm/internal/workload"
 )
@@ -207,5 +208,91 @@ func TestServiceSweepKillPrimaryDeterministicReport(t *testing.T) {
 	}
 	if !a.OK() {
 		t.Fatalf("%d violations, first: %v", len(a.Violations), a.Violations[0])
+	}
+}
+
+// idleGapBase is serviceBase under the open-loop rig and a pause policy,
+// offered well below the knee: the shards sit idle between arrivals, so
+// most of every incremental cut's quanta run inside those gaps instead of
+// at batch boundaries.
+func idleGapBase() server.Config {
+	srv := serviceBase()
+	srv.Ops = 1500
+	srv.Keys = 600
+	srv.Policy = server.NewPausePolicy(time.Microsecond)
+	srv.Measure = &measure.Config{TargetOps: 1e6}
+	return srv
+}
+
+// TestServiceSweepIdleGapQuanta strides crash points through checkpoint
+// quanta that run in open-loop idle gaps — mid-flush between two requests
+// of one batch, mid-replay, between a gap quantum's last flush and its
+// fence — under every crash-image policy. Each must recover all shards to
+// one global epoch with every op acked before that epoch's cut intact: a
+// request acknowledged at a gap quantum's fence is exactly as durable as
+// one acknowledged at a boundary quantum's.
+func TestServiceSweepIdleGapQuanta(t *testing.T) {
+	srv := idleGapBase()
+	// The reference run must actually put its quanta in the gaps: a batch
+	// boundary runs at most one, so any excess over the batch count did.
+	traced := srv
+	traced.Trace = true
+	ref, err := server.New(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ref.Run()
+	if err != nil || !res.OK() {
+		t.Fatalf("reference run: %v, %v", err, res)
+	}
+	batches := (srv.Ops + srv.BatchOps - 1) / srv.BatchOps
+	for _, tr := range res.Trace.Tracks {
+		quanta := 0
+		for _, sp := range tr.Spans {
+			if sp.Name == "ckpt-step" || sp.Name == "ckpt-replay" {
+				quanta++
+			}
+		}
+		t.Logf("%s: %d checkpoint quanta over %d batches", tr.Label, quanta, batches)
+		if quanta < 2*batches {
+			t.Fatalf("%s: %d checkpoint quanta over %d batches; the sweep would not cross idle-gap quanta", tr.Label, quanta, batches)
+		}
+	}
+
+	crash := []int{0, 2}
+	if testing.Short() {
+		crash = crash[:1] // the race-detector CI job runs -short
+	}
+	sweep, err := ServiceSweep(ServiceConfig{
+		Server:      srv,
+		CrashShards: crash,
+		Policies:    append(StandardPolicies(7), AdversarialPolicy()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for combo, pts := range sweep.Points {
+		if pts < 32 {
+			t.Fatalf("combo %s tested only %d points", combo, pts)
+		}
+	}
+	if !sweep.OK() {
+		t.Fatalf("%d violations (of %d replays), first: %v", len(sweep.Violations), sweep.Replays, sweep.Violations[0])
+	}
+
+	// The report is the same bytes at replay parallelism 1 and 8.
+	coarse := ServiceConfig{Server: srv, CrashShards: []int{1}, Stride: 397}
+	serial, par := coarse, coarse
+	serial.Parallel, par.Parallel = 1, 8
+	a, err := ServiceSweep(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ServiceSweep(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Replays == 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("serial sweep %+v != parallel sweep %+v", a, b)
 	}
 }
