@@ -41,6 +41,7 @@ func TestGoldenFigures(t *testing.T) {
 		{"replica", func() (Table, error) { return ReplicaFigure(sc) }},
 		{"crossover", func() (Table, error) { return CrossoverFigure(sc) }},
 		{"slo", func() (Table, error) { return SLOFigure(sc) }},
+		{"elastic", func() (Table, error) { return ElasticFigure(sc) }},
 	}
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	for _, fig := range figures {
