@@ -370,15 +370,8 @@ func ServiceBackendFigure(sc Scale) (Table, error) {
 	type cellRes struct{ tputMops, p99PauseUS float64 }
 	cells, err := sched.MapErr(len(backends)*len(shardCounts), pool(), func(i int) (cellRes, error) {
 		be, n := backends[i/len(shardCounts)], shardCounts[i%len(shardCounts)]
-		heap := sc.HeapSize / n
-		if heap < 2<<20 {
-			heap = 2 << 20
-		}
-		buckets := sc.Buckets / n
-		if buckets < 1<<10 {
-			buckets = 1 << 10
-		}
-		svc, err := server.New(server.Config{
+		heap, buckets := perShardGeometry(sc, n)
+		_, res, err := runServiceCell(fmt.Sprintf("%s/%d shards", be.name, n), server.Config{
 			Shards:   n,
 			Clients:  2 * n,
 			Mix:      workload.YCSBA,
@@ -390,27 +383,13 @@ func ServiceBackendFigure(sc Scale) (Table, error) {
 			Mode:     be.mode,
 			Policy:   server.IntervalPolicy{Every: sc.Interval},
 			Seed:     11,
-			Parallel: 1, // cell-internal verification; the sweep is the parallel layer
 		})
 		if err != nil {
-			return cellRes{}, fmt.Errorf("%s/%d shards: %w", be.name, n, err)
-		}
-		res, err := svc.Run()
-		if err != nil {
-			return cellRes{}, fmt.Errorf("%s/%d shards: %w", be.name, n, err)
-		}
-		if !res.OK() {
-			return cellRes{}, fmt.Errorf("%s/%d shards: service inconsistent: %v", be.name, n, res.Violations[0])
-		}
-		var maxPause int64
-		for _, st := range res.Shards {
-			if st.P99PausePS > maxPause {
-				maxPause = st.P99PausePS
-			}
+			return cellRes{}, err
 		}
 		return cellRes{
 			tputMops:   res.ThroughputOps / 1e6,
-			p99PauseUS: float64(maxPause) / 1e6,
+			p99PauseUS: float64(maxShardPauseP99(res)) / 1e6,
 		}, nil
 	})
 	if err != nil {

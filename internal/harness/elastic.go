@@ -58,14 +58,7 @@ func ElasticFigure(sc Scale) (Table, error) {
 			fmt.Sprintf("p99 is the worst %gms interval of the window, omission-free (charged from intended arrival)", float64(elasticIntervalPS)/1e9),
 		},
 	}
-	heap := sc.HeapSize / 2
-	if heap < 2<<20 {
-		heap = 2 << 20
-	}
-	buckets := sc.Buckets / 2
-	if buckets < 1<<10 {
-		buckets = 1 << 10
-	}
+	heap, buckets := perShardGeometry(sc, 2)
 	type window struct {
 		simMS, mops, p99US float64
 		intervals          int
@@ -76,7 +69,7 @@ func ElasticFigure(sc Scale) (Table, error) {
 	}
 	cells, err := sched.MapErr(len(setups), pool(), func(i int) (cellRes, error) {
 		st := setups[i]
-		svc, err := server.New(server.Config{
+		_, res, err := runServiceCell("elastic/"+st.name, server.Config{
 			Shards:     2,
 			Clients:    4,
 			Mix:        workload.YCSBA,
@@ -95,18 +88,10 @@ func ElasticFigure(sc Scale) (Table, error) {
 				WarmupOps:  sc.Ops / 20,
 				IntervalPS: elasticIntervalPS,
 			},
-			Seed:     13,
-			Parallel: 1, // cell-internal verification; the sweep is the parallel layer
+			Seed: 13,
 		})
 		if err != nil {
-			return cellRes{}, fmt.Errorf("elastic/%s: %w", st.name, err)
-		}
-		res, err := svc.Run()
-		if err != nil {
-			return cellRes{}, fmt.Errorf("elastic/%s: %w", st.name, err)
-		}
-		if !res.OK() {
-			return cellRes{}, fmt.Errorf("elastic/%s: service inconsistent: %v", st.name, res.Violations[0])
+			return cellRes{}, err
 		}
 		if len(res.Migrations) != 1 {
 			return cellRes{}, fmt.Errorf("elastic/%s: recorded %d migrations, want 1", st.name, len(res.Migrations))

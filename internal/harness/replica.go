@@ -33,14 +33,7 @@ func ReplicaFigure(sc Scale) (Table, error) {
 		t.Header = append(t.Header, fmt.Sprintf("%d replicas", n))
 	}
 	cfgFor := func(nReplicas int, spec string) (server.Config, error) {
-		heap := sc.HeapSize / shards
-		if heap < 2<<20 {
-			heap = 2 << 20
-		}
-		buckets := sc.Buckets / shards
-		if buckets < 1<<10 {
-			buckets = 1 << 10
-		}
+		heap, buckets := perShardGeometry(sc, shards)
 		cfg := server.Config{
 			Shards:   shards,
 			Clients:  2 * shards,
@@ -51,7 +44,6 @@ func ReplicaFigure(sc Scale) (Table, error) {
 			Buckets:  buckets,
 			Policy:   server.IntervalPolicy{Every: sc.Interval},
 			Seed:     11,
-			Parallel: 1,
 			Replicas: nReplicas,
 		}
 		if nReplicas > 0 {
@@ -73,20 +65,14 @@ func ReplicaFigure(sc Scale) (Table, error) {
 		secFrac      float64
 	}
 	run := func(nReplicas int, spec string) (cellRes, error) {
+		label := fmt.Sprintf("replica/%s/%d", spec, nReplicas)
 		cfg, err := cfgFor(nReplicas, spec)
 		if err != nil {
-			return cellRes{}, fmt.Errorf("replica/%s/%d: %w", spec, nReplicas, err)
+			return cellRes{}, fmt.Errorf("%s: %w", label, err)
 		}
-		svc, err := server.New(cfg)
+		_, res, err := runServiceCell(label, cfg)
 		if err != nil {
-			return cellRes{}, fmt.Errorf("replica/%s/%d: %w", spec, nReplicas, err)
-		}
-		res, err := svc.Run()
-		if err != nil {
-			return cellRes{}, fmt.Errorf("replica/%s/%d: %w", spec, nReplicas, err)
-		}
-		if !res.OK() {
-			return cellRes{}, fmt.Errorf("replica/%s/%d: inconsistent: %v", spec, nReplicas, res.Violations[0])
+			return cellRes{}, err
 		}
 		c := cellRes{reads: len(res.Reads), simPS: res.SimPS, staleMean: res.StaleMeanEpochs}
 		if res.SimPS > 0 && c.reads > 0 {

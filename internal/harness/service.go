@@ -54,19 +54,12 @@ func ServiceFigure(sc Scale) (Table, error) {
 	}
 	cells, err := sched.MapErr(len(backends)*len(shardCounts), pool(), func(i int) (cellRes, error) {
 		be, n := backends[i/len(shardCounts)], shardCounts[i%len(shardCounts)]
-		heap := sc.HeapSize / n
-		if heap < 2<<20 {
-			heap = 2 << 20
-		}
-		buckets := sc.Buckets / n
-		if buckets < 1<<10 {
-			buckets = 1 << 10
-		}
+		heap, buckets := perShardGeometry(sc, n)
 		policy := be.policy
 		if policy == nil {
 			policy = server.IntervalPolicy{Every: sc.Interval}
 		}
-		svc, err := server.New(server.Config{
+		svc, res, err := runServiceCell(fmt.Sprintf("%s/%d shards", be.name, n), server.Config{
 			Shards:   n,
 			Clients:  2 * n,
 			Mix:      workload.YCSBA,
@@ -77,18 +70,10 @@ func ServiceFigure(sc Scale) (Table, error) {
 			Mode:     be.mode,
 			Policy:   policy,
 			Seed:     11,
-			Parallel: 1, // cell-internal verification; the sweep is the parallel layer
 			Trace:    Tracing(),
 		})
 		if err != nil {
-			return cellRes{}, fmt.Errorf("%s/%d shards: %w", be.name, n, err)
-		}
-		res, err := svc.Run()
-		if err != nil {
-			return cellRes{}, fmt.Errorf("%s/%d shards: %w", be.name, n, err)
-		}
-		if !res.OK() {
-			return cellRes{}, fmt.Errorf("%s/%d shards: service inconsistent: %v", be.name, n, res.Violations[0])
+			return cellRes{}, err
 		}
 		var recs []*obs.Recorder
 		if Tracing() {
@@ -128,6 +113,32 @@ func ServiceFigure(sc Scale) (Table, error) {
 		collectTraces(&t, labels, recs)
 	}
 	return t, nil
+}
+
+// perShardGeometry splits the scale's aggregate heap and bucket budget over
+// a shard count (with floors), so the data volume stays fixed as the
+// service scales out, as a real deployment's would.
+func perShardGeometry(sc Scale, shards int) (heap, buckets int) {
+	return max(sc.HeapSize/shards, 2<<20), max(sc.Buckets/shards, 1<<10)
+}
+
+// runServiceCell runs one service configuration to completion as a figure
+// cell and insists on a consistent result. Cell-internal verification is
+// serial: the sweep is the parallel layer.
+func runServiceCell(label string, cfg server.Config) (*server.Service, *server.Result, error) {
+	cfg.Parallel = 1
+	svc, err := server.New(cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", label, err)
+	}
+	res, err := svc.Run()
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", label, err)
+	}
+	if !res.OK() {
+		return nil, nil, fmt.Errorf("%s: service inconsistent: %v", label, res.Violations[0])
+	}
+	return svc, res, nil
 }
 
 // maxShardPauseP99 is the worst shard's p99 pause in picoseconds.

@@ -57,20 +57,13 @@ func SLOFigure(sc Scale) (Table, error) {
 	for _, tgt := range sloTargetsMops {
 		t.Header = append(t.Header, fmt.Sprintf("%gMops/s", tgt))
 	}
-	heap := sc.HeapSize / sloShards
-	if heap < 2<<20 {
-		heap = 2 << 20
-	}
-	buckets := sc.Buckets / sloShards
-	if buckets < 1<<10 {
-		buckets = 1 << 10
-	}
+	heap, buckets := perShardGeometry(sc, sloShards)
 	type cellRes struct {
 		achievedMops, openP99US, svcP99US float64
 	}
 	cells, err := sched.MapErr(len(setups)*len(sloTargetsMops), pool(), func(i int) (cellRes, error) {
 		st, tgt := setups[i/len(sloTargetsMops)], sloTargetsMops[i%len(sloTargetsMops)]
-		svc, err := server.New(server.Config{
+		_, res, err := runServiceCell(fmt.Sprintf("%s@%gMops", st.name, tgt), server.Config{
 			Shards:   sloShards,
 			Clients:  sloClients,
 			Mix:      workload.YCSBA,
@@ -83,17 +76,9 @@ func SLOFigure(sc Scale) (Table, error) {
 			Policy:   st.policy,
 			Measure:  &measure.Config{TargetOps: tgt * 1e6, WarmupOps: sc.Ops / 10},
 			Seed:     11,
-			Parallel: 1, // cell-internal verification; the sweep is the parallel layer
 		})
 		if err != nil {
-			return cellRes{}, fmt.Errorf("%s@%gMops: %w", st.name, tgt, err)
-		}
-		res, err := svc.Run()
-		if err != nil {
-			return cellRes{}, fmt.Errorf("%s@%gMops: %w", st.name, tgt, err)
-		}
-		if !res.OK() {
-			return cellRes{}, fmt.Errorf("%s@%gMops: service inconsistent: %v", st.name, tgt, res.Violations[0])
+			return cellRes{}, err
 		}
 		m := res.Measure
 		if m == nil || m.MeasuredOps == 0 {

@@ -349,23 +349,6 @@ func (c *Comm) AllreduceU64(v uint64, op Op) uint64 {
 	return out
 }
 
-// BcastU64 distributes root's value to every rank. Non-root callers pass
-// any value; all return root's. Like the allreduces it is collective —
-// every rank must call it, and the trailing barrier keeps the shared
-// buffer safe for immediate reuse.
-func (c *Comm) BcastU64(root int, v uint64) uint64 {
-	w := c.w
-	if c.rank == root {
-		w.mu.Lock()
-		w.redU64[root] = v
-		w.mu.Unlock()
-	}
-	c.Barrier()
-	out := w.redU64[root]
-	c.Barrier() // everyone has read before the buffer is reused
-	return out
-}
-
 // AllreduceF64 combines one float per active rank and returns the result
 // on all.
 func (c *Comm) AllreduceF64(v float64, op Op) float64 {

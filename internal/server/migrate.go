@@ -488,11 +488,12 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 	return nil
 }
 
-// preFlip runs immediately before the cut that publishes the ownership
-// flip: the source hands over its final residual delta (applied by the
-// destination inside the committing epoch, so the cut's image of the
-// destination contains the complete span), and every rank flips its ring
-// clone, binding the flip to the cut's global epoch.
+// preFlip opens the cut that publishes the ownership flip (cutBegin calls
+// it when the migration is flip-ready): the source hands over its final
+// residual delta (applied by the destination inside the committing epoch,
+// so the cut's image of the destination contains the complete span), and
+// every rank flips its ring clone, binding the flip to the cut's global
+// epoch.
 func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
 	if sh.id == sh.migSrc {
 		s.box.final = append([]migEnt(nil), sh.migLog...)
@@ -522,12 +523,13 @@ func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
 	return nil
 }
 
-// postFlip runs after the flip cut's commit+barrier: the source deletes
-// the moved keys (next-epoch writes — recovery landing on the flip epoch
-// still finds them, consistently with its pre-deletion snapshot), and a
-// merge schedules the source's retirement for the cut after the
-// deletions commit. Purely local; every rank reaches it at the same
-// transition.
+// postFlip closes every landed cut (cutLanded calls it; a no-op unless the
+// cut carried a flip), right after the commit+barrier whatever the cut
+// style: the source deletes the moved keys (next-epoch writes — recovery
+// landing on the flip epoch still finds them, consistently with its
+// pre-deletion snapshot), and a merge schedules the source's retirement
+// for the cut after the deletions commit. Purely local; every rank reaches
+// it at the same transition.
 func (s *Service) postFlip(sh *shard) error {
 	if !sh.flipPending {
 		return nil
@@ -593,10 +595,11 @@ func (s *Service) retireRound(c *mpi.Comm, sh *shard) (done bool, err error) {
 // migEndDrain forces every remaining migration to completion before the
 // run closes out, so end-of-run verification always sees a quiescent
 // ring: pending specs start regardless of AfterCuts, ship latencies are
-// jumped on the destination clock, and flips ride forced cuts. A pending
+// jumped on the destination clock, and flips ride forced cuts, taken
+// through in place in the run's cut style. A pending
 // retirement is simply dropped — the merged-away source stays a (empty)
 // member and is verified normally.
-func (s *Service) migEndDrain(c *mpi.Comm, sh *shard, incremental bool) error {
+func (s *Service) migEndDrain(c *mpi.Comm, sh *shard) error {
 	for {
 		switch sh.migPhase {
 		case migIdle:
@@ -612,27 +615,7 @@ func (s *Service) migEndDrain(c *mpi.Comm, sh *shard, incremental bool) error {
 				return err
 			}
 		case migFlipReady:
-			if err := s.preFlip(c, sh); err != nil {
-				return err
-			}
-			if !incremental {
-				if err := s.cut(c, sh); err != nil {
-					return err
-				}
-			} else {
-				if err := s.cutBegin(sh); err != nil {
-					return err
-				}
-				cutting, committed := true, false
-				for cutting {
-					var err error
-					cutting, committed, err = s.cutStep(c, sh, committed)
-					if err != nil {
-						return err
-					}
-				}
-			}
-			if err := s.postFlip(sh); err != nil {
+			if err := s.cutThrough(c, sh, s.cfg.StepBudget == 0); err != nil {
 				return err
 			}
 		}
@@ -644,41 +627,24 @@ func (s *Service) migEndDrain(c *mpi.Comm, sh *shard, incremental bool) error {
 // batch after the join, in the transfer phase, exactly in step with the
 // ranks that grew the world.
 func (s *Service) serveJoinedRank(c *mpi.Comm) {
-	rank := c.Rank()
-	defer s.containCrash(c, rank)
-	sh := newShardShell(rank, s.deviceSize, s.cfg.StepBudget)
-	s.shards[rank] = sh
-	c.AttachClock(sh.clock)
-	if cr := s.cfg.Crash; cr != nil && cr.Shard == rank {
-		sh.dev.FailAfter(cr.At - 1) // primitive count is 0 here
-	}
-	if err := s.provisionJoined(sh); err != nil {
-		s.errs[rank] = err
-		c.Abort()
-		return
-	}
-	if err := s.serveLoop(c, sh, s.box.joinBatch+1); err != nil {
-		s.errs[rank] = err
-		c.Abort()
-	}
+	s.runRank(c, func(sh *shard) error {
+		if err := s.provisionJoined(sh); err != nil {
+			return err
+		}
+		return s.serveLoop(c, sh, s.box.joinBatch+1)
+	})
 }
 
-// provisionJoined builds a joining shard's persistent state: format,
-// allocator and KV init, then one local bring-up checkpoint so the empty
-// keyspace is durable before any migration data lands. The bring-up
+// provisionJoined finishes a joining shard's bring-up over its freshly
+// formatted store (runRank): one local checkpoint, so the empty keyspace
+// is durable before any migration data lands, then the migration and
+// membership state its peers hold. The bring-up
 // commit is local epoch 1; epochOff maps it onto the global cut epoch the
 // shard joined at, so from here on every coordinated cut advances local
 // and global epochs in lockstep and mpi recovery's epoch agreement works
 // unchanged over offset-mapped epochs.
 func (s *Service) provisionJoined(sh *shard) error {
 	box := s.box
-	ctr, err := s.newBackend(sh.dev)
-	if err != nil {
-		return fmt.Errorf("server: shard %d backend: %w", sh.id, err)
-	}
-	if err := sh.init(ctr, s.cfg.DS, s.cfg.Buckets, s.cfg.Trace); err != nil {
-		return err
-	}
 	sh.snapshotForNextCut() // local epoch 1 = {}: the join-epoch image
 	if err := sh.ctr.Checkpoint(); err != nil {
 		return fmt.Errorf("server: shard %d bring-up checkpoint: %w", sh.id, err)
@@ -766,7 +732,7 @@ func (s *Service) verifyRetired(sh *shard, landing uint64) []string {
 	if !ok {
 		return []string{fmt.Sprintf("no shadow snapshot for retired epoch %d", local)}
 	}
-	return sh.verify(want)
+	return verifyKV(sh.kv, want)
 }
 
 // migVerify runs the migration-specific consistency checks after a clean

@@ -3,15 +3,10 @@ package server
 import (
 	"fmt"
 
-	"libcrpm/internal/alloc"
-	"libcrpm/internal/core"
-	"libcrpm/internal/heap"
 	"libcrpm/internal/measure"
-	"libcrpm/internal/mpi"
 	"libcrpm/internal/obs"
 	"libcrpm/internal/pds"
 	"libcrpm/internal/replica"
-	"libcrpm/internal/sched"
 	"libcrpm/internal/workload"
 )
 
@@ -102,23 +97,9 @@ func (sh *shard) secondaryKV(i int) (pds.KV, error) {
 	if sh.secKV[i] != nil {
 		return sh.secKV[i], nil
 	}
-	sec := sh.reps.Sec(i)
-	a, err := alloc.Open(heap.New(sec.Container()))
+	_, kv, err := openKV(sh.reps.Sec(i).Container(), sh.ds)
 	if err != nil {
-		return nil, fmt.Errorf("server: shard %d replica %d allocator: %w", sh.id, i, err)
-	}
-	root := int(a.Root(kvRootSlot))
-	var kv pds.KV
-	switch sh.ds {
-	case DSHashMap:
-		kv, err = pds.OpenHashMap(a, root)
-	case DSRBMap:
-		kv, err = pds.OpenRBMap(a, root)
-	default:
-		err = fmt.Errorf("unknown structure %q", sh.ds)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("server: shard %d replica %d KV: %w", sh.id, i, err)
+		return nil, fmt.Errorf("server: shard %d replica %d: %w", sh.id, i, err)
 	}
 	sh.secKV[i] = kv
 	return kv, nil
@@ -197,7 +178,6 @@ func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState,
 		}
 		lat = (clk.NowPS() - t0) + plan.RTTPS
 		sh.secReads++
-		sh.staleSum += plan.Staleness
 		sh.stale.Observe(int64(plan.Staleness))
 		sh.rec.Observe("replica/staleness_epochs", obs.StalenessBounds, int64(plan.Staleness))
 		if sla.Level == replica.BoundedStaleness && plan.Staleness > sla.Bound {
@@ -210,10 +190,9 @@ func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState,
 	}
 	cs.ObserveRead(plan.View)
 	sh.readLat.Observe(lat)
-	sh.lat.Observe(lat)
-	sh.rec.Observe("req-latency", latencyBounds, lat)
-	sh.acked++
-	sh.sinceCut++
+	// No arrival schedule to charge against: the open-loop rig excludes
+	// replication (ErrMeasureReplicas).
+	sh.ack(pendAck{kind: op.Kind, seq: seq}, lat)
 	if s.cfg.Audit {
 		sh.reads = append(sh.reads, ReadAudit{
 			Seq: seq, Client: client, Shard: sh.id, SLA: sla.Name(),
@@ -281,158 +260,4 @@ func (sh *shard) adoptReplica(sec *replica.Secondary) {
 	sh.clock = sec.Clock()
 	sh.ctr = sec.Container()
 	sh.core = sec.Container()
-}
-
-// failover models losing the crashed shard's node outright and restoring
-// service from its replica set. The outage is global, so the surviving
-// shards power-fail and reopen from their own devices exactly as in
-// recoverAll; the lost shard is instead represented by a Promotion of its
-// most-current secondary. All ranks then run the unmodified coordinated
-// recovery protocol — the promotion is just another mpi.Recoverable — and
-// agree on a landing epoch; the routing flip to the promoted replica is
-// recorded atomically at that cut boundary, and every shard is verified
-// against the landing epoch's snapshot: zero acked-across-a-cut ops lost,
-// zero applied twice.
-func (s *Service) failover(res *Result) {
-	crashed := res.CrashedShard
-	n := len(s.shards)
-	for _, sh := range s.shards {
-		if sh.id != crashed {
-			sh.dev.CrashWith(s.crashPolicy(sh.id))
-		}
-	}
-	ctrs := make([]*core.Container, n)
-	rerrs := make([]error, n)
-	proms := make([]*replica.Promotion, n)
-	w := mpi.NewWorld(n)
-	w.Run(func(c *mpi.Comm) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(mpi.Aborted); !ok {
-					panic(r)
-				}
-			}
-		}()
-		rank := c.Rank()
-		sh := s.shards[rank]
-		var rec mpi.Recoverable
-		var frec *obs.Recorder
-		if rank == crashed {
-			prom, err := sh.reps.Promotion()
-			if err != nil {
-				rerrs[rank] = err
-				c.Abort()
-				return
-			}
-			proms[rank] = prom
-			c.AttachClock(prom.Secondary().Clock())
-			rec, frec = prom, prom.Secondary().Recorder()
-		} else {
-			c.AttachClock(sh.clock)
-			ctr, err := core.OpenContainerDeferRecovery(sh.dev, s.opts)
-			if err != nil {
-				rerrs[rank] = fmt.Errorf("reopen: %w", err)
-				c.Abort()
-				return
-			}
-			ctrs[rank] = ctr
-			rec, frec = ctr, sh.rec
-		}
-		frec.Begin("failover")
-		err := mpi.Recover(c, rec)
-		frec.End()
-		if err != nil {
-			rerrs[rank] = fmt.Errorf("recover: %w", err)
-			c.Abort()
-			return
-		}
-		// Publish the promotion so every node flips its routing to the
-		// same replica at the same cut boundary, and check the agreement
-		// while still inside the world: every survivor must have landed
-		// exactly on the epoch the promoted replica resumed from.
-		var id, at uint64
-		if rank == crashed {
-			id = uint64(proms[rank].Secondary().ID())
-			at = proms[rank].Secondary().Installed()
-		}
-		id = c.BcastU64(crashed, id)
-		at = c.BcastU64(crashed, at)
-		if rank != crashed && ctrs[rank].CommittedEpoch() != at {
-			rerrs[rank] = fmt.Errorf("recover: landed on epoch %d, promoted replica %d announced %d",
-				ctrs[rank].CommittedEpoch(), id, at)
-			c.Abort()
-		}
-	})
-	for i, err := range rerrs {
-		if err != nil {
-			res.Violations = append(res.Violations, Violation{Shard: i, Stage: "recover", Detail: err.Error()})
-		}
-	}
-	if len(res.Violations) > 0 {
-		return
-	}
-	prom := proms[crashed]
-	if prom == nil {
-		res.Violations = append(res.Violations, Violation{Shard: crashed, Stage: "recover", Detail: "promotion never completed"})
-		return
-	}
-	land := prom.Secondary().Installed()
-	for i, ctr := range ctrs {
-		if i == crashed {
-			continue
-		}
-		if ctr == nil {
-			res.Violations = append(res.Violations, Violation{Shard: i, Stage: "recover", Detail: "recovery aborted"})
-			continue
-		}
-		if e := ctr.CommittedEpoch(); e != land {
-			res.Violations = append(res.Violations, Violation{
-				Shard: i, Stage: "epoch",
-				Detail: fmt.Sprintf("recovered to epoch %d, promoted replica to %d", e, land),
-			})
-		}
-	}
-	if len(res.Violations) > 0 {
-		return
-	}
-	res.Recovered, res.RecoveredEpoch = true, land
-	res.FailedOver = true
-	res.PromotedReplica = prom.Secondary().ID()
-	res.PromotedEpoch = land
-	s.router.Promote(crashed, prom.Secondary().ID(), land)
-	s.shards[crashed].adoptReplica(prom.Secondary())
-	for _, sh := range s.shards {
-		// Cuts beyond the landing epoch never globally committed: drop
-		// them from every receive buffer, and quarantine any survivor's
-		// secondary that had already installed ahead of the landing.
-		sh.reps.DropAbove(land)
-	}
-	if land == 0 {
-		// Lost the shard before the populate cut committed anywhere:
-		// nothing was ever acked across a cut, nothing to verify.
-		return
-	}
-	vs := sched.Map(n, sched.Options{Workers: s.cfg.Parallel}, func(i int) []string {
-		sh := s.shards[i]
-		var ctr CutBackend = ctrs[i]
-		if i == crashed {
-			ctr = sh.ctr // the adopted replica's container
-		}
-		if err := sh.reattach(ctr, s.cfg.DS); err != nil {
-			return []string{err.Error()}
-		}
-		want, ok := sh.shadow.snapAt(land)
-		if !ok {
-			return []string{fmt.Sprintf("no shadow snapshot for landing epoch %d", land)}
-		}
-		return sh.verify(want)
-	})
-	for i, bad := range vs {
-		for _, d := range bad {
-			res.Violations = append(res.Violations, Violation{Shard: i, Stage: "verify", Detail: d})
-		}
-	}
-	if len(res.Violations) == 0 && s.cfg.Liveness {
-		s.liveness(res, s.shards)
-	}
 }

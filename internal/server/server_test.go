@@ -86,6 +86,25 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNewLeavesCallerMigrationsAlone: Config is passed by value but its
+// Migrations slice shares a backing array with the caller's, and sweeps
+// hand one base config to many concurrent runs — defaulting AfterCuts must
+// happen on a private copy.
+func TestNewLeavesCallerMigrationsAlone(t *testing.T) {
+	cfg := migCfg()
+	cfg.Migrations = []MigrateSpec{{Kind: MigrateSplit, Src: 0}}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg.Migrations[0].AfterCuts; got != 0 {
+		t.Fatalf("New wrote AfterCuts=%d into the caller's Migrations slice", got)
+	}
+	if got := svc.cfg.Migrations[0].AfterCuts; got != 1 {
+		t.Fatalf("the service's own copy has AfterCuts=%d, want the default 1", got)
+	}
+}
+
 // TestCleanRunAllMixes: every YCSB mix serves to completion with the KV
 // exactly matching the acked-op shadow on every shard.
 func TestCleanRunAllMixes(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -242,6 +243,8 @@ func (c Config) withDefaults() (Config, error) {
 		if len(c.Migrations) > 0 && c.AutoSplit.MaxShards > 0 {
 			return c, fmt.Errorf("server: explicit migrations and autosplit are mutually exclusive")
 		}
+		// Defaulting AfterCuts below must not write into the caller's slice.
+		c.Migrations = slices.Clone(c.Migrations)
 		for i := range c.Migrations {
 			m := &c.Migrations[i]
 			switch m.Kind {
@@ -447,11 +450,7 @@ func (s *Service) Run() (*Result, error) {
 
 	res := &Result{CrashedShard: crashedRank}
 	if crashedRank >= 0 {
-		if s.cfg.Replicas > 0 {
-			s.failover(res)
-		} else {
-			s.recoverAll(res)
-		}
+		s.recoverAll(res)
 	} else {
 		// Clean run: every shard's KV must equal its live shadow, and
 		// every quiesced secondary must equal the cut snapshot of its
@@ -459,7 +458,7 @@ func (s *Service) Run() (*Result, error) {
 		// result: each cell reads only its own shard (and its replicas),
 		// and reduction is in shard order.
 		vs := sched.Map(len(s.shards), sched.Options{Workers: s.cfg.Parallel}, func(i int) [2][]string {
-			return [2][]string{s.shards[i].verify(s.shards[i].shadow.live), s.shards[i].verifyReplicas()}
+			return [2][]string{verifyKV(s.shards[i].kv, s.shards[i].shadow.live), s.shards[i].verifyReplicas()}
 		})
 		for i, bad := range vs {
 			for _, d := range bad[0] {
@@ -558,8 +557,11 @@ func (s *Service) containCrash(c *mpi.Comm, rank int) {
 	}
 }
 
-// serveRank is one shard's request loop, run as an mpi rank.
-func (s *Service) serveRank(c *mpi.Comm) {
+// runRank is the shell every rank loop shares: a shard on a fresh device
+// with crash injection armed before the first container primitive, a
+// formatted backend with the allocator and KV inside it, then body. An
+// error aborts the world so peers parked at collectives unwind.
+func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 	rank := c.Rank()
 	defer s.containCrash(c, rank)
 	sh := newShardShell(rank, s.deviceSize, s.cfg.StepBudget)
@@ -568,32 +570,36 @@ func (s *Service) serveRank(c *mpi.Comm) {
 	if cr := s.cfg.Crash; cr != nil && cr.Shard == rank {
 		sh.dev.FailAfter(cr.At - 1) // primitive count is 0 here
 	}
-	if s.migratory() {
-		sh.ring = s.router.Ring().Clone()
-		sh.appliedBits = make([]uint64, (s.cfg.Ops+63)/64)
-	}
 	ctr, err := s.newBackend(sh.dev)
 	if err != nil {
-		s.errs[rank] = fmt.Errorf("server: shard %d backend: %w", rank, err)
-		c.Abort()
-		return
+		err = fmt.Errorf("server: shard %d backend: %w", rank, err)
 	}
-	if err := sh.init(ctr, s.cfg.DS, s.cfg.Buckets, s.cfg.Trace); err != nil {
+	if err == nil {
+		err = sh.init(ctr, s.cfg.DS, s.cfg.Buckets, s.cfg.Trace)
+	}
+	if err == nil {
+		err = body(sh)
+	}
+	if err != nil {
 		s.errs[rank] = err
 		c.Abort()
-		return
 	}
-	if s.cfg.Replicas > 0 {
-		if err := s.initReplicas(sh); err != nil {
-			s.errs[rank] = err
-			c.Abort()
-			return
+}
+
+// serveRank is one boot shard's request loop, run as an mpi rank.
+func (s *Service) serveRank(c *mpi.Comm) {
+	s.runRank(c, func(sh *shard) error {
+		if s.migratory() {
+			sh.ring = s.router.Ring().Clone()
+			sh.appliedBits = make([]uint64, (s.cfg.Ops+63)/64)
 		}
-	}
-	if err := s.serve(c, sh); err != nil {
-		s.errs[rank] = err
-		c.Abort()
-	}
+		if s.cfg.Replicas > 0 {
+			if err := s.initReplicas(sh); err != nil {
+				return err
+			}
+		}
+		return s.serve(c, sh)
+	})
 }
 
 // serve runs populate plus the batched request loop. All device work
@@ -614,7 +620,9 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 	}
 	sh.rec.End()
 	sh.statsBase = sh.dev.Stats()
-	if err := s.cut(c, sh); err != nil {
+	// The populate cut is stop-the-world whatever the run's cut style:
+	// nothing is being served yet, so there is no pause to budget.
+	if err := s.cutThrough(c, sh, true); err != nil {
 		return err
 	}
 	sh.primBase = sh.dev.PrimitiveCount()
@@ -636,13 +644,16 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 // key's slot — live ring clones flip identically at identical boundaries,
 // so exactly one rank applies each op. Migration-free runs read the
 // router's boot ring, which never changes, and skip every migration hook.
+//
+// Every batch boundary is either one step of the cut in flight or a policy
+// round that may begin one (cutBegin, cutStep); the loop itself holds no
+// cut state.
 func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 	owner := s.router.Ring() // immutable without migrations
 	if sh.ring != nil {
 		owner = sh.ring
 	}
-	incremental := s.cfg.StepBudget > 0
-	cutting, committed := false, false
+	stw := s.cfg.StepBudget == 0
 	for b := startBatch; b < s.batches; b++ {
 		if !sh.inEpoch {
 			sh.rec.Begin("epoch")
@@ -680,21 +691,11 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 				return err
 			}
 		}
-		if cutting {
+		if sh.phase != cutIdle {
 			// An incremental cut is in flight: one bounded checkpoint
 			// quantum between request batches instead of a policy round.
-			wasCommitted := committed
-			var err error
-			cutting, committed, err = s.cutStep(c, sh, committed)
-			if err != nil {
+			if err := s.cutStep(c, sh); err != nil {
 				return err
-			}
-			if !wasCommitted && committed {
-				// The cut just landed globally: a pending ring flip is now
-				// published; the source drops its moved keys.
-				if err := s.postFlip(sh); err != nil {
-					return err
-				}
 			}
 			continue
 		}
@@ -707,53 +708,32 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 		round := time.Duration((now - sh.roundPS) / 1000)
 		sh.roundPS = now
 		doCut := ops > 0 && s.cfg.Policy.Cut(CutStats{Ops: ops, DirtyBytes: dirty, Since: since, Round: round, Shards: s.cfg.Shards})
-		if doCut && s.migratory() && sh.migPhase != migFlipReady {
-			// Back-to-back cuts (a saturated incremental pipeline, or a
-			// policy that fires every round) would otherwise starve the
-			// migration: advance the state machine before cutting. If a
-			// migration starts here it may grow the world, and the spawned
-			// rank only joins the collective sequence at the next batch
-			// boundary — push the cut to the next round, where it fires
-			// again with the newcomer in step.
-			was := sh.migPhase
+		if s.migratory() && !(doCut && sh.migPhase == migFlipReady) {
+			// Advance the migration state machine — also right before a cut,
+			// or back-to-back cuts (a saturated incremental pipeline, a
+			// policy that fires every round) would starve it. A flip-ready
+			// migration waits for the cut instead: cutBegin carries it.
+			idle := sh.migPhase == migIdle
 			justCut := sh.cuts != sh.lastRoundCuts
 			sh.lastRoundCuts = sh.cuts
 			if err := s.migRound(c, sh, b, justCut, false); err != nil {
 				return err
 			}
-			if was == migIdle && sh.migPhase != migIdle {
-				continue
+			if idle && sh.migPhase != migIdle {
+				// A migration started and may have grown the world; the
+				// spawned rank only joins the collective sequence at the
+				// next batch boundary. Push the cut to the next round, where
+				// it fires again with the newcomer in step.
+				doCut = false
 			}
 		}
 		if doCut {
-			if sh.migPhase == migFlipReady {
-				// The ownership flip rides this cut: hand over the final
-				// residual and flip every ring clone before the commit.
-				if err := s.preFlip(c, sh); err != nil {
-					return err
-				}
-			}
-			if !incremental {
-				if err := s.cut(c, sh); err != nil {
-					return err
-				}
-				if err := s.postFlip(sh); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := s.cutBegin(sh); err != nil {
+			if err := s.cutBegin(c, sh, stw); err != nil {
 				return err
 			}
-			cutting, committed = true, false
 			continue
 		}
 		if s.migratory() {
-			justCut := sh.cuts != sh.lastRoundCuts
-			sh.lastRoundCuts = sh.cuts
-			if err := s.migRound(c, sh, b, justCut, false); err != nil {
-				return err
-			}
 			done, err := s.retireRound(c, sh)
 			if err != nil {
 				return err
@@ -764,46 +744,24 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 		}
 	}
 	// Drain an in-flight cut before closing out: the pipeline must be
-	// idle for end-of-run verification (and any final monolithic cut).
-	for cutting {
-		wasCommitted := committed
-		var err error
-		cutting, committed, err = s.cutStep(c, sh, committed)
-		if err != nil {
+	// idle for end-of-run verification (and any final cut).
+	for sh.phase != cutIdle {
+		if err := s.cutStep(c, sh); err != nil {
 			return err
-		}
-		if !wasCommitted && committed {
-			if err := s.postFlip(sh); err != nil {
-				return err
-			}
 		}
 	}
 	if s.migratory() {
 		// Force every remaining migration through to its flip so the ring
 		// is quiescent for verification.
-		if err := s.migEndDrain(c, sh, incremental); err != nil {
+		if err := s.migEndDrain(c, sh); err != nil {
 			return err
 		}
 	}
 	if c.AllreduceU64(sh.sinceCut, mpi.Sum) > 0 {
-		if !incremental {
-			if err := s.cut(c, sh); err != nil {
-				return err
-			}
-		} else {
-			// Close out through the pipeline as well: the run's pause
-			// profile stays budgeted all the way to the last ack.
-			if err := s.cutBegin(sh); err != nil {
-				return err
-			}
-			cutting, committed = true, false
-			for cutting {
-				var err error
-				cutting, committed, err = s.cutStep(c, sh, committed)
-				if err != nil {
-					return err
-				}
-			}
+		// Close out in the run's own cut style: under the pipeline the
+		// pause profile stays budgeted all the way to the last ack.
+		if err := s.cutThrough(c, sh, stw); err != nil {
+			return err
 		}
 	} else {
 		c.Barrier() // align end-of-run clocks
@@ -822,49 +780,6 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// cut takes one coordinated consistent cut: snapshot the shadow under
-// the epoch about to commit (before the commit, so the snapshot exists
-// wherever inside the protocol a crash lands), then run the §3.6
-// commit-then-barrier checkpoint.
-func (s *Service) cut(c *mpi.Comm, sh *shard) error {
-	sh.snapshotForNextCut()
-	var d *replica.Delta
-	if sh.reps != nil {
-		// Capture the delta at the boundary, before the commit mutates
-		// the dirty set (a pure DRAM copy: no device primitives, so
-		// crash-injection points are untouched).
-		d = sh.captureDelta()
-	}
-	t0 := sh.clock.NowPS()
-	sh.rec.Begin("ckpt-pause")
-	if err := mpi.Checkpoint(c, sh.ctr); err != nil {
-		return err
-	}
-	sh.rec.End()
-	if sh.reps != nil {
-		// The cut is globally committed (commit plus barrier behind us);
-		// the shipped payload rides that fence, so every replicated delta
-		// corresponds to a cut recovery can land on.
-		sh.shipDelta(d)
-	}
-	pause := sh.clock.NowPS() - t0
-	if sh.inEpoch {
-		sh.rec.End() // epoch
-		sh.inEpoch = false
-	}
-	if sh.rec.Enabled() {
-		stats := sh.dev.Stats()
-		sh.rec.RecordEpoch(stats.Sub(sh.statsBase), pause)
-		sh.statsBase = stats
-	}
-	sh.observePause(pause)
-	sh.cuts++
-	sh.sinceCut = 0
-	sh.cutStartPS = sh.clock.NowPS()
-	sh.roundPS = sh.cutStartPS
 	return nil
 }
 
@@ -895,24 +810,53 @@ func (s *Service) dirtyEstimate(sh *shard) uint64 {
 	if s.cfg.StepBudget > 0 {
 		return uint64(sh.core.PendingCutBytes())
 	}
-	return sh.dirtyBlockBytes()
+	return sh.ctr.DirtyEstimateBytes()
 }
 
-// cutBegin opens an incremental cut: snapshot the shadow at the cut
-// boundary (exactly the image the cut will commit — stores that land
-// while the cut is in flight are diverted past it by the write barrier),
-// open the pipeline, and start deferring acks to quantum boundaries.
-// Purely local: every rank reached the identical policy decision, so no
-// coordination is needed until the first quantum's allreduce.
-func (s *Service) cutBegin(sh *shard) error {
+// The cut lifecycle. A shard's coordinated cut is one state machine,
+//
+//	idle ──cutBegin──▶ flush ──cutStep: drained everywhere, commit+barrier──▶ replay ──cutStep: drained everywhere──▶ idle
+//
+// and a stop-the-world cut is the same lifecycle whose begin already lands
+// (commit plus barrier in one call, idle → idle). Whatever the style, the
+// epoch closes out in exactly one place, cutLanded.
+
+// cutBegin opens one coordinated cut at a boundary every rank reached with
+// the identical decision. A flip-ready migration rides it: the residual is
+// handed over and every ring clone flips before the image is taken. The
+// shadow is then marked as the image of the epoch about to commit — before
+// the commit, so the image exists wherever inside the protocol a crash
+// lands — and the replica delta is captured while the dirty set is still
+// intact (a pure DRAM copy: no device primitives, so crash-injection points
+// are untouched); it ships only once the cut has landed, so an aborted cut
+// never reaches a secondary.
+//
+// Stop-the-world, the §3.6 commit-then-barrier runs here and the cut lands
+// at once. Otherwise the pipeline opens and acks are deferred to quantum
+// fences from here on: stores that land while the cut is in flight are
+// diverted past it by the write barrier, and the requests behind them
+// count toward the next epoch — which is why sinceCut restarts at begin,
+// not at landing (stop-the-world, the two coincide).
+func (s *Service) cutBegin(c *mpi.Comm, sh *shard, stw bool) error {
+	if sh.migPhase == migFlipReady {
+		if err := s.preFlip(c, sh); err != nil {
+			return err
+		}
+	}
 	sh.snapshotForNextCut()
 	if sh.reps != nil {
-		// Capture now — Begin moves the dirty set into the cut — but ship
-		// only at the commit barrier: an aborted in-flight cut must never
-		// reach a secondary.
 		sh.pendDelta = sh.captureDelta()
 	}
+	sh.sinceCut = 0
 	t0 := sh.clock.NowPS()
+	if stw {
+		sh.rec.Begin("ckpt-pause")
+		if err := mpi.Checkpoint(c, sh.ctr); err != nil {
+			return err
+		}
+		sh.rec.End()
+		return s.cutLanded(sh, t0)
+	}
 	sh.rec.Begin("ckpt-begin")
 	err := sh.core.CheckpointBegin()
 	sh.rec.End()
@@ -920,58 +864,80 @@ func (s *Service) cutBegin(sh *shard) error {
 		return err
 	}
 	sh.observePause(sh.clock.NowPS() - t0)
-	sh.groupAck = true
-	sh.sinceCut = 0
+	sh.phase = cutFlush
 	return nil
 }
 
-// cutStep advances an in-flight incremental cut by one quantum and
-// handles its two global transitions: commit-plus-barrier once the flush
-// remainder reaches zero everywhere (the cut lands; epoch bookkeeping
-// happens here), and pipeline completion once the replay remainder does.
-// Returns the updated (cutting, committed) state.
-func (s *Service) cutStep(c *mpi.Comm, sh *shard, committed bool) (bool, bool, error) {
+// cutStep advances the in-flight cut by one quantum and handles its two
+// global transitions: once the flush remainder reaches zero everywhere,
+// flip the epoch, then barrier so every rank holds both epochs before any
+// rank's replay may overwrite epoch e state (§3.6's commit-then-barrier,
+// incrementally) — the cut lands; once the replay remainder does, the
+// pipeline is idle.
+func (s *Service) cutStep(c *mpi.Comm, sh *shard) error {
 	rem, err := sh.quantum()
 	if err != nil {
-		return false, false, err
+		return err
 	}
 	if c.AllreduceU64(uint64(rem), mpi.Sum) > 0 {
-		return true, committed, nil
+		return nil
 	}
-	if !committed {
-		// Globally drained: flip the epoch, then barrier so every rank
-		// holds both epochs before any rank's replay may overwrite
-		// epoch e state (§3.6's commit-then-barrier, incrementally).
-		t1 := sh.clock.NowPS()
-		sh.rec.Begin("ckpt-pause")
-		if err := sh.core.CheckpointCommit(); err != nil {
-			return false, false, err
-		}
-		c.Barrier()
-		sh.rec.End()
-		pause := sh.clock.NowPS() - t1
-		sh.observePause(pause)
-		if sh.inEpoch {
-			sh.rec.End() // epoch
-			sh.inEpoch = false
-		}
-		if sh.rec.Enabled() {
-			stats := sh.dev.Stats()
-			sh.rec.RecordEpoch(stats.Sub(sh.statsBase), pause)
-			sh.statsBase = stats
-		}
-		if sh.reps != nil && sh.pendDelta != nil {
-			sh.shipDelta(sh.pendDelta)
-			sh.pendDelta = nil
-		}
-		sh.cuts++
-		sh.cutStartPS = sh.clock.NowPS()
-		sh.roundPS = sh.cutStartPS
-		return true, true, nil
+	if sh.phase == cutReplay {
+		sh.phase = cutIdle
+		return nil
 	}
-	// Replay drained everywhere: the pipeline is idle.
-	sh.groupAck = false
-	return false, false, nil
+	t0 := sh.clock.NowPS()
+	sh.rec.Begin("ckpt-pause")
+	if err := sh.core.CheckpointCommit(); err != nil {
+		return err
+	}
+	c.Barrier()
+	sh.rec.End()
+	sh.phase = cutReplay
+	return s.cutLanded(sh, t0)
+}
+
+// cutLanded closes out the epoch a cut just committed globally (commit
+// plus barrier behind us, begun at pauseStartPS): the pause sample and the
+// epoch record, the replica delta — it rides that fence, so every
+// replicated delta corresponds to a cut recovery can land on — the cut
+// count and the policy's clocks, and the ring flip the cut carried, which
+// is published now: the source drops its moved keys (postFlip).
+func (s *Service) cutLanded(sh *shard, pauseStartPS int64) error {
+	pause := sh.clock.NowPS() - pauseStartPS
+	sh.observePause(pause)
+	if sh.inEpoch {
+		sh.rec.End() // epoch
+		sh.inEpoch = false
+	}
+	if sh.rec.Enabled() {
+		stats := sh.dev.Stats()
+		sh.rec.RecordEpoch(stats.Sub(sh.statsBase), pause)
+		sh.statsBase = stats
+	}
+	if sh.pendDelta != nil {
+		sh.shipDelta(sh.pendDelta)
+		sh.pendDelta = nil
+	}
+	sh.cuts++
+	sh.cutStartPS = sh.clock.NowPS()
+	sh.roundPS = sh.cutStartPS
+	return s.postFlip(sh)
+}
+
+// cutThrough takes one whole cut in place, begin to idle: the populate
+// cut, the close-out cut, and the forced flips of the end-of-run migration
+// drain.
+func (s *Service) cutThrough(c *mpi.Comm, sh *shard, stw bool) error {
+	if err := s.cutBegin(c, sh, stw); err != nil {
+		return err
+	}
+	for sh.phase != cutIdle {
+		if err := s.cutStep(c, sh); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // crashPolicy resolves one shard's line fates at the global power
@@ -984,14 +950,52 @@ func (s *Service) crashPolicy(shardID int) nvm.CrashPolicy {
 	return nvm.SeededCrash(rand.New(rand.NewSource(seed)))
 }
 
+// rankWorld runs fn as one mpi rank per member shard — rank i is
+// members[i], on the shard's clock — and reports every failed rank as a
+// violation of the given stage. A failing rank aborts the world, so peers
+// parked at collectives unwind instead of waiting for it forever.
+func rankWorld(members []*shard, stage string, fn func(c *mpi.Comm, sh *shard) error) []Violation {
+	errs := make([]error, len(members))
+	mpi.NewWorld(len(members)).Run(func(c *mpi.Comm) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(mpi.Aborted); !ok {
+					panic(r)
+				}
+			}
+		}()
+		sh := members[c.Rank()]
+		c.AttachClock(sh.clock)
+		if err := fn(c, sh); err != nil {
+			errs[c.Rank()] = err
+			c.Abort()
+		}
+	})
+	var bad []Violation
+	for i, err := range errs {
+		if err != nil {
+			bad = append(bad, Violation{Shard: members[i].id, Stage: stage, Detail: err.Error()})
+		}
+	}
+	return bad
+}
+
 // recoverAll models the global power failure and the coordinated
 // restart: every device crashes, every container reopens with recovery
 // deferred, the ranks agree on the minimum committed epoch (rolling
 // back any shard that committed one ahead), and each recovered KV is
-// verified against the shadow snapshot of the landing epoch.
+// verified against the shadow snapshot of the landing epoch: zero
+// acked-across-a-cut ops lost, zero applied twice.
+//
+// Under replication the crashed shard's node is lost outright, device and
+// all. Its rank is then a Promotion of its most-current secondary — just
+// another mpi.Recoverable in the same unmodified protocol — and once the
+// world has agreed on the landing epoch the shard's routing flips to the
+// promoted replica, atomically at that cut boundary.
 func (s *Service) recoverAll(res *Result) {
-	for _, sh := range s.shards {
-		sh.dev.CrashWith(s.crashPolicy(sh.id))
+	lost := -1
+	if s.cfg.Replicas > 0 {
+		lost = res.CrashedShard
 	}
 	// Membership at the failure: a merged-away source that already retired
 	// cannot rejoin the coordinated protocol — its committed epoch froze at
@@ -1001,6 +1005,9 @@ func (s *Service) recoverAll(res *Result) {
 	// compared in the global cut numbering via each shard's join offset.
 	var members, retired []*shard
 	for _, sh := range s.shards {
+		if sh.id != lost {
+			sh.dev.CrashWith(s.crashPolicy(sh.id))
+		}
 		if sh.retired {
 			retired = append(retired, sh)
 		} else {
@@ -1009,43 +1016,44 @@ func (s *Service) recoverAll(res *Result) {
 	}
 	n := len(members)
 	ctrs := make([]CutBackend, n)
-	rerrs := make([]error, n)
-	w := mpi.NewWorld(n)
-	w.Run(func(c *mpi.Comm) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(mpi.Aborted); !ok {
-					panic(r)
-				}
+	landed := make([]uint64, n)
+	var prom *replica.Promotion
+	res.Violations = append(res.Violations, rankWorld(members, "recover", func(c *mpi.Comm, sh *shard) error {
+		var rec mpi.Recoverable
+		var span *obs.Recorder // failovers trace the protocol; plain restarts do not
+		if sh.id == lost {
+			p, err := sh.reps.Promotion()
+			if err != nil {
+				return err
 			}
-		}()
-		rank := c.Rank()
-		sh := members[rank]
-		c.AttachClock(sh.clock)
-		ctr, err := s.reopenBackend(sh.dev)
+			prom = p
+			c.AttachClock(p.Secondary().Clock())
+			ctrs[c.Rank()], rec, span = p.Secondary().Container(), p, p.Secondary().Recorder()
+		} else {
+			ctr, err := s.reopenBackend(sh.dev)
+			if err != nil {
+				return fmt.Errorf("reopen: %w", err)
+			}
+			ctrs[c.Rank()], rec = ctr, offsetRecoverable{ctr: ctr, off: sh.epochOff}
+			if lost >= 0 {
+				span = sh.rec
+			}
+		}
+		span.Begin("failover")
+		err := mpi.Recover(c, rec)
+		span.End()
 		if err != nil {
-			rerrs[rank] = fmt.Errorf("reopen: %w", err)
-			c.Abort()
-			return
+			return fmt.Errorf("recover: %w", err)
 		}
-		if err := mpi.Recover(c, offsetRecoverable{ctr: ctr, off: sh.epochOff}); err != nil {
-			rerrs[rank] = fmt.Errorf("recover: %w", err)
-			c.Abort()
-			return
-		}
-		ctrs[rank] = ctr
-	})
-	for i, err := range rerrs {
-		if err != nil {
-			res.Violations = append(res.Violations, Violation{Shard: members[i].id, Stage: "recover", Detail: err.Error()})
-		}
-	}
+		landed[c.Rank()] = rec.CommittedEpoch()
+		return nil
+	})...)
 	if len(res.Violations) > 0 {
 		return
 	}
-	epoch := members[0].epochOff + ctrs[0].CommittedEpoch()
-	for i, ctr := range ctrs {
-		if e := members[i].epochOff + ctr.CommittedEpoch(); e != epoch {
+	epoch := landed[0]
+	for i, e := range landed {
+		if e != epoch {
 			res.Violations = append(res.Violations, Violation{
 				Shard: members[i].id, Stage: "epoch",
 				Detail: fmt.Sprintf("recovered to global epoch %d, shard %d to %d", e, members[0].id, epoch),
@@ -1056,6 +1064,18 @@ func (s *Service) recoverAll(res *Result) {
 		return
 	}
 	res.Recovered, res.RecoveredEpoch = true, epoch
+	if prom != nil {
+		sec := prom.Secondary()
+		res.FailedOver, res.PromotedReplica, res.PromotedEpoch = true, sec.ID(), epoch
+		s.router.Promote(lost, sec.ID(), epoch)
+		s.shards[lost].adoptReplica(sec)
+		for _, sh := range s.shards {
+			// Cuts beyond the landing epoch never globally committed: drop
+			// them from every receive buffer, and quarantine any survivor's
+			// secondary that had already installed ahead of the landing.
+			sh.reps.DropAbove(epoch)
+		}
+	}
 	if epoch == 0 {
 		// Crash before the populate cut committed anywhere: nothing was
 		// ever acked across a cut, so there is nothing to verify (the
@@ -1072,7 +1092,7 @@ func (s *Service) recoverAll(res *Result) {
 		if !ok {
 			return []string{fmt.Sprintf("no shadow snapshot for landing epoch %d (local %d)", epoch, local)}
 		}
-		return sh.verify(want)
+		return verifyKV(sh.kv, want)
 	})
 	for i, bad := range vs {
 		for _, d := range bad {
@@ -1105,57 +1125,34 @@ func (s *Service) recoverAll(res *Result) {
 // is read back. A zero-weight member (a merged-away source that had not
 // yet retired) owns no routable key, so it only joins the cut.
 func (s *Service) liveness(res *Result, members []*shard) {
-	n := len(members)
-	lerrs := make([]error, n)
-	w := mpi.NewWorld(n)
-	w.Run(func(c *mpi.Comm) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(mpi.Aborted); !ok {
-					panic(r)
-				}
-			}
-		}()
-		rank := c.Rank()
-		sh := members[rank]
-		c.AttachClock(sh.clock)
+	const marker = 0x11FE11FE11FE11FE
+	res.Violations = append(res.Violations, rankWorld(members, "liveness", func(c *mpi.Comm, sh *shard) error {
 		probe := s.router.Ring().Weight(sh.id) > 0
-		var key uint64
-		const marker = 0x11FE11FE11FE11FE
+		key := uint64(1) << 62
 		if probe {
-			key = uint64(1) << 62
 			for s.router.Shard(key) != sh.id {
 				key++
 			}
 			if err := sh.kv.Put(key, marker); err != nil {
-				lerrs[rank] = fmt.Errorf("probe put: %w", err)
-				c.Abort()
-				return
+				return fmt.Errorf("probe put: %w", err)
 			}
 		}
 		if err := mpi.Checkpoint(c, sh.ctr); err != nil {
-			lerrs[rank] = fmt.Errorf("probe cut: %w", err)
-			c.Abort()
-			return
+			return fmt.Errorf("probe cut: %w", err)
 		}
 		if !probe {
-			return
+			return nil
 		}
 		if v, ok := sh.kv.Get(key); !ok || v != marker {
-			lerrs[rank] = fmt.Errorf("probe reread: got %d,%v", v, ok)
-			c.Abort()
+			return fmt.Errorf("probe reread: got %d,%v", v, ok)
 		}
-	})
-	for i, err := range lerrs {
-		if err != nil {
-			res.Violations = append(res.Violations, Violation{Shard: members[i].id, Stage: "liveness", Detail: err.Error()})
-		}
-	}
+		return nil
+	})...)
 }
 
 // fillStats assembles the deterministic per-shard and aggregate numbers.
 func (s *Service) fillStats(res *Result) {
-	var staleSum, staleN uint64
+	var staleSum, staleN int64
 	for _, sh := range s.shards {
 		st := ShardStats{
 			Shard:       sh.id,
@@ -1168,7 +1165,7 @@ func (s *Service) fillStats(res *Result) {
 			MaxLatPS:    sh.lat.Max(),
 			P99PausePS:  sh.pause.Quantile(0.99),
 			P999PausePS: sh.pause.Quantile(0.999),
-			PauseMaxPS:  sh.pauseMaxPS,
+			PauseMaxPS:  sh.pause.Max(),
 			Crashed:     sh.crashed,
 			CrashIndex:  sh.crashIndex,
 		}
@@ -1180,12 +1177,12 @@ func (s *Service) fillStats(res *Result) {
 			st.UnmetReads = sh.unmetReads
 			st.P99ReadLatPS = sh.readLat.Quantile(0.99)
 			if sh.stale.N() > 0 {
-				st.StaleMeanEpochs = float64(sh.staleSum) / float64(sh.stale.N())
+				st.StaleMeanEpochs = float64(sh.stale.Sum()) / float64(sh.stale.N())
 			}
 			res.SecReads += sh.secReads
 			res.UnmetReads += sh.unmetReads
-			staleSum += sh.staleSum
-			staleN += uint64(sh.stale.N())
+			staleSum += sh.stale.Sum()
+			staleN += sh.stale.N()
 			res.Reads = append(res.Reads, sh.reads...)
 			res.Writes = append(res.Writes, sh.writes...)
 		}

@@ -49,6 +49,16 @@ type CutBackend interface {
 // latencyBounds buckets per-request latencies (picoseconds, 1 ns up).
 var latencyBounds = obs.ExpBounds(1_000, 2, 40)
 
+// cutPhase is a shard's position in the cut lifecycle. Every rank holds
+// the same phase at every batch boundary.
+type cutPhase int
+
+const (
+	cutIdle   cutPhase = iota // no cut in flight
+	cutFlush                  // pipeline open: flush quanta until the commit
+	cutReplay                 // landed: replay quanta until the pipeline is idle
+)
+
 // shard is one partition of the service: a device, a container, the KV
 // inside it, and the volatile bookkeeping of the request loop. A shard is
 // owned by exactly one rank goroutine; nothing here is shared.
@@ -77,7 +87,6 @@ type shard struct {
 
 	lat        *measure.Histogram
 	pause      *measure.Histogram
-	pauseMaxPS int64
 	cutStartPS int64
 	// roundPS is the aligned clock at the previous policy decision, the
 	// baseline for CutStats.Round.
@@ -86,11 +95,13 @@ type shard struct {
 	inEpoch   bool
 	simEndPS  int64
 
-	// Group commit (incremental cuts): while groupAck is set, apply defers
-	// acks into pendAcks; releaseAcks acknowledges them after the next
-	// checkpoint quantum's fence, so per-op latency absorbs the fence wait.
-	// stepBudget is that quantum's size in bytes (Config.StepBudget).
-	groupAck   bool
+	// phase is where the shard's coordinated cut stands (service.go: the
+	// cut lifecycle). While one is in flight, acks are group-committed:
+	// apply defers them into pendAcks and releaseAcks acknowledges them
+	// after the next checkpoint quantum's fence, so per-op latency absorbs
+	// the fence wait. stepBudget is that quantum's size in bytes
+	// (Config.StepBudget).
+	phase      cutPhase
 	pendAcks   []pendAck
 	stepBudget int
 
@@ -153,11 +164,10 @@ type shard struct {
 	ds                   DSKind
 	reps                 *replica.Group
 	secKV                []pds.KV       // lazily opened read handles over secondary containers
-	pendDelta            *replica.Delta // captured at cutBegin, shipped at the commit barrier
+	pendDelta            *replica.Delta // captured at cutBegin, shipped by cutLanded
 	cstate               []replica.ClientState
 	readLat              *measure.Histogram // SLA-routed read latency (RTT + replica work)
 	stale                *measure.Histogram // staleness of secondary-served reads, epochs
-	staleSum             uint64
 	secReads, unmetReads uint64
 	repViol              []string // online secondary-read verification failures
 	reads                []ReadAudit
@@ -218,30 +228,40 @@ func (sh *shard) init(ctr CutBackend, ds DSKind, buckets int, trace bool) error 
 	return nil
 }
 
-// reattach reopens the shard's container from its (crashed, recovered)
-// device state and rebinds the allocator and KV from the persisted root.
-// The container itself must already have been recovered (coordinated
-// protocol); reattach only rebuilds the volatile handles.
-func (sh *shard) reattach(ctr CutBackend, ds DSKind) error {
-	sh.ctr = ctr
-	sh.core, _ = ctr.(*core.Container)
-	a, err := alloc.Open(heap.New(ctr))
+// openKV rebinds the allocator and the structure persisted in a formatted
+// store, from the root init recorded.
+func openKV(b ckpt.Backend, ds DSKind) (*alloc.Allocator, pds.KV, error) {
+	a, err := alloc.Open(heap.New(b))
 	if err != nil {
-		return fmt.Errorf("server: shard %d allocator reopen: %w", sh.id, err)
+		return nil, nil, fmt.Errorf("allocator reopen: %w", err)
 	}
-	sh.alloc = a
 	root := int(a.Root(kvRootSlot))
+	var kv pds.KV
 	switch ds {
 	case DSHashMap:
-		sh.kv, err = pds.OpenHashMap(a, root)
+		kv, err = pds.OpenHashMap(a, root)
 	case DSRBMap:
-		sh.kv, err = pds.OpenRBMap(a, root)
+		kv, err = pds.OpenRBMap(a, root)
 	default:
 		err = fmt.Errorf("unknown structure %q", ds)
 	}
 	if err != nil {
-		return fmt.Errorf("server: shard %d KV reopen: %w", sh.id, err)
+		return nil, nil, fmt.Errorf("KV reopen: %w", err)
 	}
+	return a, kv, nil
+}
+
+// reattach rebinds the shard to its container as reopened from the
+// (crashed, recovered) device state. The container itself must already
+// have been recovered (coordinated protocol); reattach only rebuilds the
+// volatile handles.
+func (sh *shard) reattach(ctr CutBackend, ds DSKind) error {
+	a, kv, err := openKV(ctr, ds)
+	if err != nil {
+		return fmt.Errorf("server: shard %d: %w", sh.id, err)
+	}
+	sh.ctr, sh.alloc, sh.kv = ctr, a, kv
+	sh.core, _ = ctr.(*core.Container)
 	return nil
 }
 
@@ -299,18 +319,23 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 	default:
 		return fmt.Errorf("server: shard %d: unknown op kind %v", sh.id, op.Kind)
 	}
-	if sh.groupAck {
-		sh.pendAcks = append(sh.pendAcks, pendAck{kind: op.Kind, seq: seq, startPS: t0, intendedPS: intended})
+	p := pendAck{kind: op.Kind, seq: seq, startPS: t0, intendedPS: intended}
+	if sh.phase != cutIdle {
+		sh.pendAcks = append(sh.pendAcks, p)
 		return nil
 	}
-	done := sh.clock.NowPS()
-	lat := done - t0
-	sh.lat.Observe(lat)
-	sh.rec.Observe("req-latency", latencyBounds, lat)
-	sh.meas.Observe(op.Kind, seq, intended, t0, done)
+	sh.ack(p, sh.clock.NowPS()-t0)
+	return nil
+}
+
+// ack acknowledges one request latPS after its dispatch, on every track:
+// the shard's latency histogram, the trace, the open-loop collector.
+func (sh *shard) ack(p pendAck, latPS int64) {
+	sh.lat.Observe(latPS)
+	sh.rec.Observe("req-latency", latencyBounds, latPS)
+	sh.meas.Observe(p.kind, p.seq, p.intendedPS, p.startPS, p.startPS+latPS)
 	sh.acked++
 	sh.sinceCut++
-	return nil
 }
 
 // idleUntil spends the idle gap ahead of the next arrival. A shard does not
@@ -330,7 +355,7 @@ func (sh *shard) idleUntil(arrivalPS int64) error {
 	if sh.clock.NowPS() >= arrivalPS {
 		return nil
 	}
-	if sh.groupAck {
+	if sh.phase != cutIdle {
 		if _, err := sh.quantum(); err != nil {
 			return err
 		}
@@ -363,17 +388,9 @@ func (sh *shard) quantum() (int, error) {
 // called right after a checkpoint quantum's fence, the group-commit
 // point their durability rides on.
 func (sh *shard) releaseAcks() {
-	if len(sh.pendAcks) == 0 {
-		return
-	}
 	now := sh.clock.NowPS()
 	for _, p := range sh.pendAcks {
-		lat := now - p.startPS
-		sh.lat.Observe(lat)
-		sh.rec.Observe("req-latency", latencyBounds, lat)
-		sh.meas.Observe(p.kind, p.seq, p.intendedPS, p.startPS, now)
-		sh.acked++
-		sh.sinceCut++
+		sh.ack(p, now-p.startPS)
 	}
 	sh.pendAcks = sh.pendAcks[:0]
 }
@@ -382,12 +399,8 @@ func (sh *shard) releaseAcks() {
 // calls (an empty quantum, a free Begin) are not pauses and would skew
 // the quantiles toward zero, so they are skipped.
 func (sh *shard) observePause(ps int64) {
-	if ps <= 0 {
-		return
-	}
-	sh.pause.Observe(ps)
-	if ps > sh.pauseMaxPS {
-		sh.pauseMaxPS = ps
+	if ps > 0 {
+		sh.pause.Observe(ps)
 	}
 }
 
@@ -408,19 +421,9 @@ func (sh *shard) snapshotForNextCut() {
 	sh.shadow.cut(next, floor)
 }
 
-// dirtyBlockBytes estimates the shard's pending checkpoint footprint.
-func (sh *shard) dirtyBlockBytes() uint64 {
-	return sh.ctr.DirtyEstimateBytes()
-}
-
-// verify compares the KV's full contents against an expected image,
+// verifyKV compares a KV's full contents against an expected image,
 // returning deterministic violation details (keys reported in sorted
 // order, capped) — empty means the images match exactly.
-func (sh *shard) verify(want map[uint64]uint64) []string {
-	return verifyKV(sh.kv, want)
-}
-
-// verifyKV is verify's engine, shared with replica verification.
 func verifyKV(kv pds.KV, want map[uint64]uint64) []string {
 	n := kv.Len()
 	var dump []pds.Pair
