@@ -58,6 +58,7 @@ elastic:
 	$(GO) test -race ./internal/ring/
 	$(GO) test -race -run 'Ring|Router|Migrat|AutoSplit|Split|Merge|Grow|Leave|Membership' ./internal/server/ ./internal/mpi/
 	$(GO) run ./cmd/crpmserve -shards 2 -clients 4 -ops 200000 -policy ops:4096 -migrate 'split:0@2,merge:2>1@6'
+	$(GO) run ./cmd/crpmserve -shards 2 -clients 4 -keys 200000 -heap 33554432 -buckets 131072 -ops 1000000 -policy ops:16384 -target 1e6 -warmup 50000 -migrate 'split:0@2,merge:2>1@12'
 	$(GO) run ./cmd/crpmbench -exp elastic
 
 # Open-loop latency SLO study: race-mode sweep over the measurement rig,

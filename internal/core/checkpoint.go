@@ -15,6 +15,9 @@ func (c *Container) Checkpoint() error {
 	if c.inc != nil {
 		return errors.New("core: monolithic Checkpoint with an incremental checkpoint in flight")
 	}
+	if c.wt {
+		return errWriteThroughOpen
+	}
 	clock := c.dev.Clock()
 	prev := clock.SetCategory(nvm.CatCheckpoint)
 	defer clock.SetCategory(prev)
@@ -39,16 +42,20 @@ func (c *Container) checkpointDefault() error {
 	for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
 		dirtyBytes += c.dirtyBlocks.CountRange(s*bps, (s+1)*bps) * c.l.BlkSize
 	}
+	if c.wtOn {
+		// Written-through blocks are dirty blocks of dirty segments that are
+		// already durable: not this checkpoint's to flush.
+		dirtyBytes -= c.pre.Count() * c.l.BlkSize
+	}
 	c.rec.End()
 	c.rec.Begin("flush")
 	if dirtyBytes < c.opts.LLCSize {
 		// Runs of adjacent dirty blocks map to contiguous device ranges
 		// (the heap is contiguous in the main region), so each run becomes
 		// one batched flush instead of a CLWB loop per block.
+		flush := c.flushBlocks
 		for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
-			c.dirtyBlocks.ForEachRunInRange(s*bps, (s+1)*bps, func(b0, b1 int) {
-				c.dev.FlushRange(c.l.HeapToDevice(b0*c.l.BlkSize), (b1-b0)*c.l.BlkSize)
-			})
+			c.dirtyBlocks.ForEachRunInRange(s*bps, (s+1)*bps, flush)
 		}
 	} else {
 		c.dev.WBINVD()
@@ -88,6 +95,7 @@ func (c *Container) checkpointDefault() error {
 	// us: re-seal so the whole-structure CRCs become authoritative again.
 	c.meta.Seal()
 	c.dirtySegs.ClearAll()
+	c.wtForget()
 	c.metrics.Epochs++
 	return nil
 }

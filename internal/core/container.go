@@ -123,6 +123,15 @@ type Container struct {
 	// next CheckpointBegin instead of allocating afresh.
 	incFree *incState
 
+	// Write-through scopes (writethrough.go; default mode). wt is set while
+	// a scope is open and wtBlks lists the blocks stored inside it; pre marks
+	// the blocks a closed scope flushed and fenced that no store has touched
+	// since, which the next checkpoint skips. wtOn == wt || pre.Any() is the
+	// one test the write hook pays; pre is allocated by the first scope.
+	wt, wtOn bool
+	wtBlks   []int
+	pre      *bitmap.Set
+
 	// Buffered-mode state.
 	buf           []byte      // DRAM working buffer
 	curDirty      *bitmap.Set // blocks written in the current epoch
@@ -385,6 +394,9 @@ func (c *Container) OnWrite(off, n int) {
 		}
 	}
 	c.lastBlk = last
+	if c.wtOn {
+		c.wtNote(first, last)
+	}
 	clock.SetCategory(prev)
 }
 

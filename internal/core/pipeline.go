@@ -175,6 +175,9 @@ func (c *Container) CheckpointBegin() error {
 	if c.inc != nil {
 		return errors.New("core: incremental checkpoint already in flight")
 	}
+	if c.wt {
+		return errWriteThroughOpen
+	}
 	clock := c.dev.Clock()
 	prev := clock.SetCategory(nvm.CatCheckpoint)
 	defer clock.SetCategory(prev)
@@ -234,10 +237,16 @@ func (c *Container) CheckpointBegin() error {
 				inc.cutBlocks.SetRange(b0, b1)
 			})
 		}
+		if c.wtOn {
+			// Written-through blocks are already durable: the cut owes them
+			// no flush (and its write barrier no flush-before-write).
+			c.pre.ForEach(func(b int) { inc.cutBlocks.Clear(b) })
+		}
 	}
 	inc.remaining = inc.cutBlocks.Count() * c.l.BlkSize
 	inc.cutBytes = inc.remaining
 	c.dirtySegs.ClearAll()
+	c.wtForget()
 	c.inc = inc
 	return nil
 }
@@ -613,6 +622,9 @@ func (c *Container) PendingCutBytes() int {
 	if c.opts.Mode != ModeBuffered {
 		for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
 			blocks += c.dirtyBlocks.CountRange(s*bps, (s+1)*bps)
+		}
+		if c.wtOn {
+			blocks -= c.pre.Count()
 		}
 		return blocks * c.l.BlkSize
 	}

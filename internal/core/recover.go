@@ -88,6 +88,7 @@ func (c *Container) Recover() error {
 	c.rebuildPairings()
 	c.dirtyBlocks.ClearAll()
 	c.dirtySegs.ClearAll()
+	c.wtForget()
 	c.lastBlk = -1
 	// Any in-flight incremental cut died with the volatile state.
 	c.inc = nil

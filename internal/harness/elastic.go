@@ -30,6 +30,18 @@ const elasticTargetMops = 1.0
 // land inside the measured window, not trail the run.
 const elasticStepBudget = 256 << 10
 
+// elasticMinAfter is the least number of timeseries intervals the after
+// window must hold (2 ms). The figure's run is sized from its own flip: a
+// run that ends before the migration has flipped — or right behind it —
+// has no after window to report, so the cell is served again at twice the
+// length until it has one. Every attempt is a pure function of its config,
+// so the figure stays byte-identical at any -parallel.
+const elasticMinAfter = 20
+
+// elasticMaxDoublings bounds that search; a flip that has not landed in
+// 16x the scale's op count is a bug, reported as one.
+const elasticMaxDoublings = 4
+
 // ElasticFigure is the elastic-resharding study (extension): one 2-shard
 // service runs YCSB-A open-loop while a live split carves half of shard
 // 0's ring slots onto a freshly spawned shard 2 — checkpoint-seeded
@@ -69,64 +81,72 @@ func ElasticFigure(sc Scale) (Table, error) {
 	}
 	cells, err := sched.MapErr(len(setups), pool(), func(i int) (cellRes, error) {
 		st := setups[i]
-		_, res, err := runServiceCell("elastic/"+st.name, server.Config{
-			Shards:     2,
-			Clients:    4,
-			Mix:        workload.YCSBA,
-			Ops:        sc.Ops,
-			Keys:       sc.Keys,
-			HeapSize:   heap,
-			Buckets:    buckets,
-			Mode:       core.ModeDefault,
-			Policy:     st.policy,
-			StepBudget: st.stepBudget,
-			Migrations: []server.MigrateSpec{
-				{Kind: server.MigrateSplit, Src: 0, AfterCuts: 2},
-			},
-			Measure: &measure.Config{
-				TargetOps:  elasticTargetMops * 1e6,
-				WarmupOps:  sc.Ops / 20,
-				IntervalPS: elasticIntervalPS,
-			},
-			Seed: 13,
-		})
-		if err != nil {
-			return cellRes{}, err
-		}
-		if len(res.Migrations) != 1 {
-			return cellRes{}, fmt.Errorf("elastic/%s: recorded %d migrations, want 1", st.name, len(res.Migrations))
-		}
-		m := res.Migrations[0]
-		rep := res.Measure
-		if rep == nil || len(rep.Intervals) == 0 {
-			return cellRes{}, fmt.Errorf("elastic/%s: empty measurement report", st.name)
-		}
-		var c cellRes
-		c.movedKeys = m.MovedKeys
-		for _, iv := range rep.Intervals {
-			w := 0
-			switch {
-			case iv.StartPS < m.StartPS:
-				w = 0
-			case iv.StartPS < m.FlipPS:
-				w = 1
-			default:
-				w = 2
+		for ops := sc.Ops; ; ops *= 2 {
+			_, res, err := runServiceCell("elastic/"+st.name, server.Config{
+				Shards:     2,
+				Clients:    4,
+				Mix:        workload.YCSBA,
+				Ops:        ops,
+				Keys:       sc.Keys,
+				HeapSize:   heap,
+				Buckets:    buckets,
+				Mode:       core.ModeDefault,
+				Policy:     st.policy,
+				StepBudget: st.stepBudget,
+				Migrations: []server.MigrateSpec{
+					{Kind: server.MigrateSplit, Src: 0, AfterCuts: 2},
+				},
+				Measure: &measure.Config{
+					TargetOps:  elasticTargetMops * 1e6,
+					WarmupOps:  sc.Ops / 20,
+					IntervalPS: elasticIntervalPS,
+				},
+				Seed: 13,
+			})
+			if err != nil {
+				return cellRes{}, err
 			}
-			c.win[w].intervals++
-			c.win[w].simMS += float64(rep.IntervalPS) / 1e9
-			c.win[w].mops += float64(iv.Ops)
-			if p := float64(iv.OpenP99PS) / 1e6; p > c.win[w].p99US {
-				c.win[w].p99US = p
+			if len(res.Migrations) != 1 {
+				return cellRes{}, fmt.Errorf("elastic/%s: recorded %d migrations, want 1", st.name, len(res.Migrations))
 			}
-		}
-		for w := range c.win {
-			if c.win[w].simMS > 0 {
-				// ops over simMS milliseconds -> Mops/s = ops / (simMS * 1e3).
-				c.win[w].mops = c.win[w].mops / (c.win[w].simMS * 1e3)
+			m := res.Migrations[0]
+			rep := res.Measure
+			if rep == nil || len(rep.Intervals) == 0 {
+				return cellRes{}, fmt.Errorf("elastic/%s: empty measurement report", st.name)
 			}
+			var c cellRes
+			c.movedKeys = m.MovedKeys
+			for _, iv := range rep.Intervals {
+				w := 0
+				switch {
+				case iv.StartPS < m.StartPS:
+					w = 0
+				case iv.StartPS < m.FlipPS:
+					w = 1
+				default:
+					w = 2
+				}
+				c.win[w].intervals++
+				c.win[w].simMS += float64(rep.IntervalPS) / 1e9
+				c.win[w].mops += float64(iv.Ops)
+				if p := float64(iv.OpenP99PS) / 1e6; p > c.win[w].p99US {
+					c.win[w].p99US = p
+				}
+			}
+			if c.win[2].intervals < elasticMinAfter {
+				if ops >= sc.Ops<<elasticMaxDoublings {
+					return cellRes{}, fmt.Errorf("elastic/%s: the split had not flipped %d intervals before the end of a %d-op run", st.name, elasticMinAfter, ops)
+				}
+				continue
+			}
+			for w := range c.win {
+				if c.win[w].simMS > 0 {
+					// ops over simMS milliseconds -> Mops/s = ops / (simMS * 1e3).
+					c.win[w].mops = c.win[w].mops / (c.win[w].simMS * 1e3)
+				}
+			}
+			return c, nil
 		}
-		return c, nil
 	})
 	if err != nil {
 		return t, err

@@ -11,9 +11,16 @@ package heap
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 
 	"libcrpm/internal/ckpt"
 )
+
+// wordBufs recycles the staging buffer of the fixed-width stores. Handing
+// a stack array to Backend.Write — an interface call — would move it to the
+// heap on every store; a field of Heap would race when application threads
+// share one (core.Options.Concurrent).
+var wordBufs = sync.Pool{New: func() any { return new([8]byte) }}
 
 // Heap is the instrumented view of one backend arena.
 type Heap struct {
@@ -40,8 +47,11 @@ func (h *Heap) ReadU8(off int) uint8 {
 
 // WriteU8 stores one byte.
 func (h *Heap) WriteU8(off int, v uint8) {
+	buf := wordBufs.Get().(*[8]byte)
+	buf[0] = v
 	h.b.OnWrite(off, 1)
-	h.b.Write(off, []byte{v})
+	h.b.Write(off, buf[:1])
+	wordBufs.Put(buf)
 }
 
 // ReadU32 loads a little-endian uint32.
@@ -52,10 +62,11 @@ func (h *Heap) ReadU32(off int) uint32 {
 
 // WriteU32 stores a little-endian uint32.
 func (h *Heap) WriteU32(off int, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
+	buf := wordBufs.Get().(*[8]byte)
+	binary.LittleEndian.PutUint32(buf[:4], v)
 	h.b.OnWrite(off, 4)
-	h.b.Write(off, buf[:])
+	h.b.Write(off, buf[:4])
+	wordBufs.Put(buf)
 }
 
 // ReadU64 loads a little-endian uint64.
@@ -66,10 +77,11 @@ func (h *Heap) ReadU64(off int) uint64 {
 
 // WriteU64 stores a little-endian uint64.
 func (h *Heap) WriteU64(off int, v uint64) {
-	var buf [8]byte
+	buf := wordBufs.Get().(*[8]byte)
 	binary.LittleEndian.PutUint64(buf[:], v)
 	h.b.OnWrite(off, 8)
 	h.b.Write(off, buf[:])
+	wordBufs.Put(buf)
 }
 
 // ReadF64 loads a float64.

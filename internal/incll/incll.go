@@ -291,6 +291,14 @@ func (b *Backend) CommittedEpoch() uint64 { return b.committed }
 // NextWriteEpoch returns the epoch new writes belong to.
 func (b *Backend) NextWriteEpoch() uint64 { return b.committed + 1 }
 
+// BeginWriteThrough and EndWriteThrough are pass-throughs: every store is
+// already flushed line by line as it is logged, so there is no checkpoint
+// flush to move ahead of the cut.
+func (b *Backend) BeginWriteThrough() {}
+
+// EndWriteThrough closes the (inert) scope.
+func (b *Backend) EndWriteThrough() {}
+
 // DirtyEstimateBytes estimates the arena bytes made dirty this epoch —
 // for InCLL every logged line is already durably undoable, so this is the
 // touched-line footprint, used only by byte-threshold cut policies.

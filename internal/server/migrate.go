@@ -7,10 +7,13 @@
 // ownership flip riding a coordinated cut so crash recovery always lands
 // on a ring version consistent with every shard's recovered data.
 //
-// The protocol is a per-rank state machine advanced only at global batch
-// boundaries, from globally agreed values, so every rank walks the
+// The protocol is a per-rank state machine whose transitions happen only at
+// policy rounds, from globally agreed values, so every rank walks the
 // identical transition sequence (the same determinism discipline as the
-// cut policy):
+// cut policy). The bulk work between transitions — installing the snapshot,
+// replaying the delta log, deleting the moved span — is not done at a
+// boundary: it sits on the participating shard as one resumable work cursor
+// that migQuantum retires a few items at a time, in otherwise idle time.
 //
 //	idle ──trigger at a cut boundary──▶ transfer:
 //	    the source captures the span's checkpoint-consistent image (the
@@ -18,22 +21,25 @@
 //	    commit for those keys), a split grows the world by one rank
 //	    (mpi.Grow, provisioned from the snapshot), and the image "ships"
 //	    under the same simulated latency model as replica delta shipping;
+//	    once it has arrived the destination installs it in quanta, while
 //	    the source keeps serving span traffic, logging every span
 //	    mutation's result.
-//	transfer ──ship latency elapsed (allreduced)──▶ catchup:
-//	    the destination installs the snapshot; the source publishes the
-//	    delta log accumulated during the transfer, which ships and is
-//	    replayed the same way.
-//	catchup ──ship latency elapsed──▶ flipReady:
+//	transfer ──destination finished (allreduced)──▶ catchup:
+//	    the source publishes the delta log accumulated during the
+//	    transfer, which ships and is replayed the same way.
+//	catchup ──destination finished──▶ flipReady:
 //	    waits for the next policy cut.
-//	flipReady ──next coordinated cut──▶ idle:
+//	flipReady ──next coordinated cut──▶ cleanup:
 //	    pre-flip, the source publishes the final residual delta (applied
 //	    by the destination inside the committing epoch) and every rank
 //	    flips its ring clone, binding the flip to the cut's global epoch;
 //	    the cut's commit+barrier then publishes the flip atomically.
-//	    Post-commit the source deletes the moved keys (next-epoch writes);
-//	    a merge source retires (mpi.Leave) at the cut after that, once
-//	    its deletions are durable.
+//	    Post-commit the source owes the deletion of the moved keys
+//	    (next-epoch writes), again in quanta.
+//	cleanup ──source finished──▶ idle:
+//	    only now may the next migration start, and a merge source retires
+//	    (mpi.Leave) at the cut after this one, once its deletions are
+//	    durable.
 //
 // Crash anywhere in this pipeline is covered by the cut protocol: before
 // the flip cut commits everywhere, recovery lands on a pre-flip epoch
@@ -49,7 +55,7 @@ import (
 
 	"libcrpm/internal/measure"
 	"libcrpm/internal/mpi"
-	"libcrpm/internal/pds"
+	"libcrpm/internal/obs"
 	"libcrpm/internal/ring"
 	"libcrpm/internal/workload"
 )
@@ -111,7 +117,14 @@ const (
 	migTransfer
 	migCatchup
 	migFlipReady
+	migCleanup
 )
+
+// migQuantumItems is how many items (snapshot pairs, log entries, deletes)
+// one migration quantum retires: a few microseconds of simulated work, the
+// most an arrival can find itself queued behind. Measured flat from 8 up
+// (DESIGN §15.4), so it is a constant, not a knob.
+const migQuantumItems = 8
 
 // The snapshot/delta ship latency model, mirroring the replica-shipping
 // defaults: a fixed base plus a per-byte cost at 16 bytes per pair.
@@ -125,20 +138,41 @@ func shipLatencyPS(pairs int) int64 {
 	return migShipBasePS + int64(pairs)*migPairBytes*migShipPSPerByte
 }
 
-// migEnt is one catch-up log entry: the result state of a span key after
-// an acked mutation on the source (value-result form, so replaying the
-// log is idempotent and order-insensitive per key).
+// migEnt is one item of migration work: the result state of a span key —
+// as captured in the snapshot, after an acked mutation on the source
+// (value-result form, so replaying the log is idempotent and
+// order-insensitive per key), or gone, for the source's post-flip cleanup.
 type migEnt struct {
 	key, val uint64
 	del      bool
 }
 
+// migCursor is a shard's pending migration work, at most one list at a
+// time: the snapshot to install or the delta log to replay (destination),
+// the moved keys to delete (source). Resumable, so migQuantum can retire it
+// a few items at a time wherever the shard finds idle time.
+type migCursor struct {
+	span    string // trace span name of this work's quanta
+	items   []migEnt
+	pos     int
+	readyPS int64 // simulated arrival of the items (ship latency); 0 for local work
+}
+
+func (w *migCursor) pending() bool { return w.pos < len(w.items) }
+
+// The trace span names of migration work, one per kind of item list.
+const (
+	spanMigInstall  = "mig-install"
+	spanMigCatchup  = "mig-catchup"
+	spanMigResidual = "mig-residual"
+	spanMigDelete   = "mig-delete"
+)
+
 // retirePlan defers a merge source's departure to the cut after its
 // post-flip deletions committed.
 type retirePlan struct {
-	shard     int
-	whenCuts  int
-	flipEpoch uint64
+	shard    int
+	whenCuts int
 }
 
 // RingFlip is one ownership flip, bound to the global cut epoch whose
@@ -176,9 +210,12 @@ type MigrationStat struct {
 // the unit the torture sweep strides crash points across.
 type MigSpan struct {
 	Shard int
-	Phase string // "transfer", "catchup", "flip"
+	Phase string // "transfer", "catchup", "flip", "cleanup"
 	Lo    int64  // first primitive index inside the phase
 	Hi    int64  // one past the last
+	// Quanta counts the migration quanta this shard ran inside the window
+	// (they interleave with requests, all of them inside [Lo, Hi)).
+	Quanta int
 }
 
 // migBox is the single-writer mailbox migration state crosses ranks
@@ -196,9 +233,9 @@ type migBox struct {
 	sched      measure.Schedule
 	ringAtJoin *ring.Ring
 	flipsAt    []RingFlip
-	snap       []pds.Pair // span snapshot, sorted by key
-	snapAtPS   int64      // simulated arrival time of the snapshot
-	log1       []migEnt   // transfer-phase delta log
+	snap       []migEnt // span snapshot, sorted by key
+	snapAtPS   int64    // simulated arrival time of the snapshot
+	log1       []migEnt // transfer-phase delta log
 	log1AtPS   int64
 	final      []migEnt // pre-flip residual delta
 }
@@ -231,8 +268,8 @@ func (sh *shard) markMigPhase(phase string) {
 		return
 	}
 	now := sh.dev.PrimitiveCount()
-	sh.migSpans = append(sh.migSpans, MigSpan{Shard: sh.id, Phase: phase, Lo: sh.phaseStartPrim, Hi: now})
-	sh.phaseStartPrim = now
+	sh.migSpans = append(sh.migSpans, MigSpan{Shard: sh.id, Phase: phase, Lo: sh.phaseStartPrim, Hi: now, Quanta: sh.phaseQuanta})
+	sh.phaseStartPrim, sh.phaseQuanta = now, 0
 }
 
 // maybeLogMig appends a span mutation's result to the source's catch-up
@@ -255,11 +292,77 @@ func (sh *shard) maybeLogMig(op workload.Op) {
 
 func markApplied(bits []uint64, seq int) { bits[seq>>6] |= 1 << (seq & 63) }
 
+// migLoad hands the shard its next list of migration work.
+func (sh *shard) migLoad(span string, items []migEnt, readyPS int64) {
+	sh.migWork = migCursor{span: span, items: items, readyPS: readyPS}
+}
+
+// migQuantum retires up to n items of the shard's migration work (n <= 0:
+// everything left) and is the only place that work is ever applied: real
+// device writes, so crash injection can land mid-quantum. The quantum runs
+// inside the backend's write-through scope — its stores are durable at its
+// end, so no cut inherits their flush. Work still in flight to this shard
+// (ship latency) is left alone.
+func (sh *shard) migQuantum(n int) error {
+	w := &sh.migWork
+	if !w.pending() || sh.clock.NowPS() < w.readyPS {
+		return nil
+	}
+	end := len(w.items)
+	if n > 0 && w.pos+n < end {
+		end = w.pos + n
+	}
+	t0 := sh.clock.NowPS()
+	sh.rec.Begin(w.span)
+	sh.ctr.BeginWriteThrough()
+	for _, e := range w.items[w.pos:end] {
+		if e.del {
+			sh.kv.Delete(e.key)
+			sh.shadow.del(e.key)
+			continue
+		}
+		if err := sh.kv.Put(e.key, e.val); err != nil {
+			return err
+		}
+		sh.shadow.put(e.key, e.val)
+	}
+	sh.ctr.EndWriteThrough()
+	sh.rec.End()
+	sh.rec.Observe("mig/quantum_ps", obs.StepBounds, sh.clock.NowPS()-t0)
+	w.pos = end
+	sh.phaseQuanta++
+	return nil
+}
+
+// migUntil spends otherwise idle time up to untilPS on migration quanta:
+// the tail of a batch this shard has no more arrivals in — for the
+// traffic-less destination of a split, or a merged-away source, the whole
+// batch. A quantum may overrun untilPS, by at most itself.
+func (sh *shard) migUntil(untilPS int64) error {
+	w := &sh.migWork
+	for w.pending() && sh.clock.NowPS() < untilPS {
+		if now := sh.clock.NowPS(); now < w.readyPS {
+			sh.clock.Advance(min(w.readyPS, untilPS) - now)
+			continue
+		}
+		if err := sh.migQuantum(sh.quantumN); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // migRound advances the migration state machine by at most one transition
 // at a policy round. justCut reports whether a cut committed since the
 // last round (triggers fire only at cut boundaries); force drives the
 // end-of-run drain, starting pending specs regardless of AfterCuts and
 // advancing the destination's clock past ship latencies.
+//
+// Transfer, catch-up and cleanup each wait for one shard's work cursor to
+// drain; the round only asks whether it has. An open-loop run drains it in
+// the idle gaps between arrivals (idleUntil, serveLoop's batch tail). A
+// closed-loop run has no arrivals to protect, and the forced drain none
+// left: both retire the whole remainder right here, in one quantum.
 func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) error {
 	switch sh.migPhase {
 	case migIdle:
@@ -274,82 +377,56 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 			return s.autoSplitRound(c, sh, b)
 		}
 		return nil
+	case migFlipReady:
+		// The flip rides the next coordinated cut; nothing to do here.
+		return nil
+	}
 
+	w := &sh.migWork
+	if now := sh.clock.NowPS(); force && now < w.readyPS {
+		sh.clock.Advance(w.readyPS - now)
+	}
+	if sh.meas == nil || force {
+		if err := sh.migQuantum(0); err != nil {
+			return err
+		}
+	}
+	var busy uint64
+	if w.pending() || sh.clock.NowPS() < w.readyPS {
+		busy = 1
+	}
+	if c.AllreduceU64(busy, mpi.Max) != 0 {
+		return nil
+	}
+	switch sh.migPhase {
 	case migTransfer:
-		if force && sh.id == sh.migDst {
-			if now := sh.clock.NowPS(); now < s.box.snapAtPS {
-				sh.clock.Advance(s.box.snapAtPS - now)
-			}
-		}
-		var arrived uint64
-		if sh.id == sh.migDst && sh.clock.NowPS() >= s.box.snapAtPS {
-			arrived = 1
-		}
-		if c.AllreduceU64(arrived, mpi.Max) == 0 {
-			return nil
-		}
-		if sh.id == sh.migDst {
-			// Install the shipped snapshot: real device writes, so crash
-			// injection can land mid-install.
-			for _, p := range s.box.snap {
-				if err := sh.kv.Put(p.Key, p.Value); err != nil {
-					return err
-				}
-				sh.shadow.put(p.Key, p.Value)
-			}
-		}
 		if sh.id == sh.migSrc {
 			s.box.log1 = append([]migEnt(nil), sh.migLog...)
 			sh.migLog = sh.migLog[:0]
 			s.box.log1AtPS = sh.clock.NowPS() + shipLatencyPS(len(s.box.log1))
 		}
 		sh.markMigPhase("transfer")
-		c.Barrier() // publish the delta log (and the install) before any reader
-		sh.migPhase = migCatchup
-		return nil
-
-	case migCatchup:
-		if force && sh.id == sh.migDst {
-			if now := sh.clock.NowPS(); now < s.box.log1AtPS {
-				sh.clock.Advance(s.box.log1AtPS - now)
-			}
-		}
-		var arrived uint64
-		if sh.id == sh.migDst && sh.clock.NowPS() >= s.box.log1AtPS {
-			arrived = 1
-		}
-		if c.AllreduceU64(arrived, mpi.Max) == 0 {
-			return nil
-		}
+		c.Barrier() // publish the delta log before the destination reads it
 		if sh.id == sh.migDst {
-			if err := sh.applyMigLog(s.box.log1); err != nil {
-				return err
-			}
+			sh.migLoad(spanMigCatchup, s.box.log1, s.box.log1AtPS)
 		}
+		sh.migPhase = migCatchup
+	case migCatchup:
 		sh.markMigPhase("catchup")
-		c.Barrier()
 		sh.migPhase = migFlipReady
-		return nil
-
-	case migFlipReady:
-		// The flip rides the next coordinated cut; nothing to do here.
-		return nil
-	}
-	return nil
-}
-
-// applyMigLog replays a shipped delta log on the destination.
-func (sh *shard) applyMigLog(log []migEnt) error {
-	for _, e := range log {
-		if e.del {
-			sh.kv.Delete(e.key)
-			sh.shadow.del(e.key)
-			continue
+	case migCleanup:
+		if sh.id == sh.migSrc {
+			sh.markMigPhase("cleanup") // the destination owes nothing here
 		}
-		if err := sh.kv.Put(e.key, e.val); err != nil {
-			return err
+		if s.box.kind == MigrateMerge {
+			// No cut is in flight at a policy round, so the next one
+			// commits every delete quantum.
+			sh.retireQ = append(sh.retireQ, retirePlan{shard: sh.migSrc, whenCuts: sh.cuts + 1})
 		}
-		sh.shadow.put(e.key, e.val)
+		sh.migPhase = migIdle
+		sh.migSrc, sh.migDst = -1, -1
+		sh.migSpan = ring.Span{}
+		sh.migSpanSet = nil
 	}
 	return nil
 }
@@ -454,13 +531,13 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 		box.ringAtJoin = sh.ring.Clone()
 		box.flipsAt = append([]RingFlip(nil), sh.ringFlips...)
 		set := span.SlotSet()
-		var pairs []pds.Pair
+		var pairs []migEnt
 		for k, v := range sh.shadow.live {
 			if set[sh.ring.Slot(k)] {
-				pairs = append(pairs, pds.Pair{Key: k, Value: v})
+				pairs = append(pairs, migEnt{key: k, val: v})
 			}
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
+		sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
 		box.snap = pairs
 		box.snapAtPS = sh.clock.NowPS() + shipLatencyPS(len(pairs))
 		box.log1, box.final = nil, nil
@@ -477,6 +554,9 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 		c.Grow(dst, func(nc *mpi.Comm) { s.serveJoinedRank(nc) })
 	} else {
 		c.Barrier() // publish the mailbox to the existing destination
+		if sh.id == dst {
+			sh.migLoad(spanMigInstall, s.box.snap, s.box.snapAtPS)
+		}
 	}
 	sh.migPhase = migTransfer
 	sh.migSrc, sh.migDst, sh.migSpan = src, dst, span
@@ -502,7 +582,9 @@ func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
 	}
 	c.Barrier() // publish the residual before the destination reads it
 	if sh.id == sh.migDst {
-		if err := sh.applyMigLog(s.box.final); err != nil {
+		// One cut interval of span writes: run to completion, here.
+		sh.migLoad(spanMigResidual, s.box.final, 0)
+		if err := sh.migQuantum(0); err != nil {
 			return err
 		}
 	}
@@ -525,47 +607,34 @@ func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
 
 // postFlip closes every landed cut (cutLanded calls it; a no-op unless the
 // cut carried a flip), right after the commit+barrier whatever the cut
-// style: the source deletes the moved keys (next-epoch writes — recovery
-// landing on the flip epoch still finds them, consistently with its
-// pre-deletion snapshot), and a merge schedules the source's retirement
-// for the cut after the deletions commit. Purely local; every rank reaches
-// it at the same transition.
-func (s *Service) postFlip(sh *shard) error {
+// style: the source now owes the deletion of the moved keys (next-epoch
+// writes — recovery landing on the flip epoch still finds them,
+// consistently with its pre-deletion snapshot), queued as its work cursor,
+// and the migration enters cleanup until that drains. Purely local; every
+// rank reaches it at the same transition.
+func (s *Service) postFlip(sh *shard) {
 	if !sh.flipPending {
-		return nil
+		return
 	}
 	sh.flipPending = false
 	if sh.id == sh.migSrc {
-		var keys []uint64
+		var dels []migEnt
 		for k := range sh.shadow.live {
 			if sh.migSpanSet[sh.ring.Slot(k)] {
-				keys = append(keys, k)
+				dels = append(dels, migEnt{key: k, del: true})
 			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			sh.kv.Delete(k)
-			sh.shadow.del(k)
-		}
+		sort.Slice(dels, func(i, j int) bool { return dels[i].key < dels[j].key })
+		sh.migLoad(spanMigDelete, dels, 0)
 		st := &sh.migStats[len(sh.migStats)-1]
 		st.FlipPS = sh.clock.NowPS()
 	}
 	sh.markMigPhase("flip")
-	if s.box.kind == MigrateMerge {
-		sh.retireQ = append(sh.retireQ, retirePlan{
-			shard:    sh.migSrc,
-			whenCuts: sh.cuts + 1,
-		})
-	}
-	sh.migPhase = migIdle
-	sh.migSrc, sh.migDst = -1, -1
-	sh.migSpan = ring.Span{}
-	sh.migSpanSet = nil
-	return nil
+	sh.migPhase = migCleanup
 }
 
 // retireRound retires a merged-away source at the first idle policy round
-// after the cut that committed its deletions: the leaver departs the
+// after the cut that committed its last delete quantum: the leaver departs the
 // world at a barrier (mpi.Leave), the survivors pair it. Returns done for
 // the retiring rank, which must exit its serve loop.
 func (s *Service) retireRound(c *mpi.Comm, sh *shard) (done bool, err error) {
@@ -595,10 +664,10 @@ func (s *Service) retireRound(c *mpi.Comm, sh *shard) (done bool, err error) {
 // migEndDrain forces every remaining migration to completion before the
 // run closes out, so end-of-run verification always sees a quiescent
 // ring: pending specs start regardless of AfterCuts, ship latencies are
-// jumped on the destination clock, and flips ride forced cuts, taken
-// through in place in the run's cut style. A pending
-// retirement is simply dropped — the merged-away source stays a (empty)
-// member and is verified normally.
+// jumped on the destination clock, every work cursor drains in one quantum,
+// and flips ride forced cuts, taken through in place in the run's cut
+// style. A pending retirement is simply dropped — the merged-away source
+// stays a (empty) member and is verified normally.
 func (s *Service) migEndDrain(c *mpi.Comm, sh *shard) error {
 	for {
 		switch sh.migPhase {
@@ -610,7 +679,7 @@ func (s *Service) migEndDrain(c *mpi.Comm, sh *shard) error {
 			if err := s.migStart(c, sh, s.batches, spec.Kind, spec.Src, spec.Dst); err != nil {
 				return err
 			}
-		case migTransfer, migCatchup:
+		case migTransfer, migCatchup, migCleanup:
 			if err := s.migRound(c, sh, s.batches, false, true); err != nil {
 				return err
 			}
@@ -658,6 +727,7 @@ func (s *Service) provisionJoined(sh *shard) error {
 	sh.migSrc, sh.migDst = box.src, box.dst
 	sh.migSpan = box.span
 	sh.migSpanSet = box.span.SlotSet()
+	sh.migLoad(spanMigInstall, box.snap, box.snapAtPS)
 	sh.migIdx = box.nextMigIdx
 	sh.cuts = box.joinCuts
 	sh.lastRoundCuts = sh.cuts

@@ -288,6 +288,10 @@ type Service struct {
 	shards     []*shard
 	errs       []error
 	box        *migBox
+	// wholeQuanta is a test hook: every migration quantum retires all the
+	// work there is, wherever it runs. The quantum size is a constant
+	// (migQuantumItems), deliberately not configuration.
+	wholeQuanta bool
 }
 
 // New validates the config and sizes the run. Requests are drawn
@@ -565,6 +569,9 @@ func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 	rank := c.Rank()
 	defer s.containCrash(c, rank)
 	sh := newShardShell(rank, s.deviceSize, s.cfg.StepBudget)
+	if s.wholeQuanta {
+		sh.quantumN = 0
+	}
 	s.shards[rank] = sh
 	c.AttachClock(sh.clock)
 	if cr := s.cfg.Crash; cr != nil && cr.Shard == rank {
@@ -676,6 +683,15 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 				markApplied(sh.appliedBits, so.seq)
 				sh.roundOps++
 				sh.maybeLogMig(so.op)
+			}
+		}
+		if sh.meas != nil && sh.migWork.pending() {
+			// Open loop: whatever is left of the batch's arrival window after
+			// this shard's last request is idle time. Every rank derives the
+			// window's end from the shared schedule, no collective needed.
+			last := min((b+1)*s.cfg.BatchOps, s.cfg.Ops) - 1
+			if err := sh.migUntil(sh.msched.IntendedPS(last)); err != nil {
+				return err
 			}
 		}
 		// Draw the next batch before the boundary collective: whichever rank
@@ -902,7 +918,8 @@ func (s *Service) cutStep(c *mpi.Comm, sh *shard) error {
 // epoch record, the replica delta — it rides that fence, so every
 // replicated delta corresponds to a cut recovery can land on — the cut
 // count and the policy's clocks, and the ring flip the cut carried, which
-// is published now: the source drops its moved keys (postFlip).
+// is published now: the source queues the deletion of its moved keys
+// (postFlip).
 func (s *Service) cutLanded(sh *shard, pauseStartPS int64) error {
 	pause := sh.clock.NowPS() - pauseStartPS
 	sh.observePause(pause)
@@ -922,7 +939,8 @@ func (s *Service) cutLanded(sh *shard, pauseStartPS int64) error {
 	sh.cuts++
 	sh.cutStartPS = sh.clock.NowPS()
 	sh.roundPS = sh.cutStartPS
-	return s.postFlip(sh)
+	s.postFlip(sh)
+	return nil
 }
 
 // cutThrough takes one whole cut in place, begin to idle: the populate

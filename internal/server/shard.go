@@ -33,7 +33,10 @@ const kvRootSlot = 0
 // CutBackend is the checkpoint surface a shard requires of its per-rank
 // store: the ckpt write/read/checkpoint contract plus the coordinated-cut
 // protocol hooks (epoch inspection, one-epoch rollback for mpi recovery, a
-// dirty-footprint estimate for byte-threshold cut policies, and tracing).
+// dirty-footprint estimate for byte-threshold cut policies, tracing, and the
+// write-through scope migration quanta run in: stores inside it are made
+// durable at its end, ahead of the cut, where the backend has a checkpoint
+// flush to move — a no-op where it has none).
 // core.Container and incll.Backend both qualify; the incremental cut
 // pipeline and replication additionally need a *core.Container (the shard
 // keeps a typed handle when it has one).
@@ -44,6 +47,8 @@ type CutBackend interface {
 	RollbackOneEpoch() error
 	DirtyEstimateBytes() uint64
 	SetTrace(*obs.Recorder)
+	BeginWriteThrough()
+	EndWriteThrough()
 }
 
 // latencyBounds buckets per-request latencies (picoseconds, 1 ns up).
@@ -140,8 +145,13 @@ type shard struct {
 	// migLogOn makes the source append every span mutation's result to
 	// migLog (the catch-up delta log); cleared at the pre-flip residual
 	// capture, after which span traffic routes to the destination.
-	migLogOn      bool
-	migLog        []migEnt
+	migLogOn bool
+	migLog   []migEnt
+	// migWork is the bulk work the in-flight migration left on this shard
+	// (install, catch-up, delete), retired by migQuantum in idle time.
+	migWork migCursor
+	// quantumN is the size of a gap quantum, in items (migQuantumItems).
+	quantumN      int
 	flipPending   bool // a ring flip rides the cut currently being taken
 	retireQ       []retirePlan
 	retired       bool
@@ -155,8 +165,10 @@ type shard struct {
 	migSpans    []MigSpan
 	migStats    []MigrationStat
 	// phaseStartPrim is the device primitive index the current migration
-	// phase started at, bounding the crash windows MigrationSpans reports.
+	// phase started at, bounding the crash windows MigrationSpans reports;
+	// phaseQuanta counts the migration quanta run since.
 	phaseStartPrim int64
+	phaseQuanta    int
 
 	// Replication (Config.Replicas > 0; everything below stays nil/zero
 	// otherwise, so the replica-free paths are byte-identical to a build
@@ -187,6 +199,7 @@ func newShardShell(id, deviceSize, stepBudget int) *shard {
 		lat:        measure.NewHistogram(latencyBounds),
 		pause:      measure.NewHistogram(obs.PauseBounds),
 		stepBudget: stepBudget,
+		quantumN:   migQuantumItems,
 		migSrc:     -1,
 		migDst:     -1,
 	}
@@ -339,24 +352,31 @@ func (sh *shard) ack(p pendAck, latPS int64) {
 }
 
 // idleUntil spends the idle gap ahead of the next arrival. A shard does not
-// sit idle while a cut is pending: if an incremental cut is in flight and
+// sit idle while work is pending: if an incremental cut is in flight and
 // the arrival is still ahead, the gap retires one checkpoint quantum and
 // the held requests are acknowledged at its fence — so a request waits for
 // a quantum, never for the batch boundary, and the arrival a quantum
-// overruns waits at most that one quantum (the pause:BUDGET contract).
+// overruns waits at most that one quantum (the pause:BUDGET contract). If
+// the arrival is still ahead after that, the gap also retires one quantum
+// of pending migration work, under the same bound.
 // Only the cut's local work moves into the gaps: its global transitions
 // (commit plus barrier, pipeline idle) stay on cutStep's batch-boundary
 // allreduce, so the ranks remain in lockstep. Once nothing local is left —
 // the flush set drained ahead of the global commit, or the replay finished
 // — the quantum is free: the acks go out at once, with no span and no
-// pause sample, exactly as cutStep treats an empty step. With no cut in
-// flight the shard just waits, adding no device primitives.
+// pause sample, exactly as cutStep treats an empty step. With nothing
+// pending the shard just waits, adding no device primitives.
 func (sh *shard) idleUntil(arrivalPS int64) error {
 	if sh.clock.NowPS() >= arrivalPS {
 		return nil
 	}
 	if sh.phase != cutIdle {
 		if _, err := sh.quantum(); err != nil {
+			return err
+		}
+	}
+	if sh.migWork.pending() && sh.clock.NowPS() < arrivalPS {
+		if err := sh.migQuantum(sh.quantumN); err != nil {
 			return err
 		}
 	}

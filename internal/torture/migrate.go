@@ -2,6 +2,7 @@ package torture
 
 import (
 	"fmt"
+	"slices"
 
 	"libcrpm/internal/sched"
 	"libcrpm/internal/server"
@@ -10,9 +11,11 @@ import (
 // MigrateConfig parameterizes the live-migration crash sweep: a reference
 // run of a migratory service (Config.Migrations / AutoSplit) records each
 // migration phase's device-primitive window on both participating shards
-// — mid-transfer, mid-catch-up, and around the ownership flip — then the
-// identical run is crashed at every strided point inside those windows,
-// recovered with the coordinated protocol, and verified. Zero tolerance:
+// — mid-transfer, mid-catch-up, around the ownership flip, and through the
+// source's cleanup; the install, replay and delete quanta interleave with
+// requests inside those windows — then the identical run is crashed at
+// every strided point inside those windows, recovered with the coordinated
+// protocol, and verified. Zero tolerance:
 // a crash anywhere in a migration must lose no committed op, double-apply
 // nothing across the handoff, and land every member on one global epoch
 // with a ring to match.
@@ -22,8 +25,11 @@ type MigrateConfig struct {
 	// Liveness is forced on for replays.
 	Server server.Config
 	// Phases filters the swept migration phases (nil = transfer, catchup,
-	// flip).
+	// flip, cleanup).
 	Phases []string
+	// CrashShards filters the shards injected into (nil = both ends of
+	// every migration).
+	CrashShards []int
 	// Stride tests every Stride-th crash point of a phase window
 	// (default: sized so each (span, policy) combo replays about 32
 	// points).
@@ -66,7 +72,7 @@ func MigrateSweep(cfg MigrateConfig) (ServiceResult, error) {
 	if len(spans) == 0 {
 		return res, fmt.Errorf("torture: reference run recorded no migration spans")
 	}
-	phases := map[string]bool{"transfer": true, "catchup": true, "flip": true}
+	phases := map[string]bool{"transfer": true, "catchup": true, "flip": true, "cleanup": true}
 	if cfg.Phases != nil {
 		phases = map[string]bool{}
 		for _, p := range cfg.Phases {
@@ -79,7 +85,7 @@ func MigrateSweep(cfg MigrateConfig) (ServiceResult, error) {
 	}
 
 	for _, ms := range spans {
-		if !phases[ms.Phase] {
+		if !phases[ms.Phase] || (cfg.CrashShards != nil && !slices.Contains(cfg.CrashShards, ms.Shard)) {
 			continue
 		}
 		lo, hi := ms.Lo, ms.Hi
