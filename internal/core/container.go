@@ -131,6 +131,16 @@ type Container struct {
 	wt, wtOn bool
 	wtBlks   []int
 	pre      *bitmap.Set
+	// preQ[preHead:] hints, oldest first, at the blocks that became dirty and
+	// unmarked this epoch — PreFlush's work list. The write hook fills it only
+	// once a PreFlush has asked (preOn), so a container never asked pays one
+	// untaken branch on the hook's slow path.
+	preQ    []int
+	preHead int
+	preOn   bool
+	// preLag is preFlushLag; a field only so tests on block counts far below
+	// the constant can reach the flush.
+	preLag int
 
 	// Buffered-mode state.
 	buf           []byte      // DRAM working buffer
@@ -244,6 +254,7 @@ func newContainer(dev *nvm.Device, meta *region.Meta, l *region.Layout, opts Opt
 		dirtyBlocks:  bitmap.New(l.TotalBlocks()),
 		dirtySegs:    bitmap.New(l.NMain),
 		lastBlk:      -1,
+		preLag:       preFlushLag,
 		mainToBackup: make([]uint32, l.NMain),
 		freeBackups:  make([]uint32, 0, l.NBackup),
 		rec:          opts.Trace,
@@ -389,6 +400,9 @@ func (c *Container) OnWrite(off, n int) {
 		if c.dirtyBlocks.Set(b) {
 			c.dev.ChargeHook()
 			c.metrics.TraceEvents++
+			if c.preOn {
+				c.preQ = append(c.preQ, b)
+			}
 		} else {
 			clock.Advance(c.dev.Cost().HookPS / 4)
 		}

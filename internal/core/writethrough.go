@@ -6,6 +6,7 @@ import (
 
 	"libcrpm/internal/bitmap"
 	"libcrpm/internal/nvm"
+	"libcrpm/internal/obs"
 )
 
 // Write-through scopes move a burst's flush ahead of the checkpoint, into
@@ -28,6 +29,11 @@ import (
 // nothing to write back in place) and while an incremental checkpoint is in
 // flight (the write barrier owns every store and the pipeline already
 // budgets the flush). They do not nest.
+//
+// PreFlush is the same early write-back for a caller that has no burst to
+// bracket, only idle time of a known length: it picks the blocks itself —
+// the ones dirty longest — and flushes, fences and marks them through the
+// same body, under the same invariant.
 
 var errWriteThroughOpen = errors.New("core: checkpoint inside a write-through scope")
 
@@ -63,31 +69,107 @@ func (c *Container) EndWriteThrough() {
 	// From here on a store to a marked block must reach the slow path.
 	c.lastBlk = -1
 	if len(c.wtBlks) > 0 {
-		slices.Sort(c.wtBlks)
-		blks := slices.Compact(c.wtBlks)
-		clock := c.dev.Clock()
-		prev := clock.SetCategory(nvm.CatCheckpoint)
-		c.rec.Begin("write-through")
-		blk := c.l.BlkSize
-		for i := 0; i < len(blks); {
-			j := i + 1
-			for j < len(blks) && blks[j] == blks[j-1]+1 {
-				j++
-			}
-			c.dev.FlushRange(c.l.HeapToDevice(blks[i]*blk), (j-i)*blk)
-			i = j
-		}
-		c.dev.SFence()
-		c.rec.End()
-		clock.SetCategory(prev)
-		for _, b := range blks {
-			c.pre.Set(b)
-		}
-		c.metrics.CheckpointBytes += int64(len(blks) * blk)
-		c.rec.Count("ckpt/write_through_bytes", int64(len(blks)*blk))
+		c.writeBack(c.wtBlks, "write-through", "ckpt/write_through_bytes")
 		c.wtBlks = c.wtBlks[:0]
 	}
 	c.wtOn = c.pre.Any()
+}
+
+// writeBack is the one body behind both ways of flushing ahead of the cut:
+// blks (sorted and deduplicated here) are flushed in place in ascending
+// runs, one fence makes them durable, and they are marked for the next
+// checkpoint to skip. It leaves the write hook's memo alone; callers reset
+// it, since a store to a block marked here must reach the slow path.
+func (c *Container) writeBack(blks []int, span, counter string) {
+	slices.Sort(blks)
+	blks = slices.Compact(blks)
+	clock := c.dev.Clock()
+	prev := clock.SetCategory(nvm.CatCheckpoint)
+	c.rec.Begin(span)
+	blk := c.l.BlkSize
+	for i := 0; i < len(blks); {
+		j := i + 1
+		for j < len(blks) && blks[j] == blks[j-1]+1 {
+			j++
+		}
+		c.dev.FlushRange(c.l.HeapToDevice(blks[i]*blk), (j-i)*blk)
+		i = j
+	}
+	c.dev.SFence()
+	c.rec.End()
+	clock.SetCategory(prev)
+	for _, b := range blks {
+		c.pre.Set(b)
+	}
+	c.metrics.CheckpointBytes += int64(len(blks) * blk)
+	c.rec.Count(counter, int64(len(blks)*blk))
+}
+
+// preFlushLag is how many of the youngest queue entries PreFlush leaves to
+// the checkpoint. A block stored over and over would otherwise be written
+// back after every store; behind a lag, only blocks that have gone cold
+// since they were dirtied are. The checkpoint then flushes what the lag held
+// back, so the lag is the residual pause: 256 is the measured knee
+// (EXPERIMENTS.md, "Flushing ahead of the cut") — a 19 µs flush against a
+// third more checkpoint bytes; 0 buys the last 18 µs with twice the bytes,
+// 1 024 gives back half the pause. A constant, not configuration: no load
+// measured wants another value.
+const preFlushLag = 256
+
+// PreFlush writes back, oldest first, as many dirty blocks the next
+// checkpoint would otherwise flush as provably fit into budgetPS of
+// simulated time — one fence included, so the caller's clock never passes
+// now+budgetPS — and marks them as a closed scope would. It is how a caller
+// that knows only "I am idle until T" moves the checkpoint's flush into that
+// idle time. A budget below one block and a fence issues no primitive.
+//
+// Which blocks are oldest comes from preQ, a queue of hints in the order
+// blocks became dirty-and-unmarked, filled by the write hook from the first
+// PreFlush on. A popped entry is acted on only if the block still is dirty,
+// in a segment dirty this epoch, and unmarked; nothing else is ever read from
+// the queue, so a stale, duplicated or missing entry costs at most a flush
+// left to the checkpoint.
+//
+// Inert in buffered mode, while an incremental checkpoint is in flight, and
+// inside an open scope, as scopes themselves are.
+func (c *Container) PreFlush(budgetPS int64) {
+	if c.opts.Concurrent {
+		c.writeMu.Lock()
+		defer c.writeMu.Unlock()
+	}
+	if c.opts.Mode == ModeBuffered || c.inc != nil || c.wt {
+		return
+	}
+	if c.pre == nil {
+		c.pre = bitmap.New(c.l.TotalBlocks())
+	}
+	c.preOn = true
+	// The cost model bounds a quantum from above: every line of a block
+	// costs at most one dirty CLWB and one line drained at the fence, and the
+	// fence its base plus whatever is pending already.
+	cost := c.dev.Cost()
+	perBlk := int64(c.l.BlkSize/nvm.LineSize) * (cost.CLWBPS + cost.SFenceLinePS)
+	budgetPS -= cost.SFencePS + int64(c.dev.PendingLineCount())*cost.SFenceLinePS
+	bps := c.l.BlocksPerSeg()
+	blks := c.wtBlks[:0] // empty outside a scope: shared scratch
+	for len(c.preQ)-c.preHead > c.preLag && budgetPS >= perBlk {
+		b := c.preQ[c.preHead]
+		c.preHead++
+		if c.pre.Test(b) || !c.dirtyBlocks.Test(b) || !c.dirtySegs.Test(b/bps) {
+			continue
+		}
+		blks = append(blks, b)
+		budgetPS -= perBlk
+	}
+	if len(blks) == 0 {
+		return
+	}
+	t0 := c.dev.Clock().NowPS()
+	c.writeBack(blks, "pre-flush", "ckpt/pre_flush_bytes")
+	c.rec.Observe("ckpt/pre_flush_ps", obs.StepBounds, c.dev.Clock().NowPS()-t0)
+	c.wtBlks = blks[:0]
+	c.lastBlk = -1
+	c.wtOn = true
 }
 
 // wtNote is OnWrite's write-through bookkeeping for a store to blocks
@@ -96,9 +178,11 @@ func (c *Container) EndWriteThrough() {
 // flush.
 func (c *Container) wtNote(first, last int) {
 	for b := first; b <= last; b++ {
-		c.pre.Clear(b)
+		unmarked := c.pre.Clear(b)
 		if c.wt {
 			c.wtBlks = append(c.wtBlks, b)
+		} else if unmarked && c.preOn {
+			c.preQ = append(c.preQ, b)
 		}
 	}
 	c.wtOn = c.wt || c.pre.Any()
@@ -112,6 +196,7 @@ func (c *Container) wtForget() {
 	}
 	c.wt, c.wtOn = false, false
 	c.wtBlks = c.wtBlks[:0]
+	c.preQ, c.preHead = c.preQ[:0], 0
 }
 
 // flushBlocks flushes main-region blocks [b0, b1) in place, leaving out the

@@ -299,6 +299,14 @@ func (b *Backend) BeginWriteThrough() {}
 // EndWriteThrough closes the (inert) scope.
 func (b *Backend) EndWriteThrough() {}
 
+// PreFlush is a no-op for the same reason: nothing waits for the checkpoint
+// to be flushed.
+func (b *Backend) PreFlush(budgetPS int64) {}
+
+// PreCopy is a no-op: the undo state is logged inline per store, there is
+// no per-epoch copy-on-write to run ahead.
+func (b *Backend) PreCopy() {}
+
 // DirtyEstimateBytes estimates the arena bytes made dirty this epoch —
 // for InCLL every logged line is already durably undoable, so this is the
 // touched-line footprint, used only by byte-threshold cut policies.

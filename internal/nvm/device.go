@@ -502,6 +502,10 @@ func (d *Device) WBINVD() {
 // DirtyLineCount returns the number of cache lines currently dirty.
 func (d *Device) DirtyLineCount() int { return d.dirty.Count() }
 
+// PendingLineCount returns the number of flushed or NT-stored lines the
+// next SFence will drain — the variable part of that fence's cost.
+func (d *Device) PendingLineCount() int { return d.pending.Count() }
+
 // CrashWith simulates a power failure under an explicit CrashPolicy: the
 // policy decides, line by line, whether each in-flight flush completed and
 // whether each dirty line happened to evict. The cache is then lost and the

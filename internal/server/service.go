@@ -292,6 +292,9 @@ type Service struct {
 	// work there is, wherever it runs. The quantum size is a constant
 	// (migQuantumItems), deliberately not configuration.
 	wholeQuanta bool
+	// noPreFlush is a test hook: idle gaps leave the whole flush to the cut,
+	// the control a run with gap pre-flush is compared against.
+	noPreFlush bool
 }
 
 // New validates the config and sizes the run. Requests are drawn
@@ -572,6 +575,7 @@ func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 	if s.wholeQuanta {
 		sh.quantumN = 0
 	}
+	sh.preFlush = s.cfg.StepBudget == 0 && !s.noPreFlush
 	s.shards[rank] = sh
 	c.AttachClock(sh.clock)
 	if cr := s.cfg.Crash; cr != nil && cr.Shard == rank {
@@ -634,10 +638,19 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 	}
 	sh.primBase = sh.dev.PrimitiveCount()
 	if m := s.cfg.Measure; m != nil {
-		// The populate cut above ends in a barrier, so every rank's clock
-		// reads the identical timestamp here: anchoring the arrival
-		// schedule at it gives all shards the same intended timestamps
-		// with no extra coordination.
+		// Everything up to the first arrival is idle time of unbounded
+		// length, and the first requests would otherwise pay for the epoch's
+		// copy-on-write of every populated segment — whole-segment first
+		// pairings — with a backlog that outlasts them. The barrier the
+		// populate cut ended in is what makes running it now legal: every
+		// rank has committed, so the epoch before is nobody's landing epoch
+		// any more and its backups may be overwritten. Closed loop has no
+		// arrivals to protect and keeps its copy-on-write lazy.
+		sh.ctr.PreCopy()
+		// The barrier realigns the clocks, so every rank reads the identical
+		// timestamp here: anchoring the arrival schedule at it gives all
+		// shards the same intended timestamps with no extra coordination.
+		c.Barrier()
 		sh.msched = measure.NewSchedule(sh.clock.NowPS(), *m)
 		sh.meas = measure.NewCollector(*m, sh.msched)
 	}

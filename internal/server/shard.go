@@ -34,9 +34,12 @@ const kvRootSlot = 0
 // store: the ckpt write/read/checkpoint contract plus the coordinated-cut
 // protocol hooks (epoch inspection, one-epoch rollback for mpi recovery, a
 // dirty-footprint estimate for byte-threshold cut policies, tracing, and the
-// write-through scope migration quanta run in: stores inside it are made
-// durable at its end, ahead of the cut, where the backend has a checkpoint
-// flush to move — a no-op where it has none).
+// three ways of doing a cut's work in idle time where the backend has such
+// work to move — no-ops where it has none: the write-through scope migration
+// quanta run in, whose stores are durable at its end; PreFlush, which writes
+// back as much of the cut's pending flush as fits a given idle time; and
+// PreCopy, the coming epoch's copy-on-write, legal once every rank has
+// committed the last one).
 // core.Container and incll.Backend both qualify; the incremental cut
 // pipeline and replication additionally need a *core.Container (the shard
 // keeps a typed handle when it has one).
@@ -49,6 +52,8 @@ type CutBackend interface {
 	SetTrace(*obs.Recorder)
 	BeginWriteThrough()
 	EndWriteThrough()
+	PreFlush(budgetPS int64)
+	PreCopy()
 }
 
 // latencyBounds buckets per-request latencies (picoseconds, 1 ns up).
@@ -109,6 +114,10 @@ type shard struct {
 	phase      cutPhase
 	pendAcks   []pendAck
 	stepBudget int
+	// preFlush lets idle gaps write back ahead of the next cut (idleUntil).
+	// Stop-the-world cuts only: the incremental pipeline budgets its own
+	// flush, in its own gaps, and phase never leaves cutIdle without it.
+	preFlush bool
 
 	// Open-loop measurement (Config.Measure != nil; both stay nil/zero
 	// otherwise, so the rig-off paths are byte-identical to a build
@@ -352,13 +361,16 @@ func (sh *shard) ack(p pendAck, latPS int64) {
 }
 
 // idleUntil spends the idle gap ahead of the next arrival. A shard does not
-// sit idle while work is pending: if an incremental cut is in flight and
-// the arrival is still ahead, the gap retires one checkpoint quantum and
-// the held requests are acknowledged at its fence — so a request waits for
-// a quantum, never for the batch boundary, and the arrival a quantum
-// overruns waits at most that one quantum (the pause:BUDGET contract). If
-// the arrival is still ahead after that, the gap also retires one quantum
-// of pending migration work, under the same bound.
+// sit idle while work is pending, and the gap has three tenants, in this
+// order. If an incremental cut is in flight, the gap retires one checkpoint
+// quantum and the held requests are acknowledged at its fence — so a request
+// waits for a quantum, never for the batch boundary, and the arrival a
+// quantum overruns waits at most that one quantum (the pause:BUDGET
+// contract). If migration work is pending and the arrival is still ahead,
+// the gap retires one quantum of it, under the same bound. A gap neither of
+// them claimed goes to the coming stop-the-world cut: the backend writes
+// back as much of the cut's pending flush as provably fits before the
+// arrival, so unlike the other two this tenant never makes a request wait.
 // Only the cut's local work moves into the gaps: its global transitions
 // (commit plus barrier, pipeline idle) stay on cutStep's batch-boundary
 // allreduce, so the ranks remain in lockstep. Once nothing local is left —
@@ -375,9 +387,16 @@ func (sh *shard) idleUntil(arrivalPS int64) error {
 			return err
 		}
 	}
-	if sh.migWork.pending() && sh.clock.NowPS() < arrivalPS {
-		if err := sh.migQuantum(sh.quantumN); err != nil {
-			return err
+	if sh.migWork.pending() {
+		if sh.clock.NowPS() < arrivalPS {
+			if err := sh.migQuantum(sh.quantumN); err != nil {
+				return err
+			}
+		}
+	} else if sh.preFlush {
+		sh.ctr.PreFlush(arrivalPS - sh.clock.NowPS())
+		if over := sh.clock.NowPS() - arrivalPS; over > 0 {
+			return fmt.Errorf("server: shard %d: pre-flush ran %d ps past the arrival it was sized to fit before", sh.id, over)
 		}
 	}
 	if now := sh.clock.NowPS(); now < arrivalPS {

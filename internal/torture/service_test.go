@@ -280,8 +280,13 @@ func TestServiceSweepIdleGapQuanta(t *testing.T) {
 		t.Fatalf("%d violations (of %d replays), first: %v", len(sweep.Violations), sweep.Replays, sweep.Violations[0])
 	}
 
-	// The report is the same bytes at replay parallelism 1 and 8.
-	coarse := ServiceConfig{Server: srv, CrashShards: []int{1}, Stride: 397}
+	sameReportAtAnyParallelism(t, ServiceConfig{Server: srv, CrashShards: []int{1}, Stride: 397})
+}
+
+// sameReportAtAnyParallelism runs a (coarse) sweep at replay parallelism 1
+// and 8 and demands the same report, bytes and all.
+func sameReportAtAnyParallelism(t *testing.T, coarse ServiceConfig) {
+	t.Helper()
 	serial, par := coarse, coarse
 	serial.Parallel, par.Parallel = 1, 8
 	a, err := ServiceSweep(serial)
@@ -295,4 +300,91 @@ func TestServiceSweepIdleGapQuanta(t *testing.T) {
 	if a.Replays == 0 || !reflect.DeepEqual(a, b) {
 		t.Fatalf("serial sweep %+v != parallel sweep %+v", a, b)
 	}
+}
+
+// gapPreFlushBase is an open-loop run under stop-the-world cuts, offered far
+// below the knee and with epochs long enough that each shard's queue of
+// dirtied blocks outgrows the pre-flush lag: most of every cut's flush is
+// written back in the gaps between requests.
+func gapPreFlushBase() server.Config {
+	srv := serviceBase()
+	srv.Shards = 2
+	srv.Ops = 20_000
+	srv.Keys = 4000
+	srv.BatchOps = 512
+	srv.Policy = server.OpsPolicy{Every: 8192}
+	srv.Measure = &measure.Config{TargetOps: 1e6}
+	return srv
+}
+
+// TestServiceSweepGapPreFlush strides crash points through an open-loop,
+// stop-the-world run whose idle gaps write dirty blocks back ahead of the
+// cut — between a gap quantum's flushes, between its last flush and its
+// fence, in the requests that re-dirty a written-back block, and in the cuts
+// that skip the marked ones — under every crash-image policy. Each must
+// recover both shards to one global epoch with every op acked before that
+// epoch's cut intact: a block the cut skipped is exactly as durable as one it
+// flushed.
+func TestServiceSweepGapPreFlush(t *testing.T) {
+	srv := gapPreFlushBase()
+	traced := srv
+	traced.Trace = true
+	ref, err := server.New(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ref.Run()
+	if err != nil || !res.OK() {
+		t.Fatalf("reference run: %v, %v", err, res)
+	}
+	spans := ref.PrimitiveSpans()
+	policies := append(StandardPolicies(7), AdversarialPolicy())
+	for sh := 0; sh < srv.Shards; sh++ {
+		if testing.Short() && sh > 0 {
+			break // the race-detector CI job runs -short
+		}
+		stride := int((spans[sh][1] - spans[sh][0]) / 64)
+		// The sweep must cross gap quanta, not just run beside them: a crashed
+		// run stops its clock at the failing primitive, and the run is the
+		// reference's up to there, so the clock says which span was open.
+		inside := 0
+		for k := spans[sh][0] + 1; k < spans[sh][1]; k += int64(stride) {
+			cfg := srv
+			cfg.Crash = &server.CrashSpec{Shard: sh, At: k}
+			svc, err := server.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashed, err := svc.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := crashed.Shards[sh].SimPS
+			for _, sp := range res.Trace.Tracks[sh].Spans {
+				if sp.Name == "pre-flush" && sp.Start <= at && at < sp.End {
+					inside++
+					break
+				}
+			}
+		}
+		t.Logf("shard %d: %d of ~64 strided crash points fall inside pre-flush spans", sh, inside)
+		if inside < 4 {
+			t.Fatalf("shard %d: only %d strided crash points fall inside pre-flush spans; the sweep would not cross gap quanta", sh, inside)
+		}
+
+		sweep, err := ServiceSweep(ServiceConfig{Server: srv, CrashShards: []int{sh}, Stride: stride, Policies: policies})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for combo, pts := range sweep.Points {
+			if pts < 60 {
+				t.Fatalf("combo %s tested only %d points", combo, pts)
+			}
+		}
+		if !sweep.OK() {
+			t.Fatalf("%d violations (of %d replays), first: %v", len(sweep.Violations), sweep.Replays, sweep.Violations[0])
+		}
+	}
+
+	sameReportAtAnyParallelism(t, ServiceConfig{Server: srv, CrashShards: []int{1}, Stride: 1499})
 }

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -52,6 +54,38 @@ func TestZipfianDeterministic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if z1.Next(r1) != z2.Next(r2) {
 			t.Fatal("same seed diverged")
+		}
+	}
+}
+
+// TestZipfianSharesZeta: generators over one key space share one summation
+// — also when they are built at the same moment, as a run's client streams
+// are — and the shared sum is bit for bit the one each would have computed,
+// so no draw moves.
+func TestZipfianSharesZeta(t *testing.T) {
+	const n, theta = 77_777, 0.99 // a key space no other test sums
+	// Forget it first: -count > 1 reruns the test in one process.
+	delete(zetaMemo.sums, [2]uint64{n, math.Float64bits(theta)})
+	before := len(zetaMemo.sums)
+	gens := make([]*Zipfian, 8)
+	var wg sync.WaitGroup
+	for i := range gens {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gens[i] = NewZipfian(n, theta)
+		}()
+	}
+	wg.Wait()
+	// Two entries: H(n, theta) and the H(2, theta) every generator also needs
+	// (already there if an earlier test built a generator with this theta).
+	if grew := len(zetaMemo.sums) - before; grew < 1 || grew > 2 {
+		t.Fatalf("eight generators over one key space added %d sums, want one per distinct (n, theta)", grew)
+	}
+	want := zetaSum(n, theta)
+	for i, z := range gens {
+		if z.zetan != want {
+			t.Fatalf("generator %d: zetan %v, a private summation gives %v", i, z.zetan, want)
 		}
 	}
 }
