@@ -12,7 +12,7 @@ import (
 // committed checkpoint state, failure-atomically (§3.4.2, Figure 6 lines
 // 26-44). On return the container is ready for the next epoch.
 func (c *Container) Checkpoint() error {
-	if c.inc != nil {
+	if c.inc != nil && !c.inc.deferred {
 		return errors.New("core: monolithic Checkpoint with an incremental checkpoint in flight")
 	}
 	if c.wt {
@@ -21,11 +21,12 @@ func (c *Container) Checkpoint() error {
 	clock := c.dev.Clock()
 	prev := clock.SetCategory(nvm.CatCheckpoint)
 	defer clock.SetCategory(prev)
+	c.rec.Begin("checkpoint")
+	defer c.rec.End()
+	c.finishDeferred()
 	// The checkpoint clears dirty state (including eager CoW's per-segment
 	// resets), so the OnWrite last-hit memo is stale from here on.
 	c.lastBlk = -1
-	c.rec.Begin("checkpoint")
-	defer c.rec.End()
 	if c.opts.Mode == ModeBuffered {
 		return c.checkpointBuffered()
 	}
@@ -88,7 +89,7 @@ func (c *Container) checkpointDefault() error {
 	// segment (§3.4.2).
 	if c.opts.EagerCoWSegments >= 0 && c.dirtySegs.Count() > 0 && c.dirtySegs.Count() < c.opts.EagerCoWSegments {
 		c.rec.Begin("eager-cow")
-		c.eagerCoW(neIdx, c.dirtySegs.NextSet)
+		c.eagerCoW(neIdx)
 		c.rec.End()
 	}
 	// With metadata checksums, the epoch's last metadata mutation is behind
@@ -100,18 +101,15 @@ func (c *Container) checkpointDefault() error {
 	return nil
 }
 
-// eagerCoW runs the next epoch's copy-on-write ahead of its first store for
-// the segments next enumerates (next(from) is the first candidate at or
-// after from, negative when there is none) whose checkpoint state lives in
-// the main region: each one's differential blocks — the whole segment, on a
-// first pairing — are copied into its backup, so the epoch's first writes
-// skip their copies and per-segment fences. All copies share one fence; all
-// state flips share another.
-func (c *Container) eagerCoW(activeIdx int, next func(from int) int) {
+// eagerCoW pre-copies every dirty segment's differential blocks into its
+// backup during the checkpoint period, so next epoch's first writes skip
+// their per-segment fences. All copies share one fence; all state flips
+// share another.
+func (c *Container) eagerCoW(activeIdx int) {
 	bps := c.l.BlocksPerSeg()
 	type flip struct{ s int }
 	var flips []flip
-	for s := next(0); s >= 0; s = next(s + 1) {
+	for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
 		if c.meta.SegState(activeIdx, s) != region.SSMain {
 			continue
 		}
@@ -150,63 +148,6 @@ func (c *Container) eagerCoW(activeIdx int, next func(from int) int) {
 	for _, f := range flips {
 		c.dirtyBlocks.ClearRange(f.s*bps, (f.s+1)*bps)
 	}
-}
-
-// PreCopy runs the coming epoch's copy-on-write now, in one batch under two
-// fences, for every clean segment that owes one: checkpoint state in the
-// main region and either no paired backup or blocks the pair lacks. A caller
-// with idle time before the epoch's first store spends it here instead of
-// charging each segment's copy to the store that first touches it.
-//
-// This is eagerCoW outside the checkpoint, and what it overwrites is the
-// same: the backups, i.e. the previous epoch's state. Under the coordinated
-// protocol that state must outlive this rank's commit until every rank has
-// committed too, so the caller — not Checkpoint, which cannot know — calls
-// PreCopy only after the barrier that follows the commit. A crash inside it
-// is a crash inside a copy-on-write: each state entry stays SS_Main until
-// the flip fence, and recovery re-syncs the pair from main.
-//
-// Default mode only (buffered mode replicates at the checkpoint, not before
-// a store); inert while an incremental checkpoint is in flight or a
-// write-through scope is open.
-func (c *Container) PreCopy() {
-	if c.opts.Concurrent {
-		c.writeMu.Lock()
-		defer c.writeMu.Unlock()
-	}
-	if c.opts.Mode == ModeBuffered || c.inc != nil || c.wt {
-		return
-	}
-	e := int(c.meta.CommittedEpoch() % 2)
-	bps := c.l.BlocksPerSeg()
-	owes := func(from int) int {
-		for s := from; s < c.l.NMain; s++ {
-			if c.dirtySegs.Test(s) || c.meta.SegState(e, s) != region.SSMain {
-				continue
-			}
-			// An unpaired segment is taken only while a free backup is left:
-			// stealing one would un-pair another clean segment, and with the
-			// flips still ahead the victim could be one copied a moment ago.
-			if c.mainToBackup[s] == region.NoPair {
-				if len(c.freeBackups) > 0 {
-					return s
-				}
-			} else if c.dirtyBlocks.NextSetInRange(s*bps, (s+1)*bps) >= 0 {
-				return s
-			}
-		}
-		return -1
-	}
-	if owes(0) < 0 {
-		return
-	}
-	clock := c.dev.Clock()
-	prev := clock.SetCategory(nvm.CatCheckpoint)
-	c.rec.Begin("pre-copy")
-	c.eagerCoW(e, owes)
-	c.meta.Seal()
-	c.rec.End()
-	clock.SetCategory(prev)
 }
 
 func (c *Container) checkpointBuffered() error {

@@ -120,8 +120,12 @@ type Container struct {
 	// idle, and every write-path pipeline guard vanishes.
 	inc *incState
 	// incFree is the last finished pipeline's drained state, reused by the
-	// next CheckpointBegin instead of allocating afresh.
+	// next CheckpointBegin or DeferCoW instead of allocating afresh.
 	incFree *incState
+	// gapBytes is the replay work the gaps StepCoW was shown since the last
+	// DeferCoW had room for, what that call's gate goes by; gapEndPS is the
+	// end of the latest of them.
+	gapBytes, gapEndPS int64
 
 	// Write-through scopes (writethrough.go; default mode). wt is set while
 	// a scope is open and wtBlks lists the blocks stored inside it; pre marks

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"libcrpm/internal/bitmap"
 	"libcrpm/internal/nvm"
@@ -36,6 +37,15 @@ import (
 // (mpi.CheckpointIncremental does): replay overwrites epoch e's backup
 // copies, which peers may still need for a one-epoch rollback until
 // every rank has committed e+1.
+//
+// The replay has a second way in, for a caller whose cuts are monolithic
+// but whose time between requests is idle: DeferCoW, called once a cut has
+// landed (and, coordinated, its barrier is behind every rank), quarantines
+// every clean segment that owes the new epoch a copy-on-write and schedules
+// that copy as replay work. The epoch's first stores then go through the
+// same write barrier instead of copying inline, and StepCoW retires the
+// copies in the caller's idle gaps with the same quantum, flip and lift. A
+// Checkpoint that finds such a replay unfinished finishes it first.
 
 type incPhase int
 
@@ -50,6 +60,13 @@ const (
 // vanishes.
 type incState struct {
 	phase incPhase
+	// deferred marks a replay DeferCoW scheduled rather than one a commit
+	// left behind: no cut is in flight, scopes and pre-flush stay live
+	// outside the quarantine, a checkpoint finishes it instead of refusing,
+	// and a quarantined segment the replay has neither started nor staged a
+	// store in gives up its backup to a steal as it would with its copy
+	// inline (incReserved).
+	deferred bool
 
 	// cutSegs quarantines the cut's segments: stores into them are
 	// intercepted by the write barrier until the segment's cut (and, in
@@ -92,10 +109,15 @@ type incState struct {
 	plans   map[int]incPlan
 	fromCur *bitmap.Set
 
-	// Recycled across cuts (the incState itself is: Container.incFree):
-	// aside images whose block retired, and replayQuantum's scratch list.
-	freeImgs  [][]byte
+	// completed lists, inside a replay quantum, the segments whose copy is
+	// done and whose state flip waits for the quantum's fences: out of the
+	// quarantine already, their backups still not to be stolen. Empty
+	// between quanta.
 	completed []int
+
+	// Recycled across cuts (the incState itself is: Container.incFree):
+	// aside images whose block retired.
+	freeImgs [][]byte
 }
 
 // newIncState allocates the pipeline's bitmaps and maps once; every later
@@ -121,6 +143,7 @@ func (c *Container) newIncState() *incState {
 // cut that last used it left behind; Begin then fills in the new cut.
 func (inc *incState) reset() {
 	inc.phase, inc.fcur, inc.rSeg = incFlush, 0, -1
+	inc.deferred = false
 	inc.replayRem, inc.liftRem = 0, 0
 	inc.cutBlocks.ClearAll()
 	for b := range inc.aside {
@@ -172,7 +195,7 @@ func (c *Container) CheckpointBegin() error {
 		c.writeMu.Lock()
 		defer c.writeMu.Unlock()
 	}
-	if c.inc != nil {
+	if c.inc != nil && !c.inc.deferred {
 		return errors.New("core: incremental checkpoint already in flight")
 	}
 	if c.wt {
@@ -183,6 +206,7 @@ func (c *Container) CheckpointBegin() error {
 	defer clock.SetCategory(prev)
 	c.rec.Begin("ckpt-begin")
 	defer c.rec.End()
+	c.finishDeferred()
 	// The cut clears dirty-segment state, so the OnWrite memo is stale.
 	c.lastBlk = -1
 	bps := c.l.BlocksPerSeg()
@@ -262,35 +286,46 @@ func (c *Container) CheckpointStep(budgetBytes int) (int, error) {
 		c.writeMu.Lock()
 		defer c.writeMu.Unlock()
 	}
-	return c.checkpointStepLocked(budgetBytes)
+	return c.checkpointStepLocked(budgetBytes), nil
 }
 
-func (c *Container) checkpointStepLocked(budgetBytes int) (int, error) {
+func (c *Container) checkpointStepLocked(budgetBytes int) int {
 	inc := c.inc
 	if inc == nil {
-		return 0, nil
+		return 0
+	}
+	if inc.phase == incReplay {
+		return c.replayStep("ckpt-replay", budgetBytes)
+	}
+	if inc.remaining == 0 {
+		return 0
 	}
 	clock := c.dev.Clock()
 	prev := clock.SetCategory(nvm.CatCheckpoint)
 	defer clock.SetCategory(prev)
-	if inc.phase == incReplay {
-		c.rec.Begin("ckpt-replay")
-		c.replayQuantum(budgetBytes)
-		c.rec.End()
-		if inc.replayRem <= 0 && inc.liftRem <= 0 {
-			c.incFinish()
-			return 0, nil
-		}
-		return inc.replayRem + inc.liftRem, nil
-	}
-	if inc.remaining == 0 {
-		return 0, nil
-	}
 	c.rec.Begin("ckpt-step")
 	c.stepCopy(budgetBytes)
 	c.dev.SFence()
 	c.rec.End()
-	return inc.remaining, nil
+	return inc.remaining
+}
+
+// replayStep retires one quantum of the replay under a span of the given
+// name, closes the pipeline behind the last one, and returns the bytes still
+// pending.
+func (c *Container) replayStep(span string, budgetBytes int) int {
+	inc := c.inc
+	clock := c.dev.Clock()
+	prev := clock.SetCategory(nvm.CatCheckpoint)
+	defer clock.SetCategory(prev)
+	c.rec.Begin(span)
+	c.replayQuantum(budgetBytes)
+	c.rec.End()
+	if inc.replayRem <= 0 && inc.liftRem <= 0 {
+		c.incFinish()
+		return 0
+	}
+	return inc.replayRem + inc.liftRem
 }
 
 // stepCopy retires up to budgetBytes of the cut's remaining set in
@@ -418,15 +453,22 @@ func (c *Container) CheckpointCommit() error {
 	if c.opts.Mode == ModeDefault {
 		bps := c.l.BlocksPerSeg()
 		for b := inc.staged.NextSet(0); b >= 0; b = inc.staged.NextSet((b/bps + 1) * bps) {
-			s := b / bps
-			inc.segCost[s] = c.segReplayCost(s)
-			inc.replayRem += inc.segCost[s]
+			c.scheduleReplay(inc, b/bps)
 		}
 	}
 	if inc.replayRem == 0 {
 		c.incFinish()
 	}
 	return nil
+}
+
+// scheduleReplay puts quarantined segment s on the replay's work list: the
+// one way a segment's next-epoch copy-on-write becomes replay work, whether
+// a commit found stores staged in it, the write barrier staged its first
+// one after the commit, or DeferCoW quarantined it clean.
+func (c *Container) scheduleReplay(inc *incState, s int) {
+	inc.segCost[s] = c.segReplayCost(s)
+	inc.replayRem += inc.segCost[s]
 }
 
 // segReplayCost is the bytes segment s's replayed copy-on-write will
@@ -441,8 +483,8 @@ func (c *Container) segReplayCost(s int) int {
 	return c.l.SegSize
 }
 
-// replayQuantum retires up to budgetBytes of post-commit replay. For each
-// staged segment it performs the next epoch's copy-on-write — backup
+// replayQuantum retires up to budgetBytes of replay. For each scheduled
+// segment (nextReplaySeg) it performs the next epoch's copy-on-write — backup
 // copies sourced from aside images where the block was staged, from the
 // working state otherwise — batching all completed segments' state flips
 // under a shared fence pair like eager CoW. Completed segments leave the
@@ -458,22 +500,31 @@ func (c *Container) replayQuantum(budgetBytes int) {
 	}
 	bps, blk := c.l.BlocksPerSeg(), c.l.BlkSize
 	processed := 0
-	completed := inc.completed[:0]
 	for processed < budgetBytes {
 		if inc.rSeg < 0 {
-			// Next staged segment still quarantined (flipped segments'
-			// blocks stay in staged until the lift retires them).
-			b := inc.staged.NextSet(0)
-			for b >= 0 && !inc.cutSegs.Test(b/bps) {
-				b = inc.staged.NextSet((b/bps + 1) * bps)
-			}
-			if b < 0 {
+			s := c.nextReplaySeg(inc)
+			if s < 0 {
 				break
 			}
-			s := b / bps
+			if c.mainToBackup[s] == region.NoPair && len(c.freeBackups) == 0 && inc.staged.NextSetInRange(s*bps, (s+1)*bps) < 0 {
+				// The free backup DeferCoW counted for s has gone to an inline
+				// copy-on-write since, or its pair to a steal. Nothing is staged
+				// in it, so it leaves the quarantine uncopied and owes its copy
+				// at its first store like any other segment: stealing is that
+				// store's business, never a deferred copy's. (A segment with a
+				// store staged must be copied, and steals where that store
+				// would have.)
+				inc.cutSegs.Clear(s)
+				inc.replayRem -= inc.segCost[s]
+				delete(inc.segCost, s)
+				continue
+			}
 			backup, hadPair := c.findPairedBackup(s)
 			if !hadPair {
 				c.meta.SetBackupToMain(int(backup), uint32(s))
+				c.rec.Count("cow/full_segments", 1)
+			} else {
+				c.rec.Count("cow/diff_segments", 1)
 			}
 			inc.rSeg, inc.rBlk = s, s*bps
 			inc.rFull = !hadPair
@@ -490,7 +541,7 @@ func (c *Container) replayQuantum(budgetBytes int) {
 			b = c.dirtyBlocks.NextSetInRange(inc.rBlk, hi)
 		}
 		if b < 0 {
-			completed = append(completed, s)
+			inc.completed = append(inc.completed, s)
 			inc.rSeg = -1
 			// Volatile bookkeeping right away, so the scan cannot re-pick
 			// the segment within this quantum: restart its differential
@@ -517,18 +568,18 @@ func (c *Container) replayQuantum(budgetBytes int) {
 		processed += blk
 		inc.rBlk = b + 1
 	}
-	if processed > 0 || len(completed) > 0 {
+	if processed > 0 || len(inc.completed) > 0 {
 		c.dev.SFence() // all quantum copies durable
 	}
-	if len(completed) > 0 {
+	if len(inc.completed) > 0 {
 		neIdx := int(c.meta.CommittedEpoch() % 2)
-		for _, s := range completed {
+		for _, s := range inc.completed {
 			c.meta.SetSegState(neIdx, s, region.SSBackup)
 			c.meta.FlushSegState(neIdx, s)
 		}
 		c.dev.SFence() // all state flips durable
+		inc.completed = inc.completed[:0]
 	}
-	inc.completed = completed
 	// Lift: re-apply flipped segments' staged stores as ordinary
 	// next-epoch writes (they mark their lines dirty, so from here the
 	// normal protocol owns them). Volatile only — no fence needed, and a
@@ -542,7 +593,7 @@ func (c *Container) replayQuantum(budgetBytes int) {
 			}
 			off := c.l.HeapToDevice(b * blk)
 			c.dev.StoreBulk(off, c.dev.Working()[off:off+blk])
-			c.dirtyBlocks.Set(b)
+			c.noteDirty(b)
 			c.dirtySegs.Set(s)
 			inc.staged.Clear(b)
 			inc.dropAside(b)
@@ -551,6 +602,28 @@ func (c *Container) replayQuantum(budgetBytes int) {
 			b = inc.staged.NextSet(b + 1)
 		}
 	}
+}
+
+// nextReplaySeg picks the segment the replay copies next: the lowest one
+// still quarantined that holds staged stores — stores keep landing there, and
+// every block they touch before the flip costs an aside image and a lift —
+// and only when none is left the lowest one scheduled with nothing staged in
+// it (DeferCoW's; after a commit only staged segments are scheduled). -1
+// means no copy is left. Flipped segments' blocks stay in staged until the
+// lift retires them, hence the quarantine test.
+func (c *Container) nextReplaySeg(inc *incState) int {
+	bps := c.l.BlocksPerSeg()
+	for b := inc.staged.NextSet(0); b >= 0; b = inc.staged.NextSet((b/bps + 1) * bps) {
+		if inc.cutSegs.Test(b / bps) {
+			return b / bps
+		}
+	}
+	for s := inc.cutSegs.NextSet(0); s >= 0; s = inc.cutSegs.NextSet(s + 1) {
+		if _, scheduled := inc.segCost[s]; scheduled {
+			return s
+		}
+	}
+	return -1
 }
 
 // incFinish closes the pipeline: metadata is re-sealed (the epoch's last
@@ -571,15 +644,203 @@ func (c *Container) CheckpointFinish() error {
 		c.writeMu.Lock()
 		defer c.writeMu.Unlock()
 	}
-	for c.inc != nil {
-		if c.inc.phase == incFlush {
-			return errors.New("core: CheckpointFinish before CheckpointCommit")
-		}
-		if _, err := c.checkpointStepLocked(-1); err != nil {
-			return err
-		}
+	if c.inc != nil && c.inc.phase == incFlush {
+		return errors.New("core: CheckpointFinish before CheckpointCommit")
 	}
+	c.drainReplay()
 	return nil
+}
+
+// drainReplay retires whatever is left of a replay, at once.
+func (c *Container) drainReplay() {
+	for c.inc != nil {
+		c.checkpointStepLocked(-1)
+	}
+}
+
+// finishDeferred drains a deferred replay a checkpoint finds unfinished: the
+// copies are the closing epoch's to make (afterwards the backups they
+// overwrite are that epoch's rollback target) and the staged stores must be
+// dirty before the flush that commits them.
+func (c *Container) finishDeferred() {
+	if c.inc != nil {
+		c.rec.Count("ckpt/deferred_drained_bytes", int64(c.inc.replayRem))
+		c.drainReplay()
+	}
+}
+
+// DeferCoW moves the new epoch's copy-on-write behind its first stores. Every
+// clean segment that owes one — checkpoint state in the main region, and
+// either blocks its paired backup lacks or no pair while a free backup is
+// left — is quarantined and its copy scheduled as replay work: stores into it
+// go through the pipeline's write barrier (image aside, store staged in cache
+// only) instead of copying the segment inline, and StepCoW retires the copies
+// in the caller's idle gaps. It reports whether a replay was scheduled.
+//
+// What the copies overwrite is the backups, the previous epoch's state, so
+// the call is legal exactly where eager copy-on-write is: once no recovery
+// can land on that epoch any more — for a coordinated caller, after the
+// barrier that follows the commit. A crash inside the replay is a crash
+// inside a copy-on-write: a segment's state entry stays SS_Main until its
+// flip fence, its staged stores never left the cache, and recovery re-syncs
+// the pair from main.
+//
+// Scheduling takes no backup and reserves none. A free one counted here may
+// go to an inline copy-on-write before the replay reaches its segment, a
+// quarantined segment's redundant pair to a steal: the replay then drops the
+// segment rather than steal for it (replayQuantum), so a deferral never costs
+// a clean segment its pair, nor a store a backup it would have found with the
+// copies inline.
+//
+// Deferral pays only if the caller has idle time to retire the copies in —
+// it costs more than the inline copy it replaces (a fence per quantum, an
+// aside image and a lift per staged block), and what is left at the next
+// checkpoint is drained inside it, where every rank of a coordinated caller
+// waits — so it is gated on what the caller's idle time since the last call
+// had room for: the gaps StepCoW was shown, each converted when it was shown
+// into the bytes a quantum would have retired in it (near saturation idle
+// time comes in slivers no block fits), plus idlePS, idle time the caller
+// knows it had that no gap showed — forever, for one that is not serving
+// anything yet. Those gaps already have a tenant, the early write-back of the
+// blocks the epoch dirties (PreFlush), in steady state as many as the replay
+// copies, and a replay that takes the gaps first pushes that flush back into
+// the checkpoint: so the room must cover, by the cost model, both — and
+// deferMarginPct of it.
+//
+// Default mode only; inert while a checkpoint's pipeline or another replay
+// is in flight and inside a write-through scope.
+func (c *Container) DeferCoW(idlePS int64) bool {
+	if c.opts.Concurrent {
+		c.writeMu.Lock()
+		defer c.writeMu.Unlock()
+	}
+	room := c.gapBytes + c.replayFit(idlePS)
+	c.gapBytes = 0
+	if c.opts.Mode == ModeBuffered || c.inc != nil || c.wt {
+		return false
+	}
+	inc := c.incFree
+	if inc == nil {
+		inc = c.newIncState()
+	}
+	inc.reset()
+	inc.cutSegs.ClearAll()
+	inc.phase, inc.deferred = incReplay, true
+	e := int(c.meta.CommittedEpoch() % 2)
+	bps := c.l.BlocksPerSeg()
+	free := len(c.freeBackups)
+	for s := 0; s < c.l.NMain; s++ {
+		if c.dirtySegs.Test(s) || c.meta.SegState(e, s) != region.SSMain {
+			continue
+		}
+		if c.mainToBackup[s] == region.NoPair {
+			if free == 0 {
+				continue
+			}
+			free--
+		} else if c.dirtyBlocks.NextSetInRange(s*bps, (s+1)*bps) < 0 {
+			continue
+		}
+		inc.cutSegs.Set(s)
+		c.scheduleReplay(inc, s)
+	}
+	c.incFree = inc // where it stays unless the replay is scheduled
+	copyPS, flushPS := c.replayBlockPS(), c.flushBlockPS()
+	if need := int64(inc.replayRem) * (copyPS + flushPS) / copyPS * deferMarginPct / 100; need == 0 || need > room {
+		return false
+	}
+	c.rec.Count("ckpt/deferred_cow_bytes", int64(inc.replayRem))
+	c.incFree, c.inc = nil, inc
+	c.lastBlk = -1
+	return true
+}
+
+// deferMarginPct is the margin of DeferCoW's gate over what the cost model
+// says the idle time must have had room for. It is measured, not derived
+// (EXPERIMENTS.md, "Copying behind the cut", has the table): the middle of
+// the window two workloads leave. At 100 a shard at the knee of its load
+// curve defers, starves its pre-flush and stretches a pause every rank waits
+// out (crpmbench -exp slo, Default/interval at 8 Mops/s: open p99 225 -> 250
+// us). At 150 a shard with a third of its time idle no longer defers (the
+// repo benchmark's geometry at 3 Mops/s offered: open p99 1.0 -> 385 us).
+// Every value tried from 105 to 145 reads the same on both. One rung is
+// knowingly left outside: the same geometry at 3.5 Mops/s keeps its copies
+// inline (open p99 442 us, as without deferral; deferring every cut there
+// reads 1.6 us) — what the gate goes by is the epoch behind it, and no margin
+// kept that rung without losing the knee.
+const deferMarginPct = 125
+
+// StepCoW is a deferred replay's quantum for a caller that knows only "I am
+// idle for gapPS": it retires as much of the replay as the cost model says
+// fits — never less than one block, so the replay always progresses and the
+// arrival behind the gap waits for at most one block and its fences; never
+// more than replayQuantumCap, however long the gap — and returns the bytes
+// still pending. A caller with no arrival ahead of it at all, because it is
+// not serving anything yet, passes no gap (gapPS <= 0, as CheckpointStep's
+// budget): the whole replay is retired at once, traced as the pre-copy it
+// then is rather than as quanta that stall a serving loop.
+//
+// Every gap shown is also measured, work pending or not — no stretch of time
+// twice, if gaps overlap — for DeferCoW's gate to go by.
+func (c *Container) StepCoW(gapPS int64) int {
+	if c.opts.Concurrent {
+		c.writeMu.Lock()
+		defer c.writeMu.Unlock()
+	}
+	if c.opts.Mode == ModeBuffered {
+		return 0
+	}
+	if now := c.dev.Clock().NowPS(); gapPS > 0 && now+gapPS > c.gapEndPS {
+		// No replay ever owes more than the heap.
+		c.gapBytes += min(c.replayFit(now+gapPS-max(now, c.gapEndPS)), int64(c.l.HeapSize()))
+		c.gapEndPS = now + gapPS
+	}
+	if c.inc == nil || !c.inc.deferred {
+		return 0
+	}
+	if gapPS <= 0 {
+		return c.replayStep("pre-copy", -1)
+	}
+	budget := min(max(c.replayFit(gapPS), int64(c.l.BlkSize)), c.replayQuantumCap())
+	return c.checkpointStepLocked(int(budget))
+}
+
+// replayFenceShare sets replayQuantumCap: the quantum at which its one fence
+// is a hundredth of it. The ratio is chosen, not derived: 100 puts the cap at
+// 64 blocks of 256 B at the default cost model, a quantum of 15 us — under
+// the stop-the-world pause the same caller takes at every cut (18.6 us at the
+// repo benchmark's geometry), so no ckpt-replay span is the longest stall of
+// a run — while the fences stay 1 % of the replay.
+const replayFenceShare = 100
+
+// replayQuantumCap bounds a quantum however long the gap it was shown. Past
+// it a longer quantum saves next to nothing, and a gap's end is only the
+// arrival the caller knows of: a traffic-less rank of a sharded server is
+// shown its whole batch window, milliseconds, and every quantum is on record
+// as a stall of its serving loop.
+func (c *Container) replayQuantumCap() int64 {
+	return replayFenceShare * c.dev.Cost().SFencePS / c.replayBlockPS() * int64(c.l.BlkSize)
+}
+
+// replayFit is the replay work, in bytes, a quantum sized to end within ps
+// from now retires: the cost model bounds a block from above — its read from
+// the media, its non-temporal write and its lines' drain at the fence (an
+// aside image is cheaper to read, a lift cheaper than either) — and the
+// quantum's fence, with whatever is pending at the device already. The second
+// fence, the pairing entry and the state flip of a quantum that completes a
+// segment are not reserved: one quantum in thousands pays them, and reserving
+// them in every gap of a microsecond would halve what fits.
+func (c *Container) replayFit(ps int64) int64 {
+	cost := c.dev.Cost()
+	ps -= cost.SFencePS + int64(c.dev.PendingLineCount())*cost.SFenceLinePS
+	return max(ps/c.replayBlockPS(), 0) * int64(c.l.BlkSize)
+}
+
+// replayBlockPS bounds from above what one block costs a replay quantum.
+func (c *Container) replayBlockPS() int64 {
+	cost := c.dev.Cost()
+	blk := int64(c.l.BlkSize)
+	return blk*(cost.NVMReadBytePS+cost.NVMWriteBytePS) + blk/nvm.LineSize*cost.SFenceLinePS
 }
 
 // CheckpointInFlight reports whether an incremental checkpoint is open.
@@ -666,7 +927,7 @@ func (c *Container) incOnWriteDefault(inc *incState, off, n int) {
 	for b := first; b <= last; b++ {
 		s := b / bps
 		if !inc.cutSegs.Test(s) {
-			if c.dirtyBlocks.Set(b) {
+			if c.noteDirty(b) {
 				c.dev.ChargeHook()
 				c.metrics.TraceEvents++
 			} else {
@@ -691,8 +952,7 @@ func (c *Container) incOnWriteDefault(inc *incState, off, n int) {
 				if _, seen := inc.segCost[s]; !seen && s != inc.rSeg {
 					// First staged store into this segment after the
 					// commit: its replay was not yet scheduled.
-					inc.segCost[s] = c.segReplayCost(s)
-					inc.replayRem += inc.segCost[s]
+					c.scheduleReplay(inc, s)
 				}
 			}
 		} else {
@@ -750,24 +1010,29 @@ func (c *Container) incWrite(inc *incState, off int, src []byte) {
 }
 
 // incReserved reports whether the in-flight pipeline still depends on
-// segment s: either the segment is quarantined (its backup holds or is
-// becoming the cut's committed state), or it has flipped but staged
-// stores are still waiting to be lifted (evacuating its backup would
-// overwrite the cache-only staged values in working main). Backup
-// stealing must skip such segments.
+// segment s's backup, so that backup stealing must skip it: staged stores
+// are waiting in s for their lift (evacuating its backup would overwrite the
+// cache-only values in working main), or its copy is done and its state flip
+// waits for the quantum's fences, or it is quarantined and its backup holds
+// or is becoming the cut's committed state. A deferred replay's quarantine
+// commits nothing: short of the segment being copied right now, a backup in
+// it is as redundant as it would be with the copy inline, and as stealable
+// (the replay then drops the segment: replayQuantum).
 func (c *Container) incReserved(s int) bool {
 	inc := c.inc
 	if inc == nil {
 		return false
 	}
-	if inc.cutSegs.Test(s) {
-		return true
+	if inc.staged != nil {
+		bps := c.l.BlocksPerSeg()
+		if inc.staged.NextSetInRange(s*bps, (s+1)*bps) >= 0 || slices.Contains(inc.completed, s) {
+			return true
+		}
+		if inc.deferred {
+			return s == inc.rSeg
+		}
 	}
-	if inc.staged == nil {
-		return false
-	}
-	bps := c.l.BlocksPerSeg()
-	return inc.staged.NextSetInRange(s*bps, (s+1)*bps) >= 0
+	return inc.cutSegs.Test(s)
 }
 
 // incSpansQuarantine reports whether [off, off+n) overlaps a quarantined

@@ -28,7 +28,11 @@ import (
 // Scopes are inert in buffered mode (the working state is DRAM; there is
 // nothing to write back in place) and while an incremental checkpoint is in
 // flight (the write barrier owns every store and the pipeline already
-// budgets the flush). They do not nest.
+// budgets the flush). They do not nest. During a deferred replay (DeferCoW)
+// no cut is in flight and they stay live for everything outside the
+// quarantine: a store staged inside it is not dirty, so it is neither a
+// scope's to flush nor a mark's to cover until its lift, which goes through
+// the same bookkeeping as a store (noteDirty).
 //
 // PreFlush is the same early write-back for a caller that has no burst to
 // bracket, only idle time of a known length: it picks the blocks itself —
@@ -43,7 +47,7 @@ func (c *Container) BeginWriteThrough() {
 		c.writeMu.Lock()
 		defer c.writeMu.Unlock()
 	}
-	if c.opts.Mode == ModeBuffered || c.inc != nil {
+	if c.wtInert() {
 		return
 	}
 	if c.pre == nil {
@@ -137,7 +141,7 @@ func (c *Container) PreFlush(budgetPS int64) {
 		c.writeMu.Lock()
 		defer c.writeMu.Unlock()
 	}
-	if c.opts.Mode == ModeBuffered || c.inc != nil || c.wt {
+	if c.wtInert() || c.wt {
 		return
 	}
 	if c.pre == nil {
@@ -148,7 +152,7 @@ func (c *Container) PreFlush(budgetPS int64) {
 	// costs at most one dirty CLWB and one line drained at the fence, and the
 	// fence its base plus whatever is pending already.
 	cost := c.dev.Cost()
-	perBlk := int64(c.l.BlkSize/nvm.LineSize) * (cost.CLWBPS + cost.SFenceLinePS)
+	perBlk := c.flushBlockPS()
 	budgetPS -= cost.SFencePS + int64(c.dev.PendingLineCount())*cost.SFenceLinePS
 	bps := c.l.BlocksPerSeg()
 	blks := c.wtBlks[:0] // empty outside a scope: shared scratch
@@ -170,6 +174,35 @@ func (c *Container) PreFlush(budgetPS int64) {
 	c.wtBlks = blks[:0]
 	c.lastBlk = -1
 	c.wtOn = true
+}
+
+// wtInert reports whether early write-back has nothing to do or no right to
+// do it: buffered mode, and an incremental checkpoint in flight.
+func (c *Container) wtInert() bool {
+	return c.opts.Mode == ModeBuffered || (c.inc != nil && !c.inc.deferred)
+}
+
+// noteDirty is the write hook's bookkeeping for one block dirtied outside
+// the hook's own loop — by a store the write barrier let through, or by the
+// lift that turns a staged store into an ordinary one: the block is marked
+// dirty (reporting a first touch), queued for PreFlush, and whatever early
+// write-back had marked it is void.
+func (c *Container) noteDirty(b int) bool {
+	first := c.dirtyBlocks.Set(b)
+	if first && c.preOn {
+		c.preQ = append(c.preQ, b)
+	}
+	if c.wtOn {
+		c.wtNote(b, b)
+	}
+	return first
+}
+
+// flushBlockPS bounds from above what one block costs an early write-back:
+// every line a dirty CLWB and a line drained at the fence.
+func (c *Container) flushBlockPS() int64 {
+	cost := c.dev.Cost()
+	return int64(c.l.BlkSize/nvm.LineSize) * (cost.CLWBPS + cost.SFenceLinePS)
 }
 
 // wtNote is OnWrite's write-through bookkeeping for a store to blocks

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"libcrpm/internal/nvm"
@@ -22,39 +23,60 @@ type wtKind uint8
 
 const (
 	wtStore      wtKind = iota
+	wtStoreWide         // a store of val%600+200 bytes: two to four blocks, at times two segments
 	wtBegin             // BeginWriteThrough
 	wtEnd               // EndWriteThrough
-	wtCheckpoint        // monolithic, outside any scope
+	wtCheckpoint        // monolithic, outside any scope; finishes a deferred replay it finds
 	wtIncBegin          // CheckpointBegin; scopes are inert until wtIncFinish
 	wtIncStep           // one small quantum
 	wtIncFinish         // drain, commit, drain the replay
 	wtPreFlush          // PreFlush with a budget of val picoseconds
+	wtDefer             // DeferCoW: val&1 not serving yet, val&2 told of idle time to spare, else none
+	wtStepCoW           // StepCoW with a gap of val picoseconds; no gap drains
 )
 
 // wtStepsPerCut is the number of stores and scope edges between two cuts.
 const wtStepsPerCut = 14
 
-// wtBudgets are the pre-flush budgets a script draws from: nothing, less
-// than a fence, a fence and a block or two, and room for everything.
+// wtBudgets are the pre-flush budgets and replay gaps a script draws from:
+// nothing, less than a fence, a fence and a block or two, and room for
+// everything.
 var wtBudgets = []uint64{0, 100_000, 400_000, 700_000, 50_000_000}
 
 // buildWTScript interleaves scoped and unscoped stores and pre-flushes of
 // random budgets — in and out of scopes — with monolithic and incremental
-// checkpoints. Stores cluster on a few segments so scoped, pre-flushed and
-// plain stores keep hitting the same blocks — the case the skip invariant is
-// about.
+// checkpoints, and after most cuts defers the new epoch's copy-on-write and
+// retires it in gaps of random length between the stores, so that single-
+// and multi-block stores land inside and outside the quarantine, scopes and
+// pre-flushes run beside a replay, and both kinds of checkpoint find one
+// unfinished. Stores cluster on a few segments so scoped, pre-flushed, staged
+// and plain stores keep hitting the same blocks — the case the skip invariant
+// is about — and come in pairs half the time, the second through the write
+// hook's last-block memo.
 func buildWTScript(rng *rand.Rand, heapSize, cuts int) []wtStep {
 	var script []wtStep
 	inScope := false
 	store := func() {
 		seg := rng.Intn(4)
-		off := seg*4096 + rng.Intn(4096/8)*8
-		script = append(script, wtStep{kind: wtStore, off: off % (heapSize - 8), val: rng.Uint64()})
+		off := (seg*4096 + rng.Intn(4096/8)*8) % (heapSize - 8)
+		script = append(script, wtStep{kind: wtStore, off: off, val: rng.Uint64()})
+		switch rng.Intn(4) {
+		case 0:
+			script = append(script, wtStep{kind: wtStore, off: off, val: rng.Uint64()})
+		case 1:
+			// Segments 0..4: the last one is written by these alone.
+			wide := (seg*4096 + 4096 - 256*rng.Intn(8) - 8*rng.Intn(32)) % (heapSize - 800)
+			script = append(script, wtStep{kind: wtStoreWide, off: wide, val: rng.Uint64()})
+		}
 	}
-	preFlush := func() {
-		script = append(script, wtStep{kind: wtPreFlush, val: wtBudgets[rng.Intn(len(wtBudgets))]})
+	gap := func(kind wtKind) {
+		script = append(script, wtStep{kind: kind, val: wtBudgets[rng.Intn(len(wtBudgets))]})
 	}
 	for cut := 0; cut < cuts; cut++ {
+		replaying := cut > 0 && rng.Intn(4) > 0
+		if replaying {
+			script = append(script, wtStep{kind: wtDefer, val: uint64(rng.Intn(4))})
+		}
 		for i := 0; i < wtStepsPerCut; i++ {
 			switch r := rng.Intn(12); {
 			case r < 2 && !inScope:
@@ -64,7 +86,9 @@ func buildWTScript(rng *rand.Rand, heapSize, cuts int) []wtStep {
 				script = append(script, wtStep{kind: wtEnd})
 				inScope = false
 			case r >= 10:
-				preFlush()
+				gap(wtPreFlush)
+			case r >= 8 && replaying:
+				gap(wtStepCoW)
 			default:
 				store()
 			}
@@ -86,36 +110,61 @@ func buildWTScript(rng *rand.Rand, heapSize, cuts int) []wtStep {
 			store()
 			script = append(script, wtStep{kind: wtEnd}, wtStep{kind: wtIncStep})
 			store()
-			preFlush() // inert: the pipeline owns the flush
+			gap(wtPreFlush) // inert: the pipeline owns the flush
 		}
 		script = append(script, wtStep{kind: wtIncFinish})
 	}
 	return script
 }
 
-// auditWT checks the bookkeeping invariant the checkpoint's accounting
-// leans on: every marked block is a dirty block of a dirty segment.
+// auditWT checks the bookkeeping invariants the checkpoint's accounting
+// leans on. Every marked block is a dirty block of a dirty segment. And a
+// store staged behind the write barrier stays out of all of it until its
+// lift: while its segment is quarantined the segment is not dirty, the block
+// carries no mark, and the media still hold the image taken aside — the store
+// has reached nothing a crash could keep.
 func auditWT(c *Container) {
-	if c.pre == nil {
+	bps, blk := c.l.BlocksPerSeg(), c.l.BlkSize
+	if c.pre != nil {
+		if c.wtOn != (c.wt || c.pre.Any()) {
+			panic(fmt.Sprintf("wtOn=%v with wt=%v and %d marks", c.wtOn, c.wt, c.pre.Count()))
+		}
+		c.pre.ForEach(func(b int) {
+			if !c.dirtyBlocks.Test(b) || !c.dirtySegs.Test(b/bps) {
+				panic(fmt.Sprintf("block %d is marked written-through but not dirty this epoch", b))
+			}
+		})
+	}
+	inc := c.inc
+	if inc == nil || inc.staged == nil || !inc.staged.Any() {
 		return
 	}
-	if c.wtOn != (c.wt || c.pre.Any()) {
-		panic(fmt.Sprintf("wtOn=%v with wt=%v and %d marks", c.wtOn, c.wt, c.pre.Count()))
-	}
-	bps := c.l.BlocksPerSeg()
-	c.pre.ForEach(func(b int) {
-		if !c.dirtyBlocks.Test(b) || !c.dirtySegs.Test(b/bps) {
-			panic(fmt.Sprintf("block %d is marked written-through but not dirty this epoch", b))
+	media := c.dev.MediaSnapshot()
+	inc.staged.ForEach(func(b int) {
+		if !inc.cutSegs.Test(b / bps) {
+			return // flipped: the lift is all that is left
+		}
+		if inc.deferred && c.dirtySegs.Test(b/bps) {
+			panic(fmt.Sprintf("block %d is staged, yet its quarantined segment counts as dirty", b))
+		}
+		if c.pre != nil && c.pre.Test(b) {
+			panic(fmt.Sprintf("block %d is staged and marked written-through", b))
+		}
+		off := c.l.HeapToDevice(b * blk)
+		if !bytes.Equal(media[off:off+blk], inc.aside[b]) {
+			panic(fmt.Sprintf("block %d is staged, yet the media no longer hold the image taken aside", b))
 		}
 	})
 }
 
 // runWTScript executes the script, recording in shadows the state each
 // epoch commits: the working state at the moment its checkpoint began
-// (Checkpoint or CheckpointBegin). audit additionally checks the marks
-// after every step, that every kind of checkpoint leaves none, and that no
-// pre-flush outspends its budget.
-func runWTScript(c *Container, script []wtStep, shadows map[uint64][]byte, audit bool) {
+// (Checkpoint or CheckpointBegin). audit additionally checks the invariants
+// after every step, that every kind of checkpoint leaves no marks and no
+// replay, that no pre-flush outspends its budget, that a deferral takes no
+// backup from anyone, and that a replay quantum always retires something.
+// It returns the number of deferrals the gate declined.
+func runWTScript(c *Container, script []wtStep, shadows map[uint64][]byte, audit bool) (declined int) {
 	c.preLag = 2 // the test heap has 256 blocks, the shipped lag would keep them all
 	shadows[0] = make([]byte, c.Size())
 	epoch := c.CommittedEpoch()
@@ -133,6 +182,13 @@ func runWTScript(c *Container, script []wtStep, shadows map[uint64][]byte, audit
 		switch st.kind {
 		case wtStore:
 			writeU64(c, st.off, st.val)
+		case wtStoreWide:
+			buf := make([]byte, st.val%600+200)
+			for i := range buf {
+				buf[i] = byte(st.val >> (i % 8 * 8))
+			}
+			c.OnWrite(st.off, len(buf))
+			c.Write(st.off, buf)
 		case wtBegin:
 			c.BeginWriteThrough()
 		case wtEnd:
@@ -142,6 +198,30 @@ func runWTScript(c *Container, script []wtStep, shadows map[uint64][]byte, audit
 			c.PreFlush(int64(st.val))
 			if spent := c.dev.Clock().NowPS() - t0; audit && spent > int64(st.val) {
 				panic(fmt.Sprintf("pre-flush spent %d ps of a %d ps budget", spent, st.val))
+			}
+		case wtDefer:
+			idle := int64(0)
+			switch {
+			case st.val&1 != 0:
+				idle = foreverPS
+			case st.val&2 != 0:
+				idle = 1 << 40
+			}
+			pairs := slices.Clone(c.mainToBackup)
+			if !c.DeferCoW(idle) {
+				declined++
+			}
+			if audit && !slices.Equal(pairs, c.mainToBackup) {
+				panic("scheduling a deferred copy-on-write changed a pairing")
+			}
+		case wtStepCoW:
+			before, copied := 0, c.cowBytes
+			if c.inc != nil {
+				before = c.inc.replayRem + c.inc.liftRem
+			}
+			rem := c.StepCoW(int64(st.val))
+			if audit && before > 0 && st.val > 0 && rem >= before && c.cowBytes == copied {
+				panic(fmt.Sprintf("a replay quantum in a gap of %d ps copied nothing and left %d of %d bytes", st.val, rem, before))
 			}
 		case wtCheckpoint:
 			snap()
@@ -160,11 +240,17 @@ func runWTScript(c *Container, script []wtStep, shadows map[uint64][]byte, audit
 		}
 		if audit {
 			auditWT(c)
-			if (st.kind == wtCheckpoint || st.kind == wtIncBegin) && c.wtOn {
-				panic("marks survived a checkpoint")
+			if st.kind == wtCheckpoint || st.kind == wtIncBegin {
+				if c.wtOn {
+					panic("marks survived a checkpoint")
+				}
+				if c.inc != nil && c.inc.deferred {
+					panic("a deferred replay survived a checkpoint")
+				}
 			}
 		}
 	}
+	return declined
 }
 
 // wtCrashPolicies are the crash images the properties below run under.
@@ -196,14 +282,17 @@ func crashesWithin(dev *nvm.Device, n int64, fn func()) (crashed bool) {
 	return false
 }
 
-// TestWriteThroughCrashProperty is the write-through safety property: over
-// random interleavings of scoped and unscoped stores, pre-flushes of random
-// budgets, monolithic and incremental checkpoints, with a crash at strided
-// primitives through all of it — the scopes' and the pre-flushes' flushes
-// and fences included — under every crash-image policy and both metadata
-// formats, recovery lands exactly on the committed image.
+// TestWriteThroughCrashProperty is the safety property of everything that
+// moves a checkpoint's work into idle time: over random interleavings of
+// scoped and unscoped stores, pre-flushes of random budgets, deferred
+// copy-on-write retired in gaps of random length, monolithic and incremental
+// checkpoints, with a crash at strided primitives through all of it — the
+// scopes' and the pre-flushes' flushes and fences, the replay's copies, flips
+// and lifts, the checkpoints that finish a replay — under every crash-image
+// policy and both metadata formats, recovery lands exactly on the committed
+// image.
 func TestWriteThroughCrashProperty(t *testing.T) {
-	points := 60
+	points := 120
 	if testing.Short() {
 		points = 12
 	}
@@ -218,13 +307,25 @@ func TestWriteThroughCrashProperty(t *testing.T) {
 				rec := obs.NewRecorder(refDev.Clock())
 				refC.SetTrace(rec)
 				base := refDev.PrimitiveCount()
-				runWTScript(refC, script, map[uint64][]byte{}, true)
+				declined := runWTScript(refC, script, map[uint64][]byte{}, true)
 				total := refDev.PrimitiveCount() - base
 				if refC.metrics.CheckpointBytes == 0 {
 					t.Fatal("reference run checkpointed nothing")
 				}
 				if counter(rec, "ckpt/pre_flush_bytes") == 0 || counter(rec, "ckpt/write_through_bytes") == 0 {
 					t.Fatal("reference run never flushed ahead of a cut, by scope or by pre-flush")
+				}
+				if counter(rec, "ckpt/deferred_cow_bytes") == 0 || counter(rec, "ckpt/deferred_drained_bytes") == 0 {
+					t.Fatal("reference run never deferred a copy-on-write, or no checkpoint ever found one unfinished")
+				}
+				gaps := 0
+				for _, sp := range rec.Snapshot("").Spans {
+					if sp.Name == "ckpt-replay" && sp.Depth == 0 {
+						gaps++
+					}
+				}
+				if gaps == 0 || declined == 0 {
+					t.Fatalf("reference run retired %d replay quanta in gaps and its gate declined %d deferrals: want both", gaps, declined)
 				}
 
 				rng := rand.New(rand.NewSource(5))
@@ -357,44 +458,60 @@ func TestWriteThroughCheckpointSkipsScopeBlocks(t *testing.T) {
 func TestWriteThroughLaterStoreIsFlushedAgain(t *testing.T) {
 	for _, preFlush := range []bool{false, true} {
 		for _, other := range []bool{false, true} {
-			// No eager copy-on-write: it would copy the working content into
-			// the backup after the commit and hide a skipped flush.
-			opts := incOpts(ModeDefault)
-			dev, c := newTestContainer(t, opts)
-			if preFlush {
-				c.preLag = 0
-				c.PreFlush(0)
-			} else {
-				c.BeginWriteThrough()
-			}
-			writeU64(c, 512, 1)
-			writeU64(c, 8192, 1)
-			if preFlush {
-				c.PreFlush(1 << 40)
-			} else {
-				c.EndWriteThrough()
-			}
-			if n := c.pre.Count(); n != 2 {
-				t.Fatalf("preFlush=%v: %d blocks marked, want both", preFlush, n)
-			}
-			if other {
-				writeU64(c, 512, 2) // not the last block stored
-			}
-			writeU64(c, 8192, 2) // the last block stored: the memo's candidate
-			if err := c.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			dev.CrashDropAll()
-			c2, err := OpenContainer(dev, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want512 := uint64(1)
-			if other {
-				want512 = 2
-			}
-			if a, b := readU64(c2, 512), readU64(c2, 8192); a != want512 || b != 2 {
-				t.Fatalf("preFlush=%v other=%v: committed (%d, %d), want (%d, 2): a store after the early write-back's fence was skipped", preFlush, other, a, b, want512)
+			for _, replaying := range []bool{false, true} {
+				// No eager copy-on-write: it would copy the working content into
+				// the backup after the commit and hide a skipped flush.
+				opts := incOpts(ModeDefault)
+				dev, c := newTestContainer(t, opts)
+				if replaying {
+					// A deferred replay pending elsewhere: the stores below go
+					// through the write barrier's pass-through path, which owes
+					// the marks the same bookkeeping.
+					writeU64(c, 5*4096, 5)
+					if err := c.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					c.DeferCoW(foreverPS)
+				}
+				if preFlush {
+					c.preLag = 0
+					c.PreFlush(0)
+				} else {
+					c.BeginWriteThrough()
+				}
+				writeU64(c, 512, 1)
+				writeU64(c, 8192, 1)
+				if preFlush {
+					c.PreFlush(1 << 40)
+				} else {
+					c.EndWriteThrough()
+				}
+				if n := c.pre.Count(); n != 2 {
+					t.Fatalf("preFlush=%v replaying=%v: %d blocks marked, want both", preFlush, replaying, n)
+				}
+				if other {
+					writeU64(c, 512, 2) // not the last block stored
+				}
+				writeU64(c, 8192, 2) // the last block stored: the memo's candidate
+				if (c.inc != nil) != replaying {
+					t.Fatalf("replaying=%v, replay in flight %v", replaying, c.inc != nil)
+				}
+				if err := c.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				dev.CrashDropAll()
+				c2, err := OpenContainer(dev, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want512 := uint64(1)
+				if other {
+					want512 = 2
+				}
+				if a, b := readU64(c2, 512), readU64(c2, 8192); a != want512 || b != 2 {
+					t.Fatalf("preFlush=%v other=%v replaying=%v: committed (%d, %d), want (%d, 2): a store after the early write-back's fence was skipped",
+						preFlush, other, replaying, a, b, want512)
+				}
 			}
 		}
 	}
@@ -631,8 +748,18 @@ func preCopyFixture(t *testing.T, opts Options) (*nvm.Device, *Container) {
 	return dev, c
 }
 
-// TestPreCopy: the batched copy-on-write ahead of the epoch leaves every
-// populated segment writable without a copy — no segment dirty, the
+// foreverPS is idle time with room for any replay.
+const foreverPS = 1 << 60
+
+// preCopy is the populate pre-copy as a caller spells it: the epoch's
+// copy-on-write deferred with nothing being served, and drained on the spot.
+func preCopy(c *Container) {
+	c.DeferCoW(foreverPS)
+	c.StepCoW(0)
+}
+
+// TestPreCopy: a deferred copy-on-write drained ahead of the epoch leaves
+// every populated segment writable without a copy — no segment dirty, the
 // differential tracking restarted, checksummed metadata sealed again — under
 // two fences, and the epoch's first stores then issue none.
 func TestPreCopy(t *testing.T) {
@@ -643,12 +770,15 @@ func TestPreCopy(t *testing.T) {
 		rec := obs.NewRecorder(dev.Clock())
 		c.SetTrace(rec)
 		f0 := dev.Stats().SFences
-		c.PreCopy()
+		preCopy(c)
 		if got := dev.Stats().SFences - f0; got != 2 && !checksums {
 			t.Fatalf("pre-copy of three segments issued %d fences, want 2", got)
 		}
 		if segs, blocks := c.DirtyInfo(); segs != 0 || blocks != 0 {
 			t.Fatalf("pre-copy left %d dirty segments and %d differential blocks", segs, blocks)
+		}
+		if c.inc != nil {
+			t.Fatal("the drained replay is still in flight")
 		}
 		if checksums && !c.meta.Sealed() {
 			t.Fatal("pre-copy left checksummed metadata unsealed")
@@ -662,6 +792,12 @@ func TestPreCopy(t *testing.T) {
 		if want := int64(4096 + 2*6*256); c.CoWBytes() < want {
 			t.Fatalf("pre-copy moved %d bytes, want a whole segment and two differentials (%d)", c.CoWBytes(), want)
 		}
+		if got, want := counter(rec, "ckpt/deferred_cow_bytes"), int64(4096+2*6*256); got != want {
+			t.Fatalf("ckpt/deferred_cow_bytes = %d, want %d", got, want)
+		}
+		if full, diff := counter(rec, "cow/full_segments"), counter(rec, "cow/diff_segments"); full != 1 || diff != 2 {
+			t.Fatalf("%d full and %d differential segment copies counted, want 1 and 2", full, diff)
+		}
 		cow, f1 := c.CoWBytes(), dev.Stats().SFences
 		for _, seg := range []int{1, 2, 5} {
 			writeU64(c, seg*4096+8, 0xABCD)
@@ -674,8 +810,8 @@ func TestPreCopy(t *testing.T) {
 			switch s.Name {
 			case "pre-copy":
 				spans++
-			case "cow":
-				t.Fatal("a cow span after the pre-copy")
+			case "cow", "ckpt-replay":
+				t.Fatalf("a %s span: an idle replay's quanta are pre-copy spans", s.Name)
 			}
 		}
 		if spans != 1 {
@@ -683,7 +819,7 @@ func TestPreCopy(t *testing.T) {
 		}
 		// Nothing left to copy: a second call is free.
 		p0 := dev.PrimitiveCount()
-		c.PreCopy()
+		preCopy(c)
 		if dev.PrimitiveCount() != p0 {
 			t.Fatal("a pre-copy with nothing owed issued primitives")
 		}
@@ -703,8 +839,8 @@ func TestPreCopy(t *testing.T) {
 }
 
 // TestPreCopyCrashAtEveryPrimitive: a power failure at any primitive of the
-// pre-copy — mid-copy, between the fences, mid-flip, mid-seal — recovers the
-// committed state under every crash image, because each segment's state
+// drained replay — mid-copy, between the fences, mid-flip, mid-seal — recovers
+// the committed state under every crash image, because each segment's state
 // entry stays SS_Main until the flip fence and recovery re-syncs from main.
 func TestPreCopyCrashAtEveryPrimitive(t *testing.T) {
 	for _, checksums := range []bool{false, true} {
@@ -714,7 +850,7 @@ func TestPreCopyCrashAtEveryPrimitive(t *testing.T) {
 		want := bytes.Clone(refC.Bytes())
 		epoch := refC.CommittedEpoch()
 		p0 := refDev.PrimitiveCount()
-		refC.PreCopy()
+		preCopy(refC)
 		total := refDev.PrimitiveCount() - p0
 		if total < 4 {
 			t.Fatalf("pre-copy issued only %d primitives", total)
@@ -722,7 +858,7 @@ func TestPreCopyCrashAtEveryPrimitive(t *testing.T) {
 		for _, pol := range wtCrashPolicies {
 			for k := int64(0); k < total; k++ {
 				dev, c := preCopyFixture(t, opts)
-				if !crashesWithin(dev, k, c.PreCopy) {
+				if !crashesWithin(dev, k, func() { preCopy(c) }) {
 					t.Fatalf("checksums=%v: crash at pre-copy primitive %d of %d never fired", checksums, k, total)
 				}
 				dev.CrashWith(pol.make(k))
@@ -754,9 +890,78 @@ func TestPreCopyInert(t *testing.T) {
 			}
 		}
 		p0, t0 := dev.PrimitiveCount(), dev.Clock().NowPS()
-		c.PreCopy()
+		preCopy(c)
 		if dev.PrimitiveCount() != p0 || dev.Clock().NowPS() != t0 {
 			t.Errorf("mode %v inFlight=%v: pre-copy is not inert", tc.mode, tc.inFlight)
+		}
+		if tc.inFlight && (c.inc == nil || c.inc.deferred) {
+			t.Error("a deferral displaced the checkpoint in flight")
+		}
+	}
+}
+
+// TestDeferredLiftVoidsEarlyWriteBack: a segment that has flipped still holds
+// staged stores until the lift re-applies them, and in between it is ordinary
+// ground — a later store may dirty one of those blocks and a pre-flush or a
+// scope write it back and mark it. The mark covers the lines that were dirty
+// then; the lift dirties the staged ones, so it must void the mark like any
+// store, or the checkpoint skips the block and commits the staged store
+// nowhere.
+func TestDeferredLiftVoidsEarlyWriteBack(t *testing.T) {
+	for _, scoped := range []bool{false, true} {
+		opts := incOpts(ModeDefault)
+		dev, c := newTestContainer(t, opts)
+		c.preLag = 0
+		c.PreFlush(0) // from here on the hook queues what it dirties
+		writeU64(c, 4096, 1)
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		c.DeferCoW(foreverPS) // segment 1: sixteen blocks to copy
+		for b := 0; b < 3; b++ {
+			writeU64(c, 4096+b*256, 0xA0+uint64(b)) // staged, line 0 of blocks 16..18
+		}
+		// One block per quantum: sixteen copy the segment, the next flips it
+		// and has budget left to lift one block of the three.
+		for i := 0; i < 17; i++ {
+			c.StepCoW(1)
+		}
+		if c.inc == nil || c.inc.cutSegs.Test(1) || c.inc.staged.Count() != 2 {
+			t.Fatalf("scoped=%v: want segment 1 flipped with two staged blocks left to lift", scoped)
+		}
+		if scoped {
+			c.BeginWriteThrough()
+		}
+		writeU64(c, 4096+256+64, 0xB1) // block 17 again, line 1: an ordinary store now
+		if scoped {
+			c.EndWriteThrough()
+		} else {
+			c.PreFlush(1 << 40)
+		}
+		if !c.pre.Test(17) {
+			t.Fatalf("scoped=%v: block 17 was not written back early; the test proves nothing", scoped)
+		}
+		for c.StepCoW(1) > 0 {
+		}
+		if c.inc != nil || c.pre.Test(17) {
+			t.Fatalf("scoped=%v: replay in flight %v, block 17 still marked %v after its lift", scoped, c.inc != nil, c.pre.Test(17))
+		}
+		auditWT(c)
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		dev.CrashDropAll()
+		c2, err := OpenContainer(dev, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < 3; b++ {
+			if got := readU64(c2, 4096+b*256); got != 0xA0+uint64(b) {
+				t.Fatalf("scoped=%v: staged store %d committed as %#x", scoped, b, got)
+			}
+		}
+		if got := readU64(c2, 4096+256+64); got != 0xB1 {
+			t.Fatalf("scoped=%v: the later store committed as %#x", scoped, got)
 		}
 	}
 }

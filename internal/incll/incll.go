@@ -303,9 +303,12 @@ func (b *Backend) EndWriteThrough() {}
 // to be flushed.
 func (b *Backend) PreFlush(budgetPS int64) {}
 
-// PreCopy is a no-op: the undo state is logged inline per store, there is
-// no per-epoch copy-on-write to run ahead.
-func (b *Backend) PreCopy() {}
+// DeferCoW and StepCoW are no-ops: the undo state is logged inline per
+// store, there is no per-epoch copy-on-write to move anywhere.
+func (b *Backend) DeferCoW(idlePS int64) bool { return false }
+
+// StepCoW reports nothing pending.
+func (b *Backend) StepCoW(gapPS int64) int { return 0 }
 
 // DirtyEstimateBytes estimates the arena bytes made dirty this epoch —
 // for InCLL every logged line is already durably undoable, so this is the

@@ -247,3 +247,90 @@ func TestAllreduceRepeatable(t *testing.T) {
 		}
 	})
 }
+
+// TestCoordinatedRecoveryWithDeferredCoW is the §3.6 scenario with a
+// deferral between the cuts. Once epoch 1's barrier is behind every rank its
+// copy-on-write may be deferred: the replay overwrites the backups — epoch 0,
+// nobody's landing epoch any more — in idle time, behind the epoch's first
+// stores. Then the crash lands between the ranks' commits of epoch 2: even
+// ranks have committed it, through a checkpoint that found the replay
+// unfinished and finished it first; odd ranks die inside a replay quantum.
+// Recovery must still converge on epoch 1 everywhere — the even ranks by a
+// one-epoch rollback onto backups the replay completed before the commit, the
+// odd ones from a main region no staged store ever reached.
+func TestCoordinatedRecoveryWithDeferredCoW(t *testing.T) {
+	const ranks = 4
+	opts := ContainerOptions(regCfg(), core.ModeDefault)
+	l, err := region.NewLayout(opts.Region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for crashAt := int64(0); crashAt < 12; crashAt++ {
+		devs := make([]*nvm.Device, ranks)
+		w := NewWorld(ranks)
+		w.Run(func(c *Comm) {
+			dev := nvm.NewDevice(l.DeviceSize())
+			devs[c.Rank()] = dev
+			ctr, err := core.NewContainer(dev, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for seg := 0; seg < 3; seg++ {
+				writeU64(ctr, seg*4096, 100+uint64(c.Rank()))
+				writeU64(ctr, seg*4096+512, 100+uint64(c.Rank()))
+			}
+			if err := Checkpoint(c, ctr); err != nil { // epoch 1, all ranks
+				t.Error(err)
+				return
+			}
+			ctr.DeferCoW(1 << 60)
+			for seg := 0; seg < 3; seg++ {
+				writeU64(ctr, seg*4096, 200+uint64(c.Rank())) // staged
+			}
+			ctr.StepCoW(1) // one block of segment 0's sixteen
+			if c.Rank()%2 == 0 {
+				// These ranks commit epoch 2; the others crash first.
+				if err := ctr.Checkpoint(); err != nil {
+					t.Error(err)
+				}
+			} else {
+				func() {
+					defer func() {
+						dev.FailAfter(-1)
+						if _, ok := recover().(nvm.InjectedCrash); !ok {
+							t.Errorf("rank %d: no crash within %d primitives of the replay", c.Rank(), crashAt)
+						}
+					}()
+					dev.FailAfter(crashAt)
+					for ctr.StepCoW(1) > 0 {
+					}
+				}()
+			}
+			c.Barrier()
+		})
+		rng := rand.New(rand.NewSource(8 + crashAt))
+		for _, d := range devs {
+			d.Crash(rng)
+		}
+		w2 := NewWorld(ranks)
+		w2.Run(func(c *Comm) {
+			ctr, err := OpenAndRecover(c, devs[c.Rank()], opts)
+			if err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+				return
+			}
+			if got := ctr.CommittedEpoch(); got != 1 {
+				t.Errorf("crash at %d: rank %d recovered to epoch %d, want 1", crashAt, c.Rank(), got)
+			}
+			for seg := 0; seg < 3; seg++ {
+				for _, off := range []int{seg * 4096, seg*4096 + 512} {
+					got := binary.LittleEndian.Uint64(ctr.Bytes()[off:])
+					if want := 100 + uint64(c.Rank()); got != want {
+						t.Errorf("crash at %d: rank %d offset %d = %d, want %d", crashAt, c.Rank(), off, got, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -222,7 +222,11 @@ func (d *Device) markDirty(off, n int) {
 }
 
 // ensureUndo grows the undo arena (geometrically, capped at the device size)
-// until it covers line l. Steady state performs no allocation.
+// until it covers line l. Steady state performs no allocation. Past half the
+// device the next doubling is the cap anyway, so the arena takes the whole
+// device at once: a doubling that lands just short of a size that is not a
+// power of two would otherwise be followed by one more growth, and a copy of
+// everything, for the last few lines.
 func (d *Device) ensureUndo(l int) {
 	need := (l + 1) * LineSize
 	if need <= len(d.undo) {
@@ -235,7 +239,7 @@ func (d *Device) ensureUndo(l int) {
 	for newLen < need {
 		newLen *= 2
 	}
-	if newLen > d.size {
+	if newLen > d.size/2 {
 		newLen = d.size
 	}
 	grown := make([]byte, newLen)

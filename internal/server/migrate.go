@@ -334,24 +334,6 @@ func (sh *shard) migQuantum(n int) error {
 	return nil
 }
 
-// migUntil spends otherwise idle time up to untilPS on migration quanta:
-// the tail of a batch this shard has no more arrivals in — for the
-// traffic-less destination of a split, or a merged-away source, the whole
-// batch. A quantum may overrun untilPS, by at most itself.
-func (sh *shard) migUntil(untilPS int64) error {
-	w := &sh.migWork
-	for w.pending() && sh.clock.NowPS() < untilPS {
-		if now := sh.clock.NowPS(); now < w.readyPS {
-			sh.clock.Advance(min(w.readyPS, untilPS) - now)
-			continue
-		}
-		if err := sh.migQuantum(sh.quantumN); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // migRound advances the migration state machine by at most one transition
 // at a policy round. justCut reports whether a cut committed since the
 // last round (triggers fire only at cut boundaries); force drives the
@@ -717,6 +699,12 @@ func (s *Service) provisionJoined(sh *shard) error {
 	sh.snapshotForNextCut() // local epoch 1 = {}: the join-epoch image
 	if err := sh.ctr.Checkpoint(); err != nil {
 		return fmt.Errorf("server: shard %d bring-up checkpoint: %w", sh.id, err)
+	}
+	if sh.deferCoW {
+		// The join barrier is behind us and no arrival routes here before the
+		// flip: the first-pairing copies of the formatted segments go behind
+		// the install's stores, into the arrival-less batches ahead.
+		sh.ctr.DeferCoW(foreverPS)
 	}
 	// The shadow's cut images stay keyed by LOCAL epoch (verify paths
 	// subtract the offset), so the snapshot bookkeeping works unchanged.

@@ -38,8 +38,10 @@ const kvRootSlot = 0
 // work to move — no-ops where it has none: the write-through scope migration
 // quanta run in, whose stores are durable at its end; PreFlush, which writes
 // back as much of the cut's pending flush as fits a given idle time; and
-// PreCopy, the coming epoch's copy-on-write, legal once every rank has
-// committed the last one).
+// DeferCoW, which once every rank has committed a cut moves the coming
+// epoch's copy-on-write behind its first stores if the idle time it is told
+// of has room for it, for StepCoW to retire as much of as fits each idle gap
+// it is shown).
 // core.Container and incll.Backend both qualify; the incremental cut
 // pipeline and replication additionally need a *core.Container (the shard
 // keeps a typed handle when it has one).
@@ -53,7 +55,8 @@ type CutBackend interface {
 	BeginWriteThrough()
 	EndWriteThrough()
 	PreFlush(budgetPS int64)
-	PreCopy()
+	DeferCoW(idlePS int64) bool
+	StepCoW(gapPS int64) int
 }
 
 // latencyBounds buckets per-request latencies (picoseconds, 1 ns up).
@@ -114,10 +117,18 @@ type shard struct {
 	phase      cutPhase
 	pendAcks   []pendAck
 	stepBudget int
-	// preFlush lets idle gaps write back ahead of the next cut (idleUntil).
+	// preFlush lets idle gaps write back ahead of the next cut, and deferCoW
+	// lets them retire the copy-on-write the last one left behind (gapQuanta).
 	// Stop-the-world cuts only: the incremental pipeline budgets its own
-	// flush, in its own gaps, and phase never leaves cutIdle without it.
-	preFlush bool
+	// flush and replay, in its own gaps, and phase never leaves cutIdle
+	// without it.
+	preFlush, deferCoW bool
+	// lentPS is the time migration quanta have run past the arrival behind
+	// their gap since the last cut (kept under deferCoW only): idle time the
+	// schedule had, which the backend is shown in no later gap because the
+	// requests it delayed are still catching up. The next cut's DeferCoW is
+	// told of it.
+	lentPS int64
 
 	// Open-loop measurement (Config.Measure != nil; both stay nil/zero
 	// otherwise, so the rig-off paths are byte-identical to a build
@@ -360,47 +371,101 @@ func (sh *shard) ack(p pendAck, latPS int64) {
 	sh.sinceCut++
 }
 
-// idleUntil spends the idle gap ahead of the next arrival. A shard does not
-// sit idle while work is pending, and the gap has three tenants, in this
-// order. If an incremental cut is in flight, the gap retires one checkpoint
-// quantum and the held requests are acknowledged at its fence — so a request
-// waits for a quantum, never for the batch boundary, and the arrival a
-// quantum overruns waits at most that one quantum (the pause:BUDGET
-// contract). If migration work is pending and the arrival is still ahead,
-// the gap retires one quantum of it, under the same bound. A gap neither of
-// them claimed goes to the coming stop-the-world cut: the backend writes
-// back as much of the cut's pending flush as provably fits before the
-// arrival, so unlike the other two this tenant never makes a request wait.
-// Only the cut's local work moves into the gaps: its global transitions
-// (commit plus barrier, pipeline idle) stay on cutStep's batch-boundary
-// allreduce, so the ranks remain in lockstep. Once nothing local is left —
-// the flush set drained ahead of the global commit, or the replay finished
-// — the quantum is free: the acks go out at once, with no span and no
-// pause sample, exactly as cutStep treats an empty step. With nothing
+// idleUntil spends the idle gap ahead of the next arrival, if there is one:
+// one quantum of whatever is pending (gapQuanta), then the wait. With nothing
 // pending the shard just waits, adding no device primitives.
 func (sh *shard) idleUntil(arrivalPS int64) error {
-	if sh.clock.NowPS() >= arrivalPS {
+	if err := sh.gapQuanta(arrivalPS); err != nil {
+		return err
+	}
+	if now := sh.clock.NowPS(); now < arrivalPS {
+		sh.clock.Advance(arrivalPS - now)
+	}
+	return nil
+}
+
+// idleTail spends what is left of a batch's arrival window once the shard
+// has served its last request of the batch — for a shard with no arrival in
+// it, the whole window: a gap like any other, except that it is long enough
+// for many quanta. It stops when the window ends or a round of quanta finds
+// nothing to do; work still in flight to this shard (ship latency) is waited
+// for. The last quantum may overrun the window, by at most itself.
+func (sh *shard) idleTail(untilPS int64) error {
+	for {
+		t0 := sh.clock.NowPS()
+		if err := sh.gapQuanta(untilPS); err != nil {
+			return err
+		}
+		if sh.clock.NowPS() > t0 {
+			continue
+		}
+		w := &sh.migWork
+		if !w.pending() || t0 >= w.readyPS || t0 >= untilPS {
+			return nil
+		}
+		sh.clock.Advance(min(w.readyPS, untilPS) - t0)
+	}
+}
+
+// gapQuanta runs the tenants of the idle gap between now and untilPS — none,
+// if the shard is running behind — one quantum each, in a fixed order. A
+// shard does not sit idle while work is pending.
+//
+// First the cut: if an incremental cut is in flight, the gap retires one
+// checkpoint quantum and the held requests are acknowledged at its fence — so
+// a request waits for a quantum, never for the batch boundary, and the
+// arrival a quantum overruns waits at most that one quantum (the pause:BUDGET
+// contract). Under stop-the-world cuts the same place goes to the
+// copy-on-write the last cut deferred: the backend retires as much of it as
+// fits the gap, and never less than one block. Only the cut's local work
+// moves into the gaps: its global transitions (commit plus barrier, pipeline
+// idle) stay on cutStep's batch-boundary allreduce, so the ranks remain in
+// lockstep, and a deferred replay has none. Once nothing local is left the
+// quantum is free: the acks go out at once, with no span and no pause sample,
+// exactly as cutStep treats an empty step.
+//
+// Then migration: if work is pending, the end of the gap still ahead and no
+// deferred replay left — a migration store into a quarantined segment would
+// be staged, lifted as ordinary dirt and left for the next cut to flush, the
+// very thing its write-through scope exists to prevent — one quantum of it,
+// under the same at-most-itself bound.
+//
+// What is left of the gap goes to the coming stop-the-world cut: the backend
+// writes back as much of the cut's pending flush as provably fits, so unlike
+// the other two this tenant never makes a request wait.
+func (sh *shard) gapQuanta(untilPS int64) error {
+	t0 := sh.clock.NowPS()
+	if t0 >= untilPS {
 		return nil
 	}
-	if sh.phase != cutIdle {
+	replaying := false
+	switch {
+	case sh.deferCoW:
+		// Shown every gap, replay pending or not: the gaps of this epoch are
+		// what the backend decides by whether to defer the next one's copies.
+		replaying = sh.ctr.StepCoW(untilPS-t0) > 0
+		if step := sh.clock.NowPS() - t0; step > 0 {
+			sh.observePause(step)
+			sh.rec.Observe("ckpt/step_ps", obs.StepBounds, step)
+		}
+	case sh.phase != cutIdle:
 		if _, err := sh.quantum(); err != nil {
 			return err
 		}
 	}
-	if sh.migWork.pending() {
-		if sh.clock.NowPS() < arrivalPS {
-			if err := sh.migQuantum(sh.quantumN); err != nil {
-				return err
-			}
+	if sh.migWork.pending() && !replaying && sh.clock.NowPS() < untilPS {
+		if err := sh.migQuantum(sh.quantumN); err != nil {
+			return err
 		}
-	} else if sh.preFlush {
-		sh.ctr.PreFlush(arrivalPS - sh.clock.NowPS())
-		if over := sh.clock.NowPS() - arrivalPS; over > 0 {
-			return fmt.Errorf("server: shard %d: pre-flush ran %d ps past the arrival it was sized to fit before", sh.id, over)
+		if over := sh.clock.NowPS() - untilPS; over > 0 && sh.deferCoW {
+			sh.lentPS += over
 		}
 	}
-	if now := sh.clock.NowPS(); now < arrivalPS {
-		sh.clock.Advance(arrivalPS - now)
+	if sh.preFlush && sh.clock.NowPS() < untilPS {
+		sh.ctr.PreFlush(untilPS - sh.clock.NowPS())
+		if over := sh.clock.NowPS() - untilPS; over > 0 {
+			return fmt.Errorf("server: shard %d: pre-flush ran %d ps past the arrival it was sized to fit before", sh.id, over)
+		}
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"libcrpm/internal/measure"
+	"libcrpm/internal/nvm"
 	"libcrpm/internal/server"
 	"libcrpm/internal/workload"
 )
@@ -302,6 +303,24 @@ func sameReportAtAnyParallelism(t *testing.T, coarse ServiceConfig) {
 	}
 }
 
+// crashedClock is shard sh's simulated clock at device primitive k of a run
+// of srv: a crashed run stops its clock at the failing primitive, and the run
+// is the crash-free one's up to there, so against a reference trace the clock
+// says which span the primitive falls in.
+func crashedClock(t *testing.T, srv server.Config, sh int, k int64) int64 {
+	t.Helper()
+	srv.Crash = &server.CrashSpec{Shard: sh, At: k}
+	svc, err := server.New(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed, err := svc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return crashed.Shards[sh].SimPS
+}
+
 // gapPreFlushBase is an open-loop run under stop-the-world cuts, offered far
 // below the knee and with epochs long enough that each shard's queue of
 // dirtied blocks outgrows the pre-flush lag: most of every cut's flush is
@@ -349,17 +368,7 @@ func TestServiceSweepGapPreFlush(t *testing.T) {
 		// reference's up to there, so the clock says which span was open.
 		inside := 0
 		for k := spans[sh][0] + 1; k < spans[sh][1]; k += int64(stride) {
-			cfg := srv
-			cfg.Crash = &server.CrashSpec{Shard: sh, At: k}
-			svc, err := server.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			crashed, err := svc.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			at := crashed.Shards[sh].SimPS
+			at := crashedClock(t, srv, sh, k)
 			for _, sp := range res.Trace.Tracks[sh].Spans {
 				if sp.Name == "pre-flush" && sp.Start <= at && at < sp.End {
 					inside++
@@ -387,4 +396,156 @@ func TestServiceSweepGapPreFlush(t *testing.T) {
 	}
 
 	sameReportAtAnyParallelism(t, ServiceConfig{Server: srv, CrashShards: []int{1}, Stride: 1499})
+}
+
+// TestServiceSweepDeferredCoW strides crash points through open-loop,
+// stop-the-world runs whose epochs defer their copy-on-write behind the write
+// barrier: in a steady run with idle time to spare, where every replay is
+// over long before the next cut, and in one where a merge doubles a shard's
+// load mid-run, so that replays scheduled on the strength of yesterday's gaps
+// are still in flight when a cut arrives and its checkpoint has to finish
+// them. The points are proven — by the crashed clock against the reference
+// trace, as TestServiceSweepGapPreFlush does — to fall inside replay quanta
+// between requests, inside lifts (a quantum shorter than a fence has issued
+// nothing but the stores that re-apply staged blocks), and inside checkpoints
+// draining a replay; where the stride misses a kind, the first such span is
+// searched for and crashed on purpose. Under every crash-image policy each
+// must recover all shards to one global epoch with every op acked before
+// that epoch's cut intact.
+func TestServiceSweepDeferredCoW(t *testing.T) {
+	surge := gapPreFlushBase()
+	surge.Shards, surge.Ops = 3, 14_000
+	surge.Policy = server.OpsPolicy{Every: 4096}
+	surge.Measure = &measure.Config{TargetOps: 3e6}
+	surge.Migrations = []server.MigrateSpec{{Kind: server.MigrateMerge, Src: 2, Dst: 1, AfterCuts: 2}}
+	policies := append(StandardPolicies(7), AdversarialPolicy())
+	for _, tc := range []struct {
+		name   string
+		srv    server.Config
+		crash  []int
+		drains bool
+	}{
+		{"steady", gapPreFlushBase(), []int{0}, false},
+		{"merge-surge", surge, []int{1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			traced := tc.srv
+			traced.Trace = true
+			ref, err := server.New(traced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ref.Run()
+			if err != nil || !res.OK() {
+				t.Fatalf("reference run: %v, %v", err, res)
+			}
+			prims := ref.PrimitiveSpans()
+			for _, sh := range tc.crash {
+				// The reference's replay quanta, by kind.
+				type window struct{ lo, hi int64 }
+				var ckpts []window
+				kinds := map[string][]window{}
+				for _, sp := range res.Trace.Tracks[sh].Spans {
+					if sp.Name == "checkpoint" {
+						ckpts = append(ckpts, window{sp.Start, sp.End})
+					}
+				}
+				for _, sp := range res.Trace.Tracks[sh].Spans {
+					if sp.Name != "ckpt-replay" {
+						continue
+					}
+					kind := "gap"
+					for _, c := range ckpts {
+						if c.lo <= sp.Start && sp.End <= c.hi {
+							kind = "drain"
+						}
+					}
+					if kind == "gap" && sp.Ticks < nvm.DefaultCostModel().SFencePS {
+						kind = "lift"
+					}
+					kinds[kind] = append(kinds[kind], window{sp.Start, sp.End})
+				}
+				want := []string{"gap", "lift"}
+				if tc.drains {
+					want = append(want, "drain")
+				}
+				for _, kind := range want {
+					if len(kinds[kind]) == 0 {
+						t.Fatalf("shard %d: the reference run has no %s quantum", sh, kind)
+					}
+				}
+				clockAt := func(k int64) int64 { return crashedClock(t, tc.srv, sh, k) }
+				lo, hi := prims[sh][0], prims[sh][1]
+				stride := int((hi - lo) / 64)
+				var ks, clocks []int64
+				inside := map[string]int{}
+				for k := lo + 1; k < hi; k += int64(stride) {
+					at := clockAt(k)
+					ks, clocks = append(ks, k), append(clocks, at)
+					for kind, ws := range kinds {
+						for _, w := range ws {
+							if w.lo <= at && at < w.hi {
+								inside[kind]++
+							}
+						}
+					}
+				}
+				// Quanta are a small share of a run's primitives and a stride
+				// of hundreds steps over most of them, so two spans of every
+				// kind — the first and the middle one — are crashed on
+				// purpose: the primitive is found by bisection on the crashed
+				// clock, between the strided points that bracket the span.
+				var aimed []int64
+				for _, kind := range want {
+					for _, w := range []window{kinds[kind][0], kinds[kind][len(kinds[kind])/2]} {
+						a, b := lo+1, hi-1
+						for i, at := range clocks {
+							if at < w.lo {
+								a = ks[i] + 1
+							} else {
+								b = ks[i]
+								break
+							}
+						}
+						for a < b {
+							if mid := (a + b) / 2; clockAt(mid) < w.lo {
+								a = mid + 1
+							} else {
+								b = mid
+							}
+						}
+						if at := clockAt(a); at < w.lo || at >= w.hi {
+							t.Fatalf("shard %d: no primitive inside the %s quantum [%d, %d): the nearest is at %d", sh, kind, w.lo, w.hi, at)
+						}
+						aimed = append(aimed, a)
+					}
+				}
+				t.Logf("shard %d: of %d strided crash points %d fall inside gap quanta, %d inside lifts, %d inside draining checkpoints; %d more aimed at each kind",
+					sh, len(ks), inside["gap"], inside["lift"], inside["drain"], len(aimed)/len(want))
+
+				sweep, err := ServiceSweep(ServiceConfig{Server: tc.srv, CrashShards: []int{sh}, Stride: stride, Policies: policies})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for combo, pts := range sweep.Points {
+					if pts < 60 {
+						t.Fatalf("combo %s tested only %d points", combo, pts)
+					}
+				}
+				if !sweep.OK() {
+					t.Fatalf("%d violations (of %d replays), first: %v", len(sweep.Violations), sweep.Replays, sweep.Violations[0])
+				}
+				base := tc.srv
+				base.Liveness = true
+				for _, k := range aimed {
+					for _, pol := range policies {
+						if vs := serviceReplay(base, sh, pol, "", k, false); len(vs) != 0 {
+							t.Fatalf("aimed crash: %d violations, first: %v", len(vs), vs[0])
+						}
+					}
+				}
+			}
+			sameReportAtAnyParallelism(t, ServiceConfig{Server: tc.srv, CrashShards: []int{1}, Stride: 1499})
+		})
+	}
 }
