@@ -35,6 +35,39 @@ func (c *Container) cowCopy(e, s int) {
 	c.rec.Begin("cow")
 	defer c.rec.End()
 	backup, hadPair := c.findPairedBackup(s)
+	c.copyToBackup(s, backup, hadPair)
+	if hadPair {
+		c.rec.Count("cow/diff_segments", 1)
+	} else {
+		c.rec.Count("cow/full_segments", 1)
+	}
+	c.flipToBackup(e, s)
+}
+
+// flipToBackup ends a copy-on-write for however many segments the caller
+// copied since the last fence: one fence makes the copies and their pairings
+// durable, a second the flips of segs' entries in state array idx to
+// SS_Backup.
+func (c *Container) flipToBackup(idx int, segs ...int) {
+	c.dev.SFence() // fence 1: data + pairing durable
+	for _, s := range segs {
+		c.meta.SetSegState(idx, s, region.SSBackup)
+		c.meta.FlushSegState(idx, s)
+	}
+	c.dev.SFence() // fence 2: state flips durable
+	// The backups now equal the checkpoint state exactly; restart the
+	// segments' differential tracking (Figure 6, line 15).
+	bps := c.l.BlocksPerSeg()
+	for _, s := range segs {
+		c.dirtyBlocks.ClearRange(s*bps, (s+1)*bps)
+	}
+}
+
+// copyToBackup copies into main segment s's backup what the backup lacks of
+// the segment's checkpoint state, durable at the next fence. The fence and
+// the state flip behind it are flipToBackup's, so that several segments'
+// copies can share one fence pair.
+func (c *Container) copyToBackup(s int, backup uint32, hadPair bool) {
 	mainOff := c.l.MainOff(s)
 	backupOff := c.l.BackupOff(int(backup))
 	if !hadPair {
@@ -45,31 +78,20 @@ func (c *Container) cowCopy(e, s int) {
 		c.persistCopy(backupOff, mainOff, c.l.SegSize)
 		c.meta.SetBackupToMain(int(backup), uint32(s))
 		c.cowBytes += int64(c.l.SegSize)
-		c.rec.Count("cow/full_segments", 1)
-	} else {
-		// Differential copy: the backup already equals the checkpoint state
-		// as of the segment's previous CoW; only blocks dirtied since then
-		// (still set in the dirty block bitmap, which checkpoints do not
-		// clear) differ.
-		delta := backupOff - mainOff
-		bps := c.l.BlocksPerSeg()
-		base := s * bps
-		c.dirtyBlocks.ForEachRunInRange(base, base+bps, func(b0, b1 int) {
-			off := c.l.HeapToDevice(b0 * c.l.BlkSize)
-			n := (b1 - b0) * c.l.BlkSize
-			c.persistCopy(off+delta, off, n)
-			c.cowBytes += int64(n)
-		})
-		c.rec.Count("cow/diff_segments", 1)
+		return
 	}
-	c.dev.SFence() // fence 1: data + pairing durable
-	c.meta.SetSegState(e, s, region.SSBackup)
-	c.meta.FlushSegState(e, s)
-	c.dev.SFence() // fence 2: state flip durable
-	// The backup now equals the checkpoint state exactly; restart the
-	// differential tracking for this segment (Figure 6, line 15).
+	// Differential copy: the backup already equals the checkpoint state
+	// as of the segment's previous CoW; only blocks dirtied since then
+	// (still set in the dirty block bitmap, which checkpoints do not
+	// clear) differ.
+	delta := backupOff - mainOff
 	bps := c.l.BlocksPerSeg()
-	c.dirtyBlocks.ClearRange(s*bps, (s+1)*bps)
+	c.dirtyBlocks.ForEachRunInRange(s*bps, (s+1)*bps, func(b0, b1 int) {
+		off := c.l.HeapToDevice(b0 * c.l.BlkSize)
+		n := (b1 - b0) * c.l.BlkSize
+		c.persistCopy(off+delta, off, n)
+		c.cowBytes += int64(n)
+	})
 }
 
 // persistCopy copies n bytes between device offsets with non-temporal
@@ -85,34 +107,22 @@ func (c *Container) persistCopy(dst, src, n int) {
 // ErrBackupExhausted: the write hook has no error channel, and the paper
 // makes the bound explicit — the segments modified in one epoch must fit
 // the backup region.
+func (c *Container) findPairedBackup(s int) (backup uint32, hadPair bool) {
+	backup, hadPair, ok := c.tryFindPairedBackup(s)
+	if !ok {
+		panic(ErrBackupExhausted)
+	}
+	return backup, hadPair
+}
+
+// tryFindPairedBackup is findPairedBackup without the exhaustion panic, for
+// callers that can simply skip the segment (eager checkpoint-period CoW).
 //
 // Allocation policy (§3.3): take a free backup if one exists; otherwise
 // steal a backup whose paired main segment holds the checkpoint state
 // itself (active state SS_Main), because that backup is redundant. The
 // robbed segment keeps its dirty bits, so its next CoW takes the full-copy
 // path.
-func (c *Container) findPairedBackup(s int) (backup uint32, hadPair bool) {
-	c.allocMu.Lock()
-	defer c.allocMu.Unlock()
-	if b := c.mainToBackup[s]; b != region.NoPair {
-		return b, true
-	}
-	if n := len(c.freeBackups); n > 0 {
-		b := c.freeBackups[n-1]
-		c.freeBackups = c.freeBackups[:n-1]
-		c.mainToBackup[s] = b
-		return b, false
-	}
-	b, ok := c.stealBackup(s)
-	if !ok {
-		panic(ErrBackupExhausted)
-	}
-	c.mainToBackup[s] = b
-	return b, false
-}
-
-// tryFindPairedBackup is findPairedBackup without the exhaustion panic, for
-// callers that can simply skip the segment (eager checkpoint-period CoW).
 func (c *Container) tryFindPairedBackup(s int) (backup uint32, hadPair, ok bool) {
 	c.allocMu.Lock()
 	defer c.allocMu.Unlock()
@@ -146,27 +156,10 @@ func (c *Container) tryFindPairedBackup(s int) (backup uint32, hadPair, ok bool)
 // when only a few segments are dirty per epoch.
 func (c *Container) stealBackup(forSeg int) (uint32, bool) {
 	e := int(c.meta.CommittedEpoch() % 2)
-	// Pass 1: redundant pairs. Dirty segments are excluded even when their
-	// active state is SS_Main: in buffered mode a dirty segment's pair is
-	// reserved — it is being filled with the state about to commit, and the
-	// flip to SS_Backup only lands with the commit.
+	// Pass 1: redundant pairs.
 	for j := 0; j < c.l.NBackup; j++ {
-		m := c.meta.BackupToMain(j)
-		if m == region.NoPair || int(m) == forSeg {
-			continue
-		}
-		victim := int(m)
-		if c.dirtySegs.Test(victim) {
-			continue
-		}
-		// Segments an in-flight incremental cut still depends on are
-		// reserved too: their backups hold (or are becoming) the state
-		// the cut commits or replays.
-		if c.incReserved(victim) {
-			continue
-		}
-		// Skip segments mid-CoW (their lock is held).
-		if !c.segLocks[victim].TryLock() {
+		victim, ok := c.lockVictim(j, forSeg)
+		if !ok {
 			continue
 		}
 		redundant := c.meta.SegState(e, victim) == region.SSMain
@@ -180,18 +173,8 @@ func (c *Container) stealBackup(forSeg int) (uint32, bool) {
 	}
 	// Pass 2: evacuate an authoritative backup of a clean segment.
 	for j := 0; j < c.l.NBackup; j++ {
-		m := c.meta.BackupToMain(j)
-		if m == region.NoPair || int(m) == forSeg {
-			continue
-		}
-		victim := int(m)
-		if c.dirtySegs.Test(victim) {
-			continue
-		}
-		if c.incReserved(victim) {
-			continue
-		}
-		if !c.segLocks[victim].TryLock() {
+		victim, ok := c.lockVictim(j, forSeg)
+		if !ok {
 			continue
 		}
 		stolen := false
@@ -218,4 +201,24 @@ func (c *Container) stealBackup(forSeg int) (uint32, bool) {
 		}
 	}
 	return 0, false
+}
+
+// lockVictim returns, locked, the main segment paired with backup j if that
+// pair may be broken up for forSeg's sake right now. Dirty segments are
+// excluded even when their active state is SS_Main: in buffered mode a dirty
+// segment's pair is reserved — it is being filled with the state about to
+// commit, and the flip to SS_Backup only lands with the commit. Segments an
+// in-flight incremental cut still depends on are reserved too: their backups
+// hold (or are becoming) the state the cut commits or replays. And segments
+// mid-CoW (their lock is held) are skipped.
+func (c *Container) lockVictim(j, forSeg int) (victim int, ok bool) {
+	m := c.meta.BackupToMain(j)
+	if m == region.NoPair || int(m) == forSeg {
+		return 0, false
+	}
+	victim = int(m)
+	if c.dirtySegs.Test(victim) || c.incReserved(victim) || !c.segLocks[victim].TryLock() {
+		return 0, false
+	}
+	return victim, true
 }

@@ -34,7 +34,7 @@ import (
 // with aside images substituted for staged blocks, then the staged
 // stores are re-applied as ordinary dirty stores. Coordinated callers
 // must barrier between CheckpointCommit and the replay steps
-// (mpi.CheckpointIncremental does): replay overwrites epoch e's backup
+// (internal/server's cutStep does): replay overwrites epoch e's backup
 // copies, which peers may still need for a one-epoch rollback until
 // every rank has committed e+1.
 //
@@ -120,31 +120,38 @@ type incState struct {
 	freeImgs [][]byte
 }
 
-// newIncState allocates the pipeline's bitmaps and maps once; every later
-// cut resets and reuses them, so a steady-state cut allocates nothing that
-// scales with the heap, the dirty set or the staged set.
-func (c *Container) newIncState() *incState {
-	inc := &incState{
-		cutSegs:   bitmap.New(c.l.NMain),
-		cutBlocks: bitmap.New(c.l.TotalBlocks()),
-		aside:     make(map[int][]byte),
+// takeIncState hands out the pipeline's volatile state, reset: the last
+// finished cut's if there is one (incFinish parks it in incFree), so a
+// steady-state cut allocates nothing that scales with the heap, the dirty set
+// or the staged set. The caller installs it as c.inc, or parks it again.
+func (c *Container) takeIncState() *incState {
+	inc := c.incFree
+	if inc == nil {
+		inc = &incState{
+			cutSegs:   bitmap.New(c.l.NMain),
+			cutBlocks: bitmap.New(c.l.TotalBlocks()),
+			aside:     make(map[int][]byte),
+		}
+		if c.opts.Mode == ModeBuffered {
+			inc.fromCur = bitmap.New(c.l.TotalBlocks())
+			inc.plans = make(map[int]incPlan)
+		} else {
+			inc.staged = bitmap.New(c.l.TotalBlocks())
+			inc.segCost = make(map[int]int)
+		}
 	}
-	if c.opts.Mode == ModeBuffered {
-		inc.fromCur = bitmap.New(c.l.TotalBlocks())
-		inc.plans = make(map[int]incPlan)
-	} else {
-		inc.staged = bitmap.New(c.l.TotalBlocks())
-		inc.segCost = make(map[int]int)
-	}
+	c.incFree = nil
+	inc.reset()
 	return inc
 }
 
 // reset returns a recycled state to what a fresh one holds, whatever the
-// cut that last used it left behind; Begin then fills in the new cut.
+// cut that last used it left behind; the caller then fills in the new cut.
 func (inc *incState) reset() {
 	inc.phase, inc.fcur, inc.rSeg = incFlush, 0, -1
 	inc.deferred = false
 	inc.replayRem, inc.liftRem = 0, 0
+	inc.cutSegs.ClearAll()
 	inc.cutBlocks.ClearAll()
 	for b := range inc.aside {
 		inc.dropAside(b)
@@ -178,12 +185,6 @@ func (inc *incState) dropAside(b int) {
 	}
 }
 
-type incPlan struct {
-	targetOff  int
-	newState   region.SegState
-	pendBackup bool // draining pendingBackup (target is the backup region)
-}
-
 // CheckpointBegin opens an incremental checkpoint: the current dirty set
 // becomes the cut, its segments are quarantined behind the write barrier,
 // and the next epoch opens for foreground writes. No device work happens
@@ -195,57 +196,23 @@ func (c *Container) CheckpointBegin() error {
 		c.writeMu.Lock()
 		defer c.writeMu.Unlock()
 	}
-	if c.inc != nil && !c.inc.deferred {
-		return errors.New("core: incremental checkpoint already in flight")
+	end, err := c.beginCut("ckpt-begin")
+	if err != nil {
+		return err
 	}
-	if c.wt {
-		return errWriteThroughOpen
-	}
-	clock := c.dev.Clock()
-	prev := clock.SetCategory(nvm.CatCheckpoint)
-	defer clock.SetCategory(prev)
-	c.rec.Begin("ckpt-begin")
-	defer c.rec.End()
-	c.finishDeferred()
-	// The cut clears dirty-segment state, so the OnWrite memo is stale.
-	c.lastBlk = -1
-	bps := c.l.BlocksPerSeg()
-	inc := c.incFree
-	if inc == nil {
-		inc = c.newIncState()
-	}
-	c.incFree = nil
-	inc.reset()
+	defer end()
+	inc := c.takeIncState()
 	inc.cutSegs.CopyFrom(c.dirtySegs)
 	if c.opts.Mode == ModeBuffered {
 		inc.fromCur.CopyFrom(c.curDirty)
 		eIdx := int(c.meta.CommittedEpoch() % 2)
+		bps := c.l.BlocksPerSeg()
 		for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
-			var p incPlan
-			var pend *bitmap.Set
-			switch c.meta.SegState(eIdx, s) {
-			case region.SSMain:
-				// Committed copy lives in main: replicate into the backup.
-				// Pairing happens here, while dirtySegs still protects this
-				// cut's segments from stealing each other's backups.
-				backup, hadPair := c.findPairedBackup(s)
-				if !hadPair {
-					if !c.virginBackups.Test(int(backup)) {
-						c.pendingBackup.SetRange(s*bps, (s+1)*bps)
-					}
-					c.virginBackups.Clear(int(backup))
-					c.meta.SetBackupToMain(int(backup), uint32(s))
-				}
-				p = incPlan{targetOff: c.l.BackupOff(int(backup)), newState: region.SSBackup, pendBackup: true}
-				pend = c.pendingBackup
-			case region.SSBackup:
-				p = incPlan{targetOff: c.l.MainOff(s), newState: region.SSMain}
-				pend = c.pendingMain
-			default: // SSInitial: first commit of this segment goes to main.
-				p = incPlan{targetOff: c.l.MainOff(s), newState: region.SSMain}
-				pend = c.pendingMain
-			}
+			// Pairing happens here, while dirtySegs still protects this
+			// cut's segments from stealing each other's backups.
+			p := c.bufferedTarget(eIdx, s)
 			inc.plans[s] = p
+			pend, _ := c.pending(p)
 			hi := (s + 1) * bps
 			for b := c.curDirty.NextSetInRange(s*bps, hi); b >= 0; b = c.curDirty.NextSetInRange(b+1, hi) {
 				inc.cutBlocks.Set(b)
@@ -256,16 +223,7 @@ func (c *Container) CheckpointBegin() error {
 		}
 		c.curDirty.ClearAll()
 	} else {
-		for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
-			c.dirtyBlocks.ForEachRunInRange(s*bps, (s+1)*bps, func(b0, b1 int) {
-				inc.cutBlocks.SetRange(b0, b1)
-			})
-		}
-		if c.wtOn {
-			// Written-through blocks are already durable: the cut owes them
-			// no flush (and its write barrier no flush-before-write).
-			c.pre.ForEach(func(b int) { inc.cutBlocks.Clear(b) })
-		}
+		c.cutRuns(inc.cutBlocks.SetRange)
 	}
 	inc.remaining = inc.cutBlocks.Count() * c.l.BlkSize
 	inc.cutBytes = inc.remaining
@@ -346,27 +304,12 @@ func (c *Container) stepCopy(budgetBytes int) {
 				return
 			}
 			inc.fcur = b + 1
-			s := b / bps
-			p := inc.plans[s]
-			boff := (b - s*bps) * blk
 			src := inc.aside[b]
 			if src == nil {
-				src = c.buf[s*c.l.SegSize+boff : s*c.l.SegSize+boff+blk]
+				src = c.buf[b*blk : (b+1)*blk]
 			}
-			c.dev.ChargeDRAMCopy(blk)
-			c.dev.NTStore(p.targetOff+boff, src)
+			c.copyBuffered(inc.plans[b/bps], b, src, inc.fromCur.Test(b))
 			inc.dropAside(b)
-			if p.pendBackup {
-				c.pendingBackup.Clear(b)
-				if inc.fromCur.Test(b) {
-					c.pendingMain.Set(b)
-				}
-			} else {
-				c.pendingMain.Clear(b)
-				if inc.fromCur.Test(b) {
-					c.pendingBackup.Set(b)
-				}
-			}
 			inc.cutBlocks.Clear(b)
 			inc.remaining -= blk
 		}
@@ -383,7 +326,7 @@ func (c *Container) stepCopy(budgetBytes int) {
 		for b1-b0 < want && b1 < c.l.TotalBlocks() && inc.cutBlocks.Test(b1) {
 			b1++
 		}
-		c.dev.FlushRange(c.l.HeapToDevice(b0*blk), (b1-b0)*blk)
+		c.flushRun(b0, b1)
 		inc.cutBlocks.ClearRange(b0, b1)
 		inc.fcur = b1
 		inc.remaining -= (b1 - b0) * blk
@@ -428,22 +371,15 @@ func (c *Container) CheckpointCommit() error {
 	c.dev.SFence()
 	c.rec.End()
 
-	c.rec.Begin("commit")
-	e := c.meta.CommittedEpoch()
-	eIdx, neIdx := int(e%2), int((e+1)%2)
-	c.meta.CopySegStateArray(neIdx, eIdx)
-	for s := inc.cutSegs.NextSet(0); s >= 0; s = inc.cutSegs.NextSet(s + 1) {
-		if c.opts.Mode == ModeBuffered {
-			c.meta.SetSegState(neIdx, s, inc.plans[s].newState)
-		} else {
-			c.meta.SetSegState(neIdx, s, region.SSMain)
+	c.commitEpoch(func(neIdx int) {
+		for s := inc.cutSegs.NextSet(0); s >= 0; s = inc.cutSegs.NextSet(s + 1) {
+			st := region.SSMain
+			if c.opts.Mode == ModeBuffered {
+				st = inc.plans[s].newState
+			}
+			c.meta.SetSegState(neIdx, s, st)
 		}
-	}
-	c.meta.FlushSegStateArray(neIdx)
-	c.dev.SFence()
-	c.meta.SetCommittedEpoch(e + 1)
-	c.dev.SFence()
-	c.rec.End()
+	})
 	c.metrics.CheckpointBytes += int64(inc.cutBytes)
 	c.rec.Count("ckpt/dirty_bytes", int64(inc.cutBytes))
 	c.metrics.Epochs++
@@ -544,11 +480,10 @@ func (c *Container) replayQuantum(budgetBytes int) {
 			inc.completed = append(inc.completed, s)
 			inc.rSeg = -1
 			// Volatile bookkeeping right away, so the scan cannot re-pick
-			// the segment within this quantum: restart its differential
-			// tracking, lift the quarantine (its staged stores become lift
-			// work), and retire its replay cost. All of it dies with the
-			// pipeline on a crash; only the state flip below needs fences.
-			c.dirtyBlocks.ClearRange(s*bps, hi)
+			// the segment within this quantum: lift the quarantine (its
+			// staged stores become lift work) and retire its replay cost.
+			// All of it dies with the pipeline on a crash; only the state
+			// flip below needs fences.
 			inc.cutSegs.Clear(s)
 			inc.liftRem += inc.staged.CountRange(s*bps, hi) * blk
 			inc.replayRem -= inc.segCost[s]
@@ -568,17 +503,11 @@ func (c *Container) replayQuantum(budgetBytes int) {
 		processed += blk
 		inc.rBlk = b + 1
 	}
-	if processed > 0 || len(inc.completed) > 0 {
-		c.dev.SFence() // all quantum copies durable
-	}
 	if len(inc.completed) > 0 {
-		neIdx := int(c.meta.CommittedEpoch() % 2)
-		for _, s := range inc.completed {
-			c.meta.SetSegState(neIdx, s, region.SSBackup)
-			c.meta.FlushSegState(neIdx, s)
-		}
-		c.dev.SFence() // all state flips durable
+		c.flipToBackup(int(c.meta.CommittedEpoch()%2), inc.completed...)
 		inc.completed = inc.completed[:0]
+	} else if processed > 0 {
+		c.dev.SFence() // all quantum copies durable
 	}
 	// Lift: re-apply flipped segments' staged stores as ordinary
 	// next-epoch writes (they mark their lines dirty, so from here the
@@ -719,12 +648,7 @@ func (c *Container) DeferCoW(idlePS int64) bool {
 	if c.opts.Mode == ModeBuffered || c.inc != nil || c.wt {
 		return false
 	}
-	inc := c.incFree
-	if inc == nil {
-		inc = c.newIncState()
-	}
-	inc.reset()
-	inc.cutSegs.ClearAll()
+	inc := c.takeIncState()
 	inc.phase, inc.deferred = incReplay, true
 	e := int(c.meta.CommittedEpoch() % 2)
 	bps := c.l.BlocksPerSeg()
@@ -744,13 +668,13 @@ func (c *Container) DeferCoW(idlePS int64) bool {
 		inc.cutSegs.Set(s)
 		c.scheduleReplay(inc, s)
 	}
-	c.incFree = inc // where it stays unless the replay is scheduled
 	copyPS, flushPS := c.replayBlockPS(), c.flushBlockPS()
 	if need := int64(inc.replayRem) * (copyPS + flushPS) / copyPS * deferMarginPct / 100; need == 0 || need > room {
+		c.incFree = inc
 		return false
 	}
 	c.rec.Count("ckpt/deferred_cow_bytes", int64(inc.replayRem))
-	c.incFree, c.inc = nil, inc
+	c.inc = inc
 	c.lastBlk = -1
 	return true
 }
@@ -878,17 +802,11 @@ func (c *Container) PendingCutBytes() int {
 		c.writeMu.Lock()
 		defer c.writeMu.Unlock()
 	}
+	if c.opts.Mode != ModeBuffered {
+		return c.pendingDefault()
+	}
 	bps := c.l.BlocksPerSeg()
 	blocks := 0
-	if c.opts.Mode != ModeBuffered {
-		for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
-			blocks += c.dirtyBlocks.CountRange(s*bps, (s+1)*bps)
-		}
-		if c.wtOn {
-			blocks -= c.pre.Count()
-		}
-		return blocks * c.l.BlkSize
-	}
 	eIdx := int(c.meta.CommittedEpoch() % 2)
 	for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
 		pend := c.pendingMain

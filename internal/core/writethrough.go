@@ -96,7 +96,7 @@ func (c *Container) writeBack(blks []int, span, counter string) {
 		for j < len(blks) && blks[j] == blks[j-1]+1 {
 			j++
 		}
-		c.dev.FlushRange(c.l.HeapToDevice(blks[i]*blk), (j-i)*blk)
+		c.flushRun(blks[i], blks[i]+j-i)
 		i = j
 	}
 	c.dev.SFence()
@@ -230,26 +230,4 @@ func (c *Container) wtForget() {
 	c.wt, c.wtOn = false, false
 	c.wtBlks = c.wtBlks[:0]
 	c.preQ, c.preHead = c.preQ[:0], 0
-}
-
-// flushBlocks flushes main-region blocks [b0, b1) in place, leaving out the
-// ones a write-through scope already made durable.
-func (c *Container) flushBlocks(b0, b1 int) {
-	blk := c.l.BlkSize
-	if !c.wtOn {
-		c.dev.FlushRange(c.l.HeapToDevice(b0*blk), (b1-b0)*blk)
-		return
-	}
-	for b0 < b1 {
-		if c.pre.Test(b0) {
-			b0++
-			continue
-		}
-		e := b0 + 1
-		for e < b1 && !c.pre.Test(e) {
-			e++
-		}
-		c.dev.FlushRange(c.l.HeapToDevice(b0*blk), (e-b0)*blk)
-		b0 = e
-	}
 }
