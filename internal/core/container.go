@@ -468,11 +468,21 @@ func (c *Container) DirtyInfo() (segs, blocks int) {
 	return c.dirtySegs.Count(), c.dirtyBlocks.Count()
 }
 
-// DirtyEstimateBytes estimates the pending checkpoint footprint — dirty
-// blocks times block size — for byte-threshold cut policies.
+// DirtyEstimateBytes estimates what the current epoch has dirtied — blocks
+// times block size — for byte-threshold cut policies. In default mode that is
+// the cut set plus what early write-back already flushed of it, not every set
+// bit of the dirty-block bitmap: differential bits outlive the checkpoint
+// until their segment's next copy-on-write, and a segment nobody wrote this
+// epoch owes the next cut nothing.
 func (c *Container) DirtyEstimateBytes() uint64 {
-	_, blocks := c.DirtyInfo()
-	return uint64(blocks) * uint64(c.l.BlkSize)
+	if c.opts.Mode == ModeBuffered {
+		return uint64(c.curDirty.Count() * c.l.BlkSize)
+	}
+	n := c.pendingDefault()
+	if c.wtOn {
+		n += c.pre.Count() * c.l.BlkSize
+	}
+	return uint64(n)
 }
 
 // DirtySegments returns the ascending indices of the main segments

@@ -634,3 +634,41 @@ func TestNames(t *testing.T) {
 		t.Fatalf("names: %q, %q", cd.Name(), cb.Name())
 	}
 }
+
+// TestDirtyEstimateCountsThisEpochOnly: a byte-threshold cut policy reads
+// what the current epoch has dirtied. Differential bits outlive a checkpoint
+// until their segment's next copy-on-write; they are not this epoch's dirt.
+// What early write-back already flushed still is — the estimate bounds what
+// an epoch dirtied, the pending cut what its checkpoint will flush.
+func TestDirtyEstimateCountsThisEpochOnly(t *testing.T) {
+	opts := incOpts(ModeDefault) // lazy copy-on-write: the bits survive the cut
+	opts.Region.HeapSize, opts.Region.SegmentSize = 4*65536, 65536
+	_, c := newTestContainer(t, opts)
+	for seg := 0; seg < 2; seg++ {
+		for b := 0; b < 100; b++ {
+			writeU64(c, seg*65536+b*256, 1)
+		}
+	}
+	if got := c.DirtyEstimateBytes(); got != 200*256 {
+		t.Fatalf("200 blocks stored, estimate %d B", got)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, blocks := c.DirtyInfo(); blocks != 200 {
+		t.Fatalf("fixture: %d differential bits survive the cut, want 200", blocks)
+	}
+	if got := c.DirtyEstimateBytes(); got != 0 {
+		t.Fatalf("no store since the cut, estimate %d B", got)
+	}
+	writeU64(c, 8, 2)
+	if got := c.DirtyEstimateBytes(); got != 256 {
+		t.Fatalf("one 8-byte store since the cut, estimate %d B, want one block", got)
+	}
+	c.BeginWriteThrough()
+	writeU64(c, 65536+512, 3)
+	c.EndWriteThrough()
+	if est, pend := c.DirtyEstimateBytes(), c.PendingCutBytes(); est != 2*256 || pend != 256 {
+		t.Fatalf("one block stored, one written through: estimate %d B, pending cut %d B; want 512 and 256", est, pend)
+	}
+}

@@ -162,6 +162,22 @@ func TestPolicies(t *testing.T) {
 	}
 }
 
+// TestDirtyPolicyReadOnlyRun: a byte-threshold policy cuts on what the epoch
+// has dirtied. A read-only run dirties nothing once populated, so exactly the
+// populate and close-out cuts are due — not one per policy round on the
+// differential bits the populate epoch left in the dirty-block bitmap.
+func TestDirtyPolicyReadOnlyRun(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Mix, cfg.Policy = workload.YCSBC, DirtyBytesPolicy{Bytes: 64 << 10}
+	res := mustRun(t, cfg)
+	if !res.OK() {
+		t.Fatalf("%d violations, first: %v", len(res.Violations), res.Violations[0])
+	}
+	if res.Cuts != 2 {
+		t.Fatalf("%d cuts on a read-only run of %d policy rounds, want the populate and close-out cuts only", res.Cuts, cfg.Ops/cfg.BatchOps)
+	}
+}
+
 // TestRunDeterminism is the byte-identity contract: the full Result —
 // ops, cuts, simulated times, latency and pause quantiles — is identical
 // at verification parallelism 1 and 8, and across repeated runs.

@@ -875,8 +875,8 @@ func (s *Service) reopenBackend(dev *nvm.Device) (CutBackend, error) {
 	return core.OpenContainerDeferRecovery(dev, s.opts)
 }
 
-// dirtyEstimate feeds the policy's DirtyBytes: the plain dirty-block
-// count for stop-the-world cuts (unchanged behavior), the exact pending
+// dirtyEstimate feeds the policy's DirtyBytes: what the epoch has dirtied
+// for stop-the-world cuts (early write-back included), the exact pending
 // cut footprint when the incremental pipeline is on (a PausePolicy
 // budgets against it, and in buffered mode the two differ by the
 // pending replica blocks). The pipeline implies the core backend, so the
