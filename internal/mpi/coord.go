@@ -35,41 +35,6 @@ func Checkpoint(c *Comm, ctr Checkpointer) error {
 	return nil
 }
 
-// CheckpointIncremental is the coordinated incremental cut: every rank
-// opens its pipeline, drains budget-byte flush quanta until the global
-// remainder reaches zero, commits, and barriers — at which point every
-// container holds both epoch e and e+1, exactly as after Checkpoint. The
-// ranks then drain the post-commit replay quanta the same way; the
-// barrier before them is what makes overwriting epoch e's backups during
-// replay safe. budget <= 0 drains each phase in one quantum.
-func CheckpointIncremental(c *Comm, ctr *core.Container, budget int) error {
-	if err := ctr.CheckpointBegin(); err != nil {
-		return err
-	}
-	for {
-		rem, err := ctr.CheckpointStep(budget)
-		if err != nil {
-			return err
-		}
-		if c.AllreduceU64(uint64(rem), Sum) == 0 {
-			break
-		}
-	}
-	if err := ctr.CheckpointCommit(); err != nil {
-		return err
-	}
-	c.Barrier()
-	for {
-		rem, err := ctr.CheckpointStep(budget)
-		if err != nil {
-			return err
-		}
-		if c.AllreduceU64(uint64(rem), Sum) == 0 {
-			return nil
-		}
-	}
-}
-
 // Recoverable is a per-rank checkpoint store that supports coordinated
 // recovery: both the last and the previous committed epoch remain intact
 // until the next epoch's writes begin, so a one-epoch rollback is always
