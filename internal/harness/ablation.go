@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"libcrpm/internal/alloc"
 	"libcrpm/internal/baselines/fti"
 	"libcrpm/internal/core"
-	"libcrpm/internal/heap"
 	"libcrpm/internal/nvm"
-	"libcrpm/internal/pds"
 	"libcrpm/internal/region"
 	"libcrpm/internal/sched"
 	"libcrpm/internal/workload"
@@ -18,28 +15,11 @@ import (
 // newCrpmSetup builds a libcrpm hash-map setup with explicit options, for
 // the ablation studies.
 func newCrpmSetup(sc Scale, opts core.Options) (*DSSetup, error) {
-	opts.Region.HeapSize = sc.HeapSize
-	if opts.Region.BackupRatio == 0 {
-		opts.Region.BackupRatio = 1
-	}
-	l, err := region.NewLayout(opts.Region)
+	ctr, err := newContainer(sc, opts)
 	if err != nil {
 		return nil, err
 	}
-	dev := nvm.NewDevice(l.DeviceSize())
-	ctr, err := core.NewContainer(dev, opts)
-	if err != nil {
-		return nil, err
-	}
-	a, err := alloc.Format(heap.New(ctr))
-	if err != nil {
-		return nil, err
-	}
-	kv, err := pds.NewHashMap(a, sc.Buckets)
-	if err != nil {
-		return nil, err
-	}
-	return &DSSetup{System: ctr.Name(), KV: kv, Dev: dev, Checkpoint: ctr.Checkpoint, Backend: ctr, Container: ctr}, nil
+	return newSetup(ctr.Name(), ctr, ctr, DSHashMap, sc)
 }
 
 func runBalanced(s *DSSetup, sc Scale, seed int64) (workload.Result, error) {
@@ -196,16 +176,11 @@ func AblationBackupRatio(sc Scale) (Table, error) {
 	ratios := []float64{1.0, 0.5, 0.25}
 	rows, err := sched.MapErr(len(ratios), pool(), func(i int) ([]string, error) {
 		ratio := ratios[i]
-		reg := region.Config{HeapSize: sc.HeapSize, SegmentSize: segSize, BlockSize: 256, BackupRatio: ratio}
-		l, err := region.NewLayout(reg)
+		ctr, err := newContainer(sc, core.Options{Mode: core.ModeDefault, Region: region.Config{SegmentSize: segSize, BlockSize: 256, BackupRatio: ratio}})
 		if err != nil {
 			return nil, err
 		}
-		dev := nvm.NewDevice(l.DeviceSize())
-		ctr, err := core.NewContainer(dev, core.Options{Mode: core.ModeDefault, Region: reg})
-		if err != nil {
-			return nil, err
-		}
+		dev := ctr.Device()
 		var buf [8]byte
 		const epochs = 24
 		start := dev.Clock().NowPS()
@@ -259,15 +234,10 @@ func AblationFTIIncremental(sc Scale) (Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := alloc.Format(heap.New(b))
+		s, err := newSetup(b.Name(), b, nil, DSHashMap, sc)
 		if err != nil {
 			return nil, err
 		}
-		kv, err := pds.NewHashMap(a, sc.Buckets)
-		if err != nil {
-			return nil, err
-		}
-		s := &DSSetup{System: b.Name(), KV: kv, Dev: b.Device(), Checkpoint: b.Checkpoint, Backend: b}
 		d := s.Driver(sc, 25)
 		if err := d.Populate(sc.Keys); err != nil {
 			return nil, err

@@ -99,20 +99,9 @@ func Fig7Throughput(sc Scale, kind DSKind) (Table, error) {
 			return "", err
 		}
 		recs.Put(i, s.Rec)
-		d := s.Driver(sc, 7)
-		nKeys := sc.Keys
-		if mix.InsertOnly {
-			nKeys = 0 // the paper starts insert-only runs empty
-		}
-		if nKeys > 0 {
-			if err := d.Populate(nKeys); err != nil {
-				return "", fmt.Errorf("%s/%s: %w", sys, mix.Name, err)
-			}
-		} else {
-			d.Keys = 1 // placeholder; insert-only never draws existing keys
-			if err := d.Checkpoint(); err != nil {
-				return "", err
-			}
+		d, err := s.startRun(sc, 7, mix)
+		if err != nil {
+			return "", fmt.Errorf("%s/%s: %w", sys, mix.Name, err)
 		}
 		res, err := d.Run(mix, sc.Ops)
 		if err != nil {
@@ -157,16 +146,9 @@ func Table1a(sc Scale) (Table, error) {
 		if err != nil {
 			return cellRes{}, err
 		}
-		d := s.Driver(sc, 3)
-		if !mix.InsertOnly {
-			if err := d.Populate(sc.Keys); err != nil {
-				return cellRes{}, err
-			}
-		} else {
-			d.Keys = 1
-			if err := d.Checkpoint(); err != nil {
-				return cellRes{}, err
-			}
+		d, err := s.startRun(sc, 3, mix)
+		if err != nil {
+			return cellRes{}, err
 		}
 		before := s.Backend.Metrics().CheckpointBytes
 		if _, err := d.Run(mix, sc.Ops); err != nil {
@@ -206,16 +188,9 @@ func Table1b(sc Scale) (Table, error) {
 		if err != nil {
 			return "", err
 		}
-		d := s.Driver(sc, 5)
-		if !mix.InsertOnly {
-			if err := d.Populate(sc.Keys); err != nil {
-				return "", err
-			}
-		} else {
-			d.Keys = 1
-			if err := d.Checkpoint(); err != nil {
-				return "", err
-			}
+		d, err := s.startRun(sc, 5, mix)
+		if err != nil {
+			return "", err
 		}
 		fBefore := s.Dev.Stats().SFences
 		res, err := d.Run(mix, sc.Ops)

@@ -276,19 +276,7 @@ func NewDSSetup(system string, kind DSKind, sc Scale, geo Geometry) (*DSSetup, e
 		if system == "libcrpm-Buffered" {
 			mode = core.ModeBuffered
 		}
-		reg := region.Config{
-			HeapSize:    sc.HeapSize,
-			SegmentSize: geo.SegmentSize,
-			BlockSize:   geo.BlockSize,
-			BackupRatio: 1,
-		}
-		var l *region.Layout
-		l, err = region.NewLayout(reg)
-		if err != nil {
-			return nil, err
-		}
-		dev := nvm.NewDevice(l.DeviceSize())
-		ctr, err = core.NewContainer(dev, core.Options{Region: reg, Mode: mode})
+		ctr, err = newContainer(sc, core.Options{Region: region.Config{SegmentSize: geo.SegmentSize, BlockSize: geo.BlockSize}, Mode: mode})
 		b = ctr
 	default:
 		return nil, fmt.Errorf("harness: unknown system %q", system)
@@ -296,6 +284,27 @@ func NewDSSetup(system string, kind DSKind, sc Scale, geo Geometry) (*DSSetup, e
 	if err != nil {
 		return nil, err
 	}
+	return newSetup(system, b, ctr, kind, sc)
+}
+
+// newContainer formats a libcrpm container over the scale's heap on a fresh
+// device of its own; a zero BackupRatio means a backup for every segment.
+func newContainer(sc Scale, opts core.Options) (*core.Container, error) {
+	opts.Region.HeapSize = sc.HeapSize
+	if opts.Region.BackupRatio == 0 {
+		opts.Region.BackupRatio = 1
+	}
+	l, err := region.NewLayout(opts.Region)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewContainer(nvm.NewDevice(l.DeviceSize()), opts)
+}
+
+// newSetup finishes a setup over backend b (ctr is b again if it is a libcrpm
+// container): the allocator, the structure and, when harness tracing is on,
+// the cell's recorder.
+func newSetup(system string, b ckpt.Backend, ctr *core.Container, kind DSKind, sc Scale) (*DSSetup, error) {
 	a, err := alloc.Format(heap.New(b))
 	if err != nil {
 		return nil, err
@@ -341,6 +350,18 @@ func (s *DSSetup) Driver(sc Scale, seed int64) *workload.Driver {
 		Trace:      s.Rec,
 		Device:     s.Dev,
 	}
+}
+
+// startRun brings a fresh setup to where a measured run of mix starts and
+// returns its driver: populated with the scale's keys or, for the insert-only
+// mix, which the paper starts empty, with the empty structure checkpointed.
+func (s *DSSetup) startRun(sc Scale, seed int64, mix workload.Mix) (*workload.Driver, error) {
+	d := s.Driver(sc, seed)
+	if mix.InsertOnly {
+		d.Keys = 1 // placeholder; insert-only never draws existing keys
+		return d, d.Checkpoint()
+	}
+	return d, d.Populate(sc.Keys)
 }
 
 func fmtF(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
