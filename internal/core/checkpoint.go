@@ -181,9 +181,8 @@ func (c *Container) eagerCoW(activeIdx int) {
 // incPlan is where buffered mode commits one segment: the region that
 // receives the copy and the state the commit flips the segment to.
 type incPlan struct {
-	targetOff  int
-	newState   region.SegState
-	pendBackup bool // draining pendingBackup (target is the backup region)
+	targetOff int
+	newState  region.SegState // SS_Backup: the target is the backup region
 }
 
 // bufferedTarget decides which region receives segment s's commit (§3.5):
@@ -207,13 +206,13 @@ func (c *Container) bufferedTarget(eIdx, s int) incPlan {
 		c.virginBackups.Clear(int(backup))
 		c.meta.SetBackupToMain(int(backup), uint32(s))
 	}
-	return incPlan{targetOff: c.l.BackupOff(int(backup)), newState: region.SSBackup, pendBackup: true}
+	return incPlan{targetOff: c.l.BackupOff(int(backup)), newState: region.SSBackup}
 }
 
 // pending returns the bitmap of the blocks p's target region lacks, and the
 // other region's.
 func (c *Container) pending(p incPlan) (pend, other *bitmap.Set) {
-	if p.pendBackup {
+	if p.newState == region.SSBackup {
 		return c.pendingBackup, c.pendingMain
 	}
 	return c.pendingMain, c.pendingBackup
