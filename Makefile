@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench fuzz torture serve replica elastic results examples fmt vet clean
+.PHONY: all build test test-short race cover bench fuzz torture serve replica elastic results examples fmt vet loc clean
 
 all: build test
 
@@ -37,6 +37,7 @@ torture:
 	$(GO) test ./internal/torture/
 	$(GO) run ./cmd/crpmtorture
 	$(GO) run ./cmd/crpmtorture -adversarial -checksums=false
+	for s in 1 2 3 4 5 6 7 8; do $(GO) run ./cmd/crpmtorture -backend incll -seed $$s || exit 1; done
 
 # Sharded recoverable KV service smoke: YCSB-A over coordinated per-shard
 # checkpoints with full acked-op verification (see DESIGN.md §10).
@@ -88,6 +89,10 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-blank, non-comment lines of non-test Go outside bench/, per package.
+loc:
+	scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

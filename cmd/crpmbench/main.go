@@ -246,35 +246,21 @@ func run() int {
 // (simulated-clock totals, checkpoint bytes per op). Subsequent PRs diff
 // these files to catch harness performance regressions.
 type benchTrajectory struct {
-	Experiments []benchExperiment `json:"experiments"`
-}
-
-type benchExperiment struct {
-	Name   string       `json:"name"`
-	WallMS float64      `json:"wall_ms"`
-	Tables []benchTable `json:"tables"`
-}
-
-type benchTable struct {
-	Title   string             `json:"title"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Experiments []harness.Experiment
 }
 
 func (tr *benchTrajectory) add(name string, wall time.Duration, tables []harness.Table) {
-	e := benchExperiment{Name: name, WallMS: float64(wall.Microseconds()) / 1000}
-	for _, t := range tables {
-		e.Tables = append(e.Tables, benchTable{Title: t.Title, Metrics: t.Metrics})
-	}
-	tr.Experiments = append(tr.Experiments, e)
+	wallMS := float64(wall.Microseconds()) / 1000
+	tr.Experiments = append(tr.Experiments, harness.Experiment{Name: name, WallMS: &wallMS, Tables: tables})
 }
 
 func (tr *benchTrajectory) write(path, scale string, parallel int, total time.Duration) error {
 	out := struct {
-		Scale       string            `json:"scale"`
-		Parallel    int               `json:"parallel"`
-		GOMAXPROCS  int               `json:"gomaxprocs"`
-		TotalWallMS float64           `json:"total_wall_ms"`
-		Experiments []benchExperiment `json:"experiments"`
+		Scale       string               `json:"scale"`
+		Parallel    int                  `json:"parallel"`
+		GOMAXPROCS  int                  `json:"gomaxprocs"`
+		TotalWallMS float64              `json:"total_wall_ms"`
+		Experiments []harness.Experiment `json:"experiments"`
 	}{
 		Scale:       scale,
 		Parallel:    parallel,

@@ -19,7 +19,8 @@
 // -migrate schedules live shard migrations (checkpoint-seeded snapshot
 // ship, delta catch-up, atomic ring flip at a coordinated cut);
 // -autosplit lets the service split its hottest shard on its own, up to
-// the given live-shard cap. Both exclude -replicas.
+// the given live-shard cap. What cannot be combined with what is one table,
+// server's exclusions; the service rejects a bad pair before the first op.
 //
 // -target turns the run open-loop: requests arrive on a fixed-rate schedule
 // of simulated timestamps and latency is charged from each op's intended
@@ -57,9 +58,19 @@ import (
 	"libcrpm/internal/workload"
 )
 
-// ErrBadFlags wraps every replication flag rejection, so scripts (and the
+// ErrBadFlags wraps every flag rejection — the CLI's own and, through
+// newService, every configuration the service refuses — so scripts (and the
 // tests) can distinguish a usage error from a run failure.
 var ErrBadFlags = errors.New("crpmserve: invalid flags")
+
+// newService is server.New with its rejections reported as usage errors.
+func newService(cfg server.Config) (*server.Service, error) {
+	svc, err := server.New(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadFlags, err)
+	}
+	return svc, nil
+}
 
 // validateReplFlags checks the replication flag set and resolves -sla.
 // Replication is strictly opt-in: -sla and -killprimary are meaningless
@@ -176,29 +187,17 @@ func parseMigrations(spec string) ([]server.MigrateSpec, error) {
 	return out, nil
 }
 
-// validateMigrateFlags checks the elastic-resharding flag set. Migration
-// excludes replication (a moved span would strand its secondaries'
-// deltas), and -migrate / -autosplit are mutually exclusive schedulers of
-// the same migration engine.
-func validateMigrateFlags(migrateSpec string, autosplit, replicas int) ([]server.MigrateSpec, server.AutoSplitSpec, error) {
-	var as server.AutoSplitSpec
-	if migrateSpec == "" && autosplit == 0 {
-		return nil, as, nil
-	}
-	if replicas > 0 {
-		return nil, as, fmt.Errorf("%w: %v", ErrBadFlags, server.ErrMigrateReplicas)
-	}
-	if migrateSpec != "" && autosplit > 0 {
-		return nil, as, fmt.Errorf("%w: -migrate and -autosplit are mutually exclusive", ErrBadFlags)
-	}
+// validateMigrateFlags resolves the elastic-resharding flags: -migrate's
+// schedule and -autosplit's cap. Whether the two go together, or with the
+// rest of the run, is the service's to say (newService).
+func validateMigrateFlags(migrateSpec string, autosplit int) (specs []server.MigrateSpec, as server.AutoSplitSpec, err error) {
 	if autosplit < 0 {
 		return nil, as, fmt.Errorf("%w: -autosplit %d is negative", ErrBadFlags, autosplit)
 	}
-	if autosplit > 0 {
-		as.MaxShards = autosplit
-		return nil, as, nil
+	as.MaxShards = autosplit
+	if migrateSpec != "" {
+		specs, err = parseMigrations(migrateSpec)
 	}
-	specs, err := parseMigrations(migrateSpec)
 	return specs, as, err
 }
 
@@ -229,8 +228,8 @@ func run() int {
 	replicas := flag.Int("replicas", 0, "secondaries per shard, installing committed cut deltas asynchronously (0 = replication off)")
 	slaSpec := flag.String("sla", "", "read SLA set assigned round-robin to clients: mix | strong | rmw | monotonic | bounded:K | eventual, each with an optional @DUR latency target (requires -replicas)")
 	killPrimary := flag.Int("killprimary", -1, "crash this shard's primary mid-serve and fail over to its most-current secondary (requires -replicas)")
-	migrateSpec := flag.String("migrate", "", "live shard migrations: comma-separated KIND:SRC[>DST][@CUTS] entries, e.g. 'split:0@2,move:1>2@4,merge:3>1@6' (excludes -replicas)")
-	autosplit := flag.Int("autosplit", 0, "grow the service by splitting the hottest shard up to this many live shards (0 = off; excludes -migrate and -replicas)")
+	migrateSpec := flag.String("migrate", "", "live shard migrations: comma-separated KIND:SRC[>DST][@CUTS] entries, e.g. 'split:0@2,move:1>2@4,merge:3>1@6'")
+	autosplit := flag.Int("autosplit", 0, "grow the service by splitting the hottest shard up to this many live shards (0 = off)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run finishes) to this file")
 	flag.Parse()
@@ -286,7 +285,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	migrations, autoSplit, err := validateMigrateFlags(*migrateSpec, *autosplit, *replicas)
+	migrations, autoSplit, err := validateMigrateFlags(*migrateSpec, *autosplit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -327,6 +326,11 @@ func run() int {
 			}
 		}
 	}
+	svc, err := newService(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -338,23 +342,17 @@ func run() int {
 		// The kill point is the middle of the victim's serving span, so a
 		// reference run measures the span first. Both runs are pure
 		// functions of the flags; the failover line is too.
-		ref, err := server.New(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		if _, err := ref.Run(); err != nil {
+		if _, err := svc.Run(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		span := ref.PrimitiveSpans()[*killPrimary]
+		span := svc.PrimitiveSpans()[*killPrimary]
 		cfg.Crash = &server.CrashSpec{Shard: *killPrimary, At: span[0] + (span[1]-span[0])/2}
 		cfg.Liveness = true
-	}
-	svc, err := server.New(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		if svc, err = newService(cfg); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
 	}
 	res, err := svc.Run()
 	if err != nil {
@@ -572,24 +570,9 @@ func buildMeasureTable(m *measure.Report) harness.Table {
 // metrics) with no wall-clock fields, so the file is byte-identical across
 // runs and joins BENCH_*.json diffs directly.
 func writeJSON(path string, tables []harness.Table) error {
-	type jsonTable struct {
-		Title   string             `json:"title"`
-		Metrics map[string]float64 `json:"metrics,omitempty"`
-	}
 	out := struct {
-		Experiments []struct {
-			Name   string      `json:"name"`
-			Tables []jsonTable `json:"tables"`
-		} `json:"experiments"`
-	}{}
-	exp := struct {
-		Name   string      `json:"name"`
-		Tables []jsonTable `json:"tables"`
-	}{Name: "serve"}
-	for _, t := range tables {
-		exp.Tables = append(exp.Tables, jsonTable{Title: t.Title, Metrics: t.Metrics})
-	}
-	out.Experiments = append(out.Experiments, exp)
+		Experiments []harness.Experiment `json:"experiments"`
+	}{[]harness.Experiment{{Name: "serve", Tables: tables}}}
 	b, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err

@@ -45,41 +45,64 @@ func TestValidateReplFlags(t *testing.T) {
 }
 
 // TestValidateMigrateFlags is the elastic-resharding flag contract: every
-// nonsense -migrate / -autosplit combination is rejected with ErrBadFlags
-// (replication exclusion included), and every valid spec parses to the
-// matching server.MigrateSpec list.
+// nonsense -migrate / -autosplit value is rejected with ErrBadFlags, every
+// valid spec parses to the matching server.MigrateSpec list, and the
+// combinations the service excludes (server's exclusions table) come back
+// from newService as ErrBadFlags around the service's own typed error — the
+// CLI decides none of them itself.
 func TestValidateMigrateFlags(t *testing.T) {
 	bad := []struct {
-		name                string
-		spec                string
-		autosplit, replicas int
+		name      string
+		spec      string
+		autosplit int
 	}{
-		{"migrate with replicas", "split:0@2", 0, 1},
-		{"autosplit with replicas", "", 4, 2},
-		{"migrate and autosplit", "split:0@2", 4, 0},
-		{"negative autosplit", "", -1, 0},
-		{"empty entries", " , ,", 0, 0},
-		{"missing kind", "0>2@4", 0, 0},
-		{"unknown kind", "rebalance:0@2", 0, 0},
-		{"split with dst", "split:0>2@2", 0, 0},
-		{"move without dst", "move:1@4", 0, 0},
-		{"merge without dst", "merge:1@4", 0, 0},
-		{"bad src", "split:x@2", 0, 0},
-		{"bad dst", "move:1>y@4", 0, 0},
-		{"bad cuts", "split:0@zero", 0, 0},
-		{"zero cuts", "split:0@0", 0, 0},
+		{"negative autosplit", "", -1},
+		{"empty entries", " , ,", 0},
+		{"missing kind", "0>2@4", 0},
+		{"unknown kind", "rebalance:0@2", 0},
+		{"split with dst", "split:0>2@2", 0},
+		{"move without dst", "move:1@4", 0},
+		{"merge without dst", "merge:1@4", 0},
+		{"bad src", "split:x@2", 0},
+		{"bad dst", "move:1>y@4", 0},
+		{"bad cuts", "split:0@zero", 0},
+		{"zero cuts", "split:0@0", 0},
 	}
 	for _, c := range bad {
-		if _, _, err := validateMigrateFlags(c.spec, c.autosplit, c.replicas); !errors.Is(err, ErrBadFlags) {
+		if _, _, err := validateMigrateFlags(c.spec, c.autosplit); !errors.Is(err, ErrBadFlags) {
 			t.Fatalf("%s: err = %v, want ErrBadFlags", c.name, err)
 		}
 	}
+	excluded := []struct {
+		name                string
+		spec                string
+		autosplit, replicas int
+		typed               error // nil: the pair has no exported error
+	}{
+		{"migrate with replicas", "split:0@2", 0, 1, server.ErrMigrateReplicas},
+		{"autosplit with replicas", "", 4, 2, server.ErrMigrateReplicas},
+		{"migrate and autosplit", "split:0@2", 4, 0, nil},
+	}
+	for _, c := range excluded {
+		specs, as, err := validateMigrateFlags(c.spec, c.autosplit)
+		if err != nil {
+			t.Fatalf("%s: the flags parse on their own, got %v", c.name, err)
+		}
+		_, err = newService(server.Config{Shards: 2, Clients: 2, Ops: 100, Keys: 100,
+			Replicas: c.replicas, Migrations: specs, AutoSplit: as})
+		if !errors.Is(err, ErrBadFlags) || (c.typed != nil && !errors.Is(err, c.typed)) {
+			t.Fatalf("%s: err = %v, want ErrBadFlags around %v", c.name, err, c.typed)
+		}
+	}
+	if _, err := newService(server.Config{Shards: 2, Clients: 2, Ops: 100, Keys: 100}); err != nil {
+		t.Fatalf("plain config: %v", err)
+	}
 
-	specs, as, err := validateMigrateFlags("", 0, 2)
+	specs, as, err := validateMigrateFlags("", 0)
 	if err != nil || specs != nil || as.MaxShards != 0 {
 		t.Fatalf("elastic off: %v, %v, %v", specs, as, err)
 	}
-	specs, _, err = validateMigrateFlags("split:0@2, move:1>2@4,merge:3>1@6", 0, 0)
+	specs, _, err = validateMigrateFlags("split:0@2, move:1>2@4,merge:3>1@6", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +120,11 @@ func TestValidateMigrateFlags(t *testing.T) {
 		}
 	}
 	// @CUTS is optional (server defaults it).
-	specs, _, err = validateMigrateFlags("split:1", 0, 0)
+	specs, _, err = validateMigrateFlags("split:1", 0)
 	if err != nil || len(specs) != 1 || specs[0].AfterCuts != 0 {
 		t.Fatalf("default cuts: %+v, %v", specs, err)
 	}
-	_, as, err = validateMigrateFlags("", 8, 0)
+	_, as, err = validateMigrateFlags("", 8)
 	if err != nil || as.MaxShards != 8 {
 		t.Fatalf("autosplit: %+v, %v", as, err)
 	}

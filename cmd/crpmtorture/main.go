@@ -31,7 +31,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "script and policy seed")
 	checksums := flag.Bool("checksums", true, "run with the metadata checksum extension")
 	adversarial := flag.Bool("adversarial", false, "add the alternating per-line adversary policy")
-	backend := flag.String("backend", "core", "systems to sweep: core (default/buffered/eager-cow), incll (in-cache-line logging, with its media-fault grid), all")
+	backend := flag.String("backend", "core", "systems to sweep: core (default/buffered/eager-cow), incll (in-cache-line logging, with its media-fault grid), all (the four modes, no fault grid)")
 	liveness := flag.Bool("liveness", true, "verify each recovered container still checkpoints")
 	parallel := flag.Int("parallel", 0, "crash-point replays in flight (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of each mode's reference-run phase spans to this file")
@@ -67,8 +67,9 @@ func main() {
 		cfg.Modes = []torture.Mode{torture.InCLLMode()}
 		cfg.Faults = append([]torture.Fault{{}}, torture.InCLLFaults()...)
 	case "all":
-		// The media-fault grid is incll-specific, so the combined sweep
-		// runs the core trio fault-free plus incll's own grid.
+		// All four modes, fault-free: the media-fault grid is incll-specific
+		// (a fault is an axis of the whole sweep, and incll's dead ranges mean
+		// nothing on a core device), so it rides -backend incll only.
 		cfg.Modes = append(torture.StandardModes(), torture.InCLLMode())
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -backend %q (core|incll|all)\n", *backend)

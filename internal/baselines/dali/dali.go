@@ -437,7 +437,3 @@ func (m *Map) Recover() error {
 	}
 	return nil
 }
-
-// ArenaUsed returns the bytes of entry arena consumed (including superseded
-// versions).
-func (m *Map) ArenaUsed() int { return m.bump - m.arenaOff }

@@ -6,8 +6,6 @@
 package nvmnp
 
 import (
-	"errors"
-
 	"libcrpm/internal/ckpt"
 	"libcrpm/internal/nvm"
 )
@@ -23,15 +21,6 @@ type Backend struct {
 // fit it.
 func New(size int) *Backend {
 	return &Backend{dev: nvm.NewDevice(size), size: size}
-}
-
-// NewOn creates an NVM-NP heap on an existing device (which must be at
-// least size bytes).
-func NewOn(dev *nvm.Device, size int) (*Backend, error) {
-	if dev.Size() < size {
-		return nil, errors.New("nvmnp: device smaller than heap")
-	}
-	return &Backend{dev: dev, size: size}, nil
 }
 
 // Name implements ckpt.Backend.

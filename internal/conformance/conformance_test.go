@@ -133,62 +133,90 @@ func script(b ckpt.Backend, shadows *[][]byte, rng *rand.Rand) {
 	}
 }
 
+// crashImages are how a crash point's unguaranteed lines resolve: one seeded
+// coin flip per line, and the two adversaries — every written line reached
+// the media, none did. A protocol that orders two stores into one cache line
+// wrongly survives most coin flips and no persist-all.
+var crashImages = []struct {
+	name   string
+	policy func(rng *rand.Rand) nvm.CrashPolicy
+}{
+	{"seeded", nvm.SeededCrash},
+	{"persist-all", func(*rand.Rand) nvm.CrashPolicy { return nvm.PersistAll }},
+	{"drop-all", func(*rand.Rand) nvm.CrashPolicy { return nvm.DropAll }},
+}
+
+// TestCrashContract crashes every system at every device primitive (every
+// 120th or so under -short) of scripts from four seeds, resolves each crash
+// under each crash image, and holds the recovered state to the contract.
 func TestCrashContract(t *testing.T) {
 	for _, sys := range systems() {
 		t.Run(sys.name, func(t *testing.T) {
-			// Count primitives of a clean run to bound the sweep.
-			ref, err := sys.fresh()
+			for seed := int64(1); seed <= 4; seed++ {
+				crashContract(t, sys, seed)
+			}
+		})
+	}
+}
+
+func crashContract(t *testing.T, sys system, seed int64) {
+	// Count primitives of a clean run to bound the sweep.
+	ref, err := sys.fresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := ref.Device().PrimitiveCount()
+	shadows := [][]byte{make([]byte, heapSize)}
+	script(ref, &shadows, rand.New(rand.NewSource(seed)))
+	total := ref.Device().PrimitiveCount() - first
+
+	crashRng := rand.New(rand.NewSource(seed + 1))
+	stride := int64(1)
+	if testing.Short() {
+		stride = total/120 + 1
+	}
+	for fail := int64(0); fail < total; fail += stride {
+		for _, image := range crashImages {
+			b, err := sys.fresh()
 			if err != nil {
 				t.Fatal(err)
 			}
-			shadows := [][]byte{make([]byte, heapSize)}
-			script(ref, &shadows, rand.New(rand.NewSource(1)))
-			s := ref.Device().Stats()
-			total := s.Stores + s.Loads + s.CLWBs + s.SFences + s.WBINVDs + s.NTStoreBytes/64
-
-			crashRng := rand.New(rand.NewSource(2))
-			stride := total/120 + 1
-			for fail := int64(1); fail < total; fail += stride {
-				b, err := sys.fresh()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sh := [][]byte{make([]byte, heapSize)}
-				crashed := func() (c bool) {
-					defer func() {
-						if r := recover(); r != nil {
-							if _, ok := r.(nvm.InjectedCrash); !ok {
-								panic(r)
-							}
-							c = true
+			sh := [][]byte{make([]byte, heapSize)}
+			crashed := func() (c bool) {
+				defer func() {
+					if r := recover(); r != nil {
+						if _, ok := r.(nvm.InjectedCrash); !ok {
+							panic(r)
 						}
-					}()
-					b.Device().FailAfter(fail)
-					script(b, &sh, rand.New(rand.NewSource(1)))
-					return false
+						c = true
+					}
 				}()
-				b.Device().FailAfter(-1)
-				if !crashed {
-					break
-				}
-				b.Device().Crash(crashRng)
-				b2, err := sys.reopen(b.Device())
-				if err != nil {
-					t.Fatalf("fail %d: reopen: %v", fail, err)
-				}
-				// Contract: the recovered state is the snapshot of some
-				// completed checkpoint — the last that returned, or the
-				// in-flight one if its commit landed.
-				if err := matchesSomeShadow(b2.Bytes(), sh); err != nil {
-					t.Fatalf("%s fail %d: %v", sys.name, fail, err)
-				}
-				// And the system keeps working after recovery.
-				writeU64(b2, 0, 0xfeed)
-				if err := b2.Checkpoint(); err != nil {
-					t.Fatalf("fail %d: post-recovery checkpoint: %v", fail, err)
-				}
+				b.Device().FailAfter(fail)
+				script(b, &sh, rand.New(rand.NewSource(seed)))
+				return false
+			}()
+			b.Device().FailAfter(-1)
+			if !crashed {
+				t.Fatalf("seed %d: replay %d of %d never crashed", seed, fail, total)
 			}
-		})
+			at := fmt.Sprintf("seed %d, %s image, replay index %d (FailAfter(%d) on a fresh system)", seed, image.name, fail, fail)
+			b.Device().CrashWith(image.policy(crashRng))
+			b2, err := sys.reopen(b.Device())
+			if err != nil {
+				t.Fatalf("%s: reopen: %v", at, err)
+			}
+			// Contract: the recovered state is the snapshot of some
+			// completed checkpoint — the last that returned, or the
+			// in-flight one if its commit landed.
+			if err := matchesSomeShadow(b2.Bytes(), sh); err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			// And the system keeps working after recovery.
+			writeU64(b2, 0, 0xfeed)
+			if err := b2.Checkpoint(); err != nil {
+				t.Fatalf("%s: post-recovery checkpoint: %v", at, err)
+			}
+		}
 	}
 }
 

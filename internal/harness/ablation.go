@@ -15,11 +15,11 @@ import (
 // newCrpmSetup builds a libcrpm hash-map setup with explicit options, for
 // the ablation studies.
 func newCrpmSetup(sc Scale, opts core.Options) (*DSSetup, error) {
-	ctr, err := newContainer(sc, opts)
+	ctr, err := newContainer(sc.HeapSize, opts)
 	if err != nil {
 		return nil, err
 	}
-	return newSetup(ctr.Name(), ctr, ctr, DSHashMap, sc)
+	return newSetup(ctr.Name(), ctr, DSHashMap, sc)
 }
 
 func runBalanced(s *DSSetup, sc Scale, seed int64) (workload.Result, error) {
@@ -176,7 +176,7 @@ func AblationBackupRatio(sc Scale) (Table, error) {
 	ratios := []float64{1.0, 0.5, 0.25}
 	rows, err := sched.MapErr(len(ratios), pool(), func(i int) ([]string, error) {
 		ratio := ratios[i]
-		ctr, err := newContainer(sc, core.Options{Mode: core.ModeDefault, Region: region.Config{SegmentSize: segSize, BlockSize: 256, BackupRatio: ratio}})
+		ctr, err := newContainer(sc.HeapSize, core.Options{Mode: core.ModeDefault, Region: region.Config{SegmentSize: segSize, BlockSize: 256, BackupRatio: ratio}})
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +234,7 @@ func AblationFTIIncremental(sc Scale) (Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := newSetup(b.Name(), b, nil, DSHashMap, sc)
+		s, err := newSetup(b.Name(), b, DSHashMap, sc)
 		if err != nil {
 			return nil, err
 		}

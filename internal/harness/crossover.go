@@ -3,16 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"libcrpm/internal/baselines/lmc"
-	"libcrpm/internal/baselines/mprotect"
-	"libcrpm/internal/baselines/nvmnp"
-	"libcrpm/internal/baselines/softdirty"
-	"libcrpm/internal/baselines/undolog"
 	"libcrpm/internal/ckpt"
 	"libcrpm/internal/core"
-	"libcrpm/internal/incll"
-	"libcrpm/internal/nvm"
-	"libcrpm/internal/region"
 	"libcrpm/internal/sched"
 	"libcrpm/internal/server"
 	"libcrpm/internal/workload"
@@ -55,33 +47,7 @@ func OnWriteSizes() []int { return []int{8, 64, 256, 4096} }
 // counterpart of NewDSSetup, shared by the crossover cells, the OnWrite
 // microbenchmark, and the root-level Go benchmarks.
 func NewArenaBackend(system string, heapSize int) (ckpt.Backend, error) {
-	switch system {
-	case "Mprotect":
-		return mprotect.New(heapSize)
-	case "Soft-dirty bit":
-		return softdirty.New(heapSize)
-	case "Undo-log":
-		return undolog.New(heapSize)
-	case "LMC":
-		return lmc.New(heapSize)
-	case "NVM-NP":
-		return nvmnp.New(heapSize), nil
-	case "InCLL":
-		return incll.New(heapSize)
-	case "libcrpm-Default", "libcrpm-Buffered":
-		mode := core.ModeDefault
-		if system == "libcrpm-Buffered" {
-			mode = core.ModeBuffered
-		}
-		reg := region.Config{HeapSize: heapSize, BackupRatio: 1}
-		l, err := region.NewLayout(reg)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewContainer(nvm.NewDevice(l.DeviceSize()), core.Options{Region: reg, Mode: mode})
-	default:
-		return nil, fmt.Errorf("harness: unknown arena system %q", system)
-	}
+	return newBackend(system, heapSize, Geometry{})
 }
 
 // arenaCell is one (size, locality, mix) workload point of the grid.

@@ -31,17 +31,29 @@ import (
 	"libcrpm/internal/workload"
 )
 
-// Table is a printable experiment result.
+// Table is a printable experiment result. Its JSON form is its entry in the
+// perf trajectory: the title and the metrics.
 type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	Title  string     `json:"title"`
+	Header []string   `json:"-"`
+	Rows   [][]string `json:"-"`
+	Notes  []string   `json:"-"`
 	// Metrics holds machine-readable scalars (simulated-clock totals,
 	// checkpoint bytes per op) for the -json perf trajectory. They are
 	// deliberately excluded from CSV and String so the printed output stays
 	// byte-identical across runs that do or don't collect them.
-	Metrics map[string]float64
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// Experiment is one entry of a perf trajectory's "experiments" list, the one
+// schema crpmbench's BENCH_<scale>.json and crpmserve's -json file share so
+// that the files diff against each other.
+type Experiment struct {
+	Name string `json:"name"`
+	// WallMS is crpmbench's wall-clock per experiment; crpmserve's file
+	// carries none, so it is byte-identical across runs.
+	WallMS *float64 `json:"wall_ms,omitempty"`
+	Tables []Table  `json:"tables"`
 }
 
 // AddMetric records one machine-readable scalar on the table.
@@ -253,44 +265,47 @@ func NewDSSetup(system string, kind DSKind, sc Scale, geo Geometry) (*DSSetup, e
 		}
 		return s, nil
 	}
-	var b ckpt.Backend
-	var ctr *core.Container
-	var err error
+	b, err := newBackend(system, sc.HeapSize, geo)
+	if err != nil {
+		return nil, err
+	}
+	return newSetup(system, b, kind, sc)
+}
+
+// newBackend is the one place a system's name becomes its checkpoint backend,
+// over heapSize bytes on a fresh device of its own (Dalí has none: its
+// persistence is inside the structure). geo applies to the libcrpm systems.
+func newBackend(system string, heapSize int, geo Geometry) (ckpt.Backend, error) {
 	switch system {
 	case "Mprotect":
-		b, err = mprotect.New(sc.HeapSize)
+		return mprotect.New(heapSize)
 	case "Soft-dirty bit":
-		b, err = softdirty.New(sc.HeapSize)
+		return softdirty.New(heapSize)
 	case "Undo-log":
-		b, err = undolog.New(sc.HeapSize)
+		return undolog.New(heapSize)
 	case "LMC":
-		b, err = lmc.New(sc.HeapSize)
+		return lmc.New(heapSize)
 	case "NVM-NP":
-		b = nvmnp.New(sc.HeapSize)
+		return nvmnp.New(heapSize), nil
 	case "FTI":
-		b, err = fti.New(fti.Config{HeapSize: sc.HeapSize})
+		return fti.New(fti.Config{HeapSize: heapSize})
 	case "InCLL":
-		b, err = incll.New(sc.HeapSize)
+		return incll.New(heapSize)
 	case "libcrpm-Default", "libcrpm-Buffered":
 		mode := core.ModeDefault
 		if system == "libcrpm-Buffered" {
 			mode = core.ModeBuffered
 		}
-		ctr, err = newContainer(sc, core.Options{Region: region.Config{SegmentSize: geo.SegmentSize, BlockSize: geo.BlockSize}, Mode: mode})
-		b = ctr
+		return newContainer(heapSize, core.Options{Region: region.Config{SegmentSize: geo.SegmentSize, BlockSize: geo.BlockSize}, Mode: mode})
 	default:
 		return nil, fmt.Errorf("harness: unknown system %q", system)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return newSetup(system, b, ctr, kind, sc)
 }
 
-// newContainer formats a libcrpm container over the scale's heap on a fresh
+// newContainer formats a libcrpm container over heapSize bytes on a fresh
 // device of its own; a zero BackupRatio means a backup for every segment.
-func newContainer(sc Scale, opts core.Options) (*core.Container, error) {
-	opts.Region.HeapSize = sc.HeapSize
+func newContainer(heapSize int, opts core.Options) (*core.Container, error) {
+	opts.Region.HeapSize = heapSize
 	if opts.Region.BackupRatio == 0 {
 		opts.Region.BackupRatio = 1
 	}
@@ -301,10 +316,9 @@ func newContainer(sc Scale, opts core.Options) (*core.Container, error) {
 	return core.NewContainer(nvm.NewDevice(l.DeviceSize()), opts)
 }
 
-// newSetup finishes a setup over backend b (ctr is b again if it is a libcrpm
-// container): the allocator, the structure and, when harness tracing is on,
-// the cell's recorder.
-func newSetup(system string, b ckpt.Backend, ctr *core.Container, kind DSKind, sc Scale) (*DSSetup, error) {
+// newSetup finishes a setup over backend b: the allocator, the structure and,
+// when harness tracing is on, the cell's recorder.
+func newSetup(system string, b ckpt.Backend, kind DSKind, sc Scale) (*DSSetup, error) {
 	a, err := alloc.Format(heap.New(b))
 	if err != nil {
 		return nil, err
@@ -327,8 +341,8 @@ func newSetup(system string, b ckpt.Backend, ctr *core.Container, kind DSKind, s
 		Dev:        b.Device(),
 		Checkpoint: b.Checkpoint,
 		Backend:    b,
-		Container:  ctr,
 	}
+	s.Container, _ = b.(*core.Container)
 	if Tracing() {
 		s.Rec = obs.NewRecorder(s.Dev.Clock())
 		if tb, ok := b.(obs.Traceable); ok {

@@ -96,7 +96,8 @@ type Backend struct {
 
 	committed   uint64      // volatile cache of the committed-epoch word
 	sideCovered *bitmap.Set // lines with a full side pre-image this epoch
-	sideEpoch   uint64      // epoch sideCovered refers to
+	sideEpoch   uint64      // epoch sideCovered and logged refer to
+	logged      int         // lines logged this epoch, inline or side, each once
 
 	m           ckpt.Metrics
 	inlineRecs  int64
@@ -252,6 +253,11 @@ func unpackTag(tag uint64) (epoch uint32, off, n int) {
 	return uint32(tag >> 32), int(uint16(tag >> 16)), int(uint16(tag))
 }
 
+// tag decodes line l's inline entry as the working image holds it.
+func (b *Backend) tag(l int) (epoch uint32, off, n int) {
+	return unpackTag(binary.LittleEndian.Uint64(b.dev.Working()[b.metaOff(l):]))
+}
+
 func recordSum(line, epoch uint64, data []byte) uint64 {
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[:8], line)
@@ -312,12 +318,13 @@ func (b *Backend) StepCoW(gapPS int64) int { return 0 }
 
 // DirtyEstimateBytes estimates the arena bytes made dirty this epoch —
 // for InCLL every logged line is already durably undoable, so this is the
-// touched-line footprint, used only by byte-threshold cut policies.
+// touched-line footprint, used only by byte-threshold cut policies: each
+// line counts once, at its first log of the epoch, inline or side.
 func (b *Backend) DirtyEstimateBytes() uint64 {
 	if b.sideEpoch != b.committed+1 {
 		return 0
 	}
-	return uint64(b.sideCovered.Count()) * LineSpan
+	return uint64(b.logged) * LineSpan
 }
 
 // OnRead implements ckpt.Backend (the arena is NVM-resident).
@@ -346,7 +353,7 @@ func (b *Backend) OnWrite(off, n int) {
 	prev := clock.SetCategory(nvm.CatTrace)
 	if b.sideEpoch != b.committed+1 {
 		b.sideCovered.ClearAll()
-		b.sideEpoch = b.committed + 1
+		b.sideEpoch, b.logged = b.committed+1, 0
 	}
 	cur := uint32(b.committed + 1)
 	first, last := off/DataPerLine, (off+n-1)/DataPerLine
@@ -357,7 +364,7 @@ func (b *Backend) OnWrite(off, n int) {
 			clock.SetCategory(prev)
 			return
 		}
-		epoch, toff, tlen := unpackTag(binary.LittleEndian.Uint64(b.dev.Working()[b.metaOff(l):]))
+		epoch, toff, tlen := b.tag(l)
 		lo := off - l*DataPerLine
 		if epoch == cur && tlen > 0 {
 			if toff <= lo && lo+n <= toff+tlen {
@@ -385,24 +392,30 @@ func (b *Backend) OnWrite(off, n int) {
 
 // inlineLog is the InCLL fast path: tag + pre-image share the line's meta
 // cache line, so one CLWB persists both, and the 64-byte line persists (or
-// vanishes) atomically under the crash model. The fence before the guarded
-// store is mandatory here: the simulator resolves each cache line's fate
-// independently at a crash, so an unfenced undo could vanish while the new
-// data persisted.
+// vanishes) atomically under the crash model. The line is atomic; the two
+// stores into it are not — a crash can fall between them and the image keep
+// the line. So the pre-image goes in first and the tag last: inlineLog only
+// ever runs over a tag of a stale epoch (a current one takes the covered-hit
+// or the sideLog branch), which recovery ignores whatever the slot holds, and
+// the tag that makes the entry live lands on a slot already complete. The
+// fence before the guarded store is mandatory here: the simulator resolves
+// each cache line's fate independently at a crash, so an unfenced undo could
+// vanish while the new data persisted.
 func (b *Backend) inlineLog(l, lo, n int, cur uint32) {
 	b.dev.ChargeNVMLoad() // the protected line's pre-image (cache-resident in real InCLL)
 	mo := b.metaOff(l)
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], packTag(cur, lo, n))
-	b.dev.Store(mo, t[:])
 	old := b.mirror[l*DataPerLine+lo : l*DataPerLine+lo+n]
 	if n <= 16 {
 		b.dev.Store(mo+8, old)
 	} else {
 		b.dev.StoreBulk(mo+8, old)
 	}
+	var t [8]byte
+	binary.LittleEndian.PutUint64(t[:], packTag(cur, lo, n))
+	b.dev.Store(mo, t[:])
 	b.dev.CLWB(mo)
 	b.dev.SFence()
+	b.logged++
 	b.inlineRecs++
 	b.m.TraceEvents++
 	b.m.CheckpointBytes += int64(n)
@@ -417,6 +430,9 @@ func (b *Backend) sideLog(l int) {
 		return
 	}
 	e := b.committed + 1
+	if epoch, _, tlen := b.tag(l); epoch != uint32(e) || tlen == 0 {
+		b.logged++ // no inline entry of this epoch counted the line already
+	}
 	h := int(e & 1)
 	owner, head := b.halfWord(h)
 	if owner != uint32(e) {
@@ -558,7 +574,7 @@ func (b *Backend) Recover() error {
 	b.dev.ChargeNVMRead(b.n * nvm.LineSize)
 	for l := 0; l < b.n; l++ {
 		mo := b.metaOff(l)
-		epoch, toff, tlen := unpackTag(binary.LittleEndian.Uint64(w[mo:]))
+		epoch, toff, tlen := b.tag(l)
 		if epoch != cur || tlen == 0 {
 			continue
 		}
@@ -591,7 +607,7 @@ func (b *Backend) Recover() error {
 		copy(b.mirror[lo:end], w[base:base+(end-lo)])
 	}
 	b.sideCovered.ClearAll()
-	b.sideEpoch = b.committed + 1
+	b.sideEpoch, b.logged = b.committed+1, 0
 	return nil
 }
 

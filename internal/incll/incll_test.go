@@ -370,3 +370,97 @@ func TestOpenValidates(t *testing.T) {
 		t.Fatal("unformatted device accepted")
 	}
 }
+
+// TestInlineLogCrashBetweenSlotAndTag is the minimised script behind every
+// torture violation of seeds 2–5: two epochs leave an inline entry of a
+// committed epoch in line 0's meta line, and the third epoch's first store to
+// another range of the line crashes at each of its primitives in turn. The
+// 64-byte meta line is atomic, the two stores that build the new entry in it
+// are not: with the tag stored first, a crash on the slot store whose image
+// keeps the line recovers the current epoch's tag over the previous entry's
+// slot, and "rolls back" [16,24) to 0x1111.
+func TestInlineLogCrashBetweenSlotAndTag(t *testing.T) {
+	script := func(b *Backend) {
+		for _, v := range []uint64{0x1111, 0x2222} {
+			writeU64(b, 0, v)
+			if err := b.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ref := mustNew(t, heapSize)
+	script(ref)
+	committed := snapshot(ref)
+	base := ref.Device().PrimitiveCount()
+	writeU64(ref, 16, 0x3333)
+	prims := ref.Device().PrimitiveCount() - base
+
+	images := []struct {
+		name string
+		at   func(at int64) nvm.CrashPolicy
+	}{
+		{"persist-all", func(int64) nvm.CrashPolicy { return nvm.PersistAll }},
+		{"drop-all", func(int64) nvm.CrashPolicy { return nvm.DropAll }},
+		{"seeded", func(at int64) nvm.CrashPolicy { return nvm.SeededCrash(rand.New(rand.NewSource(at))) }},
+	}
+	for _, image := range images {
+		name := image.name
+		for at := int64(0); at < prims; at++ {
+			b := mustNew(t, heapSize)
+			script(b)
+			b.Device().FailAfter(at)
+			func() {
+				defer func() {
+					if _, ok := recover().(nvm.InjectedCrash); !ok {
+						t.Fatalf("%s: primitive %d of %d never crashed", name, at, prims)
+					}
+				}()
+				writeU64(b, 16, 0x3333)
+			}()
+			b.Device().CrashWith(image.at(at))
+			r, err := Open(heapSize, b.Device())
+			if err != nil {
+				t.Fatalf("%s, crash at primitive %d of the store: %v", name, at, err)
+			}
+			if r.CommittedEpoch() != 2 {
+				t.Fatalf("%s, crash at primitive %d of the store: recovered epoch %d, want 2", name, at, r.CommittedEpoch())
+			}
+			if !bytes.Equal(r.Bytes(), committed) {
+				t.Fatalf("%s, crash at primitive %d of the store: [16,24) = %#x, committed epoch 2 holds 0",
+					name, at, binary.LittleEndian.Uint64(r.Bytes()[16:]))
+			}
+		}
+	}
+}
+
+// TestDirtyEstimateCountsEveryLoggedLineOnce: the byte-threshold policy's
+// input is the touched-line footprint of the epoch, whichever log a line's
+// first store of the epoch went to.
+func TestDirtyEstimateCountsEveryLoggedLineOnce(t *testing.T) {
+	b := mustNew(t, heapSize)
+	want := func(lines int, when string) {
+		t.Helper()
+		if got := b.DirtyEstimateBytes(); got != uint64(lines)*LineSpan {
+			t.Fatalf("%s: dirty estimate %d B, want %d lines = %d B", when, got, lines, lines*LineSpan)
+		}
+	}
+	writeU64(b, 0, 1)
+	if err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want(0, "after a cut")
+	writeU64(b, 0, 2)
+	want(1, "one 8-byte store (inline-logged)")
+	writeU64(b, 0, 3)
+	want(1, "a second store to the same range")
+	writeU64(b, 100, 4)
+	want(1, "a second range of the line (side-logged on top of its inline entry)")
+	write(b, 3*DataPerLine-4, make([]byte, 8))
+	want(3, "a store spanning two fresh lines (both side-logged)")
+	writeU64(b, 3*DataPerLine, 5)
+	want(3, "an inline store into a side-covered line")
+	if err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want(0, "after the next cut")
+}

@@ -10,15 +10,15 @@ import (
 const numKinds = int(workload.OpDelete) + 1
 
 // opHist is one latency surface: an all-ops histogram plus one track per
-// op kind, lazily created so unexercised kinds cost nothing.
+// op kind, lazily created so unexercised kinds cost nothing. Every histogram
+// of the rig is bucketed by LatencyBounds.
 type opHist struct {
-	bounds []int64
-	all    *Histogram
-	kind   [numKinds]*Histogram
+	all  *Histogram
+	kind [numKinds]*Histogram
 }
 
-func newOpHist(bounds []int64) opHist {
-	return opHist{bounds: bounds, all: NewHistogram(bounds)}
+func newOpHist() opHist {
+	return opHist{all: NewHistogram(LatencyBounds)}
 }
 
 func (o *opHist) observe(k workload.OpKind, v int64) {
@@ -27,7 +27,7 @@ func (o *opHist) observe(k workload.OpKind, v int64) {
 		return
 	}
 	if o.kind[k] == nil {
-		o.kind[k] = NewHistogram(o.bounds)
+		o.kind[k] = NewHistogram(LatencyBounds)
 	}
 	o.kind[k].Observe(v)
 }
@@ -41,7 +41,7 @@ func (o *opHist) merge(other *opHist) error {
 			continue
 		}
 		if o.kind[k] == nil {
-			o.kind[k] = NewHistogram(o.bounds)
+			o.kind[k] = NewHistogram(LatencyBounds)
 		}
 		if err := o.kind[k].Merge(h); err != nil {
 			return err
@@ -84,8 +84,8 @@ func NewCollector(cfg Config, sched Schedule) *Collector {
 		cfg:            cfg,
 		sched:          sched,
 		measureStartPS: sched.IntendedPS(cfg.WarmupOps),
-		open:           newOpHist(cfg.Bounds),
-		svc:            newOpHist(cfg.Bounds),
+		open:           newOpHist(),
+		svc:            newOpHist(),
 	}
 }
 
@@ -114,7 +114,7 @@ func (c *Collector) Observe(kind workload.OpKind, seq int, intendedPS, startPS, 
 		c.intervals = append(c.intervals, nil)
 	}
 	if c.intervals[idx] == nil {
-		c.intervals[idx] = &intervalAcc{open: NewHistogram(c.cfg.Bounds)}
+		c.intervals[idx] = &intervalAcc{open: NewHistogram(LatencyBounds)}
 	}
 	c.intervals[idx].ops++
 	c.intervals[idx].open.Observe(openLat)
@@ -146,7 +146,7 @@ func (c *Collector) Merge(other *Collector) error {
 			c.intervals = append(c.intervals, nil)
 		}
 		if c.intervals[i] == nil {
-			c.intervals[i] = &intervalAcc{open: NewHistogram(c.cfg.Bounds)}
+			c.intervals[i] = &intervalAcc{open: NewHistogram(LatencyBounds)}
 		}
 		c.intervals[i].ops += iv.ops
 		if err := c.intervals[i].open.Merge(iv.open); err != nil {

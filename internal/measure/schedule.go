@@ -29,9 +29,6 @@ type Config struct {
 	// IntervalPS is the timeseries bucket width on the intended-start
 	// axis (default DefaultIntervalPS).
 	IntervalPS int64
-	// Bounds is the latency histogram bucket table (default
-	// LatencyBounds).
-	Bounds []int64
 }
 
 // WithDefaults validates the config and fills defaults.
@@ -50,9 +47,6 @@ func (c Config) WithDefaults() (Config, error) {
 	}
 	if c.IntervalPS == 0 {
 		c.IntervalPS = DefaultIntervalPS
-	}
-	if c.Bounds == nil {
-		c.Bounds = LatencyBounds
 	}
 	if c.periodPS() < 1 {
 		return c, fmt.Errorf("%w: target throughput %v ops/s exceeds the clock resolution (1 op/ps)", ErrBadConfig, c.TargetOps)

@@ -136,17 +136,6 @@ func (d *Device) tick(kind OpKind) {
 // Option configures a Device.
 type Option func(*Device)
 
-// WithCostModel overrides the default cost constants.
-func WithCostModel(cm CostModel) Option {
-	return func(d *Device) { d.cost = cm }
-}
-
-// WithClock shares an existing clock (e.g. across the devices of multiple
-// simulated MPI ranks measured together).
-func WithClock(c *Clock) Option {
-	return func(d *Device) { d.clock = c }
-}
-
 // WithEvictionFuzz enables spontaneous line eviction with probability p per
 // store, using the given deterministic source.
 func WithEvictionFuzz(p float64, rng *rand.Rand) Option {

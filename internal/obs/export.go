@@ -1,6 +1,6 @@
-// Chrome trace-event, CSV, and text-summary exporters for obs traces.
+// The Chrome trace-event exporter for obs traces.
 //
-// Every serializer below is hand-rolled over sorted, ordered data — no map
+// The serializer is hand-rolled over sorted, ordered data — no map
 // iteration, no float formatting — so the bytes are a pure function of the
 // trace content. The golden tests pin that property.
 package obs
@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // psToUS renders a picosecond timestamp as a microsecond decimal with full
@@ -56,81 +55,6 @@ func WriteChromeTrace(w io.Writer, tr *Trace) error {
 	}
 	bw.str("\n]}\n")
 	return bw.err
-}
-
-// WriteCSV serializes the trace's metrics (not spans) as long-format CSV:
-// track,kind,name,field,value. Histograms emit one row per bucket
-// (field "le=<bound>", +Inf last) plus sum/count rows.
-func WriteCSV(w io.Writer, tr *Trace) error {
-	bw := &errWriter{w: w}
-	bw.str("track,kind,name,field,value\n")
-	for _, track := range tr.Tracks {
-		label := csvEscape(track.Label)
-		for _, c := range track.Counters {
-			bw.str(fmt.Sprintf("%s,counter,%s,value,%d\n", label, csvEscape(c.Name), c.Value))
-		}
-		for _, g := range track.Gauges {
-			bw.str(fmt.Sprintf("%s,gauge,%s,value,%d\n", label, csvEscape(g.Name), g.Value))
-		}
-		for _, h := range track.Histograms {
-			name := csvEscape(h.Name)
-			for i, c := range h.Counts {
-				bound := "+Inf"
-				if i < len(h.Bounds) {
-					bound = fmt.Sprintf("%d", h.Bounds[i])
-				}
-				bw.str(fmt.Sprintf("%s,hist,%s,le=%s,%d\n", label, name, bound, c))
-			}
-			bw.str(fmt.Sprintf("%s,hist,%s,sum,%d\n", label, name, h.Sum))
-			bw.str(fmt.Sprintf("%s,hist,%s,count,%d\n", label, name, h.N))
-		}
-	}
-	return bw.err
-}
-
-// csvEscape quotes a CSV field if it contains a delimiter; plain labels
-// pass through unchanged so the common case stays grep-friendly.
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
-}
-
-// Summary renders a compact per-track text report: span totals by name,
-// then histogram count/min/max. Intended for -trace console output and
-// quick eyeballing, not machine parsing.
-func Summary(tr *Trace) string {
-	var b strings.Builder
-	for _, track := range tr.Tracks {
-		fmt.Fprintf(&b, "== %s ==\n", track.Label)
-		agg := make(map[string]*SpanTotal)
-		var order []string
-		for _, s := range track.Spans {
-			t, ok := agg[s.Name]
-			if !ok {
-				t = &SpanTotal{Name: s.Name}
-				agg[s.Name] = t
-				order = append(order, s.Name)
-			}
-			t.Count++
-			t.Ticks += s.Ticks
-		}
-		for _, name := range order {
-			t := agg[name]
-			fmt.Fprintf(&b, "  span %-24s n=%-6d total=%s us\n", t.Name, t.Count, psToUS(t.Ticks))
-		}
-		for _, h := range track.Histograms {
-			if h.N == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "  hist %-24s n=%-6d min=%d max=%d avg=%d\n", h.Name, h.N, h.Min, h.Max, h.Sum/h.N)
-		}
-		for _, c := range track.Counters {
-			fmt.Fprintf(&b, "  ctr  %-24s %d\n", c.Name, c.Value)
-		}
-	}
-	return b.String()
 }
 
 // errWriter accumulates the first write error so serializers can stay

@@ -14,12 +14,13 @@
 // like the device it observes: it is not safe for concurrent use. Sweeps
 // collect one Recorder per cell and merge them, in cell order, into a
 // Trace (see sched.Collector), which exports to Chrome trace-event JSON
-// (Perfetto-loadable), CSV, or a compact text summary.
+// (Perfetto-loadable) — spans only: the counters and histograms a run records
+// reach a Track but, so far, no exporter.
 package obs
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"libcrpm/internal/nvm"
@@ -46,27 +47,11 @@ type Traceable interface {
 	SetTrace(*Recorder)
 }
 
-// metricKind discriminates registry entries.
-type metricKind uint8
-
-const (
-	counterKind metricKind = iota
-	gaugeKind
-	histKind
-)
-
-// metric is one registry entry. Counters and gauges use value; histograms
-// use the bucket fields.
+// metric is one registry entry, a counter or a histogram for good.
 type metric struct {
-	name   string
-	kind   metricKind
-	value  int64
-	bounds []int64 // bucket upper bounds, ascending; implicit +Inf last
-	counts []int64 // len(bounds)+1
-	sum    int64
-	n      int64
-	min    int64
-	max    int64
+	name  string
+	value int64      // the counter's
+	hist  *Histogram // nil for a counter
 }
 
 // openSpan is a stack frame of an in-flight Begin.
@@ -139,18 +124,24 @@ func (r *Recorder) Spans() []Span {
 	return r.spans
 }
 
-// lookup finds or creates the registry entry for name.
-func (r *Recorder) lookup(name string, kind metricKind) *metric {
-	if i, ok := r.names[name]; ok {
-		m := &r.metrics[i]
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q re-registered as a different kind", name))
+// lookup finds the registry entry for name, or creates it: a histogram over
+// bounds, or with nil bounds a counter.
+func (r *Recorder) lookup(name string, bounds []int64) *metric {
+	i, ok := r.names[name]
+	if !ok {
+		i = len(r.metrics)
+		r.names[name] = i
+		r.metrics = append(r.metrics, metric{name: name})
+		if bounds != nil {
+			r.metrics[i].hist = NewHistogram(bounds)
+			r.metrics[i].hist.Name = name
 		}
-		return m
 	}
-	r.names[name] = len(r.metrics)
-	r.metrics = append(r.metrics, metric{name: name, kind: kind, min: math.MaxInt64, max: math.MinInt64})
-	return &r.metrics[len(r.metrics)-1]
+	m := &r.metrics[i]
+	if (m.hist != nil) != (bounds != nil) {
+		panic(fmt.Sprintf("obs: metric %q re-registered as a different kind", name))
+	}
+	return m
 }
 
 // Count adds delta to the named counter.
@@ -158,39 +149,27 @@ func (r *Recorder) Count(name string, delta int64) {
 	if r == nil {
 		return
 	}
-	r.lookup(name, counterKind).value += delta
+	r.lookup(name, nil).value += delta
 }
 
-// SetGauge records the current value of the named gauge (last write wins).
-func (r *Recorder) SetGauge(name string, v int64) {
+// Histogram returns the named histogram, its ascending inclusive bucket
+// bounds fixed at this first mention. A caller that reports from the samples
+// whether or not the run is traced keeps the result and observes into it
+// directly, once per sample: a nil recorder hands out a free-standing
+// histogram.
+func (r *Recorder) Histogram(name string, bounds []int64) *Histogram {
 	if r == nil {
-		return
+		return NewHistogram(bounds)
 	}
-	r.lookup(name, gaugeKind).value = v
+	return r.lookup(name, bounds).hist
 }
 
-// Observe adds one sample to the named fixed-bucket histogram. bounds are
-// the ascending bucket upper bounds (inclusive), fixed at the histogram's
-// first observation; an implicit +Inf bucket catches the overflow.
+// Observe adds one sample to the named histogram.
 func (r *Recorder) Observe(name string, bounds []int64, v int64) {
 	if r == nil {
 		return
 	}
-	m := r.lookup(name, histKind)
-	if m.counts == nil {
-		m.bounds = bounds
-		m.counts = make([]int64, len(bounds)+1)
-	}
-	i := sort.Search(len(m.bounds), func(i int) bool { return v <= m.bounds[i] })
-	m.counts[i]++
-	m.sum += v
-	m.n++
-	if v < m.min {
-		m.min = v
-	}
-	if v > m.max {
-		m.max = v
-	}
+	r.Histogram(name, bounds).Observe(v)
 }
 
 // PauseBounds are the bucket upper bounds (simulated picoseconds) of the
@@ -279,24 +258,6 @@ type Counter struct {
 	Value int64
 }
 
-// Gauge is an exported registry view.
-type Gauge struct {
-	Name  string
-	Value int64
-}
-
-// Histogram is an exported registry view. Counts has one entry per bound
-// plus the trailing +Inf bucket.
-type Histogram struct {
-	Name   string
-	Bounds []int64
-	Counts []int64
-	Sum    int64
-	N      int64
-	Min    int64
-	Max    int64
-}
-
 // Track is the immutable snapshot of one cell's recorder, labelled for
 // merge into a Trace. Metric slices are sorted by name so merged output is
 // independent of registration order.
@@ -304,7 +265,6 @@ type Track struct {
 	Label      string
 	Spans      []Span
 	Counters   []Counter
-	Gauges     []Gauge
 	Histograms []Histogram
 }
 
@@ -323,22 +283,13 @@ func (r *Recorder) Snapshot(label string) Track {
 	sort.Strings(names)
 	for _, name := range names {
 		m := r.metrics[r.names[name]]
-		switch m.kind {
-		case counterKind:
+		if m.hist == nil {
 			t.Counters = append(t.Counters, Counter{Name: m.name, Value: m.value})
-		case gaugeKind:
-			t.Gauges = append(t.Gauges, Gauge{Name: m.name, Value: m.value})
-		case histKind:
-			t.Histograms = append(t.Histograms, Histogram{
-				Name:   m.name,
-				Bounds: append([]int64(nil), m.bounds...),
-				Counts: append([]int64(nil), m.counts...),
-				Sum:    m.sum,
-				N:      m.n,
-				Min:    m.min,
-				Max:    m.max,
-			})
+			continue
 		}
+		h := *m.hist
+		h.counts = slices.Clone(h.counts)
+		t.Histograms = append(t.Histograms, h)
 	}
 	return t
 }

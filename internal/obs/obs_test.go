@@ -19,8 +19,10 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Begin("x")
 	r.End()
 	r.Count("c", 1)
-	r.SetGauge("g", 2)
 	r.Observe("h", PauseBounds, 3)
+	if h := r.Histogram("h", PauseBounds); h == nil || h.N() != 0 {
+		t.Fatalf("nil recorder's histogram is not a fresh free-standing one: %+v", h)
+	}
 	r.RecordEpoch(nvm.Stats{Stores: 1}, 10)
 	if r.Enabled() {
 		t.Fatal("nil recorder reports Enabled")
@@ -85,8 +87,6 @@ func TestMetricsRegistry(t *testing.T) {
 	r := NewRecorder(testClock())
 	r.Count("ops", 3)
 	r.Count("ops", 4)
-	r.SetGauge("depth", 9)
-	r.SetGauge("depth", 2)
 	bounds := []int64{10, 100}
 	for _, v := range []int64{5, 10, 11, 1000} {
 		r.Observe("lat", bounds, v)
@@ -95,22 +95,25 @@ func TestMetricsRegistry(t *testing.T) {
 	if len(tr.Counters) != 1 || tr.Counters[0].Value != 7 {
 		t.Fatalf("counter: %+v", tr.Counters)
 	}
-	if len(tr.Gauges) != 1 || tr.Gauges[0].Value != 2 {
-		t.Fatalf("gauge: %+v", tr.Gauges)
-	}
 	if len(tr.Histograms) != 1 {
 		t.Fatalf("histograms: %+v", tr.Histograms)
 	}
 	h := tr.Histograms[0]
 	// Buckets: <=10 gets 5 and 10; <=100 gets 11; +Inf gets 1000.
 	want := []int64{2, 1, 1}
-	for i, c := range h.Counts {
+	for i, c := range h.counts {
 		if c != want[i] {
-			t.Fatalf("bucket %d: got %d want %d (all %v)", i, c, want[i], h.Counts)
+			t.Fatalf("bucket %d: got %d want %d (all %v)", i, c, want[i], h.counts)
 		}
 	}
-	if h.N != 4 || h.Sum != 1026 || h.Min != 5 || h.Max != 1000 {
+	if h.Name != "lat" || h.N() != 4 || h.Sum() != 1026 || h.Max() != 1000 {
 		t.Fatalf("histogram stats: %+v", h)
+	}
+	// The snapshot is a copy, and the recorder's histogram is the one a
+	// caller holding it observes into.
+	r.Histogram("lat", bounds).Observe(7)
+	if h.N() != 4 || r.Snapshot("cell").Histograms[0].N() != 5 {
+		t.Fatalf("snapshot aliases the live histogram, or Histogram handed out a copy")
 	}
 }
 
@@ -122,7 +125,7 @@ func TestMetricKindConflictPanics(t *testing.T) {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.SetGauge("x", 1)
+	r.Observe("x", PauseBounds, 1)
 }
 
 func TestRecordEpoch(t *testing.T) {
@@ -149,11 +152,11 @@ func TestRecordEpoch(t *testing.T) {
 			amp = &tr.Histograms[i]
 		}
 	}
-	if pause == nil || pause.N != 1 || pause.Max != 2_000_000 {
+	if pause == nil || pause.N() != 1 || pause.Max() != 2_000_000 {
 		t.Fatalf("pause histogram: %+v", pause)
 	}
 	// 512 media bytes over 4*64=256 persisted bytes = 200%.
-	if amp == nil || amp.N != 1 || amp.Max != 200 {
+	if amp == nil || amp.N() != 1 || amp.Max() != 200 {
 		t.Fatalf("write-amp histogram: %+v", amp)
 	}
 }
@@ -249,50 +252,6 @@ func TestChromeTraceDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("identical traces serialized differently")
-	}
-}
-
-func TestCSVExport(t *testing.T) {
-	r := NewRecorder(testClock())
-	r.Count("ops", 5)
-	r.Observe("lat", []int64{10}, 3)
-	r.Observe("lat", []int64{10}, 30)
-	tr := &Trace{}
-	tr.Add("c1", r)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	for _, want := range []string{
-		"track,kind,name,field,value\n",
-		"c1,counter,ops,value,5\n",
-		"c1,hist,lat,le=10,1\n",
-		"c1,hist,lat,le=+Inf,1\n",
-		"c1,hist,lat,sum,33\n",
-		"c1,hist,lat,count,2\n",
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("CSV missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestSummary(t *testing.T) {
-	clock := testClock()
-	r := NewRecorder(clock)
-	r.Begin("checkpoint")
-	clock.Advance(3_000_000)
-	r.End()
-	r.Count("epochs", 2)
-	r.Observe("h", []int64{10}, 4)
-	tr := &Trace{}
-	tr.Add("cell", r)
-	s := Summary(tr)
-	for _, want := range []string{"== cell ==", "checkpoint", "epochs", "hist h"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary missing %q:\n%s", want, s)
-		}
 	}
 }
 

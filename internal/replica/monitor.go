@@ -53,7 +53,7 @@ type Plan struct {
 // A secondary's view is its installed cut; the primary's view is live,
 // which by construction contains every write any client has issued.
 func (g *Group) Plan(sla SLA, cs ClientState, committed, live uint64) Plan {
-	primary := Plan{Sec: -1, View: live, RTTPS: g.cfg.PrimaryRTTPS}
+	primary := Plan{Sec: -1, View: live, RTTPS: primaryReadPS}
 	best, bestOK := primary, sla.LatencyPS == 0 || primary.RTTPS <= sla.LatencyPS
 	if sla.Level != Strong {
 		for _, s := range g.secs {
@@ -90,15 +90,4 @@ func (g *Group) Plan(sla SLA, cs ClientState, committed, live uint64) Plan {
 	}
 	primary.Unmet = true
 	return primary
-}
-
-// EpochsBehind reports each secondary's staleness against the primary's
-// committed epoch — the monitor feed for the per-replica staleness
-// histograms (disabled replicas report their last view unchanged).
-func (g *Group) EpochsBehind(committed uint64) []uint64 {
-	out := make([]uint64, len(g.secs))
-	for i, s := range g.secs {
-		out[i] = s.Behind(committed)
-	}
-	return out
 }

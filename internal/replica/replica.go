@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"math"
 
 	"libcrpm/internal/core"
 	"libcrpm/internal/nvm"
@@ -36,39 +37,34 @@ type Config struct {
 	Opts core.Options
 	// DeviceSize is each secondary's simulated device size.
 	DeviceSize int
-	// PrimaryRTTPS is the simulated client read RTT to the primary
-	// (default 2 µs: the primary is the busy, possibly remote, home node).
-	PrimaryRTTPS int64
-	// RTTBasePS scales secondary read RTTs: secondary i costs
-	// RTTBasePS*(i+1) (default 500 ns), so nearer replicas are cheaper
-	// than the primary and the optimizer has a real gradient to descend.
-	RTTBasePS int64
-	// ShipBasePS is the replication-lag base: secondary i installs a delta
-	// ShipBasePS<<i after it was shipped (default 50 µs), plus the
-	// transfer time below. Farther replicas run more epochs behind.
-	ShipBasePS int64
-	// ShipPSPerByte is the transfer cost per payload byte added to the
-	// install lag (default 100 ps/B ≈ 10 GB/s replication links).
-	ShipPSPerByte int64
 	// Trace attaches an obs recorder per secondary (install and promote
 	// spans on the secondary's own simulated clock).
 	Trace bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.PrimaryRTTPS == 0 {
-		c.PrimaryRTTPS = 2_000_000
-	}
-	if c.RTTBasePS == 0 {
-		c.RTTBasePS = 500_000
-	}
-	if c.ShipBasePS == 0 {
-		c.ShipBasePS = 50_000_000
-	}
-	if c.ShipPSPerByte == 0 {
-		c.ShipPSPerByte = 100
-	}
-	return c
+// The simulated network around a shard. No CLI, figure or benchmark ever set
+// any of these, so they are the model's constants, not configuration.
+const (
+	// primaryReadPS is the client read RTT to the primary: 2 µs, the busy,
+	// possibly remote, home node.
+	primaryReadPS = 2_000_000
+	// secondaryReadPS scales secondary read RTTs: secondary i costs
+	// secondaryReadPS*(i+1), so nearer replicas are cheaper than the primary
+	// and the optimizer has a real gradient to descend.
+	secondaryReadPS = 500_000
+	// shipLagPS is the shipping-lag base, 50 µs: a payload arrives shipLagPS<<hop
+	// after it was shipped, plus its transfer time. Farther replicas run more
+	// epochs behind.
+	shipLagPS = 50_000_000
+	// shipBytePS is the transfer cost per payload byte (≈ 10 GB/s links).
+	shipBytePS = 100
+)
+
+// ShipLatencyPS is the one shipping-latency model: how long after it was sent
+// a payload of the given size has arrived hop links away. Secondary i of a
+// group is hop i; a migration's destination shard is hop 0.
+func ShipLatencyPS(hop, bytes int) int64 {
+	return shipLagPS<<hop + int64(bytes)*shipBytePS
 }
 
 // inflight is one delta sitting in a secondary's receive buffer: the
@@ -90,8 +86,7 @@ type Secondary struct {
 	clock *nvm.Clock
 	ctr   *core.Container
 
-	rttPS     int64
-	shipLatPS int64
+	rttPS int64
 
 	queue     []inflight
 	installed uint64
@@ -124,14 +119,6 @@ func (s *Secondary) Installed() uint64 { return s.installed }
 // Disabled reports whether the replica is quarantined from reads.
 func (s *Secondary) Disabled() bool { return s.disabled }
 
-// Behind returns how many committed epochs the replica trails the primary.
-func (s *Secondary) Behind(primaryEpoch uint64) uint64 {
-	if s.installed >= primaryEpoch {
-		return 0
-	}
-	return primaryEpoch - s.installed
-}
-
 // install applies one delta: every segment image is written through the
 // container's instrumented path (so the secondary's own CoW protocol and
 // rollback window stay intact), then committed as a local checkpoint.
@@ -163,7 +150,6 @@ func (s *Secondary) install(d *Delta) error {
 // Group is one shard's replica set.
 type Group struct {
 	shard int
-	cfg   Config
 	secs  []*Secondary
 }
 
@@ -172,11 +158,10 @@ type Group struct {
 // installing the delta stream reproduces the primary's boundary images
 // exactly.
 func NewGroup(shard int, cfg Config) (*Group, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("replica: group needs at least one secondary, have %d", cfg.Replicas)
 	}
-	g := &Group{shard: shard, cfg: cfg}
+	g := &Group{shard: shard}
 	for i := 0; i < cfg.Replicas; i++ {
 		dev := nvm.NewDevice(cfg.DeviceSize)
 		ctr, err := core.NewContainer(dev, cfg.Opts)
@@ -184,12 +169,11 @@ func NewGroup(shard int, cfg Config) (*Group, error) {
 			return nil, fmt.Errorf("replica: shard %d secondary %d: %w", shard, i, err)
 		}
 		sec := &Secondary{
-			id:        i,
-			dev:       dev,
-			clock:     dev.Clock(),
-			ctr:       ctr,
-			rttPS:     cfg.RTTBasePS * int64(i+1),
-			shipLatPS: cfg.ShipBasePS << i,
+			id:    i,
+			dev:   dev,
+			clock: dev.Clock(),
+			ctr:   ctr,
+			rttPS: secondaryReadPS * int64(i+1),
 		}
 		if cfg.Trace {
 			sec.rec = obs.NewRecorder(sec.clock)
@@ -206,9 +190,6 @@ func (g *Group) Len() int { return len(g.secs) }
 // Sec returns secondary i.
 func (g *Group) Sec(i int) *Secondary { return g.secs[i] }
 
-// PrimaryRTTPS is the simulated client read RTT to the primary.
-func (g *Group) PrimaryRTTPS() int64 { return g.cfg.PrimaryRTTPS }
-
 // Ship pushes one delta into every secondary's receive buffer. The
 // transfer itself rides the cut's commit fence (the payload is durable on
 // the receiving nodes when Ship returns — this is what makes a committed,
@@ -216,7 +197,7 @@ func (g *Group) PrimaryRTTPS() int64 { return g.cfg.PrimaryRTTPS }
 // asynchronously at nowPS plus the replica's lag and transfer time.
 func (g *Group) Ship(d *Delta, nowPS int64) {
 	for _, s := range g.secs {
-		at := nowPS + s.shipLatPS + int64(d.Bytes)*g.cfg.ShipPSPerByte
+		at := nowPS + ShipLatencyPS(s.id, d.Bytes)
 		s.queue = append(s.queue, inflight{d: d, installAtPS: at})
 	}
 }
@@ -224,6 +205,7 @@ func (g *Group) Ship(d *Delta, nowPS int64) {
 // Deliver installs, on every secondary, each buffered delta whose install
 // time has passed, in epoch order. Called between request batches; the
 // shard's aligned clock makes delivery points a pure function of the run.
+// DeliverAll is the same at the end of time.
 func (g *Group) Deliver(nowPS int64) (installs int, err error) {
 	for _, s := range g.secs {
 		for len(s.queue) > 0 && s.queue[0].installAtPS <= nowPS {
@@ -240,15 +222,8 @@ func (g *Group) Deliver(nowPS int64) (installs int, err error) {
 // DeliverAll drains every receive buffer regardless of install times —
 // the end-of-run quiesce before verification.
 func (g *Group) DeliverAll() error {
-	for _, s := range g.secs {
-		for len(s.queue) > 0 {
-			if err := s.install(s.queue[0].d); err != nil {
-				return err
-			}
-			s.queue = s.queue[1:]
-		}
-	}
-	return nil
+	_, err := g.Deliver(math.MaxInt64)
+	return err
 }
 
 // MinInstalled returns the lowest installed epoch across secondaries —

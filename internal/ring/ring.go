@@ -20,11 +20,11 @@
 // consistent-hashing property that makes live migration's transfer volume
 // proportional to the moved keyspan, not the keyspace.
 //
-// Epochs. Every mutation bumps the ring epoch and records the reassignment,
-// so any historical ownership table can be reconstructed (OwnerAt, TableAt).
-// The service binds each live flip to the checkpoint epoch whose
-// commit+barrier published it; crash recovery that lands on an earlier cut
-// replays the ring to match.
+// History. The ring is a table: it knows who owns what now, and nothing of
+// how it came to. The service binds each live flip to the checkpoint epoch
+// whose commit+barrier published it and keeps that history itself
+// (server.RingFlip); crash recovery that lands on an earlier cut replays the
+// flips up to it over a boot ring to match.
 package ring
 
 import "fmt"
@@ -55,28 +55,16 @@ type Span struct {
 // Len returns the slot count of the span.
 func (sp Span) Len() int { return len(sp.Slots) }
 
-// move is one recorded reassignment, enough to replay or invert it.
-type move struct {
-	epoch uint64
-	slots []int
-	prev  []int // previous owner per slot, parallel to slots
-	dst   int
-}
-
-// Ring is the epoch-versioned ownership table. It is not safe for
-// concurrent mutation; the service gives every rank its own Clone and
-// applies identical flips at identical global boundaries.
+// Ring is the ownership table. It is not safe for concurrent mutation; the
+// service gives every rank its own Clone and applies identical flips at
+// identical global boundaries.
 type Ring struct {
 	slots  []int // slot -> owning shard
-	boot   int   // boot shard count
-	vnodes int
-	shards int // shard id space size (max id ever assigned + 1)
-	epoch  uint64
-	log    []move
+	shards int   // shard id space size (max id ever assigned + 1)
 }
 
 // New builds the boot ring: shards*vnodes slots, slot s owned by shard
-// s % shards, epoch 0.
+// s % shards.
 func New(shards, vnodes int) *Ring {
 	if shards < 1 {
 		panic(fmt.Sprintf("ring: %d shards", shards))
@@ -86,8 +74,6 @@ func New(shards, vnodes int) *Ring {
 	}
 	r := &Ring{
 		slots:  make([]int, shards*vnodes),
-		boot:   shards,
-		vnodes: vnodes,
 		shards: shards,
 	}
 	for s := range r.slots {
@@ -98,21 +84,12 @@ func New(shards, vnodes int) *Ring {
 
 // Clone returns an independent copy sharing no mutable state.
 func (r *Ring) Clone() *Ring {
-	cp := *r
-	cp.slots = append([]int(nil), r.slots...)
-	cp.log = append([]move(nil), r.log...)
-	return &cp
+	return &Ring{slots: r.Table(), shards: r.shards}
 }
-
-// Slots returns the slot-space size (fixed at boot).
-func (r *Ring) Slots() int { return len(r.slots) }
 
 // Shards returns the shard id space size: every shard id ever assigned is
 // below it. A shard may own zero slots (retired by a merge).
 func (r *Ring) Shards() int { return r.shards }
-
-// Epoch returns the ring epoch: the number of mutations applied.
-func (r *Ring) Epoch() uint64 { return r.epoch }
 
 // Slot returns the slot a key's point falls in.
 func (r *Ring) Slot(key uint64) int {
@@ -171,10 +148,9 @@ func (r *Ring) AllSpan(src int) Span {
 	return Span{Slots: r.OwnedSlots(src)}
 }
 
-// Move reassigns a span to dst, bumping the ring epoch. dst == Shards()
-// grows the shard id space by one (a split's fresh shard); larger ids are
-// rejected so ids stay dense. Every slot must currently have a single
-// owner != dst.
+// Move reassigns a span to dst. dst == Shards() grows the shard id space by
+// one (a split's fresh shard); larger ids are rejected so ids stay dense.
+// Every slot must currently have a single owner != dst.
 func (r *Ring) Move(sp Span, dst int) error {
 	if dst < 0 || dst > r.shards {
 		return fmt.Errorf("ring: move to shard %d outside dense id space [0,%d]", dst, r.shards)
@@ -182,7 +158,6 @@ func (r *Ring) Move(sp Span, dst int) error {
 	if len(sp.Slots) == 0 {
 		return fmt.Errorf("ring: empty span")
 	}
-	prev := make([]int, len(sp.Slots))
 	for i, s := range sp.Slots {
 		if s < 0 || s >= len(r.slots) {
 			return fmt.Errorf("ring: slot %d out of range [0,%d)", s, len(r.slots))
@@ -193,7 +168,6 @@ func (r *Ring) Move(sp Span, dst int) error {
 		if r.slots[s] == dst {
 			return fmt.Errorf("ring: slot %d already owned by shard %d", s, dst)
 		}
-		prev[i] = r.slots[s]
 	}
 	if dst == r.shards {
 		r.shards++
@@ -201,73 +175,7 @@ func (r *Ring) Move(sp Span, dst int) error {
 	for _, s := range sp.Slots {
 		r.slots[s] = dst
 	}
-	r.epoch++
-	r.log = append(r.log, move{
-		epoch: r.epoch,
-		slots: append([]int(nil), sp.Slots...),
-		prev:  prev,
-		dst:   dst,
-	})
 	return nil
-}
-
-// Split reassigns half of src's slots to a fresh shard, returning the new
-// shard id and the moved span.
-func (r *Ring) Split(src int) (int, Span, error) {
-	sp, err := r.SplitSpan(src)
-	if err != nil {
-		return 0, Span{}, err
-	}
-	dst := r.shards
-	if err := r.Move(sp, dst); err != nil {
-		return 0, Span{}, err
-	}
-	return dst, sp, nil
-}
-
-// Merge reassigns all of src's slots to dst, retiring src (it keeps its id
-// but owns nothing).
-func (r *Ring) Merge(src, dst int) (Span, error) {
-	if src == dst {
-		return Span{}, fmt.Errorf("ring: merge shard %d into itself", src)
-	}
-	sp := r.AllSpan(src)
-	if len(sp.Slots) == 0 {
-		return Span{}, fmt.Errorf("ring: shard %d owns no slots", src)
-	}
-	if err := r.Move(sp, dst); err != nil {
-		return Span{}, err
-	}
-	return sp, nil
-}
-
-// TableAt reconstructs the ownership table as of a ring epoch (0 = boot).
-func (r *Ring) TableAt(epoch uint64) ([]int, error) {
-	if epoch > r.epoch {
-		return nil, fmt.Errorf("ring: epoch %d beyond current %d", epoch, r.epoch)
-	}
-	t := make([]int, len(r.slots))
-	for s := range t {
-		t[s] = s % r.boot
-	}
-	for _, m := range r.log {
-		if m.epoch > epoch {
-			break
-		}
-		for _, s := range m.slots {
-			t[s] = m.dst
-		}
-	}
-	return t, nil
-}
-
-// OwnerAt returns a key's owner as of a ring epoch.
-func (r *Ring) OwnerAt(epoch uint64, key uint64) (int, error) {
-	t, err := r.TableAt(epoch)
-	if err != nil {
-		return 0, err
-	}
-	return t[r.Slot(key)], nil
 }
 
 // SlotSet returns a span's slots as a set, the form migration filters key
@@ -278,18 +186,4 @@ func (sp Span) SlotSet() map[int]bool {
 		set[s] = true
 	}
 	return set
-}
-
-// Validate checks the ring's structural invariants: every slot has exactly
-// one owner inside the dense id space, and the epoch matches the log.
-func (r *Ring) Validate() error {
-	for s, o := range r.slots {
-		if o < 0 || o >= r.shards {
-			return fmt.Errorf("ring: slot %d owned by out-of-range shard %d", s, o)
-		}
-	}
-	if got := uint64(len(r.log)); got != r.epoch {
-		return fmt.Errorf("ring: epoch %d but %d recorded moves", r.epoch, got)
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -62,83 +63,89 @@ func TestRingDistribution(t *testing.T) {
 	}
 }
 
+// split and merge spell the two whole-shard reassignments the way the server
+// does: pick the span, move it.
+func split(r *Ring, src int) (int, Span, error) {
+	sp, err := r.SplitSpan(src)
+	if err != nil {
+		return 0, Span{}, err
+	}
+	dst := r.Shards()
+	return dst, sp, r.Move(sp, dst)
+}
+
+func merge(r *Ring, src, dst int) error { return r.Move(r.AllSpan(src), dst) }
+
 // TestEveryKeyHasOneOwnerAtEveryEpoch drives a ring through a random
-// split/merge/move sequence and checks the resharding safety property at
-// every epoch, including mid-split: each key maps to exactly one owner in
-// the dense shard id space, and historical tables (TableAt) agree with the
-// live table captured at that epoch.
+// split/merge/move sequence and checks the resharding safety property
+// against the live table after every move, including mid-split: each slot,
+// and so each key, has exactly one owner inside the dense shard id space,
+// and only the moved span changed hands.
 func TestEveryKeyHasOneOwnerAtEveryEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := New(3, 8)
-	tables := [][]int{r.Table()} // tables[e] = live table at epoch e
+	moves := 0
 	for step := 0; step < 40; step++ {
+		before := r.Table()
+		var sp Span
+		var dst int
+		var err error
 		switch rng.Intn(3) {
 		case 0: // split a splittable shard
 			src := rng.Intn(r.Shards())
 			if r.Weight(src) < 2 {
 				continue
 			}
-			if _, _, err := r.Split(src); err != nil {
-				t.Fatalf("split %d: %v", src, err)
-			}
+			dst, sp, err = split(r, src)
 		case 1: // merge a live shard into another live shard
-			src, dst := rng.Intn(r.Shards()), rng.Intn(r.Shards())
+			var src int
+			src, dst = rng.Intn(r.Shards()), rng.Intn(r.Shards())
 			if src == dst || r.Weight(src) == 0 || r.Weight(dst) == 0 {
 				continue
 			}
-			if _, err := r.Merge(src, dst); err != nil {
-				t.Fatalf("merge %d>%d: %v", src, dst, err)
-			}
+			sp = r.AllSpan(src)
+			err = merge(r, src, dst)
 		default: // move half a shard's slots to another live shard
-			src, dst := rng.Intn(r.Shards()), rng.Intn(r.Shards())
+			var src int
+			src, dst = rng.Intn(r.Shards()), rng.Intn(r.Shards())
 			if src == dst || r.Weight(src) < 2 || r.Weight(dst) == 0 {
 				continue
 			}
-			sp, err := r.SplitSpan(src)
-			if err != nil {
-				t.Fatalf("splitspan %d: %v", src, err)
-			}
-			if err := r.Move(sp, dst); err != nil {
-				t.Fatalf("move %d>%d: %v", src, dst, err)
+			if sp, err = r.SplitSpan(src); err == nil {
+				err = r.Move(sp, dst)
 			}
 		}
-		if err := r.Validate(); err != nil {
-			t.Fatalf("after step %d: %v", step, err)
-		}
-		tables = append(tables, r.Table())
-	}
-	if r.Epoch() != uint64(len(tables)-1) {
-		t.Fatalf("epoch %d after %d mutations", r.Epoch(), len(tables)-1)
-	}
-	for e := uint64(0); e <= r.Epoch(); e++ {
-		at, err := r.TableAt(e)
 		if err != nil {
-			t.Fatalf("TableAt(%d): %v", e, err)
+			t.Fatalf("step %d: %v", step, err)
 		}
-		for s, o := range at {
-			if o != tables[e][s] {
-				t.Fatalf("epoch %d slot %d: TableAt says %d, live table said %d", e, s, o, tables[e][s])
-			}
-			if o < 0 || o >= r.Shards() {
-				t.Fatalf("epoch %d slot %d: owner %d outside id space", e, s, o)
+		moves++
+		moved := sp.SlotSet()
+		table := r.Table()
+		for s, o := range table {
+			switch {
+			case o < 0 || o >= r.Shards():
+				t.Fatalf("step %d slot %d: owner %d outside id space [0,%d)", step, s, o, r.Shards())
+			case moved[s] && o != dst:
+				t.Fatalf("step %d slot %d: in the moved span but owned by %d, want %d", step, s, o, dst)
+			case !moved[s] && o != before[s]:
+				t.Fatalf("step %d slot %d: outside the moved span yet changed owner %d -> %d", step, s, before[s], o)
 			}
 		}
 		for i := 0; i < 500; i++ {
 			key := rng.Uint64()
-			own, err := r.OwnerAt(e, key)
-			if err != nil {
-				t.Fatalf("OwnerAt(%d): %v", e, err)
-			}
 			owners := 0
 			for sh := 0; sh < r.Shards(); sh++ {
-				if at[r.Slot(key)] == sh {
+				if table[r.Slot(key)] == sh {
 					owners++
 				}
 			}
-			if owners != 1 || own != at[r.Slot(key)] {
-				t.Fatalf("epoch %d key %#x: %d owners (OwnerAt=%d)", e, key, owners, own)
+			if owners != 1 || r.Owner(key) != table[r.Slot(key)] {
+				t.Fatalf("step %d key %#x: %d owners (Owner=%d)", step, key, owners, r.Owner(key))
 			}
 		}
+	}
+	if moves < 10 {
+		t.Fatalf("only %d of 40 steps moved anything", moves)
 	}
 }
 
@@ -147,7 +154,7 @@ func TestEveryKeyHasOneOwnerAtEveryEpoch(t *testing.T) {
 func TestSplitMovesOnlySpan(t *testing.T) {
 	r := New(4, DefaultVnodes)
 	before := r.Table()
-	dst, sp, err := r.Split(1)
+	dst, sp, err := split(r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +179,7 @@ func TestSplitMovesOnlySpan(t *testing.T) {
 // into a retired shard's id is still possible (re-expansion).
 func TestMergeRetiresSource(t *testing.T) {
 	r := New(3, 4)
-	if _, err := r.Merge(2, 0); err != nil {
+	if err := merge(r, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if w := r.Weight(2); w != 0 {
@@ -213,14 +220,11 @@ func TestMoveRejects(t *testing.T) {
 			t.Fatalf("%s: move accepted", tc.name)
 		}
 	}
-	if r.Epoch() != 0 {
-		t.Fatalf("rejected moves bumped epoch to %d", r.Epoch())
+	if !reflect.DeepEqual(r.Table(), New(2, 4).Table()) || r.Shards() != 2 {
+		t.Fatalf("rejected moves changed the ring: %v, %d shards", r.Table(), r.Shards())
 	}
 	if _, err := New(1, 1).SplitSpan(0); err == nil {
 		t.Fatal("split of single-slot shard accepted")
-	}
-	if _, err := r.Merge(0, 0); err == nil {
-		t.Fatal("self-merge accepted")
 	}
 }
 
@@ -229,13 +233,13 @@ func TestMoveRejects(t *testing.T) {
 func TestCloneIsIndependent(t *testing.T) {
 	r := New(2, 4)
 	c := r.Clone()
-	if _, _, err := c.Split(0); err != nil {
+	if _, _, err := split(c, 0); err != nil {
 		t.Fatal(err)
 	}
-	if r.Epoch() != 0 || r.Shards() != 2 {
-		t.Fatalf("parent mutated: epoch=%d shards=%d", r.Epoch(), r.Shards())
+	if !reflect.DeepEqual(r.Table(), New(2, 4).Table()) || r.Shards() != 2 {
+		t.Fatalf("parent mutated: table=%v shards=%d", r.Table(), r.Shards())
 	}
-	if c.Epoch() != 1 || c.Shards() != 3 {
-		t.Fatalf("clone not mutated: epoch=%d shards=%d", c.Epoch(), c.Shards())
+	if c.Weight(2) != 2 || c.Shards() != 3 {
+		t.Fatalf("clone not mutated: table=%v shards=%d", c.Table(), c.Shards())
 	}
 }

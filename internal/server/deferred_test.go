@@ -22,7 +22,7 @@ func trackCounter(tr obs.Track, name string) int64 {
 func trackSamples(tr obs.Track, name string) int64 {
 	for _, h := range tr.Histograms {
 		if h.Name == name {
-			return h.N
+			return h.N()
 		}
 	}
 	return 0

@@ -56,6 +56,7 @@ import (
 	"libcrpm/internal/measure"
 	"libcrpm/internal/mpi"
 	"libcrpm/internal/obs"
+	"libcrpm/internal/replica"
 	"libcrpm/internal/ring"
 	"libcrpm/internal/workload"
 )
@@ -96,16 +97,13 @@ type MigrateSpec struct {
 // AutoSplitSpec makes the service split its hottest shard on its own:
 // at every cut boundary the per-shard applied-op counts since the last
 // evaluation are allreduced, and the hottest live shard splits when its
-// count exceeds HotFactor times the live-shard mean (and MinOps), until
-// MaxShards live shards exist. Mutually exclusive with Migrations.
+// count exceeds HotFactor times the live-shard mean, until MaxShards live
+// shards exist.
 type AutoSplitSpec struct {
 	// MaxShards caps the live shard count; zero disables autosplit.
 	MaxShards int
 	// HotFactor is the imbalance trigger threshold (default 2).
 	HotFactor float64
-	// MinOps is the minimum hot-shard op count per evaluation window;
-	// zero means no floor.
-	MinOps uint64
 }
 
 // migPhase is the per-rank migration state; every rank holds the same
@@ -126,17 +124,9 @@ const (
 // (DESIGN §15.4), so it is a constant, not a knob.
 const migQuantumItems = 8
 
-// The snapshot/delta ship latency model, mirroring the replica-shipping
-// defaults: a fixed base plus a per-byte cost at 16 bytes per pair.
-const (
-	migShipBasePS    = 50_000_000 // 50 µs
-	migShipPSPerByte = 100
-	migPairBytes     = 16
-)
-
-func shipLatencyPS(pairs int) int64 {
-	return migShipBasePS + int64(pairs)*migPairBytes*migShipPSPerByte
-}
+// shipLatencyPS is when a snapshot or delta log has arrived at the
+// destination: the replica-shipping model over one hop, at 16 bytes per pair.
+func shipLatencyPS(pairs int) int64 { return replica.ShipLatencyPS(0, pairs*16) }
 
 // migEnt is one item of migration work: the result state of a span key —
 // as captured in the snapshot, after an acked mutation on the source
@@ -244,7 +234,7 @@ type migBox struct {
 // code path in the serve loop is gated on it, so migration-free runs are
 // byte-identical to the pre-migration service.
 func (s *Service) migratory() bool {
-	return len(s.cfg.Migrations) > 0 || s.cfg.AutoSplit.MaxShards > 0
+	return s.cfg.elastic()
 }
 
 // maxShards bounds the shard id space the run can grow to.
@@ -446,7 +436,7 @@ func (s *Service) autoSplitRound(c *mpi.Comm, sh *shard, b int) error {
 			hot = r
 		}
 	}
-	if hot < 0 || counts[hot] < as.MinOps || total == 0 {
+	if hot < 0 || total == 0 {
 		return nil
 	}
 	if float64(counts[hot])*float64(live) <= as.HotFactor*float64(total) {

@@ -157,12 +157,12 @@ func TestSteadyStateCutAllocsConstant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh := newShardShell(0, l.DeviceSize(), 4096)
+		sh := newShardShell(0, l.DeviceSize(), 4096, false)
 		ctr, err := core.NewContainer(sh.dev, core.Options{Region: reg, EagerCoWSegments: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sh.init(ctr, DSHashMap, 1<<10, false); err != nil {
+		if err := sh.init(ctr, DSHashMap, 1<<10); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k < keys; k++ {

@@ -57,7 +57,7 @@ func (s *Service) initReplicas(sh *shard) error {
 	sh.secKV = make([]pds.KV, g.Len())
 	sh.cstate = make([]replica.ClientState, s.cfg.Clients)
 	sh.readLat = measure.NewHistogram(latencyBounds)
-	sh.stale = measure.NewHistogram(obs.StalenessBounds)
+	sh.stale = sh.rec.Histogram("replica/staleness_epochs", obs.StalenessBounds)
 	return nil
 }
 
@@ -149,7 +149,7 @@ func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState,
 		if pds.Supports(kv, pds.OpScan) != nil {
 			// The replica's backend cannot execute scans faithfully; this
 			// is a capability gap, not an SLA miss — serve the primary.
-			plan = replica.Plan{Sec: -1, View: live, RTTPS: sh.reps.PrimaryRTTPS()}
+			plan = sh.reps.Plan(replica.SLA{Level: replica.Strong}, *cs, committed, live)
 		}
 	}
 	var lat int64
@@ -179,7 +179,6 @@ func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState,
 		lat = (clk.NowPS() - t0) + plan.RTTPS
 		sh.secReads++
 		sh.stale.Observe(int64(plan.Staleness))
-		sh.rec.Observe("replica/staleness_epochs", obs.StalenessBounds, int64(plan.Staleness))
 		if sla.Level == replica.BoundedStaleness && plan.Staleness > sla.Bound {
 			sh.repViol = append(sh.repViol, fmt.Sprintf(
 				"read seq %d: staleness %d exceeds bound %d", seq, plan.Staleness, sla.Bound))

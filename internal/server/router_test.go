@@ -60,7 +60,11 @@ func TestRouterRingSwap(t *testing.T) {
 		before[k] = r.Shard(k)
 	}
 	rg := r.Ring().Clone()
-	dst, sp, err := rg.Split(2)
+	dst := rg.Shards()
+	sp, err := rg.SplitSpan(2)
+	if err == nil {
+		err = rg.Move(sp, dst)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

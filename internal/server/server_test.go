@@ -178,6 +178,26 @@ func TestDirtyPolicyReadOnlyRun(t *testing.T) {
 	}
 }
 
+// TestDirtyPolicyCountsInlineLoggedLines: the incll backend's dirty estimate is
+// its touched-line footprint, inline-logged lines included — and almost every
+// store of KV traffic is a small single-line store, logged inline. On
+// `crpmserve -shards 2 -clients 4 -mix a -ops 100000 -backend incll -policy
+// dirty:65536` every policy round's writes pass 64 KiB, so the run cuts at
+// every round, 50 times, as `-backend default` does; counting side-logged
+// lines only it took 7 cuts.
+func TestDirtyPolicyCountsInlineLoggedLines(t *testing.T) {
+	res := mustRun(t, Config{
+		Shards: 2, Clients: 4, Mix: workload.YCSBA, Ops: 100000, Keys: 100000, Backend: BackendInCLL,
+		HeapSize: 8 << 20, Buckets: 1 << 15, Policy: DirtyBytesPolicy{Bytes: 64 << 10},
+	})
+	if !res.OK() {
+		t.Fatalf("%d violations, first: %v", len(res.Violations), res.Violations[0])
+	}
+	if res.Cuts != 50 {
+		t.Fatalf("%d cuts, want 50: one per policy round", res.Cuts)
+	}
+}
+
 // TestRunDeterminism is the byte-identity contract: the full Result —
 // ops, cuts, simulated times, latency and pause quantiles — is identical
 // at verification parallelism 1 and 8, and across repeated runs.

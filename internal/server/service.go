@@ -58,6 +58,33 @@ var ErrInCLLIncremental = errors.New("server: the incll backend does not support
 // throughput-vs-p99 study is a backend × cut-policy surface.
 var ErrMeasureReplicas = errors.New("server: the open-loop measurement rig does not support replication (SLA reads acknowledge outside the arrival schedule)")
 
+// exclusions is the feature-compatibility table, the one place the rules
+// live: each row is a pair of Config features no run combines and the error
+// New rejects the pair with (the reason is the error's own text and comment).
+// withDefaults walks it; the Config field comments and README point here, and
+// crpmserve reports New's error instead of deciding again.
+var exclusions = []struct {
+	a, b func(*Config) bool
+	err  error
+}{
+	{(*Config).openLoop, (*Config).replicated, ErrMeasureReplicas},
+	{(*Config).inCLL, (*Config).incremental, ErrInCLLIncremental},
+	{(*Config).inCLL, (*Config).replicated, ErrInCLLReplicas},
+	{(*Config).elastic, (*Config).replicated, ErrMigrateReplicas},
+	{(*Config).scheduled, (*Config).autoSplit, errors.New("server: explicit migrations and autosplit are mutually exclusive")},
+}
+
+func (c *Config) openLoop() bool   { return c.Measure != nil }
+func (c *Config) replicated() bool { return c.Replicas > 0 }
+func (c *Config) inCLL() bool      { return c.Backend == BackendInCLL }
+func (c *Config) scheduled() bool  { return len(c.Migrations) > 0 }
+func (c *Config) autoSplit() bool  { return c.AutoSplit.MaxShards > 0 }
+func (c *Config) elastic() bool    { return c.scheduled() || c.autoSplit() }
+func (c *Config) incremental() bool {
+	_, pause := c.Policy.(PausePolicy)
+	return pause || c.StepBudget > 0
+}
+
 // CrashSpec injects a power failure into a run for torture testing.
 type CrashSpec struct {
 	// Shard is the rank whose device crashes.
@@ -89,7 +116,7 @@ type Config struct {
 	// from intended start) next to service time (charged from dispatch),
 	// with warmup exclusion, per-op-kind tracks, and a per-interval
 	// timeseries. nil keeps the closed-loop behavior byte-identical.
-	// Excludes Replicas.
+	// (What a feature cannot be combined with: exclusions.)
 	Measure *measure.Config
 	// Progress, when non-nil, is invoked by shard 0 at every batch
 	// boundary with the exact count of globally issued requests (the
@@ -103,8 +130,7 @@ type Config struct {
 	// DS selects the per-shard structure (default DSHashMap).
 	DS DSKind
 	// Backend selects each shard's checkpoint store: BackendCore (default)
-	// or BackendInCLL. The incll backend excludes Replicas and the
-	// incremental cut pipeline (StepBudget / PausePolicy).
+	// or BackendInCLL.
 	Backend string
 	// Mode is the libcrpm container mode (Default or Buffered); core
 	// backend only.
@@ -155,12 +181,10 @@ type Config struct {
 	// Migrations schedules elastic-resharding operations (split, move,
 	// merge), run live one at a time while the service keeps serving; see
 	// MigrateSpec. Empty keeps every migration code path off and the run
-	// byte-identical to the pre-resharding service. Excludes Replicas and
-	// AutoSplit.
+	// byte-identical to the pre-resharding service.
 	Migrations []MigrateSpec
 	// AutoSplit makes the service split its hottest shard on its own when
-	// load imbalance crosses a threshold; see AutoSplitSpec. Excludes
-	// Replicas and Migrations.
+	// load imbalance crosses a threshold; see AutoSplitSpec.
 	AutoSplit AutoSplitSpec
 }
 
@@ -181,9 +205,6 @@ func (c Config) withDefaults() (Config, error) {
 			// Time-bounded run: the op count follows from the offered load.
 			c.Ops = m.Ops()
 		}
-		if c.Replicas > 0 {
-			return c, ErrMeasureReplicas
-		}
 	}
 	if c.Ops < 1 {
 		return c, ErrNoOps
@@ -201,6 +222,11 @@ func (c Config) withDefaults() (Config, error) {
 	default:
 		return c, fmt.Errorf("server: unknown backend %q", c.Backend)
 	}
+	for _, x := range exclusions {
+		if x.a(&c) && x.b(&c) {
+			return c, x.err
+		}
+	}
 	if c.HeapSize == 0 {
 		c.HeapSize = 64 << 20
 	}
@@ -215,17 +241,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.StepBudget < 0 {
 		return c, fmt.Errorf("server: negative step budget %d", c.StepBudget)
-	}
-	if c.Backend == BackendInCLL {
-		if c.StepBudget > 0 {
-			return c, ErrInCLLIncremental
-		}
-		if _, ok := c.Policy.(PausePolicy); ok {
-			return c, ErrInCLLIncremental
-		}
-		if c.Replicas > 0 {
-			return c, ErrInCLLReplicas
-		}
 	}
 	if c.StepBudget == 0 {
 		if p, ok := c.Policy.(PausePolicy); ok {
@@ -244,13 +259,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Replicas > 0 && len(c.SLAs) == 0 {
 		c.SLAs = replica.Mix()
 	}
-	if len(c.Migrations) > 0 || c.AutoSplit.MaxShards > 0 {
-		if c.Replicas > 0 {
-			return c, ErrMigrateReplicas
-		}
-		if len(c.Migrations) > 0 && c.AutoSplit.MaxShards > 0 {
-			return c, fmt.Errorf("server: explicit migrations and autosplit are mutually exclusive")
-		}
+	if c.elastic() {
 		// Defaulting AfterCuts below must not write into the caller's slice.
 		c.Migrations = slices.Clone(c.Migrations)
 		for i := range c.Migrations {
@@ -584,7 +593,7 @@ func (s *Service) containCrash(c *mpi.Comm, rank int) {
 func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 	rank := c.Rank()
 	defer s.containCrash(c, rank)
-	sh := newShardShell(rank, s.deviceSize, s.cfg.StepBudget)
+	sh := newShardShell(rank, s.deviceSize, s.cfg.StepBudget, s.cfg.Trace)
 	if s.wholeQuanta {
 		sh.quantumN = 0
 	}
@@ -600,7 +609,7 @@ func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 		err = fmt.Errorf("server: shard %d backend: %w", rank, err)
 	}
 	if err == nil {
-		err = sh.init(ctr, s.cfg.DS, s.cfg.Buckets, s.cfg.Trace)
+		err = sh.init(ctr, s.cfg.DS, s.cfg.Buckets)
 	}
 	if err == nil {
 		err = body(sh)

@@ -207,16 +207,23 @@ type shard struct {
 }
 
 // newShardShell builds the volatile half of a shard — device, clock,
-// bookkeeping — so the request loop can arm crash injection on the device
-// before any container primitive runs. init builds the persistent half.
-func newShardShell(id, deviceSize, stepBudget int) *shard {
+// bookkeeping, the trace recorder if the run has one — so the request loop
+// can arm crash injection on the device before any container primitive runs.
+// init builds the persistent half. The request-latency histogram the run
+// reports from is the recorder's own, so a traced run books each sample once.
+func newShardShell(id, deviceSize, stepBudget int, trace bool) *shard {
 	dev := nvm.NewDevice(deviceSize)
+	var rec *obs.Recorder
+	if trace {
+		rec = obs.NewRecorder(dev.Clock())
+	}
 	return &shard{
 		id:         id,
 		dev:        dev,
 		clock:      dev.Clock(),
+		rec:        rec,
 		shadow:     newOracle(),
-		lat:        measure.NewHistogram(latencyBounds),
+		lat:        rec.Histogram("req-latency", latencyBounds),
 		pause:      measure.NewHistogram(obs.PauseBounds),
 		stepBudget: stepBudget,
 		quantumN:   migQuantumItems,
@@ -228,37 +235,46 @@ func newShardShell(id, deviceSize, stepBudget int) *shard {
 // init formats the shard's allocator and KV over a freshly formatted
 // backend, persisting the KV root in the root array so recovery can
 // reattach.
-func (sh *shard) init(ctr CutBackend, ds DSKind, buckets int, trace bool) error {
+func (sh *shard) init(ctr CutBackend, ds DSKind, buckets int) error {
 	a, err := alloc.Format(heap.New(ctr))
 	if err != nil {
 		return fmt.Errorf("server: shard %d allocator: %w", sh.id, err)
 	}
-	var kv pds.KV
-	var root int
-	switch ds {
-	case DSHashMap:
-		m, err := pds.NewHashMap(a, buckets)
-		if err != nil {
-			return err
-		}
-		kv, root = m, m.Root()
-	case DSRBMap:
-		m, err := pds.NewRBMap(a)
-		if err != nil {
-			return err
-		}
-		kv, root = m, m.Root()
-	default:
-		return fmt.Errorf("server: unknown structure %q", ds)
+	kv, err := bindKV(a, ds, 0, buckets)
+	if err != nil {
+		return err
 	}
-	a.SetRoot(kvRootSlot, uint64(root))
+	a.SetRoot(kvRootSlot, uint64(kv.Root()))
 	sh.ctr, sh.alloc, sh.kv, sh.ds = ctr, a, kv, ds
 	sh.core, _ = ctr.(*core.Container)
-	if trace {
-		sh.rec = obs.NewRecorder(sh.clock)
-		ctr.SetTrace(sh.rec)
-	}
+	ctr.SetTrace(sh.rec)
 	return nil
+}
+
+// rootedKV is a pds.KV that knows the heap offset it reopens from.
+type rootedKV interface {
+	pds.KV
+	Root() int
+}
+
+// bindKV is the one place a structure's name becomes a KV inside an allocator:
+// reopened from root or, with root 0 (where no structure can live), created
+// fresh, a hash map over the given buckets.
+func bindKV(a *alloc.Allocator, ds DSKind, root, buckets int) (rootedKV, error) {
+	switch ds {
+	case DSHashMap:
+		if root == 0 {
+			return pds.NewHashMap(a, buckets)
+		}
+		return pds.OpenHashMap(a, root)
+	case DSRBMap:
+		if root == 0 {
+			return pds.NewRBMap(a)
+		}
+		return pds.OpenRBMap(a, root)
+	default:
+		return nil, fmt.Errorf("server: unknown structure %q", ds)
+	}
 }
 
 // openKV rebinds the allocator and the structure persisted in a formatted
@@ -269,15 +285,10 @@ func openKV(b ckpt.Backend, ds DSKind) (*alloc.Allocator, pds.KV, error) {
 		return nil, nil, fmt.Errorf("allocator reopen: %w", err)
 	}
 	root := int(a.Root(kvRootSlot))
-	var kv pds.KV
-	switch ds {
-	case DSHashMap:
-		kv, err = pds.OpenHashMap(a, root)
-	case DSRBMap:
-		kv, err = pds.OpenRBMap(a, root)
-	default:
-		err = fmt.Errorf("unknown structure %q", ds)
+	if root == 0 {
+		return nil, nil, fmt.Errorf("KV reopen: no structure root recorded")
 	}
+	kv, err := bindKV(a, ds, root, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("KV reopen: %w", err)
 	}
@@ -362,10 +373,10 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 }
 
 // ack acknowledges one request latPS after its dispatch, on every track:
-// the shard's latency histogram, the trace, the open-loop collector.
+// the shard's latency histogram (the trace's, in a traced run), the open-loop
+// collector.
 func (sh *shard) ack(p pendAck, latPS int64) {
 	sh.lat.Observe(latPS)
-	sh.rec.Observe("req-latency", latencyBounds, latPS)
 	sh.meas.Observe(p.kind, p.seq, p.intendedPS, p.startPS, p.startPS+latPS)
 	sh.acked++
 	sh.sinceCut++

@@ -5,7 +5,6 @@ import (
 
 	"libcrpm/internal/nvm"
 	"libcrpm/internal/replica"
-	"libcrpm/internal/sched"
 	"libcrpm/internal/server"
 )
 
@@ -42,8 +41,6 @@ type ServiceConfig struct {
 	// crash points shift per spec. Points keys gain a trailing "/<spec>"
 	// segment; empty leaves the single-run key format unchanged.
 	SLAs []string
-	// Progress, if non-nil, is called after each (shard, policy) combo.
-	Progress func(shard int, policy string, points, violations int)
 }
 
 // ServiceViolation is one consistency failure of the service sweep.
@@ -84,13 +81,66 @@ type ServiceResult struct {
 // OK reports whether the sweep found no violations.
 func (r ServiceResult) OK() bool { return len(r.Violations) == 0 }
 
+// serviceReference is the prologue of the two service-level sweeps: the
+// service under torture, liveness forced on, runs once without a crash and
+// must itself be violation-free. The run's primitive windows define a
+// sweep's crash points, the returned config its replays.
+func serviceReference(base server.Config, what string) (server.Config, *server.Service, error) {
+	if base.Crash != nil {
+		return base, nil, fmt.Errorf("torture: %s sweep: Server.Crash must be nil (the sweep owns injection)", what)
+	}
+	base.Liveness = true
+	ref, err := server.New(base)
+	if err != nil {
+		return base, nil, fmt.Errorf("torture: %s reference: %w", what, err)
+	}
+	refRes, err := ref.Run()
+	if err != nil {
+		return base, nil, fmt.Errorf("torture: %s reference run: %w", what, err)
+	}
+	if !refRes.OK() {
+		return base, nil, fmt.Errorf("torture: %s reference run inconsistent: %v", what, refRes.Violations[0])
+	}
+	return base, ref, nil
+}
+
+// serviceGrid is what every crash window of a service-level sweep shares.
+type serviceGrid struct {
+	base     server.Config // the reference's, replayed once per crash point
+	policies []Policy      // nil: the standard three, seeded from base.Seed
+	stride   int           // 0: sized so a window replays about perCombo points
+	perCombo int
+	parallel int
+	// sla and killPrimary are ServiceSweep's two extra demands on a replay.
+	sla         string
+	killPrimary bool
+}
+
+// sweep crashes shard at every strided primitive inside (lo, hi) under each
+// policy in turn, booking each combo into res under its key.
+func (g serviceGrid) sweep(res *ServiceResult, shard int, lo, hi int64, key func(policy string) string) {
+	stride, policies := g.stride, g.policies
+	if stride <= 0 {
+		stride = max(int((hi-lo)/int64(g.perCombo)), 1)
+	}
+	if policies == nil {
+		policies = StandardPolicies(g.base.Seed)
+	}
+	for _, pol := range policies {
+		// Each replay owns its whole service world.
+		n, vs := sweepSpan(lo+1, hi, stride, g.parallel, func(k int64) []ServiceViolation {
+			return serviceReplay(g.base, shard, pol, g.sla, k, g.killPrimary)
+		})
+		res.Replays += n
+		res.Points[key(pol.Name)] += n
+		res.Violations = append(res.Violations, vs...)
+	}
+}
+
 // ServiceSweep runs the matrix. The reference run must itself be
 // violation-free; its per-shard serving spans define the crash points.
 func ServiceSweep(cfg ServiceConfig) (ServiceResult, error) {
 	res := ServiceResult{Points: make(map[string]int)}
-	if cfg.Server.Crash != nil {
-		return res, fmt.Errorf("torture: ServiceConfig.Server.Crash must be nil")
-	}
 	if cfg.KillPrimary && cfg.Server.Replicas < 1 {
 		return res, fmt.Errorf("torture: kill-primary sweep needs Server.Replicas > 0")
 	}
@@ -112,74 +162,34 @@ func ServiceSweep(cfg ServiceConfig) (ServiceResult, error) {
 // serviceSweepSpec runs one SLA spec's (shard, policy, point) grid off its
 // own reference run, folding points and violations into res.
 func serviceSweepSpec(cfg ServiceConfig, spec string, res *ServiceResult) error {
-	base := cfg.Server
-	base.Liveness = true
+	base, suffix := cfg.Server, ""
 	if spec != "" {
 		set, err := replica.ParseSet(spec)
 		if err != nil {
 			return fmt.Errorf("torture: sweep SLA %q: %w", spec, err)
 		}
-		base.SLAs = set
+		base.SLAs, suffix = set, "/"+spec
 	}
-	ref, err := server.New(base)
+	base, ref, err := serviceReference(base, "service")
 	if err != nil {
-		return fmt.Errorf("torture: service reference: %w", err)
-	}
-	refRes, err := ref.Run()
-	if err != nil {
-		return fmt.Errorf("torture: service reference run: %w", err)
-	}
-	if !refRes.OK() {
-		return fmt.Errorf("torture: service reference run inconsistent: %v", refRes.Violations[0])
+		return err
 	}
 	spans := ref.PrimitiveSpans()
-
+	grid := serviceGrid{base: base, policies: cfg.Policies, stride: cfg.Stride, perCombo: 64, parallel: cfg.Parallel,
+		sla: spec, killPrimary: cfg.KillPrimary}
 	shards := cfg.CrashShards
 	if shards == nil {
 		for i := 0; i < base.Shards; i++ {
 			shards = append(shards, i)
 		}
 	}
-	policies := cfg.Policies
-	if policies == nil {
-		policies = StandardPolicies(base.Seed)
-	}
-
 	for _, sh := range shards {
 		if sh < 0 || sh >= base.Shards {
 			return fmt.Errorf("torture: crash shard %d out of range", sh)
 		}
-		lo, hi := spans[sh][0], spans[sh][1]
-		stride := cfg.Stride
-		if stride <= 0 {
-			stride = int((hi - lo) / 64)
-			if stride < 1 {
-				stride = 1
-			}
-		}
-		var ks []int64
-		for k := lo + 1; k < hi; k += int64(stride) {
-			ks = append(ks, k)
-		}
-		for _, pol := range policies {
-			vs := sched.Map(len(ks), sched.Options{Workers: cfg.Parallel}, func(i int) []ServiceViolation {
-				return serviceReplay(base, sh, pol, spec, ks[i], cfg.KillPrimary)
-			})
-			res.Replays += len(ks)
-			key := fmt.Sprintf("shard%d/%s", sh, pol.Name)
-			if spec != "" {
-				key += "/" + spec
-			}
-			res.Points[key] = len(ks)
-			bad := 0
-			for _, cell := range vs {
-				bad += len(cell)
-				res.Violations = append(res.Violations, cell...)
-			}
-			if cfg.Progress != nil {
-				cfg.Progress(sh, pol.Name, len(ks), bad)
-			}
-		}
+		grid.sweep(res, sh, spans[sh][0], spans[sh][1], func(policy string) string {
+			return fmt.Sprintf("shard%d/%s%s", sh, policy, suffix)
+		})
 	}
 	return nil
 }

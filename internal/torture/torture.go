@@ -289,40 +289,20 @@ func Sweep(cfg Config) (Result, error) {
 		}
 		for _, pol := range cfg.Policies {
 			for _, fault := range faults {
-				var ks []int64
-				for k := first; k < total; k += int64(cfg.Stride) {
-					ks = append(ks, k)
-				}
-				// Replays fan out over the sched pool; each owns its device and
-				// reads only the immutable script/shadows, and the reduction is
-				// in crash-point order, so the violation list is identical to the
-				// serial sweep's.
-				vs := sched.Map(len(ks), sched.Options{Workers: cfg.Parallel}, func(i int) *Violation {
-					return replayCell(cfg, mode, pol, fault, script, shadows, ks[i])
-				})
-				res.Replays += len(ks)
-				for _, v := range vs {
-					if v != nil {
-						res.Violations = append(res.Violations, *v)
-					}
-				}
-				key := mode.Name + "/" + pol.Name
+				polName := pol.Name
 				if fault.Name != "" {
-					key += "/" + fault.Name
+					polName += "/" + fault.Name
 				}
-				res.Points[key] = len(ks)
+				// Each replay owns its device and reads only the immutable
+				// script and shadows.
+				n, vs := sweepSpan(first, total, cfg.Stride, cfg.Parallel, func(k int64) []Violation {
+					return replayCell(cfg, mode, pol, fault, script, shadows, k)
+				})
+				res.Replays += n
+				res.Points[mode.Name+"/"+polName] = n
+				res.Violations = append(res.Violations, vs...)
 				if cfg.Progress != nil {
-					bad := 0
-					for _, v := range res.Violations {
-						if v.Mode == mode.Name && v.Policy == pol.Name && v.Fault == fault.Name {
-							bad++
-						}
-					}
-					polName := pol.Name
-					if fault.Name != "" {
-						polName += "/" + fault.Name
-					}
-					cfg.Progress(mode.Name, polName, len(ks), bad)
+					cfg.Progress(mode.Name, polName, n, len(vs))
 				}
 			}
 		}
@@ -330,18 +310,38 @@ func Sweep(cfg Config) (Result, error) {
 	return res, nil
 }
 
+// sweepSpan is the skeleton every crash sweep shares: one replay per stride-th
+// crash point of [lo, hi), fanned out over the sched pool, the violations
+// reduced in crash-point order — so a report is byte-identical to the serial
+// sweep's at any parallelism, provided replays share only immutable state. It
+// returns the number of points replayed and what they found.
+func sweepSpan[V any](lo, hi int64, stride, parallel int, replay func(k int64) []V) (points int, found []V) {
+	var ks []int64
+	for k := lo; k < hi; k += int64(stride) {
+		ks = append(ks, k)
+	}
+	cells := sched.Map(len(ks), sched.Options{Workers: parallel}, func(i int) []V { return replay(ks[i]) })
+	for _, cell := range cells {
+		found = append(found, cell...)
+	}
+	return len(ks), found
+}
+
 // replayCell is one scheduled replay with panic containment: a panic that
 // escapes the protocol mid-replay (anything other than the injected crash
 // runToCrash expects) becomes a violation row for that crash point instead
 // of killing the sweep — at every parallelism level, so serial and parallel
 // reports agree even on protocol bugs.
-func replayCell(cfg Config, mode Mode, pol Policy, fault Fault, script []Step, shadows map[uint64][]byte, k int64) (v *Violation) {
+func replayCell(cfg Config, mode Mode, pol Policy, fault Fault, script []Step, shadows map[uint64][]byte, k int64) (vs []Violation) {
 	defer func() {
 		if r := recover(); r != nil {
-			v = &Violation{Mode: mode.Name, Policy: pol.Name, Fault: fault.Name, Index: k, Stage: "panic", Detail: fmt.Sprint(r)}
+			vs = []Violation{{Mode: mode.Name, Policy: pol.Name, Fault: fault.Name, Index: k, Stage: "panic", Detail: fmt.Sprint(r)}}
 		}
 	}()
-	return replay(cfg, mode, pol, fault, script, shadows, k)
+	if v := replay(cfg, mode, pol, fault, script, shadows, k); v != nil {
+		vs = []Violation{*v}
+	}
+	return vs
 }
 
 // reference runs the script without crashing, returning the primitive index

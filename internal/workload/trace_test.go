@@ -76,8 +76,8 @@ func TestDriverEpochSpans(t *testing.T) {
 		t.Fatalf("no per-epoch store deltas folded: %+v", track.Counters)
 	}
 	for _, h := range track.Histograms {
-		if h.Name == "ckpt/pause_ps" && h.N != int64(res.Epochs) {
-			t.Fatalf("pause histogram has %d observations, want %d", h.N, res.Epochs)
+		if h.Name == "ckpt/pause_ps" && h.N() != int64(res.Epochs) {
+			t.Fatalf("pause histogram has %d observations, want %d", h.N(), res.Epochs)
 		}
 	}
 }
