@@ -70,9 +70,10 @@ slo:
 	$(GO) run ./cmd/crpmserve -shards 4 -clients 8 -mix a -target 4e6 -duration 50ms -warmup 20000 -dist uniform
 	$(GO) run ./cmd/crpmbench -exp slo
 
-# Regenerate every table and figure of the paper's evaluation.
+# Regenerate every table and figure of the paper's evaluation into the
+# committed reference (simulated values only: a diff is a behaviour change).
 results:
-	$(GO) run ./cmd/crpmbench -exp all -scale small
+	$(GO) run ./cmd/crpmbench -exp all -scale small -format csv > results/small.csv
 
 results-medium:
 	$(GO) run ./cmd/crpmbench -exp all -scale medium

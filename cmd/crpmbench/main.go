@@ -26,92 +26,66 @@ import (
 	"libcrpm/internal/prof"
 )
 
+// figure is one table of the evaluation at a scale.
+type figure = func(harness.Scale) (harness.Table, error)
+
 type experiment struct {
 	name string
 	desc string
-	run  func(harness.Scale) ([]harness.Table, error)
+	figs []figure
 }
 
-func one(f func(harness.Scale) (harness.Table, error)) func(harness.Scale) ([]harness.Table, error) {
-	return func(sc harness.Scale) ([]harness.Table, error) {
+// run regenerates the experiment's tables, in order.
+func (e experiment) run(sc harness.Scale) ([]harness.Table, error) {
+	var out []harness.Table
+	for _, f := range e.figs {
 		t, err := f(sc)
 		if err != nil {
 			return nil, err
 		}
-		return []harness.Table{t}, nil
+		out = append(out, t)
+	}
+	return out, nil
+}
+
+// bothKinds is a data-structure figure on the unordered_map, then on the map.
+func bothKinds(f func(harness.Scale, harness.DSKind) (harness.Table, error)) []figure {
+	return []figure{
+		func(sc harness.Scale) (harness.Table, error) { return f(sc, harness.DSHashMap) },
+		func(sc harness.Scale) (harness.Table, error) { return f(sc, harness.DSRBMap) },
 	}
 }
 
 func experiments() []experiment {
 	return []experiment{
-		{"fig1", "execution-time breakdown of unordered_map (Figure 1)", one(harness.Fig1Breakdown)},
-		{"fig7", "throughput of map and unordered_map across workloads (Figure 7)", func(sc harness.Scale) ([]harness.Table, error) {
-			h, err := harness.Fig7Throughput(sc, harness.DSHashMap)
-			if err != nil {
-				return nil, err
-			}
-			r, err := harness.Fig7Throughput(sc, harness.DSRBMap)
-			if err != nil {
-				return nil, err
-			}
-			return []harness.Table{h, r}, nil
+		{"fig1", "execution-time breakdown of unordered_map (Figure 1)", []figure{harness.Fig1Breakdown}},
+		{"fig7", "throughput of map and unordered_map across workloads (Figure 7)", bothKinds(harness.Fig7Throughput)},
+		{"fig8", "relative execution time of LULESH/HPCCG/CoMD (Figure 8)", []figure{harness.Fig8Apps}},
+		{"fig9", "throughput vs checkpoint interval (Figure 9)", bothKinds(harness.Fig9Interval)},
+		{"fig10a", "throughput vs segment size (Figure 10a)", []figure{harness.Fig10aSegment}},
+		{"fig10b", "throughput vs block size (Figure 10b)", []figure{harness.Fig10bBlock}},
+		{"table1a", "average checkpoint size per operation (Table 1a)", []figure{harness.Table1a}},
+		{"table1b", "sfence instructions per epoch (Table 1b)", []figure{harness.Table1b}},
+		{"service", "sharded KV service throughput and cut pause vs shard count, stop-the-world and incremental pause-budget cuts (extension)", []figure{harness.ServiceFigure}},
+		{"replica", "replicated service read throughput, staleness, and SLA-unmet fraction vs replica count x SLA (extension)", []figure{harness.ReplicaFigure}},
+		{"crossover", "InCLL vs differential checkpointing: write-size x locality x mix crossover, the per-backend OnWrite micro matrix, and the per-backend service scaling study (extension)", []figure{
+			harness.CrossoverFigure,
+			harness.OnWriteMicro,
+			harness.ServiceBackendFigure,
 		}},
-		{"fig8", "relative execution time of LULESH/HPCCG/CoMD (Figure 8)", one(harness.Fig8Apps)},
-		{"fig9", "throughput vs checkpoint interval (Figure 9)", func(sc harness.Scale) ([]harness.Table, error) {
-			h, err := harness.Fig9Interval(sc, harness.DSHashMap)
-			if err != nil {
-				return nil, err
-			}
-			r, err := harness.Fig9Interval(sc, harness.DSRBMap)
-			if err != nil {
-				return nil, err
-			}
-			return []harness.Table{h, r}, nil
-		}},
-		{"fig10a", "throughput vs segment size (Figure 10a)", one(harness.Fig10aSegment)},
-		{"fig10b", "throughput vs block size (Figure 10b)", one(harness.Fig10bBlock)},
-		{"table1a", "average checkpoint size per operation (Table 1a)", one(harness.Table1a)},
-		{"table1b", "sfence instructions per epoch (Table 1b)", one(harness.Table1b)},
-		{"service", "sharded KV service throughput and cut pause vs shard count, stop-the-world and incremental pause-budget cuts (extension)", one(harness.ServiceFigure)},
-		{"replica", "replicated service read throughput, staleness, and SLA-unmet fraction vs replica count x SLA (extension)", one(harness.ReplicaFigure)},
-		{"crossover", "InCLL vs differential checkpointing: write-size x locality x mix crossover, the per-backend OnWrite micro matrix, and the per-backend service scaling study (extension)", func(sc harness.Scale) ([]harness.Table, error) {
-			x, err := harness.CrossoverFigure(sc)
-			if err != nil {
-				return nil, err
-			}
-			m, err := harness.OnWriteMicro(sc)
-			if err != nil {
-				return nil, err
-			}
-			s, err := harness.ServiceBackendFigure(sc)
-			if err != nil {
-				return nil, err
-			}
-			return []harness.Table{x, m, s}, nil
-		}},
-		{"slo", "open-loop throughput vs p99 latency per backend x cut policy, coordinated-omission-free (extension)", one(harness.SLOFigure)},
-		{"elastic", "live shard split under open-loop load: throughput and p99 before/during/after the migration (extension)", one(harness.ElasticFigure)},
-		{"recovery", "LULESH recovery time (§5.5)", one(harness.RecoveryTime)},
-		{"pauses", "checkpoint pause-time distribution (extension)", one(harness.PauseTimes)},
-		{"storage", "storage cost of LULESH (§5.6)", one(harness.StorageCost)},
-		{"ablations", "design-choice ablations (eager CoW, diff copy, flush path, backup ratio, FTI hashing, modes)", func(sc harness.Scale) ([]harness.Table, error) {
-			var out []harness.Table
-			for _, f := range []func(harness.Scale) (harness.Table, error){
-				harness.AblationEagerCoW,
-				harness.AblationDifferentialCopy,
-				harness.AblationFlushThreshold,
-				harness.AblationBackupRatio,
-				harness.AblationFTIIncremental,
-				harness.AblationBufferedVsDefault,
-				harness.AblationEADR,
-			} {
-				t, err := f(sc)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, t)
-			}
-			return out, nil
+		{"slo", "open-loop throughput vs p99 latency per backend x cut policy, coordinated-omission-free (extension)", []figure{harness.SLOFigure}},
+		{"elastic", "live shard split under open-loop load: throughput and p99 before/during/after the migration (extension)", []figure{harness.ElasticFigure}},
+		{"recovery", "LULESH recovery time (§5.5)", []figure{harness.RecoveryTime}},
+		{"pauses", "checkpoint pause-time distribution (extension)", []figure{harness.PauseTimes}},
+		{"storage", "storage cost of LULESH (§5.6)", []figure{harness.StorageCost}},
+		{"ablations", "design-choice ablations (eager CoW, diff copy, flush path, backup ratio, FTI hashing, modes)", []figure{
+			harness.AblationEagerCoW,
+			harness.AblationDifferentialCopy,
+			harness.AblationFlushThreshold,
+			harness.AblationBackupRatio,
+			harness.AblationFTIIncremental,
+			harness.AblationBufferedVsDefault,
+			harness.AblationEADR,
 		}},
 	}
 }
@@ -219,24 +193,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	}
 	if *tracePath != "" {
-		tr := harness.TakeTrace()
-		if tr == nil {
-			tr = &obs.Trace{}
-		}
-		f, err := os.Create(*tracePath)
+		tracks, err := obs.WriteTraceFile(*tracePath, harness.TakeTrace())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			return 1
 		}
-		err = obs.WriteChromeTrace(f, tr)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d tracks; open at ui.perfetto.dev)\n", *tracePath, len(tr.Tracks))
+		fmt.Fprintf(os.Stderr, "wrote %s (%d tracks; open at ui.perfetto.dev)\n", *tracePath, tracks)
 	}
 	return 0
 }

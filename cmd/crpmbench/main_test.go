@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
-		if e.name == "" || e.desc == "" || e.run == nil {
+		if e.name == "" || e.desc == "" || len(e.figs) == 0 {
 			t.Fatalf("incomplete experiment %+v", e)
 		}
 		if e.name != strings.ToLower(e.name) {
@@ -32,14 +33,24 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-func TestOneWrapper(t *testing.T) {
-	called := false
-	f := one(func(sc harness.Scale) (harness.Table, error) {
-		called = true
-		return harness.Table{Title: "x"}, nil
-	})
-	tabs, err := f(harness.SmallScale())
-	if err != nil || len(tabs) != 1 || tabs[0].Title != "x" || !called {
-		t.Fatalf("one() wrapper broken: %v %v", tabs, err)
+// TestExperimentRunsItsFigures pins the registry's one runner: an experiment's
+// tables come back in the order its figures are listed — bothKinds' the
+// unordered_map first, then the map — and the first error ends the run.
+func TestExperimentRunsItsFigures(t *testing.T) {
+	titled := func(sc harness.Scale, kind harness.DSKind) (harness.Table, error) {
+		return harness.Table{Title: sc.Name + "/" + string(kind)}, nil
+	}
+	tabs, err := experiment{figs: bothKinds(titled)}.run(harness.SmallScale())
+	if err != nil || len(tabs) != 2 || tabs[0].Title != "small/unordered_map" || tabs[1].Title != "small/map" {
+		t.Fatalf("bothKinds ran %v, %v", tabs, err)
+	}
+	boom := errors.New("boom")
+	after := false
+	failing := experiment{figs: []figure{
+		func(harness.Scale) (harness.Table, error) { return harness.Table{}, boom },
+		func(harness.Scale) (harness.Table, error) { after = true; return harness.Table{}, nil },
+	}}
+	if tabs, err := failing.run(harness.SmallScale()); !errors.Is(err, boom) || tabs != nil || after {
+		t.Fatalf("failing experiment: tables %v, err %v, ran past the error: %v", tabs, err, after)
 	}
 }

@@ -387,11 +387,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 	}
 	if *tracePath != "" {
-		if err := writeTrace(*tracePath, res.Trace); err != nil {
+		tracks, err := obs.WriteTraceFile(*tracePath, res.Trace)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d tracks; open at ui.perfetto.dev)\n", *tracePath, len(res.Trace.Tracks))
+		fmt.Fprintf(os.Stderr, "wrote %s (%d tracks; open at ui.perfetto.dev)\n", *tracePath, tracks)
 	}
 
 	if !res.OK() {
@@ -578,19 +579,4 @@ func writeJSON(path string, tables []harness.Table) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-func writeTrace(path string, tr *obs.Trace) error {
-	if tr == nil {
-		tr = &obs.Trace{}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = obs.WriteChromeTrace(f, tr)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -83,24 +83,12 @@ func main() {
 	}
 	fmt.Printf("total: %d replays\n", res.Replays)
 	if *tracePath != "" {
-		tr := res.Trace
-		if tr == nil {
-			tr = &obs.Trace{}
-		}
-		f, err := os.Create(*tracePath)
+		tracks, err := obs.WriteTraceFile(*tracePath, res.Trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		err = obs.WriteChromeTrace(f, tr)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("wrote %s (%d tracks)\n", *tracePath, len(tr.Tracks))
+		fmt.Printf("wrote %s (%d tracks)\n", *tracePath, tracks)
 	}
 	if !res.OK() {
 		for _, v := range res.Violations {

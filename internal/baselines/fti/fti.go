@@ -179,11 +179,7 @@ func (b *Backend) Metrics() ckpt.Metrics {
 
 // OnRead implements ckpt.Backend: DRAM-resident reads.
 func (b *Backend) OnRead(off, n int) {
-	if n <= 16 {
-		b.dev.ChargeLoad()
-	} else {
-		b.dev.ChargeDRAMCopy(n)
-	}
+	b.dev.ChargeDRAMRead(n)
 }
 
 // OnWrite implements ckpt.Backend: FTI traces nothing during execution.
@@ -196,11 +192,7 @@ func (b *Backend) OnWrite(off, n int) {
 // Write implements ckpt.Backend: a DRAM store.
 func (b *Backend) Write(off int, src []byte) {
 	copy(b.buf[off:], src)
-	if len(src) <= 16 {
-		b.dev.Clock().Advance(b.dev.Cost().StorePS)
-	} else {
-		b.dev.ChargeDRAMCopy(len(src))
-	}
+	b.dev.ChargeDRAMWrite(len(src))
 }
 
 // Checkpoint implements ckpt.Backend: serialize the protected region into

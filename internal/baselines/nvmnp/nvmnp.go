@@ -34,11 +34,7 @@ func (b *Backend) Bytes() []byte { return b.dev.Working()[:b.size] }
 
 // OnRead implements ckpt.Backend.
 func (b *Backend) OnRead(off, n int) {
-	if n <= 16 {
-		b.dev.ChargeNVMLoad()
-	} else {
-		b.dev.ChargeNVMRead(n)
-	}
+	b.dev.ChargeRead(n)
 }
 
 // OnWrite implements ckpt.Backend: no tracing at all.
@@ -46,11 +42,7 @@ func (b *Backend) OnWrite(off, n int) {}
 
 // Write implements ckpt.Backend.
 func (b *Backend) Write(off int, src []byte) {
-	if len(src) <= 16 {
-		b.dev.Store(off, src)
-	} else {
-		b.dev.StoreBulk(off, src)
-	}
+	b.dev.Write(off, src)
 }
 
 // Checkpoint implements ckpt.Backend as a no-op: NVM-NP has nothing to make

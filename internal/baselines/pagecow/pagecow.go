@@ -191,11 +191,7 @@ func (b *Backend) Metrics() ckpt.Metrics {
 
 // OnRead implements ckpt.Backend.
 func (b *Backend) OnRead(off, n int) {
-	if n <= 16 {
-		b.dev.ChargeNVMLoad()
-	} else {
-		b.dev.ChargeNVMRead(n)
-	}
+	b.dev.ChargeRead(n)
 }
 
 // OnWrite implements ckpt.Backend: the page-protection trace.
@@ -229,11 +225,7 @@ func (b *Backend) OnWrite(off, n int) {
 
 // Write implements ckpt.Backend.
 func (b *Backend) Write(off int, src []byte) {
-	if len(src) <= 16 {
-		b.dev.Store(b.workOff+off, src)
-	} else {
-		b.dev.StoreBulk(b.workOff+off, src)
-	}
+	b.dev.Write(b.workOff+off, src)
 }
 
 // Checkpoint implements ckpt.Backend: replicate dirty pages into the

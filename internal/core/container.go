@@ -323,18 +323,10 @@ func (c *Container) OnRead(off, n int) {
 		defer c.writeMu.Unlock()
 	}
 	if c.opts.Mode == ModeBuffered {
-		if n <= 16 {
-			c.dev.ChargeLoad()
-		} else {
-			c.dev.ChargeDRAMCopy(n)
-		}
+		c.dev.ChargeDRAMRead(n)
 		return
 	}
-	if n <= 16 {
-		c.dev.ChargeNVMLoad()
-	} else {
-		c.dev.ChargeNVMRead(n)
-	}
+	c.dev.ChargeRead(n)
 }
 
 // OnWrite implements ckpt.Backend: the instrumented hook executed before a
@@ -426,22 +418,14 @@ func (c *Container) Write(off int, src []byte) {
 	}
 	if c.opts.Mode == ModeBuffered {
 		copy(c.buf[off:], src)
-		if len(src) <= 16 {
-			c.dev.Clock().Advance(c.dev.Cost().StorePS)
-		} else {
-			c.dev.ChargeDRAMCopy(len(src))
-		}
+		c.dev.ChargeDRAMWrite(len(src))
 		return
 	}
 	if inc := c.inc; inc != nil && c.incSpansQuarantine(off, len(src)) {
 		c.incWrite(inc, off, src)
 		return
 	}
-	if len(src) <= 16 {
-		c.dev.Store(c.l.HeapToDevice(off), src)
-	} else {
-		c.dev.StoreBulk(c.l.HeapToDevice(off), src)
-	}
+	c.dev.Write(c.l.HeapToDevice(off), src)
 }
 
 // SetTrace attaches (or, with nil, detaches) a phase recorder after

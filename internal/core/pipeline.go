@@ -901,26 +901,18 @@ func (c *Container) incOnWriteBuffered(inc *incState, first, last int) {
 // never marked dirty, so they cannot reach the media before the replay),
 // pieces outside the quarantine take the normal store path.
 func (c *Container) incWrite(inc *incState, off int, src []byte) {
-	clock := c.dev.Clock()
 	for len(src) > 0 {
 		s := c.l.SegOf(off)
 		n := len(src)
 		if end := (s + 1) * c.l.SegSize; off+n > end {
 			n = end - off
 		}
-		switch {
-		case inc.cutSegs.Test(s):
-			base := c.l.HeapToDevice(off)
+		base := c.l.HeapToDevice(off)
+		if inc.cutSegs.Test(s) {
 			copy(c.dev.Working()[base:base+n], src[:n])
-			if n <= 16 {
-				clock.Advance(c.dev.Cost().StorePS)
-			} else {
-				clock.Advance(int64(n) * c.dev.Cost().DRAMBytePS)
-			}
-		case n <= 16:
-			c.dev.Store(c.l.HeapToDevice(off), src[:n])
-		default:
-			c.dev.StoreBulk(c.l.HeapToDevice(off), src[:n])
+			c.dev.ChargeDRAMWrite(n)
+		} else {
+			c.dev.Write(base, src[:n])
 		}
 		off += n
 		src = src[n:]

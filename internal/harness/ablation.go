@@ -8,66 +8,56 @@ import (
 	"libcrpm/internal/core"
 	"libcrpm/internal/nvm"
 	"libcrpm/internal/region"
-	"libcrpm/internal/sched"
 	"libcrpm/internal/workload"
 )
 
-// newCrpmSetup builds a libcrpm hash-map setup with explicit options, for
-// the ablation studies.
-func newCrpmSetup(sc Scale, opts core.Options) (*DSSetup, error) {
-	ctr, err := newContainer(sc.HeapSize, opts)
-	if err != nil {
-		return nil, err
-	}
-	return newSetup(ctr.Name(), ctr, DSHashMap, sc)
+// crpmVariant is one row of a libcrpm ablation: what the table calls it and
+// the container options that make it.
+type crpmVariant struct {
+	name string
+	opts core.Options
 }
 
-func runBalanced(s *DSSetup, sc Scale, seed int64) (workload.Result, error) {
-	d := s.Driver(sc, seed)
-	if err := d.Populate(sc.Keys); err != nil {
-		return workload.Result{}, err
-	}
-	return d.Run(workload.Balanced, sc.Ops)
-}
-
-// AblationEagerCoW measures the §3.4.2 optimization: executing the dirty
-// segments' copy-on-write during the checkpoint period versus lazily at the
-// next epoch's first writes.
-func AblationEagerCoW(sc Scale) (Table, error) {
-	t := Table{
-		Title:  fmt.Sprintf("Ablation: eager checkpoint-period CoW (unordered_map, balanced, %s scale)", sc.Name),
-		Header: []string{"variant", "Mops/s", "sfences/epoch"},
-	}
-	variants := []struct {
-		name  string
-		eager int
-	}{{"eager (paper default)", 0}, {"lazy (disabled)", -1}}
-	rows, err := sched.MapErr(len(variants), pool(), func(i int) ([]string, error) {
-		v := variants[i]
-		s, err := newCrpmSetup(sc, core.Options{Mode: core.ModeDefault, EagerCoWSegments: v.eager})
+// crpmAblation is the body of the four libcrpm-variant ablations: the balanced
+// workload on a hash map over each variant's container, one row per variant —
+// its name, its throughput, then what extra reads off the run and the
+// container it ran on.
+func crpmAblation(sc Scale, t Table, seed int64, variants []crpmVariant, extra func(measured, *core.Container) []string) (Table, error) {
+	rows, err := sweep(variants, func(v crpmVariant) ([]string, error) {
+		ctr, err := newContainer(sc.HeapSize, v.opts)
 		if err != nil {
 			return nil, err
 		}
-		fBefore := s.Dev.Stats().SFences
-		res, err := runBalanced(s, sc, 21)
+		s, err := newSetup(ctr.Name(), ctr, DSHashMap, sc)
 		if err != nil {
 			return nil, err
 		}
-		epochs := res.Epochs
-		if epochs == 0 {
-			epochs = 1
+		m, err := s.measure(sc, seed, workload.Balanced)
+		if err != nil {
+			return nil, err
 		}
-		return []string{
-			v.name,
-			fmtF(res.Throughput/1e6, 3),
-			fmtF(float64(s.Dev.Stats().SFences-fBefore)/float64(epochs), 1),
-		}, nil
+		return append([]string{v.name, mops(m)}, extra(m, ctr)...), nil
 	})
 	if err != nil {
 		return t, err
 	}
 	t.Rows = rows
 	return t, nil
+}
+
+// AblationEagerCoW measures the §3.4.2 optimization: executing the dirty
+// segments' copy-on-write during the checkpoint period versus lazily at the
+// next epoch's first writes.
+func AblationEagerCoW(sc Scale) (Table, error) {
+	return crpmAblation(sc, Table{
+		Title:  fmt.Sprintf("Ablation: eager checkpoint-period CoW (unordered_map, balanced, %s scale)", sc.Name),
+		Header: []string{"variant", "Mops/s", "sfences/epoch"},
+	}, 21, []crpmVariant{
+		{"eager (paper default)", core.Options{EagerCoWSegments: 0}},
+		{"lazy (disabled)", core.Options{EagerCoWSegments: -1}},
+	}, func(m measured, _ *core.Container) []string {
+		return []string{fmtF(m.perEpoch(float64(m.total.dev.SFences)), 1)}
+	})
 }
 
 // AblationDifferentialCopy compares block-granularity differential
@@ -75,86 +65,32 @@ func AblationEagerCoW(sc Scale) (Table, error) {
 // to the segment size degenerates to full-segment copies).
 func AblationDifferentialCopy(sc Scale) (Table, error) {
 	seg := 64 << 10
-	t := Table{
+	return crpmAblation(sc, Table{
 		Title:  fmt.Sprintf("Ablation: differential vs full-segment CoW (segment %s, balanced, %s scale)", byteSize(seg), sc.Name),
 		Header: []string{"variant", "Mops/s", "CoW MB/epoch"},
-	}
-	variants := []struct {
-		name string
-		blk  int
-	}{{"differential (256B blocks)", 256}, {"full segment copies", seg}}
-	rows, err := sched.MapErr(len(variants), pool(), func(i int) ([]string, error) {
-		v := variants[i]
-		s, err := newCrpmSetup(sc, core.Options{
-			Mode:   core.ModeDefault,
-			Region: region.Config{SegmentSize: seg, BlockSize: v.blk},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := runBalanced(s, sc, 22)
-		if err != nil {
-			return nil, err
-		}
-		epochs := res.Epochs
-		if epochs == 0 {
-			epochs = 1
-		}
-		return []string{
-			v.name,
-			fmtF(res.Throughput/1e6, 3),
-			fmtF(float64(s.Container.CoWBytes())/float64(epochs)/(1<<20), 2),
-		}, nil
+	}, 22, []crpmVariant{
+		{"differential (256B blocks)", core.Options{Region: region.Config{SegmentSize: seg, BlockSize: 256}}},
+		{"full segment copies", core.Options{Region: region.Config{SegmentSize: seg, BlockSize: seg}}},
+	}, func(m measured, ctr *core.Container) []string {
+		return []string{fmtF(m.perEpoch(float64(ctr.CoWBytes()))/(1<<20), 2)}
 	})
-	if err != nil {
-		return t, err
-	}
-	t.Rows = rows
-	return t, nil
 }
 
 // AblationFlushThreshold measures the clwb-loop vs wbinvd choice of §3.4.2
 // by forcing each path.
 func AblationFlushThreshold(sc Scale) (Table, error) {
-	t := Table{
+	return crpmAblation(sc, Table{
 		Title:  fmt.Sprintf("Ablation: checkpoint flush path (unordered_map, balanced, %s scale)", sc.Name),
 		Header: []string{"variant", "Mops/s", "wbinvd/epoch", "clwb/epoch"},
-	}
-	variants := []struct {
-		name string
-		llc  int
-	}{
-		{"clwb loop (LLC threshold high)", 1 << 30},
-		{"wbinvd always (threshold 1B)", 1},
-	}
-	rows, err := sched.MapErr(len(variants), pool(), func(i int) ([]string, error) {
-		v := variants[i]
-		s, err := newCrpmSetup(sc, core.Options{Mode: core.ModeDefault, LLCSize: v.llc})
-		if err != nil {
-			return nil, err
-		}
-		stBefore := s.Dev.Stats()
-		res, err := runBalanced(s, sc, 23)
-		if err != nil {
-			return nil, err
-		}
-		epochs := res.Epochs
-		if epochs == 0 {
-			epochs = 1
-		}
-		d := s.Dev.Stats().Sub(stBefore)
+	}, 23, []crpmVariant{
+		{"clwb loop (LLC threshold high)", core.Options{LLCSize: 1 << 30}},
+		{"wbinvd always (threshold 1B)", core.Options{LLCSize: 1}},
+	}, func(m measured, _ *core.Container) []string {
 		return []string{
-			v.name,
-			fmtF(res.Throughput/1e6, 3),
-			fmtF(float64(d.WBINVDs)/float64(epochs), 2),
-			fmtF(float64(d.CLWBs)/float64(epochs), 0),
-		}, nil
+			fmtF(m.perEpoch(float64(m.total.dev.WBINVDs)), 2),
+			fmtF(m.perEpoch(float64(m.total.dev.CLWBs)), 0),
+		}
 	})
-	if err != nil {
-		return t, err
-	}
-	t.Rows = rows
-	return t, nil
 }
 
 // AblationBackupRatio measures the cost of a scarce backup region: stealing
@@ -173,9 +109,7 @@ func AblationBackupRatio(sc Scale) (Table, error) {
 	if window < 1 {
 		window = 1
 	}
-	ratios := []float64{1.0, 0.5, 0.25}
-	rows, err := sched.MapErr(len(ratios), pool(), func(i int) ([]string, error) {
-		ratio := ratios[i]
+	rows, err := sweep([]float64{1.0, 0.5, 0.25}, func(ratio float64) ([]string, error) {
 		ctr, err := newContainer(sc.HeapSize, core.Options{Mode: core.ModeDefault, Region: region.Config{SegmentSize: segSize, BlockSize: 256, BackupRatio: ratio}})
 		if err != nil {
 			return nil, err
@@ -194,7 +128,7 @@ func AblationBackupRatio(sc Scale) (Table, error) {
 				}
 			}
 			if err := ctr.Checkpoint(); err != nil {
-				return nil, fmt.Errorf("ratio %v: %w", ratio, err)
+				return nil, err
 			}
 		}
 		perEpoch := time.Duration((dev.Clock().NowPS() - start) / epochs / 1000)
@@ -228,9 +162,8 @@ func AblationFTIIncremental(sc Scale) (Table, error) {
 	if sc.Interval <= 0 {
 		sc.Interval = 1
 	}
-	incs := []bool{false, true}
-	rows, err := sched.MapErr(len(incs), pool(), func(i int) ([]string, error) {
-		b, err := fti.New(fti.Config{HeapSize: sc.HeapSize, Incremental: incs[i]})
+	rows, err := sweep([]bool{false, true}, func(incremental bool) ([]string, error) {
+		b, err := fti.New(fti.Config{HeapSize: sc.HeapSize, Incremental: incremental})
 		if err != nil {
 			return nil, err
 		}
@@ -238,36 +171,29 @@ func AblationFTIIncremental(sc Scale) (Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := s.Driver(sc, 25)
-		if err := d.Populate(sc.Keys); err != nil {
+		d, err := s.startRun(sc, 25, workload.Balanced)
+		if err != nil {
 			return nil, err
 		}
-		clock := s.Dev.Clock()
-		// Pre-fill both slots so the steady state is measured.
+		// Pre-fill both slots so the steady state is measured: measure's
+		// run, with two checkpoints between the load and the baseline.
 		if err := b.Checkpoint(); err != nil {
 			return nil, err
 		}
 		if err := b.Checkpoint(); err != nil {
 			return nil, err
 		}
-		bytesBase := b.Metrics().CheckpointBytes
-		ckptBase := clock.CategoryPS(nvm.CatCheckpoint)
-		start := clock.NowPS()
+		base := s.counters()
 		res, err := d.Run(workload.Balanced, sc.Ops)
 		if err != nil {
 			return nil, err
 		}
-		epochs := res.Epochs
-		if epochs == 0 {
-			epochs = 1
-		}
-		total := clock.NowPS() - start
-		share := float64(clock.CategoryPS(nvm.CatCheckpoint)-ckptBase) / float64(total) * 100
+		m := measured{Result: res, run: s.counters().since(base)}
 		return []string{
 			b.Name(),
-			fmtF(res.Throughput/1e6, 3),
-			fmtF(float64(b.Metrics().CheckpointBytes-bytesBase)/float64(epochs)/(1<<20), 2),
-			fmtF(share, 1),
+			mops(m),
+			fmtF(m.perEpoch(float64(m.run.ckpt.CheckpointBytes))/(1<<20), 2),
+			fmtF(float64(m.run.catPS[nvm.CatCheckpoint])/float64(m.run.nowPS)*100, 1),
 		}, nil
 	})
 	if err != nil {
@@ -281,33 +207,18 @@ func AblationFTIIncremental(sc Scale) (Table, error) {
 // workloads (the §3.5 trade-off: DRAM-speed execution vs extra checkpoint
 // copies).
 func AblationBufferedVsDefault(sc Scale) (Table, error) {
-	t := Table{
+	return crpmAblation(sc, Table{
 		Title:  fmt.Sprintf("Ablation: libcrpm default vs buffered mode (unordered_map, %s scale)", sc.Name),
 		Header: []string{"mode", "Balanced Mops/s", "ckpt bytes/op", "DRAM footprint"},
-	}
-	modes := []core.Mode{core.ModeDefault, core.ModeBuffered}
-	rows, err := sched.MapErr(len(modes), pool(), func(i int) ([]string, error) {
-		mode := modes[i]
-		s, err := newCrpmSetup(sc, core.Options{Mode: mode})
-		if err != nil {
-			return nil, err
-		}
-		res, err := runBalanced(s, sc, 26)
-		if err != nil {
-			return nil, err
-		}
+	}, 26, []crpmVariant{
+		{core.ModeDefault.String(), core.Options{Mode: core.ModeDefault}},
+		{core.ModeBuffered.String(), core.Options{Mode: core.ModeBuffered}},
+	}, func(m measured, ctr *core.Container) []string {
 		return []string{
-			mode.String(),
-			fmtF(res.Throughput/1e6, 3),
-			fmtF(float64(s.Container.Metrics().CheckpointBytes)/float64(sc.Ops), 1),
-			byteSize(s.Container.DRAMFootprint()),
-		}, nil
+			fmtF(float64(ctr.Metrics().CheckpointBytes)/float64(sc.Ops), 1),
+			byteSize(ctr.DRAMFootprint()),
+		}
 	})
-	if err != nil {
-		return t, err
-	}
-	t.Rows = rows
-	return t, nil
 }
 
 // AblationEADR reproduces the claim of the paper's footnote 2: on an eADR
@@ -322,28 +233,20 @@ func AblationEADR(sc Scale) (Table, error) {
 	}
 	systems := []string{"Undo-log", "LMC", "libcrpm-Default", "NVM-NP"}
 	run := func(sys string) (float64, error) {
-		s, err := NewDSSetup(sys, DSHashMap, sc, Geometry{})
-		if err != nil {
-			return 0, err
-		}
-		res, err := runBalanced(s, sc, 27)
-		if err != nil {
-			return 0, err
-		}
-		return res.Throughput / 1e6, nil
+		m, err := measureSystem(sys, DSHashMap, sc, Geometry{}, 27, workload.Balanced)
+		return m.Throughput / 1e6, err
 	}
 	// The default cost model is the only mutable global the experiment cells
 	// share, so the two phases stay strict barriers: every ADR cell finishes
 	// before the model is swapped, and every eADR cell runs under the swapped
 	// model before it is restored. Within a phase the cells are independent.
-	cell := func(i int) (float64, error) { return run(systems[i]) }
-	adr, err := sched.MapErr(len(systems), pool(), cell)
+	adr, err := sweep(systems, run)
 	if err != nil {
 		return t, err
 	}
 	prev := nvm.SetDefaultCostModel(nvm.EADRCostModel())
 	defer nvm.SetDefaultCostModel(prev)
-	eadr, err := sched.MapErr(len(systems), pool(), cell)
+	eadr, err := sweep(systems, run)
 	if err != nil {
 		return t, err
 	}

@@ -26,9 +26,8 @@ type appRunner interface {
 
 // appSpec builds an app for a rank.
 type appSpec struct {
-	name   string
-	new    func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error)
-	attach func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error)
+	name string
+	new  func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error)
 }
 
 func luleshCfg(rank, ranks, edge int) lulesh.Config {
@@ -42,51 +41,28 @@ func luleshCfg(rank, ranks, edge int) lulesh.Config {
 	}
 }
 
+// luleshSpec is the app of the recovery and storage studies as well.
+var luleshSpec = appSpec{"LULESH", func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
+	return lulesh.New(luleshCfg(c.Rank(), ranks, edge), c, b)
+}}
+
 func appSpecs() []appSpec {
 	return []appSpec{
-		{
-			name: "LULESH",
-			new: func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
-				return lulesh.New(luleshCfg(c.Rank(), ranks, edge), c, b)
-			},
-			attach: func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
-				return lulesh.Attach(luleshCfg(c.Rank(), ranks, edge), c, b)
-			},
-		},
-		{
-			name: "HPCCG",
-			new: func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
-				nz := edge / ranks
-				if nz < 1 {
-					nz = 1
-				}
-				return hpccg.New(hpccg.Config{NX: edge, NY: edge, NZLocal: nz}, c, b)
-			},
-			attach: func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
-				nz := edge / ranks
-				if nz < 1 {
-					nz = 1
-				}
-				return hpccg.Attach(hpccg.Config{NX: edge, NY: edge, NZLocal: nz}, c, b)
-			},
-		},
-		{
-			name: "CoMD",
-			new: func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
-				cps := edge / 3
-				if cps < 2 {
-					cps = 2
-				}
-				return comd.New(comd.Config{CellsPerSide: cps}, c, b)
-			},
-			attach: func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
-				cps := edge / 3
-				if cps < 2 {
-					cps = 2
-				}
-				return comd.Attach(comd.Config{CellsPerSide: cps}, c, b)
-			},
-		},
+		luleshSpec,
+		{"HPCCG", func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
+			nz := edge / ranks
+			if nz < 1 {
+				nz = 1
+			}
+			return hpccg.New(hpccg.Config{NX: edge, NY: edge, NZLocal: nz}, c, b)
+		}},
+		{"CoMD", func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
+			cps := edge / 3
+			if cps < 2 {
+				cps = 2
+			}
+			return comd.New(comd.Config{CellsPerSide: cps}, c, b)
+		}},
 	}
 }
 
@@ -204,12 +180,9 @@ func Fig8Apps(sc Scale) (Table, error) {
 		Title:  fmt.Sprintf("Figure 8: relative execution time of parallel apps, %d ranks, checkpoint every %d iterations (%s scale)", sc.Ranks, sc.CkptEvery, sc.Name),
 		Header: []string{"app", "dataset", "no-ckpt", "FTI", "libcrpm-Buffered", "crpm/FTI overhead"},
 	}
-	specs := appSpecs()
-	edges := []int{sc.EdgeSmall, sc.EdgeLarge}
 	// One cell per (app, dataset) row; the three runs inside a cell (base,
 	// FTI, libcrpm) stay sequential because the row normalizes to base.
-	rows, err := sched.MapErr(len(specs)*len(edges), pool(), func(i int) ([]string, error) {
-		spec, edge := specs[i/len(edges)], edges[i%len(edges)]
+	rows, err := grid(appSpecs(), []int{sc.EdgeSmall, sc.EdgeLarge}, func(spec appSpec, edge int) ([]string, error) {
 		iters := sc.AppItersS
 		if edge == sc.EdgeLarge {
 			iters = sc.AppItersL
@@ -247,7 +220,9 @@ func Fig8Apps(sc Scale) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	t.Rows = rows
+	for _, perApp := range rows {
+		t.Rows = append(t.Rows, perApp...)
+	}
 	t.Notes = append(t.Notes, "crpm/FTI overhead = libcrpm's checkpoint overhead as a fraction of FTI's (the paper reports 44.78% for LULESH)")
 	return t, nil
 }
@@ -260,14 +235,11 @@ func RecoveryTime(sc Scale) (Table, error) {
 		Title:  fmt.Sprintf("§5.5: LULESH recovery time, libcrpm-Buffered, %d ranks (%s scale)", sc.Ranks, sc.Name),
 		Header: []string{"dataset", "recovery time", "resync%", "DRAM-load%", "state bytes/rank"},
 	}
-	spec := appSpecs()[0] // LULESH
 	// Recovery time is proportional to the program state (§5.5); the meshes
 	// are doubled relative to the throughput runs so the two states span
 	// different numbers of segments.
-	edges := []int{2 * sc.EdgeSmall, 2 * sc.EdgeLarge}
-	rows, terr := sched.MapErr(len(edges), pool(), func(ci int) ([]string, error) {
-		edge := edges[ci]
-		run := runParallelApp(spec, sc, edge, sc.AppItersS, "libcrpm-Buffered")
+	rows, err := sweep([]int{2 * sc.EdgeSmall, 2 * sc.EdgeLarge}, func(edge int) ([]string, error) {
+		run := runParallelApp(luleshSpec, sc, edge, sc.AppItersS, "libcrpm-Buffered")
 		if run.err != nil {
 			return nil, run.err
 		}
@@ -299,7 +271,7 @@ func RecoveryTime(sc Scale) (Table, error) {
 			ph := ctr.LastRecovery()
 			resyncPS[c.Rank()] = ph.ResyncPS
 			loadPS[c.Rank()] = ph.LoadPS
-			if _, err := spec.attach(c, edge, ranks, ctr); err != nil {
+			if _, err := lulesh.Attach(luleshCfg(c.Rank(), ranks, edge), c, ctr); err != nil {
 				errs[c.Rank()] = err
 				return
 			}
@@ -330,8 +302,8 @@ func RecoveryTime(sc Scale) (Table, error) {
 			fmt.Sprintf("%d", stateBytes[0]),
 		}, nil
 	})
-	if terr != nil {
-		return t, terr
+	if err != nil {
+		return t, err
 	}
 	t.Rows = rows
 	t.Notes = append(t.Notes, "the paper reports 288ms/515ms for 90^3/110^3 with 43-56% spent on resynchronization")
@@ -345,10 +317,8 @@ func StorageCost(sc Scale) (Table, error) {
 		Title:  fmt.Sprintf("§5.6: storage cost, LULESH %d^3, libcrpm-Buffered vs FTI (%s scale)", sc.EdgeSmall, sc.Name),
 		Header: []string{"metric", "libcrpm-Buffered", "FTI"},
 	}
-	spec := appSpecs()[0]
-	syss := []string{"libcrpm-Buffered", "FTI"}
-	runs, err := sched.MapErr(len(syss), pool(), func(i int) (appResult, error) {
-		r := runParallelApp(spec, sc, sc.EdgeSmall, sc.AppItersS, syss[i])
+	runs, err := sweep([]string{"libcrpm-Buffered", "FTI"}, func(sys string) (appResult, error) {
+		r := runParallelApp(luleshSpec, sc, sc.EdgeSmall, sc.AppItersS, sys)
 		return r, r.err
 	})
 	if err != nil {
@@ -357,20 +327,12 @@ func StorageCost(sc Scale) (Table, error) {
 	crpmRun, ftiRun := runs[0], runs[1]
 	ctr := crpmRun.containers[0]
 	fb := ftiRun.ftis[0]
-	m := ctr.Metrics()
-	epochs := m.Epochs
-	if epochs == 0 {
-		epochs = 1
-	}
-	fm := fb.Metrics()
-	fEpochs := fm.Epochs
-	if fEpochs == 0 {
-		fEpochs = 1
-	}
+	m, fm := ctr.Metrics(), fb.Metrics()
+	perEpoch := func(m ckpt.Metrics) string { return byteSize(int(m.CheckpointBytes / max(m.Epochs, 1))) }
 	bitmapBytes := ctr.Layout().TotalBlocks() / 8
 	t.Rows = append(t.Rows, [][]string{
 		{"program state / process", byteSize(crpmRun.stateBytes[0]), byteSize(fb.Protected())},
-		{"checkpoint size / epoch", byteSize(int(m.CheckpointBytes / epochs)), byteSize(int(fm.CheckpointBytes / fEpochs))},
+		{"checkpoint size / epoch", perEpoch(m), perEpoch(fm)},
 		{"DRAM buffer", byteSize(ctr.DRAMFootprint()), byteSize(fb.Size())},
 		{"NVM regions (main+backup)", byteSize(ctr.NVMFootprint()), byteSize(fb.Device().Size())},
 		{"persistent metadata", fmt.Sprintf("%dB", m.MetadataBytes), fmt.Sprintf("%dB", fm.MetadataBytes)},

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"libcrpm/internal/ckpt"
-	"libcrpm/internal/core"
 	"libcrpm/internal/sched"
-	"libcrpm/internal/server"
 	"libcrpm/internal/workload"
 )
 
@@ -170,18 +168,13 @@ func CrossoverFigure(sc Scale) (Table, error) {
 	t.Header = append(t.Header, "winner")
 
 	cells := crossoverCells()
-	results, err := sched.MapErr(len(cells)*len(systems), pool(), func(i int) (arenaResult, error) {
-		cell, sys := cells[i/len(systems)], systems[i%len(systems)]
+	results, err := grid(cells, systems, func(cell arenaCell, sys string) (arenaResult, error) {
 		b, err := NewArenaBackend(sys, heapSize)
 		if err != nil {
 			return arenaResult{}, err
 		}
 		label := fmt.Sprintf("crossover/%dB/%s/%s/%s", cell.size, cell.dist, cell.mix, sys)
-		r, err := runArena(b, heapSize, ops, ckptEvery, cell, label)
-		if err != nil {
-			return arenaResult{}, fmt.Errorf("%s: %w", label, err)
-		}
-		return r, nil
+		return runArena(b, heapSize, ops, ckptEvery, cell, label)
 	})
 	if err != nil {
 		return t, err
@@ -189,7 +182,7 @@ func CrossoverFigure(sc Scale) (Table, error) {
 
 	var incllWins, diffWins []string
 	for ci, cell := range cells {
-		perSys := results[ci*len(systems) : (ci+1)*len(systems)]
+		perSys := results[ci]
 		cellName := fmt.Sprintf("%dB/%s/%s", cell.size, cell.dist, cell.mix)
 		row := []string{fmt.Sprintf("%dB", cell.size), cell.dist, cell.mix}
 		for _, r := range perSys {
@@ -264,8 +257,7 @@ func OnWriteMicro(sc Scale) (Table, error) {
 		t.Header = append(t.Header, fmt.Sprintf("%dB", size))
 	}
 	systems := OnWriteSystems()
-	cells, err := sched.MapErr(len(systems)*len(sizes), pool(), func(i int) (float64, error) {
-		sys, size := systems[i/len(sizes)], sizes[i%len(sizes)]
+	cells, err := grid(systems, sizes, func(sys string, size int) (float64, error) {
 		b, err := NewArenaBackend(sys, heapSize)
 		if err != nil {
 			return 0, err
@@ -284,7 +276,7 @@ func OnWriteMicro(sc Scale) (Table, error) {
 			spentPS += clock.NowPS() - t0
 			if (op+1)%ckptEvery == 0 {
 				if err := b.Checkpoint(); err != nil {
-					return 0, fmt.Errorf("%s/%dB: %w", sys, size, err)
+					return 0, err
 				}
 			}
 		}
@@ -296,82 +288,11 @@ func OnWriteMicro(sc Scale) (Table, error) {
 	for si, sys := range systems {
 		row := []string{sys}
 		for zi, size := range sizes {
-			ns := cells[si*len(sizes)+zi]
+			ns := cells[si][zi]
 			row = append(row, fmtF(ns, 1))
 			t.AddMetric(fmt.Sprintf("onwrite_ns/%s/%dB", sys, size), ns)
 		}
 		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// ServiceBackendFigure runs the full sharded KV service end-to-end on each
-// checkpoint backend (extension): YCSB-A throughput and p99 coordinated-cut
-// pause as the shard count grows, for both libcrpm container modes and
-// InCLL. Unlike ServiceFigure this is not a pinned-golden figure — it
-// exists to show the crossover economics surviving a real data structure,
-// allocator, and cut protocol on top of the raw write path.
-func ServiceBackendFigure(sc Scale) (Table, error) {
-	shardCounts := []int{1, 2, 4}
-	backends := []struct {
-		name    string
-		backend string
-		mode    core.Mode
-	}{
-		{"libcrpm-Default", "", core.ModeDefault},
-		{"libcrpm-Buffered", "", core.ModeBuffered},
-		{"InCLL", server.BackendInCLL, 0},
-	}
-	t := Table{
-		Title:  fmt.Sprintf("Service backends: YCSB-A throughput (Mops/s) and p99 cut pause (µs) vs shard count (%s scale)", sc.Name),
-		Header: []string{"backend", "metric"},
-		Notes: []string{
-			"full sharded service (populate, interval cut policy, shadow verification) per cell; pause includes commit plus barrier wait",
-			"InCLL commits each cut as an O(1) epoch-tag bump, so its pause is barrier-dominated at every shard count",
-		},
-	}
-	for _, n := range shardCounts {
-		t.Header = append(t.Header, fmt.Sprintf("%d shards", n))
-	}
-	type cellRes struct{ tputMops, p99PauseUS float64 }
-	cells, err := sched.MapErr(len(backends)*len(shardCounts), pool(), func(i int) (cellRes, error) {
-		be, n := backends[i/len(shardCounts)], shardCounts[i%len(shardCounts)]
-		heap, buckets := perShardGeometry(sc, n)
-		_, res, err := runServiceCell(fmt.Sprintf("%s/%d shards", be.name, n), server.Config{
-			Shards:   n,
-			Clients:  2 * n,
-			Mix:      workload.YCSBA,
-			Ops:      sc.Ops / 2,
-			Keys:     sc.Keys,
-			HeapSize: heap,
-			Buckets:  buckets,
-			Backend:  be.backend,
-			Mode:     be.mode,
-			Policy:   server.IntervalPolicy{Every: sc.Interval},
-			Seed:     11,
-		})
-		if err != nil {
-			return cellRes{}, err
-		}
-		return cellRes{
-			tputMops:   res.ThroughputOps / 1e6,
-			p99PauseUS: float64(maxShardPauseP99(res)) / 1e6,
-		}, nil
-	})
-	if err != nil {
-		return t, err
-	}
-	for bi, be := range backends {
-		tput := []string{be.name, "throughput"}
-		pause := []string{be.name, "p99 pause"}
-		for ni, n := range shardCounts {
-			c := cells[bi*len(shardCounts)+ni]
-			tput = append(tput, fmtF(c.tputMops, 3))
-			pause = append(pause, fmtF(c.p99PauseUS, 1))
-			t.AddMetric(fmt.Sprintf("svcbe_tput_mops/%s/%d", be.name, n), c.tputMops)
-			t.AddMetric(fmt.Sprintf("svcbe_p99_pause_us/%s/%d", be.name, n), c.p99PauseUS)
-		}
-		t.Rows = append(t.Rows, tput, pause)
 	}
 	return t, nil
 }

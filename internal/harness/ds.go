@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"libcrpm/internal/nvm"
-	"libcrpm/internal/obs"
-	"libcrpm/internal/sched"
 	"libcrpm/internal/workload"
 )
 
@@ -23,62 +21,39 @@ func Fig1Breakdown(sc Scale) (Table, error) {
 		Header: []string{"system", "total", "execution%", "memory-trace%", "checkpoint%"},
 	}
 	systems := []string{"Mprotect", "Soft-dirty bit", "Undo-log", "LMC", "libcrpm-Default", "libcrpm-Buffered"}
-	type cellRes struct {
-		row   []string
-		simPS int64
-	}
-	recs := sched.NewCollector[*obs.Recorder](len(systems))
-	cells, err := sched.MapErr(len(systems), pool(), func(i int) (cellRes, error) {
-		sys := systems[i]
-		s, err := NewDSSetup(sys, DSHashMap, sc, Geometry{})
-		if err != nil {
-			return cellRes{}, err
-		}
-		recs.Put(i, s.Rec)
-		d := s.Driver(sc, 1)
-		if err := d.Populate(sc.Keys); err != nil {
-			return cellRes{}, fmt.Errorf("%s: %w", sys, err)
-		}
-		clock := s.Dev.Clock()
-		base := [nvm.NumCategories]int64{}
-		for c := nvm.Category(0); c < nvm.NumCategories; c++ {
-			base[c] = clock.CategoryPS(c)
-		}
-		startPS := clock.NowPS()
-		if _, err := d.Run(workload.Balanced, sc.Ops); err != nil {
-			return cellRes{}, fmt.Errorf("%s: %w", sys, err)
-		}
-		total := clock.NowPS() - startPS
-		pct := func(c nvm.Category) string {
-			if total == 0 {
-				return "0.0"
-			}
-			return fmtF(float64(clock.CategoryPS(c)-base[c])/float64(total)*100, 1)
-		}
-		return cellRes{
-			row: []string{
-				sys,
-				fmtDur(time.Duration((clock.NowPS() - startPS) / 1000)),
-				pct(nvm.CatExecution),
-				pct(nvm.CatTrace),
-				pct(nvm.CatCheckpoint),
-			},
-			simPS: total,
-		}, nil
+	runs, err := sweep(systems, func(sys string) (measured, error) {
+		return measureSystem(sys, DSHashMap, sc, Geometry{}, 1, workload.Balanced)
 	})
 	if err != nil {
 		return t, err
 	}
-	for i, c := range cells {
-		t.Rows = append(t.Rows, c.row)
-		t.AddMetric("sim_ms/"+systems[i], float64(c.simPS)/1e9)
-	}
-	labels := make([]string, len(systems))
 	for i, sys := range systems {
-		labels[i] = "fig1/" + sys
+		run := runs[i].run
+		pct := func(c nvm.Category) string {
+			if run.nowPS == 0 {
+				return "0.0"
+			}
+			return fmtF(float64(run.catPS[c])/float64(run.nowPS)*100, 1)
+		}
+		t.Rows = append(t.Rows, []string{
+			sys,
+			fmtDur(time.Duration(run.nowPS / 1000)),
+			pct(nvm.CatExecution),
+			pct(nvm.CatTrace),
+			pct(nvm.CatCheckpoint),
+		})
+		t.AddMetric("sim_ms/"+sys, float64(run.nowPS)/1e9)
+		t.trace("fig1/"+sys, runs[i].rec)
 	}
-	collectTraces(&t, labels, recs.Items())
 	return t, nil
+}
+
+// mixGrid measures every system under every mix on a fresh setup each: the
+// cells of Figure 7 and of both halves of Table 1.
+func mixGrid(sc Scale, kind DSKind, systems []string, mixes []workload.Mix, seed int64) ([][]measured, error) {
+	return grid(systems, mixes, func(sys string, mix workload.Mix) (measured, error) {
+		return measureSystem(sys, kind, sc, Geometry{}, seed, mix)
+	})
 }
 
 // Fig7Throughput reproduces Figure 7: throughput of the persistent map and
@@ -89,40 +64,22 @@ func Fig7Throughput(sc Scale, kind DSKind) (Table, error) {
 		Title:  fmt.Sprintf("Figure 7: %s throughput (Mops/s), interval %v (%s scale)", kind, sc.Interval, sc.Name),
 		Header: []string{"system", "Insert-only", "Balanced", "Read-heavy", "Read-only"},
 	}
-	systems := DSSystems(kind)
-	mixes := workload.Mixes()
-	recs := sched.NewCollector[*obs.Recorder](len(systems) * len(mixes))
-	cells, err := sched.MapErr(len(systems)*len(mixes), pool(), func(i int) (string, error) {
-		sys, mix := systems[i/len(mixes)], mixes[i%len(mixes)]
-		s, err := NewDSSetup(sys, kind, sc, Geometry{})
-		if err != nil {
-			return "", err
-		}
-		recs.Put(i, s.Rec)
-		d, err := s.startRun(sc, 7, mix)
-		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", sys, mix.Name, err)
-		}
-		res, err := d.Run(mix, sc.Ops)
-		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", sys, mix.Name, err)
-		}
-		return fmtF(res.Throughput/1e6, 3), nil
-	})
+	systems, mixes := DSSystems(kind), workload.Mixes()
+	runs, err := mixGrid(sc, kind, systems, mixes, 7)
 	if err != nil {
 		return t, err
 	}
+	addRows(&t, systems, runs, mops)
 	for si, sys := range systems {
-		row := append([]string{sys}, cells[si*len(mixes):(si+1)*len(mixes)]...)
-		t.Rows = append(t.Rows, row)
+		for mi, mix := range mixes {
+			t.trace(fmt.Sprintf("fig7/%s/%s/%s", kind, sys, mix.Name), runs[si][mi].rec)
+		}
 	}
-	labels := make([]string, len(systems)*len(mixes))
-	for i := range labels {
-		labels[i] = fmt.Sprintf("fig7/%s/%s/%s", kind, systems[i/len(mixes)], mixes[i%len(mixes)].Name)
-	}
-	collectTraces(&t, labels, recs.Items())
 	return t, nil
 }
+
+// table1Mixes are the columns of Table 1: the mixes that write.
+var table1Mixes = []workload.Mix{workload.InsertOnly, workload.Balanced, workload.ReadHeavy}
 
 // Table1a reproduces Table 1a: average checkpoint size in bytes per
 // operation for the page-tracking baselines and libcrpm-Default.
@@ -134,41 +91,17 @@ func Table1a(sc Scale) (Table, error) {
 			"checkpoint size = bytes persisted during checkpoint periods (copy-on-write traffic reported separately in the ablation bench)",
 		},
 	}
-	mixes := []workload.Mix{workload.InsertOnly, workload.Balanced, workload.ReadHeavy}
 	systems := []string{"Mprotect", "Soft-dirty bit", "libcrpm-Default"}
-	type cellRes struct {
-		cell       string
-		bytesPerOp float64
-	}
-	cells, err := sched.MapErr(len(systems)*len(mixes), pool(), func(i int) (cellRes, error) {
-		sys, mix := systems[i/len(mixes)], mixes[i%len(mixes)]
-		s, err := NewDSSetup(sys, DSHashMap, sc, Geometry{})
-		if err != nil {
-			return cellRes{}, err
-		}
-		d, err := s.startRun(sc, 3, mix)
-		if err != nil {
-			return cellRes{}, err
-		}
-		before := s.Backend.Metrics().CheckpointBytes
-		if _, err := d.Run(mix, sc.Ops); err != nil {
-			return cellRes{}, fmt.Errorf("%s/%s: %w", sys, mix.Name, err)
-		}
-		delta := s.Backend.Metrics().CheckpointBytes - before
-		v := float64(delta) / float64(sc.Ops)
-		return cellRes{cell: fmtF(v, 1), bytesPerOp: v}, nil
-	})
+	runs, err := mixGrid(sc, DSHashMap, systems, table1Mixes, 3)
 	if err != nil {
 		return t, err
 	}
+	bytesPerOp := func(m measured) float64 { return float64(m.run.ckpt.CheckpointBytes) / float64(sc.Ops) }
+	addRows(&t, systems, runs, func(m measured) string { return fmtF(bytesPerOp(m), 1) })
 	for si, sys := range systems {
-		row := []string{sys}
-		for mi, mix := range mixes {
-			c := cells[si*len(mixes)+mi]
-			row = append(row, c.cell)
-			t.AddMetric("ckpt_bytes_per_op/"+sys+"/"+mix.Name, c.bytesPerOp)
+		for mi, mix := range table1Mixes {
+			t.AddMetric("ckpt_bytes_per_op/"+sys+"/"+mix.Name, bytesPerOp(runs[si][mi]))
 		}
-		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
@@ -180,36 +113,14 @@ func Table1b(sc Scale) (Table, error) {
 		Title:  fmt.Sprintf("Table 1b: sfence instructions per epoch, unordered_map (%s scale)", sc.Name),
 		Header: []string{"system", "Insert-only", "Balanced", "Read-heavy"},
 	}
-	mixes := []workload.Mix{workload.InsertOnly, workload.Balanced, workload.ReadHeavy}
 	systems := []string{"Undo-log", "LMC", "libcrpm-Default"}
-	cells, err := sched.MapErr(len(systems)*len(mixes), pool(), func(i int) (string, error) {
-		sys, mix := systems[i/len(mixes)], mixes[i%len(mixes)]
-		s, err := NewDSSetup(sys, DSHashMap, sc, Geometry{})
-		if err != nil {
-			return "", err
-		}
-		d, err := s.startRun(sc, 5, mix)
-		if err != nil {
-			return "", err
-		}
-		fBefore := s.Dev.Stats().SFences
-		res, err := d.Run(mix, sc.Ops)
-		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", sys, mix.Name, err)
-		}
-		fences := s.Dev.Stats().SFences - fBefore
-		epochs := res.Epochs
-		if epochs == 0 {
-			epochs = 1
-		}
-		return fmtF(float64(fences)/float64(epochs), 1), nil
-	})
+	runs, err := mixGrid(sc, DSHashMap, systems, table1Mixes, 5)
 	if err != nil {
 		return t, err
 	}
-	for si, sys := range systems {
-		t.Rows = append(t.Rows, append([]string{sys}, cells[si*len(mixes):(si+1)*len(mixes)]...))
-	}
+	addRows(&t, systems, runs, func(m measured) string {
+		return fmtF(m.perEpoch(float64(m.run.dev.SFences)), 1)
+	})
 	return t, nil
 }
 
@@ -229,75 +140,37 @@ func Fig9Interval(sc Scale, kind DSKind) (Table, error) {
 		t.Header = append(t.Header, iv.String())
 	}
 	systems := []string{"Mprotect", "Soft-dirty bit", "Undo-log", "LMC", "libcrpm-Default", "libcrpm-Buffered"}
-	cells, err := sched.MapErr(len(systems)*len(intervals), pool(), func(i int) (string, error) {
-		sys, iv := systems[i/len(intervals)], intervals[i%len(intervals)]
+	runs, err := grid(systems, intervals, func(sys string, iv time.Duration) (measured, error) {
 		sci := sc
 		sci.Interval = iv
-		s, err := NewDSSetup(sys, kind, sci, Geometry{})
-		if err != nil {
-			return "", err
-		}
-		d := s.Driver(sci, 9)
-		if err := d.Populate(sci.Keys); err != nil {
-			return "", err
-		}
-		res, err := d.Run(workload.Balanced, sci.Ops)
-		if err != nil {
-			return "", fmt.Errorf("%s@%v: %w", sys, iv, err)
-		}
-		return fmtF(res.Throughput/1e6, 3), nil
+		return measureSystem(sys, kind, sci, Geometry{}, 9, workload.Balanced)
 	})
 	if err != nil {
 		return t, err
 	}
-	for si, sys := range systems {
-		t.Rows = append(t.Rows, append([]string{sys}, cells[si*len(intervals):(si+1)*len(intervals)]...))
-	}
+	addRows(&t, systems, runs, mops)
 	return t, nil
 }
 
 // Fig10aSegment reproduces Figure 10a: libcrpm-Default unordered_map
 // throughput across segment sizes (block size fixed at 256 B).
 func Fig10aSegment(sc Scale) (Table, error) {
-	segs := []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 2 << 20}
 	t := Table{
 		Title:  fmt.Sprintf("Figure 10a: libcrpm-Default throughput (Mops/s) vs segment size, block 256B (%s scale)", sc.Name),
 		Header: []string{"workload"},
 		Notes:  []string{"the paper sweeps 512B-32MB on a 24M-key heap; the simulator sweeps the same two decades around its scaled heap"},
 	}
-	for _, s := range segs {
-		t.Header = append(t.Header, byteSize(s))
+	var geos []Geometry
+	for _, seg := range []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 2 << 20} {
+		t.Header = append(t.Header, byteSize(seg))
+		geos = append(geos, Geometry{SegmentSize: seg, BlockSize: 256})
 	}
-	mixes := []workload.Mix{workload.Balanced, workload.ReadHeavy}
-	cells, err := sched.MapErr(len(mixes)*len(segs), pool(), func(i int) (string, error) {
-		mix, seg := mixes[i/len(segs)], segs[i%len(segs)]
-		s, err := NewDSSetup("libcrpm-Default", DSHashMap, sc, Geometry{SegmentSize: seg, BlockSize: 256})
-		if err != nil {
-			return "", err
-		}
-		d := s.Driver(sc, 10)
-		if err := d.Populate(sc.Keys); err != nil {
-			return "", err
-		}
-		res, err := d.Run(mix, sc.Ops)
-		if err != nil {
-			return "", fmt.Errorf("seg %d: %w", seg, err)
-		}
-		return fmtF(res.Throughput/1e6, 3), nil
-	})
-	if err != nil {
-		return t, err
-	}
-	for mi, mix := range mixes {
-		t.Rows = append(t.Rows, append([]string{mix.Name}, cells[mi*len(segs):(mi+1)*len(segs)]...))
-	}
-	return t, nil
+	return fig10(sc, t, geos, 10)
 }
 
 // Fig10bBlock reproduces Figure 10b: libcrpm-Default unordered_map
 // throughput across block sizes (segment size fixed at 2 MB when it fits).
 func Fig10bBlock(sc Scale) (Table, error) {
-	blocks := []int{64, 128, 256, 1024, 4096, 16384}
 	seg := 2 << 20
 	if seg > sc.HeapSize/2 {
 		seg = sc.HeapSize / 2
@@ -306,32 +179,25 @@ func Fig10bBlock(sc Scale) (Table, error) {
 		Title:  fmt.Sprintf("Figure 10b: libcrpm-Default throughput (Mops/s) vs block size, segment %s (%s scale)", byteSize(seg), sc.Name),
 		Header: []string{"workload"},
 	}
-	for _, b := range blocks {
-		t.Header = append(t.Header, byteSize(b))
+	var geos []Geometry
+	for _, blk := range []int{64, 128, 256, 1024, 4096, 16384} {
+		t.Header = append(t.Header, byteSize(blk))
+		geos = append(geos, Geometry{SegmentSize: seg, BlockSize: blk})
 	}
+	return fig10(sc, t, geos, 11)
+}
+
+// fig10 is the body of both halves of Figure 10: the balanced and read-heavy
+// workloads down, one container geometry per column.
+func fig10(sc Scale, t Table, geos []Geometry, seed int64) (Table, error) {
 	mixes := []workload.Mix{workload.Balanced, workload.ReadHeavy}
-	cells, err := sched.MapErr(len(mixes)*len(blocks), pool(), func(i int) (string, error) {
-		mix, blk := mixes[i/len(blocks)], blocks[i%len(blocks)]
-		s, err := NewDSSetup("libcrpm-Default", DSHashMap, sc, Geometry{SegmentSize: seg, BlockSize: blk})
-		if err != nil {
-			return "", err
-		}
-		d := s.Driver(sc, 11)
-		if err := d.Populate(sc.Keys); err != nil {
-			return "", err
-		}
-		res, err := d.Run(mix, sc.Ops)
-		if err != nil {
-			return "", fmt.Errorf("block %d: %w", blk, err)
-		}
-		return fmtF(res.Throughput/1e6, 3), nil
+	runs, err := grid(mixes, geos, func(mix workload.Mix, g Geometry) (measured, error) {
+		return measureSystem("libcrpm-Default", DSHashMap, sc, g, seed, mix)
 	})
 	if err != nil {
 		return t, err
 	}
-	for mi, mix := range mixes {
-		t.Rows = append(t.Rows, append([]string{mix.Name}, cells[mi*len(blocks):(mi+1)*len(blocks)]...))
-	}
+	addRows(&t, []string{mixes[0].Name, mixes[1].Name}, runs, mops)
 	return t, nil
 }
 

@@ -3,11 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"libcrpm/internal/core"
 	"libcrpm/internal/measure"
-	"libcrpm/internal/sched"
 	"libcrpm/internal/server"
-	"libcrpm/internal/workload"
 )
 
 // elasticIntervalPS is the timeseries bucket width of the elastic study:
@@ -53,14 +50,11 @@ const elasticMaxDoublings = 4
 // and the incremental quantum pipeline (where the flip rides the commit
 // transition of a budgeted step sequence instead of a pause).
 func ElasticFigure(sc Scale) (Table, error) {
-	setups := []struct {
+	type elasticSetup struct {
 		name       string
-		policy     server.Policy
 		stepBudget int
-	}{
-		{"stw-cut", server.OpsPolicy{Every: 4096}, 0},
-		{"inc-pipeline", server.OpsPolicy{Every: 4096}, elasticStepBudget},
 	}
+	setups := []elasticSetup{{"stw-cut", 0}, {"inc-pipeline", elasticStepBudget}}
 	phases := []string{"before", "during", "after"}
 	t := Table{
 		Title:  fmt.Sprintf("Elastic: live split under open-loop load, throughput and p99 before/during/after the migration (%s scale)", sc.Name),
@@ -70,7 +64,6 @@ func ElasticFigure(sc Scale) (Table, error) {
 			fmt.Sprintf("p99 is the worst %gms interval of the window, omission-free (charged from intended arrival)", float64(elasticIntervalPS)/1e9),
 		},
 	}
-	heap, buckets := perShardGeometry(sc, 2)
 	type window struct {
 		simMS, mops, p99US float64
 		intervals          int
@@ -79,40 +72,30 @@ func ElasticFigure(sc Scale) (Table, error) {
 		win       [3]window
 		movedKeys int
 	}
-	cells, err := sched.MapErr(len(setups), pool(), func(i int) (cellRes, error) {
-		st := setups[i]
+	cells, err := sweep(setups, func(st elasticSetup) (cellRes, error) {
 		for ops := sc.Ops; ; ops *= 2 {
-			_, res, err := runServiceCell("elastic/"+st.name, server.Config{
-				Shards:     2,
-				Clients:    4,
-				Mix:        workload.YCSBA,
-				Ops:        ops,
-				Keys:       sc.Keys,
-				HeapSize:   heap,
-				Buckets:    buckets,
-				Mode:       core.ModeDefault,
-				Policy:     st.policy,
-				StepBudget: st.stepBudget,
-				Migrations: []server.MigrateSpec{
-					{Kind: server.MigrateSplit, Src: 0, AfterCuts: 2},
-				},
-				Measure: &measure.Config{
-					TargetOps:  elasticTargetMops * 1e6,
-					WarmupOps:  sc.Ops / 20,
-					IntervalPS: elasticIntervalPS,
-				},
-				Seed: 13,
-			})
+			cfg := serviceConfig(sc, 2, serviceSetup{})
+			cfg.Ops = ops
+			cfg.Seed = 13
+			cfg.Policy = server.OpsPolicy{Every: 4096}
+			cfg.StepBudget = st.stepBudget
+			cfg.Migrations = []server.MigrateSpec{{Kind: server.MigrateSplit, Src: 0, AfterCuts: 2}}
+			cfg.Measure = &measure.Config{
+				TargetOps:  elasticTargetMops * 1e6,
+				WarmupOps:  sc.Ops / 20,
+				IntervalPS: elasticIntervalPS,
+			}
+			_, res, err := runServiceCell(cfg)
 			if err != nil {
 				return cellRes{}, err
 			}
 			if len(res.Migrations) != 1 {
-				return cellRes{}, fmt.Errorf("elastic/%s: recorded %d migrations, want 1", st.name, len(res.Migrations))
+				return cellRes{}, fmt.Errorf("recorded %d migrations, want 1", len(res.Migrations))
 			}
 			m := res.Migrations[0]
 			rep := res.Measure
 			if rep == nil || len(rep.Intervals) == 0 {
-				return cellRes{}, fmt.Errorf("elastic/%s: empty measurement report", st.name)
+				return cellRes{}, fmt.Errorf("empty measurement report")
 			}
 			var c cellRes
 			c.movedKeys = m.MovedKeys
@@ -135,7 +118,7 @@ func ElasticFigure(sc Scale) (Table, error) {
 			}
 			if c.win[2].intervals < elasticMinAfter {
 				if ops >= sc.Ops<<elasticMaxDoublings {
-					return cellRes{}, fmt.Errorf("elastic/%s: the split had not flipped %d intervals before the end of a %d-op run", st.name, elasticMinAfter, ops)
+					return cellRes{}, fmt.Errorf("the split had not flipped %d intervals before the end of a %d-op run", elasticMinAfter, ops)
 				}
 				continue
 			}

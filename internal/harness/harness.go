@@ -206,12 +206,12 @@ func MediumScale() Scale {
 }
 
 // DSKind selects the data structure under test.
-type DSKind string
+type DSKind = pds.Kind
 
 // The two structures of §5.2.1.
 const (
-	DSHashMap DSKind = "unordered_map"
-	DSRBMap   DSKind = "map"
+	DSHashMap = pds.KindHashMap
+	DSRBMap   = pds.KindRBMap
 )
 
 // DSSystems lists the systems of Figure 7 in the paper's order. Dalí exists
@@ -233,8 +233,6 @@ type DSSetup struct {
 	Checkpoint func() error
 	// Backend is nil for Dalí (its persistence is inside the structure).
 	Backend ckpt.Backend
-	// Container is non-nil for the libcrpm systems.
-	Container *core.Container
 	// Rec is the cell's phase recorder, created by NewDSSetup when harness
 	// tracing is on (nil otherwise). It reads the cell's simulated clock and
 	// is attached to the backend when the backend is obs.Traceable.
@@ -323,15 +321,7 @@ func newSetup(system string, b ckpt.Backend, kind DSKind, sc Scale) (*DSSetup, e
 	if err != nil {
 		return nil, err
 	}
-	var kv pds.KV
-	switch kind {
-	case DSHashMap:
-		kv, err = pds.NewHashMap(a, sc.Buckets)
-	case DSRBMap:
-		kv, err = pds.NewRBMap(a)
-	default:
-		return nil, fmt.Errorf("harness: unknown structure %q", kind)
-	}
+	kv, err := pds.Bind(a, kind, 0, sc.Buckets)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +332,6 @@ func newSetup(system string, b ckpt.Backend, kind DSKind, sc Scale) (*DSSetup, e
 		Checkpoint: b.Checkpoint,
 		Backend:    b,
 	}
-	s.Container, _ = b.(*core.Container)
 	if Tracing() {
 		s.Rec = obs.NewRecorder(s.Dev.Clock())
 		if tb, ok := b.(obs.Traceable); ok {
@@ -377,6 +366,81 @@ func (s *DSSetup) startRun(sc Scale, seed int64, mix workload.Mix) (*workload.Dr
 	}
 	return d, d.Populate(sc.Keys)
 }
+
+// counters is what a cell can read off its setup at one instant: the device's
+// counters, the backend's (zero for Dalí, which has none), the simulated clock
+// and its per-category split.
+type counters struct {
+	dev   nvm.Stats
+	ckpt  ckpt.Metrics
+	nowPS int64
+	catPS [nvm.NumCategories]int64
+}
+
+func (s *DSSetup) counters() counters {
+	clock := s.Dev.Clock()
+	c := counters{dev: s.Dev.Stats(), nowPS: clock.NowPS()}
+	if s.Backend != nil {
+		c.ckpt = s.Backend.Metrics()
+	}
+	for cat := range c.catPS {
+		c.catPS[cat] = clock.CategoryPS(nvm.Category(cat))
+	}
+	return c
+}
+
+// since returns what accrued between the earlier reading o and c.
+func (c counters) since(o counters) counters {
+	d := counters{dev: c.dev.Sub(o.dev), ckpt: c.ckpt.Sub(o.ckpt), nowPS: c.nowPS - o.nowPS}
+	for cat := range d.catPS {
+		d.catPS[cat] = c.catPS[cat] - o.catPS[cat]
+	}
+	return d
+}
+
+// measured is one measured run, the record a figure's cell expression reads:
+// the driver's result, what the setup's counters accrued — total from before
+// the load, run from after it — and the cell's recorder. It holds numbers and
+// never the setup: a sweep keeps every cell's record until the table is laid
+// out, and a setup keeps a simulated device alive (embedding it took Figure
+// 7's 32-cell grid from ~0.6 to ~2.7 GiB peak RSS).
+type measured struct {
+	workload.Result
+	total, run counters
+	rec        *obs.Recorder
+}
+
+// measure loads the setup for mix (startRun) and runs the scale's operations.
+func (s *DSSetup) measure(sc Scale, seed int64, mix workload.Mix) (measured, error) {
+	before := s.counters()
+	d, err := s.startRun(sc, seed, mix)
+	if err != nil {
+		return measured{}, err
+	}
+	loaded := s.counters()
+	res, err := d.Run(mix, sc.Ops)
+	if err != nil {
+		return measured{}, err
+	}
+	end := s.counters()
+	return measured{Result: res, total: end.since(before), run: end.since(loaded), rec: s.Rec}, nil
+}
+
+// measureSystem is measure on a fresh setup of the named system.
+func measureSystem(system string, kind DSKind, sc Scale, geo Geometry, seed int64, mix workload.Mix) (measured, error) {
+	s, err := NewDSSetup(system, kind, sc, geo)
+	if err != nil {
+		return measured{}, err
+	}
+	return s.measure(sc, seed, mix)
+}
+
+// perEpoch spreads v over the run's epochs; a run that crossed no epoch
+// boundary counts as one.
+func (m measured) perEpoch(v float64) float64 { return v / float64(max(m.Epochs, 1)) }
+
+// mops is the cell most figures print: throughput in Mops/s.
+func mops(m measured) string { return fmtF(m.Throughput/1e6, 3) }
 
 func fmtF(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
 

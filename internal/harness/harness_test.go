@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"libcrpm/internal/nvm"
 	"libcrpm/internal/workload"
 )
 
@@ -369,6 +370,55 @@ func TestDriverZipfConsistency(t *testing.T) {
 	}
 	if s1.KV.Len() != s2.KV.Len() {
 		t.Fatalf("same seed produced different contents: %d vs %d", s1.KV.Len(), s2.KV.Len())
+	}
+}
+
+// TestMeasureDeltas pins the run record every data-structure cell reads: run
+// counts from after the load, total from before it, both to the end of the
+// run — checked against the same run taken by hand on a second setup. A
+// read-only run on the undo log makes the two differ as far as they can: the
+// load logs every granule it touches (bytes and two fences each), the run
+// logs nothing and fences only at its checkpoints.
+func TestMeasureDeltas(t *testing.T) {
+	sc := testScale()
+	sc.Ops, sc.Keys = 5_000, 4_000
+	m, err := measureSystem("Undo-log", DSHashMap, sc, Geometry{}, 3, workload.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewDSSetup("Undo-log", DSHashMap, sc, Geometry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := s.Dev.Clock()
+	fences0, bytes0, ps0 := s.Dev.Stats().SFences, s.Backend.Metrics().CheckpointBytes, clock.NowPS()
+	d, err := s.startRun(sc, 3, workload.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fences1, bytes1, ps1, ckpt1 := s.Dev.Stats().SFences, s.Backend.Metrics().CheckpointBytes, clock.NowPS(), clock.CategoryPS(nvm.CatCheckpoint)
+	res, err := d.Run(workload.ReadOnly, sc.Ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fences2, bytes2, ps2, ckpt2 := s.Dev.Stats().SFences, s.Backend.Metrics().CheckpointBytes, clock.NowPS(), clock.CategoryPS(nvm.CatCheckpoint)
+	if m.Result != res {
+		t.Errorf("result %+v, by hand %+v", m.Result, res)
+	}
+	if m.run.dev.SFences != fences2-fences1 || m.run.ckpt.CheckpointBytes != bytes2-bytes1 ||
+		m.run.nowPS != ps2-ps1 || m.run.catPS[nvm.CatCheckpoint] != ckpt2-ckpt1 {
+		t.Errorf("run deltas %+v disagree with the run taken by hand", m.run)
+	}
+	if m.total.dev.SFences != fences2-fences0 || m.total.ckpt.CheckpointBytes != bytes2-bytes0 || m.total.nowPS != ps2-ps0 {
+		t.Errorf("load-included deltas %+v disagree with the run taken by hand", m.total)
+	}
+	if m.run.ckpt.CheckpointBytes != 0 || m.total.ckpt.CheckpointBytes == 0 {
+		t.Errorf("read-only run booked %d checkpoint bytes (want 0), load included %d (want some)",
+			m.run.ckpt.CheckpointBytes, m.total.ckpt.CheckpointBytes)
+	}
+	if m.run.dev.SFences*100 > m.total.dev.SFences {
+		t.Errorf("read-only run booked %d sfences of %d: the load's logging fences leaked into the run",
+			m.run.dev.SFences, m.total.dev.SFences)
 	}
 }
 

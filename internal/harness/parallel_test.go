@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -99,5 +101,42 @@ func TestProgressHookCountsCells(t *testing.T) {
 	}
 	if calls.Load() != 9 { // 3 systems x 3 mixes
 		t.Fatalf("progress fired %d times, want 9", calls.Load())
+	}
+}
+
+// TestGridIsRowMajorMapErr pins grid against what it wraps: at one worker and
+// at eight, cell(rows[r], cols[c]) comes back at [r][c], and when cells fail
+// the error is the row-major lowest failing cell's, labelled with the cell.
+func TestGridIsRowMajorMapErr(t *testing.T) {
+	rows, cols := []string{"a", "b", "c"}, []int{1, 2, 3, 4}
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 8} {
+		atParallelism(workers, func() {
+			cells, err := grid(rows, cols, func(r string, c int) (string, error) {
+				return strings.Repeat(r, c), nil
+			})
+			if err != nil || len(cells) != len(rows) {
+				t.Fatalf("workers %d: %d rows, %v", workers, len(cells), err)
+			}
+			for r, row := range rows {
+				if len(cells[r]) != len(cols) {
+					t.Fatalf("workers %d: row %d has %d cells", workers, r, len(cells[r]))
+				}
+				for c, col := range cols {
+					if want := strings.Repeat(row, col); cells[r][c] != want {
+						t.Errorf("workers %d: [%d][%d] = %q, want %q", workers, r, c, cells[r][c], want)
+					}
+				}
+			}
+			_, err = grid(rows, cols, func(r string, c int) (int, error) {
+				if (r == "b" && c >= 3) || r == "c" {
+					return 0, boom
+				}
+				return c, nil
+			})
+			if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "b/3: ") {
+				t.Errorf("workers %d: error %v, want b/3's boom", workers, err)
+			}
+		})
 	}
 }

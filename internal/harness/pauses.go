@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"libcrpm/internal/obs"
-	"libcrpm/internal/sched"
 	"libcrpm/internal/workload"
 )
 
@@ -18,39 +16,23 @@ func PauseTimes(sc Scale) (Table, error) {
 		Header: []string{"system", "mean pause", "max pause", "pause share %"},
 	}
 	systems := []string{"Mprotect", "Soft-dirty bit", "Undo-log", "LMC", "libcrpm-Default", "libcrpm-Buffered"}
-	recs := sched.NewCollector[*obs.Recorder](len(systems))
-	rows, err := sched.MapErr(len(systems), pool(), func(i int) ([]string, error) {
-		sys := systems[i]
-		s, err := NewDSSetup(sys, DSHashMap, sc, Geometry{})
-		if err != nil {
-			return nil, err
-		}
-		recs.Put(i, s.Rec)
-		d := s.Driver(sc, 31)
-		if err := d.Populate(sc.Keys); err != nil {
-			return nil, err
-		}
-		res, err := d.Run(workload.Balanced, sc.Ops)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sys, err)
-		}
-		return []string{
-			sys,
-			fmtDur(res.MeanPause),
-			fmtDur(res.MaxPause),
-			fmtF(res.PauseShare*100, 1),
-		}, nil
+	runs, err := sweep(systems, func(sys string) (measured, error) {
+		return measureSystem(sys, DSHashMap, sc, Geometry{}, 31, workload.Balanced)
 	})
 	if err != nil {
 		return t, err
 	}
-	t.Rows = rows
+	for i, sys := range systems {
+		m := runs[i]
+		t.Rows = append(t.Rows, []string{
+			sys,
+			fmtDur(m.MeanPause),
+			fmtDur(m.MaxPause),
+			fmtF(m.PauseShare*100, 1),
+		})
+		t.trace("pauses/"+sys, m.rec)
+	}
 	t.Notes = append(t.Notes,
 		"pause = simulated time the application is stopped inside one crpm_checkpoint call; libcrpm's differential protocol shrinks exactly this disturbance")
-	labels := make([]string, len(systems))
-	for i, sys := range systems {
-		labels[i] = "pauses/" + sys
-	}
-	collectTraces(&t, labels, recs.Items())
 	return t, nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"libcrpm/internal/replica"
-	"libcrpm/internal/sched"
-	"libcrpm/internal/server"
 	"libcrpm/internal/workload"
 )
 
@@ -32,30 +30,6 @@ func ReplicaFigure(sc Scale) (Table, error) {
 	for _, n := range replicaCounts {
 		t.Header = append(t.Header, fmt.Sprintf("%d replicas", n))
 	}
-	cfgFor := func(nReplicas int, spec string) (server.Config, error) {
-		heap, buckets := perShardGeometry(sc, shards)
-		cfg := server.Config{
-			Shards:   shards,
-			Clients:  2 * shards,
-			Mix:      workload.YCSBB,
-			Ops:      sc.Ops,
-			Keys:     sc.Keys,
-			HeapSize: heap,
-			Buckets:  buckets,
-			Policy:   server.IntervalPolicy{Every: sc.Interval},
-			Seed:     11,
-			Replicas: nReplicas,
-		}
-		if nReplicas > 0 {
-			set, err := replica.ParseSet(spec)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.SLAs = set
-			cfg.Audit = true // the read count for the throughput metric
-		}
-		return cfg, nil
-	}
 	type cellRes struct {
 		reads        int
 		simPS        int64
@@ -64,13 +38,19 @@ func ReplicaFigure(sc Scale) (Table, error) {
 		unmetFrac    float64
 		secFrac      float64
 	}
-	run := func(nReplicas int, spec string) (cellRes, error) {
-		label := fmt.Sprintf("replica/%s/%d", spec, nReplicas)
-		cfg, err := cfgFor(nReplicas, spec)
-		if err != nil {
-			return cellRes{}, fmt.Errorf("%s: %w", label, err)
+	run := func(spec string, nReplicas int) (cellRes, error) {
+		cfg := serviceConfig(sc, shards, serviceSetup{})
+		cfg.Mix = workload.YCSBB
+		cfg.Replicas = nReplicas
+		if nReplicas > 0 {
+			set, err := replica.ParseSet(spec)
+			if err != nil {
+				return cellRes{}, err
+			}
+			cfg.SLAs = set
+			cfg.Audit = true // the read count for the throughput metric
 		}
-		_, res, err := runServiceCell(label, cfg)
+		_, res, err := runServiceCell(cfg)
 		if err != nil {
 			return cellRes{}, err
 		}
@@ -82,13 +62,11 @@ func ReplicaFigure(sc Scale) (Table, error) {
 		}
 		return c, nil
 	}
-	baseline, err := run(0, "")
+	baseline, err := run("", 0)
 	if err != nil {
-		return t, err
+		return t, fmt.Errorf("baseline: %w", err)
 	}
-	cells, err := sched.MapErr(len(slas)*len(replicaCounts), pool(), func(i int) (cellRes, error) {
-		return run(replicaCounts[i%len(replicaCounts)], slas[i/len(replicaCounts)])
-	})
+	cells, err := grid(slas, replicaCounts, run)
 	if err != nil {
 		return t, err
 	}
@@ -96,7 +74,7 @@ func ReplicaFigure(sc Scale) (Table, error) {
 	// replicated cell's (the pre-generated request stream does not depend
 	// on the replica count).
 	if baseline.simPS > 0 {
-		baseline.readTputMops = float64(cells[0].reads) * 1e12 / float64(baseline.simPS) / 1e6
+		baseline.readTputMops = float64(cells[0][0].reads) * 1e12 / float64(baseline.simPS) / 1e6
 	}
 	for si, spec := range slas {
 		tput := []string{spec, "read tput", fmtF(baseline.readTputMops, 3)}
@@ -104,7 +82,7 @@ func ReplicaFigure(sc Scale) (Table, error) {
 		unmet := []string{spec, "unmet frac", fmtF(0, 3)}
 		t.AddMetric(fmt.Sprintf("replica_read_tput_mops/%s/0", spec), baseline.readTputMops)
 		for ni, n := range replicaCounts {
-			c := cells[si*len(replicaCounts)+ni]
+			c := cells[si][ni]
 			tput = append(tput, fmtF(c.readTputMops, 3))
 			stale = append(stale, fmtF(c.staleMean, 2))
 			unmet = append(unmet, fmtF(c.unmetFrac, 3))

@@ -6,7 +6,6 @@ import (
 
 	"libcrpm/internal/core"
 	"libcrpm/internal/obs"
-	"libcrpm/internal/sched"
 	"libcrpm/internal/server"
 	"libcrpm/internal/workload"
 )
@@ -17,6 +16,70 @@ import (
 // shard count.
 const servicePauseBudget = 2 * time.Microsecond
 
+// serviceSetup is one row group of a service figure: what the table calls it
+// and what it changes in the base configuration (a nil policy keeps the
+// scale's interval policy).
+type serviceSetup struct {
+	name    string
+	backend string
+	mode    core.Mode
+	policy  server.Policy
+}
+
+// serviceConfig is the configuration every service figure starts from and
+// amends only where it differs: YCSB-A over the scale's keys and operations,
+// two clients per shard, the scale's data volume split over the shards, the
+// scale's interval policy, seed 11, and the setup's backend and cut policy.
+func serviceConfig(sc Scale, shards int, st serviceSetup) server.Config {
+	heap, buckets := perShardGeometry(sc, shards)
+	cfg := server.Config{
+		Shards:   shards,
+		Clients:  2 * shards,
+		Mix:      workload.YCSBA,
+		Ops:      sc.Ops,
+		Keys:     sc.Keys,
+		HeapSize: heap,
+		Buckets:  buckets,
+		Backend:  st.backend,
+		Mode:     st.mode,
+		Policy:   server.IntervalPolicy{Every: sc.Interval},
+		Seed:     11,
+	}
+	if st.policy != nil {
+		cfg.Policy = st.policy
+	}
+	return cfg
+}
+
+// served is one service cell's record: the values of the figure's metrics, in
+// the figure's order, and the shards' recorders (nil when the cell ran
+// untraced). Like measured it holds numbers, never the service.
+type served struct {
+	vals []float64
+	recs []*obs.Recorder
+}
+
+// metric is one quantity a service figure reports per cell: its row label,
+// the key its values are booked under and the precision it prints at.
+type metric struct {
+	label, key string
+	prec       int
+}
+
+// addMetricRows lays out one setup's cells: one row per metric — the setup's
+// name, the metric's label, a value per column — with every value booked as
+// key/name/column.
+func (t *Table) addMetricRows(name string, metrics []metric, cols []string, cells []served) {
+	for k, m := range metrics {
+		row := []string{name, m.label}
+		for i, col := range cols {
+			row = append(row, fmtF(cells[i].vals[k], m.prec))
+			t.AddMetric(m.key+"/"+name+"/"+col, cells[i].vals[k])
+		}
+		t.Rows = append(t.Rows, row)
+	}
+}
+
 // ServiceFigure is the sharded-service scaling study (extension): YCSB-A
 // throughput and p99 coordinated-cut pause as the shard count grows, for
 // both libcrpm container modes. Every (backend, shard-count) pair is one
@@ -26,91 +89,76 @@ const servicePauseBudget = 2 * time.Microsecond
 // count so the aggregate data volume stays fixed, as a real scale-out
 // deployment's would.
 func ServiceFigure(sc Scale) (Table, error) {
-	shardCounts := []int{1, 2, 4, 8}
-	backends := []struct {
-		name   string
-		mode   core.Mode
-		policy server.Policy
-	}{
-		{"libcrpm-Default", core.ModeDefault, nil},
-		{"libcrpm-Buffered", core.ModeBuffered, nil},
-		{"libcrpm-Default-inc", core.ModeDefault, server.NewPausePolicy(servicePauseBudget)},
-		{"libcrpm-Buffered-inc", core.ModeBuffered, server.NewPausePolicy(servicePauseBudget)},
-	}
 	t := Table{
-		Title:  fmt.Sprintf("Service: YCSB-A throughput (Mops/s) and p99 cut pause (µs) vs shard count (%s scale)", sc.Name),
-		Header: []string{"backend", "metric"},
+		Title: fmt.Sprintf("Service: YCSB-A throughput (Mops/s) and p99 cut pause (µs) vs shard count (%s scale)", sc.Name),
 		Notes: []string{
 			"sharded KV service, coordinated cuts on the paper's interval policy; pause includes commit plus barrier wait",
 			fmt.Sprintf("-inc rows run the incremental cut pipeline under pause:%s, interleaving budgeted checkpoint quanta with request batches", servicePauseBudget),
 		},
 	}
-	for _, n := range shardCounts {
+	return shardScaling(sc, t, "service", []int{1, 2, 4, 8}, []serviceSetup{
+		{name: "libcrpm-Default", mode: core.ModeDefault},
+		{name: "libcrpm-Buffered", mode: core.ModeBuffered},
+		{name: "libcrpm-Default-inc", mode: core.ModeDefault, policy: server.NewPausePolicy(servicePauseBudget)},
+		{name: "libcrpm-Buffered-inc", mode: core.ModeBuffered, policy: server.NewPausePolicy(servicePauseBudget)},
+	}, func(cfg *server.Config) { cfg.Trace = Tracing() })
+}
+
+// ServiceBackendFigure runs the full sharded KV service end-to-end on each
+// checkpoint backend (extension): YCSB-A throughput and p99 coordinated-cut
+// pause as the shard count grows, for both libcrpm container modes and
+// InCLL — the crossover economics surviving a real data structure,
+// allocator, and cut protocol on top of the raw write path. Half
+// ServiceFigure's operations, and untraced.
+func ServiceBackendFigure(sc Scale) (Table, error) {
+	t := Table{
+		Title: fmt.Sprintf("Service backends: YCSB-A throughput (Mops/s) and p99 cut pause (µs) vs shard count (%s scale)", sc.Name),
+		Notes: []string{
+			"full sharded service (populate, interval cut policy, shadow verification) per cell; pause includes commit plus barrier wait",
+			"InCLL commits each cut as an O(1) epoch-tag bump, so its pause is barrier-dominated at every shard count",
+		},
+	}
+	return shardScaling(sc, t, "svcbe", []int{1, 2, 4}, []serviceSetup{
+		{name: "libcrpm-Default", mode: core.ModeDefault},
+		{name: "libcrpm-Buffered", mode: core.ModeBuffered},
+		{name: "InCLL", backend: server.BackendInCLL},
+	}, func(cfg *server.Config) { cfg.Ops = sc.Ops / 2 })
+}
+
+// shardScaling is the body of both: setups down, shard counts across, one
+// full service run per cell, throughput and worst-shard p99 pause out. key
+// prefixes the metrics and the trace tracks; amend is the figure's own change
+// to every cell's configuration.
+func shardScaling(sc Scale, t Table, key string, shardCounts []int, setups []serviceSetup, amend func(*server.Config)) (Table, error) {
+	t.Header = []string{"backend", "metric"}
+	cols := make([]string, len(shardCounts))
+	for i, n := range shardCounts {
 		t.Header = append(t.Header, fmt.Sprintf("%d shards", n))
+		cols[i] = fmt.Sprint(n)
 	}
-	type cellRes struct {
-		tputMops, p99PauseUS float64
-		recs                 []*obs.Recorder
-	}
-	cells, err := sched.MapErr(len(backends)*len(shardCounts), pool(), func(i int) (cellRes, error) {
-		be, n := backends[i/len(shardCounts)], shardCounts[i%len(shardCounts)]
-		heap, buckets := perShardGeometry(sc, n)
-		policy := be.policy
-		if policy == nil {
-			policy = server.IntervalPolicy{Every: sc.Interval}
-		}
-		svc, res, err := runServiceCell(fmt.Sprintf("%s/%d shards", be.name, n), server.Config{
-			Shards:   n,
-			Clients:  2 * n,
-			Mix:      workload.YCSBA,
-			Ops:      sc.Ops,
-			Keys:     sc.Keys,
-			HeapSize: heap,
-			Buckets:  buckets,
-			Mode:     be.mode,
-			Policy:   policy,
-			Seed:     11,
-			Trace:    Tracing(),
-		})
+	cells, err := grid(setups, shardCounts, func(st serviceSetup, n int) (served, error) {
+		cfg := serviceConfig(sc, n, st)
+		amend(&cfg)
+		svc, res, err := runServiceCell(cfg)
 		if err != nil {
-			return cellRes{}, err
+			return served{}, err
 		}
-		var recs []*obs.Recorder
-		if Tracing() {
-			recs = svc.Recorders()
-		}
-		return cellRes{
-			tputMops:   res.ThroughputOps / 1e6,
-			p99PauseUS: float64(maxShardPauseP99(res)) / 1e6,
-			recs:       recs,
+		return served{
+			vals: []float64{res.ThroughputOps / 1e6, float64(maxShardPauseP99(res)) / 1e6},
+			recs: svc.Recorders(),
 		}, nil
 	})
 	if err != nil {
 		return t, err
 	}
-	for bi, be := range backends {
-		tput := []string{be.name, "throughput"}
-		pause := []string{be.name, "p99 pause"}
+	metrics := []metric{{"throughput", key + "_tput_mops", 3}, {"p99 pause", key + "_p99_pause_us", 1}}
+	for si, st := range setups {
+		t.addMetricRows(st.name, metrics, cols, cells[si])
 		for ni, n := range shardCounts {
-			c := cells[bi*len(shardCounts)+ni]
-			tput = append(tput, fmtF(c.tputMops, 3))
-			pause = append(pause, fmtF(c.p99PauseUS, 1))
-			t.AddMetric(fmt.Sprintf("service_tput_mops/%s/%d", be.name, n), c.tputMops)
-			t.AddMetric(fmt.Sprintf("service_p99_pause_us/%s/%d", be.name, n), c.p99PauseUS)
-		}
-		t.Rows = append(t.Rows, tput, pause)
-	}
-	if Tracing() {
-		var labels []string
-		var recs []*obs.Recorder
-		for i, c := range cells {
-			be, n := backends[i/len(shardCounts)], shardCounts[i%len(shardCounts)]
-			for si, r := range c.recs {
-				labels = append(labels, fmt.Sprintf("service/%s/%dshards/shard%d", be.name, n, si))
-				recs = append(recs, r)
+			for shard, r := range cells[si][ni].recs {
+				t.trace(fmt.Sprintf("%s/%s/%dshards/shard%d", key, st.name, n, shard), r)
 			}
 		}
-		collectTraces(&t, labels, recs)
 	}
 	return t, nil
 }
@@ -125,18 +173,18 @@ func perShardGeometry(sc Scale, shards int) (heap, buckets int) {
 // runServiceCell runs one service configuration to completion as a figure
 // cell and insists on a consistent result. Cell-internal verification is
 // serial: the sweep is the parallel layer.
-func runServiceCell(label string, cfg server.Config) (*server.Service, *server.Result, error) {
+func runServiceCell(cfg server.Config) (*server.Service, *server.Result, error) {
 	cfg.Parallel = 1
 	svc, err := server.New(cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", label, err)
+		return nil, nil, err
 	}
 	res, err := svc.Run()
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", label, err)
+		return nil, nil, err
 	}
 	if !res.OK() {
-		return nil, nil, fmt.Errorf("%s: service inconsistent: %v", label, res.Violations[0])
+		return nil, nil, fmt.Errorf("service inconsistent: %v", res.Violations[0])
 	}
 	return svc, res, nil
 }

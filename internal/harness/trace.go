@@ -47,20 +47,16 @@ func TakeTrace() *obs.Trace {
 	return &tr
 }
 
-// collectTraces folds per-cell recorders into an experiment's results:
-// span tick totals become span_ms/<label>/<name> table metrics (machine-
-// readable only — excluded from CSV/String, so printed tables stay
-// byte-identical), and each recorder becomes one labelled track of the
-// process-wide trace. labels[i] names cell i; nil recorders are skipped.
-func collectTraces(t *Table, labels []string, recs []*obs.Recorder) {
-	for i, r := range recs {
-		for _, st := range r.SpanTotals() {
-			t.AddMetric("span_ms/"+labels[i]+"/"+st.Name, float64(st.Ticks)/1e9)
-		}
+// trace folds one cell's recorder into an experiment's results: span tick
+// totals become span_ms/<label>/<name> table metrics (machine-readable only —
+// excluded from CSV/String, so printed tables stay byte-identical), and the
+// recorder becomes one labelled track of the process-wide trace. Figures call
+// it in cell order; a nil recorder (tracing off) adds nothing.
+func (t *Table) trace(label string, r *obs.Recorder) {
+	for _, st := range r.SpanTotals() {
+		t.AddMetric("span_ms/"+label+"/"+st.Name, float64(st.Ticks)/1e9)
 	}
 	traceMu.Lock()
 	defer traceMu.Unlock()
-	for i, r := range recs {
-		globalTrace.Add(labels[i], r)
-	}
+	globalTrace.Add(label, r)
 }

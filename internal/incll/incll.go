@@ -329,11 +329,7 @@ func (b *Backend) DirtyEstimateBytes() uint64 {
 
 // OnRead implements ckpt.Backend (the arena is NVM-resident).
 func (b *Backend) OnRead(off, n int) {
-	if n <= 16 {
-		b.dev.ChargeNVMLoad()
-	} else {
-		b.dev.ChargeNVMRead(n)
-	}
+	b.dev.ChargeRead(n)
 }
 
 // OnWrite implements ckpt.Backend: ensure [off, off+n) is durably undoable
@@ -405,11 +401,7 @@ func (b *Backend) inlineLog(l, lo, n int, cur uint32) {
 	b.dev.ChargeNVMLoad() // the protected line's pre-image (cache-resident in real InCLL)
 	mo := b.metaOff(l)
 	old := b.mirror[l*DataPerLine+lo : l*DataPerLine+lo+n]
-	if n <= 16 {
-		b.dev.Store(mo+8, old)
-	} else {
-		b.dev.StoreBulk(mo+8, old)
-	}
+	b.dev.Write(mo+8, old)
 	var t [8]byte
 	binary.LittleEndian.PutUint64(t[:], packTag(cur, lo, n))
 	b.dev.Store(mo, t[:])
@@ -475,11 +467,7 @@ func (b *Backend) Write(off int, src []byte) {
 			n = len(s)
 		}
 		dst := b.lineBase(l) + lo
-		if n <= 16 {
-			b.dev.Store(dst, s[:n])
-		} else {
-			b.dev.StoreBulk(dst, s[:n])
-		}
+		b.dev.Write(dst, s[:n])
 		// The eager flush is the persistence protocol's cost, not the
 		// application store's: it keeps Checkpoint O(1) (one drain fence,
 		// no dirty-line walk).

@@ -619,6 +619,51 @@ func (d *Device) ChargeNVMRead(n int) {
 	d.clock.Advance(int64(n) * d.cost.NVMReadBytePS)
 }
 
+// WordSize is the widest access one load or store instruction makes. The cost
+// model prices an access of up to a word as one instruction and a longer one
+// as a copy, by the byte (DESIGN.md §4); Write and the three Charge helpers
+// below are the only places that rule is applied.
+const WordSize = 16
+
+// Write stores src at off through the cache, priced by the word rule. Store
+// and StoreBulk keep their own pricing for callers that name one.
+func (d *Device) Write(off int, src []byte) {
+	if len(src) <= WordSize {
+		d.Store(off, src)
+	} else {
+		d.StoreBulk(off, src)
+	}
+}
+
+// ChargeRead charges a read of n bytes of NVM-resident memory that the caller
+// takes from Working() directly.
+func (d *Device) ChargeRead(n int) {
+	if n <= WordSize {
+		d.ChargeNVMLoad()
+	} else {
+		d.ChargeNVMRead(n)
+	}
+}
+
+// ChargeDRAMRead charges a read of n bytes of DRAM-resident working state.
+func (d *Device) ChargeDRAMRead(n int) {
+	if n <= WordSize {
+		d.ChargeLoad()
+	} else {
+		d.ChargeDRAMCopy(n)
+	}
+}
+
+// ChargeDRAMWrite charges a store of n bytes to DRAM-resident working state;
+// it touches no device memory, so it counts no Store.
+func (d *Device) ChargeDRAMWrite(n int) {
+	if n <= WordSize {
+		d.clock.Advance(d.cost.StorePS)
+	} else {
+		d.ChargeDRAMCopy(n)
+	}
+}
+
 // ChargeHash charges checksum computation over n bytes.
 func (d *Device) ChargeHash(n int) {
 	d.clock.Advance(int64(n) * d.cost.HashBytePS)

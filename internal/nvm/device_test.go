@@ -398,3 +398,59 @@ func BenchmarkFlushFence(b *testing.B) {
 		d.SFence()
 	}
 }
+
+// TestWordRule pins the one place an access's size picks its price: at
+// WordSize and one byte above it, each helper costs exactly what the branch it
+// replaced at its callers cost — same clock, same counters, same number of
+// crash-injectable primitives, same bytes in the cache.
+func TestWordRule(t *testing.T) {
+	src := make([]byte, WordSize+1)
+	for i := range src {
+		src[i] = byte(i + 1)
+	}
+	rules := []struct {
+		name         string
+		helper       func(d *Device, n int)
+		word, longer func(d *Device, n int)
+	}{
+		{"Write",
+			func(d *Device, n int) { d.Write(64, src[:n]) },
+			func(d *Device, n int) { d.Store(64, src[:n]) },
+			func(d *Device, n int) { d.StoreBulk(64, src[:n]) }},
+		{"ChargeRead",
+			func(d *Device, n int) { d.ChargeRead(n) },
+			func(d *Device, n int) { d.ChargeNVMLoad() },
+			func(d *Device, n int) { d.ChargeNVMRead(n) }},
+		{"ChargeDRAMRead",
+			func(d *Device, n int) { d.ChargeDRAMRead(n) },
+			func(d *Device, n int) { d.ChargeLoad() },
+			func(d *Device, n int) { d.ChargeDRAMCopy(n) }},
+		{"ChargeDRAMWrite",
+			func(d *Device, n int) { d.ChargeDRAMWrite(n) },
+			func(d *Device, n int) { d.Clock().Advance(d.Cost().StorePS) },
+			func(d *Device, n int) { d.ChargeDRAMCopy(n) }},
+	}
+	for _, r := range rules {
+		for _, n := range []int{WordSize, WordSize + 1} {
+			want := r.word
+			if n > WordSize {
+				want = r.longer
+			}
+			got, ref := NewDevice(4096), NewDevice(4096)
+			r.helper(got, n)
+			want(ref, n)
+			if got.Clock().NowPS() != ref.Clock().NowPS() || got.Clock().NowPS() == 0 {
+				t.Errorf("%s(%d): clock %d ps, want %d (non-zero)", r.name, n, got.Clock().NowPS(), ref.Clock().NowPS())
+			}
+			if got.Stats() != ref.Stats() {
+				t.Errorf("%s(%d): stats %+v, want %+v", r.name, n, got.Stats(), ref.Stats())
+			}
+			if got.PrimitiveCount() != ref.PrimitiveCount() {
+				t.Errorf("%s(%d): %d primitives, want %d", r.name, n, got.PrimitiveCount(), ref.PrimitiveCount())
+			}
+			if !bytes.Equal(got.Working(), ref.Working()) || got.DirtyLineCount() != ref.DirtyLineCount() {
+				t.Errorf("%s(%d): cache contents differ from the replaced branch", r.name, n)
+			}
+		}
+	}
+}

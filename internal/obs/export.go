@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // psToUS renders a picosecond timestamp as a microsecond decimal with full
@@ -16,6 +17,24 @@ import (
 // digits keep every picosecond and format deterministically).
 func psToUS(ps int64) string {
 	return fmt.Sprintf("%d.%06d", ps/1_000_000, ps%1_000_000)
+}
+
+// WriteTraceFile is how a CLI's -trace flag writes its file: tr, or an empty
+// trace for a run that recorded none, as Chrome trace-event JSON in a new file
+// at path. It reports how many tracks the file holds.
+func WriteTraceFile(path string, tr *Trace) (int, error) {
+	if tr == nil {
+		tr = &Trace{}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	err = WriteChromeTrace(f, tr)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return len(tr.Tracks), err
 }
 
 // WriteChromeTrace serializes the trace in Chrome trace-event JSON array

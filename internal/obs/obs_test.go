@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -225,6 +227,25 @@ func TestChromeTraceExport(t *testing.T) {
 	// Timestamps are exact µs decimals of the ps values.
 	if !strings.Contains(out, `"ts":1.234567`) || !strings.Contains(out, `"dur":2.000000`) {
 		t.Fatalf("timestamp formatting:\n%s", out)
+	}
+
+	// The CLIs' -trace path: the same bytes in a file, a nil trace written as
+	// an empty one, a failed create reported.
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if n, err := WriteTraceFile(path, tr); err != nil || n != 1 {
+		t.Fatalf("WriteTraceFile: %d tracks, %v", n, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, buf.Bytes()) {
+		t.Fatalf("file differs from WriteChromeTrace's bytes (%v)", err)
+	}
+	if n, err := WriteTraceFile(path, nil); err != nil || n != 0 {
+		t.Fatalf("nil trace: %d tracks, %v", n, err)
+	}
+	if got, _ := os.ReadFile(path); !json.Valid(got) {
+		t.Fatalf("nil trace wrote invalid JSON: %s", got)
+	}
+	if _, err := WriteTraceFile(filepath.Join(path, "under-a-file"), tr); err == nil {
+		t.Fatal("create under a regular file succeeded")
 	}
 }
 

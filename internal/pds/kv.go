@@ -10,7 +10,12 @@
 // allocator's root array.
 package pds
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+
+	"libcrpm/internal/alloc"
+)
 
 // ErrUnsupportedOp is wrapped by SupportsOp for operations a backend
 // cannot execute (Dalí's Delete and Scan). Layers that would otherwise
@@ -87,4 +92,36 @@ type KV interface {
 	Scan(start uint64, n int) []Pair
 	// Len returns the number of live keys.
 	Len() int
+}
+
+// Kind names one of the two allocator-backed structures of §5.2.1.
+type Kind string
+
+// The paper's names for them.
+const (
+	KindHashMap Kind = "unordered_map"
+	KindRBMap   Kind = "map"
+)
+
+// rootedKV is a KV that knows the heap offset it reopens from.
+type rootedKV interface {
+	KV
+	Root() int
+}
+
+// Bind is the one place a structure's kind becomes a KV inside an allocator:
+// reopened from root or, with root 0 (where no structure can live), created
+// fresh, a hash map over the given buckets.
+func Bind(a *alloc.Allocator, kind Kind, root, buckets int) (rootedKV, error) {
+	switch {
+	case kind == KindHashMap && root == 0:
+		return NewHashMap(a, buckets)
+	case kind == KindHashMap:
+		return OpenHashMap(a, root)
+	case kind == KindRBMap && root == 0:
+		return NewRBMap(a)
+	case kind == KindRBMap:
+		return OpenRBMap(a, root)
+	}
+	return nil, fmt.Errorf("pds: unknown structure %q", kind)
 }

@@ -198,37 +198,6 @@ func runCell[T any](i int, fn func(i int) (T, error)) (v T, err error) {
 	return fn(i)
 }
 
-// Collector gathers per-cell side values (trace recorders, diagnostics)
-// produced inside a sweep, addressed by cell index so the collected slice
-// is in submission order no matter which worker ran which cell. It is the
-// ordered-reduction primitive for values that ride alongside a cell's
-// MapErr result instead of inside it.
-type Collector[T any] struct {
-	mu    sync.Mutex
-	items []T
-}
-
-// NewCollector sizes a collector for an n-cell sweep.
-func NewCollector[T any](n int) *Collector[T] {
-	return &Collector[T]{items: make([]T, n)}
-}
-
-// Put stores cell i's value. Safe for concurrent use; last write per index
-// wins, matching the at-most-once execution of sweep cells.
-func (c *Collector[T]) Put(i int, v T) {
-	c.mu.Lock()
-	c.items[i] = v
-	c.mu.Unlock()
-}
-
-// Items returns the collected values in cell-index order (zero values for
-// cells that never called Put, e.g. skipped after a lower-index failure).
-func (c *Collector[T]) Items() []T {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]T(nil), c.items...)
-}
-
 // SeedFor derives a deterministic rng seed from a cell's identity label
 // (FNV-1a over the label bytes). Cells that need randomness hash their
 // stable identity — "fig7/LMC/Balanced", "torture/default/seeded/417" —

@@ -18,12 +18,12 @@ import (
 )
 
 // DSKind selects the persistent structure each shard serves from.
-type DSKind string
+type DSKind = pds.Kind
 
 // The two structures of §5.2.1, both implementing pds.KV.
 const (
-	DSHashMap DSKind = "unordered_map"
-	DSRBMap   DSKind = "map"
+	DSHashMap = pds.KindHashMap
+	DSRBMap   = pds.KindRBMap
 )
 
 // kvRootSlot is the allocator root slot holding each shard's structure
@@ -240,7 +240,7 @@ func (sh *shard) init(ctr CutBackend, ds DSKind, buckets int) error {
 	if err != nil {
 		return fmt.Errorf("server: shard %d allocator: %w", sh.id, err)
 	}
-	kv, err := bindKV(a, ds, 0, buckets)
+	kv, err := pds.Bind(a, ds, 0, buckets)
 	if err != nil {
 		return err
 	}
@@ -249,32 +249,6 @@ func (sh *shard) init(ctr CutBackend, ds DSKind, buckets int) error {
 	sh.core, _ = ctr.(*core.Container)
 	ctr.SetTrace(sh.rec)
 	return nil
-}
-
-// rootedKV is a pds.KV that knows the heap offset it reopens from.
-type rootedKV interface {
-	pds.KV
-	Root() int
-}
-
-// bindKV is the one place a structure's name becomes a KV inside an allocator:
-// reopened from root or, with root 0 (where no structure can live), created
-// fresh, a hash map over the given buckets.
-func bindKV(a *alloc.Allocator, ds DSKind, root, buckets int) (rootedKV, error) {
-	switch ds {
-	case DSHashMap:
-		if root == 0 {
-			return pds.NewHashMap(a, buckets)
-		}
-		return pds.OpenHashMap(a, root)
-	case DSRBMap:
-		if root == 0 {
-			return pds.NewRBMap(a)
-		}
-		return pds.OpenRBMap(a, root)
-	default:
-		return nil, fmt.Errorf("server: unknown structure %q", ds)
-	}
 }
 
 // openKV rebinds the allocator and the structure persisted in a formatted
@@ -288,7 +262,7 @@ func openKV(b ckpt.Backend, ds DSKind) (*alloc.Allocator, pds.KV, error) {
 	if root == 0 {
 		return nil, nil, fmt.Errorf("KV reopen: no structure root recorded")
 	}
-	kv, err := bindKV(a, ds, root, 0)
+	kv, err := pds.Bind(a, ds, root, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("KV reopen: %w", err)
 	}
