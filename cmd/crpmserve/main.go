@@ -560,6 +560,7 @@ func buildMeasureTable(m *measure.Report) harness.Table {
 	t.AddMetric("serve_target_ops", m.TargetOps)
 	t.AddMetric("serve_achieved_ops", m.AchievedOps)
 	t.AddMetric("serve_measured_ops", float64(m.MeasuredOps))
+	t.AddMetric("serve_open_p95_us", float64(m.OpenAll.P95PS)/1e6)
 	t.AddMetric("serve_open_p99_us", float64(m.OpenAll.P99PS)/1e6)
 	t.AddMetric("serve_open_p999_us", float64(m.OpenAll.P999PS)/1e6)
 	t.AddMetric("serve_svc_open_gap_p99_us", float64(m.OpenAll.P99PS-m.ServiceAll.P99PS)/1e6)

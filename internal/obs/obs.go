@@ -11,9 +11,9 @@
 // guard and hot paths pay nothing beyond a dead branch.
 //
 // A Recorder belongs to one simulation cell (one device/clock), exactly
-// like the device it observes: it is not safe for concurrent use. Sweeps
-// collect one Recorder per cell and merge them, in cell order, into a
-// Trace (see sched.Collector), which exports to Chrome trace-event JSON
+// like the device it observes: it is not safe for concurrent use. A sweep
+// cell returns its Recorder with its result, and the sweep merges them, in
+// cell order, into a Trace, which exports to Chrome trace-event JSON
 // (Perfetto-loadable) — spans only: the counters and histograms a run records
 // reach a Track but, so far, no exporter.
 package obs

@@ -151,6 +151,9 @@ func allocPerRun(runs int, f func()) (objects, bytes float64) {
 // or with the staged block count (the 256 B per-block aside images the
 // pipeline now pools).
 func TestSteadyStateCutAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops puts at random: the count would measure the pool, not the cut")
+	}
 	perCut := func(keys int) (objects, bytes float64) {
 		reg := region.Config{HeapSize: 4 << 20, BackupRatio: 1}
 		l, err := region.NewLayout(reg)

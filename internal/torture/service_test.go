@@ -95,12 +95,16 @@ func TestServiceSweepKillPrimary(t *testing.T) {
 	srv := serviceBase()
 	srv.Replicas = 2
 	srv.Policy = server.NewPausePolicy(2 * time.Microsecond)
+	crash, slas := []int{0, 2}, []string{"mix", "strong", "bounded:1"}
+	if testing.Short() {
+		crash, slas = crash[:1], slas[:1] // the race-detector CI job runs -short
+	}
 	cfg := ServiceConfig{
 		Server:      srv,
-		CrashShards: []int{0, 2},
+		CrashShards: crash,
 		Policies:    StandardPolicies(7),
 		KillPrimary: true,
-		SLAs:        []string{"mix", "strong", "bounded:1"},
+		SLAs:        slas,
 	}
 	res, err := ServiceSweep(cfg)
 	if err != nil {
@@ -419,7 +423,7 @@ func TestServiceSweepDeferredCoW(t *testing.T) {
 	surge.Measure = &measure.Config{TargetOps: 3e6}
 	surge.Migrations = []server.MigrateSpec{{Kind: server.MigrateMerge, Src: 2, Dst: 1, AfterCuts: 2}}
 	policies := append(StandardPolicies(7), AdversarialPolicy())
-	for _, tc := range []struct {
+	cases := []struct {
 		name   string
 		srv    server.Config
 		crash  []int
@@ -427,7 +431,11 @@ func TestServiceSweepDeferredCoW(t *testing.T) {
 	}{
 		{"steady", gapPreFlushBase(), []int{0}, false},
 		{"merge-surge", surge, []int{1}, true},
-	} {
+	}
+	if testing.Short() {
+		cases = cases[:1] // the race-detector CI job runs -short
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			traced := tc.srv
 			traced.Trace = true
