@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short cover bench fuzz torture serve replica slo elastic results results-medium examples fmt vet loc clean
+.PHONY: all build test test-short cover bench fuzz results results-medium examples fmt vet loc clean
 
 all: build test
 
@@ -26,23 +26,6 @@ fuzz:
 	$(GO) test -fuzz FuzzReadDeviceFrom -fuzztime 30s ./internal/nvm/
 	$(GO) test -fuzz FuzzAllocFree -fuzztime 30s ./internal/alloc/
 	$(GO) test -fuzz FuzzRegionCheck -fuzztime 30s ./internal/region/
-
-# The gate's jobs (scripts/ci.sh holds every check; see DESIGN.md §7, §10,
-# §12, §14, §15).
-torture:
-	scripts/ci.sh torture
-
-serve:
-	scripts/ci.sh serve
-
-replica:
-	scripts/ci.sh replica
-
-slo:
-	scripts/ci.sh measure
-
-elastic:
-	scripts/ci.sh migrate
 
 # Regenerate every table and figure of the paper's evaluation into the
 # committed reference (simulated values only: a diff is a behaviour change).

@@ -4,9 +4,10 @@
 # the jobs that cover the packages it touched (.claude/skills/verify/SKILL.md
 # has the map) before it claims green.
 #
-# Each package is raced once per depth: -short, and at full size only the
-# tests -short shrinks (the torture job's $long). Every crpmserve smoke is a
-# row of the table in rows(); one loop, check(), runs the current job's rows.
+# Each package is raced once per depth: -short, and the packages whose tests
+# -short skips or shrinks (core, harness, torture) once more at full size, in
+# the torture job. Every crpmserve smoke is a row of the table in rows(); one
+# loop, check(), runs the current job's rows.
 set -euo pipefail
 case $#:${1:-} in
 1:test | 1:replica | 1:bench | 1:serve | 1:measure | 1:migrate | 1:torture) job=$1 ;;
@@ -176,20 +177,10 @@ migrate)
   ;;
 torture)
   go test -race -short ./internal/torture/
-  # Every test -short skips or shrinks in core, harness and torture, at full
-  # size — but TestMigrateSweepSplit: its 64 MiB shards hold ~2.8 GB live
-  # without -race and need more than 8 GB with it; it runs at full size in
-  # the test job's go test ./... .
-  long=(
-    CrashSweepEveryPrimitive CrashSweepRandomGeometry CrashSweepWBINVDPath CrashSweepWithStealing WriteThroughCrashProperty
-    AblationsRunAndShape CrossoverDeterministic ServiceBackendFigure ElasticFigureShape ElasticFigureParallelIdentical
-    GoldenFigures Fig1BreakdownShape Fig7Shape Fig7RBMapRuns Fig8Shape Fig9IntervalShape Fig10Shapes PauseTimesShape
-    RecoveryAndStorageRun Table1aShape Table1bShape RecoveryTimeSeedingInvariance ReplicaFigureShape
-    InCLLSweep TortureSeeds MigrateSweepOpenLoop ServiceSweepGapPreFlush ServiceSweepIdleGapQuanta
-    ServiceSweepKillPrimary ServiceSweepDeferredCoW AdversarialCrashSweep AlternatingPolicySweep PlainContainerSweep
-  )
-  long=$(printf '|%s' "${long[@]}")
-  go test -race -timeout 60m -run "^Test(${long:1})\$" ./internal/core/ ./internal/harness/ ./internal/torture/
+  # Full size: every test -short skips or shrinks in these packages runs here.
+  # TestMigrateSweepSplit's 64 MiB shards need more than 8 GB under -race, so
+  # a machine with 8 GB or less cannot run this line.
+  go test -race -timeout 60m ./internal/core/ ./internal/harness/ ./internal/torture/
   go build -o "$out/crpmtorture" ./cmd/crpmtorture
   "$out/crpmtorture"
   "$out/crpmtorture" -quick -checksums=false -adversarial
