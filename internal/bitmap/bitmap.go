@@ -209,29 +209,6 @@ func (s *Set) NextSetInRange(from, to int) int {
 	return -1
 }
 
-// ForEachInRange calls fn for every set bit in [from, to) in ascending order.
-// fn must not mutate the set.
-func (s *Set) ForEachInRange(from, to int, fn func(i int)) {
-	if from < 0 {
-		from = 0
-	}
-	if to > s.n {
-		to = s.n
-	}
-	if from >= to {
-		return
-	}
-	wFrom, wTo := from/wordBits, (to-1)/wordBits
-	bFrom, bTo := from%wordBits, (to-1)%wordBits
-	for w := wFrom; w <= wTo; w++ {
-		word := s.words[w] & rangeMask(w, wFrom, wTo, bFrom, bTo)
-		for word != 0 {
-			fn(w*wordBits + bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-}
-
 // nextClearInRange returns the index of the first clear bit in [from, to),
 // or to if every bit in the range is set.
 func (s *Set) nextClearInRange(from, to int) int {

@@ -60,22 +60,6 @@ func (m *naive) nextSetInRange(from, to int) int {
 	return -1
 }
 
-func (m *naive) indicesInRange(from, to int) []int {
-	var out []int
-	if from < 0 {
-		from = 0
-	}
-	if to > len(m.bits) {
-		to = len(m.bits)
-	}
-	for i := from; i < to; i++ {
-		if m.bits[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 func (m *naive) runsInRange(from, to int) [][2]int {
 	var out [][2]int
 	if from < 0 {
@@ -161,17 +145,6 @@ func TestRangeKernelsMatchNaiveModel(t *testing.T) {
 			if got, want := s.NextSetInRange(qf, qt), m.nextSetInRange(qf, qt); got != want {
 				t.Fatalf("n=%d step=%d: NextSetInRange(%d,%d)=%d want %d", n, step, qf, qt, got, want)
 			}
-			var gotIdx []int
-			s.ForEachInRange(qf, qt, func(i int) { gotIdx = append(gotIdx, i) })
-			wantIdx := m.indicesInRange(qf, qt)
-			if len(gotIdx) != len(wantIdx) {
-				t.Fatalf("n=%d step=%d: ForEachInRange(%d,%d) yielded %v want %v", n, step, qf, qt, gotIdx, wantIdx)
-			}
-			for k := range gotIdx {
-				if gotIdx[k] != wantIdx[k] {
-					t.Fatalf("n=%d step=%d: ForEachInRange(%d,%d) yielded %v want %v", n, step, qf, qt, gotIdx, wantIdx)
-				}
-			}
 			var gotRuns [][2]int
 			s.ForEachRunInRange(qf, qt, func(a, b int) { gotRuns = append(gotRuns, [2]int{a, b}) })
 			wantRuns := m.runsInRange(qf, qt)
@@ -253,18 +226,6 @@ func BenchmarkBitmapRangeOps(b *testing.B) {
 			for j := s.NextSetInRange(0, n); j >= 0; j = s.NextSetInRange(j+1, n) {
 			}
 		}
-	})
-	b.Run("ForEachInRange-sparse", func(b *testing.B) {
-		s := New(n)
-		for i := 0; i < n; i += 1024 {
-			s.Set(i)
-		}
-		sink := 0
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.ForEachInRange(0, n, func(j int) { sink += j })
-		}
-		_ = sink
 	})
 	b.Run("ForEachRunInRange", func(b *testing.B) {
 		s := New(n)

@@ -3,6 +3,7 @@ package nvm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"libcrpm/internal/bitmap"
 )
@@ -25,22 +26,20 @@ type Device struct {
 	dirty *bitmap.Set
 	// pending marks lines flushed (CLWB/NT) since the last fence. At a
 	// crash each pending line may be rolled back to its undo-arena content,
-	// modelling an in-flight flush that never reached the media.
+	// modelling an in-flight flush that never reached the media. The bitmap
+	// answers membership and the count; walks go through pendRuns.
 	pending *bitmap.Set
+	// pendRuns lists the pending lines as disjoint half-open runs in the
+	// order they were flushed (a line joins at most once per fence epoch);
+	// pendingRuns sorts it before a walk. A fence therefore costs the lines
+	// it drains, however far apart they lie. Reused across fences.
+	pendRuns []lineRun
 	// undo is a flat arena holding, for every pending line l, the media
 	// content from before l's first unfenced overwrite at
 	// undo[l*LineSize:(l+1)*LineSize]. It grows geometrically up to the
 	// device size and is never shrunk, so the steady-state flush path
 	// performs no allocation. Bytes for non-pending lines are stale.
 	undo []byte
-	// pendLo/pendHi bound the pending lines (inclusive; pendHi < 0 means
-	// none), so per-fence accounting walks only the bitmap words that can
-	// hold pending bits instead of the whole device.
-	pendLo, pendHi int
-	// crashSkip is preallocated scratch marking, during Crash, the pending
-	// lines that were rolled back (and so must not be counted as media
-	// writes by accountPending).
-	crashSkip *bitmap.Set
 
 	clock *Clock
 	cost  CostModel
@@ -158,12 +157,10 @@ func NewDevice(size int, opts ...Option) *Device {
 		working:   make([]byte, size),
 		dirty:     bitmap.New(size / LineSize),
 		pending:   bitmap.New(size / LineSize),
-		crashSkip: bitmap.New(size / LineSize),
 		clock:     NewClock(),
 		cost:      currentDefaultCostModel(),
 		failAfter: -1,
 	}
-	d.pendLo, d.pendHi = size/LineSize, -1
 	for _, o := range opts {
 		o(d)
 	}
@@ -240,26 +237,55 @@ func (d *Device) ensureUndo(l int) {
 // pre-flush media content into the undo arena on the first unfenced flush.
 func (d *Device) markPending(l int) {
 	if d.pending.Set(l) {
-		if l < d.pendLo {
-			d.pendLo = l
-		}
-		if l > d.pendHi {
-			d.pendHi = l
-		}
+		d.addRun(l, l+1)
 		d.ensureUndo(l)
 		base := l * LineSize
 		copy(d.undo[base:base+LineSize], d.media[base:base+LineSize])
 	}
 }
 
-// clearPending empties the pending set, touching only the bitmap words
-// inside the current pending window.
-func (d *Device) clearPending() {
-	if d.pendHi >= 0 {
-		d.pending.ClearRange(d.pendLo, d.pendHi+1)
+// lineRun is the half-open range of cache lines [from, to).
+type lineRun struct{ from, to int }
+
+// addRun records the newly pending lines [from, to), extending the last run
+// when they follow it.
+func (d *Device) addRun(from, to int) {
+	if n := len(d.pendRuns); n > 0 && d.pendRuns[n-1].to == from {
+		d.pendRuns[n-1].to = to
+		return
 	}
-	d.pendLo, d.pendHi = d.size/LineSize, -1
+	d.pendRuns = append(d.pendRuns, lineRun{from, to})
 }
+
+// pendingRuns returns the pending runs in ascending order, the order every
+// walk of the pending set visits lines in.
+func (d *Device) pendingRuns() []lineRun {
+	slices.SortFunc(d.pendRuns, func(a, b lineRun) int { return a.from - b.from })
+	return d.pendRuns
+}
+
+// clearPending empties the pending set with one ClearRange per run, so it
+// touches only the bitmap words holding pending lines.
+func (d *Device) clearPending() {
+	for _, r := range d.pendRuns {
+		d.pending.ClearRange(r.from, r.to)
+	}
+	d.pendRuns = d.pendRuns[:0]
+}
+
+// chunkCount counts the distinct media chunks among lines added in ascending
+// order: lines sharing a chunk arrive together, so a transition test stands
+// in for a per-call set. Adding the same line twice in a row counts it once.
+type chunkCount struct{ n, last int }
+
+func (c *chunkCount) add(l int) {
+	if ch := l * LineSize / MediaGranularity; c.n == 0 || ch != c.last {
+		c.n++
+		c.last = ch
+	}
+}
+
+func (c *chunkCount) bytes() int64 { return int64(c.n) * MediaGranularity }
 
 // evictLine spontaneously writes one dirty line back to media, as a real
 // cache may do at any moment.
@@ -328,12 +354,7 @@ func (d *Device) NTStore(off int, src []byte) {
 		d.ensureUndo(last)
 		copy(d.undo[first*LineSize:(last+1)*LineSize], d.media[first*LineSize:(last+1)*LineSize])
 		d.pending.SetRange(first, last+1)
-		if first < d.pendLo {
-			d.pendLo = first
-		}
-		if last > d.pendHi {
-			d.pendHi = last
-		}
+		d.addRun(first, last+1)
 		// Lines fully inside the write no longer have newer cached data.
 		if fc0, fc1 := (off+LineSize-1)/LineSize, (off+n)/LineSize; fc1 > fc0 {
 			d.dirty.ClearRange(fc0, fc1)
@@ -425,29 +446,13 @@ func (d *Device) SFence() {
 	d.tick(OpFence)
 	d.stats.SFences++
 	d.clock.Advance(d.cost.SFencePS + int64(d.pending.Count())*d.cost.SFenceLinePS)
-	d.accountPending(nil)
-}
-
-// accountPending counts media writes for pending lines and clears the
-// pending set. If skip is non-nil, lines in skip were rolled back at a crash
-// and are not counted. Pending lines are visited in ascending order, so
-// lines sharing a media chunk are adjacent and distinct chunks are counted
-// with a transition test instead of a per-fence map.
-func (d *Device) accountPending(skip *bitmap.Set) {
-	if !d.pending.Any() {
-		return
+	var chunks chunkCount
+	for _, r := range d.pendingRuns() {
+		for l := r.from; l < r.to; l++ {
+			chunks.add(l)
+		}
 	}
-	chunks, lastChunk := int64(0), -1
-	d.pending.ForEachInRange(d.pendLo, d.pendHi+1, func(l int) {
-		if skip != nil && skip.Test(l) {
-			return
-		}
-		if c := l * LineSize / MediaGranularity; c != lastChunk {
-			chunks++
-			lastChunk = c
-		}
-	})
-	d.stats.MediaWriteBytes += chunks * MediaGranularity
+	d.stats.MediaWriteBytes += chunks.bytes()
 	d.clearPending()
 }
 
@@ -460,27 +465,20 @@ func (d *Device) WBINVD() {
 	d.stats.WBINVDs++
 	nDirty := d.dirty.Count()
 	d.clock.Advance(d.cost.WBINVDPS + int64(nDirty)*d.cost.CLWBPS/2)
-	// Distinct media chunks across dirty ∪ pending, via an ascending
-	// two-pointer merge of the two bitmaps (no per-call map).
-	chunks, lastChunk := int64(0), -1
-	dl, pl := d.dirty.NextSet(0), d.pending.NextSet(0)
-	for dl >= 0 || pl >= 0 {
-		var l int
-		switch {
-		case pl < 0 || (dl >= 0 && dl <= pl):
-			l = dl
-			if dl == pl {
-				pl = d.pending.NextSet(pl + 1)
+	// Distinct media chunks across dirty ∪ pending, via an ascending merge
+	// of the dirty bitmap with the pending runs.
+	var chunks chunkCount
+	dl := d.dirty.NextSet(0)
+	for _, r := range d.pendingRuns() {
+		for l := r.from; l < r.to; l++ {
+			for ; dl >= 0 && dl < l; dl = d.dirty.NextSet(dl + 1) {
+				chunks.add(dl)
 			}
-			dl = d.dirty.NextSet(dl + 1)
-		default:
-			l = pl
-			pl = d.pending.NextSet(pl + 1)
+			chunks.add(l)
 		}
-		if c := l * LineSize / MediaGranularity; c != lastChunk {
-			chunks++
-			lastChunk = c
-		}
+	}
+	for ; dl >= 0; dl = d.dirty.NextSet(dl + 1) {
+		chunks.add(dl)
 	}
 	d.dirty.ForEach(func(l int) {
 		base := l * LineSize
@@ -489,7 +487,7 @@ func (d *Device) WBINVD() {
 	d.stats.FlushedLines += int64(nDirty)
 	d.dirty.ClearAll()
 	d.clearPending()
-	d.stats.MediaWriteBytes += chunks * MediaGranularity
+	d.stats.MediaWriteBytes += chunks.bytes()
 }
 
 // DirtyLineCount returns the number of cache lines currently dirty.
@@ -512,18 +510,21 @@ func (d *Device) PendingLineCount() int { return d.pending.Count() }
 func (d *Device) CrashWith(p CrashPolicy) int {
 	persisted := 0
 	// In-flight flushes: roll back the losers to their pre-flush media
-	// content.
-	d.crashSkip.ClearAll()
-	d.pending.ForEachInRange(d.pendLo, d.pendHi+1, func(l int) {
-		if p.Persist(l, LinePending) {
-			persisted++
-		} else {
-			base := l * LineSize
-			copy(d.media[base:base+LineSize], d.undo[base:base+LineSize])
-			d.crashSkip.Set(l)
+	// content; the winners are media writes.
+	var chunks chunkCount
+	for _, r := range d.pendingRuns() {
+		for l := r.from; l < r.to; l++ {
+			if p.Persist(l, LinePending) {
+				persisted++
+				chunks.add(l)
+			} else {
+				base := l * LineSize
+				copy(d.media[base:base+LineSize], d.undo[base:base+LineSize])
+			}
 		}
-	})
-	d.accountPending(d.crashSkip)
+	}
+	d.stats.MediaWriteBytes += chunks.bytes()
+	d.clearPending()
 	// Dirty lines: the policy's chosen subset evicts to media.
 	d.dirty.ForEach(func(l int) {
 		if p.Persist(l, LineDirty) {

@@ -24,8 +24,23 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	d.NTStore(0, nt)
 	d.SFence()
 
+	// Two pending lines at opposite ends of the device, and a few hundred
+	// lines flushed in descending order (one run each, sorted at the fence).
+	span := func() { spanFence(d) }
+	scattered := func() {
+		for l := 299; l >= 0; l-- {
+			d.Store(l*3*LineSize, buf[:])
+			d.CLWB(l * 3 * LineSize)
+		}
+		d.SFence()
+	}
+	span()
+	scattered()
+
 	off := 0
 	for name, fn := range map[string]func(){
+		"SFenceSpan":      span,
+		"SFenceScattered": scattered,
 		"Store": func() {
 			d.Store(off, buf[:])
 			off = (off + LineSize) % size
@@ -142,6 +157,31 @@ func BenchmarkDeviceStoreFlushFence(b *testing.B) {
 		}
 		d.FlushRange(off, span)
 		d.SFence()
+	}
+}
+
+// spanFence stores to, flushes and fences the first and last lines of d:
+// two pending lines as far apart as the device allows.
+func spanFence(d *Device) {
+	var buf [8]byte
+	far := d.Size() - LineSize
+	d.Store(0, buf[:])
+	d.Store(far, buf[:])
+	d.CLWB(0)
+	d.CLWB(far)
+	d.SFence()
+}
+
+// BenchmarkSFenceSpan is a fence draining two lines at opposite ends of a
+// 64 MiB device — InCLL's data line and its far-away side log. Its cost is
+// the two lines, not the 64 MiB between them.
+func BenchmarkSFenceSpan(b *testing.B) {
+	d := NewDevice(64 << 20)
+	spanFence(d) // grows the undo arena to the far line
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spanFence(d)
 	}
 }
 

@@ -390,7 +390,7 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 		if sh.id == sh.migSrc {
 			sh.markMigPhase("cleanup") // the destination owes nothing here
 		}
-		if s.box.kind == MigrateMerge {
+		if sh.migKind == MigrateMerge {
 			// No cut is in flight at a policy round, so the next one
 			// commits every delete quantum.
 			sh.retireQ = append(sh.retireQ, retirePlan{shard: sh.migSrc, whenCuts: sh.cuts + 1})
@@ -531,7 +531,7 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 		}
 	}
 	sh.migPhase = migTransfer
-	sh.migSrc, sh.migDst, sh.migSpan = src, dst, span
+	sh.migSrc, sh.migDst, sh.migKind, sh.migSpan = src, dst, kind, span
 	sh.migSpanSet = span.SlotSet()
 	sh.migIdx++
 	if sh.id == src || sh.id == dst {
@@ -702,7 +702,7 @@ func (s *Service) provisionJoined(sh *shard) error {
 	sh.ring = box.ringAtJoin.Clone()
 	sh.ringFlips = append([]RingFlip(nil), box.flipsAt...)
 	sh.migPhase = migTransfer
-	sh.migSrc, sh.migDst = box.src, box.dst
+	sh.migSrc, sh.migDst, sh.migKind = box.src, box.dst, box.kind
 	sh.migSpan = box.span
 	sh.migSpanSet = box.span.SlotSet()
 	sh.migLoad(spanMigInstall, box.snap, box.snapAtPS)

@@ -162,6 +162,10 @@ type shard struct {
 	migDst     int // destination shard of the in-flight migration (-1 idle)
 	migSpan    ring.Span
 	migSpanSet map[int]bool
+	// migKind is the in-flight migration's kind: this rank's copy, since the
+	// shared mailbox is rewritten by the next migStart while a peer may still
+	// be finishing this one's cleanup round.
+	migKind MigrateKind
 	// migLogOn makes the source append every span mutation's result to
 	// migLog (the catch-up delta log); cleared at the pre-flip residual
 	// capture, after which span traffic routes to the destination.
