@@ -65,7 +65,6 @@ func (c *Container) checkpointDefault() error {
 	c.dev.SFence()
 	c.rec.End()
 	c.metrics.CheckpointBytes += int64(dirtyBytes)
-	c.rec.Count("ckpt/dirty_bytes", int64(dirtyBytes))
 
 	// Step 2: every segment written this epoch holds its checkpoint state in
 	// the main region now.
@@ -280,7 +279,6 @@ func (c *Container) checkpointBuffered() error {
 		}
 	})
 	c.meta.Seal()
-	c.rec.Count("ckpt/dirty_bytes", int64(copied))
 
 	c.curDirty.ClearAll()
 	c.dirtySegs.ClearAll()

@@ -36,11 +36,6 @@ func (c *Container) cowCopy(e, s int) {
 	defer c.rec.End()
 	backup, hadPair := c.findPairedBackup(s)
 	c.copyToBackup(s, backup, hadPair)
-	if hadPair {
-		c.rec.Count("cow/diff_segments", 1)
-	} else {
-		c.rec.Count("cow/full_segments", 1)
-	}
 	c.flipToBackup(e, s)
 }
 

@@ -18,8 +18,6 @@ import (
 // it.
 func TestDeferCoWGate(t *testing.T) {
 	dev, c := preCopyFixture(t, incOpts(ModeDefault))
-	rec := obs.NewRecorder(dev.Clock())
-	c.SetTrace(rec)
 	clock := dev.Clock()
 	owed := int64(4096 + 2*6*256)
 	p0 := dev.PrimitiveCount()
@@ -58,8 +56,8 @@ func TestDeferCoWGate(t *testing.T) {
 	if c.DeferCoW(0) {
 		t.Fatalf("deferred on room for %d blocks, the gate wants %d", blocks-1, blocks)
 	}
-	if dev.PrimitiveCount() != p0 || counter(rec, "ckpt/deferred_cow_bytes") != 0 {
-		t.Fatal("a declined deferral issued primitives or counted bytes scheduled")
+	if dev.PrimitiveCount() != p0 || c.inc != nil {
+		t.Fatal("a declined deferral issued primitives or left a replay scheduled")
 	}
 	clock.Advance(fence + blocks*perBlk)
 	c.StepCoW(fence + (blocks-1)*perBlk)
@@ -72,8 +70,8 @@ func TestDeferCoWGate(t *testing.T) {
 	if dev.PrimitiveCount() != p0 {
 		t.Fatal("scheduling issued device primitives")
 	}
-	if got := counter(rec, "ckpt/deferred_cow_bytes"); got != owed {
-		t.Fatalf("ckpt/deferred_cow_bytes = %d, want %d", got, owed)
+	if got := c.inc.replayRem; got != int(owed) {
+		t.Fatalf("%d bytes scheduled, want %d", got, owed)
 	}
 	for _, seg := range []int{1, 2, 5} {
 		if !c.inc.cutSegs.Test(seg) {
@@ -166,8 +164,8 @@ func TestStepCoWQuanta(t *testing.T) {
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if counter(rec, "ckpt/deferred_drained_bytes") != 0 {
-		t.Fatal("a checkpoint after the replay finished counts drained bytes")
+	if spanCount(rec, "ckpt-replay", 1) != 0 {
+		t.Fatal("a checkpoint after the replay finished drained a replay")
 	}
 	dev.CrashDropAll()
 	c2, err := OpenContainer(dev, incOpts(ModeDefault))
@@ -187,9 +185,7 @@ func TestStepCoWQuanta(t *testing.T) {
 func TestDeferCoWNeverStealsABackup(t *testing.T) {
 	opts := incOpts(ModeDefault)
 	opts.Region.BackupRatio = 0.25 // four backups for sixteen segments
-	dev, c := newTestContainer(t, opts)
-	rec := obs.NewRecorder(dev.Clock())
-	c.SetTrace(rec)
+	_, c := newTestContainer(t, opts)
 	for seg := 0; seg < 6; seg++ {
 		writeU64(c, seg*4096, uint64(seg)+1)
 	}
@@ -199,10 +195,10 @@ func TestDeferCoWNeverStealsABackup(t *testing.T) {
 	if len(c.freeBackups) != 4 {
 		t.Fatalf("%d free backups, want 4", len(c.freeBackups))
 	}
-	preCopy(c)
-	if got := counter(rec, "ckpt/deferred_cow_bytes"); got != 4*4096 {
-		t.Fatalf("%d bytes scheduled, want the four segments there is a free backup for", got)
+	if !c.DeferCoW(foreverPS) || c.inc.replayRem != 4*4096 {
+		t.Fatal("want the four segments there is a free backup for scheduled, whole")
 	}
+	c.StepCoW(0)
 	for seg := 0; seg < 6; seg++ {
 		if paired := c.mainToBackup[seg] != region.NoPair; paired != (seg < 4) {
 			t.Fatalf("segment %d paired=%v after the replay", seg, paired)
@@ -219,11 +215,10 @@ func TestDeferCoWNeverStealsABackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := slices.Clone(c.mainToBackup)
-	scheduled := counter(rec, "ckpt/deferred_cow_bytes")
-	preCopy(c)
-	if got := counter(rec, "ckpt/deferred_cow_bytes") - scheduled; got != 2*256 {
-		t.Fatalf("%d bytes scheduled, want the two differential blocks", got)
+	if !c.DeferCoW(foreverPS) || c.inc.replayRem != 2*256 {
+		t.Fatal("want the two differential blocks scheduled")
 	}
+	c.StepCoW(0)
 	if !slices.Equal(pairs, c.mainToBackup) {
 		t.Fatalf("pairings %v before the deferral, %v after: a backup changed hands", pairs, c.mainToBackup)
 	}

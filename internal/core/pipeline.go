@@ -381,7 +381,6 @@ func (c *Container) CheckpointCommit() error {
 		}
 	})
 	c.metrics.CheckpointBytes += int64(inc.cutBytes)
-	c.rec.Count("ckpt/dirty_bytes", int64(inc.cutBytes))
 	c.metrics.Epochs++
 	c.rec.End() // ckpt-commit
 
@@ -458,9 +457,6 @@ func (c *Container) replayQuantum(budgetBytes int) {
 			backup, hadPair := c.findPairedBackup(s)
 			if !hadPair {
 				c.meta.SetBackupToMain(int(backup), uint32(s))
-				c.rec.Count("cow/full_segments", 1)
-			} else {
-				c.rec.Count("cow/diff_segments", 1)
 			}
 			inc.rSeg, inc.rBlk = s, s*bps
 			inc.rFull = !hadPair
@@ -593,7 +589,6 @@ func (c *Container) drainReplay() {
 // dirty before the flush that commits them.
 func (c *Container) finishDeferred() {
 	if c.inc != nil {
-		c.rec.Count("ckpt/deferred_drained_bytes", int64(c.inc.replayRem))
 		c.drainReplay()
 	}
 }
@@ -673,7 +668,6 @@ func (c *Container) DeferCoW(idlePS int64) bool {
 		c.incFree = inc
 		return false
 	}
-	c.rec.Count("ckpt/deferred_cow_bytes", int64(inc.replayRem))
 	c.inc = inc
 	c.lastBlk = -1
 	return true

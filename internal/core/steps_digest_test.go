@@ -228,15 +228,10 @@ func runStepDigest(t *testing.T, p digestPath, checksums bool, crash nvm.CrashPo
 		st(c)
 		sh.observe(dev, c)
 	}
-	// The trace the run left: every span where it was, every counter.
-	tr := rec.Snapshot("")
-	for _, sp := range tr.Spans {
+	// The trace the run left: every span where it was.
+	for _, sp := range rec.Spans() {
 		io.WriteString(sh.h, sp.Name)
 		sh.put(sp.Start, sp.End, int64(sp.Depth))
-	}
-	for _, cn := range tr.Counters {
-		io.WriteString(sh.h, cn.Name)
-		sh.put(cn.Value)
 	}
 	dev.CrashWith(crash)
 	return len(script), fmt.Sprintf("%x", sh.h.Sum(nil)), crc32.ChecksumIEEE(dev.MediaSnapshot())
@@ -244,10 +239,10 @@ func runStepDigest(t *testing.T, p digestPath, checksums bool, crash nvm.CrashPo
 
 // TestStepDigest pins, per way of taking a cut, what every step of a seeded
 // script costs — device primitives, simulated time by category, device
-// counters, backend metrics, copy-on-write bytes — the spans and counters it
-// traced, and the media both crash images leave behind. The golden figures pin costs only on the paths the
-// figures take (eager default mode, no stealing); this pins the rest, so a
-// refactor of the protocol's steps must leave every row untouched. A row that
+// counters, backend metrics, copy-on-write bytes — the spans it traced, and
+// the media both crash images leave behind. The golden figures pin costs only
+// on the paths the figures take (eager default mode, no stealing); this pins
+// the rest, so a refactor of the protocol's steps must leave every row untouched. A row that
 // is meant to move is regenerated with UPDATE_DIGESTS=1 and the reason goes
 // into CHANGES.md.
 func TestStepDigest(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"libcrpm/internal/bitmap"
 	"libcrpm/internal/nvm"
-	"libcrpm/internal/obs"
 )
 
 // Write-through scopes move a burst's flush ahead of the checkpoint, into
@@ -73,7 +72,7 @@ func (c *Container) EndWriteThrough() {
 	// From here on a store to a marked block must reach the slow path.
 	c.lastBlk = -1
 	if len(c.wtBlks) > 0 {
-		c.writeBack(c.wtBlks, "write-through", "ckpt/write_through_bytes")
+		c.writeBack(c.wtBlks, "write-through")
 		c.wtBlks = c.wtBlks[:0]
 	}
 	c.wtOn = c.pre.Any()
@@ -84,7 +83,7 @@ func (c *Container) EndWriteThrough() {
 // runs, one fence makes them durable, and they are marked for the next
 // checkpoint to skip. It leaves the write hook's memo alone; callers reset
 // it, since a store to a block marked here must reach the slow path.
-func (c *Container) writeBack(blks []int, span, counter string) {
+func (c *Container) writeBack(blks []int, span string) {
 	slices.Sort(blks)
 	blks = slices.Compact(blks)
 	clock := c.dev.Clock()
@@ -106,7 +105,6 @@ func (c *Container) writeBack(blks []int, span, counter string) {
 		c.pre.Set(b)
 	}
 	c.metrics.CheckpointBytes += int64(len(blks) * blk)
-	c.rec.Count(counter, int64(len(blks)*blk))
 }
 
 // preFlushLag is how many of the youngest queue entries PreFlush leaves to
@@ -168,9 +166,7 @@ func (c *Container) PreFlush(budgetPS int64) {
 	if len(blks) == 0 {
 		return
 	}
-	t0 := c.dev.Clock().NowPS()
-	c.writeBack(blks, "pre-flush", "ckpt/pre_flush_bytes")
-	c.rec.Observe("ckpt/pre_flush_ps", obs.StepBounds, c.dev.Clock().NowPS()-t0)
+	c.writeBack(blks, "pre-flush")
 	c.wtBlks = blks[:0]
 	c.lastBlk = -1
 	c.wtOn = true

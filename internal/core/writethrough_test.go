@@ -312,19 +312,13 @@ func TestWriteThroughCrashProperty(t *testing.T) {
 				if refC.metrics.CheckpointBytes == 0 {
 					t.Fatal("reference run checkpointed nothing")
 				}
-				if counter(rec, "ckpt/pre_flush_bytes") == 0 || counter(rec, "ckpt/write_through_bytes") == 0 {
+				if spanCount(rec, "pre-flush", 0) == 0 || spanCount(rec, "write-through", 0) == 0 {
 					t.Fatal("reference run never flushed ahead of a cut, by scope or by pre-flush")
 				}
-				if counter(rec, "ckpt/deferred_cow_bytes") == 0 || counter(rec, "ckpt/deferred_drained_bytes") == 0 {
-					t.Fatal("reference run never deferred a copy-on-write, or no checkpoint ever found one unfinished")
+				if spanCount(rec, "ckpt-replay", 1) == 0 {
+					t.Fatal("no checkpoint of the reference run ever found a deferred copy-on-write unfinished")
 				}
-				gaps := 0
-				for _, sp := range rec.Snapshot("").Spans {
-					if sp.Name == "ckpt-replay" && sp.Depth == 0 {
-						gaps++
-					}
-				}
-				if gaps == 0 || declined == 0 {
+				if gaps := spanCount(rec, "ckpt-replay", 0); gaps == 0 || declined == 0 {
 					t.Fatalf("reference run retired %d replay quanta in gaps and its gate declined %d deferrals: want both", gaps, declined)
 				}
 
@@ -374,14 +368,17 @@ func TestWriteThroughCrashProperty(t *testing.T) {
 	}
 }
 
-// counter reads one counter off a recorder (0 if never counted).
-func counter(rec *obs.Recorder, name string) int64 {
-	for _, cn := range rec.Snapshot("").Counters {
-		if cn.Name == name {
-			return cn.Value
+// spanCount counts a recorder's spans of one name at one nesting depth: a
+// "ckpt-replay" span at depth 1 is a deferred copy-on-write a checkpoint found
+// unfinished and drained inside its own span.
+func spanCount(rec *obs.Recorder, name string, depth int) int {
+	n := 0
+	for _, sp := range rec.Spans() {
+		if sp.Name == name && sp.Depth == depth {
+			n++
 		}
 	}
-	return 0
+	return n
 }
 
 // TestWriteThroughCheckpointSkipsScopeBlocks: a checkpoint right after a
@@ -408,8 +405,9 @@ func TestWriteThroughCheckpointSkipsScopeBlocks(t *testing.T) {
 		case scoped:
 			c.EndWriteThrough()
 		case preFlushed:
+			b0 := c.Metrics().CheckpointBytes
 			c.PreFlush(1 << 40)
-			if got := counter(rec, "ckpt/pre_flush_bytes"); got != 40*256 {
+			if got := c.Metrics().CheckpointBytes - b0; got != 40*256 {
 				t.Fatalf("pre-flush wrote back %d bytes, want the 40 dirty blocks", got)
 			}
 		}
@@ -418,6 +416,7 @@ func TestWriteThroughCheckpointSkipsScopeBlocks(t *testing.T) {
 				t.Fatalf("%d dirty lines left after the early write-back's fence", n)
 			}
 		}
+		b0 := c.Metrics().CheckpointBytes
 		if err := c.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +425,7 @@ func TestWriteThroughCheckpointSkipsScopeBlocks(t *testing.T) {
 				flushTicks += s.Ticks
 			}
 		}
-		return flushTicks, counter(rec, "ckpt/dirty_bytes"), dev, opts
+		return flushTicks, c.Metrics().CheckpointBytes - b0, dev, opts
 	}
 	plainTicks, plainBytes, _, _ := run(plain)
 	if plainTicks == 0 || plainBytes == 0 {
@@ -770,7 +769,21 @@ func TestPreCopy(t *testing.T) {
 		rec := obs.NewRecorder(dev.Clock())
 		c.SetTrace(rec)
 		f0 := dev.Stats().SFences
-		preCopy(c)
+		if !c.DeferCoW(foreverPS) {
+			t.Fatal("nothing deferred with no traffic yet")
+		}
+		// Segment 5 has no pair yet and owes a whole-segment copy, 1 and 2 a
+		// differential one each.
+		full := 0
+		for s := range c.inc.segCost {
+			if c.mainToBackup[s] == region.NoPair {
+				full++
+			}
+		}
+		if got, want := c.inc.replayRem, 4096+2*6*256; got != want || full != 1 || len(c.inc.segCost) != 3 {
+			t.Fatalf("%d bytes scheduled over %d segments, %d of them unpaired: want %d, three, one", got, len(c.inc.segCost), full, want)
+		}
+		c.StepCoW(0)
 		if got := dev.Stats().SFences - f0; got != 2 && !checksums {
 			t.Fatalf("pre-copy of three segments issued %d fences, want 2", got)
 		}
@@ -792,11 +805,10 @@ func TestPreCopy(t *testing.T) {
 		if want := int64(4096 + 2*6*256); c.CoWBytes() < want {
 			t.Fatalf("pre-copy moved %d bytes, want a whole segment and two differentials (%d)", c.CoWBytes(), want)
 		}
-		if got, want := counter(rec, "ckpt/deferred_cow_bytes"), int64(4096+2*6*256); got != want {
-			t.Fatalf("ckpt/deferred_cow_bytes = %d, want %d", got, want)
-		}
-		if full, diff := counter(rec, "cow/full_segments"), counter(rec, "cow/diff_segments"); full != 1 || diff != 2 {
-			t.Fatalf("%d full and %d differential segment copies counted, want 1 and 2", full, diff)
+		for _, seg := range []int{1, 2, 5} {
+			if c.mainToBackup[seg] == region.NoPair {
+				t.Fatalf("segment %d is unpaired after its copy", seg)
+			}
 		}
 		cow, f1 := c.CoWBytes(), dev.Stats().SFences
 		for _, seg := range []int{1, 2, 5} {

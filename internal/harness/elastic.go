@@ -85,7 +85,7 @@ func ElasticFigure(sc Scale) (Table, error) {
 				WarmupOps:  sc.Ops / 20,
 				IntervalPS: elasticIntervalPS,
 			}
-			_, res, err := runServiceCell(cfg)
+			res, err := runServiceCell(cfg)
 			if err != nil {
 				return cellRes{}, err
 			}

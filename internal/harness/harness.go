@@ -351,7 +351,6 @@ func (s *DSSetup) Driver(sc Scale, seed int64) *workload.Driver {
 		Zipf:       workload.NewZipfian(sc.Keys, 0.99),
 		Rng:        newRng(seed),
 		Trace:      s.Rec,
-		Device:     s.Dev,
 	}
 }
 

@@ -50,7 +50,7 @@ func ReplicaFigure(sc Scale) (Table, error) {
 			cfg.SLAs = set
 			cfg.Audit = true // the read count for the throughput metric
 		}
-		_, res, err := runServiceCell(cfg)
+		res, err := runServiceCell(cfg)
 		if err != nil {
 			return cellRes{}, err
 		}

@@ -52,11 +52,11 @@ func serviceConfig(sc Scale, shards int, st serviceSetup) server.Config {
 }
 
 // served is one service cell's record: the values of the figure's metrics, in
-// the figure's order, and the shards' recorders (nil when the cell ran
+// the figure's order, and the shards' trace tracks (none when the cell ran
 // untraced). Like measured it holds numbers, never the service.
 type served struct {
-	vals []float64
-	recs []*obs.Recorder
+	vals   []float64
+	tracks []obs.Track
 }
 
 // metric is one quantity a service figure reports per cell: its row label,
@@ -139,14 +139,15 @@ func shardScaling(sc Scale, t Table, key string, shardCounts []int, setups []ser
 	cells, err := grid(setups, shardCounts, func(st serviceSetup, n int) (served, error) {
 		cfg := serviceConfig(sc, n, st)
 		amend(&cfg)
-		svc, res, err := runServiceCell(cfg)
+		res, err := runServiceCell(cfg)
 		if err != nil {
 			return served{}, err
 		}
-		return served{
-			vals: []float64{res.ThroughputOps / 1e6, float64(maxShardPauseP99(res)) / 1e6},
-			recs: svc.Recorders(),
-		}, nil
+		c := served{vals: []float64{res.ThroughputOps / 1e6, float64(maxShardPauseP99(res)) / 1e6}}
+		if res.Trace != nil {
+			c.tracks = res.Trace.Tracks
+		}
+		return c, nil
 	})
 	if err != nil {
 		return t, err
@@ -155,8 +156,9 @@ func shardScaling(sc Scale, t Table, key string, shardCounts []int, setups []ser
 	for si, st := range setups {
 		t.addMetricRows(st.name, metrics, cols, cells[si])
 		for ni, n := range shardCounts {
-			for shard, r := range cells[si][ni].recs {
-				t.trace(fmt.Sprintf("%s/%s/%dshards/shard%d", key, st.name, n, shard), r)
+			for shard, tr := range cells[si][ni].tracks {
+				tr.Label = fmt.Sprintf("%s/%s/%dshards/shard%d", key, st.name, n, shard)
+				t.traceTrack(tr)
 			}
 		}
 	}
@@ -173,20 +175,20 @@ func perShardGeometry(sc Scale, shards int) (heap, buckets int) {
 // runServiceCell runs one service configuration to completion as a figure
 // cell and insists on a consistent result. Cell-internal verification is
 // serial: the sweep is the parallel layer.
-func runServiceCell(cfg server.Config) (*server.Service, *server.Result, error) {
+func runServiceCell(cfg server.Config) (*server.Result, error) {
 	cfg.Parallel = 1
 	svc, err := server.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res, err := svc.Run()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !res.OK() {
-		return nil, nil, fmt.Errorf("service inconsistent: %v", res.Violations[0])
+		return nil, fmt.Errorf("service inconsistent: %v", res.Violations[0])
 	}
-	return svc, res, nil
+	return res, nil
 }
 
 // maxShardPauseP99 is the worst shard's p99 pause in picoseconds.

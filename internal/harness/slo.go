@@ -52,7 +52,7 @@ func SLOFigure(sc Scale) (Table, error) {
 	cells, err := grid(setups, sloTargetsMops, func(st serviceSetup, tgt float64) (served, error) {
 		cfg := serviceConfig(sc, sloShards, st)
 		cfg.Measure = &measure.Config{TargetOps: tgt * 1e6, WarmupOps: sc.Ops / 10}
-		_, res, err := runServiceCell(cfg)
+		res, err := runServiceCell(cfg)
 		if err != nil {
 			return served{}, err
 		}

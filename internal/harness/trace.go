@@ -53,10 +53,18 @@ func TakeTrace() *obs.Trace {
 // recorder becomes one labelled track of the process-wide trace. Figures call
 // it in cell order; a nil recorder (tracing off) adds nothing.
 func (t *Table) trace(label string, r *obs.Recorder) {
-	for _, st := range r.SpanTotals() {
-		t.AddMetric("span_ms/"+label+"/"+st.Name, float64(st.Ticks)/1e9)
+	if r != nil {
+		t.traceTrack(r.Snapshot(label))
+	}
+}
+
+// traceTrack is trace for a cell whose spans come as a track already, a
+// service run's from its Result.Trace.
+func (t *Table) traceTrack(tr obs.Track) {
+	for _, st := range tr.SpanTotals() {
+		t.AddMetric("span_ms/"+tr.Label+"/"+st.Name, float64(st.Ticks)/1e9)
 	}
 	traceMu.Lock()
 	defer traceMu.Unlock()
-	globalTrace.Add(label, r)
+	globalTrace.Tracks = append(globalTrace.Tracks, tr)
 }

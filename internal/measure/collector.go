@@ -199,7 +199,6 @@ type Interval struct {
 	StartPS   int64
 	Ops       int64
 	OpenP99PS int64
-	OpenMaxPS int64
 }
 
 // Report is the merged, deterministic outcome of a measured run.
@@ -209,11 +208,11 @@ type Report struct {
 	TargetOps float64
 	PeriodPS  int64
 	WarmupOps int64
-	// MeasuredOps is the histogram population; the measured window spans
-	// [StartPS, EndPS] on the simulated clock (intended start of the first
-	// measured arrival to the last measured completion).
-	MeasuredOps    int64
-	StartPS, EndPS int64
+	// MeasuredOps is the histogram population; the measured window starts
+	// at StartPS on the simulated clock (intended start of the first
+	// measured arrival) and ends at the last measured completion.
+	MeasuredOps int64
+	StartPS     int64
 	// AchievedOps is the delivered throughput over the measured window,
 	// ops per simulated second. Under saturation it flattens below
 	// TargetOps — the x-axis of the throughput-vs-p99 curve.
@@ -239,7 +238,6 @@ func (c *Collector) Report(target float64) *Report {
 		WarmupOps:   c.warmup,
 		MeasuredOps: c.measured,
 		StartPS:     c.measureStartPS,
-		EndPS:       c.endPS,
 		Open:        c.open.stats(),
 		Service:     c.svc.stats(),
 		OpenAll:     kindStat("all", c.open.all),
@@ -258,7 +256,6 @@ func (c *Collector) Report(target float64) *Report {
 			StartPS:   c.measureStartPS + int64(i)*c.cfg.IntervalPS,
 			Ops:       iv.ops,
 			OpenP99PS: iv.open.Quantile(0.99),
-			OpenMaxPS: iv.open.Max(),
 		})
 	}
 	return r

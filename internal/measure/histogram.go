@@ -4,8 +4,8 @@
 // Three pieces compose the rig:
 //
 //   - Histogram: the simulator's one fixed-bound bucketed histogram
-//     (obs.Histogram, which the trace recorder's metrics are made of too),
-//     whose quantiles are a pure function of the observation multiset.
+//     (obs.Histogram), whose quantiles are a pure function of the
+//     observation multiset.
 //     LogBounds builds HDR-style log-linear bounds with a bounded relative
 //     error; callers with other bucket layouts (the server's request-latency
 //     track, obs.PauseBounds) pass their own bounds.

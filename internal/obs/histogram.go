@@ -12,11 +12,8 @@ import (
 // (the exact max for the overflow bucket), so every reported number is a pure
 // function of the observation multiset — independent of observation order,
 // worker count, and scheduling. The zero value is not usable; construct with
-// NewHistogram, or take a recorder's with Recorder.Histogram.
+// NewHistogram.
 type Histogram struct {
-	// Name is the metric name a recorder keeps the histogram under; empty
-	// for a free-standing one.
-	Name   string
 	bounds []int64
 	counts []int64
 	n      int64

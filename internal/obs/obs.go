@@ -1,6 +1,6 @@
-// Package obs is the deterministic tracing and metrics layer of the
-// simulator: phase-attributed spans and a typed metrics registry, both
-// driven exclusively by the simulated nvm cost clock — never wall time.
+// Package obs is the deterministic tracing layer of the simulator:
+// phase-attributed spans driven exclusively by the simulated nvm cost clock —
+// never wall time.
 //
 // Because every timestamp is simulated picoseconds, a trace is a pure
 // function of the workload and the cost model: running the same cell
@@ -14,12 +14,12 @@
 // like the device it observes: it is not safe for concurrent use. A sweep
 // cell returns its Recorder with its result, and the sweep merges them, in
 // cell order, into a Trace, which exports to Chrome trace-event JSON
-// (Perfetto-loadable) — spans only: the counters and histograms a run records
-// reach a Track but, so far, no exporter.
+// (Perfetto-loadable). The numbers a run reports live in its own result
+// types; a recorder holds spans only, plus the histograms Observe keeps for
+// the benchmark's obs.observe_ns rung.
 package obs
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -47,13 +47,6 @@ type Traceable interface {
 	SetTrace(*Recorder)
 }
 
-// metric is one registry entry, a counter or a histogram for good.
-type metric struct {
-	name  string
-	value int64      // the counter's
-	hist  *Histogram // nil for a counter
-}
-
 // openSpan is a stack frame of an in-flight Begin.
 type openSpan struct {
 	name  string
@@ -61,15 +54,14 @@ type openSpan struct {
 	depth int
 }
 
-// Recorder collects spans and metrics for one simulation cell. The zero
-// value is not usable; construct with NewRecorder. A nil *Recorder is a
-// valid "tracing disabled" recorder: every method is a no-op.
+// Recorder collects spans for one simulation cell. The zero value is not
+// usable; construct with NewRecorder. A nil *Recorder is a valid "tracing
+// disabled" recorder: every method is a no-op.
 type Recorder struct {
-	clock   *nvm.Clock
-	spans   []Span
-	stack   []openSpan
-	names   map[string]int
-	metrics []metric
+	clock *nvm.Clock
+	spans []Span
+	stack []openSpan
+	hists map[string]*Histogram
 }
 
 // NewRecorder returns a recorder reading timestamps from the given
@@ -78,13 +70,8 @@ func NewRecorder(clock *nvm.Clock) *Recorder {
 	if clock == nil {
 		panic("obs: NewRecorder needs a clock")
 	}
-	return &Recorder{clock: clock, names: make(map[string]int)}
+	return &Recorder{clock: clock, hists: make(map[string]*Histogram)}
 }
-
-// Enabled reports whether the recorder actually records (r != nil). Call
-// sites never need it for correctness — it exists to skip expensive label
-// construction.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Begin opens a span. Spans nest; each Begin must be matched by one End.
 func (r *Recorder) Begin(name string) {
@@ -124,72 +111,30 @@ func (r *Recorder) Spans() []Span {
 	return r.spans
 }
 
-// lookup finds the registry entry for name, or creates it: a histogram over
-// bounds, or with nil bounds a counter.
-func (r *Recorder) lookup(name string, bounds []int64) *metric {
-	i, ok := r.names[name]
-	if !ok {
-		i = len(r.metrics)
-		r.names[name] = i
-		r.metrics = append(r.metrics, metric{name: name})
-		if bounds != nil {
-			r.metrics[i].hist = NewHistogram(bounds)
-			r.metrics[i].hist.Name = name
-		}
-	}
-	m := &r.metrics[i]
-	if (m.hist != nil) != (bounds != nil) {
-		panic(fmt.Sprintf("obs: metric %q re-registered as a different kind", name))
-	}
-	return m
-}
-
-// Count adds delta to the named counter.
-func (r *Recorder) Count(name string, delta int64) {
-	if r == nil {
-		return
-	}
-	r.lookup(name, nil).value += delta
-}
-
-// Histogram returns the named histogram, its ascending inclusive bucket
-// bounds fixed at this first mention. A caller that reports from the samples
-// whether or not the run is traced keeps the result and observes into it
-// directly, once per sample: a nil recorder hands out a free-standing
-// histogram.
-func (r *Recorder) Histogram(name string, bounds []int64) *Histogram {
-	if r == nil {
-		return NewHistogram(bounds)
-	}
-	return r.lookup(name, bounds).hist
-}
-
-// Observe adds one sample to the named histogram.
+// Observe adds one sample to the named histogram, its ascending inclusive
+// bucket bounds fixed at the first sample. It is kept for one caller, the
+// benchmark's obs.observe_ns rung; a run's reported numbers live in its own
+// result types, never here.
 func (r *Recorder) Observe(name string, bounds []int64, v int64) {
 	if r == nil {
 		return
 	}
-	r.Histogram(name, bounds).Observe(v)
+	h := r.hists[name]
+	if h == nil {
+		h = NewHistogram(bounds)
+		r.hists[name] = h
+	}
+	h.Observe(v)
 }
 
 // PauseBounds are the bucket upper bounds (simulated picoseconds) of the
 // checkpoint-pause histogram: 1 µs to ~4.2 s in factor-of-4 steps.
 var PauseBounds = ExpBounds(1_000_000, 4, 12)
 
-// StepBounds are the bucket upper bounds (simulated picoseconds) of the
-// incremental-checkpoint quantum-duration histogram: 100 ns to ~6.7 s in
-// factor-of-4 steps, one decade finer than PauseBounds so sub-microsecond
-// pause budgets still resolve.
-var StepBounds = ExpBounds(100_000, 4, 14)
-
 // StalenessBounds are the bucket upper bounds (committed epochs behind
 // the primary) of the per-replica staleness histogram; 0 is a replica
 // fully caught up at its last install.
 var StalenessBounds = []int64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
-
-// AmpBounds are the bucket upper bounds (percent) of the per-epoch media
-// write-amplification histogram: 100% is amplification-free.
-var AmpBounds = []int64{100, 125, 150, 200, 300, 400, 600, 800, 1200, 1600, 3200, 6400}
 
 // ExpBounds builds n exponential bucket bounds: start, start*factor, ...
 func ExpBounds(start int64, factor int64, n int) []int64 {
@@ -202,26 +147,29 @@ func ExpBounds(start int64, factor int64, n int) []int64 {
 	return out
 }
 
-// RecordEpoch folds one epoch's device-stat delta into the registry —
-// subsuming the flat per-epoch nvm.Stats diffing the harnesses used to do
-// by hand — and feeds the two headline histograms: checkpoint pause and
-// media write amplification (media bytes over bytes actually persisted:
-// flushed lines plus non-temporal stores).
-func (r *Recorder) RecordEpoch(delta nvm.Stats, pausePS int64) {
+// Track is the immutable snapshot of one cell's recorder, labelled for
+// merge into a Trace.
+type Track struct {
+	Label      string
+	Spans      []Span
+	Histograms map[string]*Histogram
+}
+
+// Snapshot captures the recorder's state as a labelled track. A nil
+// recorder snapshots to an empty track.
+func (r *Recorder) Snapshot(label string) Track {
+	t := Track{Label: label}
 	if r == nil {
-		return
+		return t
 	}
-	delta.Visit(func(name string, v int64) {
-		if v != 0 {
-			r.Count("stats/"+name, v)
-		}
-	})
-	r.Count("epochs", 1)
-	r.Observe("ckpt/pause_ps", PauseBounds, pausePS)
-	persisted := delta.FlushedLines*nvm.LineSize + delta.NTStoreBytes
-	if persisted > 0 {
-		r.Observe("ckpt/write_amp_pct", AmpBounds, delta.MediaWriteBytes*100/persisted)
+	t.Spans = append([]Span(nil), r.spans...)
+	t.Histograms = make(map[string]*Histogram, len(r.hists))
+	for name, h := range r.hists {
+		c := *h
+		c.counts = slices.Clone(h.counts)
+		t.Histograms[name] = &c
 	}
+	return t
 }
 
 // SpanTotal aggregates every span of one name.
@@ -232,13 +180,10 @@ type SpanTotal struct {
 }
 
 // SpanTotals returns per-name span aggregates, sorted by name.
-func (r *Recorder) SpanTotals() []SpanTotal {
-	if r == nil {
-		return nil
-	}
+func (t Track) SpanTotals() []SpanTotal {
 	idx := make(map[string]int)
 	var out []SpanTotal
-	for _, s := range r.spans {
+	for _, s := range t.Spans {
 		i, ok := idx[s.Name]
 		if !ok {
 			i = len(out)
@@ -250,48 +195,6 @@ func (r *Recorder) SpanTotals() []SpanTotal {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Counter is an exported registry view.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Track is the immutable snapshot of one cell's recorder, labelled for
-// merge into a Trace. Metric slices are sorted by name so merged output is
-// independent of registration order.
-type Track struct {
-	Label      string
-	Spans      []Span
-	Counters   []Counter
-	Histograms []Histogram
-}
-
-// Snapshot captures the recorder's state as a labelled track. A nil
-// recorder snapshots to an empty track.
-func (r *Recorder) Snapshot(label string) Track {
-	t := Track{Label: label}
-	if r == nil {
-		return t
-	}
-	t.Spans = append([]Span(nil), r.spans...)
-	names := make([]string, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		names = append(names, m.name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := r.metrics[r.names[name]]
-		if m.hist == nil {
-			t.Counters = append(t.Counters, Counter{Name: m.name, Value: m.value})
-			continue
-		}
-		h := *m.hist
-		h.counts = slices.Clone(h.counts)
-		t.Histograms = append(t.Histograms, h)
-	}
-	return t
 }
 
 // Trace is an ordered collection of tracks — one per simulation cell —

@@ -20,20 +20,9 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	// None of these may panic or allocate state.
 	r.Begin("x")
 	r.End()
-	r.Count("c", 1)
 	r.Observe("h", PauseBounds, 3)
-	if h := r.Histogram("h", PauseBounds); h == nil || h.N() != 0 {
-		t.Fatalf("nil recorder's histogram is not a fresh free-standing one: %+v", h)
-	}
-	r.RecordEpoch(nvm.Stats{Stores: 1}, 10)
-	if r.Enabled() {
-		t.Fatal("nil recorder reports Enabled")
-	}
 	if got := r.Spans(); got != nil {
 		t.Fatalf("nil recorder has spans: %v", got)
-	}
-	if got := r.SpanTotals(); got != nil {
-		t.Fatalf("nil recorder has span totals: %v", got)
 	}
 	tr := &Trace{}
 	tr.Add("cell", r)
@@ -41,7 +30,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 		t.Fatal("nil recorder added a track")
 	}
 	snap := r.Snapshot("cell")
-	if snap.Label != "cell" || snap.Spans != nil {
+	if snap.Label != "cell" || snap.Spans != nil || snap.Histograms != nil || snap.SpanTotals() != nil {
 		t.Fatalf("nil snapshot not empty: %+v", snap)
 	}
 }
@@ -85,22 +74,17 @@ func TestEndWithoutBeginPanics(t *testing.T) {
 	NewRecorder(testClock()).End()
 }
 
-func TestMetricsRegistry(t *testing.T) {
+func TestObserve(t *testing.T) {
 	r := NewRecorder(testClock())
-	r.Count("ops", 3)
-	r.Count("ops", 4)
 	bounds := []int64{10, 100}
 	for _, v := range []int64{5, 10, 11, 1000} {
 		r.Observe("lat", bounds, v)
 	}
 	tr := r.Snapshot("cell")
-	if len(tr.Counters) != 1 || tr.Counters[0].Value != 7 {
-		t.Fatalf("counter: %+v", tr.Counters)
-	}
-	if len(tr.Histograms) != 1 {
+	h := tr.Histograms["lat"]
+	if len(tr.Histograms) != 1 || h == nil {
 		t.Fatalf("histograms: %+v", tr.Histograms)
 	}
-	h := tr.Histograms[0]
 	// Buckets: <=10 gets 5 and 10; <=100 gets 11; +Inf gets 1000.
 	want := []int64{2, 1, 1}
 	for i, c := range h.counts {
@@ -108,58 +92,13 @@ func TestMetricsRegistry(t *testing.T) {
 			t.Fatalf("bucket %d: got %d want %d (all %v)", i, c, want[i], h.counts)
 		}
 	}
-	if h.Name != "lat" || h.N() != 4 || h.Sum() != 1026 || h.Max() != 1000 {
+	if h.N() != 4 || h.Sum() != 1026 || h.Max() != 1000 {
 		t.Fatalf("histogram stats: %+v", h)
 	}
-	// The snapshot is a copy, and the recorder's histogram is the one a
-	// caller holding it observes into.
-	r.Histogram("lat", bounds).Observe(7)
-	if h.N() != 4 || r.Snapshot("cell").Histograms[0].N() != 5 {
-		t.Fatalf("snapshot aliases the live histogram, or Histogram handed out a copy")
-	}
-}
-
-func TestMetricKindConflictPanics(t *testing.T) {
-	r := NewRecorder(testClock())
-	r.Count("x", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind conflict did not panic")
-		}
-	}()
-	r.Observe("x", PauseBounds, 1)
-}
-
-func TestRecordEpoch(t *testing.T) {
-	r := NewRecorder(testClock())
-	delta := nvm.Stats{SFences: 3, FlushedLines: 4, MediaWriteBytes: 512}
-	r.RecordEpoch(delta, 2_000_000) // 2 µs pause
-	tr := r.Snapshot("cell")
-	byName := map[string]int64{}
-	for _, c := range tr.Counters {
-		byName[c.Name] = c.Value
-	}
-	if byName["stats/sfences"] != 3 || byName["stats/flushed_lines"] != 4 || byName["epochs"] != 1 {
-		t.Fatalf("epoch counters: %v", byName)
-	}
-	if _, ok := byName["stats/stores"]; ok {
-		t.Fatal("zero-valued stat produced a counter")
-	}
-	var pause, amp *Histogram
-	for i := range tr.Histograms {
-		switch tr.Histograms[i].Name {
-		case "ckpt/pause_ps":
-			pause = &tr.Histograms[i]
-		case "ckpt/write_amp_pct":
-			amp = &tr.Histograms[i]
-		}
-	}
-	if pause == nil || pause.N() != 1 || pause.Max() != 2_000_000 {
-		t.Fatalf("pause histogram: %+v", pause)
-	}
-	// 512 media bytes over 4*64=256 persisted bytes = 200%.
-	if amp == nil || amp.N() != 1 || amp.Max() != 200 {
-		t.Fatalf("write-amp histogram: %+v", amp)
+	// The snapshot is a copy of the histogram later samples go to.
+	r.Observe("lat", bounds, 7)
+	if h.N() != 4 || r.Snapshot("cell").Histograms["lat"].N() != 5 {
+		t.Fatalf("snapshot aliases the live histogram")
 	}
 }
 
@@ -174,7 +113,8 @@ func TestSpanTotals(t *testing.T) {
 		clock.Advance(5)
 		r.End()
 	}
-	tot := r.SpanTotals()
+	tr := r.Snapshot("cell")
+	tot := tr.SpanTotals()
 	if len(tot) != 2 || tot[0].Name != "a" || tot[1].Name != "b" {
 		t.Fatalf("totals not sorted by name: %+v", tot)
 	}
@@ -258,8 +198,8 @@ func TestChromeTraceDeterministic(t *testing.T) {
 			clock.Advance(int64(i+1) * 7)
 			r.End()
 		}
-		r.Count("z", 1)
-		r.Count("a", 2)
+		r.Observe("z", PauseBounds, 1)
+		r.Observe("a", PauseBounds, 2)
 		tr := &Trace{}
 		tr.Add("cell", r)
 		return tr

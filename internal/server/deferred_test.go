@@ -8,24 +8,28 @@ import (
 	"libcrpm/internal/obs"
 )
 
-// trackCounter and trackSamples read one counter's value and one histogram's
-// sample count off a track (0 if never recorded).
-func trackCounter(tr obs.Track, name string) int64 {
-	for _, c := range tr.Counters {
-		if c.Name == name {
-			return c.Value
+// drained counts the replay quanta a track shows inside a checkpoint span:
+// deferred copy-on-write that a cut found unfinished and finished itself.
+func drained(tr obs.Track) int {
+	var cuts []obs.Span
+	for _, s := range tr.Spans {
+		if s.Name == "checkpoint" {
+			cuts = append(cuts, s)
 		}
 	}
-	return 0
-}
-
-func trackSamples(tr obs.Track, name string) int64 {
-	for _, h := range tr.Histograms {
-		if h.Name == name {
-			return h.N()
+	n := 0
+	for _, s := range tr.Spans {
+		if s.Name != "ckpt-replay" {
+			continue
+		}
+		for _, c := range cuts {
+			if c.Depth < s.Depth && c.Start <= s.Start && s.End <= c.End {
+				n++
+				break
+			}
 		}
 	}
-	return 0
+	return n
 }
 
 // TestDeferredCoW is the tentpole's contract under an arrival schedule with
@@ -72,22 +76,19 @@ func TestDeferredCoW(t *testing.T) {
 		if !on.shards[i].retired && !reflect.DeepEqual(on.shards[i].ring.Table(), off.shards[i].ring.Table()) {
 			t.Errorf("shard %d ends on a different ring", i)
 		}
-		tr := track(t, ron, i)
 		if n := countSpans(t, ron, i, "cow"); n != 0 {
 			t.Errorf("shard %d: %d inline copy-on-write spans with deferral on", i, n)
 		}
 		if n := countSpans(t, ron, i, "ckpt-replay"); n == 0 {
 			t.Errorf("shard %d: no replay quantum in the gaps", i)
 		}
-		if trackCounter(tr, "ckpt/deferred_cow_bytes") == 0 || trackSamples(tr, "ckpt/deferred") == 0 {
-			t.Errorf("shard %d: no deferral on record (%d bytes scheduled, %d gate samples)", i,
-				trackCounter(tr, "ckpt/deferred_cow_bytes"), trackSamples(tr, "ckpt/deferred"))
+		if !on.shards[i].deferCoW {
+			t.Errorf("shard %d: the gate was never asked", i)
 		}
-		if n := trackCounter(tr, "ckpt/deferred_drained_bytes"); n != 0 {
-			t.Errorf("shard %d: checkpoints had to finish %d bytes of deferred copies: the gate guessed wrong", i, n)
+		if n := drained(track(t, ron, i)); n != 0 {
+			t.Errorf("shard %d: checkpoints had to finish deferred copies in %d quanta: the gate guessed wrong", i, n)
 		}
-		ctl := track(t, roff, i)
-		if countSpans(t, roff, i, "cow") == 0 || countSpans(t, roff, i, "ckpt-replay") != 0 || trackSamples(ctl, "ckpt/deferred") != 0 {
+		if countSpans(t, roff, i, "cow") == 0 || countSpans(t, roff, i, "ckpt-replay") != 0 || off.shards[i].deferCoW {
 			t.Errorf("shard %d: the control run deferred", i)
 		}
 	}

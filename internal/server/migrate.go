@@ -55,7 +55,6 @@ import (
 
 	"libcrpm/internal/measure"
 	"libcrpm/internal/mpi"
-	"libcrpm/internal/obs"
 	"libcrpm/internal/replica"
 	"libcrpm/internal/ring"
 	"libcrpm/internal/workload"
@@ -302,7 +301,6 @@ func (sh *shard) migQuantum(n int) error {
 	if n > 0 && w.pos+n < end {
 		end = w.pos + n
 	}
-	t0 := sh.clock.NowPS()
 	sh.rec.Begin(w.span)
 	sh.ctr.BeginWriteThrough()
 	for _, e := range w.items[w.pos:end] {
@@ -318,7 +316,6 @@ func (sh *shard) migQuantum(n int) error {
 	}
 	sh.ctr.EndWriteThrough()
 	sh.rec.End()
-	sh.rec.Observe("mig/quantum_ps", obs.StepBounds, sh.clock.NowPS()-t0)
 	w.pos = end
 	sh.phaseQuanta++
 	return nil
@@ -714,7 +711,6 @@ func (s *Service) provisionJoined(sh *shard) error {
 		sh.msched = box.sched
 		sh.meas = measure.NewCollector(*m, sh.msched)
 	}
-	sh.statsBase = sh.dev.Stats()
 	sh.primBase = sh.dev.PrimitiveCount()
 	sh.phaseStartPrim = sh.primBase
 	sh.cutStartPS = sh.clock.NowPS()

@@ -10,9 +10,6 @@ import (
 	"libcrpm/internal/workload"
 )
 
-// shipBytesBounds buckets per-cut delta payloads (bytes, 4 KB up).
-var shipBytesBounds = obs.ExpBounds(4096, 4, 12)
-
 // ReadAudit records one routed read (Config.Audit): which replica served
 // it, the view epoch it observed, and whether the SLA degraded. Property
 // tests replay per-client histories from these.
@@ -57,7 +54,7 @@ func (s *Service) initReplicas(sh *shard) error {
 	sh.secKV = make([]pds.KV, g.Len())
 	sh.cstate = make([]replica.ClientState, s.cfg.Clients)
 	sh.readLat = measure.NewHistogram(latencyBounds)
-	sh.stale = sh.rec.Histogram("replica/staleness_epochs", obs.StalenessBounds)
+	sh.stale = measure.NewHistogram(obs.StalenessBounds)
 	return nil
 }
 
@@ -81,12 +78,6 @@ func (sh *shard) captureDelta() *replica.Delta {
 		d.Bytes += l.SegSize
 	}
 	return d
-}
-
-// shipDelta pushes a committed cut's delta to the shard's secondaries.
-func (sh *shard) shipDelta(d *replica.Delta) {
-	sh.reps.Ship(d, sh.clock.NowPS())
-	sh.rec.Observe("replica/ship_bytes", shipBytesBounds, int64(d.Bytes))
 }
 
 // secondaryKV lazily opens a read handle over a secondary's container.

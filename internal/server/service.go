@@ -23,11 +23,6 @@ import (
 // foreverPS is idle time with no arrival at its end.
 const foreverPS = 1 << 60
 
-// deferredBounds splits ckpt/deferred's samples, one per cut, into cuts
-// whose copy-on-write the backend declined to defer (0) and cuts it deferred
-// (1).
-var deferredBounds = []int64{0}
-
 // ErrNoOps mirrors workload.ErrNoOps for the service: a run with no
 // requests has no epochs and no meaningful result.
 var ErrNoOps = errors.New("server: service run needs at least one operation")
@@ -154,7 +149,7 @@ type Config struct {
 	StepBudget int
 	// Seed drives every random stream via sched.SeedFor labels.
 	Seed int64
-	// Trace records per-shard spans and histograms into Result.Trace.
+	// Trace records per-shard spans into Result.Trace.
 	Trace bool
 	// Parallel bounds the post-run verification fan-out
 	// (0 = GOMAXPROCS). It never affects the result bytes.
@@ -365,14 +360,12 @@ type ShardStats struct {
 	// SimPS is the shard's simulated clock at the end of serving.
 	SimPS int64
 	// Latency quantiles over acked requests, picoseconds.
-	P50LatPS, P99LatPS, P999LatPS, MaxLatPS int64
+	P50LatPS, P99LatPS, P999LatPS int64
 	// Pause statistics over this shard's coordinated cuts (commit plus
 	// barrier wait; under the incremental pipeline, every checkpoint
 	// quantum; with the copy-on-write deferred into idle gaps, every replay
 	// quantum too), picoseconds.
 	P99PausePS, P999PausePS, PauseMaxPS int64
-	Crashed                             bool
-	CrashIndex                          int64
 	// Replication accounting (Config.Replicas > 0; zero otherwise).
 	// SecReads counts reads served by secondaries, UnmetReads the reads
 	// degraded to the primary because no replica met the SLA.
@@ -539,17 +532,6 @@ func (s *Service) Run() (*Result, error) {
 	return res, nil
 }
 
-// Recorders returns each shard's trace recorder from the last Run, in
-// shard order (nil entries when tracing was off). Sweeps fold them into
-// figure-level traces.
-func (s *Service) Recorders() []*obs.Recorder {
-	recs := make([]*obs.Recorder, len(s.shards))
-	for i, sh := range s.shards {
-		recs[i] = sh.rec
-	}
-	return recs
-}
-
 // PrimitiveSpans reports each shard's serving-phase device primitive
 // range [base, end) from the last completed Run. A torture sweep crashes
 // a reference-identical run at every index inside a span.
@@ -570,9 +552,9 @@ func (s *Service) containCrash(c *mpi.Comm, rank int) {
 		return
 	}
 	sh := s.shards[rank]
-	switch p := r.(type) {
+	switch r.(type) {
 	case nvm.InjectedCrash:
-		sh.crashed, sh.crashIndex, sh.crashKind = true, p.Index, p.Kind
+		sh.crashed = true
 		if sh.simEndPS == 0 {
 			sh.simEndPS = sh.clock.NowPS()
 		}
@@ -653,7 +635,6 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 		sh.shadow.put(k, k)
 	}
 	sh.rec.End()
-	sh.statsBase = sh.dev.Stats()
 	// The populate cut is stop-the-world whatever the run's cut style:
 	// nothing is being served yet, so there is no pause to budget.
 	if err := s.cutThrough(c, sh, true); err != nil {
@@ -798,12 +779,8 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 				// first stores, into the gaps — if the backend judges that the
 				// gaps of the epoch just closed, and what migration quanta took
 				// of the arrivals behind them, had room for it.
-				var verdict int64
-				if sh.ctr.DeferCoW(sh.lentPS) {
-					verdict = 1
-				}
+				sh.ctr.DeferCoW(sh.lentPS)
 				sh.lentPS = 0
-				sh.rec.Observe("ckpt/deferred", deferredBounds, verdict)
 			}
 			continue
 		}
@@ -983,25 +960,19 @@ func (s *Service) cutStep(c *mpi.Comm, sh *shard) error {
 
 // cutLanded closes out the epoch a cut just committed globally (commit
 // plus barrier behind us, begun at pauseStartPS): the pause sample and the
-// epoch record, the replica delta — it rides that fence, so every
+// epoch span, the replica delta — it rides that fence, so every
 // replicated delta corresponds to a cut recovery can land on — the cut
 // count and the policy's clocks, and the ring flip the cut carried, which
 // is published now: the source queues the deletion of its moved keys
 // (postFlip).
 func (s *Service) cutLanded(sh *shard, pauseStartPS int64) error {
-	pause := sh.clock.NowPS() - pauseStartPS
-	sh.observePause(pause)
+	sh.observePause(sh.clock.NowPS() - pauseStartPS)
 	if sh.inEpoch {
 		sh.rec.End() // epoch
 		sh.inEpoch = false
 	}
-	if sh.rec.Enabled() {
-		stats := sh.dev.Stats()
-		sh.rec.RecordEpoch(stats.Sub(sh.statsBase), pause)
-		sh.statsBase = stats
-	}
 	if sh.pendDelta != nil {
-		sh.shipDelta(sh.pendDelta)
+		sh.reps.Ship(sh.pendDelta, sh.clock.NowPS())
 		sh.pendDelta = nil
 	}
 	sh.cuts++
@@ -1248,12 +1219,9 @@ func (s *Service) fillStats(res *Result) {
 			P50LatPS:    sh.lat.Quantile(0.50),
 			P99LatPS:    sh.lat.Quantile(0.99),
 			P999LatPS:   sh.lat.Quantile(0.999),
-			MaxLatPS:    sh.lat.Max(),
 			P99PausePS:  sh.pause.Quantile(0.99),
 			P999PausePS: sh.pause.Quantile(0.999),
 			PauseMaxPS:  sh.pause.Max(),
-			Crashed:     sh.crashed,
-			CrashIndex:  sh.crashIndex,
 		}
 		if sh.ctr != nil {
 			st.Epoch = sh.epochOff + sh.ctr.CommittedEpoch()

@@ -103,10 +103,9 @@ type shard struct {
 	cutStartPS int64
 	// roundPS is the aligned clock at the previous policy decision, the
 	// baseline for CutStats.Round.
-	roundPS   int64
-	statsBase nvm.Stats
-	inEpoch   bool
-	simEndPS  int64
+	roundPS  int64
+	inEpoch  bool
+	simEndPS int64
 
 	// phase is where the shard's coordinated cut stands (service.go: the
 	// cut lifecycle). While one is in flight, acks are group-committed:
@@ -142,9 +141,7 @@ type shard struct {
 	// traffic or a cut, never setup.
 	primBase, primEnd int64
 
-	crashed    bool
-	crashIndex int64
-	crashKind  nvm.OpKind
+	crashed bool
 
 	// Elastic resharding (Config.Migrations / Config.AutoSplit; everything
 	// below stays nil/zero otherwise, so the migration-free paths are
@@ -213,8 +210,7 @@ type shard struct {
 // newShardShell builds the volatile half of a shard — device, clock,
 // bookkeeping, the trace recorder if the run has one — so the request loop
 // can arm crash injection on the device before any container primitive runs.
-// init builds the persistent half. The request-latency histogram the run
-// reports from is the recorder's own, so a traced run books each sample once.
+// init builds the persistent half.
 func newShardShell(id, deviceSize, stepBudget int, trace bool) *shard {
 	dev := nvm.NewDevice(deviceSize)
 	var rec *obs.Recorder
@@ -227,7 +223,7 @@ func newShardShell(id, deviceSize, stepBudget int, trace bool) *shard {
 		clock:      dev.Clock(),
 		rec:        rec,
 		shadow:     newOracle(),
-		lat:        rec.Histogram("req-latency", latencyBounds),
+		lat:        measure.NewHistogram(latencyBounds),
 		pause:      measure.NewHistogram(obs.PauseBounds),
 		stepBudget: stepBudget,
 		quantumN:   migQuantumItems,
@@ -351,8 +347,7 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 }
 
 // ack acknowledges one request latPS after its dispatch, on every track:
-// the shard's latency histogram (the trace's, in a traced run), the open-loop
-// collector.
+// the shard's latency histogram, the open-loop collector.
 func (sh *shard) ack(p pendAck, latPS int64) {
 	sh.lat.Observe(latPS)
 	sh.meas.Observe(p.kind, p.seq, p.intendedPS, p.startPS, p.startPS+latPS)
@@ -433,10 +428,7 @@ func (sh *shard) gapQuanta(untilPS int64) error {
 		// Shown every gap, replay pending or not: the gaps of this epoch are
 		// what the backend decides by whether to defer the next one's copies.
 		replaying = sh.ctr.StepCoW(untilPS-t0) > 0
-		if step := sh.clock.NowPS() - t0; step > 0 {
-			sh.observePause(step)
-			sh.rec.Observe("ckpt/step_ps", obs.StepBounds, step)
-		}
+		sh.observePause(sh.clock.NowPS() - t0)
 	case sh.phase != cutIdle:
 		if _, err := sh.quantum(); err != nil {
 			return err
@@ -469,10 +461,7 @@ func (sh *shard) quantum() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if step := sh.clock.NowPS() - t0; step > 0 {
-		sh.observePause(step)
-		sh.rec.Observe("ckpt/step_ps", obs.StepBounds, step)
-	}
+	sh.observePause(sh.clock.NowPS() - t0)
 	sh.releaseAcks()
 	return rem, nil
 }

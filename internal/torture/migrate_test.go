@@ -10,12 +10,16 @@ import (
 	"libcrpm/internal/workload"
 )
 
+// migBase is the sweeps' service: small shards, and a table sized so that a
+// merge destination's never grows mid-install.
 func migBase() server.Config {
 	return server.Config{
 		Shards:   2,
 		Clients:  2,
 		Ops:      6000,
 		Keys:     2000,
+		HeapSize: 2 << 20,
+		Buckets:  1 << 12,
 		BatchOps: 256,
 		Policy:   server.OpsPolicy{Every: 1024},
 		Seed:     7,
@@ -81,8 +85,6 @@ func TestMigrateSweepOpenLoop(t *testing.T) {
 	}
 	cfg := migBase()
 	cfg.Ops = 8000
-	// Sized so the merge destination's table never grows mid-install.
-	cfg.HeapSize, cfg.Buckets = 2<<20, 1<<12
 	cfg.Migrations = []server.MigrateSpec{
 		{Kind: server.MigrateSplit, Src: 0, AfterCuts: 2},
 		{Kind: server.MigrateMerge, Src: 2, Dst: 1, AfterCuts: 5},

@@ -170,14 +170,11 @@ type Driver struct {
 	Zipf *Zipfian
 	// Rng drives all randomness; required.
 	Rng *rand.Rand
-	// Trace, if non-nil, receives an "epoch" span per epoch plus the
-	// per-epoch device-stat deltas and the checkpoint-pause histogram. The
-	// driver records these for every backend uniformly, so baselines get
-	// epoch attribution even without their own phase spans. Requires Device.
+	// Trace, if non-nil, receives an "epoch" span per epoch with a
+	// "ckpt-pause" span at its end. The driver records these for every
+	// backend uniformly, so baselines get epoch attribution even without
+	// their own phase spans.
 	Trace *obs.Recorder
-	// Device is the cell's device, read (never advanced) for the per-epoch
-	// stat snapshots when Trace is set.
-	Device *nvm.Device
 }
 
 // Populate inserts keys 0..n-1 and checkpoints once, the paper's initial
@@ -206,18 +203,11 @@ func (d *Driver) Run(mix Mix, ops int) (Result, error) {
 	epochStart := start
 	epochs := 0
 	var pauseTotal, pauseMax time.Duration
-	traced := d.Trace.Enabled()
-	var statsBase nvm.Stats
-	if traced {
-		if d.Device != nil {
-			statsBase = d.Device.Stats()
-		}
-		d.Trace.Begin("epoch")
-	}
+	d.Trace.Begin("epoch")
 	nextInsert := d.Keys
 	for i := 0; i < ops; i++ {
 		if d.Clock.Now()-epochStart >= d.Interval {
-			pause, err := d.checkpointEpoch(&statsBase)
+			pause, err := d.checkpointEpoch()
 			if err != nil {
 				return Result{}, err
 			}
@@ -227,9 +217,7 @@ func (d *Driver) Run(mix Mix, ops int) (Result, error) {
 			}
 			epochs++
 			epochStart = d.Clock.Now()
-			if traced {
-				d.Trace.Begin("epoch")
-			}
+			d.Trace.Begin("epoch")
 		}
 		switch {
 		case mix.InsertOnly:
@@ -246,7 +234,7 @@ func (d *Driver) Run(mix Mix, ops int) (Result, error) {
 		}
 	}
 	if d.Clock.Now() > epochStart {
-		pause, err := d.checkpointEpoch(&statsBase)
+		pause, err := d.checkpointEpoch()
 		if err != nil {
 			return Result{}, err
 		}
@@ -255,7 +243,7 @@ func (d *Driver) Run(mix Mix, ops int) (Result, error) {
 			pauseMax = pause
 		}
 		epochs++
-	} else if traced {
+	} else {
 		// No trailing work: close the epoch span opened after the last
 		// checkpoint (or at run start) without recording an empty epoch.
 		d.Trace.End()
@@ -277,32 +265,16 @@ func (d *Driver) Run(mix Mix, ops int) (Result, error) {
 
 // checkpointEpoch ends the current epoch: it runs the checkpoint inside a
 // "ckpt-pause" span (emitted for every backend, even ones without their own
-// phase spans), closes the surrounding "epoch" span, and folds the epoch's
-// device-stat delta and pause into the recorder's histograms. statsBase is
-// advanced to the post-checkpoint snapshot.
-func (d *Driver) checkpointEpoch(statsBase *nvm.Stats) (time.Duration, error) {
+// phase spans) and closes the surrounding "epoch" span.
+func (d *Driver) checkpointEpoch() (time.Duration, error) {
 	t0 := d.Clock.Now()
-	var t0ps int64
-	if d.Trace.Enabled() {
-		t0ps = d.Clock.NowPS()
-		d.Trace.Begin("ckpt-pause")
-	}
+	d.Trace.Begin("ckpt-pause")
 	if err := d.Checkpoint(); err != nil {
 		return 0, err
 	}
-	pause := d.Clock.Now() - t0
-	if d.Trace.Enabled() {
-		d.Trace.End() // ckpt-pause
-		d.Trace.End() // epoch
-		var delta nvm.Stats
-		if d.Device != nil {
-			s := d.Device.Stats()
-			delta = s.Sub(*statsBase)
-			*statsBase = s
-		}
-		d.Trace.RecordEpoch(delta, d.Clock.NowPS()-t0ps)
-	}
-	return pause, nil
+	d.Trace.End() // ckpt-pause
+	d.Trace.End() // epoch
+	return d.Clock.Now() - t0, nil
 }
 
 func (d *Driver) nextKey() uint64 {

@@ -139,6 +139,10 @@ test)
   # decided in internal/nvm alone.
   words=$(grep -rn '<= 16' --include='*.go' internal cmd | grep -v _test.go | grep -v '^internal/nvm/' || true)
   [ -z "$words" ] || fail "a size compared against the word outside internal/nvm; call Device.Write / ChargeRead / ChargeDRAMRead / ChargeDRAMWrite: $words"
+  # The recorder holds spans (DESIGN.md §9): a number a run reports lives in
+  # the run's own result type. Observe stays for the benchmark's rung alone.
+  observes=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench '\.Observe("' . || true)
+  [ -z "$observes" ] || fail "a named histogram outside tests and bench/; book the number where the run reports it: $observes"
   go test ./...
   # The benchmark module compiles against internal names: a name deleted
   # from under bench/ fails here, not in the benchmark run.
@@ -178,8 +182,6 @@ migrate)
 torture)
   go test -race -short ./internal/torture/
   # Full size: every test -short skips or shrinks in these packages runs here.
-  # TestMigrateSweepSplit's 64 MiB shards need more than 8 GB under -race, so
-  # a machine with 8 GB or less cannot run this line.
   go test -race -timeout 60m ./internal/core/ ./internal/harness/ ./internal/torture/
   go build -o "$out/crpmtorture" ./cmd/crpmtorture
   "$out/crpmtorture"
