@@ -1,282 +1,18 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (run `go test -bench=. -benchmem`), plus micro-benchmarks of the hot
-// paths. Each experiment bench executes the corresponding harness function
-// once per iteration and logs the produced table; derived headline numbers
-// are attached as custom metrics so `benchstat` can track them.
+// Micro-benchmarks of the public API's hot paths and of every backend's
+// write hook (run `go test -bench=. -benchmem`). The paper's tables and
+// figures are pinned by the harness goldens and results/small.csv, and
+// regenerated by crpmbench, not here.
 package crpm
 
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"testing"
 	"time"
 
 	"libcrpm/internal/harness"
 	"libcrpm/internal/workload"
 )
-
-// benchScale trims the small scale so the full bench suite stays in the
-// minutes range.
-func benchScale() harness.Scale {
-	sc := harness.SmallScale()
-	sc.Ops = 40_000
-	sc.Keys = 60_000
-	return sc
-}
-
-// tableCell extracts a float cell by row name for metric reporting.
-func tableCell(tb harness.Table, rowName string, col int) float64 {
-	for _, r := range tb.Rows {
-		if r[0] == rowName {
-			v, _ := strconv.ParseFloat(r[col], 64)
-			return v
-		}
-	}
-	return 0
-}
-
-func BenchmarkFig1Breakdown(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.Fig1Breakdown(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-			b.ReportMetric(tableCell(tb, "libcrpm-Default", 2), "crpm-exec-%")
-		}
-	}
-}
-
-func BenchmarkFig7HashMap(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.Fig7Throughput(sc, harness.DSHashMap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-			b.ReportMetric(tableCell(tb, "libcrpm-Default", 2), "crpm-balanced-Mops")
-			b.ReportMetric(tableCell(tb, "NVM-NP", 2), "nvmnp-balanced-Mops")
-		}
-	}
-}
-
-func BenchmarkFig7RBMap(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 20_000
-	sc.Keys = 20_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.Fig7Throughput(sc, harness.DSRBMap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-			b.ReportMetric(tableCell(tb, "libcrpm-Default", 2), "crpm-balanced-Mops")
-		}
-	}
-}
-
-func BenchmarkFig8Apps(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.Fig8Apps(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkFig9Interval(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 25_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.Fig9Interval(sc, harness.DSHashMap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkFig10aSegment(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 25_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.Fig10aSegment(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkFig10bBlock(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 25_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.Fig10bBlock(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkTable1aCheckpointSize(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.Table1a(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-			b.ReportMetric(tableCell(tb, "libcrpm-Default", 2), "crpm-B/op-balanced")
-			b.ReportMetric(tableCell(tb, "Mprotect", 2), "mprotect-B/op-balanced")
-		}
-	}
-}
-
-func BenchmarkTable1bFences(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.Table1b(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-			b.ReportMetric(tableCell(tb, "libcrpm-Default", 2), "crpm-fences/epoch")
-			b.ReportMetric(tableCell(tb, "Undo-log", 2), "undolog-fences/epoch")
-		}
-	}
-}
-
-func BenchmarkRecoveryTime(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.RecoveryTime(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkStorageCost(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.StorageCost(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkAblationEagerCoW(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 25_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.AblationEagerCoW(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkAblationDifferentialCopy(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 25_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.AblationDifferentialCopy(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkAblationFlushThreshold(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 25_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.AblationFlushThreshold(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkAblationBackupRatio(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 25_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.AblationBackupRatio(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkAblationFTIIncremental(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 25_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.AblationFTIIncremental(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkAblationBufferedVsDefault(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 25_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.AblationBufferedVsDefault(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-// --- micro-benchmarks of the public API hot paths ---
 
 func newBenchStore(b *testing.B, mode Mode) (*Store, *HashMap) {
 	b.Helper()
@@ -424,34 +160,6 @@ func BenchmarkEndToEndWorkload(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationEADR(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 20_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.AblationEADR(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
-func BenchmarkPauseTimes(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 20_000
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.PauseTimes(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-		}
-	}
-}
-
 // BenchmarkOnWriteBackends measures the real (wall-clock) cost of the
 // OnWrite hot path of every backend at every crossover write size: one
 // traced, size-aligned write per iteration over a uniform offset stream,
@@ -484,24 +192,6 @@ func BenchmarkOnWriteBackends(b *testing.B) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// BenchmarkCrossover regenerates the InCLL-vs-differential crossover
-// figure once per iteration, reporting the headline cell.
-func BenchmarkCrossover(b *testing.B) {
-	sc := benchScale()
-	sc.Ops = 16_000
-	sc.HeapSize = 4 << 20
-	for i := 0; i < b.N; i++ {
-		tb, err := harness.CrossoverFigure(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tb)
-			b.ReportMetric(tb.Metrics["xover_mops/8B/uniform/update-heavy/InCLL"], "incll-8B-sim-Mops")
 		}
 	}
 }

@@ -61,11 +61,6 @@ type Options struct {
 	// lock so multiple application threads may share the container. The
 	// protocol's per-segment locks are used either way.
 	Concurrent bool
-	// NoAutoRepair disables the automatic region.Repair attempt when Open
-	// detects corrupt checksummed metadata; the typed error is surfaced
-	// instead. Useful for fsck-style tooling that wants to report before
-	// repairing.
-	NoAutoRepair bool
 	// Trace attaches a phase recorder. Nil (the default) disables tracing;
 	// every recorder call is then a nil-receiver no-op, and the instrumented
 	// write path contains no recorder calls at all, so the option is free
@@ -215,7 +210,7 @@ func OpenContainerDeferRecovery(dev *nvm.Device, opts Options) (*Container, erro
 		return nil, err
 	}
 	meta, err := region.Open(dev, l)
-	if err != nil && opts.Region.Checksums && !opts.NoAutoRepair {
+	if err != nil && opts.Region.Checksums {
 		// The header itself may be the corrupt line; with checksums enabled
 		// it is reconstructible from the shadow copy.
 		if _, rerr := region.Repair(dev, l); rerr != nil {
@@ -230,9 +225,6 @@ func OpenContainerDeferRecovery(dev *nvm.Device, opts Options) (*Container, erro
 	}
 	if l.Checksummed() {
 		if verr := region.Validate(dev, l); verr != nil {
-			if opts.NoAutoRepair {
-				return nil, fmt.Errorf("%w: %v", ErrCorruptMetadata, verr)
-			}
 			if _, rerr := region.Repair(dev, l); rerr != nil {
 				return nil, fmt.Errorf("%w: %v", ErrUnrecoverable, rerr)
 			}

@@ -71,28 +71,30 @@ func TestCorruptEveryMetadataLine(t *testing.T) {
 	}
 }
 
-// TestNoAutoRepairSurfacesTypedError pins the fsck-style path: with
-// NoAutoRepair, corruption is reported as ErrCorruptMetadata and the media
-// is left untouched for offline inspection.
-func TestNoAutoRepairSurfacesTypedError(t *testing.T) {
-	dev, opts, _ := committedContainer(t, ModeDefault)
+// TestCheckReportsBeforeOpenRepairs pins the fsck-style path crpmck takes:
+// region.Check reports the corruption and leaves the media untouched for
+// offline inspection, and the same image then opens repaired, to the exact
+// committed state.
+func TestCheckReportsBeforeOpenRepairs(t *testing.T) {
+	dev, opts, want := committedContainer(t, ModeDefault)
 	dev.CorruptRange(48, 8) // inside the segment-state arrays
 	before := append([]byte(nil), dev.MediaSnapshot()...)
-	opts.NoAutoRepair = true
-	_, err := OpenContainer(dev, opts)
-	if !errors.Is(err, ErrCorruptMetadata) {
-		t.Fatalf("err = %v, want ErrCorruptMetadata", err)
+	l, err := region.NewLayout(opts.Region)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errors.Is(err, ErrUnrecoverable) {
-		t.Fatalf("repairable corruption misreported as unrecoverable: %v", err)
+	if r := region.Check(dev, l, false); r.OK() {
+		t.Fatal("check passed a corrupt image")
 	}
 	if !bytes.Equal(before, dev.MediaSnapshot()) {
-		t.Fatal("NoAutoRepair open modified the media")
+		t.Fatal("check modified the media")
 	}
-	// The same image opens fine once auto-repair is allowed.
-	opts.NoAutoRepair = false
-	if _, err := OpenContainer(dev, opts); err != nil {
+	c, err := OpenContainer(dev, opts)
+	if err != nil {
 		t.Fatalf("auto-repair open failed: %v", err)
+	}
+	if !bytes.Equal(c.Bytes(), want) {
+		t.Fatal("repaired heap diverges from the committed state")
 	}
 }
 

@@ -6,8 +6,9 @@ import (
 )
 
 // ErrCorruptMetadata means the container's checksummed metadata failed
-// validation at Open/Recover. If automatic repair is enabled (the default)
-// it is only returned when repair was not attempted or not applicable.
+// validation at Open/Recover. Open repairs what the redundant copy can, so
+// it surfaces only wrapped in ErrUnrecoverable; region.Check is the
+// report-before-repair path (crpmck).
 var ErrCorruptMetadata = errors.New("core: corrupt container metadata")
 
 // ErrUnrecoverable means corruption was detected AND could not be repaired

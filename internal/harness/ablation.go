@@ -28,7 +28,7 @@ func crpmAblation(sc Scale, t Table, seed int64, variants []crpmVariant, extra f
 		if err != nil {
 			return nil, err
 		}
-		s, err := newSetup(ctr.Name(), ctr, DSHashMap, sc)
+		s, err := newSetup(ctr, DSHashMap, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +167,7 @@ func AblationFTIIncremental(sc Scale) (Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := newSetup(b.Name(), b, DSHashMap, sc)
+		s, err := newSetup(b, DSHashMap, sc)
 		if err != nil {
 			return nil, err
 		}

@@ -226,9 +226,8 @@ func DSSystems(kind DSKind) []string {
 
 // DSSetup is one system+structure instance ready to drive.
 type DSSetup struct {
-	System string
-	KV     pds.KV
-	Dev    *nvm.Device
+	KV  pds.KV
+	Dev *nvm.Device
 	// Checkpoint ends an epoch on this system.
 	Checkpoint func() error
 	// Backend is nil for Dalí (its persistence is inside the structure).
@@ -255,7 +254,7 @@ func NewDSSetup(system string, kind DSKind, sc Scale, geo Geometry) (*DSSetup, e
 		if err != nil {
 			return nil, err
 		}
-		s := &DSSetup{System: system, KV: m, Dev: m.Device(), Checkpoint: m.EpochPersist}
+		s := &DSSetup{KV: m, Dev: m.Device(), Checkpoint: m.EpochPersist}
 		if Tracing() {
 			// Dalí has no ckpt.Backend to instrument, but the driver-level
 			// epoch spans and per-epoch stat deltas still apply.
@@ -267,7 +266,7 @@ func NewDSSetup(system string, kind DSKind, sc Scale, geo Geometry) (*DSSetup, e
 	if err != nil {
 		return nil, err
 	}
-	return newSetup(system, b, kind, sc)
+	return newSetup(b, kind, sc)
 }
 
 // newBackend is the one place a system's name becomes its checkpoint backend,
@@ -316,7 +315,7 @@ func newContainer(heapSize int, opts core.Options) (*core.Container, error) {
 
 // newSetup finishes a setup over backend b: the allocator, the structure and,
 // when harness tracing is on, the cell's recorder.
-func newSetup(system string, b ckpt.Backend, kind DSKind, sc Scale) (*DSSetup, error) {
+func newSetup(b ckpt.Backend, kind DSKind, sc Scale) (*DSSetup, error) {
 	a, err := alloc.Format(heap.New(b))
 	if err != nil {
 		return nil, err
@@ -326,7 +325,6 @@ func newSetup(system string, b ckpt.Backend, kind DSKind, sc Scale) (*DSSetup, e
 		return nil, err
 	}
 	s := &DSSetup{
-		System:     system,
 		KV:         kv,
 		Dev:        b.Device(),
 		Checkpoint: b.Checkpoint,

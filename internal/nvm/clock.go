@@ -47,15 +47,6 @@ func (c *Clock) Now() time.Duration { return time.Duration(c.ps / 1000) }
 // CategoryPS returns the accumulated picoseconds for one category.
 func (c *Clock) CategoryPS(cat Category) int64 { return c.perCat[cat] }
 
-// Breakdown returns the per-category durations in category order.
-func (c *Clock) Breakdown() [NumCategories]time.Duration {
-	var out [NumCategories]time.Duration
-	for i := range c.perCat {
-		out[i] = time.Duration(c.perCat[i] / 1000)
-	}
-	return out
-}
-
 // Reset zeroes the clock and all category accumulators.
 func (c *Clock) Reset() {
 	c.ps = 0

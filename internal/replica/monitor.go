@@ -37,7 +37,7 @@ type Plan struct {
 	RTTPS int64
 	// Unmet reports that no replica satisfied the SLA's consistency and
 	// latency together, so the read degraded to the primary — always
-	// consistent, maybe slow — and the caller surfaces ErrSLAUnmet.
+	// consistent, maybe slow — and the caller counts the miss.
 	Unmet bool
 }
 

@@ -12,8 +12,9 @@
 // Storage", SOSP'13): reads carry an SLA — strong, read-my-writes,
 // monotonic, bounded-staleness, or eventual, optionally with a latency
 // target — and an optimizer routes each read to the cheapest replica whose
-// view satisfies it, falling back to the primary (and surfacing the typed
-// ErrSLAUnmet) when none qualifies.
+// view satisfies it, falling back to the primary (and flagging the plan
+// Unmet) when none qualifies. The optimizer only routes: the service checks
+// every routed read against the guarantee its SLA names.
 //
 // When the primary's node is lost, the most-current secondary is promoted
 // from its last installed cut: Promotion implements mpi.Recoverable, so
@@ -67,12 +68,6 @@ func (l Level) String() string {
 		return fmt.Sprintf("Level(%d)", int(l))
 	}
 }
-
-// ErrSLAUnmet is wrapped by read plans that had to degrade: no replica
-// satisfied the SLA's consistency and latency target together, so the read
-// was served from the primary (always consistent, maybe slow) and the
-// miss is surfaced to the caller for accounting.
-var ErrSLAUnmet = errors.New("replica: no replica satisfies the SLA")
 
 // ErrBadSLA is wrapped by every SLA parse failure, so CLI layers can
 // distinguish a malformed -sla flag from operational errors.

@@ -65,7 +65,7 @@ func digestRows() []digestRow {
 			c.Mode, c.StepBudget, c.Policy = core.ModeBuffered, 8<<10, DirtyBytesPolicy{Bytes: 64 << 10}
 			return c
 		}},
-		{name: "replicas/stw-mix", cfg: func() Config { c := replCfg(); c.Audit = true; return c }},
+		{name: "replicas/stw-mix", cfg: replCfg},
 		{name: "replicas/pause-bounded", cfg: func() Config {
 			c := replCfg()
 			c.Policy = pause
@@ -109,7 +109,7 @@ func digestRows() []digestRow {
 			c := migCfg()
 			c.HeapSize, c.Buckets = 2<<20, 1<<10
 			c.Ops, c.Mix = 12_000, workload.YCSBA
-			c.AutoSplit = AutoSplitSpec{MaxShards: 4, HotFactor: 1.01}
+			c.AutoSplit = AutoSplitSpec{MaxShards: 4}
 			return c
 		}},
 		{name: "migrate/stw-crash", cfg: func() Config { return mig(splitMoveMerge...) }, crashShard: 1, crashFrac: 0.8},
@@ -155,7 +155,7 @@ func digestRows() []digestRow {
 }
 
 // runDigest runs one row with tracing and liveness on and returns the
-// sha256 of its Result (stats, violations, migrations, audits, measure
+// sha256 of its Result (stats, violations, migrations, measure
 // report — everything but the trace, as JSON) and of its Chrome trace.
 func runDigest(t *testing.T, row digestRow) (result, trace string, res *Result) {
 	t.Helper()

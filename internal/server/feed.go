@@ -50,7 +50,7 @@ type opFeed struct {
 }
 
 func (s *Service) newFeed() *opFeed {
-	return &opFeed{gens: s.newGenerators(), ring: s.router.Ring(), ops: s.cfg.Ops, per: s.cfg.BatchOps}
+	return &opFeed{gens: s.newGenerators(), ring: s.ring, ops: s.cfg.Ops, per: s.cfg.BatchOps}
 }
 
 // batch returns global batch b — requests [b*per, (b+1)*per) in sequence

@@ -19,7 +19,7 @@ type routedOp struct {
 // TestFeedMatchesMaterialised is the feed ≡ materialised property: walking
 // the batch feed and keeping the ops whose slot a shard owns yields, per
 // shard, exactly the (seq, op) sequence the service used to materialise up
-// front — fresh generators drawn round-robin, routed by Router.Shard — for
+// front — fresh generators drawn round-robin, routed by the boot ring — for
 // plain and migratory configs alike (the latter used one global stream:
 // the concatenated batches must equal it, with every slot matching the
 // boot ring's hash of the key).
@@ -44,7 +44,7 @@ func TestFeedMatchesMaterialised(t *testing.T) {
 			var global []routedOp
 			for i := 0; i < s.cfg.Ops; i++ {
 				op := gens[i%s.cfg.Clients].Next()
-				sh := s.router.Shard(op.Key)
+				sh := s.ring.Owner(op.Key)
 				want[sh] = append(want[sh], routedOp{i, op})
 				global = append(global, routedOp{i, op})
 			}
@@ -58,10 +58,10 @@ func TestFeedMatchesMaterialised(t *testing.T) {
 					t.Fatalf("batch %d holds %d ops, want %d", b, len(batch), wantLen)
 				}
 				for _, so := range batch {
-					if so.slot != s.router.Ring().Slot(so.op.Key) {
-						t.Fatalf("seq %d: slot %d, ring hashes key %d to %d", so.seq, so.slot, so.op.Key, s.router.Ring().Slot(so.op.Key))
+					if so.slot != s.ring.Slot(so.op.Key) {
+						t.Fatalf("seq %d: slot %d, ring hashes key %d to %d", so.seq, so.slot, so.op.Key, s.ring.Slot(so.op.Key))
 					}
-					owner := s.router.Ring().OwnerOfSlot(so.slot)
+					owner := s.ring.OwnerOfSlot(so.slot)
 					got[owner] = append(got[owner], routedOp{so.seq, so.op})
 					stream = append(stream, routedOp{so.seq, so.op})
 				}

@@ -96,14 +96,18 @@ type MigrateSpec struct {
 // AutoSplitSpec makes the service split its hottest shard on its own:
 // at every cut boundary the per-shard applied-op counts since the last
 // evaluation are allreduced, and the hottest live shard splits when its
-// count exceeds HotFactor times the live-shard mean, until MaxShards live
+// count exceeds hotFactor times the live-shard mean, until MaxShards live
 // shards exist.
 type AutoSplitSpec struct {
 	// MaxShards caps the live shard count; zero disables autosplit.
 	MaxShards int
-	// HotFactor is the imbalance trigger threshold (default 2).
-	HotFactor float64
 }
+
+// hotFactor is autosplit's imbalance trigger: the hottest shard splits once
+// it carries more than this multiple of the live-shard mean. Just above 1, so
+// any measurable skew splits — a factor of 2 could never fire on two live
+// shards, where the hottest would have to carry more than the total.
+const hotFactor = 1.01
 
 // migPhase is the per-rank migration state; every rank holds the same
 // phase at every global batch boundary.
@@ -202,9 +206,6 @@ type MigSpan struct {
 	Phase string // "transfer", "catchup", "flip", "cleanup"
 	Lo    int64  // first primitive index inside the phase
 	Hi    int64  // one past the last
-	// Quanta counts the migration quanta this shard ran inside the window
-	// (they interleave with requests, all of them inside [Lo, Hi)).
-	Quanta int
 }
 
 // migBox is the single-writer mailbox migration state crosses ranks
@@ -257,8 +258,8 @@ func (sh *shard) markMigPhase(phase string) {
 		return
 	}
 	now := sh.dev.PrimitiveCount()
-	sh.migSpans = append(sh.migSpans, MigSpan{Shard: sh.id, Phase: phase, Lo: sh.phaseStartPrim, Hi: now, Quanta: sh.phaseQuanta})
-	sh.phaseStartPrim, sh.phaseQuanta = now, 0
+	sh.migSpans = append(sh.migSpans, MigSpan{Shard: sh.id, Phase: phase, Lo: sh.phaseStartPrim, Hi: now})
+	sh.phaseStartPrim = now
 }
 
 // maybeLogMig appends a span mutation's result to the source's catch-up
@@ -317,7 +318,6 @@ func (sh *shard) migQuantum(n int) error {
 	sh.ctr.EndWriteThrough()
 	sh.rec.End()
 	w.pos = end
-	sh.phaseQuanta++
 	return nil
 }
 
@@ -436,7 +436,7 @@ func (s *Service) autoSplitRound(c *mpi.Comm, sh *shard, b int) error {
 	if hot < 0 || total == 0 {
 		return nil
 	}
-	if float64(counts[hot])*float64(live) <= as.HotFactor*float64(total) {
+	if float64(counts[hot])*float64(live) <= hotFactor*float64(total) {
 		return nil
 	}
 	return s.migStart(c, sh, b, MigrateSplit, hot, 0)

@@ -198,12 +198,12 @@ func TestMigrationFreeRunsUnchanged(t *testing.T) {
 	}
 }
 
-// TestAutoSplit drives the hot-shard trigger: with a permissive hot
-// factor the service must grow itself to the cap, and stay consistent.
+// TestAutoSplit drives the hot-shard trigger: under YCSB-A's skew the
+// service must grow itself to the cap, and stay consistent.
 func TestAutoSplit(t *testing.T) {
 	cfg := migCfg()
 	cfg.Ops = 12000
-	cfg.AutoSplit = AutoSplitSpec{MaxShards: 4, HotFactor: 0.5}
+	cfg.AutoSplit = AutoSplitSpec{MaxShards: 4}
 	res := runMig(t, cfg)
 	if !res.OK() {
 		t.Fatalf("violations: %v", res.Violations)

@@ -1,5 +1,11 @@
 package server
 
+import (
+	"fmt"
+
+	"libcrpm/internal/replica"
+)
+
 // undo is one journal entry: a key's state at the cut the journal opened
 // at (had=false: the key was absent).
 type undo struct {
@@ -18,12 +24,23 @@ type undo struct {
 //
 // Cut epochs are a shard's LOCAL committed epochs and arrive consecutively
 // (every snapshotForNextCut is followed by exactly one commit).
+//
+// Under replication the oracle also keeps every client's session on the
+// shard and checks each routed read against the guarantee its SLA names
+// (read). A mutation's epoch is the one the oracle's next cut marks — its
+// own record, not the backend's.
 type oracle struct {
 	live     map[uint64]uint64
 	first    uint64 // epoch of journals[0]
 	journals []map[uint64]undo
 	free     []map[uint64]undo // cleared journals awaiting reuse
+	marked   uint64            // epoch of the last cut
+	sessions []session         // per client (replicated runs only)
 }
+
+// session is one client's history on the shard: the epoch its latest
+// mutation commits in, and the newest view it has observed.
+type session struct{ wrote, saw uint64 }
 
 func newOracle() *oracle {
 	return &oracle{live: make(map[uint64]uint64)}
@@ -56,6 +73,7 @@ func (o *oracle) del(key uint64) {
 // cut marks the live state as the image of epoch next and drops every
 // journal below floor (the oldest epoch a verifier may still ask for).
 func (o *oracle) cut(next, floor uint64) {
+	o.marked = next
 	drop := 0
 	for drop < len(o.journals) && o.first < floor {
 		clear(o.journals[drop])
@@ -115,4 +133,41 @@ func (o *oracle) snapAt(epoch uint64) (map[uint64]uint64, bool) {
 		}
 	}
 	return img, true
+}
+
+// wrote records a mutation by client, which commits in the epoch the next cut
+// marks; a read-modify-write has also observed that epoch's state.
+func (o *oracle) wrote(client int, rmw bool) {
+	s := &o.sessions[client]
+	s.wrote = o.marked + 1
+	if rmw {
+		s.saw = max(s.saw, s.wrote)
+	}
+}
+
+// read checks one routed read against client's session and returns what it
+// broke, if anything: a strong read never leaves the primary, a
+// read-my-writes view covers the client's latest mutation, a monotonic view
+// never regresses, and a bounded view trails the committed epoch by at most
+// the bound. sec is the serving secondary and view its installed cut; a
+// primary read (sec < 0) observes the live state, the epoch the next cut
+// marks. The view is then folded into the session.
+func (o *oracle) read(client int, sla replica.SLA, sec int, view, committed uint64) string {
+	s := &o.sessions[client]
+	if sec < 0 {
+		view = o.marked + 1
+	}
+	var bad string
+	switch {
+	case sla.Level == replica.Strong && sec >= 0:
+		bad = fmt.Sprintf("strong read served by replica %d", sec)
+	case sla.Level == replica.ReadMyWrites && view < s.wrote:
+		bad = fmt.Sprintf("view %d misses the client's write in epoch %d", view, s.wrote)
+	case sla.Level == replica.Monotonic && view < s.saw:
+		bad = fmt.Sprintf("view %d regresses below observed epoch %d", view, s.saw)
+	case sla.Level == replica.BoundedStaleness && view+sla.Bound < committed:
+		bad = fmt.Sprintf("view %d trails committed epoch %d beyond bound %d", view, committed, sla.Bound)
+	}
+	s.saw = max(s.saw, view)
+	return bad
 }

@@ -9,6 +9,7 @@ import (
 
 	"libcrpm/internal/core"
 	"libcrpm/internal/region"
+	"libcrpm/internal/replica"
 	"libcrpm/internal/workload"
 )
 
@@ -124,6 +125,49 @@ func TestOracleJournalMatchesFullCopy(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOracleSessionChecks feeds the session check the routings of three
+// planner bugs — a strong read on a secondary, a read-my-writes view that
+// misses the client's write, a monotonic view below one already observed —
+// and a bounded view past its bound, each beside the routing that is legal.
+func TestOracleSessionChecks(t *testing.T) {
+	strong := replica.SLA{Level: replica.Strong}
+	rmw := replica.SLA{Level: replica.ReadMyWrites}
+	mono := replica.SLA{Level: replica.Monotonic}
+	bounded := replica.SLA{Level: replica.BoundedStaleness, Bound: 1}
+	o := newOracle()
+	o.sessions = make([]session, 3)
+	o.cut(1, 1)
+	o.cut(2, 1)       // epochs 1 and 2 marked: a mutation now commits in 3
+	o.wrote(0, false) // client 0 writes
+	o.wrote(2, true)  // client 2 read-modify-writes: it has observed epoch 3
+	for i, c := range []struct {
+		client          int
+		sla             replica.SLA
+		sec             int
+		view, committed uint64
+		bad             bool
+	}{
+		{0, strong, -1, 0, 2, false},
+		{0, strong, 1, 2, 2, true},
+		{0, rmw, 0, 2, 2, true}, // misses the write in epoch 3
+		{1, rmw, 0, 2, 2, false},
+		{1, mono, -1, 0, 2, false}, // observes the live state, epoch 3
+		{1, mono, 0, 2, 2, true},
+		{2, mono, 0, 2, 2, true},
+		{1, bounded, 0, 1, 2, false},
+		{1, bounded, 0, 1, 3, true},
+	} {
+		if got := o.read(c.client, c.sla, c.sec, c.view, c.committed); (got != "") != c.bad {
+			t.Errorf("read %d (%s, replica %d, view %d, committed %d): %q, want violation %v",
+				i, c.sla.Name(), c.sec, c.view, c.committed, got, c.bad)
+		}
+	}
+	o.cut(3, 2)
+	if got := o.read(0, rmw, 0, 3, 3); got != "" {
+		t.Errorf("rmw view 3 covers the client's write in epoch 3, got %q", got)
 	}
 }
 

@@ -10,32 +10,6 @@ import (
 	"libcrpm/internal/workload"
 )
 
-// ReadAudit records one routed read (Config.Audit): which replica served
-// it, the view epoch it observed, and whether the SLA degraded. Property
-// tests replay per-client histories from these.
-type ReadAudit struct {
-	Seq    int
-	Client int
-	Shard  int
-	// SLA is the client's SLA in replica.Parse syntax.
-	SLA string
-	// Sec is the serving secondary, -1 for the primary.
-	Sec       int
-	View      uint64
-	Staleness uint64
-	Unmet     bool
-}
-
-// WriteAudit records one primary mutation (Config.Audit) and the cut
-// epoch that makes it durable — the floor any later read-my-writes read
-// by the same client must observe.
-type WriteAudit struct {
-	Seq         int
-	Client      int
-	Shard       int
-	CommitEpoch uint64
-}
-
 // initReplicas builds a shard's replica group and the volatile SLA-layer
 // bookkeeping. Secondary devices run their own clocks; nothing here
 // touches the primary's device, so its primitive stream — and with it
@@ -53,6 +27,7 @@ func (s *Service) initReplicas(sh *shard) error {
 	sh.reps = g
 	sh.secKV = make([]pds.KV, g.Len())
 	sh.cstate = make([]replica.ClientState, s.cfg.Clients)
+	sh.shadow.sessions = make([]session, s.cfg.Clients)
 	sh.readLat = measure.NewHistogram(latencyBounds)
 	sh.stale = measure.NewHistogram(obs.StalenessBounds)
 	return nil
@@ -88,7 +63,7 @@ func (sh *shard) secondaryKV(i int) (pds.KV, error) {
 	if sh.secKV[i] != nil {
 		return sh.secKV[i], nil
 	}
-	_, kv, err := openKV(sh.reps.Sec(i).Container(), sh.ds)
+	kv, err := openKV(sh.reps.Sec(i).Container(), sh.ds)
 	if err != nil {
 		return nil, fmt.Errorf("server: shard %d replica %d: %w", sh.id, i, err)
 	}
@@ -98,8 +73,8 @@ func (sh *shard) secondaryKV(i int) (pds.KV, error) {
 
 // applySLA executes one request under replication. Mutations run on the
 // primary exactly as without replication, stamped with the cut epoch that
-// will make them durable; reads go through the Pileus optimizer and may
-// be served — and verified online — by a secondary.
+// will make them durable; reads go through the Pileus optimizer, may be
+// served by a secondary, and are verified online either way.
 func (s *Service) applySLA(sh *shard, seq int, op workload.Op) error {
 	client := seq % s.cfg.Clients
 	cs := &sh.cstate[client]
@@ -117,16 +92,15 @@ func (s *Service) applySLA(sh *shard, seq int, op workload.Op) error {
 		// commits no later than the cut the write rides.
 		cs.ObserveRead(next)
 	}
-	if s.cfg.Audit {
-		sh.writes = append(sh.writes, WriteAudit{Seq: seq, Client: client, Shard: sh.id, CommitEpoch: next})
-	}
+	sh.shadow.wrote(client, op.Kind == workload.OpRMW)
 	return nil
 }
 
 // applyRead routes one read by the client's SLA, serves it, and verifies
-// any secondary-served value against the cut snapshot of the view the
-// replica claims. Reads carry no durability, so they acknowledge
-// immediately even while a cut is group-committing writes.
+// it: the routing against the client's session (oracle.read), any
+// secondary-served value against the cut snapshot of the view the replica
+// claims. Reads carry no durability, so they acknowledge immediately even
+// while a cut is group-committing writes.
 func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState, op workload.Op) error {
 	sla := s.cfg.SLAs[client%len(s.cfg.SLAs)]
 	committed := sh.ctr.CommittedEpoch()
@@ -170,10 +144,9 @@ func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState,
 		lat = (clk.NowPS() - t0) + plan.RTTPS
 		sh.secReads++
 		sh.stale.Observe(int64(plan.Staleness))
-		if sla.Level == replica.BoundedStaleness && plan.Staleness > sla.Bound {
-			sh.repViol = append(sh.repViol, fmt.Sprintf(
-				"read seq %d: staleness %d exceeds bound %d", seq, plan.Staleness, sla.Bound))
-		}
+	}
+	if bad := sh.shadow.read(client, sla, plan.Sec, plan.View, committed); bad != "" {
+		sh.repViol = append(sh.repViol, fmt.Sprintf("read seq %d, client %d (%s): %s", seq, client, sla.Name(), bad))
 	}
 	if plan.Unmet {
 		sh.unmetReads++
@@ -183,12 +156,6 @@ func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState,
 	// No arrival schedule to charge against: the open-loop rig excludes
 	// replication (ErrMeasureReplicas).
 	sh.ack(pendAck{kind: op.Kind, seq: seq}, lat)
-	if s.cfg.Audit {
-		sh.reads = append(sh.reads, ReadAudit{
-			Seq: seq, Client: client, Shard: sh.id, SLA: sla.Name(),
-			Sec: plan.Sec, View: plan.View, Staleness: plan.Staleness, Unmet: plan.Unmet,
-		})
-	}
 	return nil
 }
 
@@ -209,14 +176,13 @@ func (sh *shard) checkSecondaryRead(plan replica.Plan, key, v uint64, ok bool) {
 	}
 }
 
-// verifyReplicas runs the end-of-run replica checks: online verification
-// failures collected while serving, plus a full comparison of every
+// verifyReplicas is the end-of-run replica check of a clean run: every
 // quiesced secondary against the snapshot of its installed epoch.
 func (sh *shard) verifyReplicas() []string {
 	if sh.reps == nil {
 		return nil
 	}
-	bad := append([]string(nil), sh.repViol...)
+	var bad []string
 	for i := 0; i < sh.reps.Len(); i++ {
 		sec := sh.reps.Sec(i)
 		if sec.Disabled() {

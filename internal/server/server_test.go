@@ -38,23 +38,6 @@ func mustRun(t *testing.T, cfg Config) *Result {
 	return res
 }
 
-func TestRouterCoversAllShards(t *testing.T) {
-	r := NewRouter(8)
-	hits := make([]int, 8)
-	for k := uint64(0); k < 10_000; k++ {
-		s := r.Shard(k)
-		if s < 0 || s >= 8 {
-			t.Fatalf("key %d routed to shard %d", k, s)
-		}
-		hits[s]++
-	}
-	for s, n := range hits {
-		if n < 10_000/8/2 {
-			t.Fatalf("shard %d got only %d of 10000 keys; router is unbalanced", s, n)
-		}
-	}
-}
-
 func TestParsePolicy(t *testing.T) {
 	cases := []struct {
 		spec string

@@ -1,3 +1,24 @@
+// Package server is the sharded recoverable KV service built on the
+// simulated NVM substrate: every shard owns a checkpoint backend (and the
+// pds structure inside it) on its own device, served by one request-loop
+// goroutine that is also an mpi rank; a consistent-hash ring
+// (internal/ring) partitions the key space; the Service replays
+// deterministic YCSB client streams against the shards and takes
+// cross-shard consistent cuts with the coordinated checkpoint protocol of
+// §3.6, so recovery after a crash lands every shard on the same globally
+// committed epoch.
+//
+// Determinism contract: the service's observable output — acked-op
+// counts, cut count, simulated times, latency and pause quantiles,
+// violations — is a pure function of its Config. Client streams are
+// pre-generated from sched.SeedFor label hashes, policy decisions are
+// computed from allreduce-aggregated statistics at fixed global batch
+// boundaries, and barriers align the simulated clocks, so no result
+// depends on goroutine scheduling or on any worker-pool width.
+//
+// Scans are routed to the shard owning the start key and read only that
+// shard's partition — a documented limitation; cross-shard merge scans
+// would need a scatter phase the service does not implement.
 package server
 
 import (
@@ -5,7 +26,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"libcrpm/internal/core"
@@ -16,6 +36,7 @@ import (
 	"libcrpm/internal/obs"
 	"libcrpm/internal/region"
 	"libcrpm/internal/replica"
+	"libcrpm/internal/ring"
 	"libcrpm/internal/sched"
 	"libcrpm/internal/workload"
 )
@@ -169,10 +190,6 @@ type Config struct {
 	// SLAs assigns read SLAs round-robin across clients (client i gets
 	// SLAs[i%len]); empty defaults to replica.Mix(). Replicas > 0 only.
 	SLAs []replica.SLA
-	// Audit additionally records every routed read and every write's
-	// commit epoch into the Result, so SLA property tests can replay
-	// per-client histories. Replicas > 0 only.
-	Audit bool
 	// Migrations schedules elastic-resharding operations (split, move,
 	// merge), run live one at a time while the service keeps serving; see
 	// MigrateSpec. Empty keeps every migration code path off and the run
@@ -278,21 +295,23 @@ func (c Config) withDefaults() (Config, error) {
 			if as.MaxShards < c.Shards {
 				return c, fmt.Errorf("server: autosplit cap %d below boot shard count %d", as.MaxShards, c.Shards)
 			}
-			if c.AutoSplit.HotFactor == 0 {
-				c.AutoSplit.HotFactor = 2
-			}
 		}
 	}
 	return c, nil
 }
 
-// Service is one configured run: the validated config, the router, and the
+// Service is one configured run: the validated config, the ring, and the
 // shard set the run builds. The request stream is drawn batch by batch
 // while the run serves (feed.go).
 type Service struct {
-	cfg        Config
-	router     *Router
-	reg        region.Config
+	cfg Config
+	// ring maps keys to shards. At boot its slot→shard assignment is exactly
+	// splitmix64(key) % Shards, the modulo routing the service shipped with
+	// (ring.TestRingMatchesModuloRouting), so migration-free runs route on it
+	// unchanged. Ranks of a migratory run route on private clones flipped at
+	// coordinated cuts; after a crash it is replaced by the landing epoch's
+	// table.
+	ring       *ring.Ring
 	opts       core.Options
 	deviceSize int
 	feed       *opFeed
@@ -326,8 +345,7 @@ func New(cfg Config) (*Service, error) {
 	reg := region.Config{HeapSize: cfg.HeapSize, BackupRatio: 1}
 	s := &Service{
 		cfg:     cfg,
-		router:  NewRouter(cfg.Shards),
-		reg:     reg,
+		ring:    ring.New(cfg.Shards, ring.DefaultVnodes),
 		opts:    mpi.ContainerOptions(reg, cfg.Mode),
 		batches: (cfg.Ops + cfg.BatchOps - 1) / cfg.BatchOps,
 	}
@@ -367,9 +385,10 @@ type ShardStats struct {
 	// quantum too), picoseconds.
 	P99PausePS, P999PausePS, PauseMaxPS int64
 	// Replication accounting (Config.Replicas > 0; zero otherwise).
-	// SecReads counts reads served by secondaries, UnmetReads the reads
-	// degraded to the primary because no replica met the SLA.
-	SecReads, UnmetReads uint64
+	// Reads counts the SLA-routed reads, SecReads those served by
+	// secondaries, UnmetReads those degraded to the primary because no
+	// replica met the SLA.
+	Reads, SecReads, UnmetReads uint64
 	// StaleMeanEpochs is the mean staleness (committed epochs behind the
 	// primary) over secondary-served reads; P99ReadLatPS the SLA-routed
 	// read latency (RTT plus replica work).
@@ -413,10 +432,6 @@ type Result struct {
 	// Aggregate SLA accounting (Replicas > 0).
 	SecReads, UnmetReads uint64
 	StaleMeanEpochs      float64
-	// Reads and Writes are the per-request audit trails (Config.Audit),
-	// merged across shards in global sequence order.
-	Reads  []ReadAudit
-	Writes []WriteAudit
 	// Migrations summarizes every elastic-resharding operation the run
 	// performed, in start order (Config.Migrations / Config.AutoSplit;
 	// empty otherwise).
@@ -492,6 +507,13 @@ func (s *Service) Run() (*Result, error) {
 		}
 		if s.migratory() {
 			s.migVerify(res)
+		}
+	}
+	// Online checks of routed reads (applyRead) count on either path: a
+	// crash does not excuse a read served before it.
+	for _, sh := range s.shards {
+		for _, d := range sh.repViol {
+			res.Violations = append(res.Violations, Violation{Shard: sh.id, Stage: "replica", Detail: d})
 		}
 	}
 	if s.migratory() {
@@ -606,7 +628,7 @@ func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 func (s *Service) serveRank(c *mpi.Comm) {
 	s.runRank(c, func(sh *shard) error {
 		if s.migratory() {
-			sh.ring = s.router.Ring().Clone()
+			sh.ring = s.ring.Clone()
 			sh.appliedBits = make([]uint64, (s.cfg.Ops+63)/64)
 		}
 		if s.cfg.Replicas > 0 {
@@ -626,7 +648,7 @@ func (s *Service) serveRank(c *mpi.Comm) {
 func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 	sh.rec.Begin("populate")
 	for k := uint64(0); k < s.cfg.Keys; k++ {
-		if s.router.Shard(k) != sh.id {
+		if s.ring.Owner(k) != sh.id {
 			continue
 		}
 		if err := sh.kv.Put(k, k); err != nil {
@@ -669,13 +691,13 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 // walks the shared batch feed and dispatches an op iff its ring owns the
 // key's slot — live ring clones flip identically at identical boundaries,
 // so exactly one rank applies each op. Migration-free runs read the
-// router's boot ring, which never changes, and skip every migration hook.
+// service's boot ring, which never changes, and skip every migration hook.
 //
 // Every batch boundary is either one step of the cut in flight or a policy
 // round that may begin one (cutBegin, cutStep); the loop itself holds no
 // cut state.
 func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
-	owner := s.router.Ring() // immutable without migrations
+	owner := s.ring // immutable without migrations
 	if sh.ring != nil {
 		owner = sh.ring
 	}
@@ -1124,7 +1146,6 @@ func (s *Service) recoverAll(res *Result) {
 	if prom != nil {
 		sec := prom.Secondary()
 		res.FailedOver, res.PromotedReplica, res.PromotedEpoch = true, sec.ID(), epoch
-		s.router.Promote(lost, sec.ID(), epoch)
 		s.shards[lost].adoptReplica(sec)
 		for _, sh := range s.shards {
 			// Cuts beyond the landing epoch never globally committed: drop
@@ -1162,13 +1183,13 @@ func (s *Service) recoverAll(res *Result) {
 		}
 	}
 	if s.migratory() {
-		// Re-point the router at the landing epoch's ring so liveness
+		// Route on the landing epoch's ring from here on, so liveness
 		// probes route the way the recovered service would.
 		rg, err := s.ringAt(epoch)
 		if err != nil {
 			res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ring", Detail: err.Error()})
 		} else {
-			s.router.SetRing(rg)
+			s.ring = rg
 		}
 	}
 	if len(res.Violations) == 0 && s.cfg.Liveness {
@@ -1184,10 +1205,10 @@ func (s *Service) recoverAll(res *Result) {
 func (s *Service) liveness(res *Result, members []*shard) {
 	const marker = 0x11FE11FE11FE11FE
 	res.Violations = append(res.Violations, rankWorld(members, "liveness", func(c *mpi.Comm, sh *shard) error {
-		probe := s.router.Ring().Weight(sh.id) > 0
+		probe := s.ring.Weight(sh.id) > 0
 		key := uint64(1) << 62
 		if probe {
-			for s.router.Shard(key) != sh.id {
+			for s.ring.Owner(key) != sh.id {
 				key++
 			}
 			if err := sh.kv.Put(key, marker); err != nil {
@@ -1227,6 +1248,7 @@ func (s *Service) fillStats(res *Result) {
 			st.Epoch = sh.epochOff + sh.ctr.CommittedEpoch()
 		}
 		if sh.reps != nil {
+			st.Reads = uint64(sh.readLat.N())
 			st.SecReads = sh.secReads
 			st.UnmetReads = sh.unmetReads
 			st.P99ReadLatPS = sh.readLat.Quantile(0.99)
@@ -1237,8 +1259,6 @@ func (s *Service) fillStats(res *Result) {
 			res.UnmetReads += sh.unmetReads
 			staleSum += sh.stale.Sum()
 			staleN += sh.stale.N()
-			res.Reads = append(res.Reads, sh.reads...)
-			res.Writes = append(res.Writes, sh.writes...)
 		}
 		res.Shards = append(res.Shards, st)
 		res.TotalOps += st.Ops
@@ -1264,6 +1284,4 @@ func (s *Service) fillStats(res *Result) {
 	if staleN > 0 {
 		res.StaleMeanEpochs = float64(staleSum) / float64(staleN)
 	}
-	sort.Slice(res.Reads, func(i, j int) bool { return res.Reads[i].Seq < res.Reads[j].Seq })
-	sort.Slice(res.Writes, func(i, j int) bool { return res.Writes[i].Seq < res.Writes[j].Seq })
 }

@@ -82,10 +82,9 @@ type shard struct {
 	ctr   CutBackend
 	// core is the typed handle when ctr is a *core.Container (nil for the
 	// incll backend); the incremental pipeline and replication require it.
-	core  *core.Container
-	alloc *alloc.Allocator
-	kv    pds.KV
-	rec   *obs.Recorder
+	core *core.Container
+	kv   pds.KV
+	rec  *obs.Recorder
 
 	// shadow mirrors every acked mutation and journals enough undo to
 	// reconstruct its image at the last two cuts, keyed by the committed
@@ -186,10 +185,8 @@ type shard struct {
 	migSpans    []MigSpan
 	migStats    []MigrationStat
 	// phaseStartPrim is the device primitive index the current migration
-	// phase started at, bounding the crash windows MigrationSpans reports;
-	// phaseQuanta counts the migration quanta run since.
+	// phase started at, bounding the crash windows MigrationSpans reports.
 	phaseStartPrim int64
-	phaseQuanta    int
 
 	// Replication (Config.Replicas > 0; everything below stays nil/zero
 	// otherwise, so the replica-free paths are byte-identical to a build
@@ -202,9 +199,7 @@ type shard struct {
 	readLat              *measure.Histogram // SLA-routed read latency (RTT + replica work)
 	stale                *measure.Histogram // staleness of secondary-served reads, epochs
 	secReads, unmetReads uint64
-	repViol              []string // online secondary-read verification failures
-	reads                []ReadAudit
-	writes               []WriteAudit
+	repViol              []string // online read verification failures (applyRead)
 }
 
 // newShardShell builds the volatile half of a shard — device, clock,
@@ -245,28 +240,28 @@ func (sh *shard) init(ctr CutBackend, ds DSKind, buckets int) error {
 		return err
 	}
 	a.SetRoot(kvRootSlot, uint64(kv.Root()))
-	sh.ctr, sh.alloc, sh.kv, sh.ds = ctr, a, kv, ds
+	sh.ctr, sh.kv, sh.ds = ctr, kv, ds
 	sh.core, _ = ctr.(*core.Container)
 	ctr.SetTrace(sh.rec)
 	return nil
 }
 
-// openKV rebinds the allocator and the structure persisted in a formatted
-// store, from the root init recorded.
-func openKV(b ckpt.Backend, ds DSKind) (*alloc.Allocator, pds.KV, error) {
+// openKV rebinds the structure persisted in a formatted store, through its
+// allocator, from the root init recorded.
+func openKV(b ckpt.Backend, ds DSKind) (pds.KV, error) {
 	a, err := alloc.Open(heap.New(b))
 	if err != nil {
-		return nil, nil, fmt.Errorf("allocator reopen: %w", err)
+		return nil, fmt.Errorf("allocator reopen: %w", err)
 	}
 	root := int(a.Root(kvRootSlot))
 	if root == 0 {
-		return nil, nil, fmt.Errorf("KV reopen: no structure root recorded")
+		return nil, fmt.Errorf("KV reopen: no structure root recorded")
 	}
 	kv, err := pds.Bind(a, ds, root, 0)
 	if err != nil {
-		return nil, nil, fmt.Errorf("KV reopen: %w", err)
+		return nil, fmt.Errorf("KV reopen: %w", err)
 	}
-	return a, kv, nil
+	return kv, nil
 }
 
 // reattach rebinds the shard to its container as reopened from the
@@ -274,11 +269,11 @@ func openKV(b ckpt.Backend, ds DSKind) (*alloc.Allocator, pds.KV, error) {
 // have been recovered (coordinated protocol); reattach only rebuilds the
 // volatile handles.
 func (sh *shard) reattach(ctr CutBackend, ds DSKind) error {
-	a, kv, err := openKV(ctr, ds)
+	kv, err := openKV(ctr, ds)
 	if err != nil {
 		return fmt.Errorf("server: shard %d: %w", sh.id, err)
 	}
-	sh.ctr, sh.alloc, sh.kv = ctr, a, kv
+	sh.ctr, sh.kv = ctr, kv
 	sh.core, _ = ctr.(*core.Container)
 	return nil
 }

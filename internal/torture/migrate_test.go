@@ -91,20 +91,25 @@ func TestMigrateSweepOpenLoop(t *testing.T) {
 	}
 	cfg.Measure = &measure.Config{TargetOps: 1e6, WarmupOps: 500}
 
-	ref, err := server.New(cfg)
+	traced := cfg
+	traced.Trace = true
+	ref, err := server.New(traced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := ref.Run(); err != nil || !res.OK() {
+	res, err := ref.Run()
+	if err != nil || !res.OK() {
 		t.Fatalf("reference run: %v, %v", err, res)
 	}
-	quanta := map[string]int{}
-	for _, sp := range ref.MigrationSpans() {
-		quanta[sp.Phase] += sp.Quanta
+	quanta := map[string]int{} // one span per migration quantum
+	for _, tr := range res.Trace.Tracks {
+		for _, sp := range tr.Spans {
+			quanta[sp.Name]++
+		}
 	}
-	for _, phase := range []string{"transfer", "catchup", "cleanup"} {
-		if quanta[phase] < 2 {
-			t.Fatalf("%s windows hold %d quanta: the work did not run in the gaps (%+v)", phase, quanta[phase], ref.MigrationSpans())
+	for _, span := range []string{"mig-install", "mig-catchup", "mig-delete"} {
+		if quanta[span] < 2 {
+			t.Fatalf("%d %s quanta: the work did not run in the gaps", quanta[span], span)
 		}
 	}
 

@@ -142,7 +142,6 @@ func Mixes() []Mix { return []Mix{InsertOnly, Balanced, ReadHeavy, ReadOnly} }
 type Result struct {
 	Ops        int
 	Epochs     int
-	SimTime    time.Duration
 	Throughput float64 // operations per simulated second
 	// Pause statistics over the checkpoint calls of the run: how long the
 	// application was stopped each time (the "disturbance" the paper's
@@ -252,7 +251,7 @@ func (d *Driver) Run(mix Mix, ops int) (Result, error) {
 		d.Keys = nextInsert
 	}
 	elapsed := d.Clock.Now() - start
-	res := Result{Ops: ops, Epochs: epochs, SimTime: elapsed, MaxPause: pauseMax}
+	res := Result{Ops: ops, Epochs: epochs, MaxPause: pauseMax}
 	if epochs > 0 {
 		res.MeanPause = pauseTotal / time.Duration(epochs)
 	}
