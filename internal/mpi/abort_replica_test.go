@@ -12,27 +12,6 @@ import (
 	"libcrpm/internal/replica"
 )
 
-// captureCut mirrors the server's ship-at-commit capture: the about-to-
-// commit epoch's dirty segment images, copied off the working heap at the
-// cut boundary.
-func captureCut(ctr *core.Container) *replica.Delta {
-	l := ctr.Layout()
-	segs := ctr.DirtySegments()
-	heapImg := ctr.Bytes()
-	d := &replica.Delta{
-		Epoch:  ctr.CommittedEpoch() + 1,
-		Segs:   segs,
-		Images: make([][]byte, len(segs)),
-	}
-	for i, seg := range segs {
-		img := make([]byte, l.SegSize)
-		copy(img, heapImg[seg*l.SegSize:(seg+1)*l.SegSize])
-		d.Images[i] = img
-		d.Bytes += l.SegSize
-	}
-	return d
-}
-
 // TestAbortedIncrementalCutShipsNothing is the satellite torn-delta test:
 // a world abort lands inside the Begin/Step window of a coordinated
 // incremental cut — one rank has even completed a local commit — and
@@ -88,7 +67,7 @@ func TestAbortedIncrementalCutShipsNothing(t *testing.T) {
 			// commit barrier and install everywhere.
 			for e := uint64(1); e <= 2; e++ {
 				write(ctr, 8*rank, e*1000+uint64(rank))
-				d := captureCut(ctr)
+				d := g.Capture(ctr)
 				if err := mpi.CheckpointIncremental(c, ctr, 512); err != nil {
 					t.Errorf("rank %d epoch %d: %v", rank, e, err)
 					c.Abort()
@@ -104,7 +83,7 @@ func TestAbortedIncrementalCutShipsNothing(t *testing.T) {
 			// Epoch 3: the delta is captured at the boundary, but the world
 			// aborts inside the Begin/Step window, so it must never ship.
 			write(ctr, 8*rank, 3000+uint64(rank))
-			_ = captureCut(ctr) // the pending delta the server would hold back
+			_ = g.Capture(ctr) // the pending delta the server would hold back
 			switch rank {
 			case 0:
 				// Races ahead through a full local pipeline: committed epoch

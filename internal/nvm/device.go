@@ -36,9 +36,10 @@ type Device struct {
 	pendRuns []lineRun
 	// undo is a flat arena holding, for every pending line l, the media
 	// content from before l's first unfenced overwrite at
-	// undo[l*LineSize:(l+1)*LineSize]. It grows geometrically up to the
-	// device size and is never shrunk, so the steady-state flush path
-	// performs no allocation. Bytes for non-pending lines are stale.
+	// undo[l*LineSize:(l+1)*LineSize]. It is allocated once, at the device
+	// size, on the first pending line, so no flush after that allocates or
+	// copies the arena, and pages no pending line touches cost the host no
+	// memory. Bytes for non-pending lines are stale.
 	undo []byte
 
 	clock *Clock
@@ -207,30 +208,11 @@ func (d *Device) markDirty(off, n int) {
 	}
 }
 
-// ensureUndo grows the undo arena (geometrically, capped at the device size)
-// until it covers line l. Steady state performs no allocation. Past half the
-// device the next doubling is the cap anyway, so the arena takes the whole
-// device at once: a doubling that lands just short of a size that is not a
-// power of two would otherwise be followed by one more growth, and a copy of
-// everything, for the last few lines.
-func (d *Device) ensureUndo(l int) {
-	need := (l + 1) * LineSize
-	if need <= len(d.undo) {
-		return
+// ensureUndo allocates the undo arena on the device's first pending line.
+func (d *Device) ensureUndo() {
+	if d.undo == nil {
+		d.undo = make([]byte, d.size)
 	}
-	newLen := len(d.undo) * 2
-	if newLen < 64*LineSize {
-		newLen = 64 * LineSize
-	}
-	for newLen < need {
-		newLen *= 2
-	}
-	if newLen > d.size/2 {
-		newLen = d.size
-	}
-	grown := make([]byte, newLen)
-	copy(grown, d.undo)
-	d.undo = grown
 }
 
 // markPending records line l as flushed-but-unfenced, snapshotting its
@@ -238,7 +220,7 @@ func (d *Device) ensureUndo(l int) {
 func (d *Device) markPending(l int) {
 	if d.pending.Set(l) {
 		d.addRun(l, l+1)
-		d.ensureUndo(l)
+		d.ensureUndo()
 		base := l * LineSize
 		copy(d.undo[base:base+LineSize], d.media[base:base+LineSize])
 	}
@@ -351,7 +333,7 @@ func (d *Device) NTStore(off int, src []byte) {
 		// No line in the range is pending yet: snapshot the whole span into
 		// the undo arena and mark it pending with two word-granular range
 		// ops instead of a per-line loop.
-		d.ensureUndo(last)
+		d.ensureUndo()
 		copy(d.undo[first*LineSize:(last+1)*LineSize], d.media[first*LineSize:(last+1)*LineSize])
 		d.pending.SetRange(first, last+1)
 		d.addRun(first, last+1)

@@ -3,17 +3,38 @@ package nvm
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // TestSteadyStateZeroAllocs pins the steady-state device primitives at zero
-// allocations per operation. The undo arena and bitmaps are grown by the
-// warm-up pass; afterwards the hot loop must never touch the heap.
+// allocations per operation. The undo arena is allocated whole by the first
+// pending line, so after a flush in the lower half a first flush in the
+// upper half allocates nothing; after the warm-up pass the hot loop must
+// never touch the heap.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	const size = 1 << 20
-	d := NewDevice(size)
 	var buf [8]byte
 	nt := make([]byte, 4096)
+	for name, flush := range map[string]func(d *Device, off int){
+		"CLWB": func(d *Device, off int) {
+			d.Store(off, buf[:])
+			d.CLWB(off)
+			d.SFence()
+		},
+		"NTStore": func(d *Device, off int) {
+			d.NTStore(off, nt)
+			d.SFence()
+		},
+	} {
+		d := NewDevice(size)
+		flush(d, 0)
+		if n := mallocs(func() { flush(d, size-len(nt)) }); n != 0 {
+			t.Errorf("%s: first flush in the upper half allocated %d objects, want 0", name, n)
+		}
+	}
+
+	d := NewDevice(size)
 	// Warm up: dirty, flush, and fence the whole device once so every lazy
 	// structure (undo arena, bitmap words) reaches its final size.
 	for off := 0; off < size; off += LineSize {
@@ -62,6 +83,17 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			t.Errorf("%s: %.2f allocs/op in steady state, want 0", name, allocs)
 		}
 	}
+}
+
+// mallocs counts the heap allocations of one call of fn. Unlike
+// testing.AllocsPerRun it has no warm-up call, so it can measure a first.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // driveForCrash applies a fixed mixed store/flush/fence history so that at
@@ -177,7 +209,7 @@ func spanFence(d *Device) {
 // the two lines, not the 64 MiB between them.
 func BenchmarkSFenceSpan(b *testing.B) {
 	d := NewDevice(64 << 20)
-	spanFence(d) // grows the undo arena to the far line
+	spanFence(d) // allocates the undo arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

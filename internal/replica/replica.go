@@ -16,15 +16,23 @@ import (
 // barrier freezes the boundary image), so installing it can never produce
 // a state between two cuts. Deltas are immutable and shared by every
 // secondary of the shard.
+//
+// Shipping hands the images to the group: once every receive buffer that
+// held the delta has installed or dropped it, its images go back to the
+// group's free list and a later Capture copies into them.
 type Delta struct {
 	// Epoch is the committed epoch this delta produces when installed.
 	Epoch uint64
 	// Segs are the dirty main-segment indices, ascending.
 	Segs []int
-	// Images holds each segment's boundary image, parallel to Segs.
+	// Images holds each segment's boundary image, parallel to Segs. Nil
+	// once the last receive buffer has let go of the delta.
 	Images [][]byte
 	// Bytes is the payload size (sum of image lengths).
 	Bytes int
+
+	// refs counts the receive buffers still holding the delta.
+	refs int
 }
 
 // Config parameterizes one shard's replica group.
@@ -82,7 +90,6 @@ type inflight struct {
 // epoch always equals the number of cuts it has installed.
 type Secondary struct {
 	id    int
-	dev   *nvm.Device
 	clock *nvm.Clock
 	ctr   *core.Container
 
@@ -151,6 +158,11 @@ func (s *Secondary) install(d *Delta) error {
 type Group struct {
 	shard int
 	secs  []*Secondary
+	// free holds the images of deltas no receive buffer holds any more, for
+	// Capture to copy into. An image joins it only when the last buffer lets
+	// go, so a reused image never aliases a queued delta; a release that
+	// never happens only leaves the image to the garbage collector.
+	free [][]byte
 }
 
 // NewGroup formats cfg.Replicas fresh secondaries for a shard. Every
@@ -170,7 +182,6 @@ func NewGroup(shard int, cfg Config) (*Group, error) {
 		}
 		sec := &Secondary{
 			id:    i,
-			dev:   dev,
 			clock: dev.Clock(),
 			ctr:   ctr,
 			rttPS: secondaryReadPS * int64(i+1),
@@ -190,12 +201,55 @@ func (g *Group) Len() int { return len(g.secs) }
 // Sec returns secondary i.
 func (g *Group) Sec(i int) *Secondary { return g.secs[i] }
 
-// Ship pushes one delta into every secondary's receive buffer. The
-// transfer itself rides the cut's commit fence (the payload is durable on
-// the receiving nodes when Ship returns — this is what makes a committed,
-// acked cut survive the primary's loss); the install is scheduled
-// asynchronously at nowPS plus the replica's lag and transfer time.
+// Capture snapshots the epoch ctr is about to commit as a delta: the
+// boundary image of every segment the epoch dirtied, copied off the working
+// image into images released deltas left behind where there are any. Pure
+// DRAM copies: no device primitives run and no simulated time passes, so
+// crash points and clocks are exactly those of an unreplicated run.
+func (g *Group) Capture(ctr *core.Container) *Delta {
+	segSize := ctr.Layout().SegSize
+	heap := ctr.Bytes()
+	segs := ctr.DirtySegments()
+	d := &Delta{Epoch: ctr.CommittedEpoch() + 1, Segs: segs, Images: make([][]byte, len(segs))}
+	for i, seg := range segs {
+		img := g.image(segSize)
+		copy(img, heap[seg*segSize:(seg+1)*segSize])
+		d.Images[i] = img
+		d.Bytes += segSize
+	}
+	return d
+}
+
+// image returns an n-byte buffer for a segment image: the newest released
+// image when it has that size, a fresh one otherwise.
+func (g *Group) image(n int) []byte {
+	if k := len(g.free); k > 0 && len(g.free[k-1]) == n {
+		img := g.free[k-1]
+		g.free[k-1] = nil
+		g.free = g.free[:k-1]
+		return img
+	}
+	return make([]byte, n)
+}
+
+// release lets go of d for one receive buffer; the last to let go returns
+// its images to the free list.
+func (g *Group) release(d *Delta) {
+	if d.refs--; d.refs > 0 {
+		return
+	}
+	g.free = append(g.free, d.Images...)
+	d.Images = nil
+}
+
+// Ship pushes one delta into every secondary's receive buffer and hands
+// its images to the group until the last buffer lets go. The transfer
+// itself rides the cut's commit fence (the payload is durable on the
+// receiving nodes when Ship returns — this is what makes a committed, acked
+// cut survive the primary's loss); the install is scheduled asynchronously
+// at nowPS plus the replica's lag and transfer time.
 func (g *Group) Ship(d *Delta, nowPS int64) {
+	d.refs += len(g.secs)
 	for _, s := range g.secs {
 		at := nowPS + ShipLatencyPS(s.id, d.Bytes)
 		s.queue = append(s.queue, inflight{d: d, installAtPS: at})
@@ -209,14 +263,32 @@ func (g *Group) Ship(d *Delta, nowPS int64) {
 func (g *Group) Deliver(nowPS int64) (installs int, err error) {
 	for _, s := range g.secs {
 		for len(s.queue) > 0 && s.queue[0].installAtPS <= nowPS {
-			if err := s.install(s.queue[0].d); err != nil {
+			if err := g.installNext(s); err != nil {
 				return installs, err
 			}
-			s.queue = s.queue[1:]
 			installs++
 		}
 	}
 	return installs, nil
+}
+
+// installNext installs the oldest delta in s's receive buffer and lets go
+// of it.
+func (g *Group) installNext(s *Secondary) error {
+	d := s.queue[0].d
+	if err := s.install(d); err != nil {
+		return err
+	}
+	s.queue = s.queue[1:]
+	g.release(d)
+	return nil
+}
+
+// dropNewest discards the newest delta in s's receive buffer.
+func (g *Group) dropNewest(s *Secondary) {
+	n := len(s.queue)
+	g.release(s.queue[n-1].d)
+	s.queue = s.queue[:n-1]
 }
 
 // DeliverAll drains every receive buffer regardless of install times —
@@ -245,7 +317,7 @@ func (g *Group) MinInstalled() uint64 {
 func (g *Group) DropAbove(epoch uint64) {
 	for _, s := range g.secs {
 		for len(s.queue) > 0 && s.queue[len(s.queue)-1].d.Epoch > epoch {
-			s.queue = s.queue[:len(s.queue)-1]
+			g.dropNewest(s)
 		}
 		if s.installed > epoch {
 			s.disabled = true
@@ -261,6 +333,7 @@ func (g *Group) DropAbove(epoch uint64) {
 // Recover replays the remaining buffer so the replica lands exactly on
 // the agreed epoch.
 type Promotion struct {
+	g     *Group
 	sec   *Secondary
 	avail uint64
 }
@@ -286,7 +359,7 @@ func (g *Group) Promotion() (*Promotion, error) {
 	if n := len(best.queue); n > 0 {
 		avail = best.queue[n-1].d.Epoch
 	}
-	return &Promotion{sec: best, avail: avail}, nil
+	return &Promotion{g: g, sec: best, avail: avail}, nil
 }
 
 // Secondary returns the replica being promoted.
@@ -304,7 +377,7 @@ func (p *Promotion) CommittedEpoch() uint64 { return p.avail }
 // installs, so its rollback window is intact).
 func (p *Promotion) RollbackOneEpoch() error {
 	if n := len(p.sec.queue); n > 0 && p.sec.queue[n-1].d.Epoch == p.avail {
-		p.sec.queue = p.sec.queue[:n-1]
+		p.g.dropNewest(p.sec)
 		p.avail--
 		return nil
 	}
@@ -316,22 +389,20 @@ func (p *Promotion) RollbackOneEpoch() error {
 	return nil
 }
 
-// Recover implements mpi.Recoverable: install every remaining buffered
-// delta. The secondary's node never failed, so no media recovery runs —
-// catching the container up to the agreed epoch is the whole recovery.
+// Recover implements mpi.Recoverable: install every buffered delta up to
+// the agreed epoch and drop the rest. The secondary's node never failed, so
+// no media recovery runs — catching the container up to the agreed epoch is
+// the whole recovery.
 func (p *Promotion) Recover() error {
 	p.sec.rec.Begin("promote")
 	defer p.sec.rec.End()
-	for len(p.sec.queue) > 0 {
-		in := p.sec.queue[0]
-		if in.d.Epoch > p.avail {
-			p.sec.queue = nil
-			break
-		}
-		if err := p.sec.install(in.d); err != nil {
+	for len(p.sec.queue) > 0 && p.sec.queue[0].d.Epoch <= p.avail {
+		if err := p.g.installNext(p.sec); err != nil {
 			return err
 		}
-		p.sec.queue = p.sec.queue[1:]
+	}
+	for len(p.sec.queue) > 0 {
+		p.g.dropNewest(p.sec)
 	}
 	if p.sec.installed != p.avail {
 		return fmt.Errorf("replica: promotion landed on epoch %d, want %d", p.sec.installed, p.avail)

@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"libcrpm/internal/core"
@@ -135,7 +137,18 @@ func TestPlanBoundedUnmetFallsBackToPrimary(t *testing.T) {
 // layout, returning heap geometry for delta fabrication.
 func testWorld(t *testing.T, replicas int) (*core.Container, *Group, *region.Layout) {
 	t.Helper()
-	reg := region.Config{HeapSize: 8 << 20, BackupRatio: 1}
+	return regionWorld(t, region.Config{HeapSize: 8 << 20, BackupRatio: 1}, replicas)
+}
+
+// smallSegWorld is testWorld on segs segments of 4 KiB, so a delta can carry
+// many images cheaply.
+func smallSegWorld(t *testing.T, segs, replicas int) (*core.Container, *Group, *region.Layout) {
+	t.Helper()
+	return regionWorld(t, region.Config{HeapSize: segs * 4096, SegmentSize: 4096, BlockSize: 256, BackupRatio: 1}, replicas)
+}
+
+func regionWorld(t *testing.T, reg region.Config, replicas int) (*core.Container, *Group, *region.Layout) {
+	t.Helper()
 	l, err := region.NewLayout(reg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,21 +165,6 @@ func testWorld(t *testing.T, replicas int) (*core.Container, *Group, *region.Lay
 	return ctr, g, l
 }
 
-// cutDelta mirrors the server's capture: boundary images of the epoch's
-// dirty segments, taken just before the commit.
-func cutDelta(ctr *core.Container, l *region.Layout) *Delta {
-	segs := ctr.DirtySegments()
-	heap := ctr.Bytes()
-	d := &Delta{Epoch: ctr.CommittedEpoch() + 1, Segs: segs, Images: make([][]byte, len(segs))}
-	for i, s := range segs {
-		img := make([]byte, l.SegSize)
-		copy(img, heap[s*l.SegSize:(s+1)*l.SegSize])
-		d.Images[i] = img
-		d.Bytes += l.SegSize
-	}
-	return d
-}
-
 func writePattern(ctr *core.Container, l *region.Layout, seg int, fill byte) {
 	off := seg * l.SegSize
 	buf := make([]byte, 256)
@@ -181,7 +179,7 @@ func TestDeltaInstallConvergence(t *testing.T) {
 	ctr, g, l := testWorld(t, 2)
 	for epoch := 1; epoch <= 3; epoch++ {
 		writePattern(ctr, l, epoch, byte(epoch))
-		d := cutDelta(ctr, l)
+		d := g.Capture(ctr)
 		if err := ctr.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +213,7 @@ func TestDeltaInstallConvergence(t *testing.T) {
 func TestDeliverRespectsLag(t *testing.T) {
 	ctr, g, l := testWorld(t, 2)
 	writePattern(ctr, l, 1, 0xAA)
-	d := cutDelta(ctr, l)
+	d := g.Capture(ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +241,7 @@ func TestPromotionFromQueue(t *testing.T) {
 	ctr, g, l := testWorld(t, 2)
 	// Epoch 1 installed everywhere; epoch 2 shipped but still queued.
 	writePattern(ctr, l, 1, 1)
-	d1 := cutDelta(ctr, l)
+	d1 := g.Capture(ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +250,7 @@ func TestPromotionFromQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	writePattern(ctr, l, 2, 2)
-	d2 := cutDelta(ctr, l)
+	d2 := g.Capture(ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +274,7 @@ func TestPromotionFromQueue(t *testing.T) {
 func TestPromotionRollbackDropsQueuedCut(t *testing.T) {
 	ctr, g, l := testWorld(t, 1)
 	writePattern(ctr, l, 1, 1)
-	d1 := cutDelta(ctr, l)
+	d1 := g.Capture(ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +283,7 @@ func TestPromotionRollbackDropsQueuedCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	writePattern(ctr, l, 2, 2)
-	d2 := cutDelta(ctr, l)
+	d2 := g.Capture(ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +320,12 @@ func TestPromotionRollbackDropsQueuedCut(t *testing.T) {
 func TestPromotionRollbackFromInstalledState(t *testing.T) {
 	ctr, g, l := testWorld(t, 1)
 	writePattern(ctr, l, 1, 1)
-	d1 := cutDelta(ctr, l)
+	d1 := g.Capture(ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	writePattern(ctr, l, 2, 2)
-	d2 := cutDelta(ctr, l)
+	d2 := g.Capture(ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -360,12 +358,12 @@ func TestPromotionRollbackFromInstalledState(t *testing.T) {
 func TestDropAboveQuarantinesAheadReplica(t *testing.T) {
 	ctr, g, l := testWorld(t, 2)
 	writePattern(ctr, l, 1, 1)
-	d1 := cutDelta(ctr, l)
+	d1 := g.Capture(ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	writePattern(ctr, l, 2, 2)
-	d2 := cutDelta(ctr, l)
+	d2 := g.Capture(ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -397,5 +395,177 @@ func TestDropAboveQuarantinesAheadReplica(t *testing.T) {
 	}
 	if g.MinInstalled() != 1 {
 		t.Fatalf("MinInstalled = %d, want 1", g.MinInstalled())
+	}
+}
+
+// TestRecycledImagesNeverAlias pushes deltas whose images carry one byte
+// pattern per capture through every way a receive buffer lets go — an
+// install, DropAbove, a promotion's rollback and its recovery — while new
+// captures reuse the released images. Every live secondary's heap must equal
+// the primary's heap at the capture of its installed epoch, and no capture
+// may hand out an image a receive buffer still holds.
+func TestRecycledImagesNeverAlias(t *testing.T) {
+	const nseg = 6
+	ctr, g, l := smallSegWorld(t, nseg, 3)
+	want := map[uint64][]byte{0: make([]byte, len(ctr.Bytes()))}
+	seen := map[*byte]bool{}
+	var last []*byte // the newest capture's images
+	reused := 0
+	fill := byte(0)
+	capture := func() *Delta {
+		fill++
+		for seg := 0; seg <= int(fill)%nseg; seg++ {
+			writePattern(ctr, l, seg, fill)
+		}
+		queued := map[*byte]bool{}
+		for _, s := range g.secs {
+			for _, in := range s.queue {
+				for _, img := range in.d.Images {
+					queued[&img[0]] = true
+				}
+			}
+		}
+		d := g.Capture(ctr)
+		last = last[:0]
+		for _, img := range d.Images {
+			p := &img[0]
+			if queued[p] {
+				t.Fatalf("capture of epoch %d handed out an image a receive buffer still holds", d.Epoch)
+			}
+			if seen[p] {
+				reused++
+			}
+			seen[p] = true
+			last = append(last, p)
+		}
+		want[d.Epoch] = bytes.Clone(ctr.Bytes())
+		return d
+	}
+	// tookAny reports whether the newest capture reused one of imgs.
+	tookAny := func(imgs [][]byte) bool {
+		for _, img := range imgs {
+			if slices.Contains(last, &img[0]) {
+				return true
+			}
+		}
+		return false
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, s := range g.secs {
+			if !s.disabled && !bytes.Equal(s.ctr.Bytes(), want[s.installed]) {
+				t.Fatalf("%s: replica %d's heap is not the primary's image of epoch %d", stage, s.id, s.installed)
+			}
+		}
+	}
+	// The lags (50, 100 and 200 µs) span two to seven cuts 30 µs apart, so
+	// every buffer holds several deltas while images recycle.
+	now := int64(0)
+	cut := func() {
+		d := capture()
+		if err := ctr.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		g.Ship(d, now)
+		now += 30_000_000
+		if _, err := g.Deliver(now); err != nil {
+			t.Fatal(err)
+		}
+		check("deliver")
+	}
+	for i := 0; i < 20; i++ {
+		cut()
+	}
+	if reused == 0 {
+		t.Fatal("no capture reused an installed delta's images")
+	}
+
+	// A cut that never globally committed is shipped, then dropped from every
+	// buffer; the primary recaptures the same epoch into the released images.
+	dropped := capture()
+	imgs := slices.Clone(dropped.Images)
+	g.Ship(dropped, now)
+	g.DropAbove(ctr.CommittedEpoch())
+	if dropped.Images != nil {
+		t.Fatal("a delta every buffer dropped still holds its images")
+	}
+	cut()
+	if !tookAny(imgs) {
+		t.Fatal("the recapture did not reuse the dropped delta's images")
+	}
+	for i := 0; i < 3; i++ {
+		cut()
+	}
+
+	// The primary dies with deltas buffered everywhere; recovery lands one
+	// epoch below the most-current secondary's newest delta.
+	for i := 0; i < 3; i++ {
+		d := capture()
+		if err := ctr.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		g.Ship(d, now)
+	}
+	prom, err := g.Promotion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := prom.sec.queue[len(prom.sec.queue)-1].d
+	imgs = slices.Clone(newest.Images)
+	if err := prom.RollbackOneEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := prom.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	land := prom.CommittedEpoch()
+	g.DropAbove(land)
+	check("promotion")
+	if newest.Images != nil {
+		t.Fatal("the delta recovery rolled back still holds its images")
+	}
+	capture()
+	if !tookAny(imgs) {
+		t.Fatal("the next capture did not reuse the rolled-back delta's images")
+	}
+	if err := g.DeliverAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range g.secs {
+		if s.installed != land {
+			t.Fatalf("replica %d at epoch %d after the drain, want the landing epoch %d", s.id, s.installed, land)
+		}
+	}
+	check("drain")
+}
+
+// TestCaptureShipDeliverAllocsConstant is the allocation guard of recycled
+// images: once warm, a capture → Ship → Deliver cycle allocates the same
+// whether the epoch dirtied one segment or 64, since every image comes off
+// the free list.
+func TestCaptureShipDeliverAllocsConstant(t *testing.T) {
+	const segs = 64
+	ctr, g, l := smallSegWorld(t, segs, 2)
+	var word [8]byte
+	cycle := func(n int) {
+		for seg := 0; seg < n; seg++ {
+			ctr.OnWrite(seg*l.SegSize, len(word))
+			ctr.Write(seg*l.SegSize, word[:])
+		}
+		d := g.Capture(ctr)
+		if err := ctr.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		g.Ship(d, 0)
+		if err := g.DeliverAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle(segs) // warm the free list at the largest footprint
+	few := testing.AllocsPerRun(20, func() { cycle(1) })
+	many := testing.AllocsPerRun(20, func() { cycle(segs) })
+	t.Logf("allocs per cycle: %.0f at 1 dirty segment, %.0f at %d", few, many, segs)
+	if few != many {
+		t.Fatalf("a cycle allocates %.0f objects at 1 dirty segment but %.0f at %d; want the same", few, many, segs)
 	}
 }

@@ -33,28 +33,6 @@ func (s *Service) initReplicas(sh *shard) error {
 	return nil
 }
 
-// captureDelta snapshots the epoch's dirty segment images at the cut
-// boundary. Pure DRAM copies off the working image: no device primitives
-// run and no simulated time passes, so crash points and clocks are
-// exactly those of an unreplicated run.
-func (sh *shard) captureDelta() *replica.Delta {
-	l := sh.core.Layout()
-	segs := sh.core.DirtySegments()
-	heapImg := sh.core.Bytes()
-	d := &replica.Delta{
-		Epoch:  sh.core.CommittedEpoch() + 1,
-		Segs:   segs,
-		Images: make([][]byte, len(segs)),
-	}
-	for i, seg := range segs {
-		img := make([]byte, l.SegSize)
-		copy(img, heapImg[seg*l.SegSize:(seg+1)*l.SegSize])
-		d.Images[i] = img
-		d.Bytes += l.SegSize
-	}
-	return d
-}
-
 // secondaryKV lazily opens a read handle over a secondary's container.
 // Valid once the replica has installed the populate cut (the optimizer
 // never routes to a replica before that); the handle reads every node

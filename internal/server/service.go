@@ -928,7 +928,7 @@ func (s *Service) cutBegin(c *mpi.Comm, sh *shard, stw bool) error {
 	}
 	sh.snapshotForNextCut()
 	if sh.reps != nil {
-		sh.pendDelta = sh.captureDelta()
+		sh.pendDelta = sh.reps.Capture(sh.core)
 	}
 	sh.sinceCut = 0
 	t0 := sh.clock.NowPS()
