@@ -29,7 +29,8 @@
 // (the op count follows from the offered load); otherwise -ops bounds it.
 //
 // -cpuprofile / -memprofile write pprof profiles of the run (host side; they
-// never affect stdout).
+// never affect stdout). Device arenas are mapped off the Go heap, so the heap
+// profile leaves them out.
 //
 // All output on stdout (and in -json / -trace files) is a pure function of
 // the flags: timestamps are simulated picoseconds and streams are label-hash
@@ -231,7 +232,7 @@ func run() int {
 	migrateSpec := flag.String("migrate", "", "live shard migrations: comma-separated KIND:SRC[>DST][@CUTS] entries, e.g. 'split:0@2,move:1>2@4,merge:3>1@6'")
 	autosplit := flag.Int("autosplit", 0, "grow the service by splitting the hottest shard up to this many live shards (0 = off)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (after the run finishes) to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile (after the run finishes) to this file; simulated devices are mapped off the Go heap and not in it")
 	flag.Parse()
 
 	mix, err := workload.YCSBByName(*mixName)

@@ -94,7 +94,8 @@ const (
 	ModeBuffered = core.ModeBuffered
 )
 
-// NewDevice creates a simulated NVM device of the given byte size.
+// NewDevice creates a simulated NVM device of the given byte size. Close it
+// when done: its memory then goes to the next device of the same size.
 func NewDevice(size int, opts ...nvm.Option) *Device { return nvm.NewDevice(size, opts...) }
 
 // DefaultCostModel returns the calibrated simulation constants.

@@ -109,6 +109,17 @@ func systems() []system {
 	}
 }
 
+// open builds sys on a fresh device that goes back when the test ends.
+func (sys system) open(t *testing.T) ckpt.Backend {
+	t.Helper()
+	b, err := sys.fresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Device().Close)
+	return b
+}
+
 func writeU64(b ckpt.Backend, off int, v uint64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
@@ -161,10 +172,7 @@ func TestCrashContract(t *testing.T) {
 
 func crashContract(t *testing.T, sys system, seed int64) {
 	// Count primitives of a clean run to bound the sweep.
-	ref, err := sys.fresh()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := sys.open(t)
 	first := ref.Device().PrimitiveCount()
 	shadows := [][]byte{make([]byte, heapSize)}
 	script(ref, &shadows, rand.New(rand.NewSource(seed)))
@@ -216,6 +224,7 @@ func crashContract(t *testing.T, sys system, seed int64) {
 			if err := b2.Checkpoint(); err != nil {
 				t.Fatalf("%s: post-recovery checkpoint: %v", at, err)
 			}
+			b.Device().Close()
 		}
 	}
 }
@@ -247,10 +256,7 @@ func matchesSomeShadow(got []byte, shadows [][]byte) error {
 func TestReadOnlyContract(t *testing.T) {
 	for _, sys := range systems() {
 		t.Run(sys.name, func(t *testing.T) {
-			b, err := sys.fresh()
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := sys.open(t)
 			writeU64(b, 64, 7)
 			if err := b.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -273,10 +279,7 @@ func TestReadOnlyContract(t *testing.T) {
 func TestMetricsMonotonic(t *testing.T) {
 	for _, sys := range systems() {
 		t.Run(sys.name, func(t *testing.T) {
-			b, err := sys.fresh()
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := sys.open(t)
 			var prev ckpt.Metrics
 			for e := 0; e < 5; e++ {
 				for i := 0; i < 20; i++ {

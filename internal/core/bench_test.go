@@ -19,6 +19,7 @@ func benchContainer(b *testing.B, mode Mode) (*nvm.Device, *Container) {
 		b.Fatal(err)
 	}
 	dev := nvm.NewDevice(l.DeviceSize())
+	b.Cleanup(dev.Close)
 	c, err := NewContainer(dev, opts)
 	if err != nil {
 		b.Fatal(err)

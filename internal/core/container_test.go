@@ -30,6 +30,7 @@ func newTestContainer(t *testing.T, opts Options) (*nvm.Device, *Container) {
 		t.Fatal(err)
 	}
 	dev := nvm.NewDevice(l.DeviceSize())
+	t.Cleanup(dev.Close)
 	c, err := NewContainer(dev, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -199,6 +199,7 @@ func crashSweep(t *testing.T, mode Mode, eager int, backupRatio float64) {
 		if got := readU64(c3, 0); got != 0x1234 {
 			t.Fatalf("fail point %d: post-recovery epoch lost (%#x)", failPoint, got)
 		}
+		dev.Close()
 	}
 }
 

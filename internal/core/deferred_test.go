@@ -505,6 +505,7 @@ func TestDeferredCoWKeepsRollbackWindow(t *testing.T) {
 					t.Fatalf("checksums=%v %s: crash at checkpoint primitive %d of %d: epoch %d (want %d), first difference at %d",
 						checksums, pol.name, k, total, c2.CommittedEpoch(), epoch, firstDiff(c2.Bytes(), want))
 				}
+				dev.Close()
 			}
 			if rolledBack == 0 {
 				t.Fatalf("%s: no crash point landed after the commit", pol.name)

@@ -47,7 +47,8 @@ func FuzzOpenCorruptImage(f *testing.F) {
 		img[int(pos)%len(img)] ^= mask
 
 		dev := nvm.NewDevice(len(img))
-		copy(dev.Working(), img)
+		defer dev.Close()
+		dev.StoreBulk(0, img)
 		dev.CrashPersistAll() // make the mutated image the durable state
 
 		defer func() {

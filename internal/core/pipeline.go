@@ -903,7 +903,7 @@ func (c *Container) incWrite(inc *incState, off int, src []byte) {
 		}
 		base := c.l.HeapToDevice(off)
 		if inc.cutSegs.Test(s) {
-			copy(c.dev.Working()[base:base+n], src[:n])
+			c.dev.WriteCache(base, src[:n])
 			c.dev.ChargeDRAMWrite(n)
 		} else {
 			c.dev.Write(base, src[:n])

@@ -220,6 +220,7 @@ func runStepDigest(t *testing.T, p digestPath, checksums bool, crash nvm.CrashPo
 	opts := p.opts()
 	opts.Region.Checksums = checksums
 	dev, c := newTestContainer(t, opts)
+	defer dev.Close()
 	rec := obs.NewRecorder(dev.Clock())
 	c.SetTrace(rec)
 	script := p.script(rand.New(rand.NewSource(18)), opts)

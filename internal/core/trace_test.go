@@ -16,6 +16,7 @@ func tracedContainer(t *testing.T, opts Options) (*nvm.Device, *Container, *obs.
 		t.Fatal(err)
 	}
 	dev := nvm.NewDevice(l.DeviceSize())
+	t.Cleanup(dev.Close)
 	opts.Trace = obs.NewRecorder(dev.Clock())
 	c, err := NewContainer(dev, opts)
 	if err != nil {

@@ -882,6 +882,7 @@ func TestPreCopyCrashAtEveryPrimitive(t *testing.T) {
 					t.Fatalf("checksums=%v %s: crash at pre-copy primitive %d: recovered epoch %d (want %d), first difference at %d",
 						checksums, pol.name, k, c2.CommittedEpoch(), epoch, firstDiff(c2.Bytes(), want))
 				}
+				dev.Close()
 			}
 		}
 	}

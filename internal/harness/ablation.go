@@ -28,6 +28,7 @@ func crpmAblation(sc Scale, t Table, seed int64, variants []crpmVariant, extra f
 		if err != nil {
 			return nil, err
 		}
+		defer ctr.Device().Close()
 		s, err := newSetup(ctr, DSHashMap, sc)
 		if err != nil {
 			return nil, err
@@ -115,6 +116,7 @@ func AblationBackupRatio(sc Scale) (Table, error) {
 			return nil, err
 		}
 		dev := ctr.Device()
+		defer dev.Close()
 		var buf [8]byte
 		const epochs = 24
 		start := dev.Clock().NowPS()
@@ -167,6 +169,7 @@ func AblationFTIIncremental(sc Scale) (Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer b.Device().Close()
 		s, err := newSetup(b, DSHashMap, sc)
 		if err != nil {
 			return nil, err

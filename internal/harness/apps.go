@@ -76,6 +76,15 @@ type appResult struct {
 	err        error
 }
 
+// close hands every rank's device back.
+func (r appResult) close() {
+	for _, d := range r.devs {
+		if d != nil {
+			d.Close()
+		}
+	}
+}
+
 // runParallelApp executes one app with the given checkpoint system.
 // system is "none" (DRAM execution, no checkpoints), "FTI", or
 // "libcrpm-Buffered".
@@ -187,15 +196,20 @@ func Fig8Apps(sc Scale) (Table, error) {
 		if edge == sc.EdgeLarge {
 			iters = sc.AppItersL
 		}
+		// A row reads only each run's time, so each run's devices go back
+		// before the next run maps its own.
 		base := runParallelApp(spec, sc, edge, iters, "none")
+		base.close()
 		if base.err != nil {
 			return nil, fmt.Errorf("%s base: %w", spec.name, base.err)
 		}
 		ftiRun := runParallelApp(spec, sc, edge, iters, "FTI")
+		ftiRun.close()
 		if ftiRun.err != nil {
 			return nil, fmt.Errorf("%s FTI: %w", spec.name, ftiRun.err)
 		}
 		crpmRun := runParallelApp(spec, sc, edge, iters, "libcrpm-Buffered")
+		crpmRun.close()
 		if crpmRun.err != nil {
 			return nil, fmt.Errorf("%s crpm: %w", spec.name, crpmRun.err)
 		}
@@ -240,6 +254,7 @@ func RecoveryTime(sc Scale) (Table, error) {
 	// different numbers of segments.
 	rows, err := sweep([]int{2 * sc.EdgeSmall, 2 * sc.EdgeLarge}, func(edge int) ([]string, error) {
 		run := runParallelApp(luleshSpec, sc, edge, sc.AppItersS, "libcrpm-Buffered")
+		defer run.close()
 		if run.err != nil {
 			return nil, run.err
 		}
@@ -325,6 +340,8 @@ func StorageCost(sc Scale) (Table, error) {
 		return t, err
 	}
 	crpmRun, ftiRun := runs[0], runs[1]
+	defer crpmRun.close()
+	defer ftiRun.close()
 	ctr := crpmRun.containers[0]
 	fb := ftiRun.ftis[0]
 	m, fm := ctr.Metrics(), fb.Metrics()

@@ -173,6 +173,7 @@ func CrossoverFigure(sc Scale) (Table, error) {
 		if err != nil {
 			return arenaResult{}, err
 		}
+		defer b.Device().Close()
 		label := fmt.Sprintf("crossover/%dB/%s/%s/%s", cell.size, cell.dist, cell.mix, sys)
 		return runArena(b, heapSize, ops, ckptEvery, cell, label)
 	})
@@ -262,6 +263,7 @@ func OnWriteMicro(sc Scale) (Table, error) {
 		if err != nil {
 			return 0, err
 		}
+		defer b.Device().Close()
 		nSlots := heapSize / size
 		rng := newRng(sched.SeedFor(fmt.Sprintf("onwrite/%s/%dB", sys, size)))
 		buf := make([]byte, size)

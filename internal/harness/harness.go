@@ -429,6 +429,7 @@ func measureSystem(system string, kind DSKind, sc Scale, geo Geometry, seed int6
 	if err != nil {
 		return measured{}, err
 	}
+	defer s.Dev.Close()
 	return s.measure(sc, seed, mix)
 }
 

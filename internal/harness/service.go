@@ -181,6 +181,7 @@ func runServiceCell(cfg server.Config) (*server.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer svc.Close()
 	res, err := svc.Run()
 	if err != nil {
 		return nil, err

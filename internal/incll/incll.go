@@ -133,7 +133,7 @@ func DeviceSize(heapSize int) (int, error) {
 // DeviceSize(heapSize) bytes — for callers that must own the device before
 // any primitive runs on it (e.g. to arm crash injection).
 func Format(heapSize int, dev *nvm.Device) (*Backend, error) {
-	b, err := layout(heapSize)
+	b, err := newBackend(heapSize)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,7 @@ func Open(heapSize int, dev *nvm.Device) (*Backend, error) {
 // coordinated (mpi) recovery: the caller inspects CommittedEpoch, possibly
 // calls RollbackOneEpoch, then must call Recover before using the arena.
 func OpenDeferRecovery(heapSize int, dev *nvm.Device) (*Backend, error) {
-	b, err := layout(heapSize)
+	b, err := newBackend(heapSize)
 	if err != nil {
 		return nil, err
 	}
@@ -190,20 +190,33 @@ func OpenDeferRecovery(heapSize int, dev *nvm.Device) (*Backend, error) {
 	return b, nil
 }
 
+// layout is the geometry of a heapSize container, without the DRAM state
+// (newBackend adds it): sizing a device must not allocate a heap-sized
+// mirror.
 func layout(heapSize int) (*Backend, error) {
 	if heapSize <= 0 {
 		return nil, errors.New("incll: heap size must be positive")
 	}
 	n := (heapSize + DataPerLine - 1) / DataPerLine
 	b := &Backend{
-		heapSize:    heapSize,
-		n:           n,
-		linesOff:    metaSize,
-		sideOff:     metaSize + n*LineSpan,
-		sideCap:     n,
-		mirror:      make([]byte, heapSize),
-		sideCovered: bitmap.New(n),
+		heapSize: heapSize,
+		n:        n,
+		linesOff: metaSize,
+		sideOff:  metaSize + n*LineSpan,
+		sideCap:  n,
 	}
+	return b, nil
+}
+
+// newBackend is layout plus the mirror and side-log bookkeeping a backend
+// works with.
+func newBackend(heapSize int) (*Backend, error) {
+	b, err := layout(heapSize)
+	if err != nil {
+		return nil, err
+	}
+	b.mirror = make([]byte, heapSize)
+	b.sideCovered = bitmap.New(b.n)
 	return b, nil
 }
 

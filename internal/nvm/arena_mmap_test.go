@@ -1,0 +1,98 @@
+//go:build unix && !race
+
+package nvm
+
+import (
+	"bufio"
+	"bytes"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+)
+
+// statm returns the process's virtual size and resident set in bytes.
+func statm(t *testing.T) (virt, rss int64) {
+	b, err := os.ReadFile("/proc/self/statm")
+	if err != nil {
+		t.Skipf("no /proc/self/statm: %v", err)
+	}
+	f := strings.Fields(string(b))
+	v, _ := strconv.ParseInt(f[0], 10, 64)
+	r, _ := strconv.ParseInt(f[1], 10, 64)
+	page := int64(os.Getpagesize())
+	return v * page, r * page
+}
+
+// mapCount returns the number of mappings the process holds.
+func mapCount(t *testing.T) int {
+	b, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	n := 0
+	for sc := bufio.NewScanner(bytes.NewReader(b)); sc.Scan(); {
+		n++
+	}
+	return n
+}
+
+// TestUnclosedDevicesAreUnmapped pins the leak guard: devices nobody closes
+// are unmapped once collected, so a run that forgets Close costs address
+// space and mappings only until the next collection, never resident memory
+// for the whole device.
+func TestUnclosedDevicesAreUnmapped(t *testing.T) {
+	const (
+		size    = 64 << 20
+		devices = 4000
+		every   = 100
+	)
+	drainIdle()
+	runtime.GC()
+	virt0, _ := statm(t)
+	maxMaps := 65530
+	if b, err := os.ReadFile("/proc/sys/vm/max_map_count"); err == nil {
+		maxMaps, _ = strconv.Atoi(strings.TrimSpace(string(b)))
+	}
+	var peakRSS, peakVirt int64
+	peakMaps := 0
+	var line [8]byte
+	for i := 1; i <= devices; i++ {
+		d := NewDevice(size)
+		d.Store(i%(size/LineSize)*LineSize, line[:])
+		if i%every == 0 {
+			virt, rss := statm(t)
+			peakRSS, peakVirt = max(peakRSS, rss), max(peakVirt, virt)
+			peakMaps = max(peakMaps, mapCount(t))
+			runtime.GC()
+		}
+	}
+	if peakRSS > 200<<20 {
+		t.Errorf("peak RSS %d MiB over %d unclosed devices, want under 200", peakRSS>>20, devices)
+	}
+	if peakMaps >= maxMaps {
+		t.Errorf("peak %d mappings, vm.max_map_count is %d", peakMaps, maxMaps)
+	}
+	// Address space is the leak's telltale: one collection interval's
+	// devices, plus whatever the cleanup goroutine has not reached yet —
+	// never all of them.
+	if arenas := (peakVirt - virt0) / (3 * size); arenas >= devices/2 {
+		t.Errorf("address space peaked %d arenas above the start, want far fewer than %d", arenas, devices)
+	}
+	// Cleanups run after the collection that found their device dead; give
+	// them time, then every arena must be gone.
+	runtime.GC()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		virt, _ := statm(t)
+		if virt-virt0 < 3*size {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("address space still %d MiB above the start after every device died", (virt-virt0)>>20)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -3,6 +3,7 @@ package nvm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 
 	"libcrpm/internal/bitmap"
@@ -18,9 +19,20 @@ import (
 // vanish, which is the adversarial model the paper's failure-atomicity
 // argument must survive.
 type Device struct {
-	size    int
+	size int
+	// arena holds media, working and undo back to back (arena.go); nil once
+	// the device is closed, with the three views.
+	arena   []byte
 	media   []byte
 	working []byte
+	// touched flags every touchChunk-sized chunk a writer of media or
+	// working reached. Flushes, evictions and crashes only move lines a
+	// store already flagged, so every chunk it leaves clear reads zero in
+	// both arrays: Close clears only the flagged ones, and a crash re-reads
+	// only those from media.
+	touched []bool
+	// guard unmaps the arena of a device nobody closed; Close disarms it.
+	guard *arenaGuard
 
 	// dirty marks cache lines written but not yet flushed.
 	dirty *bitmap.Set
@@ -34,12 +46,12 @@ type Device struct {
 	// pendingRuns sorts it before a walk. A fence therefore costs the lines
 	// it drains, however far apart they lie. Reused across fences.
 	pendRuns []lineRun
-	// undo is a flat arena holding, for every pending line l, the media
-	// content from before l's first unfenced overwrite at
-	// undo[l*LineSize:(l+1)*LineSize]. It is allocated once, at the device
-	// size, on the first pending line, so no flush after that allocates or
-	// copies the arena, and pages no pending line touches cost the host no
-	// memory. Bytes for non-pending lines are stale.
+	// undo holds, for every pending line l, the media content from before
+	// l's first unfenced overwrite at undo[l*LineSize:(l+1)*LineSize]. It is
+	// the last third of the arena, so no flush allocates, and pages no
+	// pending line reaches cost the host nothing. Bytes for non-pending
+	// lines are stale — in a reused arena, another device's — and nothing
+	// reads them.
 	undo []byte
 
 	clock *Clock
@@ -145,17 +157,26 @@ func WithEvictionFuzz(p float64, rng *rand.Rand) Option {
 	}
 }
 
+// touchChunk is the granularity of the touched flags: the unit Close clears
+// and a crash re-reads.
+const touchChunk = 64 << 10
+
 // NewDevice creates a device of the given size in bytes (rounded up to a
-// whole number of cache lines) with zeroed media.
+// whole number of cache lines) with zeroed media. Its memory comes from a
+// closed device of the same size where one is idle; Close hands it back.
 func NewDevice(size int, opts ...Option) *Device {
 	if size <= 0 {
 		panic("nvm: non-positive device size")
 	}
 	size = (size + LineSize - 1) / LineSize * LineSize
+	arena := takeArena(size)
 	d := &Device{
 		size:      size,
-		media:     make([]byte, size),
-		working:   make([]byte, size),
+		arena:     arena,
+		media:     arena[:size:size],
+		working:   arena[size : 2*size : 2*size],
+		undo:      arena[2*size:],
+		touched:   make([]bool, (size+touchChunk-1)/touchChunk),
 		dirty:     bitmap.New(size / LineSize),
 		pending:   bitmap.New(size / LineSize),
 		clock:     NewClock(),
@@ -165,7 +186,61 @@ func NewDevice(size int, opts ...Option) *Device {
 	for _, o := range opts {
 		o(d)
 	}
+	// The leak guard unmaps and never pools: a device nobody closed may
+	// still have a Working() slice out, which must fault, not alias.
+	d.guard = &arenaGuard{arena}
+	runtime.SetFinalizer(d.guard, (*arenaGuard).unmap)
 	return d
+}
+
+// arenaGuard is the leak guard's handle on an arena. Only its device points
+// to it, so it becomes unreachable with the device and its finalizer unmaps
+// the arena; a finalizer on the Device itself would hold the device's own
+// memory for another collection.
+type arenaGuard struct{ arena []byte }
+
+func (g *arenaGuard) unmap() { unmapArena(g.arena) }
+
+// Close hands the device's memory back for a later NewDevice of the same
+// size: it clears the touched chunks of media and working and puts the
+// arena on the free list. Every later access panics, and a slice Working()
+// returned must not be used again. Closing twice is a no-op.
+func (d *Device) Close() {
+	if d.arena == nil {
+		return
+	}
+	runtime.SetFinalizer(d.guard, nil)
+	d.guard = nil
+	d.eachTouched(func(lo, hi int) {
+		clear(d.media[lo:hi])
+		clear(d.working[lo:hi])
+	})
+	giveArena(d.size, d.arena)
+	d.arena, d.media, d.working, d.undo = nil, nil, nil, nil
+}
+
+// touch flags the chunks [off, off+n) reaches as written.
+func (d *Device) touch(off, n int) {
+	for c := off / touchChunk; c <= (off+n-1)/touchChunk; c++ {
+		d.touched[c] = true
+	}
+}
+
+// touchAll flags every chunk as written.
+func (d *Device) touchAll() {
+	for c := range d.touched {
+		d.touched[c] = true
+	}
+}
+
+// eachTouched calls fn with the byte range [lo, hi) of every touched chunk.
+func (d *Device) eachTouched(fn func(lo, hi int)) {
+	for c, t := range d.touched {
+		if t {
+			lo := c * touchChunk
+			fn(lo, min(lo+touchChunk, d.size))
+		}
+	}
 }
 
 // Size returns the device capacity in bytes.
@@ -189,15 +264,25 @@ func (d *Device) Working() []byte { return d.working }
 // MediaSnapshot returns a copy of the durable media contents, for tests that
 // compare pre- and post-crash durable state.
 func (d *Device) MediaSnapshot() []byte {
+	d.checkRange(0, d.size)
 	out := make([]byte, d.size)
 	copy(out, d.media)
 	return out
 }
 
+// checkRange panics unless [off, off+n) lies on the device; a closed
+// device's working array is nil, so nothing does.
 func (d *Device) checkRange(off, n int) {
-	if off < 0 || n < 0 || off+n > d.size {
-		panic(fmt.Sprintf("nvm: access [%d,%d) outside device of %d bytes", off, off+n, d.size))
+	if off < 0 || n < 0 || off+n > len(d.working) {
+		d.badAccess(off, n)
 	}
+}
+
+func (d *Device) badAccess(off, n int) {
+	if d.arena == nil {
+		panic("nvm: access to a closed device")
+	}
+	panic(fmt.Sprintf("nvm: access [%d,%d) outside device of %d bytes", off, off+n, d.size))
 }
 
 func (d *Device) markDirty(off, n int) {
@@ -208,19 +293,11 @@ func (d *Device) markDirty(off, n int) {
 	}
 }
 
-// ensureUndo allocates the undo arena on the device's first pending line.
-func (d *Device) ensureUndo() {
-	if d.undo == nil {
-		d.undo = make([]byte, d.size)
-	}
-}
-
 // markPending records line l as flushed-but-unfenced, snapshotting its
 // pre-flush media content into the undo arena on the first unfenced flush.
 func (d *Device) markPending(l int) {
 	if d.pending.Set(l) {
 		d.addRun(l, l+1)
-		d.ensureUndo()
 		base := l * LineSize
 		copy(d.undo[base:base+LineSize], d.media[base:base+LineSize])
 	}
@@ -288,6 +365,7 @@ func (d *Device) Store(off int, src []byte) {
 	d.tick(OpStore)
 	d.checkRange(off, len(src))
 	copy(d.working[off:], src)
+	d.touch(off, len(src))
 	d.markDirty(off, len(src))
 	d.stats.Stores++
 	d.clock.Advance(d.cost.StorePS)
@@ -302,6 +380,7 @@ func (d *Device) StoreBulk(off int, src []byte) {
 	}
 	d.checkRange(off, len(src))
 	copy(d.working[off:], src)
+	d.touch(off, len(src))
 	d.markDirty(off, len(src))
 	d.stats.Stores++
 	d.clock.Advance(int64(len(src)) * d.cost.DRAMBytePS)
@@ -333,7 +412,6 @@ func (d *Device) NTStore(off int, src []byte) {
 		// No line in the range is pending yet: snapshot the whole span into
 		// the undo arena and mark it pending with two word-granular range
 		// ops instead of a per-line loop.
-		d.ensureUndo()
 		copy(d.undo[first*LineSize:(last+1)*LineSize], d.media[first*LineSize:(last+1)*LineSize])
 		d.pending.SetRange(first, last+1)
 		d.addRun(first, last+1)
@@ -352,11 +430,23 @@ func (d *Device) NTStore(off int, src []byte) {
 	}
 	copy(d.working[off:], src)
 	copy(d.media[off:], src)
+	d.touch(off, n)
 	d.stats.NTStoreBytes += int64(n)
 	// Write-combining fills whole lines: a small NT store still moves a
 	// full cache line to the media.
 	chargeBytes := int64(last-first+1) * LineSize
 	d.clock.Advance(chargeBytes * d.cost.NVMWriteBytePS)
+}
+
+// WriteCache puts src at off into the CPU view only, as a store that stays
+// in the cache: no line turns dirty, so the bytes reach the media only
+// through a later store of their own and a crash drops them. It is neither
+// a primitive nor charged; the caller prices the copy. Core stages writes to
+// a segment its pending cut still has to copy this way.
+func (d *Device) WriteCache(off int, src []byte) {
+	d.checkRange(off, len(src))
+	copy(d.working[off:], src)
+	d.touch(off, len(src))
 }
 
 // CLWB writes the cache line containing off back to media. The write is not
@@ -518,7 +608,7 @@ func (d *Device) CrashWith(p CrashPolicy) int {
 		}
 	})
 	d.dirty.ClearAll()
-	copy(d.working, d.media)
+	d.eachTouched(func(lo, hi int) { copy(d.working[lo:hi], d.media[lo:hi]) })
 	return persisted
 }
 
@@ -544,6 +634,7 @@ func (d *Device) CorruptRange(off, n int) {
 		return
 	}
 	d.checkRange(off, n)
+	d.touch(off, n)
 	for i := off; i < off+n; i++ {
 		d.media[i] ^= 0xff
 	}
@@ -565,6 +656,7 @@ func (d *Device) TornWrite(off, cut int) {
 	}
 	chunk := off / MediaGranularity * MediaGranularity
 	d.checkRange(chunk, MediaGranularity)
+	d.touch(chunk, MediaGranularity)
 	copy(d.media[chunk:chunk+cut], d.working[chunk:chunk+cut])
 	copy(d.working[chunk:chunk+MediaGranularity], d.media[chunk:chunk+MediaGranularity])
 	d.dirty.ClearRange(chunk/LineSize, (chunk+MediaGranularity)/LineSize)

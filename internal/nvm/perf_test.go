@@ -8,10 +8,10 @@ import (
 )
 
 // TestSteadyStateZeroAllocs pins the steady-state device primitives at zero
-// allocations per operation. The undo arena is allocated whole by the first
-// pending line, so after a flush in the lower half a first flush in the
-// upper half allocates nothing; after the warm-up pass the hot loop must
-// never touch the heap.
+// allocations per operation. The undo array is part of the device's arena,
+// so after a flush in the lower half a first flush in the upper half
+// allocates nothing; after the warm-up pass the hot loop must never touch
+// the heap.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	const size = 1 << 20
 	var buf [8]byte
@@ -36,7 +36,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 
 	d := NewDevice(size)
 	// Warm up: dirty, flush, and fence the whole device once so every lazy
-	// structure (undo arena, bitmap words) reaches its final size.
+	// structure (the pending-run list) reaches its final size.
 	for off := 0; off < size; off += LineSize {
 		d.Store(off, buf[:])
 	}

@@ -48,10 +48,7 @@ func TestDeferredCoW(t *testing.T) {
 			{Kind: MigrateSplit, Src: 0, AfterCuts: 2},
 			{Kind: MigrateMerge, Src: 2, Dst: 1, AfterCuts: 9},
 		}
-		svc, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		svc := newService(t, cfg)
 		svc.noDeferCoW = off
 		res, err := svc.Run()
 		if err != nil {

@@ -162,10 +162,7 @@ func runDigest(t *testing.T, row digestRow) (result, trace string, res *Result) 
 	cfg := row.cfg()
 	cfg.Trace, cfg.Liveness, cfg.Parallel = true, true, 1
 	if row.crashFrac > 0 {
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newService(t, cfg)
 		if _, err := ref.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -75,10 +75,7 @@ func TestInCLLCrashRecoveryConverges(t *testing.T) {
 	cfg := incllCfg()
 	cfg.Ops = 3000
 	cfg.Liveness = true
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newService(t, cfg)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +111,7 @@ func TestInCLLCrashRecoveryConverges(t *testing.T) {
 func TestInCLLCrashDeterminism(t *testing.T) {
 	cfg := incllCfg()
 	cfg.Ops = 2000
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newService(t, cfg)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}

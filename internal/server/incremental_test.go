@@ -183,10 +183,7 @@ func TestIncrementalServiceCrashRecovery(t *testing.T) {
 		cfg.Ops = 3000
 		cfg.Mode = mode
 		cfg.Liveness = true
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newService(t, cfg)
 		if _, err := ref.Run(); err != nil {
 			t.Fatal(err)
 		}

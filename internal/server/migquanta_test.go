@@ -127,10 +127,7 @@ func TestMigrationQuantumSizeIsInvisible(t *testing.T) {
 		{Kind: MigrateMerge, Src: 2, Dst: 1, AfterCuts: 7},
 	}
 	run := func(whole bool) (*Service, *Result) {
-		svc, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		svc := newService(t, cfg)
 		svc.wholeQuanta = whole
 		res, err := svc.Run()
 		if err != nil {

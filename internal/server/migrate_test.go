@@ -24,6 +24,7 @@ func runMig(t *testing.T, cfg Config) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer svc.Close()
 	res, err := svc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -260,10 +261,7 @@ func TestMigrationCrashRecovery(t *testing.T) {
 		cfg.Migrations = []MigrateSpec{{Kind: MigrateSplit, Src: 0, AfterCuts: 2}}
 		cfg.Liveness = true
 		cfg.Crash = &CrashSpec{Shard: 0, At: at}
-		svc, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		svc := newService(t, cfg)
 		res, err := svc.Run()
 		if err != nil {
 			t.Fatalf("at=%d: %v", at, err)
@@ -283,10 +281,7 @@ func TestMigrationCrashRecovery(t *testing.T) {
 func TestMigrationSpansRecorded(t *testing.T) {
 	cfg := migCfg()
 	cfg.Migrations = []MigrateSpec{{Kind: MigrateSplit, Src: 0, AfterCuts: 2}}
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := newService(t, cfg)
 	res, err := svc.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -158,10 +158,7 @@ func TestGapPreFlushOnlyWhereItBelongs(t *testing.T) {
 		cfg := openMigCfg()
 		cfg.Ops = 60_000
 		tc.tweak(&cfg)
-		svc, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		svc := newService(t, cfg)
 		res, err := svc.Run()
 		if err != nil {
 			t.Fatal(err)

@@ -155,10 +155,7 @@ func TestFailoverPromotesReplica(t *testing.T) {
 		cfg.Ops = 3000
 		cfg.Mode = mode
 		cfg.Liveness = true
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newService(t, cfg)
 		if _, err := ref.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -204,20 +201,14 @@ func TestFailoverPromotesReplica(t *testing.T) {
 func TestFailoverRoutingFlip(t *testing.T) {
 	cfg := replCfg()
 	cfg.Ops = 2000
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := newService(t, cfg)
 	if _, err := svc.Run(); err != nil {
 		t.Fatal(err)
 	}
 	spans := svc.PrimitiveSpans()
 	at := spans[1][0] + (spans[1][1]-spans[1][0])/2
 	cfg.Crash = &CrashSpec{Shard: 1, At: at}
-	svc, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc = newService(t, cfg)
 	res, err := svc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -246,19 +237,13 @@ func TestCrashedRunReportsReplicaReads(t *testing.T) {
 	cfg := replCfg()
 	cfg.Ops = 3000
 	cfg.SLAs = []replica.SLA{{Level: replica.Eventual}}
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newService(t, cfg)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
 	span := ref.PrimitiveSpans()[0]
 	cfg.Crash = &CrashSpec{Shard: 0, At: span[1] - 1}
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := newService(t, cfg)
 	planted := false
 	svc.cfg.Progress = func(int, int) {
 		if planted || svc.shards[0].reps.Sec(0).Installed() == 0 {
@@ -297,10 +282,7 @@ func TestCrashedRunReportsReplicaReads(t *testing.T) {
 func TestFailoverDeterminism(t *testing.T) {
 	cfg := replCfg()
 	cfg.Ops = 2000
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newService(t, cfg)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,10 +307,7 @@ func TestFailoverDuringIncrementalCut(t *testing.T) {
 	cfg.Replicas = 2
 	cfg.Ops = 3000
 	cfg.Liveness = true
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newService(t, cfg)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}

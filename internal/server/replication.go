@@ -24,6 +24,9 @@ func (s *Service) initReplicas(sh *shard) error {
 	if err != nil {
 		return err
 	}
+	for i := 0; i < g.Len(); i++ {
+		s.mapped(g.Sec(i).Container().Device())
+	}
 	sh.reps = g
 	sh.secKV = make([]pds.KV, g.Len())
 	sh.cstate = make([]replica.ClientState, s.cfg.Clients)

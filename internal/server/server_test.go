@@ -25,12 +25,25 @@ func smallCfg() Config {
 	}
 }
 
+// newService is New for a test that expects no config error; the service's
+// devices go back when the test ends.
+func newService(t *testing.T, cfg Config) *Service {
+	t.Helper()
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	return svc
+}
+
 func mustRun(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer svc.Close()
 	res, err := svc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +89,7 @@ func TestConfigValidation(t *testing.T) {
 func TestNewLeavesCallerMigrationsAlone(t *testing.T) {
 	cfg := migCfg()
 	cfg.Migrations = []MigrateSpec{{Kind: MigrateSplit, Src: 0}}
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := newService(t, cfg)
 	if got := cfg.Migrations[0].AfterCuts; got != 0 {
 		t.Fatalf("New wrote AfterCuts=%d into the caller's Migrations slice", got)
 	}
@@ -209,10 +219,7 @@ func TestCrashRecoveryConverges(t *testing.T) {
 		cfg.Ops = 3000
 		cfg.Mode = mode
 		cfg.Liveness = true
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newService(t, cfg)
 		if _, err := ref.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -250,10 +257,7 @@ func TestCrashRecoveryConverges(t *testing.T) {
 func TestCrashDeterminism(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Ops = 2000
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newService(t, cfg)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}

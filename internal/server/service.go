@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"libcrpm/internal/core"
@@ -330,6 +331,30 @@ type Service struct {
 	// the segment's first store, the control a run that defers it into the
 	// gaps is compared against.
 	noDeferCoW bool
+	// devs is every device the run mapped, primaries' and secondaries', for
+	// Close; ranks add theirs concurrently, under devsMu. s.shards cannot
+	// stand in: promotion and merges move devices between shards.
+	devsMu sync.Mutex
+	devs   []*nvm.Device
+}
+
+// mapped records a device the run mapped, for Close.
+func (s *Service) mapped(d *nvm.Device) {
+	s.devsMu.Lock()
+	defer s.devsMu.Unlock()
+	s.devs = append(s.devs, d)
+}
+
+// Close hands back every device the run mapped (nvm.Device.Close). Call it
+// once the run's Result is read; the span accessors still answer after it.
+// Closing twice is a no-op.
+func (s *Service) Close() {
+	s.devsMu.Lock()
+	defer s.devsMu.Unlock()
+	for _, d := range s.devs {
+		d.Close()
+	}
+	s.devs = nil
 }
 
 // New validates the config and sizes the run. Requests are drawn
@@ -598,6 +623,7 @@ func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 	rank := c.Rank()
 	defer s.containCrash(c, rank)
 	sh := newShardShell(rank, s.deviceSize, s.cfg.StepBudget, s.cfg.Trace)
+	s.mapped(sh.dev)
 	if s.wholeQuanta {
 		sh.quantumN = 0
 	}

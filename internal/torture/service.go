@@ -84,7 +84,8 @@ func (r ServiceResult) OK() bool { return len(r.Violations) == 0 }
 // serviceReference is the prologue of the two service-level sweeps: the
 // service under torture, liveness forced on, runs once without a crash and
 // must itself be violation-free. The run's primitive windows define a
-// sweep's crash points, the returned config its replays.
+// sweep's crash points, the returned config its replays. The service comes
+// back closed: its windows are numbers the run recorded.
 func serviceReference(base server.Config, what string) (server.Config, *server.Service, error) {
 	if base.Crash != nil {
 		return base, nil, fmt.Errorf("torture: %s sweep: Server.Crash must be nil (the sweep owns injection)", what)
@@ -94,6 +95,7 @@ func serviceReference(base server.Config, what string) (server.Config, *server.S
 	if err != nil {
 		return base, nil, fmt.Errorf("torture: %s reference: %w", what, err)
 	}
+	defer ref.Close()
 	refRes, err := ref.Run()
 	if err != nil {
 		return base, nil, fmt.Errorf("torture: %s reference run: %w", what, err)
@@ -220,6 +222,7 @@ func serviceReplay(base server.Config, crashShard int, pol Policy, sla string, a
 	if err != nil {
 		return []ServiceViolation{{CrashShard: crashShard, Policy: pol.Name, SLA: sla, Index: at, Shard: -1, Stage: "config", Detail: err.Error()}}
 	}
+	defer svc.Close()
 	res, err := svc.Run()
 	if err != nil {
 		return []ServiceViolation{{CrashShard: crashShard, Policy: pol.Name, SLA: sla, Index: at, Shard: -1, Stage: "run", Detail: err.Error()}}

@@ -352,6 +352,7 @@ func reference(cfg Config, mode Mode, script []Step) (first, total int64, shadow
 	if err != nil {
 		return 0, 0, nil, nil, err
 	}
+	defer dev.Close()
 	if cfg.Trace {
 		rec = obs.NewRecorder(dev.Clock())
 		if tb, ok := c.(obs.Traceable); ok {
@@ -396,6 +397,7 @@ func replay(cfg Config, mode Mode, pol Policy, fault Fault, script []Step, shado
 	if err != nil {
 		return &Violation{Mode: mode.Name, Policy: pol.Name, Fault: fault.Name, Index: k, Stage: "setup", Detail: err.Error()}
 	}
+	defer dev.Close()
 	// k is an absolute primitive index (counted from device creation, like
 	// the reference run); the countdown starts now, after Format already
 	// consumed dev.PrimitiveCount() primitives.

@@ -185,6 +185,9 @@ torture)
   go test -race -short ./internal/torture/
   # Full size: every test -short skips or shrinks in these packages runs here.
   go test -race -timeout 60m ./internal/core/ ./internal/harness/ ./internal/torture/
+  # A device on a closed device's memory must be indistinguishable from one
+  # on fresh memory, whatever the closed one wrote.
+  go test -run '^$' -fuzz FuzzDeviceReuse -fuzztime 30s ./internal/nvm
   go build -o "$out/crpmtorture" ./cmd/crpmtorture
   "$out/crpmtorture"
   "$out/crpmtorture" -quick -checksums=false -adversarial
