@@ -348,6 +348,7 @@ func run() int {
 			return 1
 		}
 		span := svc.PrimitiveSpans()[*killPrimary]
+		svc.Close()
 		cfg.Crash = &server.CrashSpec{Shard: *killPrimary, At: span[0] + (span[1]-span[0])/2}
 		cfg.Liveness = true
 		if svc, err = newService(cfg); err != nil {

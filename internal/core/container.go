@@ -299,6 +299,10 @@ func (c *Container) Layout() *region.Layout { return c.l }
 // CommittedEpoch returns the last committed epoch number.
 func (c *Container) CommittedEpoch() uint64 { return c.meta.CommittedEpoch() }
 
+// Concurrent reports whether application threads may share the container's
+// write path (Options.Concurrent); heap.New serializes its staging on it.
+func (c *Container) Concurrent() bool { return c.opts.Concurrent }
+
 // Bytes implements ckpt.Backend: the application-visible working memory.
 func (c *Container) Bytes() []byte {
 	if c.opts.Mode == ModeBuffered {

@@ -83,3 +83,25 @@ func TestPutDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkWriteU64 is one fixed-width store through the heap — staging,
+// hook and write — on a default-mode libcrpm container, rewriting one
+// block so the hook takes its already-dirty path.
+func BenchmarkWriteU64(b *testing.B) {
+	reg := region.Config{HeapSize: 1 << 20, BackupRatio: 1}
+	l, err := region.NewLayout(reg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := nvm.NewDevice(l.DeviceSize())
+	defer dev.Close()
+	c, err := core.NewContainer(dev, core.Options{Region: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := heap.New(c)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.WriteU64(4096+i%64*8, uint64(i))
+	}
+}

@@ -16,21 +16,37 @@ import (
 	"libcrpm/internal/ckpt"
 )
 
-// wordBufs recycles the staging buffer of the fixed-width stores. Handing
-// a stack array to Backend.Write — an interface call — would move it to the
-// heap on every store; a field of Heap would race when application threads
-// share one (core.Options.Concurrent).
-var wordBufs = sync.Pool{New: func() any { return new([8]byte) }}
-
 // Heap is the instrumented view of one backend arena.
 type Heap struct {
 	b   ckpt.Backend
 	mem []byte
+	// word stages the fixed-width stores: handing a stack array to
+	// Backend.Write — an interface call — would move it to the heap on
+	// every store. Application threads that share a heap (a backend with
+	// core.Options.Concurrent) take mu around it; for everyone else mu is
+	// nil and the store pays nothing for it.
+	word [8]byte
+	mu   *sync.Mutex
 }
 
 // New wraps a backend.
 func New(b ckpt.Backend) *Heap {
-	return &Heap{b: b, mem: b.Bytes()}
+	h := &Heap{b: b, mem: b.Bytes()}
+	if c, ok := b.(interface{ Concurrent() bool }); ok && c.Concurrent() {
+		h.mu = new(sync.Mutex)
+	}
+	return h
+}
+
+// writeWord stores the low n bytes of v, little-endian.
+func (h *Heap) writeWord(off, n int, v uint64) {
+	if h.mu != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+	}
+	binary.LittleEndian.PutUint64(h.word[:], v)
+	h.b.OnWrite(off, n)
+	h.b.Write(off, h.word[:n])
 }
 
 // Backend returns the underlying checkpoint system.
@@ -46,13 +62,7 @@ func (h *Heap) ReadU8(off int) uint8 {
 }
 
 // WriteU8 stores one byte.
-func (h *Heap) WriteU8(off int, v uint8) {
-	buf := wordBufs.Get().(*[8]byte)
-	buf[0] = v
-	h.b.OnWrite(off, 1)
-	h.b.Write(off, buf[:1])
-	wordBufs.Put(buf)
-}
+func (h *Heap) WriteU8(off int, v uint8) { h.writeWord(off, 1, uint64(v)) }
 
 // ReadU32 loads a little-endian uint32.
 func (h *Heap) ReadU32(off int) uint32 {
@@ -61,13 +71,7 @@ func (h *Heap) ReadU32(off int) uint32 {
 }
 
 // WriteU32 stores a little-endian uint32.
-func (h *Heap) WriteU32(off int, v uint32) {
-	buf := wordBufs.Get().(*[8]byte)
-	binary.LittleEndian.PutUint32(buf[:4], v)
-	h.b.OnWrite(off, 4)
-	h.b.Write(off, buf[:4])
-	wordBufs.Put(buf)
-}
+func (h *Heap) WriteU32(off int, v uint32) { h.writeWord(off, 4, uint64(v)) }
 
 // ReadU64 loads a little-endian uint64.
 func (h *Heap) ReadU64(off int) uint64 {
@@ -76,13 +80,7 @@ func (h *Heap) ReadU64(off int) uint64 {
 }
 
 // WriteU64 stores a little-endian uint64.
-func (h *Heap) WriteU64(off int, v uint64) {
-	buf := wordBufs.Get().(*[8]byte)
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.b.OnWrite(off, 8)
-	h.b.Write(off, buf[:])
-	wordBufs.Put(buf)
-}
+func (h *Heap) WriteU64(off int, v uint64) { h.writeWord(off, 8, v) }
 
 // ReadF64 loads a float64.
 func (h *Heap) ReadF64(off int) float64 {

@@ -78,7 +78,8 @@ func TestUnclosedDevicesAreUnmapped(t *testing.T) {
 	// Address space is the leak's telltale: one collection interval's
 	// devices, plus whatever the cleanup goroutine has not reached yet —
 	// never all of them.
-	if arenas := (peakVirt - virt0) / (3 * size); arenas >= devices/2 {
+	_, _, _, _, arena := arenaLayout(size)
+	if arenas := (peakVirt - virt0) / int64(arena); arenas >= devices/2 {
 		t.Errorf("address space peaked %d arenas above the start, want far fewer than %d", arenas, devices)
 	}
 	// Cleanups run after the collection that found their device dead; give
@@ -86,7 +87,7 @@ func TestUnclosedDevicesAreUnmapped(t *testing.T) {
 	runtime.GC()
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		virt, _ := statm(t)
-		if virt-virt0 < 3*size {
+		if virt-virt0 < int64(arena) {
 			break
 		}
 		if time.Now().After(deadline) {

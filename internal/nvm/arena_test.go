@@ -90,11 +90,11 @@ func reuseImage(seed []byte) []byte {
 }
 
 // FuzzDeviceReuse pins that reuse is invisible: a device on the arena a
-// closed device handed back reads zero before its first write, and the same
-// script on it and on freshly mapped memory ends with identical media and
-// working arrays (full length), stats, clock, primitive count and crash
-// outcomes — whatever the closed device's own script wrote, and through
-// which writer.
+// closed device handed back reads zero before its first write — media,
+// working, and no line holding a media slot — and the same script on it and on freshly mapped
+// memory ends with identical media snapshots and working arrays (full
+// length), stats, clock, primitive count and crash outcomes — whatever the
+// closed device's own script wrote, and through which writer.
 func FuzzDeviceReuse(f *testing.F) {
 	// An NT store alone into the third chunk, then fenced.
 	f.Add(false, false, []byte{2, 0x04, 0x00, 0x00, 3, 8, 0, 0, 0, 0}, []byte{13, 0x04, 0x00, 0x00, 0})
@@ -136,11 +136,15 @@ func FuzzDeviceReuse(f *testing.F) {
 		if &reused.arena[0] != arena {
 			t.Fatal("NewDevice did not reuse the arena Close handed back")
 		}
-		if i := slices.IndexFunc(reused.media, func(b byte) bool { return b != 0 }); i >= 0 {
-			t.Fatalf("reused media byte %d = %#x before any write", i, reused.media[i])
+		nonzero := func(b byte) bool { return b != 0 }
+		if i := slices.IndexFunc(reused.MediaSnapshot(), nonzero); i >= 0 {
+			t.Fatalf("reused media byte %d is nonzero before any write", i)
 		}
-		if i := slices.IndexFunc(reused.working, func(b byte) bool { return b != 0 }); i >= 0 {
-			t.Fatalf("reused working byte %d = %#x before any write", i, reused.working[i])
+		if i := slices.IndexFunc(reused.Working(), nonzero); i >= 0 {
+			t.Fatalf("reused working byte %d is nonzero before any write", i)
+		}
+		if i := slices.IndexFunc(reused.mediaSlot, func(s uint32) bool { return s != 0 }); i >= 0 {
+			t.Fatalf("reused line %d has media slot %d before any write", i, reused.mediaSlot[i])
 		}
 		mapped := fresh()
 		defer reused.Close()
@@ -150,7 +154,7 @@ func FuzzDeviceReuse(f *testing.F) {
 		if !slices.Equal(gotSeen, wantSeen) {
 			t.Fatalf("loads and crash outcomes differ: reused %v, fresh %v", gotSeen, wantSeen)
 		}
-		if !bytes.Equal(reused.media, mapped.media) || !bytes.Equal(reused.working, mapped.working) {
+		if !bytes.Equal(reused.MediaSnapshot(), mapped.MediaSnapshot()) || !bytes.Equal(reused.Working(), mapped.Working()) {
 			t.Fatal("media or working differ between the reused and the fresh device")
 		}
 		if reused.Stats() != mapped.Stats() {

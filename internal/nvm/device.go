@@ -11,25 +11,35 @@ import (
 
 // Device is a simulated NVM DIMM plus the volatile CPU cache in front of it.
 //
-// Two byte arrays model the persistence domain boundary: working is what the
-// CPU observes (cache contents merged over media), media is what survives a
-// crash. Stores update working and mark the containing cache lines dirty;
-// CLWB + SFence (or WBINVD, or spontaneous eviction) move line contents into
-// media. Crash makes every not-yet-guaranteed line independently persist or
-// vanish, which is the adversarial model the paper's failure-atomicity
-// argument must survive.
+// working is what the CPU observes (cache contents merged over media); the
+// media is what survives a crash. A line's media differs from working only
+// while the line diverges — it is dirty, or WriteCache put bytes in the
+// cache alone — and only then does the device keep it apart, in a slot.
+// Stores update working and mark the containing cache lines dirty; CLWB +
+// SFence (or WBINVD, or spontaneous eviction) move line contents into media.
+// Crash makes every not-yet-guaranteed line independently persist or vanish,
+// which is the adversarial model the paper's failure-atomicity argument must
+// survive.
 type Device struct {
 	size int
-	// arena holds media, working and undo back to back (arena.go); nil once
-	// the device is closed, with the three views.
+	// arena holds working and the slot pool (arena.go); nil once the device
+	// is closed, with the views.
 	arena   []byte
-	media   []byte
 	working []byte
-	// touched flags every touchChunk-sized chunk a writer of media or
-	// working reached. Flushes, evictions and crashes only move lines a
-	// store already flagged, so every chunk it leaves clear reads zero in
-	// both arrays: Close clears only the flagged ones, and a crash re-reads
-	// only those from media.
+	// mediaSlot[l] names the slot holding line l's media while the line
+	// diverges (0: none); undoSlot[l], read only while l is pending, the
+	// slot holding its pre-flush media. An NT store puts its lines' undo in
+	// the log, slots 1..logTop, which every fence empties. Slots past the
+	// log are the pool: a pool slot joins a line's media at its first store
+	// or WriteCache, turns into its undo at a flush, and is freed at the
+	// fence. Freed slots are reused last-in first-out: free holds nFree of
+	// them, and slotTop pool slots have been handed out.
+	mediaSlot, undoSlot, free []uint32
+	slots                     []byte
+	slotTop, nFree, logTop    uint32
+	// touched flags every touchChunk-sized chunk a writer of working
+	// reached. Only lines there hold slots, so Close clears, and a crash
+	// looks for diverged lines, only there.
 	touched []bool
 	// guard unmaps the arena of a device nobody closed; Close disarms it.
 	guard *arenaGuard
@@ -37,7 +47,7 @@ type Device struct {
 	// dirty marks cache lines written but not yet flushed.
 	dirty *bitmap.Set
 	// pending marks lines flushed (CLWB/NT) since the last fence. At a
-	// crash each pending line may be rolled back to its undo-arena content,
+	// crash each pending line may be rolled back to its undo slot,
 	// modelling an in-flight flush that never reached the media. The bitmap
 	// answers membership and the count; walks go through pendRuns.
 	pending *bitmap.Set
@@ -46,13 +56,6 @@ type Device struct {
 	// pendingRuns sorts it before a walk. A fence therefore costs the lines
 	// it drains, however far apart they lie. Reused across fences.
 	pendRuns []lineRun
-	// undo holds, for every pending line l, the media content from before
-	// l's first unfenced overwrite at undo[l*LineSize:(l+1)*LineSize]. It is
-	// the last third of the arena, so no flush allocates, and pages no
-	// pending line reaches cost the host nothing. Bytes for non-pending
-	// lines are stale — in a reused arena, another device's — and nothing
-	// reads them.
-	undo []byte
 
 	clock *Clock
 	cost  CostModel
@@ -157,8 +160,7 @@ func WithEvictionFuzz(p float64, rng *rand.Rand) Option {
 	}
 }
 
-// touchChunk is the granularity of the touched flags: the unit Close clears
-// and a crash re-reads.
+// touchChunk is the granularity of the touched flags: the unit Close clears.
 const touchChunk = 64 << 10
 
 // NewDevice creates a device of the given size in bytes (rounded up to a
@@ -170,12 +172,15 @@ func NewDevice(size int, opts ...Option) *Device {
 	}
 	size = (size + LineSize - 1) / LineSize * LineSize
 	arena := takeArena(size)
+	media, undo, free, slots, end := arenaLayout(size)
 	d := &Device{
 		size:      size,
 		arena:     arena,
-		media:     arena[:size:size],
-		working:   arena[size : 2*size : 2*size],
-		undo:      arena[2*size:],
+		working:   arena[:media:media],
+		mediaSlot: words(arena[media:undo]),
+		undoSlot:  words(arena[undo:free]),
+		free:      words(arena[free:slots]),
+		slots:     arena[slots:end:end],
 		touched:   make([]bool, (size+touchChunk-1)/touchChunk),
 		dirty:     bitmap.New(size / LineSize),
 		pending:   bitmap.New(size / LineSize),
@@ -202,33 +207,25 @@ type arenaGuard struct{ arena []byte }
 func (g *arenaGuard) unmap() { unmapArena(g.arena) }
 
 // Close hands the device's memory back for a later NewDevice of the same
-// size: it clears the touched chunks of media and working and puts the
-// arena on the free list. Every later access panics, and a slice Working()
-// returned must not be used again. Closing twice is a no-op.
+// size: it drops the cache as a power failure would, clears the touched
+// chunks of working, and puts the arena on the free list.
+// Every later access panics, and a slice Working() returned must not be used
+// again. Closing twice is a no-op.
 func (d *Device) Close() {
 	if d.arena == nil {
 		return
 	}
 	runtime.SetFinalizer(d.guard, nil)
 	d.guard = nil
-	d.eachTouched(func(lo, hi int) {
-		clear(d.media[lo:hi])
-		clear(d.working[lo:hi])
-	})
+	d.CrashWith(DropAll) // empties the slot index and the pool
+	d.eachTouched(func(lo, hi int) { clear(d.working[lo:hi]) })
 	giveArena(d.size, d.arena)
-	d.arena, d.media, d.working, d.undo = nil, nil, nil, nil
+	d.arena, d.working, d.mediaSlot, d.undoSlot, d.free, d.slots = nil, nil, nil, nil, nil, nil
 }
 
 // touch flags the chunks [off, off+n) reaches as written.
 func (d *Device) touch(off, n int) {
 	for c := off / touchChunk; c <= (off+n-1)/touchChunk; c++ {
-		d.touched[c] = true
-	}
-}
-
-// touchAll flags every chunk as written.
-func (d *Device) touchAll() {
-	for c := range d.touched {
 		d.touched[c] = true
 	}
 }
@@ -241,6 +238,61 @@ func (d *Device) eachTouched(fn func(lo, hi int)) {
 			fn(lo, min(lo+touchChunk, d.size))
 		}
 	}
+}
+
+// line returns line l of b.
+func line(b []byte, l int) []byte { return b[l*LineSize : (l+1)*LineSize] }
+
+func (d *Device) slot(s uint32) []byte { return line(d.slots, int(s)) }
+
+// newSlot returns a pool slot holding a copy of src, the most recently freed
+// one first; an empty stack first gets a slot never handed out.
+func (d *Device) newSlot(src []byte) uint32 {
+	if d.nFree == 0 {
+		d.slotTop++
+		d.freeSlot(uint32(len(d.mediaSlot)) + d.slotTop)
+	}
+	d.nFree--
+	s := d.free[d.nFree]
+	*(*[LineSize]byte)(d.slot(s)) = *(*[LineSize]byte)(src)
+	return s
+}
+
+func (d *Device) freeSlot(s uint32) {
+	d.free[d.nFree] = s
+	d.nFree++
+}
+
+// media returns line l's media bytes: its media slot while it diverges,
+// its working bytes otherwise.
+func (d *Device) media(l int) []byte {
+	if s := d.mediaSlot[l]; s != 0 {
+		return d.slot(s)
+	}
+	return line(d.working, l)
+}
+
+// converge frees line l's media slot: its media equals working again.
+func (d *Device) converge(l int) {
+	if s := d.mediaSlot[l]; s != 0 {
+		d.freeSlot(s)
+		d.mediaSlot[l] = 0
+	}
+}
+
+// eachDiverged calls fn with every line that diverges and its media bytes,
+// in ascending order.
+func (d *Device) eachDiverged(fn func(l int, media []byte)) {
+	if d.slotTop == d.nFree && d.logTop == 0 {
+		return // no slot is live, so no line diverges
+	}
+	d.eachTouched(func(lo, hi int) {
+		for l := lo / LineSize; l < hi/LineSize; l++ {
+			if s := d.mediaSlot[l]; s != 0 {
+				fn(l, d.slot(s))
+			}
+		}
+	})
 }
 
 // Size returns the device capacity in bytes.
@@ -265,8 +317,8 @@ func (d *Device) Working() []byte { return d.working }
 // compare pre- and post-crash durable state.
 func (d *Device) MediaSnapshot() []byte {
 	d.checkRange(0, d.size)
-	out := make([]byte, d.size)
-	copy(out, d.media)
+	out := slices.Clone(d.working)
+	d.eachDiverged(func(l int, m []byte) { copy(line(out, l), m) })
 	return out
 }
 
@@ -285,21 +337,34 @@ func (d *Device) badAccess(off, n int) {
 	panic(fmt.Sprintf("nvm: access [%d,%d) outside device of %d bytes", off, off+n, d.size))
 }
 
+// markDirty counts a cached store to [off, off+n) and marks its lines dirty;
+// under eviction fuzz the first may evict at once.
 func (d *Device) markDirty(off, n int) {
 	first, last := off/LineSize, (off+n-1)/LineSize
 	d.dirty.SetRange(first, last+1)
-	if d.evictProb > 0 && d.evictRng.Float64() < d.evictProb {
-		d.evictLine(first)
+	d.stats.Stores++
+	if d.evictProb > 0 && d.evictRng.Float64() < d.evictProb && d.dirty.Test(first) {
+		// The line spontaneously writes back, as a real cache may do at any
+		// moment.
+		d.converge(first)
+		d.dirty.Clear(first)
+		d.stats.EvictedLines++
+		d.stats.FlushedLines++
+		d.stats.MediaWriteBytes += MediaGranularity
 	}
 }
 
-// markPending records line l as flushed-but-unfenced, snapshotting its
-// pre-flush media content into the undo arena on the first unfenced flush.
-func (d *Device) markPending(l int) {
+// flushLine writes dirty line l back to media. Its media slot, the content
+// from before the flush, becomes its undo slot, unless an earlier flush in
+// this fence epoch left one.
+func (d *Device) flushLine(l int) {
+	s := d.mediaSlot[l]
+	d.mediaSlot[l] = 0
 	if d.pending.Set(l) {
 		d.addRun(l, l+1)
-		base := l * LineSize
-		copy(d.undo[base:base+LineSize], d.media[base:base+LineSize])
+		d.undoSlot[l] = s
+	} else {
+		d.freeSlot(s)
 	}
 }
 
@@ -346,28 +411,11 @@ func (c *chunkCount) add(l int) {
 
 func (c *chunkCount) bytes() int64 { return int64(c.n) * MediaGranularity }
 
-// evictLine spontaneously writes one dirty line back to media, as a real
-// cache may do at any moment.
-func (d *Device) evictLine(l int) {
-	if !d.dirty.Test(l) {
-		return
-	}
-	base := l * LineSize
-	copy(d.media[base:base+LineSize], d.working[base:base+LineSize])
-	d.dirty.Clear(l)
-	d.stats.EvictedLines++
-	d.stats.FlushedLines++
-	d.stats.MediaWriteBytes += MediaGranularity
-}
-
 // Store writes a small value (typically <= 8 bytes) through the cache.
 func (d *Device) Store(off int, src []byte) {
 	d.tick(OpStore)
-	d.checkRange(off, len(src))
-	copy(d.working[off:], src)
-	d.touch(off, len(src))
+	d.WriteCache(off, src)
 	d.markDirty(off, len(src))
-	d.stats.Stores++
 	d.clock.Advance(d.cost.StorePS)
 }
 
@@ -378,11 +426,8 @@ func (d *Device) StoreBulk(off int, src []byte) {
 	if len(src) == 0 {
 		return
 	}
-	d.checkRange(off, len(src))
-	copy(d.working[off:], src)
-	d.touch(off, len(src))
+	d.WriteCache(off, src)
 	d.markDirty(off, len(src))
-	d.stats.Stores++
 	d.clock.Advance(int64(len(src)) * d.cost.DRAMBytePS)
 }
 
@@ -408,34 +453,50 @@ func (d *Device) NTStore(off int, src []byte) {
 	}
 	d.checkRange(off, n)
 	first, last := off/LineSize, (off+n-1)/LineSize
-	if d.pending.CountRange(first, last+1) == 0 {
-		// No line in the range is pending yet: snapshot the whole span into
-		// the undo arena and mark it pending with two word-granular range
-		// ops instead of a per-line loop.
-		copy(d.undo[first*LineSize:(last+1)*LineSize], d.media[first*LineSize:(last+1)*LineSize])
-		d.pending.SetRange(first, last+1)
-		d.addRun(first, last+1)
-		// Lines fully inside the write no longer have newer cached data.
-		if fc0, fc1 := (off+LineSize-1)/LineSize, (off+n)/LineSize; fc1 > fc0 {
-			d.dirty.ClearRange(fc0, fc1)
-		}
-	} else {
-		for l := first; l <= last; l++ {
-			d.markPending(l)
-			// A line fully inside the write no longer has newer cached data.
-			if l*LineSize >= off && (l+1)*LineSize <= off+n {
-				d.dirty.Clear(l)
+	// Each run of lines not yet pending snapshots its media into the log.
+	for l := first; l <= last; l++ {
+		if p := d.pending.NextSetInRange(l, last+1); p != l {
+			if p < 0 {
+				p = last + 1
 			}
+			d.snapshot(l, p)
+			l = p
 		}
 	}
+	// Lines fc0..fc1-1 lie wholly inside the write: no newer cached data is
+	// left in them, and their media equals working again.
+	fc0, fc1 := (off+LineSize-1)/LineSize, (off+n)/LineSize
+	for l := first; l <= last; l++ {
+		if l >= fc0 && l < fc1 {
+			d.converge(l)
+		} else if m := d.mediaSlot[l]; m != 0 {
+			lo, hi := max(off, l*LineSize), min(off+n, (l+1)*LineSize)
+			copy(d.slot(m)[lo-l*LineSize:], src[lo-off:hi-off])
+		}
+	}
+	d.dirty.ClearRange(fc0, max(fc0, fc1))
 	copy(d.working[off:], src)
-	copy(d.media[off:], src)
 	d.touch(off, n)
 	d.stats.NTStoreBytes += int64(n)
 	// Write-combining fills whole lines: a small NT store still moves a
 	// full cache line to the media.
 	chargeBytes := int64(last-first+1) * LineSize
 	d.clock.Advance(chargeBytes * d.cost.NVMWriteBytePS)
+}
+
+// snapshot makes lines [from, to) pending, their media the next slots of
+// the log: working's bytes in one copy, then each diverged line's slot.
+func (d *Device) snapshot(from, to int) {
+	copy(d.slots[int(d.logTop+1)*LineSize:], d.working[from*LineSize:to*LineSize])
+	for l := from; l < to; l++ {
+		d.logTop++
+		if m := d.mediaSlot[l]; m != 0 {
+			copy(d.slot(d.logTop), d.slot(m))
+		}
+		d.undoSlot[l] = d.logTop
+	}
+	d.pending.SetRange(from, to)
+	d.addRun(from, to)
 }
 
 // WriteCache puts src at off into the CPU view only, as a store that stays
@@ -445,6 +506,13 @@ func (d *Device) NTStore(off int, src []byte) {
 // a segment its pending cut still has to copy this way.
 func (d *Device) WriteCache(off int, src []byte) {
 	d.checkRange(off, len(src))
+	// A line's media moves to a slot before working first differs from it;
+	// a line that has one keeps it.
+	for l := off / LineSize; l <= (off+len(src)-1)/LineSize; l++ {
+		if d.mediaSlot[l] == 0 {
+			d.mediaSlot[l] = d.newSlot(line(d.working, l))
+		}
+	}
 	copy(d.working[off:], src)
 	d.touch(off, len(src))
 }
@@ -465,9 +533,7 @@ func (d *Device) clwbLine(l int) {
 		d.clock.Advance(d.cost.CLWBPS / 10)
 		return
 	}
-	d.markPending(l)
-	base := l * LineSize
-	copy(d.media[base:base+LineSize], d.working[base:base+LineSize])
+	d.flushLine(l)
 	d.dirty.Clear(l)
 	d.stats.FlushedLines++
 	d.clock.Advance(d.cost.CLWBPS)
@@ -500,9 +566,7 @@ func (d *Device) FlushRange(off, n int) {
 	d.primCount += total
 	var flushed int64
 	for l := d.dirty.NextSetInRange(first, last+1); l >= 0; l = d.dirty.NextSetInRange(l+1, last+1) {
-		d.markPending(l)
-		base := l * LineSize
-		copy(d.media[base:base+LineSize], d.working[base:base+LineSize])
+		d.flushLine(l)
 		flushed++
 	}
 	d.dirty.ClearRange(first, last+1)
@@ -518,14 +582,25 @@ func (d *Device) SFence() {
 	d.tick(OpFence)
 	d.stats.SFences++
 	d.clock.Advance(d.cost.SFencePS + int64(d.pending.Count())*d.cost.SFenceLinePS)
+	d.drain()
+}
+
+// drain makes every pending line durable: it counts the distinct media
+// chunks among them, frees their undo slots and empties the pending set and
+// the log.
+func (d *Device) drain() {
 	var chunks chunkCount
 	for _, r := range d.pendingRuns() {
 		for l := r.from; l < r.to; l++ {
 			chunks.add(l)
+			if u := d.undoSlot[l]; u > uint32(len(d.undoSlot)) {
+				d.freeSlot(u)
+			}
 		}
 	}
 	d.stats.MediaWriteBytes += chunks.bytes()
 	d.clearPending()
+	d.logTop = 0
 }
 
 // WBINVD writes back and invalidates the entire cache: every dirty line and
@@ -537,29 +612,12 @@ func (d *Device) WBINVD() {
 	d.stats.WBINVDs++
 	nDirty := d.dirty.Count()
 	d.clock.Advance(d.cost.WBINVDPS + int64(nDirty)*d.cost.CLWBPS/2)
-	// Distinct media chunks across dirty ∪ pending, via an ascending merge
-	// of the dirty bitmap with the pending runs.
-	var chunks chunkCount
-	dl := d.dirty.NextSet(0)
-	for _, r := range d.pendingRuns() {
-		for l := r.from; l < r.to; l++ {
-			for ; dl >= 0 && dl < l; dl = d.dirty.NextSet(dl + 1) {
-				chunks.add(dl)
-			}
-			chunks.add(l)
-		}
-	}
-	for ; dl >= 0; dl = d.dirty.NextSet(dl + 1) {
-		chunks.add(dl)
-	}
-	d.dirty.ForEach(func(l int) {
-		base := l * LineSize
-		copy(d.media[base:base+LineSize], d.working[base:base+LineSize])
-	})
-	d.stats.FlushedLines += int64(nDirty)
+	// Every dirty line joins the pending ones, and all drain as at a fence:
+	// one media write per distinct chunk of dirty ∪ pending.
+	d.dirty.ForEach(d.flushLine)
 	d.dirty.ClearAll()
-	d.clearPending()
-	d.stats.MediaWriteBytes += chunks.bytes()
+	d.stats.FlushedLines += int64(nDirty)
+	d.drain()
 }
 
 // DirtyLineCount returns the number of cache lines currently dirty.
@@ -581,8 +639,9 @@ func (d *Device) PendingLineCount() int { return d.pending.Count() }
 // tie the outcome to map iteration order).
 func (d *Device) CrashWith(p CrashPolicy) int {
 	persisted := 0
-	// In-flight flushes: roll back the losers to their pre-flush media
-	// content; the winners are media writes.
+	// In-flight flushes: the losers' undo becomes their media again; the
+	// winners are media writes. No slot is freed one by one: the whole pool
+	// empties at the end.
 	var chunks chunkCount
 	for _, r := range d.pendingRuns() {
 		for l := r.from; l < r.to; l++ {
@@ -590,8 +649,7 @@ func (d *Device) CrashWith(p CrashPolicy) int {
 				persisted++
 				chunks.add(l)
 			} else {
-				base := l * LineSize
-				copy(d.media[base:base+LineSize], d.undo[base:base+LineSize])
+				d.mediaSlot[l] = d.undoSlot[l]
 			}
 		}
 	}
@@ -600,15 +658,20 @@ func (d *Device) CrashWith(p CrashPolicy) int {
 	// Dirty lines: the policy's chosen subset evicts to media.
 	d.dirty.ForEach(func(l int) {
 		if p.Persist(l, LineDirty) {
-			base := l * LineSize
-			copy(d.media[base:base+LineSize], d.working[base:base+LineSize])
+			d.mediaSlot[l] = 0
 			d.stats.MediaWriteBytes += MediaGranularity
 			d.stats.EvictedLines++
 			persisted++
 		}
 	})
 	d.dirty.ClearAll()
-	d.eachTouched(func(lo, hi int) { copy(d.working[lo:hi], d.media[lo:hi]) })
+	// The cache is lost: every line whose media still differs reads it back,
+	// and the pool is empty again.
+	d.eachDiverged(func(l int, m []byte) {
+		copy(line(d.working, l), m)
+		d.mediaSlot[l] = 0
+	})
+	d.slotTop, d.nFree, d.logTop = 0, 0, 0
 	return persisted
 }
 
@@ -635,12 +698,18 @@ func (d *Device) CorruptRange(off, n int) {
 	}
 	d.checkRange(off, n)
 	d.touch(off, n)
-	for i := off; i < off+n; i++ {
-		d.media[i] ^= 0xff
+	for l := off / LineSize; l <= (off+n-1)/LineSize; l++ {
+		lo, hi := max(off, l*LineSize), min(off+n, (l+1)*LineSize)
+		m := d.media(l)[lo-l*LineSize : hi-l*LineSize]
+		for i := range m {
+			m[i] ^= 0xff
+		}
+		copy(d.working[lo:hi], m)
+		if hi-lo == LineSize { // the line reads as its media again
+			d.converge(l)
+		}
 	}
-	copy(d.working[off:off+n], d.media[off:off+n])
-	first, last := off/LineSize, (off+n-1)/LineSize
-	d.dirty.ClearRange(first, last+1)
+	d.dirty.ClearRange(off/LineSize, (off+n-1)/LineSize+1)
 }
 
 // TornWrite injects a torn media write at the device's internal write
@@ -657,8 +726,11 @@ func (d *Device) TornWrite(off, cut int) {
 	chunk := off / MediaGranularity * MediaGranularity
 	d.checkRange(chunk, MediaGranularity)
 	d.touch(chunk, MediaGranularity)
-	copy(d.media[chunk:chunk+cut], d.working[chunk:chunk+cut])
-	copy(d.working[chunk:chunk+MediaGranularity], d.media[chunk:chunk+MediaGranularity])
+	for l := chunk / LineSize; l < (chunk+MediaGranularity)/LineSize; l++ {
+		k := min(max(chunk+cut-l*LineSize, 0), LineSize)
+		copy(line(d.working, l)[k:], d.media(l)[k:])
+		d.converge(l)
+	}
 	d.dirty.ClearRange(chunk/LineSize, (chunk+MediaGranularity)/LineSize)
 }
 

@@ -7,16 +7,21 @@ import (
 	"testing"
 )
 
-// lineModel is the per-line reference model of the device's flush, fence
-// and crash semantics: a flag per line for the dirty and pending sets, every
-// walk a scan of the whole device in ascending line order, every cost
-// charged one line at a time. It shares nothing with Device's run list.
+// lineModel is the per-line reference model of the device's writers and
+// its flush, fence and crash semantics: three full arrays (media, working,
+// undo), a flag per line for the dirty and pending sets, every walk a scan
+// of the whole device in ascending line order, every cost charged one line
+// at a time. It shares nothing with Device's run list or slot pool.
 type lineModel struct {
 	cost                 CostModel
 	clock                int64
 	stats                Stats
 	media, working, undo []byte
 	dirty, pending       []bool
+	// evictProb and evictRng mirror WithEvictionFuzz: a source on the
+	// device's seed, drawn from at the same stores.
+	evictProb float64
+	evictRng  *rand.Rand
 }
 
 func newLineModel(d *Device) *lineModel {
@@ -25,6 +30,15 @@ func newLineModel(d *Device) *lineModel {
 		cost: d.Cost(), media: make([]byte, d.Size()), working: make([]byte, d.Size()),
 		undo: make([]byte, d.Size()), dirty: make([]bool, n), pending: make([]bool, n),
 	}
+}
+
+// reopen is a device read back from the media image: working equals media,
+// no line is dirty or pending, and the clock and counters start again.
+func (m *lineModel) reopen() {
+	copy(m.working, m.media)
+	clear(m.dirty)
+	clear(m.pending)
+	m.clock, m.stats = 0, Stats{}
 }
 
 func (m *lineModel) line(b []byte, l int) []byte { return b[l*LineSize : (l+1)*LineSize] }
@@ -56,12 +70,50 @@ func countSet(flags []bool) int {
 }
 
 func (m *lineModel) store(off int, src []byte) {
+	m.markDirty(off, src)
+	m.clock += m.cost.StorePS
+}
+
+func (m *lineModel) storeBulk(off int, src []byte) {
+	m.markDirty(off, src)
+	m.clock += int64(len(src)) * m.cost.DRAMBytePS
+}
+
+// markDirty is a cached store of src at off, which may evict its first line.
+func (m *lineModel) markDirty(off int, src []byte) {
 	copy(m.working[off:], src)
 	for l := off / LineSize; l <= (off+len(src)-1)/LineSize; l++ {
 		m.dirty[l] = true
 	}
 	m.stats.Stores++
-	m.clock += m.cost.StorePS
+	if l := off / LineSize; m.evictProb > 0 && m.evictRng.Float64() < m.evictProb && m.dirty[l] {
+		copy(m.line(m.media, l), m.line(m.working, l))
+		m.dirty[l] = false
+		m.stats.EvictedLines++
+		m.stats.FlushedLines++
+		m.stats.MediaWriteBytes += MediaGranularity
+	}
+}
+
+func (m *lineModel) writeCache(off int, src []byte) { copy(m.working[off:], src) }
+
+func (m *lineModel) corrupt(off, n int) {
+	for i := off; i < off+n; i++ {
+		m.media[i] ^= 0xff
+	}
+	copy(m.working[off:off+n], m.media[off:off+n])
+	for l := off / LineSize; l <= (off+n-1)/LineSize; l++ {
+		m.dirty[l] = false
+	}
+}
+
+func (m *lineModel) torn(off, cut int) {
+	chunk := off / MediaGranularity * MediaGranularity
+	copy(m.media[chunk:chunk+cut], m.working[chunk:chunk+cut])
+	copy(m.working[chunk:chunk+MediaGranularity], m.media[chunk:chunk+MediaGranularity])
+	for l := chunk / LineSize; l < (chunk+MediaGranularity)/LineSize; l++ {
+		m.dirty[l] = false
+	}
 }
 
 func (m *lineModel) markPending(l int) {
@@ -149,13 +201,53 @@ func (m *lineModel) crash(p CrashPolicy) int {
 	return persisted
 }
 
-// pendingHistory drives d and m through one seeded random history of
-// stores, flushes, NT stores and fences, ending every round with a WBINVD or
-// a crash under one of three policies, and fails at the first step where
-// the two disagree on the clock, the counters, the media or the CPU view.
-func pendingHistory(t *testing.T, d *Device, seed int64) {
+// slotCounts returns the live media and undo slots and the pool's
+// high-water mark, failing t where the pool's own books disagree.
+func (d *Device) slotCounts(t testing.TB) (media, undo, top int) {
 	t.Helper()
+	pooled := 0
+	for l := range d.mediaSlot {
+		if d.mediaSlot[l] != 0 {
+			media++
+		}
+		if d.pending.Test(l) {
+			undo++
+			if d.undoSlot[l] > uint32(len(d.undoSlot)) {
+				pooled++
+			}
+		}
+	}
+	if live := int(d.slotTop - d.nFree); media+pooled != live {
+		t.Fatalf("%d media and %d undo slots live in the pool, the pool says %d", media, pooled, live)
+	}
+	return media, undo, int(d.slotTop)
+}
+
+// deviceHistory drives a device and the line model through one seeded
+// random history over every writer — stores, bulk stores, cache-only
+// writes, NT stores whole and partial (often over dirty lines), media
+// faults and torn writes — and every flush and fence, with eviction fuzz on
+// every third seed and a WriteMediaTo→ReadDeviceFrom round trip now and
+// then. Every round ends with a WBINVD or a crash under one of five
+// policies. It fails at the first step where the two disagree on the clock,
+// the counters, the dirty or pending count, the media or the CPU view, or
+// where a pending line has no undo slot or a dirty line no media slot.
+func deviceHistory(t testing.TB, seed int64, failAfter bool) {
+	t.Helper()
+	var opts []Option
+	evictSeed := rand.New(rand.NewSource(seed))
+	if seed%3 == 0 {
+		opts = append(opts, WithEvictionFuzz(0.2, evictSeed))
+	}
+	d := NewDevice(1<<16, opts...)
+	defer func() { d.Close() }()
+	if failAfter {
+		d.FailAfter(1 << 40)
+	}
 	m := newLineModel(d)
+	if seed%3 == 0 {
+		m.evictProb, m.evictRng = 0.2, rand.New(rand.NewSource(seed))
+	}
 	rng := rand.New(rand.NewSource(seed))
 	lines := d.Size() / LineSize
 	// pick favours the two ends of the device, so one fence often drains a
@@ -181,8 +273,15 @@ func pendingHistory(t *testing.T, d *Device, seed int64) {
 		if got, want := d.PendingLineCount(), countSet(m.pending); got != want {
 			t.Fatalf("seed %d %s: %d pending lines, model %d", seed, step, got, want)
 		}
+		if got, want := d.DirtyLineCount(), countSet(m.dirty); got != want {
+			t.Fatalf("seed %d %s: %d dirty lines, model %d", seed, step, got, want)
+		}
 		if !bytes.Equal(d.MediaSnapshot(), m.media) || !bytes.Equal(d.Working(), m.working) {
 			t.Fatalf("seed %d %s: media or working diverged from the model", seed, step)
+		}
+		if media, undo, _ := d.slotCounts(t); undo != d.PendingLineCount() || media < d.DirtyLineCount() {
+			t.Fatalf("seed %d %s: %d undo slots for %d pending lines, %d media slots for %d dirty lines",
+				seed, step, undo, d.PendingLineCount(), media, d.DirtyLineCount())
 		}
 	}
 	// Rounds end in turn with a WBINVD or a crash; each side of a seeded
@@ -195,6 +294,7 @@ func pendingHistory(t *testing.T, d *Device, seed int64) {
 		{"SeededCrash", func(round int) CrashPolicy { return SeededCrash(rand.New(rand.NewSource(seed + int64(round)))) }},
 		{"DropAll", func(int) CrashPolicy { return DropAll }},
 		{"PersistAll", func(int) CrashPolicy { return PersistAll }},
+		{"Alternating", func(round int) CrashPolicy { return Alternating(round) }},
 	}
 	buf := make([]byte, 3*LineSize)
 	storeFlush := func(l int) {
@@ -207,7 +307,7 @@ func pendingHistory(t *testing.T, d *Device, seed int64) {
 		for step := 0; step < 300; step++ {
 			rng.Read(buf)
 			l := pick()
-			switch rng.Intn(9) {
+			switch rng.Intn(15) {
 			case 0, 1:
 				off := l*LineSize + rng.Intn(LineSize-8)
 				d.Store(off, buf[:8])
@@ -233,32 +333,145 @@ func pendingHistory(t *testing.T, d *Device, seed int64) {
 			case 6: // a pair of lines at opposite ends of the device
 				storeFlush(lines - 1 - rng.Intn(2))
 				storeFlush(rng.Intn(2))
+			case 7: // a bulk store over up to three lines
+				off := min(l*LineSize+rng.Intn(LineSize), d.Size()-len(buf))
+				n := 1 + rng.Intn(len(buf))
+				d.StoreBulk(off, buf[:n])
+				m.storeBulk(off, buf[:n])
+			case 8: // bytes that stay in the cache, often over a dirty or pending line
+				off := min(l*LineSize+rng.Intn(LineSize), d.Size()-LineSize)
+				n := 1 + rng.Intn(LineSize)
+				d.WriteCache(off, buf[:n])
+				m.writeCache(off, buf[:n])
+			case 9: // a store, then a partial-line NT store over the dirty line
+				d.Store(l*LineSize, buf[:8])
+				m.store(l*LineSize, buf[:8])
+				off, n := l*LineSize+rng.Intn(LineSize), 1+rng.Intn(LineSize-1)
+				n = min(n, d.Size()-off)
+				d.NTStore(off, buf[8:8+n])
+				m.ntStore(off, buf[8:8+n])
+			case 10:
+				off := min(l*LineSize+rng.Intn(LineSize), d.Size()-1)
+				n := 1 + rng.Intn(min(2*LineSize, d.Size()-off))
+				d.CorruptRange(off, n)
+				m.corrupt(off, n)
+			case 11:
+				cut := rng.Intn(MediaGranularity + 1)
+				d.TornWrite(l*LineSize, cut)
+				m.torn(l*LineSize, cut)
+			case 12:
+				if rng.Intn(8) != 0 {
+					break
+				}
+				var img bytes.Buffer
+				if err := d.WriteMediaTo(&img); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("round %d step %d WriteMediaTo", round, step))
+				if !bytes.Equal(img.Bytes()[16:], m.media) {
+					t.Fatalf("seed %d round %d step %d: the image is not the media", seed, round, step)
+				}
+				d.Close()
+				var err error
+				if d, err = ReadDeviceFrom(&img, opts...); err != nil {
+					t.Fatal(err)
+				}
+				if failAfter {
+					d.FailAfter(1 << 40)
+				}
+				m.reopen()
 			default:
 				d.SFence()
 				m.sfence()
+				if _, undo, _ := d.slotCounts(t); undo != 0 {
+					t.Fatalf("seed %d round %d step %d: %d undo slots live after SFence", seed, round, step, undo)
+				}
 			}
 			check(fmt.Sprintf("round %d step %d", round, step))
 		}
-		end := ends[(int(seed)+round)%len(ends)]
+		end := ends[(uint64(seed)+uint64(round))%uint64(len(ends))]
 		if end.policy == nil {
 			d.WBINVD()
 			m.wbinvd()
-		} else if got, want := d.CrashWith(end.policy(round)), m.crash(end.policy(round)); got != want {
-			t.Fatalf("seed %d round %d %s: %d lines persisted, model %d", seed, round, end.name, got, want)
+		} else {
+			if got, want := d.CrashWith(end.policy(round)), m.crash(end.policy(round)); got != want {
+				t.Fatalf("seed %d round %d %s: %d lines persisted, model %d", seed, round, end.name, got, want)
+			}
+			if media, undo, _ := d.slotCounts(t); media+undo != 0 {
+				t.Fatalf("seed %d round %d %s: %d media and %d undo slots live after the crash", seed, round, end.name, media, undo)
+			}
 		}
 		check(fmt.Sprintf("round %d %s", round, end.name))
 	}
 }
 
-// TestPendingRunsMatchNaiveModel pins the device's run-list pending set
-// against the per-line model: same simulated clock, counters, media, CPU
-// view and persisted-line count after every step of seeded histories, with
-// one history under FailAfter so FlushRange takes its per-line path.
+// TestPendingRunsMatchNaiveModel pins the device's run-list pending set and
+// slot pool against the per-line model: same simulated clock, counters,
+// media, CPU view and persisted-line count after every step of seeded
+// histories, with one history under FailAfter so FlushRange takes its
+// per-line path.
 func TestPendingRunsMatchNaiveModel(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		pendingHistory(t, NewDevice(1<<16), seed)
+		deviceHistory(t, seed, false)
 	}
-	d := NewDevice(1 << 16)
-	d.FailAfter(1 << 40)
-	pendingHistory(t, d, 99)
+	deviceHistory(t, 99, true)
+}
+
+// FuzzDeviceHistory runs deviceHistory on arbitrary seeds: a seed picks the
+// history, and whether eviction fuzz and the per-line flush path are on.
+func FuzzDeviceHistory(f *testing.F) {
+	for seed := int64(1); seed <= 12; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { deviceHistory(t, seed, seed%5 == 4) })
+}
+
+// TestSlotPoolTracksDivergedLines pins the pool's bounds: no undo slot
+// outlives its fence, no slot outlives a crash or a WBINVD and its fence,
+// and over a populate-then-cut script the pool never grows past the peak
+// number of dirty plus pending lines.
+func TestSlotPoolTracksDivergedLines(t *testing.T) {
+	d := NewDevice(1 << 20)
+	defer d.Close()
+	rng := rand.New(rand.NewSource(1))
+	var word [8]byte
+	seg := make([]byte, 4096)
+	peak := 0
+	note := func() { peak = max(peak, d.DirtyLineCount()+d.PendingLineCount()) }
+	populate := func(n int) {
+		for i := 0; i < n; i++ {
+			if i%50 == 0 {
+				d.NTStore(rng.Intn(d.Size()/len(seg))*len(seg), seg)
+			} else {
+				d.Store(rng.Intn(d.Size()/len(word))*len(word), word[:])
+			}
+			note()
+		}
+	}
+	for cut := 0; cut < 20; cut++ {
+		populate(100 + cut*50)
+		d.FlushRange(0, d.Size())
+		note()
+		d.SFence()
+		if _, undo, _ := d.slotCounts(t); undo != 0 {
+			t.Fatalf("cut %d: %d undo slots live after SFence", cut, undo)
+		}
+	}
+	if _, _, top := d.slotCounts(t); top > peak {
+		t.Fatalf("the pool grew to %d slots, the peak dirty plus pending lines were %d", top, peak)
+	}
+	populate(300)
+	d.FlushRange(0, d.Size()/2)
+	d.WBINVD()
+	d.SFence()
+	if media, undo, _ := d.slotCounts(t); media+undo != 0 {
+		t.Fatalf("%d media and %d undo slots live after WBINVD and SFence", media, undo)
+	}
+	populate(300)
+	d.FlushRange(0, d.Size()/2)
+	d.WriteCache(100, word[:])
+	d.CrashWith(Alternating(0))
+	if media, undo, top := d.slotCounts(t); media+undo+top != 0 {
+		t.Fatalf("%d media and %d undo slots live after a crash, %d in the pool", media, undo, top)
+	}
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // TestSteadyStateZeroAllocs pins the steady-state device primitives at zero
-// allocations per operation. The undo array is part of the device's arena,
+// allocations per operation. The slot pool is part of the device's arena,
 // so after a flush in the lower half a first flush in the upper half
-// allocates nothing; after the warm-up pass the hot loop must never touch
-// the heap.
+// allocates nothing; after the warm-up pass the hot loop — stores, flushes,
+// fences, NT stores, cache-only writes and crashes — must never touch the
+// heap.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	const size = 1 << 20
 	var buf [8]byte
@@ -77,6 +78,14 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			d.Store(512, buf[:])
 			d.CLWB(512)
 			d.SFence()
+		},
+		"WriteCache": func() { d.WriteCache(1024, buf[:]) },
+		"CrashWith": func() {
+			d.Store(512, buf[:])
+			d.CLWB(512)
+			d.Store(2048, buf[:])
+			d.WriteCache(4096, buf[:])
+			d.CrashWith(DropAll)
 		},
 	} {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
@@ -209,7 +218,7 @@ func spanFence(d *Device) {
 // the two lines, not the 64 MiB between them.
 func BenchmarkSFenceSpan(b *testing.B) {
 	d := NewDevice(64 << 20)
-	spanFence(d) // allocates the undo arena
+	spanFence(d) // gives the pool its slots
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

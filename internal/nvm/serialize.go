@@ -14,14 +14,14 @@ const mediaMagic uint64 = 0x4352504d4e564d31 // "CRPMNVM1"
 // and reopened by a later process. Cache contents (unflushed lines) are NOT
 // included, faithfully modelling an image taken at power-off.
 func (d *Device) WriteMediaTo(w io.Writer) error {
-	d.checkRange(0, d.size)
+	media := d.MediaSnapshot()
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[0:], mediaMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(d.size))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("nvm: writing image header: %w", err)
 	}
-	if _, err := w.Write(d.media); err != nil {
+	if _, err := w.Write(media); err != nil {
 		return fmt.Errorf("nvm: writing media: %w", err)
 	}
 	return nil
@@ -43,11 +43,10 @@ func ReadDeviceFrom(r io.Reader, opts ...Option) (*Device, error) {
 		return nil, fmt.Errorf("nvm: implausible image size %d", size)
 	}
 	d := NewDevice(size, opts...)
-	d.touchAll()
-	if _, err := io.ReadFull(r, d.media); err != nil {
+	d.touch(0, size)
+	if _, err := io.ReadFull(r, d.working); err != nil {
 		d.Close()
 		return nil, fmt.Errorf("nvm: reading media: %w", err)
 	}
-	copy(d.working, d.media)
 	return d, nil
 }

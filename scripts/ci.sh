@@ -186,8 +186,10 @@ torture)
   # Full size: every test -short skips or shrinks in these packages runs here.
   go test -race -timeout 60m ./internal/core/ ./internal/harness/ ./internal/torture/
   # A device on a closed device's memory must be indistinguishable from one
-  # on fresh memory, whatever the closed one wrote.
+  # on fresh memory, whatever the closed one wrote; and the device's one
+  # image plus slots must match the three-array line model on any history.
   go test -run '^$' -fuzz FuzzDeviceReuse -fuzztime 30s ./internal/nvm
+  go test -run '^$' -fuzz FuzzDeviceHistory -fuzztime 30s ./internal/nvm
   go build -o "$out/crpmtorture" ./cmd/crpmtorture
   "$out/crpmtorture"
   "$out/crpmtorture" -quick -checksums=false -adversarial
