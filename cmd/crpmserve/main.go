@@ -215,7 +215,6 @@ func run() int {
 	policySpec := flag.String("policy", "ops:16384", "cut policy: ops:N | interval:DUR | dirty:BYTES | pause:DUR (pause budget; enables the incremental pipeline)")
 	heap := flag.Int("heap", 8<<20, "per-shard container heap bytes")
 	buckets := flag.Int("buckets", 1<<15, "hash-map buckets per shard")
-	batch := flag.Int("batch", 2048, "global ops per policy decision batch")
 	budget := flag.Int("budget", 0, "incremental checkpoint quantum in bytes per step; 0 = stop-the-world cuts (pause policies default it)")
 	seed := flag.Int64("seed", 1, "label-hash seed for all client streams")
 	parallel := flag.Int("parallel", 0, "verification cells in flight (0 = GOMAXPROCS); never changes output bytes")
@@ -307,7 +306,6 @@ func run() int {
 		Mode:       mode,
 		HeapSize:   *heap,
 		Buckets:    *buckets,
-		BatchOps:   *batch,
 		StepBudget: *budget,
 		Policy:     policy,
 		Seed:       *seed,
@@ -350,7 +348,6 @@ func run() int {
 		span := svc.PrimitiveSpans()[*killPrimary]
 		svc.Close()
 		cfg.Crash = &server.CrashSpec{Shard: *killPrimary, At: span[0] + (span[1]-span[0])/2}
-		cfg.Liveness = true
 		if svc, err = newService(cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2

@@ -154,13 +154,13 @@ func digestRows() []digestRow {
 	}
 }
 
-// runDigest runs one row with tracing and liveness on and returns the
+// runDigest runs one row with tracing on and returns the
 // sha256 of its Result (stats, violations, migrations, measure
 // report — everything but the trace, as JSON) and of its Chrome trace.
 func runDigest(t *testing.T, row digestRow) (result, trace string, res *Result) {
 	t.Helper()
 	cfg := row.cfg()
-	cfg.Trace, cfg.Liveness, cfg.Parallel = true, true, 1
+	cfg.Trace, cfg.Parallel = true, 1
 	if row.crashFrac > 0 {
 		ref := newService(t, cfg)
 		if _, err := ref.Run(); err != nil {

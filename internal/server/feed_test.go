@@ -20,18 +20,18 @@ type routedOp struct {
 // the batch feed and keeping the ops whose slot a shard owns yields, per
 // shard, exactly the (seq, op) sequence the service used to materialise up
 // front — fresh generators drawn round-robin, routed by the boot ring — for
-// plain and migratory configs alike (the latter used one global stream:
+// plain and resharding configs alike (the latter used one global stream:
 // the concatenated batches must equal it, with every slot matching the
 // boot ring's hash of the key).
 func TestFeedMatchesMaterialised(t *testing.T) {
 	plain := smallCfg()
 	plain.Ops = 5000 // not a multiple of BatchOps: the last batch is short
-	migratory := plain
-	migratory.Migrations = []MigrateSpec{{Kind: MigrateSplit, Src: 0, AfterCuts: 2}}
+	resharding := plain
+	resharding.Migrations = []MigrateSpec{{Kind: MigrateSplit, Src: 0, AfterCuts: 2}}
 	crud := plain
 	crud.Mix = workload.YCSBCrud
 	crud.Clients = 3
-	for name, cfg := range map[string]Config{"plain": plain, "migratory": migratory, "crud": crud} {
+	for name, cfg := range map[string]Config{"plain": plain, "resharding": resharding, "crud": crud} {
 		t.Run(name, func(t *testing.T) {
 			s, err := New(cfg)
 			if err != nil {

@@ -74,7 +74,6 @@ func TestInCLLRunDeterminism(t *testing.T) {
 func TestInCLLCrashRecoveryConverges(t *testing.T) {
 	cfg := incllCfg()
 	cfg.Ops = 3000
-	cfg.Liveness = true
 	ref := newService(t, cfg)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)

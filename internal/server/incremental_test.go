@@ -182,7 +182,6 @@ func TestIncrementalServiceCrashRecovery(t *testing.T) {
 		cfg := incCfg()
 		cfg.Ops = 3000
 		cfg.Mode = mode
-		cfg.Liveness = true
 		ref := newService(t, cfg)
 		if _, err := ref.Run(); err != nil {
 			t.Fatal(err)

@@ -51,6 +51,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"libcrpm/internal/measure"
@@ -208,33 +209,56 @@ type MigSpan struct {
 	Hi    int64  // one past the last
 }
 
-// migBox is the single-writer mailbox migration state crosses ranks
-// through. Every field is written by exactly one rank between two
-// barriers and read by others only after the next barrier, so the
-// barrier's happens-before edge orders every access.
-type migBox struct {
-	kind       MigrateKind
-	src, dst   int
-	span       ring.Span
-	joinBatch  int    // batch boundary the migration started at
-	joinCuts   int    // global cut count at the start
-	joinEpoch  uint64 // global committed epoch at the start
-	nextMigIdx int
-	sched      measure.Schedule
-	ringAtJoin *ring.Ring
-	flipsAt    []RingFlip
-	snap       []migEnt // span snapshot, sorted by key
-	snapAtPS   int64    // simulated arrival time of the snapshot
-	log1       []migEnt // transfer-phase delta log
-	log1AtPS   int64
-	final      []migEnt // pre-flip residual delta
+// migration is one resharding operation, one record every rank reads. The
+// source allocates it in migStart and publishes it — appends it to
+// Service.migs — before the barrier (or Grow) that start already takes;
+// every rank then holds the pointer until the migration returns to idle,
+// and the record outlives it as the run's account of it (Result.Migrations,
+// in start order, since migrations run one at a time). Every field is
+// written by the source alone, before the barrier that publishes it to the
+// destination, so the barrier's happens-before edge orders every access; a
+// later migration gets a record of its own, so a peer still finishing this
+// one's cleanup never reads the next one's.
+type migration struct {
+	kind     MigrateKind
+	src, dst int
+	span     ring.Span
+	slots    map[int]bool // span.SlotSet()
+	// What a split's fresh rank provisions from (provisionJoined): the batch
+	// boundary, global cut count and global committed epoch at the start,
+	// the Config.Migrations entry after this one, the arrival schedule, and
+	// the flip log its ring is replayed from.
+	batch int
+	cuts  int
+	epoch uint64
+	next  int
+	sched measure.Schedule
+	flips []RingFlip
+	// The destination's three lists — the span snapshot (sorted by key), the
+	// transfer-phase delta log, the pre-flip residual — and when the first
+	// two arrive (ship latency); log is the source's span mutations since
+	// the last list was cut from it.
+	snap, catchup, residual []migEnt
+	snapAtPS, catchupAtPS   int64
+	log                     []migEnt
+	// startPS and flipPS bound the migration on the source's clock;
+	// flipEpoch is the global cut epoch the flip rode.
+	startPS, flipPS int64
+	flipEpoch       uint64
 }
 
-// migratory reports whether this run reshapes the ring. Every migration
-// code path in the serve loop is gated on it, so migration-free runs are
-// byte-identical to the pre-migration service.
-func (s *Service) migratory() bool {
-	return s.cfg.elastic()
+// stat is the record's deterministic summary. A migration a crash cut short
+// of its flip reports no flip and no catch-up.
+func (m *migration) stat() MigrationStat {
+	st := MigrationStat{
+		Kind: string(m.kind), Src: m.src, Dst: m.dst,
+		StartPS: m.startPS, FlipPS: m.flipPS, FlipEpoch: m.flipEpoch,
+		MovedKeys: len(m.snap), SlotCount: m.span.Len(),
+	}
+	if m.flipEpoch > 0 {
+		st.CatchupOps = len(m.catchup) + len(m.residual)
+	}
+	return st
 }
 
 // maxShards bounds the shard id space the run can grow to.
@@ -254,7 +278,7 @@ func (s *Service) maxShards() int {
 // markMigPhase closes the current phase's primitive window on the two
 // participating shards.
 func (sh *shard) markMigPhase(phase string) {
-	if sh.id != sh.migSrc && sh.id != sh.migDst {
+	if sh.id != sh.mig.src && sh.id != sh.mig.dst {
 		return
 	}
 	now := sh.dev.PrimitiveCount()
@@ -263,21 +287,20 @@ func (sh *shard) markMigPhase(phase string) {
 }
 
 // maybeLogMig appends a span mutation's result to the source's catch-up
-// log (pure DRAM: no device primitives, no crash-window perturbation).
-func (sh *shard) maybeLogMig(op workload.Op) {
-	if !sh.migLogOn || sh.id != sh.migSrc {
+// log (pure DRAM: no device primitives, no crash-window perturbation). The
+// source serves span traffic only until the flip, so the log ends there.
+func (sh *shard) maybeLogMig(so seqOp) {
+	m := sh.mig
+	if m == nil || sh.id != m.src || !m.slots[so.slot] {
 		return
 	}
-	switch op.Kind {
+	switch so.op.Kind {
 	case workload.OpUpdate, workload.OpInsert, workload.OpRMW, workload.OpDelete:
 	default:
 		return
 	}
-	if !sh.migSpanSet[sh.ring.Slot(op.Key)] {
-		return
-	}
-	v, ok := sh.shadow.live[op.Key]
-	sh.migLog = append(sh.migLog, migEnt{key: op.Key, val: v, del: !ok})
+	v, ok := sh.shadow.live[so.op.Key]
+	m.log = append(m.log, migEnt{key: so.op.Key, val: v, del: !ok})
 }
 
 func markApplied(bits []uint64, seq int) { bits[seq>>6] |= 1 << (seq & 63) }
@@ -367,35 +390,33 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 	if c.AllreduceU64(busy, mpi.Max) != 0 {
 		return nil
 	}
+	m := sh.mig
 	switch sh.migPhase {
 	case migTransfer:
-		if sh.id == sh.migSrc {
-			s.box.log1 = append([]migEnt(nil), sh.migLog...)
-			sh.migLog = sh.migLog[:0]
-			s.box.log1AtPS = sh.clock.NowPS() + shipLatencyPS(len(s.box.log1))
+		if sh.id == m.src {
+			m.catchup, m.log = m.log, nil
+			m.catchupAtPS = sh.clock.NowPS() + shipLatencyPS(len(m.catchup))
 		}
 		sh.markMigPhase("transfer")
 		c.Barrier() // publish the delta log before the destination reads it
-		if sh.id == sh.migDst {
-			sh.migLoad(spanMigCatchup, s.box.log1, s.box.log1AtPS)
+		if sh.id == m.dst {
+			sh.migLoad(spanMigCatchup, m.catchup, m.catchupAtPS)
 		}
 		sh.migPhase = migCatchup
 	case migCatchup:
 		sh.markMigPhase("catchup")
 		sh.migPhase = migFlipReady
 	case migCleanup:
-		if sh.id == sh.migSrc {
+		if sh.id == m.src {
 			sh.markMigPhase("cleanup") // the destination owes nothing here
 		}
-		if sh.migKind == MigrateMerge {
+		if m.kind == MigrateMerge {
 			// No cut is in flight at a policy round, so the next one
 			// commits every delete quantum.
-			sh.retireQ = append(sh.retireQ, retirePlan{shard: sh.migSrc, whenCuts: sh.cuts + 1})
+			sh.retireQ = append(sh.retireQ, retirePlan{shard: m.src, whenCuts: sh.cuts + 1})
 		}
 		sh.migPhase = migIdle
-		sh.migSrc, sh.migDst = -1, -1
-		sh.migSpan = ring.Span{}
-		sh.migSpanSet = nil
+		sh.mig = nil
 	}
 	return nil
 }
@@ -443,10 +464,10 @@ func (s *Service) autoSplitRound(c *mpi.Comm, sh *shard, b int) error {
 }
 
 // migStart opens a migration at a batch boundary: every rank resolves the
-// identical span and destination from its ring clone, the source fills
-// the mailbox (snapshot capture is a pure DRAM copy of the acked span
-// state — the image the next cut would commit for those keys), and a
-// split grows the world by one rank, provisioned by serveJoinedRank.
+// identical span and destination from its ring clone, the source allocates
+// the record (snapshot capture is a pure DRAM copy of the acked span state —
+// the image the next cut would commit for those keys), and a split grows
+// the world by one rank, provisioned by serveJoinedRank.
 func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src, dstSpec int) error {
 	var (
 		span ring.Span
@@ -490,46 +511,32 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 	}
 
 	if sh.id == src {
-		box := s.box
-		box.kind, box.src, box.dst, box.span = kind, src, dst, span
-		box.joinBatch = b
-		box.joinCuts = sh.cuts
-		box.joinEpoch = sh.epochOff + sh.ctr.CommittedEpoch()
-		box.nextMigIdx = sh.migIdx + 1
-		box.sched = sh.msched
-		box.ringAtJoin = sh.ring.Clone()
-		box.flipsAt = append([]RingFlip(nil), sh.ringFlips...)
-		set := span.SlotSet()
-		var pairs []migEnt
+		m := &migration{
+			kind: kind, src: src, dst: dst, span: span, slots: span.SlotSet(),
+			batch: b, cuts: sh.cuts, epoch: sh.epochOff + sh.ctr.CommittedEpoch(), next: sh.migIdx + 1,
+			sched: sh.msched, flips: slices.Clone(sh.ringFlips), startPS: sh.clock.NowPS(),
+		}
 		for k, v := range sh.shadow.live {
-			if set[sh.ring.Slot(k)] {
-				pairs = append(pairs, migEnt{key: k, val: v})
+			if m.slots[sh.ring.Slot(k)] {
+				m.snap = append(m.snap, migEnt{key: k, val: v})
 			}
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
-		box.snap = pairs
-		box.snapAtPS = sh.clock.NowPS() + shipLatencyPS(len(pairs))
-		box.log1, box.final = nil, nil
-		sh.migLog = sh.migLog[:0]
-		sh.migLogOn = true
-		sh.migStats = append(sh.migStats, MigrationStat{
-			Kind: string(kind), Src: src, Dst: dst,
-			StartPS: sh.clock.NowPS(), SlotCount: span.Len(), MovedKeys: len(pairs),
-		})
+		sort.Slice(m.snap, func(i, j int) bool { return m.snap[i].key < m.snap[j].key })
+		m.snapAtPS = m.startPS + shipLatencyPS(len(m.snap))
+		s.migs = append(s.migs, m)
 	}
 	if kind == MigrateSplit {
-		// Grow's completing barrier publishes the mailbox to the joining
+		// Grow's completing barrier publishes the record to the joining
 		// rank and aligns its clock before it provisions.
 		c.Grow(dst, func(nc *mpi.Comm) { s.serveJoinedRank(nc) })
 	} else {
-		c.Barrier() // publish the mailbox to the existing destination
-		if sh.id == dst {
-			sh.migLoad(spanMigInstall, s.box.snap, s.box.snapAtPS)
-		}
+		c.Barrier() // publish the record to the existing destination
+	}
+	sh.mig = s.migs[len(s.migs)-1]
+	if sh.id == dst {
+		sh.migLoad(spanMigInstall, sh.mig.snap, sh.mig.snapAtPS)
 	}
 	sh.migPhase = migTransfer
-	sh.migSrc, sh.migDst, sh.migKind, sh.migSpan = src, dst, kind, span
-	sh.migSpanSet = span.SlotSet()
 	sh.migIdx++
 	if sh.id == src || sh.id == dst {
 		sh.phaseStartPrim = sh.dev.PrimitiveCount()
@@ -544,59 +551,51 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 // every rank flips its ring clone, binding the flip to the cut's global
 // epoch.
 func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
-	if sh.id == sh.migSrc {
-		s.box.final = append([]migEnt(nil), sh.migLog...)
-		sh.migLog = sh.migLog[:0]
-		sh.migLogOn = false
+	m := sh.mig
+	if sh.id == m.src {
+		m.residual, m.log = m.log, nil
 	}
 	c.Barrier() // publish the residual before the destination reads it
-	if sh.id == sh.migDst {
+	if sh.id == m.dst {
 		// One cut interval of span writes: run to completion, here.
-		sh.migLoad(spanMigResidual, s.box.final, 0)
+		sh.migLoad(spanMigResidual, m.residual, 0)
 		if err := sh.migQuantum(0); err != nil {
 			return err
 		}
 	}
 	gNext := sh.epochOff + sh.ctr.CommittedEpoch() + 1
-	if err := sh.ring.Move(sh.migSpan, sh.migDst); err != nil {
+	if err := sh.ring.Move(m.span, m.dst); err != nil {
 		return fmt.Errorf("server: shard %d flipping ring: %w", sh.id, err)
 	}
-	sh.ringFlips = append(sh.ringFlips, RingFlip{
-		Epoch: gNext, Src: sh.migSrc, Dst: sh.migDst,
-		Slots: append([]int(nil), sh.migSpan.Slots...),
-	})
-	sh.flipPending = true
-	if sh.id == sh.migSrc {
-		st := &sh.migStats[len(sh.migStats)-1]
-		st.CatchupOps = len(s.box.log1) + len(s.box.final)
-		st.FlipEpoch = gNext
+	sh.ringFlips = append(sh.ringFlips, RingFlip{Epoch: gNext, Src: m.src, Dst: m.dst, Slots: slices.Clone(m.span.Slots)})
+	if sh.id == m.src {
+		m.flipEpoch = gNext
 	}
 	return nil
 }
 
 // postFlip closes every landed cut (cutLanded calls it; a no-op unless the
-// cut carried a flip), right after the commit+barrier whatever the cut
-// style: the source now owes the deletion of the moved keys (next-epoch
-// writes — recovery landing on the flip epoch still finds them,
-// consistently with its pre-deletion snapshot), queued as its work cursor,
-// and the migration enters cleanup until that drains. Purely local; every
-// rank reaches it at the same transition.
+// cut carried a flip — the migration was flip-ready when the cut began, and
+// no policy round runs while a cut is in flight), right after the
+// commit+barrier whatever the cut style: the source now owes the deletion
+// of the moved keys (next-epoch writes — recovery landing on the flip epoch
+// still finds them, consistently with its pre-deletion snapshot), queued as
+// its work cursor, and the migration enters cleanup until that drains.
+// Purely local; every rank reaches it at the same transition.
 func (s *Service) postFlip(sh *shard) {
-	if !sh.flipPending {
+	if sh.migPhase != migFlipReady {
 		return
 	}
-	sh.flipPending = false
-	if sh.id == sh.migSrc {
+	if m := sh.mig; sh.id == m.src {
 		var dels []migEnt
 		for k := range sh.shadow.live {
-			if sh.migSpanSet[sh.ring.Slot(k)] {
+			if m.slots[sh.ring.Slot(k)] {
 				dels = append(dels, migEnt{key: k, del: true})
 			}
 		}
 		sort.Slice(dels, func(i, j int) bool { return dels[i].key < dels[j].key })
 		sh.migLoad(spanMigDelete, dels, 0)
-		st := &sh.migStats[len(sh.migStats)-1]
-		st.FlipPS = sh.clock.NowPS()
+		m.flipPS = sh.clock.NowPS()
 	}
 	sh.markMigPhase("flip")
 	sh.migPhase = migCleanup
@@ -627,6 +626,9 @@ func (s *Service) retireRound(c *mpi.Comm, sh *shard) (done bool, err error) {
 		return true, nil
 	}
 	c.Barrier() // pairs with the leaver's departure barrier
+	// Progress goes to the lowest id still in the world, which every
+	// survivor learns at this same round.
+	sh.reports = c.AllreduceU64(uint64(sh.id), mpi.Min) == uint64(sh.id)
 	return false, nil
 }
 
@@ -669,20 +671,20 @@ func (s *Service) serveJoinedRank(c *mpi.Comm) {
 		if err := s.provisionJoined(sh); err != nil {
 			return err
 		}
-		return s.serveLoop(c, sh, s.box.joinBatch+1)
+		return s.serveLoop(c, sh, sh.mig.batch+1)
 	})
 }
 
 // provisionJoined finishes a joining shard's bring-up over its freshly
 // formatted store (runRank): one local checkpoint, so the empty keyspace
 // is durable before any migration data lands, then the migration and
-// membership state its peers hold. The bring-up
+// membership state its peers hold, from the split's record. The bring-up
 // commit is local epoch 1; epochOff maps it onto the global cut epoch the
 // shard joined at, so from here on every coordinated cut advances local
 // and global epochs in lockstep and mpi recovery's epoch agreement works
 // unchanged over offset-mapped epochs.
 func (s *Service) provisionJoined(sh *shard) error {
-	box := s.box
+	m := s.migs[len(s.migs)-1]
 	sh.snapshotForNextCut() // local epoch 1 = {}: the join-epoch image
 	if err := sh.ctr.Checkpoint(); err != nil {
 		return fmt.Errorf("server: shard %d bring-up checkpoint: %w", sh.id, err)
@@ -695,21 +697,19 @@ func (s *Service) provisionJoined(sh *shard) error {
 	}
 	// The shadow's cut images stay keyed by LOCAL epoch (verify paths
 	// subtract the offset), so the snapshot bookkeeping works unchanged.
-	sh.epochOff = box.joinEpoch - 1
-	sh.ring = box.ringAtJoin.Clone()
-	sh.ringFlips = append([]RingFlip(nil), box.flipsAt...)
-	sh.migPhase = migTransfer
-	sh.migSrc, sh.migDst, sh.migKind = box.src, box.dst, box.kind
-	sh.migSpan = box.span
-	sh.migSpanSet = box.span.SlotSet()
-	sh.migLoad(spanMigInstall, box.snap, box.snapAtPS)
-	sh.migIdx = box.nextMigIdx
-	sh.cuts = box.joinCuts
+	sh.epochOff = m.epoch - 1
+	sh.ringFlips = m.flips
+	if err := replayFlips(sh.ring, m.flips, m.epoch); err != nil {
+		return err
+	}
+	sh.mig, sh.migPhase = m, migTransfer
+	sh.migLoad(spanMigInstall, m.snap, m.snapAtPS)
+	sh.migIdx = m.next
+	sh.cuts = m.cuts
 	sh.lastRoundCuts = sh.cuts
-	sh.appliedBits = make([]uint64, (s.cfg.Ops+63)/64)
-	if m := s.cfg.Measure; m != nil {
-		sh.msched = box.sched
-		sh.meas = measure.NewCollector(*m, sh.msched)
+	if mc := s.cfg.Measure; mc != nil {
+		sh.msched = m.sched
+		sh.meas = measure.NewCollector(*mc, sh.msched)
 	}
 	sh.primBase = sh.dev.PrimitiveCount()
 	sh.phaseStartPrim = sh.primBase
@@ -737,20 +737,26 @@ func (o offsetRecoverable) Recover() error          { return o.ctr.Recover() }
 func (s *Service) ringAt(epoch uint64) (*ring.Ring, error) {
 	var flips []RingFlip
 	for _, sh := range s.shards {
-		if sh != nil && len(sh.ringFlips) > len(flips) {
+		if len(sh.ringFlips) > len(flips) {
 			flips = sh.ringFlips
 		}
 	}
 	rg := ring.New(s.cfg.Shards, ring.DefaultVnodes)
+	return rg, replayFlips(rg, flips, epoch)
+}
+
+// replayFlips applies a flip log's prefix at or below a global cut epoch to
+// rg, the boot ring.
+func replayFlips(rg *ring.Ring, flips []RingFlip, epoch uint64) error {
 	for _, f := range flips {
 		if f.Epoch > epoch {
 			break
 		}
 		if err := rg.Move(ring.Span{Slots: f.Slots}, f.Dst); err != nil {
-			return nil, fmt.Errorf("server: replaying ring flip at epoch %d: %w", f.Epoch, err)
+			return fmt.Errorf("server: replaying ring flip at epoch %d: %w", f.Epoch, err)
 		}
 	}
-	return rg, nil
+	return nil
 }
 
 // verifyRetired checks a retired merge source's crashed image: it
@@ -769,57 +775,17 @@ func (s *Service) verifyRetired(sh *shard, landing uint64) []string {
 	if sh.epochOff+local > landing {
 		return []string{fmt.Sprintf("retired shard committed global epoch %d beyond landing %d", sh.epochOff+local, landing)}
 	}
-	if err := sh.reattach(ctr, s.cfg.DS); err != nil {
-		return []string{err.Error()}
-	}
-	want, ok := sh.shadow.snapAt(local)
-	if !ok {
-		return []string{fmt.Sprintf("no shadow snapshot for retired epoch %d", local)}
-	}
-	return verifyKV(sh.kv, want)
+	return sh.verifyRecovered(ctr, s.cfg.DS, local)
 }
 
-// migVerify runs the migration-specific consistency checks after a clean
-// run: every rank's ring agrees, every global op was applied exactly
-// once service-wide, and a sequential replay of the whole op stream
-// matches each key's final-ring owner's state (no key lost, duplicated,
-// or stranded on a former owner).
-func (s *Service) migVerify(res *Result) {
-	var ref *shard
-	for _, sh := range s.shards {
-		if sh == nil || sh.retired || sh.ring == nil {
-			continue
-		}
-		if ref == nil || len(sh.ringFlips) > len(ref.ringFlips) {
-			ref = sh
-		}
-	}
-	if ref == nil {
-		return
-	}
-	refTable := ref.ring.Table()
-	for _, sh := range s.shards {
-		if sh == nil || sh.ring == nil || sh.retired {
-			continue
-		}
-		t := sh.ring.Table()
-		for slot, o := range t {
-			if o != refTable[slot] {
-				res.Violations = append(res.Violations, Violation{
-					Shard: sh.id, Stage: "ring",
-					Detail: fmt.Sprintf("slot %d owned by %d, shard %d's ring says %d", slot, o, ref.id, refTable[slot]),
-				})
-				break
-			}
-		}
-	}
-
-	// Exactly-once application across the handoffs.
+// verifyApplied checks, after every clean run, that each global op was
+// applied by exactly one shard (no loss, no double-apply across a handoff).
+func (s *Service) verifyApplied(res *Result) {
 	lost, dup := 0, 0
 	for seq := 0; seq < s.cfg.Ops; seq++ {
 		n := 0
 		for _, sh := range s.shards {
-			if sh != nil && sh.appliedBits != nil && sh.appliedBits[seq>>6]&(1<<(seq&63)) != 0 {
+			if sh.appliedBits[seq>>6]&(1<<(seq&63)) != 0 {
 				n++
 			}
 		}
@@ -835,6 +801,38 @@ func (s *Service) migVerify(res *Result) {
 	}
 	if dup > 0 {
 		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "applied", Detail: fmt.Sprintf("%d ops applied by more than one shard", dup)})
+	}
+}
+
+// verifyOwnership checks a clean run whose ring flipped: every member's ring
+// agrees with the longest flip log's, and a sequential replay of the whole
+// op stream matches each key's final-ring owner's state (no key lost,
+// duplicated, or stranded on a former owner). A run that never flipped
+// routes on the boot ring throughout and has nothing to check here.
+func (s *Service) verifyOwnership(res *Result) {
+	var ref *shard
+	for _, sh := range s.shards {
+		if !sh.retired && (ref == nil || len(sh.ringFlips) > len(ref.ringFlips)) {
+			ref = sh
+		}
+	}
+	if ref == nil || len(ref.ringFlips) == 0 {
+		return
+	}
+	refTable := ref.ring.Table()
+	for _, sh := range s.shards {
+		if sh.retired {
+			continue
+		}
+		for slot, o := range sh.ring.Table() {
+			if o != refTable[slot] {
+				res.Violations = append(res.Violations, Violation{
+					Shard: sh.id, Stage: "ring",
+					Detail: fmt.Sprintf("slot %d owned by %d, shard %d's ring says %d", slot, o, ref.id, refTable[slot]),
+				})
+				break
+			}
+		}
 	}
 
 	// Global ownership: sequential replay of the op stream vs the final
@@ -859,12 +857,7 @@ func (s *Service) migVerify(res *Result) {
 	var firstBad string
 	for k, v := range exp {
 		owner := refTable[ref.ring.Slot(k)]
-		sh := s.shards[owner]
-		if sh == nil {
-			misrouted++
-			continue
-		}
-		got, ok := sh.shadow.live[k]
+		got, ok := s.shards[owner].shadow.live[k]
 		switch {
 		case !ok:
 			misrouted++
@@ -880,9 +873,7 @@ func (s *Service) migVerify(res *Result) {
 	}
 	total := 0
 	for _, sh := range s.shards {
-		if sh != nil {
-			total += len(sh.shadow.live)
-		}
+		total += len(sh.shadow.live)
 	}
 	if misrouted > 0 || wrong > 0 {
 		res.Violations = append(res.Violations, Violation{
@@ -898,27 +889,13 @@ func (s *Service) migVerify(res *Result) {
 	}
 }
 
-// collectMigrations folds per-source migration stats into start order.
-func (s *Service) collectMigrations() []MigrationStat {
-	var out []MigrationStat
-	for _, sh := range s.shards {
-		if sh != nil {
-			out = append(out, sh.migStats...)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].StartPS < out[j].StartPS })
-	return out
-}
-
 // MigrationSpans reports each migration phase's device-primitive crash
 // window per participating shard from the last completed Run, the index
 // set the torture sweep strides crash points across.
 func (s *Service) MigrationSpans() []MigSpan {
 	var out []MigSpan
 	for _, sh := range s.shards {
-		if sh != nil {
-			out = append(out, sh.migSpans...)
-		}
+		out = append(out, sh.migSpans...)
 	}
 	return out
 }

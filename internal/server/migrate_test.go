@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -177,10 +178,9 @@ func TestMigrationDeterminism(t *testing.T) {
 	}
 }
 
-// TestMigrationFreeRunsUnchanged pins the gating: a migration-free config
-// on the ring-backed router produces the exact result of the pre-ring
-// service (the ring's boot layout is modulo-identical, and no migration
-// code path may touch clocks or devices).
+// TestMigrationFreeRunsUnchanged: a migration-free config runs the same
+// migration hooks as any other, which find nothing to do, so it reproduces
+// itself exactly and reports no migration.
 func TestMigrationFreeRunsUnchanged(t *testing.T) {
 	cfg := migCfg()
 	base := runMig(t, cfg)
@@ -196,6 +196,69 @@ func TestMigrationFreeRunsUnchanged(t *testing.T) {
 	}
 	if base.Migrations != nil {
 		t.Fatalf("migration-free run recorded migrations: %+v", base.Migrations)
+	}
+}
+
+// TestExactlyOnceCheckedWithoutMigrations: every clean run checks that each
+// op was applied by exactly one shard, migrations or not. One sequence
+// number marked on a second shard and one cleared on its owner are two
+// "applied" violations.
+func TestExactlyOnceCheckedWithoutMigrations(t *testing.T) {
+	cfg := migCfg()
+	svc := newService(t, cfg)
+	res, err := svc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() {
+		t.Fatalf("violations: %v", res.Violations)
+	}
+	owner := func(seq int) *shard {
+		for _, sh := range svc.shards {
+			if sh.appliedBits[seq>>6]&(1<<(seq&63)) != 0 {
+				return sh
+			}
+		}
+		t.Fatalf("seq %d applied by no shard", seq)
+		return nil
+	}
+	dup, lost := 10, 11
+	markApplied(svc.shards[(owner(dup).id+1)%cfg.Shards].appliedBits, dup)
+	owner(lost).appliedBits[lost>>6] &^= 1 << (lost & 63)
+	var got Result
+	svc.verifyApplied(&got)
+	want := []Violation{
+		{Shard: -1, Stage: "applied", Detail: "1 ops never applied by any shard"},
+		{Shard: -1, Stage: "applied", Detail: "1 ops applied by more than one shard"},
+	}
+	if !reflect.DeepEqual(got.Violations, want) {
+		t.Fatalf("violations %v, want %v", got.Violations, want)
+	}
+}
+
+// TestProgressOutlivesMergedAwayReporter: progress is reported by the
+// lowest-id shard still in the world, so a run whose shard 0 merges away
+// still reports its last batch, (Ops, Ops) — as does the mirror-image merge
+// that keeps shard 0.
+func TestProgressOutlivesMergedAwayReporter(t *testing.T) {
+	for _, m := range []MigrateSpec{
+		{Kind: MigrateMerge, Src: 0, Dst: 1, AfterCuts: 2},
+		{Kind: MigrateMerge, Src: 1, Dst: 0, AfterCuts: 2},
+	} {
+		cfg := migCfg()
+		cfg.Migrations = []MigrateSpec{m}
+		var done, total int
+		cfg.Progress = func(d, n int) { done, total = d, n }
+		res := runMig(t, cfg)
+		if !res.OK() {
+			t.Fatalf("merge %d>%d: violations: %v", m.Src, m.Dst, res.Violations)
+		}
+		if left := res.Shards[m.Src].SimPS; left >= res.SimPS {
+			t.Fatalf("merge %d>%d: the source never retired, so the run proves nothing", m.Src, m.Dst)
+		}
+		if done != cfg.Ops || total != cfg.Ops {
+			t.Fatalf("merge %d>%d: last progress %d/%d, want %d/%d", m.Src, m.Dst, done, total, cfg.Ops, cfg.Ops)
+		}
 	}
 }
 
@@ -259,7 +322,6 @@ func TestMigrationCrashRecovery(t *testing.T) {
 	for _, at := range []int64{2000, 6000, 12000} {
 		cfg := migCfg()
 		cfg.Migrations = []MigrateSpec{{Kind: MigrateSplit, Src: 0, AfterCuts: 2}}
-		cfg.Liveness = true
 		cfg.Crash = &CrashSpec{Shard: 0, At: at}
 		svc := newService(t, cfg)
 		res, err := svc.Run()
@@ -275,8 +337,8 @@ func TestMigrationCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestMigrationSpansRecorded checks the torture sweep's input: a clean
-// migratory run reports per-phase primitive windows for both ends of the
+// TestMigrationSpansRecorded checks the torture sweep's input: a clean run
+// with a migration reports per-phase primitive windows for both ends of the
 // transfer.
 func TestMigrationSpansRecorded(t *testing.T) {
 	cfg := migCfg()

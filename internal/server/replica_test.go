@@ -154,7 +154,6 @@ func TestFailoverPromotesReplica(t *testing.T) {
 		cfg := replCfg()
 		cfg.Ops = 3000
 		cfg.Mode = mode
-		cfg.Liveness = true
 		ref := newService(t, cfg)
 		if _, err := ref.Run(); err != nil {
 			t.Fatal(err)
@@ -196,8 +195,9 @@ func TestFailoverPromotesReplica(t *testing.T) {
 }
 
 // TestFailoverRoutingFlip: after a failover exactly the crashed shard
-// serves from the promoted replica's container, at the landing epoch; every
-// other shard still serves from its own device.
+// serves from the promoted replica's container, one epoch past the landing
+// epoch (recovery's liveness probe takes a cut); every other shard still
+// serves from its own device.
 func TestFailoverRoutingFlip(t *testing.T) {
 	cfg := replCfg()
 	cfg.Ops = 2000
@@ -217,9 +217,9 @@ func TestFailoverRoutingFlip(t *testing.T) {
 		t.Fatalf("failover failed: %+v", res.Violations)
 	}
 	promoted := svc.shards[1].reps.Sec(res.PromotedReplica).Container()
-	if svc.shards[1].ctr != CutBackend(promoted) || promoted.CommittedEpoch() != res.PromotedEpoch {
+	if svc.shards[1].ctr != CutBackend(promoted) || promoted.CommittedEpoch() != res.PromotedEpoch+1 {
 		t.Fatalf("shard 1 serves from %T at epoch %d, want replica %d's container at %d",
-			svc.shards[1].ctr, svc.shards[1].ctr.CommittedEpoch(), res.PromotedReplica, res.PromotedEpoch)
+			svc.shards[1].ctr, svc.shards[1].ctr.CommittedEpoch(), res.PromotedReplica, res.PromotedEpoch+1)
 	}
 	for _, sh := range []int{0, 2, 3} {
 		if svc.shards[sh].ctr.Device() != svc.shards[sh].dev {
@@ -306,7 +306,6 @@ func TestFailoverDuringIncrementalCut(t *testing.T) {
 	cfg := incCfg()
 	cfg.Replicas = 2
 	cfg.Ops = 3000
-	cfg.Liveness = true
 	ref := newService(t, cfg)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)

@@ -218,7 +218,6 @@ func TestCrashRecoveryConverges(t *testing.T) {
 		cfg := smallCfg()
 		cfg.Ops = 3000
 		cfg.Mode = mode
-		cfg.Liveness = true
 		ref := newService(t, cfg)
 		if _, err := ref.Run(); err != nil {
 			t.Fatal(err)

@@ -135,12 +135,13 @@ type Config struct {
 	// timeseries. nil keeps the closed-loop behavior byte-identical.
 	// (What a feature cannot be combined with: exclusions.)
 	Measure *measure.Config
-	// Progress, when non-nil, is invoked by shard 0 at every batch
-	// boundary with the exact count of globally issued requests (the
-	// round-robin interleave makes batch bounds global). Purely advisory —
-	// it feeds live status lines and never affects the result bytes. It
-	// runs on shard 0's serving goroutine: keep it cheap and do not touch
-	// the service from inside it.
+	// Progress, when non-nil, is invoked at every batch boundary with the
+	// exact count of globally issued requests (the round-robin interleave
+	// makes batch bounds global) by the lowest-id shard still in the world:
+	// shard 0, unless a merge retired it. Purely advisory — it feeds live
+	// status lines and never affects the result bytes. It runs on that
+	// shard's serving goroutine: keep it cheap and do not touch the service
+	// from inside it.
 	Progress func(done, total int)
 	// Keys is the initially populated key-space size.
 	Keys uint64
@@ -176,10 +177,9 @@ type Config struct {
 	// Parallel bounds the post-run verification fan-out
 	// (0 = GOMAXPROCS). It never affects the result bytes.
 	Parallel int
-	// Liveness additionally verifies after recovery that every shard
-	// still serves: one probe write, a coordinated cut, and a reread.
-	Liveness bool
-	// Crash, if non-nil, injects a power failure and runs recovery.
+	// Crash, if non-nil, injects a power failure and runs recovery, which
+	// ends by proving every shard still serves: one probe write, a
+	// coordinated cut, and a reread.
 	Crash *CrashSpec
 	// Replicas gives every shard this many secondaries, each installing
 	// the primary's cut deltas asynchronously; reads are routed through
@@ -193,8 +193,9 @@ type Config struct {
 	SLAs []replica.SLA
 	// Migrations schedules elastic-resharding operations (split, move,
 	// merge), run live one at a time while the service keeps serving; see
-	// MigrateSpec. Empty keeps every migration code path off and the run
-	// byte-identical to the pre-resharding service.
+	// MigrateSpec. With none scheduled the serve loop runs the same hooks,
+	// which find nothing to do: no collective, no device primitive, no
+	// clock advance.
 	Migrations []MigrateSpec
 	// AutoSplit makes the service split its hottest shard on its own when
 	// load imbalance crosses a threshold; see AutoSplitSpec.
@@ -308,10 +309,9 @@ type Service struct {
 	cfg Config
 	// ring maps keys to shards. At boot its slot→shard assignment is exactly
 	// splitmix64(key) % Shards, the modulo routing the service shipped with
-	// (ring.TestRingMatchesModuloRouting), so migration-free runs route on it
-	// unchanged. Ranks of a migratory run route on private clones flipped at
-	// coordinated cuts; after a crash it is replaced by the landing epoch's
-	// table.
+	// (ring.TestRingMatchesModuloRouting). Every rank routes on a private
+	// clone of it, flipped at coordinated cuts; after a crash it is replaced
+	// by the landing epoch's table.
 	ring       *ring.Ring
 	opts       core.Options
 	deviceSize int
@@ -319,7 +319,8 @@ type Service struct {
 	batches    int
 	shards     []*shard
 	errs       []error
-	box        *migBox
+	// migs is every migration's record, in start order (migrate.go).
+	migs []*migration
 	// wholeQuanta is a test hook: every migration quantum retires all the
 	// work there is, wherever it runs. The quantum size is a constant
 	// (migQuantumItems), deliberately not configuration.
@@ -483,9 +484,7 @@ func (s *Service) Run() (*Result, error) {
 	s.shards = make([]*shard, maxN)
 	s.errs = make([]error, maxN)
 	s.feed = s.newFeed()
-	if s.migratory() {
-		s.box = &migBox{}
-	}
+	s.migs = nil
 	w := mpi.NewWorldCap(s.cfg.Shards, maxN)
 	w.Run(func(c *mpi.Comm) { s.serveRank(c) })
 
@@ -514,11 +513,11 @@ func (s *Service) Run() (*Result, error) {
 	if crashedRank >= 0 {
 		s.recoverAll(res)
 	} else {
-		// Clean run: every shard's KV must equal its live shadow, and
-		// every quiesced secondary must equal the cut snapshot of its
-		// installed epoch. The fan-out parallelism cannot change the
-		// result: each cell reads only its own shard (and its replicas),
-		// and reduction is in shard order.
+		// Clean run: every shard's KV must equal its live shadow, every
+		// quiesced secondary must equal the cut snapshot of its installed
+		// epoch, and every op was applied exactly once. The fan-out
+		// parallelism cannot change the result: each cell reads only its own
+		// shard (and its replicas), and reduction is in shard order.
 		vs := sched.Map(len(s.shards), sched.Options{Workers: s.cfg.Parallel}, func(i int) [2][]string {
 			return [2][]string{verifyKV(s.shards[i].kv, s.shards[i].shadow.live), s.shards[i].verifyReplicas()}
 		})
@@ -530,9 +529,8 @@ func (s *Service) Run() (*Result, error) {
 				res.Violations = append(res.Violations, Violation{Shard: i, Stage: "replica", Detail: d})
 			}
 		}
-		if s.migratory() {
-			s.migVerify(res)
-		}
+		s.verifyApplied(res)
+		s.verifyOwnership(res)
 	}
 	// Online checks of routed reads (applyRead) count on either path: a
 	// crash does not excuse a read served before it.
@@ -541,8 +539,8 @@ func (s *Service) Run() (*Result, error) {
 			res.Violations = append(res.Violations, Violation{Shard: sh.id, Stage: "replica", Detail: d})
 		}
 	}
-	if s.migratory() {
-		res.Migrations = s.collectMigrations()
+	for _, m := range s.migs {
+		res.Migrations = append(res.Migrations, m.stat())
 	}
 	s.fillStats(res)
 	if s.cfg.Measure != nil {
@@ -629,6 +627,8 @@ func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 	}
 	sh.preFlush = s.cfg.StepBudget == 0 && !s.noPreFlush
 	sh.deferCoW = s.cfg.StepBudget == 0 && s.cfg.Measure != nil && !s.noDeferCoW
+	sh.ring = s.ring.Clone()
+	sh.appliedBits = make([]uint64, (s.cfg.Ops+63)/64)
 	s.shards[rank] = sh
 	c.AttachClock(sh.clock)
 	if cr := s.cfg.Crash; cr != nil && cr.Shard == rank {
@@ -653,10 +653,6 @@ func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 // serveRank is one boot shard's request loop, run as an mpi rank.
 func (s *Service) serveRank(c *mpi.Comm) {
 	s.runRank(c, func(sh *shard) error {
-		if s.migratory() {
-			sh.ring = s.ring.Clone()
-			sh.appliedBits = make([]uint64, (s.cfg.Ops+63)/64)
-		}
 		if s.cfg.Replicas > 0 {
 			if err := s.initReplicas(sh); err != nil {
 				return err
@@ -715,18 +711,16 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 // 0) and split-spawned ranks (which enter at the batch after their join,
 // already in step with the world's collective sequence). Each rank
 // walks the shared batch feed and dispatches an op iff its ring owns the
-// key's slot — live ring clones flip identically at identical boundaries,
-// so exactly one rank applies each op. Migration-free runs read the
-// service's boot ring, which never changes, and skip every migration hook.
+// key's slot — ring clones flip identically at identical boundaries, so
+// exactly one rank applies each op, which the rank marks for the clean
+// run's exactly-once check.
 //
 // Every batch boundary is either one step of the cut in flight or a policy
-// round that may begin one (cutBegin, cutStep); the loop itself holds no
-// cut state.
+// round that may begin one (cutBegin, cutStep), then advance the migration
+// state machine and retire a merged-away rank (migRound, retireRound: with
+// no migration scheduled they find nothing to do); the loop itself holds
+// no cut or migration state.
 func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
-	owner := s.ring // immutable without migrations
-	if sh.ring != nil {
-		owner = sh.ring
-	}
 	stw := s.cfg.StepBudget == 0
 	for b := startBatch; b < s.batches; b++ {
 		if !sh.inEpoch {
@@ -735,7 +729,7 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 		}
 		served := 0
 		for _, so := range s.feed.batch(b) {
-			if owner.OwnerOfSlot(so.slot) != sh.id {
+			if sh.ring.OwnerOfSlot(so.slot) != sh.id {
 				continue
 			}
 			served++
@@ -748,11 +742,9 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 			if err != nil {
 				return err
 			}
-			if sh.appliedBits != nil {
-				markApplied(sh.appliedBits, so.seq)
-				sh.roundOps++
-				sh.maybeLogMig(so.op)
-			}
+			markApplied(sh.appliedBits, so.seq)
+			sh.roundOps++
+			sh.maybeLogMig(so)
 		}
 		if sh.meas != nil && (served == 0 || sh.phase == cutIdle) {
 			// Open loop: whatever is left of the batch's arrival window after
@@ -770,7 +762,7 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 		// Draw the next batch before the boundary collective: whichever rank
 		// finishes first generates while the others still serve.
 		s.feed.batch(b + 1)
-		if s.cfg.Progress != nil && sh.id == 0 {
+		if s.cfg.Progress != nil && sh.reports {
 			s.cfg.Progress(min((b+1)*s.cfg.BatchOps, s.cfg.Ops), s.cfg.Ops)
 		}
 		if sh.reps != nil {
@@ -797,7 +789,7 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 		round := time.Duration((now - sh.roundPS) / 1000)
 		sh.roundPS = now
 		doCut := ops > 0 && s.cfg.Policy.Cut(CutStats{Ops: ops, DirtyBytes: dirty, Since: since, Round: round, Shards: s.cfg.Shards})
-		if s.migratory() && !(doCut && sh.migPhase == migFlipReady) {
+		if !(doCut && sh.migPhase == migFlipReady) {
 			// Advance the migration state machine — also right before a cut,
 			// or back-to-back cuts (a saturated incremental pipeline, a
 			// policy that fires every round) would starve it. A flip-ready
@@ -832,14 +824,12 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 			}
 			continue
 		}
-		if s.migratory() {
-			done, err := s.retireRound(c, sh)
-			if err != nil {
-				return err
-			}
-			if done {
-				return nil // this rank merged away and left the world
-			}
+		done, err := s.retireRound(c, sh)
+		if err != nil {
+			return err
+		}
+		if done {
+			return nil // this rank merged away and left the world
 		}
 	}
 	// Drain an in-flight cut before closing out: the pipeline must be
@@ -859,12 +849,10 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 			return err
 		}
 	}
-	if s.migratory() {
-		// Force every remaining migration through to its flip so the ring
-		// is quiescent for verification.
-		if err := s.migEndDrain(c, sh); err != nil {
-			return err
-		}
+	// Force every remaining migration through to its flip so the ring is
+	// quiescent for verification.
+	if err := s.migEndDrain(c, sh); err != nil {
+		return err
 	}
 	if c.AllreduceU64(sh.sinceCut, mpi.Sum) > 0 {
 		// Close out in the run's own cut style: under the pipeline the
@@ -1187,16 +1175,7 @@ func (s *Service) recoverAll(res *Result) {
 		return
 	}
 	vs := sched.Map(n, sched.Options{Workers: s.cfg.Parallel}, func(i int) []string {
-		sh := members[i]
-		if err := sh.reattach(ctrs[i], s.cfg.DS); err != nil {
-			return []string{err.Error()}
-		}
-		local := epoch - sh.epochOff
-		want, ok := sh.shadow.snapAt(local)
-		if !ok {
-			return []string{fmt.Sprintf("no shadow snapshot for landing epoch %d (local %d)", epoch, local)}
-		}
-		return verifyKV(sh.kv, want)
+		return members[i].verifyRecovered(ctrs[i], s.cfg.DS, epoch-members[i].epochOff)
 	})
 	for i, bad := range vs {
 		for _, d := range bad {
@@ -1208,17 +1187,15 @@ func (s *Service) recoverAll(res *Result) {
 			res.Violations = append(res.Violations, Violation{Shard: sh.id, Stage: "verify", Detail: d})
 		}
 	}
-	if s.migratory() {
-		// Route on the landing epoch's ring from here on, so liveness
-		// probes route the way the recovered service would.
-		rg, err := s.ringAt(epoch)
-		if err != nil {
-			res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ring", Detail: err.Error()})
-		} else {
-			s.ring = rg
-		}
+	// Route on the landing epoch's ring from here on, so liveness probes
+	// route the way the recovered service would.
+	rg, err := s.ringAt(epoch)
+	if err != nil {
+		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ring", Detail: err.Error()})
+	} else {
+		s.ring = rg
 	}
-	if len(res.Violations) == 0 && s.cfg.Liveness {
+	if len(res.Violations) == 0 {
 		s.liveness(res, members)
 	}
 }

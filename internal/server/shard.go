@@ -27,7 +27,7 @@ const (
 )
 
 // kvRootSlot is the allocator root slot holding each shard's structure
-// root, written once at shard creation so recovery can reattach.
+// root, written once at shard creation so recovery can rebind it.
 const kvRootSlot = 0
 
 // CutBackend is the checkpoint surface a shard requires of its per-rank
@@ -142,48 +142,38 @@ type shard struct {
 
 	crashed bool
 
-	// Elastic resharding (Config.Migrations / Config.AutoSplit; everything
-	// below stays nil/zero otherwise, so the migration-free paths are
-	// byte-identical to a build without them). ring is this rank's private
-	// clone of the ownership table, flipped identically on every rank at
-	// identical cut boundaries; epochOff maps the shard's local committed
-	// epochs onto the global cut numbering (nonzero only for shards spawned
-	// by a split mid-run, whose bring-up checkpoint stands for the global
-	// epoch they joined at).
-	ring       *ring.Ring
-	epochOff   uint64
-	migPhase   migPhase
-	migIdx     int // next Config.Migrations entry to trigger
-	migSrc     int // source shard of the in-flight migration (-1 idle)
-	migDst     int // destination shard of the in-flight migration (-1 idle)
-	migSpan    ring.Span
-	migSpanSet map[int]bool
-	// migKind is the in-flight migration's kind: this rank's copy, since the
-	// shared mailbox is rewritten by the next migStart while a peer may still
-	// be finishing this one's cleanup round.
-	migKind MigrateKind
-	// migLogOn makes the source append every span mutation's result to
-	// migLog (the catch-up delta log); cleared at the pre-flip residual
-	// capture, after which span traffic routes to the destination.
-	migLogOn bool
-	migLog   []migEnt
-	// migWork is the bulk work the in-flight migration left on this shard
-	// (install, catch-up, delete), retired by migQuantum in idle time.
-	migWork migCursor
+	// Elastic resharding (migrate.go). ring is this rank's private clone of
+	// the ownership table, the one every op is routed on, flipped
+	// identically on every rank at identical cut boundaries; epochOff maps
+	// the shard's local committed epochs onto the global cut numbering
+	// (nonzero only for shards spawned by a split mid-run, whose bring-up
+	// checkpoint stands for the global epoch they joined at). With no
+	// migration scheduled the ring never flips and mig stays nil.
+	ring     *ring.Ring
+	epochOff uint64
+	// mig is the in-flight migration's record, shared by every rank (nil
+	// while idle); migPhase is this rank's position in it and migWork the
+	// bulk work it left on this shard (install, catch-up, delete), retired
+	// by migQuantum in idle time.
+	mig      *migration
+	migPhase migPhase
+	migIdx   int // next Config.Migrations entry to trigger
+	migWork  migCursor
 	// quantumN is the size of a gap quantum, in items (migQuantumItems).
 	quantumN      int
-	flipPending   bool // a ring flip rides the cut currently being taken
 	retireQ       []retirePlan
 	retired       bool
 	roundOps      uint64 // applied ops since the last autosplit evaluation
 	lastRoundCuts int
+	// reports makes this rank the one that calls Config.Progress: the
+	// lowest id still in the world (retireRound hands it on).
+	reports bool
 	// appliedBits marks every global sequence number this shard applied;
-	// migration verification checks each op was applied exactly once
-	// service-wide (no loss, no double-apply across a handoff).
+	// a clean run checks each op was applied exactly once service-wide (no
+	// loss, no double-apply across a handoff).
 	appliedBits []uint64
 	ringFlips   []RingFlip
 	migSpans    []MigSpan
-	migStats    []MigrationStat
 	// phaseStartPrim is the device primitive index the current migration
 	// phase started at, bounding the crash windows MigrationSpans reports.
 	phaseStartPrim int64
@@ -222,14 +212,13 @@ func newShardShell(id, deviceSize, stepBudget int, trace bool) *shard {
 		pause:      measure.NewHistogram(obs.PauseBounds),
 		stepBudget: stepBudget,
 		quantumN:   migQuantumItems,
-		migSrc:     -1,
-		migDst:     -1,
+		reports:    id == 0,
 	}
 }
 
 // init formats the shard's allocator and KV over a freshly formatted
-// backend, persisting the KV root in the root array so recovery can
-// reattach.
+// backend, persisting the KV root in the root array so recovery can rebind
+// it (verifyRecovered).
 func (sh *shard) init(ctr CutBackend, ds DSKind, buckets int) error {
 	a, err := alloc.Format(heap.New(ctr))
 	if err != nil {
@@ -264,18 +253,22 @@ func openKV(b ckpt.Backend, ds DSKind) (pds.KV, error) {
 	return kv, nil
 }
 
-// reattach rebinds the shard to its container as reopened from the
-// (crashed, recovered) device state. The container itself must already
-// have been recovered (coordinated protocol); reattach only rebuilds the
-// volatile handles.
-func (sh *shard) reattach(ctr CutBackend, ds DSKind) error {
+// verifyRecovered is the tail of every crash verification: it rebinds the
+// shard to its container as reopened from the (crashed, recovered) device
+// state — recovery itself is the caller's — and compares the KV with the
+// shadow's image of local epoch, the one the container landed on.
+func (sh *shard) verifyRecovered(ctr CutBackend, ds DSKind, local uint64) []string {
 	kv, err := openKV(ctr, ds)
 	if err != nil {
-		return fmt.Errorf("server: shard %d: %w", sh.id, err)
+		return []string{fmt.Sprintf("server: shard %d: %v", sh.id, err)}
 	}
 	sh.ctr, sh.kv = ctr, kv
 	sh.core, _ = ctr.(*core.Container)
-	return nil
+	want, ok := sh.shadow.snapAt(local)
+	if !ok {
+		return []string{fmt.Sprintf("no shadow snapshot for local epoch %d", local)}
+	}
+	return verifyKV(kv, want)
 }
 
 // pendAck is one group-committed request awaiting its quantum fence:

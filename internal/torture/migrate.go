@@ -21,7 +21,6 @@ import (
 type MigrateConfig struct {
 	// Server is the migratory service under torture. Migrations or
 	// AutoSplit must be set; Crash must be nil (the sweep owns injection).
-	// Liveness is forced on for replays.
 	Server server.Config
 	// Phases filters the swept migration phases (nil = transfer, catchup,
 	// flip, cleanup).

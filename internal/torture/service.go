@@ -16,7 +16,7 @@ import (
 // present on every shard, and all shards must land on one global epoch.
 type ServiceConfig struct {
 	// Server is the service under torture. Crash must be nil (the sweep
-	// owns injection); Liveness is forced on for replays.
+	// owns injection).
 	Server server.Config
 	// CrashShards lists the shards to inject into (nil = every shard).
 	CrashShards []int
@@ -82,15 +82,14 @@ type ServiceResult struct {
 func (r ServiceResult) OK() bool { return len(r.Violations) == 0 }
 
 // serviceReference is the prologue of the two service-level sweeps: the
-// service under torture, liveness forced on, runs once without a crash and
-// must itself be violation-free. The run's primitive windows define a
-// sweep's crash points, the returned config its replays. The service comes
-// back closed: its windows are numbers the run recorded.
+// service under torture runs once without a crash and must itself be
+// violation-free. The run's primitive windows define a sweep's crash
+// points, the returned config its replays. The service comes back closed:
+// its windows are numbers the run recorded.
 func serviceReference(base server.Config, what string) (server.Config, *server.Service, error) {
 	if base.Crash != nil {
 		return base, nil, fmt.Errorf("torture: %s sweep: Server.Crash must be nil (the sweep owns injection)", what)
 	}
-	base.Liveness = true
 	ref, err := server.New(base)
 	if err != nil {
 		return base, nil, fmt.Errorf("torture: %s reference: %w", what, err)

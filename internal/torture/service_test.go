@@ -543,11 +543,9 @@ func TestServiceSweepDeferredCoW(t *testing.T) {
 				if !sweep.OK() {
 					t.Fatalf("%d violations (of %d replays), first: %v", len(sweep.Violations), sweep.Replays, sweep.Violations[0])
 				}
-				base := tc.srv
-				base.Liveness = true
 				for _, k := range aimed {
 					for _, pol := range policies {
-						if vs := serviceReplay(base, sh, pol, "", k, false); len(vs) != 0 {
+						if vs := serviceReplay(tc.srv, sh, pol, "", k, false); len(vs) != 0 {
 							t.Fatalf("aimed crash: %d violations, first: %v", len(vs), vs[0])
 						}
 					}
