@@ -246,3 +246,77 @@ func TestNextMigrationWaitsForCleanup(t *testing.T) {
 		t.Fatalf("merge started at %d ps, before the split's cleanup drained at %d ps", start, cleanupEnd)
 	}
 }
+
+// TestFlipResidualIsOneRound: while a migration waits flip-ready for its
+// cut, the source ships its log to the destination at every round where the
+// destination has drained its last list, so the flip cut applies inline
+// only what the source logged since the last round the destination had
+// drained: the rest of the list shipped at the round before the flip cut,
+// and the writes since. Every round here finds the destination drained — a
+// list's ship latency and replay take tens of microseconds, against an open
+// loop's 2 ms batch window or a closed loop's replay at the round — so that
+// is at most the source's span writes in the two batches before the flip
+// cut. Cuts are rare (one per sixteen batches), so the migration waits
+// flip-ready for rounds on end: a flip cut that applied everything logged
+// since catch-up ended would carry many batches of writes.
+func TestFlipResidualIsOneRound(t *testing.T) {
+	for _, open := range []bool{true, false} {
+		cfg := openMigCfg()
+		cfg.Trace = false
+		cfg.Policy = OpsPolicy{Every: 32768}
+		if !open {
+			cfg.Measure = nil
+		}
+		cfg.Migrations = []MigrateSpec{
+			{Kind: MigrateSplit, Src: 0, AfterCuts: 2},
+			{Kind: MigrateMerge, Src: 2, Dst: 1, AfterCuts: 4},
+		}
+		svc := newService(t, cfg)
+		res, err := svc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.OK() {
+			t.Fatalf("open %v: violations: %v", open, res.Violations)
+		}
+		if len(res.Migrations) != 2 {
+			t.Fatalf("open %v: migrations %+v", open, res.Migrations)
+		}
+		for i, m := range svc.migs {
+			// Replay the feed: the source's span writes per batch — it logs
+			// every one until the flip — and the first batch the destination
+			// serves the span in, the one after the flip cut's round.
+			var writes []int
+			first := -1
+			feed := svc.newFeed()
+			for b := 0; b < svc.batches; b++ {
+				n := 0
+				for _, so := range feed.batch(b) {
+					if !m.slots[so.slot] {
+						continue
+					}
+					switch so.op.Kind {
+					case workload.OpUpdate, workload.OpInsert, workload.OpRMW, workload.OpDelete:
+						n++
+					}
+					if first < 0 && svc.shards[m.dst].appliedBits[so.seq>>6]&(1<<(so.seq&63)) != 0 {
+						first = b
+					}
+				}
+				writes = append(writes, n)
+			}
+			if first < 2 {
+				t.Fatalf("open %v: %s %d>%d: destination first served the span in batch %d", open, m.kind, m.src, m.dst, first)
+			}
+			flipAt := first - 1
+			st := res.Migrations[i]
+			bound := writes[flipAt-1] + writes[flipAt]
+			t.Logf("open %v: %s %d>%d flipped after batch %d: %d ops applied by the flip cut, bound %d, %d catch-up ops in all",
+				open, m.kind, m.src, m.dst, flipAt, st.ResidualOps, bound, st.CatchupOps)
+			if st.ResidualOps == 0 || st.ResidualOps > bound {
+				t.Errorf("open %v: %s %d>%d: the flip cut applied %d ops, want 1..%d (the span writes of the two batches before it)",
+					open, m.kind, m.src, m.dst, st.ResidualOps, bound)
+			}
+		}
+	}
+}

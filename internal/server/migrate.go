@@ -28,12 +28,17 @@
 //	    the source publishes the delta log accumulated during the
 //	    transfer, which ships and is replayed the same way.
 //	catchup ──destination finished──▶ flipReady:
-//	    waits for the next policy cut.
+//	    waits for the next policy cut, and keeps the destination current
+//	    meanwhile: at this round and at every later one where the
+//	    destination has drained its last list, the source ships what it
+//	    has logged since as another catch-up list.
 //	flipReady ──next coordinated cut──▶ cleanup:
-//	    pre-flip, the source publishes the final residual delta (applied
-//	    by the destination inside the committing epoch) and every rank
-//	    flips its ring clone, binding the flip to the cut's global epoch;
-//	    the cut's commit+barrier then publishes the flip atomically.
+//	    pre-flip, the destination applies the residual inside the
+//	    committing epoch — what it has not applied yet of its last list,
+//	    and what the source logged since that shipped: about one round of
+//	    span writes — and every rank flips its ring clone, binding the
+//	    flip to the cut's global epoch; the cut's commit+barrier then
+//	    publishes the flip atomically.
 //	    Post-commit the source owes the deletion of the moved keys
 //	    (next-epoch writes), again in quanta.
 //	cleanup ──source finished──▶ idle:
@@ -193,11 +198,13 @@ type MigrationStat struct {
 	FlipPS    int64
 	FlipEpoch uint64
 	// MovedKeys is the snapshot size; CatchupOps the delta-log entries
-	// shipped after it (transfer log plus pre-flip residual); SlotCount
-	// the ring slots reassigned.
-	MovedKeys  int
-	CatchupOps int
-	SlotCount  int
+	// shipped after it (every catch-up list plus what the source logged
+	// after the last one); ResidualOps the entries the flip cut applied
+	// inline, inside its pause; SlotCount the ring slots reassigned.
+	MovedKeys   int
+	CatchupOps  int
+	ResidualOps int
+	SlotCount   int
 }
 
 // MigSpan is one shard's device-primitive window for one migration phase,
@@ -214,11 +221,11 @@ type MigSpan struct {
 // Service.migs — before the barrier (or Grow) that start already takes;
 // every rank then holds the pointer until the migration returns to idle,
 // and the record outlives it as the run's account of it (Result.Migrations,
-// in start order, since migrations run one at a time). Every field is
-// written by the source alone, before the barrier that publishes it to the
-// destination, so the barrier's happens-before edge orders every access; a
-// later migration gets a record of its own, so a peer still finishing this
-// one's cleanup never reads the next one's.
+// in start order, since migrations run one at a time). Every field but
+// residualOps is written by the source alone, before the barrier that
+// publishes it to the destination, so the barrier's happens-before edge
+// orders every access; a later migration gets a record of its own, so a
+// peer still finishing this one's cleanup never reads the next one's.
 type migration struct {
 	kind     MigrateKind
 	src, dst int
@@ -234,13 +241,16 @@ type migration struct {
 	next  int
 	sched measure.Schedule
 	flips []RingFlip
-	// The destination's three lists — the span snapshot (sorted by key), the
-	// transfer-phase delta log, the pre-flip residual — and when the first
-	// two arrive (ship latency); log is the source's span mutations since
-	// the last list was cut from it.
+	// The destination's lists — the span snapshot (sorted by key), the
+	// latest catch-up list, the log the flip cut hands over — and when the
+	// first two arrive (ship latency); log is the source's span mutations
+	// since the last list was cut from it, and shipped the entries every
+	// catch-up list carried. residualOps is what the flip cut applied: the
+	// destination writes it there, and only the run's account reads it.
 	snap, catchup, residual []migEnt
 	snapAtPS, catchupAtPS   int64
 	log                     []migEnt
+	shipped, residualOps    int
 	// startPS and flipPS bound the migration on the source's clock;
 	// flipEpoch is the global cut epoch the flip rode.
 	startPS, flipPS int64
@@ -256,7 +266,8 @@ func (m *migration) stat() MigrationStat {
 		MovedKeys: len(m.snap), SlotCount: m.span.Len(),
 	}
 	if m.flipEpoch > 0 {
-		st.CatchupOps = len(m.catchup) + len(m.residual)
+		st.CatchupOps = m.shipped + len(m.residual)
+		st.ResidualOps = m.residualOps
 	}
 	return st
 }
@@ -354,7 +365,11 @@ func (sh *shard) migQuantum(n int) error {
 // drain; the round only asks whether it has. An open-loop run drains it in
 // the idle gaps between arrivals (idleUntil, serveLoop's batch tail). A
 // closed-loop run has no arrivals to protect, and the forced drain none
-// left: both retire the whole remainder right here, in one quantum.
+// left: both retire the whole remainder right here, in one quantum. A
+// flip-ready migration (serveLoop only brings it here at rounds that take
+// no cut) asks the same, and whether the source has logged anything to
+// ship: what the flip cut applies inline is then only the rest of the last
+// list and what the source logged after it.
 func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) error {
 	switch sh.migPhase {
 	case migIdle:
@@ -369,9 +384,6 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 			return s.autoSplitRound(c, sh, b)
 		}
 		return nil
-	case migFlipReady:
-		// The flip rides the next coordinated cut; nothing to do here.
-		return nil
 	}
 
 	w := &sh.migWork
@@ -383,30 +395,18 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 			return err
 		}
 	}
-	var busy uint64
+	m := sh.mig
+	var hold uint64
 	if w.pending() || sh.clock.NowPS() < w.readyPS {
-		busy = 1
+		hold = 1
 	}
-	if c.AllreduceU64(busy, mpi.Max) != 0 {
+	if sh.migPhase == migFlipReady && sh.id == m.src && len(m.log) == 0 {
+		hold = 1 // nothing logged since the last list
+	}
+	if c.AllreduceU64(hold, mpi.Max) != 0 {
 		return nil
 	}
-	m := sh.mig
-	switch sh.migPhase {
-	case migTransfer:
-		if sh.id == m.src {
-			m.catchup, m.log = m.log, nil
-			m.catchupAtPS = sh.clock.NowPS() + shipLatencyPS(len(m.catchup))
-		}
-		sh.markMigPhase("transfer")
-		c.Barrier() // publish the delta log before the destination reads it
-		if sh.id == m.dst {
-			sh.migLoad(spanMigCatchup, m.catchup, m.catchupAtPS)
-		}
-		sh.migPhase = migCatchup
-	case migCatchup:
-		sh.markMigPhase("catchup")
-		sh.migPhase = migFlipReady
-	case migCleanup:
+	if sh.migPhase == migCleanup {
 		if sh.id == m.src {
 			sh.markMigPhase("cleanup") // the destination owes nothing here
 		}
@@ -417,6 +417,26 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 		}
 		sh.migPhase = migIdle
 		sh.mig = nil
+		return nil
+	}
+	// The destination has drained its last list: the source ships what it
+	// has logged since as the next one.
+	if sh.id == m.src {
+		m.catchup, m.log = m.log, nil
+		m.shipped += len(m.catchup)
+		m.catchupAtPS = sh.clock.NowPS() + shipLatencyPS(len(m.catchup))
+	}
+	c.Barrier() // publish the list before the destination reads it
+	if sh.id == m.dst {
+		sh.migLoad(spanMigCatchup, m.catchup, m.catchupAtPS)
+	}
+	switch sh.migPhase {
+	case migTransfer:
+		sh.markMigPhase("transfer")
+		sh.migPhase = migCatchup
+	case migCatchup:
+		sh.markMigPhase("catchup")
+		sh.migPhase = migFlipReady
 	}
 	return nil
 }
@@ -545,9 +565,10 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 }
 
 // preFlip opens the cut that publishes the ownership flip (cutBegin calls
-// it when the migration is flip-ready): the source hands over its final
-// residual delta (applied by the destination inside the committing epoch,
-// so the cut's image of the destination contains the complete span), and
+// it when the migration is flip-ready): the source hands over what it
+// logged since its last catch-up list, the destination applies that and
+// whatever it has not applied yet of the list inside the committing epoch
+// (so the cut's image of the destination contains the complete span), and
 // every rank flips its ring clone, binding the flip to the cut's global
 // epoch.
 func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
@@ -557,8 +578,12 @@ func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
 	}
 	c.Barrier() // publish the residual before the destination reads it
 	if sh.id == m.dst {
-		// One cut interval of span writes: run to completion, here.
-		sh.migLoad(spanMigResidual, m.residual, 0)
+		// About one round of span writes, arrived or not: run to
+		// completion, here.
+		w := &sh.migWork
+		rest := slices.Concat(w.items[w.pos:], m.residual)
+		m.residualOps = len(rest)
+		sh.migLoad(spanMigResidual, rest, 0)
 		if err := sh.migQuantum(0); err != nil {
 			return err
 		}

@@ -76,9 +76,12 @@ func TestMigrateSweepSplit(t *testing.T) {
 // quanta's write-through scopes. A split and the merge that folds it back
 // are crashed at strided points of every phase window under all standard
 // crash images, and then the split alone at EVERY primitive of its
-// destination's catch-up window (traffic-less, shard 2 runs nothing but
-// quanta there: each store, each line of the scope's flush, its fence). Zero violations, and the report is the
-// same at any replay parallelism.
+// destination's catch-up and flip windows (traffic-less, shard 2 runs
+// nothing but quanta there — the catch-up lists, then the lists the source
+// keeps shipping while the migration waits flip-ready, then the flip cut's
+// residual and commit: each store, each line of a scope's flush, its
+// fence). Zero violations, and every report is the same at any replay
+// parallelism.
 func TestMigrateSweepOpenLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration crash sweep is long")
@@ -145,10 +148,30 @@ func TestMigrateSweepOpenLoop(t *testing.T) {
 		t.Fatalf("report differs between Parallel 1 and 8:\n%+v\n%+v", serial, strided)
 	}
 	// Read-mostly, so the catch-up log — and with it the window — is short.
+	// Cuts are sparse, so the migration waits flip-ready for rounds on end
+	// and the flip window holds lists shipped meanwhile (one cut per four
+	// batches holds nothing but the flip cut's).
 	splitOnly := cfg
 	splitOnly.Migrations, splitOnly.Mix = cfg.Migrations[:1], workload.YCSBB
-	every := sweep(MigrateConfig{Server: splitOnly, Phases: []string{"catchup"}, CrashShards: []int{2}, Stride: 1})
-	t.Logf("%d strided replays, %d every-primitive catch-up replays (%v)", strided.Replays, every.Replays, every.Points)
+	splitOnly.Policy = server.OpsPolicy{Every: 4096}
+	everyCfg := MigrateConfig{Server: splitOnly, Phases: []string{"catchup", "flip"}, CrashShards: []int{2}, Stride: 1, Parallel: 8}
+	every := sweep(everyCfg)
+	for _, phase := range everyCfg.Phases {
+		found := false
+		for key, n := range every.Points {
+			if strings.HasPrefix(key, "shard2/"+phase+"/") && n > 0 {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no every-primitive crash points in the destination's %s window (points: %v)", phase, every.Points)
+		}
+	}
+	everyCfg.Parallel = 1
+	if serial := sweep(everyCfg); !reflect.DeepEqual(serial, every) {
+		t.Fatalf("every-primitive report differs between Parallel 1 and 8:\n%+v\n%+v", serial, every)
+	}
+	t.Logf("%d strided replays, %d every-primitive catch-up and flip replays (%v)", strided.Replays, every.Replays, every.Points)
 }
 
 // TestMigrateSweepRejects pins the input validation.
