@@ -3,6 +3,7 @@ package measure
 import (
 	"fmt"
 
+	"libcrpm/internal/obs"
 	"libcrpm/internal/workload"
 )
 
@@ -13,12 +14,12 @@ const numKinds = int(workload.OpDelete) + 1
 // op kind, lazily created so unexercised kinds cost nothing. Every histogram
 // of the rig is bucketed by LatencyBounds.
 type opHist struct {
-	all  *Histogram
-	kind [numKinds]*Histogram
+	all  *obs.Histogram
+	kind [numKinds]*obs.Histogram
 }
 
 func newOpHist() opHist {
-	return opHist{all: NewHistogram(LatencyBounds)}
+	return opHist{all: obs.NewHistogram(LatencyBounds)}
 }
 
 func (o *opHist) observe(k workload.OpKind, v int64) {
@@ -27,7 +28,7 @@ func (o *opHist) observe(k workload.OpKind, v int64) {
 		return
 	}
 	if o.kind[k] == nil {
-		o.kind[k] = NewHistogram(LatencyBounds)
+		o.kind[k] = obs.NewHistogram(LatencyBounds)
 	}
 	o.kind[k].Observe(v)
 }
@@ -41,7 +42,7 @@ func (o *opHist) merge(other *opHist) error {
 			continue
 		}
 		if o.kind[k] == nil {
-			o.kind[k] = NewHistogram(LatencyBounds)
+			o.kind[k] = obs.NewHistogram(LatencyBounds)
 		}
 		if err := o.kind[k].Merge(h); err != nil {
 			return err
@@ -54,7 +55,7 @@ func (o *opHist) merge(other *opHist) error {
 // axis.
 type intervalAcc struct {
 	ops  int64
-	open *Histogram
+	open *obs.Histogram
 }
 
 // Collector accumulates one shard's measured operations. A Collector
@@ -114,7 +115,7 @@ func (c *Collector) Observe(kind workload.OpKind, seq int, intendedPS, startPS, 
 		c.intervals = append(c.intervals, nil)
 	}
 	if c.intervals[idx] == nil {
-		c.intervals[idx] = &intervalAcc{open: NewHistogram(LatencyBounds)}
+		c.intervals[idx] = &intervalAcc{open: obs.NewHistogram(LatencyBounds)}
 	}
 	c.intervals[idx].ops++
 	c.intervals[idx].open.Observe(openLat)
@@ -146,7 +147,7 @@ func (c *Collector) Merge(other *Collector) error {
 			c.intervals = append(c.intervals, nil)
 		}
 		if c.intervals[i] == nil {
-			c.intervals[i] = &intervalAcc{open: NewHistogram(LatencyBounds)}
+			c.intervals[i] = &intervalAcc{open: obs.NewHistogram(LatencyBounds)}
 		}
 		c.intervals[i].ops += iv.ops
 		if err := c.intervals[i].open.Merge(iv.open); err != nil {
@@ -168,7 +169,7 @@ type KindStat struct {
 	P50PS, P95PS, P99PS, P999PS, MaxPS, MeanPS int64
 }
 
-func kindStat(name string, h *Histogram) KindStat {
+func kindStat(name string, h *obs.Histogram) KindStat {
 	return KindStat{
 		Kind:   name,
 		N:      h.N(),

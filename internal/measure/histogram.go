@@ -3,12 +3,12 @@
 //
 // Three pieces compose the rig:
 //
-//   - Histogram: the simulator's one fixed-bound bucketed histogram
-//     (obs.Histogram), whose quantiles are a pure function of the
-//     observation multiset.
-//     LogBounds builds HDR-style log-linear bounds with a bounded relative
-//     error; callers with other bucket layouts (the server's request-latency
-//     track, obs.PauseBounds) pass their own bounds.
+//   - Bounds for obs.Histogram, the simulator's one fixed-bound bucketed
+//     histogram, whose quantiles are a pure function of the observation
+//     multiset: LogBounds builds HDR-style log-linear bounds with a bounded
+//     relative error, and LatencyBounds is the rig's table of them. Callers
+//     with other bucket layouts (the server's request-latency track,
+//     obs.PauseBounds) pass their own bounds.
 //
 //   - Schedule: an open-loop arrival schedule. A target-throughput run
 //     assigns every operation an intended start timestamp on the simulated
@@ -25,18 +25,7 @@
 //     one deterministic Report.
 package measure
 
-import (
-	"fmt"
-
-	"libcrpm/internal/obs"
-)
-
-// Histogram is obs.Histogram under the name the rig's callers know it by.
-type Histogram = obs.Histogram
-
-// NewHistogram builds a histogram over the given ascending bucket bounds
-// (shared, not copied).
-func NewHistogram(bounds []int64) *Histogram { return obs.NewHistogram(bounds) }
+import "fmt"
 
 // LogBounds builds HDR-style log-linear bucket upper bounds: every
 // power-of-two octave starting at first is split into sub linear

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"libcrpm/internal/obs"
 	"libcrpm/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func TestLogBoundsShape(t *testing.T) {
 // histogram this package replaced, so the unification changed no output.
 func TestQuantileMatchesExactRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	h := NewHistogram(LatencyBounds)
+	h := obs.NewHistogram(LatencyBounds)
 	var samples []int64
 	for i := 0; i < 20_000; i++ {
 		// Spread across many octaves, including overflow territory.
@@ -72,7 +73,7 @@ func TestQuantileMatchesExactRank(t *testing.T) {
 }
 
 func TestHistogramExactSideChannels(t *testing.T) {
-	h := NewHistogram(LogBounds(10, 4, 1000))
+	h := obs.NewHistogram(LogBounds(10, 4, 1000))
 	for _, v := range []int64{5, 100, 7, 9999} {
 		h.Observe(v)
 	}
@@ -82,7 +83,7 @@ func TestHistogramExactSideChannels(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(LatencyBounds)
+	h := obs.NewHistogram(LatencyBounds)
 	if h.Quantile(0.99) != 0 || h.Max() != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
@@ -90,7 +91,7 @@ func TestHistogramEmpty(t *testing.T) {
 
 func TestMergeEqualsUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a, b, u := NewHistogram(LatencyBounds), NewHistogram(LatencyBounds), NewHistogram(LatencyBounds)
+	a, b, u := obs.NewHistogram(LatencyBounds), obs.NewHistogram(LatencyBounds), obs.NewHistogram(LatencyBounds)
 	for i := 0; i < 5_000; i++ {
 		v := rng.Int63n(1_000_000_000)
 		u.Observe(v)
@@ -106,7 +107,7 @@ func TestMergeEqualsUnion(t *testing.T) {
 	if !reflect.DeepEqual(a, u) {
 		t.Fatal("merged histogram differs from union histogram")
 	}
-	bad := NewHistogram(LogBounds(10, 4, 100))
+	bad := obs.NewHistogram(LogBounds(10, 4, 100))
 	bad.Observe(1)
 	if err := a.Merge(bad); err == nil {
 		t.Fatal("merging mismatched bounds must fail")

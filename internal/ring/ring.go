@@ -21,9 +21,9 @@
 // proportional to the moved keyspan, not the keyspace.
 //
 // History. The ring is a table: it knows who owns what now, and nothing of
-// how it came to. The service binds each live flip to the checkpoint epoch
-// whose commit+barrier published it and keeps that history itself
-// (server.RingFlip); crash recovery that lands on an earlier cut replays the
+// how it came to. The service keeps that history in its migration records,
+// each binding its span's flip to the checkpoint epoch whose commit+barrier
+// published it; crash recovery that lands on an earlier cut replays the
 // flips up to it over a boot ring to match.
 package ring
 

@@ -46,16 +46,25 @@
 //	    (mpi.Leave) at the cut after this one, once its deletions are
 //	    durable.
 //
+// Every list the source hands over is read from its own KV, never from the
+// verification oracle: the snapshot and the post-flip deletions are one walk
+// of what it holds, through a read-only view that charges nothing (the model
+// prices the snapshot as a DRAM copy), and each catch-up entry is the state
+// the op left in the KV. So a value only the KV got wrong moves with the
+// span, and the end-of-run sequential replay (verifyOwnership) finds it.
+//
 // Crash anywhere in this pipeline is covered by the cut protocol: before
 // the flip cut commits everywhere, recovery lands on a pre-flip epoch
 // where the source still owns (and still stores) the span; from the flip
 // cut on, the destination's committed image contains the span. The ring
-// version for the landing epoch is replayed from the flip log.
+// for the landing epoch is the boot ring with every migration record whose
+// flip epoch is at or below it replayed, in start order.
 package server
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -174,17 +183,6 @@ type retirePlan struct {
 	whenCuts int
 }
 
-// RingFlip is one ownership flip, bound to the global cut epoch whose
-// commit+barrier published it. Every rank records the identical sequence;
-// recovery replays the prefix at or below the landing epoch over the boot
-// ring to reconstruct the landing ring.
-type RingFlip struct {
-	Epoch uint64
-	Src   int
-	Dst   int
-	Slots []int
-}
-
 // MigrationStat is one completed (or in-flight at run end, then forced to
 // completion) resharding operation's deterministic summary, recorded by
 // the source rank.
@@ -221,11 +219,13 @@ type MigSpan struct {
 // Service.migs — before the barrier (or Grow) that start already takes;
 // every rank then holds the pointer until the migration returns to idle,
 // and the record outlives it as the run's account of it (Result.Migrations,
-// in start order, since migrations run one at a time). Every field but
-// residualOps is written by the source alone, before the barrier that
-// publishes it to the destination, so the barrier's happens-before edge
-// orders every access; a later migration gets a record of its own, so a
-// peer still finishing this one's cleanup never reads the next one's.
+// in start order, since migrations run one at a time) and as the ring's
+// history: its span, dst and flipEpoch are the flip replayFlips replays.
+// Every field but residualOps is written by the source alone, before the
+// barrier that publishes it to the destination, so the barrier's
+// happens-before edge orders every access; a later migration gets a record
+// of its own, so a peer still finishing this one's cleanup never reads the
+// next one's.
 type migration struct {
 	kind     MigrateKind
 	src, dst int
@@ -233,14 +233,12 @@ type migration struct {
 	slots    map[int]bool // span.SlotSet()
 	// What a split's fresh rank provisions from (provisionJoined): the batch
 	// boundary, global cut count and global committed epoch at the start,
-	// the Config.Migrations entry after this one, the arrival schedule, and
-	// the flip log its ring is replayed from.
+	// the Config.Migrations entry after this one, and the arrival schedule.
 	batch int
 	cuts  int
 	epoch uint64
 	next  int
 	sched measure.Schedule
-	flips []RingFlip
 	// The destination's lists — the span snapshot (sorted by key), the
 	// latest catch-up list, the log the flip cut hands over — and when the
 	// first two arrive (ship latency); log is the source's span mutations
@@ -252,7 +250,7 @@ type migration struct {
 	log                     []migEnt
 	shipped, residualOps    int
 	// startPS and flipPS bound the migration on the source's clock;
-	// flipEpoch is the global cut epoch the flip rode.
+	// flipEpoch is the global cut epoch the flip rode (0 until preFlip).
 	startPS, flipPS int64
 	flipEpoch       uint64
 }
@@ -297,9 +295,10 @@ func (sh *shard) markMigPhase(phase string) {
 	sh.phaseStartPrim = now
 }
 
-// maybeLogMig appends a span mutation's result to the source's catch-up
-// log (pure DRAM: no device primitives, no crash-window perturbation). The
-// source serves span traffic only until the flip, so the log ends there.
+// maybeLogMig appends a span mutation's result — the state the op left in
+// the source's KV, read through its view — to the catch-up log (pure DRAM:
+// no device primitives, no crash-window perturbation). The source serves
+// span traffic only until the flip, so the log ends there.
 func (sh *shard) maybeLogMig(so seqOp) {
 	m := sh.mig
 	if m == nil || sh.id != m.src || !m.slots[so.slot] {
@@ -310,8 +309,22 @@ func (sh *shard) maybeLogMig(so seqOp) {
 	default:
 		return
 	}
-	v, ok := sh.shadow.live[so.op.Key]
+	v, ok := sh.view.Get(so.op.Key)
 	m.log = append(m.log, migEnt{key: so.op.Key, val: v, del: !ok})
+}
+
+// spanItems is the one walk of the shard's own KV a migration source makes,
+// through its view: every key it holds in slots, in key order, as its current
+// state (the snapshot) or as its deletion (the post-flip cleanup).
+func (sh *shard) spanItems(slots map[int]bool, del bool) []migEnt {
+	var items []migEnt
+	for _, p := range sh.view.Scan(0, sh.view.Len()) {
+		if slots[sh.ring.Slot(p.Key)] {
+			items = append(items, migEnt{key: p.Key, val: p.Value, del: del})
+		}
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
+	return items
 }
 
 func markApplied(bits []uint64, seq int) { bits[seq>>6] |= 1 << (seq & 63) }
@@ -485,9 +498,9 @@ func (s *Service) autoSplitRound(c *mpi.Comm, sh *shard, b int) error {
 
 // migStart opens a migration at a batch boundary: every rank resolves the
 // identical span and destination from its ring clone, the source allocates
-// the record (snapshot capture is a pure DRAM copy of the acked span state —
-// the image the next cut would commit for those keys), and a split grows
-// the world by one rank, provisioned by serveJoinedRank.
+// the record and walks its own KV for the snapshot (a pure DRAM copy of the
+// acked span state — the image the next cut would commit for those keys),
+// and a split grows the world by one rank, provisioned by serveJoinedRank.
 func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src, dstSpec int) error {
 	var (
 		span ring.Span
@@ -534,14 +547,12 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 		m := &migration{
 			kind: kind, src: src, dst: dst, span: span, slots: span.SlotSet(),
 			batch: b, cuts: sh.cuts, epoch: sh.epochOff + sh.ctr.CommittedEpoch(), next: sh.migIdx + 1,
-			sched: sh.msched, flips: slices.Clone(sh.ringFlips), startPS: sh.clock.NowPS(),
+			sched: sh.msched, startPS: sh.clock.NowPS(),
 		}
-		for k, v := range sh.shadow.live {
-			if m.slots[sh.ring.Slot(k)] {
-				m.snap = append(m.snap, migEnt{key: k, val: v})
-			}
+		if s.beforeSnapshot != nil {
+			s.beforeSnapshot(sh, m)
 		}
-		sort.Slice(m.snap, func(i, j int) bool { return m.snap[i].key < m.snap[j].key })
+		m.snap = sh.spanItems(m.slots, false)
 		m.snapAtPS = m.startPS + shipLatencyPS(len(m.snap))
 		s.migs = append(s.migs, m)
 	}
@@ -592,7 +603,6 @@ func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
 	if err := sh.ring.Move(m.span, m.dst); err != nil {
 		return fmt.Errorf("server: shard %d flipping ring: %w", sh.id, err)
 	}
-	sh.ringFlips = append(sh.ringFlips, RingFlip{Epoch: gNext, Src: m.src, Dst: m.dst, Slots: slices.Clone(m.span.Slots)})
 	if sh.id == m.src {
 		m.flipEpoch = gNext
 	}
@@ -612,14 +622,7 @@ func (s *Service) postFlip(sh *shard) {
 		return
 	}
 	if m := sh.mig; sh.id == m.src {
-		var dels []migEnt
-		for k := range sh.shadow.live {
-			if m.slots[sh.ring.Slot(k)] {
-				dels = append(dels, migEnt{key: k, del: true})
-			}
-		}
-		sort.Slice(dels, func(i, j int) bool { return dels[i].key < dels[j].key })
-		sh.migLoad(spanMigDelete, dels, 0)
+		sh.migLoad(spanMigDelete, sh.spanItems(m.slots, true), 0)
 		m.flipPS = sh.clock.NowPS()
 	}
 	sh.markMigPhase("flip")
@@ -723,8 +726,7 @@ func (s *Service) provisionJoined(sh *shard) error {
 	// The shadow's cut images stay keyed by LOCAL epoch (verify paths
 	// subtract the offset), so the snapshot bookkeeping works unchanged.
 	sh.epochOff = m.epoch - 1
-	sh.ringFlips = m.flips
-	if err := replayFlips(sh.ring, m.flips, m.epoch); err != nil {
+	if err := s.replayFlips(sh.ring, m.epoch); err != nil {
 		return err
 	}
 	sh.mig, sh.migPhase = m, migTransfer
@@ -755,30 +757,24 @@ func (o offsetRecoverable) CommittedEpoch() uint64  { return o.off + o.ctr.Commi
 func (o offsetRecoverable) RollbackOneEpoch() error { return o.ctr.RollbackOneEpoch() }
 func (o offsetRecoverable) Recover() error          { return o.ctr.Recover() }
 
-// ringAt reconstructs the ring as of a global cut epoch by replaying the
-// longest recorded flip log's prefix at or below it over the boot ring.
-// (Each rank records flips it participated in from its join on; logs are
-// prefixes of one another modulo join time, so the longest is complete.)
+// ringAt reconstructs the ring as of a global cut epoch: the boot ring with
+// the migration records' flips at or below it replayed.
 func (s *Service) ringAt(epoch uint64) (*ring.Ring, error) {
-	var flips []RingFlip
-	for _, sh := range s.shards {
-		if len(sh.ringFlips) > len(flips) {
-			flips = sh.ringFlips
-		}
-	}
 	rg := ring.New(s.cfg.Shards, ring.DefaultVnodes)
-	return rg, replayFlips(rg, flips, epoch)
+	return rg, s.replayFlips(rg, epoch)
 }
 
-// replayFlips applies a flip log's prefix at or below a global cut epoch to
-// rg, the boot ring.
-func replayFlips(rg *ring.Ring, flips []RingFlip, epoch uint64) error {
-	for _, f := range flips {
-		if f.Epoch > epoch {
+// replayFlips moves on rg, a boot ring, every span the run's migrations
+// flipped at or below a global cut epoch. Migrations run one at a time, so
+// start order is flip order and the first record that has not flipped
+// (flipEpoch 0) or flipped later ends the replay.
+func (s *Service) replayFlips(rg *ring.Ring, epoch uint64) error {
+	for _, m := range s.migs {
+		if m.flipEpoch == 0 || m.flipEpoch > epoch {
 			break
 		}
-		if err := rg.Move(ring.Span{Slots: f.Slots}, f.Dst); err != nil {
-			return fmt.Errorf("server: replaying ring flip at epoch %d: %w", f.Epoch, err)
+		if err := rg.Move(m.span, m.dst); err != nil {
+			return fmt.Errorf("server: replaying ring flip at epoch %d: %w", m.flipEpoch, err)
 		}
 	}
 	return nil
@@ -830,30 +826,29 @@ func (s *Service) verifyApplied(res *Result) {
 }
 
 // verifyOwnership checks a clean run whose ring flipped: every member's ring
-// agrees with the longest flip log's, and a sequential replay of the whole
-// op stream matches each key's final-ring owner's state (no key lost,
-// duplicated, or stranded on a former owner). A run that never flipped
-// routes on the boot ring throughout and has nothing to check here.
+// agrees with the migration records' flips replayed over the boot ring, and a
+// sequential replay of the whole op stream matches each key's final owner's
+// state (no key lost, duplicated, or stranded on a former owner). A run that
+// never flipped routes on the boot ring throughout and has nothing to check
+// here.
 func (s *Service) verifyOwnership(res *Result) {
-	var ref *shard
-	for _, sh := range s.shards {
-		if !sh.retired && (ref == nil || len(sh.ringFlips) > len(ref.ringFlips)) {
-			ref = sh
-		}
-	}
-	if ref == nil || len(ref.ringFlips) == 0 {
+	if len(s.migs) == 0 || s.migs[0].flipEpoch == 0 {
 		return
 	}
-	refTable := ref.ring.Table()
+	final, err := s.ringAt(math.MaxUint64)
+	if err != nil {
+		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ring", Detail: err.Error()})
+		return
+	}
 	for _, sh := range s.shards {
 		if sh.retired {
 			continue
 		}
 		for slot, o := range sh.ring.Table() {
-			if o != refTable[slot] {
+			if want := final.OwnerOfSlot(slot); o != want {
 				res.Violations = append(res.Violations, Violation{
 					Shard: sh.id, Stage: "ring",
-					Detail: fmt.Sprintf("slot %d owned by %d, shard %d's ring says %d", slot, o, ref.id, refTable[slot]),
+					Detail: fmt.Sprintf("slot %d owned by %d, the migration records say %d", slot, o, want),
 				})
 				break
 			}
@@ -881,7 +876,7 @@ func (s *Service) verifyOwnership(res *Result) {
 	misrouted, wrong := 0, 0
 	var firstBad string
 	for k, v := range exp {
-		owner := refTable[ref.ring.Slot(k)]
+		owner := final.Owner(k)
 		got, ok := s.shards[owner].shadow.live[k]
 		switch {
 		case !ok:

@@ -370,3 +370,86 @@ func TestMigrationSpansRecorded(t *testing.T) {
 		t.Fatalf("spans missing a participant: %+v", spans)
 	}
 }
+
+// TestRecoveryRoutesOnLandingRing crashes shard 1 just before the end of its
+// serving span, after a split and a merge have both flipped: every key a
+// recovered member holds must be its own on the ring recovery routes on, the
+// boot ring with the migration records' flips up to the landing epoch.
+func TestRecoveryRoutesOnLandingRing(t *testing.T) {
+	cfg := migCfg()
+	cfg.Ops = 40_000
+	cfg.Migrations = []MigrateSpec{
+		{Kind: MigrateSplit, Src: 0, AfterCuts: 2},
+		{Kind: MigrateMerge, Src: 2, Dst: 1, AfterCuts: 6},
+	}
+	ref := newService(t, cfg)
+	if res, err := ref.Run(); err != nil || !res.OK() {
+		t.Fatalf("reference run: %v %v", err, res)
+	}
+	end := ref.PrimitiveSpans()[1][1]
+	for _, back := range []int64{1, 50, 500} {
+		cfg.Crash = &CrashSpec{Shard: 1, At: end - back}
+		svc := newService(t, cfg)
+		res, err := svc.Run()
+		if err != nil {
+			t.Fatalf("%d before the end: %v", back, err)
+		}
+		if !res.OK() || !res.Recovered {
+			t.Fatalf("%d before the end: recovered %v, violations %v", back, res.Recovered, res.Violations)
+		}
+		misrouted := 0
+		for _, sh := range svc.shards {
+			if sh.retired {
+				continue
+			}
+			for _, p := range sh.kv.Scan(0, sh.kv.Len()) {
+				if svc.ring.Owner(p.Key) != sh.id {
+					misrouted++
+				}
+			}
+		}
+		t.Logf("%d primitives before the end: landing epoch %d, %d misrouted keys", back, res.RecoveredEpoch, misrouted)
+		if misrouted > 0 {
+			t.Errorf("%d primitives before the end: %d recovered keys sit on a shard the landing ring does not route them to", back, misrouted)
+		}
+	}
+}
+
+// TestMigrationShipsSourceState corrupts some moving keys in the split
+// source's KV alone, right before its snapshot: the migration must carry the
+// corrupt values to the destination, where the sequential replay finds them.
+// A snapshot read from the oracle would ship the right values and delete the
+// bad ones, and the run would verify clean.
+func TestMigrationShipsSourceState(t *testing.T) {
+	cfg := migCfg()
+	cfg.Migrations = []MigrateSpec{{Kind: MigrateSplit, Src: 0, AfterCuts: 2}}
+	svc := newService(t, cfg)
+	corrupted := 0
+	svc.beforeSnapshot = func(sh *shard, m *migration) {
+		for _, p := range sh.kv.Scan(0, sh.kv.Len()) {
+			if corrupted == 16 {
+				return
+			}
+			if m.slots[sh.ring.Slot(p.Key)] {
+				if err := sh.kv.Put(p.Key, 0xDEAD); err != nil {
+					t.Fatal(err)
+				}
+				corrupted++
+			}
+		}
+	}
+	res, err := svc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corrupted != 16 {
+		t.Fatalf("corrupted %d moving keys, want 16", corrupted)
+	}
+	for _, v := range res.Violations {
+		if v.Stage == "ownership" {
+			t.Logf("caught: %v", v)
+			return
+		}
+	}
+	t.Fatalf("corrupt source values moved without an ownership violation (violations: %v)", res.Violations)
+}

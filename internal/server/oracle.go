@@ -65,6 +65,10 @@ func (o *oracle) put(key, val uint64) {
 	o.live[key] = val
 }
 
+// add mirrors a read-modify-write from the oracle's own state, never from
+// what the KV read back: a value only the KV got wrong stays wrong there.
+func (o *oracle) add(key, delta uint64) { o.put(key, o.live[key]+delta) }
+
 func (o *oracle) del(key uint64) {
 	o.touch(key)
 	delete(o.live, key)

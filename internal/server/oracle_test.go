@@ -56,7 +56,7 @@ func TestOracleJournalMatchesFullCopy(t *testing.T) {
 					case 0:
 						o.put(k, rng.Uint64())
 					case 1: // RMW
-						o.put(k, o.live[k]+rng.Uint64())
+						o.add(k, rng.Uint64())
 					case 2:
 						o.del(k)
 					default: // insert of a never-seen key
@@ -199,19 +199,7 @@ func TestSteadyStateCutAllocsConstant(t *testing.T) {
 		t.Skip("under -race sync.Pool drops puts at random: the count would measure the pool, not the cut")
 	}
 	perCut := func(keys int) (objects, bytes float64) {
-		reg := region.Config{HeapSize: 4 << 20, BackupRatio: 1}
-		l, err := region.NewLayout(reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := newShardShell(0, l.DeviceSize(), 4096, false)
-		ctr, err := core.NewContainer(sh.dev, core.Options{Region: reg, EagerCoWSegments: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sh.init(ctr, DSHashMap, 1<<10); err != nil {
-			t.Fatal(err)
-		}
+		sh := newCoreShard(t)
 		for k := 0; k < keys; k++ {
 			if err := sh.apply(k, workload.Op{Kind: workload.OpInsert, Key: uint64(k), Value: 1}); err != nil {
 				t.Fatal(err)
@@ -235,6 +223,7 @@ func TestSteadyStateCutAllocsConstant(t *testing.T) {
 			}
 			update(keys / 4) // staged behind the write barrier
 			for rem := 1; rem > 0; {
+				var err error
 				if rem, err = sh.core.CheckpointStep(sh.stepBudget); err != nil {
 					t.Fatal(err)
 				}
@@ -271,5 +260,45 @@ func TestSteadyStateCutAllocsConstant(t *testing.T) {
 		if objects > 8 || bytes > 4096 {
 			t.Fatalf("a steady-state cut at %d keys allocates %.1f objects / %.0f bytes; want O(1)", keys, objects, bytes)
 		}
+	}
+}
+
+// newCoreShard is one formatted shard over a default-mode core container,
+// outside any service.
+func newCoreShard(t *testing.T) *shard {
+	t.Helper()
+	reg := region.Config{HeapSize: 4 << 20, BackupRatio: 1}
+	l, err := region.NewLayout(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := newShardShell(0, l.DeviceSize(), 4096, false)
+	ctr, err := core.NewContainer(sh.dev, core.Options{Region: reg, EagerCoWSegments: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.init(ctr, DSHashMap, 1<<10); err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
+// TestRMWMirrorsTheOracle: the oracle computes a read-modify-write from its
+// own state, so a value only the KV got wrong stays visible after an RMW
+// reads it back instead of being adopted by the checker.
+func TestRMWMirrorsTheOracle(t *testing.T) {
+	sh := newCoreShard(t)
+	if err := sh.apply(0, workload.Op{Kind: workload.OpInsert, Key: 7, Value: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.kv.Put(7, 999); err != nil { // the KV alone
+		t.Fatal(err)
+	}
+	if err := sh.apply(1, workload.Op{Kind: workload.OpRMW, Key: 7, Value: 5}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"1 wrong keys (first: 7, got 1004 want 105)"}
+	if got := verifyKV(sh.kv, sh.shadow.live); !reflect.DeepEqual(got, want) {
+		t.Fatalf("verifyKV = %q, want %q", got, want)
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"libcrpm/internal/measure"
 	"libcrpm/internal/obs"
 	"libcrpm/internal/pds"
 	"libcrpm/internal/replica"
@@ -31,8 +30,8 @@ func (s *Service) initReplicas(sh *shard) error {
 	sh.secKV = make([]pds.KV, g.Len())
 	sh.cstate = make([]replica.ClientState, s.cfg.Clients)
 	sh.shadow.sessions = make([]session, s.cfg.Clients)
-	sh.readLat = measure.NewHistogram(latencyBounds)
-	sh.stale = measure.NewHistogram(obs.StalenessBounds)
+	sh.readLat = obs.NewHistogram(latencyBounds)
+	sh.stale = obs.NewHistogram(obs.StalenessBounds)
 	return nil
 }
 

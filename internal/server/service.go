@@ -325,6 +325,9 @@ type Service struct {
 	// work there is, wherever it runs. The quantum size is a constant
 	// (migQuantumItems), deliberately not configuration.
 	wholeQuanta bool
+	// beforeSnapshot is a test hook: the source calls it on itself right
+	// before it walks its KV for a migration's snapshot.
+	beforeSnapshot func(sh *shard, m *migration)
 	// noPreFlush is a test hook: idle gaps leave the whole flush to the cut,
 	// the control a run with gap pre-flush is compared against.
 	noPreFlush bool
@@ -424,8 +427,10 @@ type ShardStats struct {
 
 // Violation is one consistency failure found by verification.
 type Violation struct {
-	Shard  int
-	Stage  string // "verify", "epoch", "reopen", "recover", "liveness"
+	Shard int
+	// Stage names the check that failed: "verify", "replica", "applied",
+	// "ring", "ownership", "epoch", "recover" or "liveness".
+	Stage  string
 	Detail string
 }
 

@@ -84,6 +84,11 @@ type shard struct {
 	// incll backend); the incremental pipeline and replication require it.
 	core *core.Container
 	kv   pds.KV
+	// view reads the same working image as kv through a readOnly backend,
+	// for the shard's own walks of what it holds (a migration source's
+	// span), which charge nothing and may not write. Bound once, at init: a
+	// crash ends the serving it is read in.
+	view pds.KV
 	rec  *obs.Recorder
 
 	// shadow mirrors every acked mutation and journals enough undo to
@@ -97,8 +102,8 @@ type shard struct {
 	sinceCut uint64 // ops acked since the last cut
 	cuts     int
 
-	lat        *measure.Histogram
-	pause      *measure.Histogram
+	lat        *obs.Histogram
+	pause      *obs.Histogram
 	cutStartPS int64
 	// roundPS is the aligned clock at the previous policy decision, the
 	// baseline for CutStats.Round.
@@ -172,7 +177,6 @@ type shard struct {
 	// a clean run checks each op was applied exactly once service-wide (no
 	// loss, no double-apply across a handoff).
 	appliedBits []uint64
-	ringFlips   []RingFlip
 	migSpans    []MigSpan
 	// phaseStartPrim is the device primitive index the current migration
 	// phase started at, bounding the crash windows MigrationSpans reports.
@@ -186,8 +190,8 @@ type shard struct {
 	secKV                []pds.KV       // lazily opened read handles over secondary containers
 	pendDelta            *replica.Delta // captured at cutBegin, shipped by cutLanded
 	cstate               []replica.ClientState
-	readLat              *measure.Histogram // SLA-routed read latency (RTT + replica work)
-	stale                *measure.Histogram // staleness of secondary-served reads, epochs
+	readLat              *obs.Histogram // SLA-routed read latency (RTT + replica work)
+	stale                *obs.Histogram // staleness of secondary-served reads, epochs
 	secReads, unmetReads uint64
 	repViol              []string // online read verification failures (applyRead)
 }
@@ -208,8 +212,8 @@ func newShardShell(id, deviceSize, stepBudget int, trace bool) *shard {
 		clock:      dev.Clock(),
 		rec:        rec,
 		shadow:     newOracle(),
-		lat:        measure.NewHistogram(latencyBounds),
-		pause:      measure.NewHistogram(obs.PauseBounds),
+		lat:        obs.NewHistogram(latencyBounds),
+		pause:      obs.NewHistogram(obs.PauseBounds),
 		stepBudget: stepBudget,
 		quantumN:   migQuantumItems,
 		reports:    id == 0,
@@ -229,11 +233,24 @@ func (sh *shard) init(ctr CutBackend, ds DSKind, buckets int) error {
 		return err
 	}
 	a.SetRoot(kvRootSlot, uint64(kv.Root()))
-	sh.ctr, sh.kv, sh.ds = ctr, kv, ds
+	view, err := openKV(readOnly{ctr}, ds)
+	if err != nil {
+		return err
+	}
+	sh.ctr, sh.kv, sh.view, sh.ds = ctr, kv, view, ds
 	sh.core, _ = ctr.(*core.Container)
 	ctr.SetTrace(sh.rec)
 	return nil
 }
+
+// readOnly is a backend's working image for reads the model prices at
+// nothing — a DRAM copy of state the shard already holds, like a replica
+// delta's Capture: OnRead charges no device time, and OnWrite refuses.
+type readOnly struct{ ckpt.Backend }
+
+func (readOnly) OnRead(int, int) {}
+
+func (readOnly) OnWrite(int, int) { panic("server: write through a read-only view") }
 
 // openKV rebinds the structure persisted in a formatted store, through its
 // allocator, from the root init recorded.
@@ -314,11 +331,10 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 		sh.kv.Scan(op.Key, op.ScanLen)
 	case workload.OpRMW:
 		old, _ := sh.kv.Get(op.Key)
-		v := old + op.Value
-		if err := sh.kv.Put(op.Key, v); err != nil {
+		if err := sh.kv.Put(op.Key, old+op.Value); err != nil {
 			return err
 		}
-		sh.shadow.put(op.Key, v)
+		sh.shadow.add(op.Key, op.Value)
 	case workload.OpDelete:
 		sh.kv.Delete(op.Key)
 		sh.shadow.del(op.Key)
