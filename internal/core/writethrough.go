@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"slices"
 
 	"libcrpm/internal/bitmap"
@@ -36,7 +37,10 @@ import (
 // PreFlush is the same early write-back for a caller that has no burst to
 // bracket, only idle time of a known length: it picks the blocks itself —
 // the ones dirty longest — and flushes, fences and marks them through the
-// same body, under the same invariant.
+// same body, under the same invariant. Once a PreFlush has armed the queue,
+// a scope's close also takes that backlog, all of it, beside its own blocks
+// and under its one fence: a caller whose idle time went to a scope would
+// otherwise leave the backlog to the cut.
 
 var errWriteThroughOpen = errors.New("core: checkpoint inside a write-through scope")
 
@@ -57,9 +61,10 @@ func (c *Container) BeginWriteThrough() {
 	c.lastBlk = -1
 }
 
-// EndWriteThrough closes the scope: the blocks stored inside it are flushed
-// in ascending runs, one fence makes them durable, and they are marked for
-// the next checkpoint to skip.
+// EndWriteThrough closes the scope: the blocks stored inside it, and the
+// aged blocks PreFlush would take next, are flushed in ascending runs, one
+// fence makes them durable, and they are marked for the next checkpoint to
+// skip.
 func (c *Container) EndWriteThrough() {
 	if c.opts.Concurrent {
 		c.writeMu.Lock()
@@ -71,6 +76,7 @@ func (c *Container) EndWriteThrough() {
 	c.wt = false
 	// From here on a store to a marked block must reach the slow path.
 	c.lastBlk = -1
+	c.wtBlks = c.agedBlocks(c.wtBlks, math.MaxInt)
 	if len(c.wtBlks) > 0 {
 		c.writeBack(c.wtBlks, "write-through")
 		c.wtBlks = c.wtBlks[:0]
@@ -152,17 +158,8 @@ func (c *Container) PreFlush(budgetPS int64) {
 	cost := c.dev.Cost()
 	perBlk := c.flushBlockPS()
 	budgetPS -= cost.SFencePS + int64(c.dev.PendingLineCount())*cost.SFenceLinePS
-	bps := c.l.BlocksPerSeg()
-	blks := c.wtBlks[:0] // empty outside a scope: shared scratch
-	for len(c.preQ)-c.preHead > c.preLag && budgetPS >= perBlk {
-		b := c.preQ[c.preHead]
-		c.preHead++
-		if c.pre.Test(b) || !c.dirtyBlocks.Test(b) || !c.dirtySegs.Test(b/bps) {
-			continue
-		}
-		blks = append(blks, b)
-		budgetPS -= perBlk
-	}
+	// wtBlks is empty outside a scope: shared scratch.
+	blks := c.agedBlocks(c.wtBlks[:0], int(budgetPS/perBlk))
 	if len(blks) == 0 {
 		return
 	}
@@ -170,6 +167,24 @@ func (c *Container) PreFlush(budgetPS int64) {
 	c.wtBlks = blks[:0]
 	c.lastBlk = -1
 	c.wtOn = true
+}
+
+// agedBlocks appends to blks up to n of the blocks early write-back may
+// take from preQ, oldest first: entries older than the youngest preLag, for
+// a block still dirty, in a segment dirty this epoch, and unmarked. Entries
+// it pops that fail the test are dropped.
+func (c *Container) agedBlocks(blks []int, n int) []int {
+	bps := c.l.BlocksPerSeg()
+	for k := 0; k < n && len(c.preQ)-c.preHead > c.preLag; {
+		b := c.preQ[c.preHead]
+		c.preHead++
+		if c.pre.Test(b) || !c.dirtyBlocks.Test(b) || !c.dirtySegs.Test(b/bps) {
+			continue
+		}
+		blks = append(blks, b)
+		k++
+	}
+	return blks
 }
 
 // wtInert reports whether early write-back has nothing to do or no right to

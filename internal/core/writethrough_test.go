@@ -290,7 +290,8 @@ func crashesWithin(dev *nvm.Device, n int64, fn func()) (crashed bool) {
 // scopes' and the pre-flushes' flushes and fences, the replay's copies, flips
 // and lifts, the checkpoints that finish a replay — under every crash-image
 // policy and both metadata formats, recovery lands exactly on the committed
-// image.
+// image. So it does for a crash at every primitive of a scope's close that
+// carries aged blocks, and of the checkpoint that skips them.
 func TestWriteThroughCrashProperty(t *testing.T) {
 	points := 120
 	if testing.Short() {
@@ -364,6 +365,70 @@ func TestWriteThroughCrashProperty(t *testing.T) {
 					}
 				}
 			})
+			t.Run(fmt.Sprintf("aged-scope/checksums=%v/%s", checksums, pol.name), func(t *testing.T) {
+				agedScopeCrashes(t, checksums, pol.make)
+			})
+		}
+	}
+}
+
+// agedScopeCrashes crashes at every primitive of a scope's close that
+// carries aged blocks beside its own, and of the checkpoint behind it, which
+// skips them all: recovery lands on the epoch committed before the scope or,
+// once the checkpoint has committed, on the one the scope's stores belong to.
+func agedScopeCrashes(t *testing.T, checksums bool, policy func(int64) nvm.CrashPolicy) {
+	opts := incOpts(ModeDefault)
+	opts.Region.Checksums = checksums
+	// run commits blocks 0..23 (segments 0 and 1), re-stores them behind a
+	// lag of 4 and opens a scope over one fresh block, then closes the scope
+	// and checkpoints with a crash armed after `at` primitives (never, if
+	// negative). It returns the primitives the close and the checkpoint took.
+	run := func(at int64) (dev *nvm.Device, before, after []byte, window int64, crashed bool) {
+		dev, c := newTestContainer(t, opts)
+		for b := 0; b < 24; b++ {
+			writeU64(c, b*256, uint64(b)+1)
+		}
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		before = bytes.Clone(c.Bytes())
+		c.preLag = 4
+		c.PreFlush(0)
+		for b := 0; b < 24; b++ {
+			writeU64(c, b*256+8, uint64(b)+0xA0)
+		}
+		c.BeginWriteThrough()
+		writeU64(c, 40*256, 7)
+		after = bytes.Clone(c.Bytes())
+		p0 := dev.PrimitiveCount()
+		crashed = crashesWithin(dev, at, func() {
+			c.EndWriteThrough()
+			if at < 0 && c.pre.Count() != 22 {
+				t.Fatalf("the scope marked %d blocks, want its own and the 21 aged ones", c.pre.Count())
+			}
+			if err := c.Checkpoint(); err != nil {
+				panic(err)
+			}
+		})
+		return dev, before, after, dev.PrimitiveCount() - p0, crashed
+	}
+	_, _, _, total, _ := run(-1)
+	for at := int64(0); at < total; at++ {
+		dev, before, after, _, crashed := run(at)
+		if !crashed {
+			t.Fatalf("crash at %d of %d never fired", at, total)
+		}
+		dev.CrashWith(policy(at))
+		c2, err := OpenContainer(dev, opts)
+		if err != nil {
+			t.Fatalf("crash at %d: reopen: %v", at, err)
+		}
+		want := before
+		if c2.CommittedEpoch() == 2 {
+			want = after
+		}
+		if !bytes.Equal(c2.Bytes(), want) {
+			t.Fatalf("crash at %d: recovered epoch %d differs at offset %d", at, c2.CommittedEpoch(), firstDiff(c2.Bytes(), want))
 		}
 	}
 }
@@ -445,6 +510,47 @@ func TestWriteThroughCheckpointSkipsScopeBlocks(t *testing.T) {
 			if got := readU64(c2, (i*7%64)*512); got == 0 {
 				t.Fatalf("how=%d: store %d lost across the skipping checkpoint", how, i)
 			}
+		}
+	}
+}
+
+// TestWriteThroughCarriesAgedBlocks: a scope's close writes back, beside its
+// own blocks and under the same single fence, the blocks a pre-flush would
+// have taken — those queued longer than the lag — and the next checkpoint
+// flushes none of them. A scope that dirties a fresh block queues it too, as
+// the youngest entry, so one more block ages past the lag.
+func TestWriteThroughCarriesAgedBlocks(t *testing.T) {
+	const lag, k = 8, 5
+	for _, fresh := range []bool{false, true} {
+		dev, c := newTestContainer(t, smallOpts(ModeDefault))
+		c.preLag = lag
+		c.PreFlush(0) // arms the queue
+		for b := 0; b < lag+k; b++ {
+			writeU64(c, b*256, uint64(b)+1)
+		}
+		scoped, aged := lag+k-1, k // the youngest block, stored again
+		if fresh {
+			scoped, aged = 100, k+1
+		}
+		fences := dev.Stats().SFences
+		c.BeginWriteThrough()
+		writeU64(c, scoped*256+8, 7)
+		c.EndWriteThrough()
+		if n := dev.Stats().SFences - fences; n != 1 {
+			t.Fatalf("fresh=%v: the scope issued %d fences, want one", fresh, n)
+		}
+		for b := 0; b <= 100; b++ {
+			if got, want := c.pre.Test(b), b < aged || b == scoped; got != want {
+				t.Fatalf("fresh=%v: block %d marked=%v, want %v", fresh, b, got, want)
+			}
+		}
+		_, dirty := c.DirtyInfo()
+		b0 := c.Metrics().CheckpointBytes
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.Metrics().CheckpointBytes-b0, int64(dirty-aged-1)*256; got != want {
+			t.Fatalf("fresh=%v: the checkpoint flushed %d bytes, want %d: only the blocks nobody wrote back", fresh, got, want)
 		}
 	}
 }

@@ -320,3 +320,103 @@ func TestFlipResidualIsOneRound(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeDestinationCutFlushOpenLoop: the migration quanta's
+// write-through scopes also write back the shard's aged request dirt, so a
+// merge destination that spends its idle gaps installing does not leave
+// that dirt to its own stop-the-world cut. Every cut it takes while the
+// install is pending flushes no more than the largest cut of the same run
+// that no migration touched.
+func TestMergeDestinationCutFlushOpenLoop(t *testing.T) {
+	cfg := openMigCfg()
+	cfg.Policy = OpsPolicy{Every: 8192}
+	cfg.Keys, cfg.HeapSize, cfg.Buckets = 80_000, 16<<20, 1<<16
+	cfg.Migrations = []MigrateSpec{
+		{Kind: MigrateSplit, Src: 0, AfterCuts: 2},
+		{Kind: MigrateMerge, Src: 2, Dst: 1, AfterCuts: 9},
+	}
+	res := mustRun(t, cfg)
+	if !res.OK() {
+		t.Fatalf("violations: %v", res.Violations)
+	}
+	if len(res.Migrations) != 2 {
+		t.Fatalf("migrations: %+v", res.Migrations)
+	}
+	// busy lists what a migration touches: each one from its start to its
+	// flip, and every quantum of migration work on any shard.
+	type window struct{ lo, hi int64 }
+	var busy []window
+	for _, m := range res.Migrations {
+		busy = append(busy, window{m.StartPS, m.FlipPS})
+	}
+	for i := range res.Shards {
+		for _, s := range track(t, res, i).Spans {
+			if quantumSpans[s.Name] || s.Name == spanMigResidual {
+				busy = append(busy, window{s.Start, s.End})
+			}
+		}
+	}
+	// cuts yields each serving cut of a track with its flush and the epoch it
+	// closed: from the end of the track's previous cut to its start. A
+	// track's first cut is the populate cut (a spawned shard's lands inside
+	// its install) and closes no served epoch.
+	cuts := func(tr obs.Track, fn func(epoch window, pause obs.Span, flushPS int64)) {
+		prevEnd := int64(-1)
+		for _, p := range tr.Spans {
+			if p.Name != "ckpt-pause" {
+				continue
+			}
+			if prevEnd < 0 {
+				prevEnd = p.End
+				continue
+			}
+			var flush int64
+			for _, s := range tr.Spans {
+				if s.Name == "flush" && s.Start >= p.Start && s.End <= p.End {
+					flush += s.Ticks
+				}
+			}
+			fn(window{prevEnd, p.Start}, p, flush)
+			prevEnd = p.End
+		}
+	}
+	var freeMax int64
+	free := 0
+	for i := range res.Shards {
+		cuts(track(t, res, i), func(epoch window, _ obs.Span, flushPS int64) {
+			for _, b := range busy {
+				if b.lo < epoch.hi && epoch.lo < b.hi {
+					return
+				}
+			}
+			free++
+			freeMax = max(freeMax, flushPS)
+		})
+	}
+	m := res.Migrations[1]
+	install := window{-1, -1}
+	dst := track(t, res, m.Dst)
+	for _, s := range dst.Spans {
+		if s.Name == spanMigInstall && s.Start > m.StartPS {
+			if install.lo < 0 {
+				install.lo = s.Start
+			}
+			install.hi = s.End
+		}
+	}
+	during := 0
+	cuts(dst, func(_ window, p obs.Span, flushPS int64) {
+		if p.Start < install.lo || p.Start > install.hi {
+			return
+		}
+		during++
+		t.Logf("cut at %d ps during the install: flush %d ps", p.Start, flushPS)
+		if flushPS > freeMax {
+			t.Errorf("merge destination's cut at %d ps flushed for %d ps while installing, the largest migration-free cut %d ps", p.Start, flushPS, freeMax)
+		}
+	})
+	t.Logf("%d migration-free cuts, largest flush %d ps; %d cuts during the install", free, freeMax, during)
+	if during == 0 || free == 0 {
+		t.Fatalf("%d cuts during the merge's install, %d migration-free: the run proves nothing", during, free)
+	}
+}

@@ -338,8 +338,9 @@ func (sh *shard) migLoad(span string, items []migEnt, readyPS int64) {
 // everything left) and is the only place that work is ever applied: real
 // device writes, so crash injection can land mid-quantum. The quantum runs
 // inside the backend's write-through scope — its stores are durable at its
-// end, so no cut inherits their flush. Work still in flight to this shard
-// (ship latency) is left alone.
+// end, so no cut inherits their flush, and so is the request dirt the gap's
+// pre-flush would have written back had the quantum not taken the gap.
+// Work still in flight to this shard (ship latency) is left alone.
 func (sh *shard) migQuantum(n int) error {
 	w := &sh.migWork
 	if !w.pending() || sh.clock.NowPS() < w.readyPS {

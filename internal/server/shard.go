@@ -36,12 +36,13 @@ const kvRootSlot = 0
 // dirty-footprint estimate for byte-threshold cut policies, tracing, and the
 // three ways of doing a cut's work in idle time where the backend has such
 // work to move — no-ops where it has none: the write-through scope migration
-// quanta run in, whose stores are durable at its end; PreFlush, which writes
-// back as much of the cut's pending flush as fits a given idle time; and
-// DeferCoW, which once every rank has committed a cut moves the coming
-// epoch's copy-on-write behind its first stores if the idle time it is told
-// of has room for it, for StepCoW to retire as much of as fits each idle gap
-// it is shown).
+// quanta run in, whose stores are durable at its end, together with the
+// backlog PreFlush would take next, under the scope's one fence; PreFlush,
+// which writes back as much of the cut's pending flush as fits a given idle
+// time; and DeferCoW, which once every rank has committed a cut moves the
+// coming epoch's copy-on-write behind its first stores if the idle time it is
+// told of has room for it, for StepCoW to retire as much of as fits each idle
+// gap it is shown).
 // core.Container and incll.Backend both qualify; the incremental cut
 // pipeline and replication additionally need a *core.Container (the shard
 // keeps a typed handle when it has one).
