@@ -373,8 +373,8 @@ func run() int {
 			res.CrashedShard, res.PromotedReplica, res.PromotedEpoch, cfg.Crash.At)
 	}
 	for _, m := range res.Migrations {
-		fmt.Printf("migration: %s %d>%d flipped at cut epoch %d: %d keys shipped (+%d catch-up ops, %d applied by the flip cut) across %d ring slots\n",
-			m.Kind, m.Src, m.Dst, m.FlipEpoch, m.MovedKeys, m.CatchupOps, m.ResidualOps, m.SlotCount)
+		fmt.Printf("migration: %s %d>%d flip durable at cut epoch %d: %d keys shipped (+%d catch-up ops) across %d ring slots\n",
+			m.Kind, m.Src, m.Dst, m.FlipEpoch, m.MovedKeys, m.CatchupOps, m.SlotCount)
 	}
 	fmt.Fprintf(os.Stderr, "served %d ops on %d shards in %v wall\n", res.TotalOps, cfg.Shards, wall.Round(time.Millisecond))
 
@@ -505,15 +505,13 @@ func buildTable(cfg server.Config, backend, ds string, res *server.Result) harne
 	// migration-free output byte-identical to the pre-ring tool's.
 	if len(res.Migrations) > 0 {
 		t.AddMetric("serve_migrations", float64(len(res.Migrations)))
-		var moved, catchup, residual float64
+		var moved, catchup float64
 		for _, m := range res.Migrations {
 			moved += float64(m.MovedKeys)
 			catchup += float64(m.CatchupOps)
-			residual += float64(m.ResidualOps)
 		}
 		t.AddMetric("serve_migrated_keys", moved)
 		t.AddMetric("serve_migration_catchup_ops", catchup)
-		t.AddMetric("serve_migration_residual_ops", residual)
 	}
 	return t
 }

@@ -157,8 +157,8 @@ func TestBuildTableMigrationMetrics(t *testing.T) {
 	if tb.Metrics["serve_migrated_keys"] <= 0 {
 		t.Fatalf("serve_migrated_keys = %v, want > 0", tb.Metrics["serve_migrated_keys"])
 	}
-	if got, want := tb.Metrics["serve_migration_residual_ops"], float64(res.Migrations[0].ResidualOps); got <= 0 || got != want {
-		t.Fatalf("serve_migration_residual_ops = %v, want %v (> 0)", got, want)
+	if got, want := tb.Metrics["serve_migration_catchup_ops"], float64(res.Migrations[0].CatchupOps); got <= 0 || got != want {
+		t.Fatalf("serve_migration_catchup_ops = %v, want %v (> 0)", got, want)
 	}
 	if len(res.Shards) != 3 {
 		t.Fatalf("split did not grow the table: %d shard rows", len(res.Shards))

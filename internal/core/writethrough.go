@@ -76,7 +76,7 @@ func (c *Container) EndWriteThrough() {
 	c.wt = false
 	// From here on a store to a marked block must reach the slow path.
 	c.lastBlk = -1
-	c.wtBlks = c.agedBlocks(c.wtBlks, math.MaxInt)
+	c.wtBlks = c.agedBlocks(c.wtBlks, math.MaxInt, c.preLag)
 	if len(c.wtBlks) > 0 {
 		c.writeBack(c.wtBlks, "write-through")
 		c.wtBlks = c.wtBlks[:0]
@@ -124,12 +124,21 @@ func (c *Container) writeBack(blks []int, span string) {
 // measured wants another value.
 const preFlushLag = 256
 
+// Forever is a point on the simulated clock no run reaches: a caller idle
+// until then is idle for good.
+const Forever = 1 << 60
+
 // PreFlush writes back, oldest first, as many dirty blocks the next
 // checkpoint would otherwise flush as provably fit into budgetPS of
 // simulated time — one fence included, so the caller's clock never passes
 // now+budgetPS — and marks them as a closed scope would. It is how a caller
 // that knows only "I am idle until T" moves the checkpoint's flush into that
 // idle time. A budget below one block and a fence issues no primitive.
+//
+// The youngest preFlushLag blocks are left to the checkpoint, since a later
+// store may dirty them again — unless the idle time never ends (now+budgetPS
+// reaches Forever): with no later store to come, PreFlush takes them too, and
+// leaves the checkpoint that follows nothing it has queued.
 //
 // Which blocks are oldest comes from preQ, a queue of hints in the order
 // blocks became dirty-and-unmarked, filled by the write hook from the first
@@ -152,14 +161,17 @@ func (c *Container) PreFlush(budgetPS int64) {
 		c.pre = bitmap.New(c.l.TotalBlocks())
 	}
 	c.preOn = true
+	lag := c.preLag
+	if budgetPS >= Forever-c.dev.Clock().NowPS() {
+		lag = 0
+	}
 	// The cost model bounds a quantum from above: every line of a block
 	// costs at most one dirty CLWB and one line drained at the fence, and the
 	// fence its base plus whatever is pending already.
 	cost := c.dev.Cost()
-	perBlk := c.flushBlockPS()
 	budgetPS -= cost.SFencePS + int64(c.dev.PendingLineCount())*cost.SFenceLinePS
 	// wtBlks is empty outside a scope: shared scratch.
-	blks := c.agedBlocks(c.wtBlks[:0], int(budgetPS/perBlk))
+	blks := c.agedBlocks(c.wtBlks[:0], int(budgetPS/c.flushBlockPS()), lag)
 	if len(blks) == 0 {
 		return
 	}
@@ -170,12 +182,12 @@ func (c *Container) PreFlush(budgetPS int64) {
 }
 
 // agedBlocks appends to blks up to n of the blocks early write-back may
-// take from preQ, oldest first: entries older than the youngest preLag, for
-// a block still dirty, in a segment dirty this epoch, and unmarked. Entries
+// take from preQ, oldest first: entries older than the youngest lag, for a
+// block still dirty, in a segment dirty this epoch, and unmarked. Entries
 // it pops that fail the test are dropped.
-func (c *Container) agedBlocks(blks []int, n int) []int {
+func (c *Container) agedBlocks(blks []int, n, lag int) []int {
 	bps := c.l.BlocksPerSeg()
-	for k := 0; k < n && len(c.preQ)-c.preHead > c.preLag; {
+	for k := 0; k < n && len(c.preQ)-c.preHead > lag; {
 		b := c.preQ[c.preHead]
 		c.preHead++
 		if c.pre.Test(b) || !c.dirtyBlocks.Test(b) || !c.dirtySegs.Test(b/bps) {

@@ -831,6 +831,41 @@ func TestPreFlushOldestFirstBehindLag(t *testing.T) {
 	}
 }
 
+// TestPreFlushForeverTakesTheLag: idle time that never ends has no later
+// store to dirty the youngest blocks again, so a pre-flush that runs until
+// Forever takes the lag too — where the largest bounded budget leaves it —
+// and the checkpoint behind it flushes nothing.
+func TestPreFlushForeverTakesTheLag(t *testing.T) {
+	dev, c := newTestContainer(t, smallOpts(ModeDefault))
+	rec := obs.NewRecorder(dev.Clock())
+	c.SetTrace(rec)
+	c.PreFlush(0)
+	const blocks = 200 // fewer than the lag: a bounded pre-flush takes none
+	for b := 0; b < blocks; b++ {
+		writeU64(c, b*256, uint64(b)+1)
+	}
+	c.PreFlush(1 << 40)
+	if n := c.pre.Count(); n != 0 {
+		t.Fatalf("a bounded pre-flush marked %d of %d blocks, all behind the lag of %d", n, blocks, preFlushLag)
+	}
+	c.PreFlush(Forever - dev.Clock().NowPS())
+	if n := c.pre.Count(); n != blocks {
+		t.Fatalf("a pre-flush until Forever marked %d of %d blocks", n, blocks)
+	}
+	b0 := c.Metrics().CheckpointBytes
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Metrics().CheckpointBytes - b0; got != 0 {
+		t.Fatalf("the checkpoint behind a pre-flush until Forever flushed %d bytes, want 0", got)
+	}
+	for _, s := range rec.Snapshot("").Spans {
+		if s.Name == "flush" && s.Ticks > 0 {
+			t.Fatalf("the checkpoint behind a pre-flush until Forever spent %d ps flushing", s.Ticks)
+		}
+	}
+}
+
 // preCopyFixture commits three segments' worth of state and leaves the
 // container at the start of the next epoch: two segments paired by an
 // earlier epoch and owing a differential copy, one never paired.

@@ -34,7 +34,7 @@ func openMigCfg() Config {
 // microseconds; 25 leaves room for an item that walks a long chain.
 const quantumBoundPS = 25_000_000
 
-var quantumSpans = map[string]bool{spanMigInstall: true, spanMigCatchup: true, spanMigDelete: true}
+var quantumSpans = map[string]bool{spanMigInstall: true, spanMigCatchup: true, spanMigResidual: true, spanMigDelete: true}
 
 // track returns shard i's trace track.
 func track(t *testing.T, res *Result, i int) obs.Track {
@@ -50,9 +50,9 @@ func track(t *testing.T, res *Result, i int) obs.Track {
 // between requests: every quantum that takes no segment copy-on-write is
 // small, so no request waits behind more than one quantum and one CoW over
 // what the same run without migrations makes it wait — where the inline
-// phases used to stall every arrival of a whole install or delete. One piece
-// is still inline and is named in the bound: the residual a flip cut applies
-// inside its pause (mig-residual), which every rank waits out.
+// phases used to stall every arrival of a whole install or delete. The
+// residual a flip hands over is no longer inline either: the destination
+// pulls it in the next epoch, in quanta like the rest (mig-residual).
 func TestMigrationQuantaBoundOpenLoop(t *testing.T) {
 	free := mustRun(t, openMigCfg())
 	cfg := openMigCfg()
@@ -68,18 +68,15 @@ func TestMigrationQuantaBoundOpenLoop(t *testing.T) {
 		t.Fatalf("migrations did not both complete mid-run: %+v (run ends at %d)", res.Migrations, res.SimPS)
 	}
 
-	var maxCoW, maxResidual, maxQuantum int64
+	var maxCoW, maxQuantum int64
 	quanta := 0
 	for i := range res.Shards {
 		tr := track(t, res, i)
 		var cows []obs.Span
 		for _, s := range tr.Spans {
-			switch s.Name {
-			case "cow":
+			if s.Name == "cow" {
 				cows = append(cows, s)
 				maxCoW = max(maxCoW, s.Ticks)
-			case spanMigResidual:
-				maxResidual = max(maxResidual, s.Ticks)
 			}
 		}
 		for _, s := range tr.Spans {
@@ -107,11 +104,11 @@ func TestMigrationQuantaBoundOpenLoop(t *testing.T) {
 		t.Fatalf("%d quanta for %d moved keys: the work did not run in quanta", quanta, res.Migrations[0].MovedKeys)
 	}
 	got, base := res.Measure.OpenAll.MaxPS, free.Measure.OpenAll.MaxPS
-	t.Logf("open max %d ps with migrations, %d without; largest CoW %d ps, largest flip residual %d ps, largest CoW-free quantum %d ps over %d quanta",
-		got, base, maxCoW, maxResidual, maxQuantum, quanta)
-	if got > base+quantumBoundPS+maxCoW+maxResidual {
-		t.Fatalf("open latency max %d ps with migrations exceeds the migration-free %d ps by more than a quantum (%d) plus a segment CoW (%d) plus a flip cut's inline residual (%d)",
-			got, base, quantumBoundPS, maxCoW, maxResidual)
+	t.Logf("open max %d ps with migrations, %d without; largest CoW %d ps, largest CoW-free quantum %d ps over %d quanta",
+		got, base, maxCoW, maxQuantum, quanta)
+	if got > base+quantumBoundPS+maxCoW {
+		t.Fatalf("open latency max %d ps with migrations exceeds the migration-free %d ps by more than a quantum (%d) plus a segment CoW (%d)",
+			got, base, quantumBoundPS, maxCoW)
 	}
 }
 
@@ -247,29 +244,35 @@ func TestNextMigrationWaitsForCleanup(t *testing.T) {
 	}
 }
 
-// TestFlipResidualIsOneRound: while a migration waits flip-ready for its
-// cut, the source ships its log to the destination at every round where the
-// destination has drained its last list, so the flip cut applies inline
-// only what the source logged since the last round the destination had
-// drained: the rest of the list shipped at the round before the flip cut,
-// and the writes since. Every round here finds the destination drained — a
-// list's ship latency and replay take tens of microseconds, against an open
-// loop's 2 ms batch window or a closed loop's replay at the round — so that
-// is at most the source's span writes in the two batches before the flip
-// cut. Cuts are rare (one per sixteen batches), so the migration waits
-// flip-ready for rounds on end: a flip cut that applied everything logged
-// since catch-up ended would carry many batches of writes.
-func TestFlipResidualIsOneRound(t *testing.T) {
-	for _, open := range []bool{true, false} {
+// TestFlipCutAppliesNothing: the flip cut hands the span over post-copy.
+// The destination takes what it still owes — the rest of its last catch-up
+// list and what the source logged since — as a pull set and applies it in
+// the next epoch, so no mig-residual span overlaps any rank's cut pause,
+// and each flip cut pauses no longer than the run's largest migration-free
+// cut.
+//
+// The pull set stays small because a flip-ready migration keeps shipping:
+// the source ships its log at every round where the destination has
+// drained its last list, and every round finds it drained — a list's ship
+// latency and replay take tens of microseconds, against an open loop's 2 ms
+// batch window or a closed loop's replay at the round. So the last list and
+// the residual together, entry by entry, are at most the source's span
+// writes in the two batches before the flip cut: the last list carried the
+// first, what the source logged since the second. That half runs on rare
+// cuts (one per sixteen batches), so the migration waits flip-ready for
+// rounds on end: a pull set that took over everything logged since catch-up
+// ended would carry many batches of writes.
+func TestFlipCutAppliesNothing(t *testing.T) {
+	run := func(open bool, ops int, cutEvery uint64, mergeAfter int) (*Service, *Result) {
 		cfg := openMigCfg()
-		cfg.Trace = false
-		cfg.Policy = OpsPolicy{Every: 32768}
+		cfg.Ops = ops
+		cfg.Policy = OpsPolicy{Every: cutEvery}
 		if !open {
 			cfg.Measure = nil
 		}
 		cfg.Migrations = []MigrateSpec{
 			{Kind: MigrateSplit, Src: 0, AfterCuts: 2},
-			{Kind: MigrateMerge, Src: 2, Dst: 1, AfterCuts: 4},
+			{Kind: MigrateMerge, Src: 2, Dst: 1, AfterCuts: mergeAfter},
 		}
 		svc := newService(t, cfg)
 		res, err := svc.Run()
@@ -277,12 +280,89 @@ func TestFlipResidualIsOneRound(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.OK() {
-			t.Fatalf("open %v: violations: %v", open, res.Violations)
+			t.Fatalf("open %v, cut every %d: violations: %v", open, cutEvery, res.Violations)
 		}
 		if len(res.Migrations) != 2 {
-			t.Fatalf("open %v: migrations %+v", open, res.Migrations)
+			t.Fatalf("open %v, cut every %d: migrations %+v", open, cutEvery, res.Migrations)
 		}
-		for i, m := range svc.migs {
+		return svc, res
+	}
+	for _, open := range []bool{true, false} {
+		_, res := run(open, 150_000, 8192, 9)
+		type window struct{ lo, hi int64 }
+		var pauses, residual, busy []window
+		for _, m := range res.Migrations {
+			busy = append(busy, window{m.StartPS, m.FlipPS})
+		}
+		for i := range res.Shards {
+			for _, s := range track(t, res, i).Spans {
+				switch {
+				case s.Name == "ckpt-pause" || s.Name == "ckpt-begin":
+					pauses = append(pauses, window{s.Start, s.End})
+				case s.Name == spanMigResidual:
+					residual = append(residual, window{s.Start, s.End})
+					fallthrough
+				case quantumSpans[s.Name]:
+					busy = append(busy, window{s.Start, s.End})
+				}
+			}
+		}
+		for _, r := range residual {
+			for _, p := range pauses {
+				if r.lo < p.hi && p.lo < r.hi {
+					t.Errorf("open %v: mig-residual [%d, %d) overlaps a cut pause [%d, %d)", open, r.lo, r.hi, p.lo, p.hi)
+				}
+			}
+		}
+		if len(residual) == 0 {
+			t.Errorf("open %v: no mig-residual quantum ran: the pull sets were never drained in quanta", open)
+		}
+
+		// A cut is migration-free if the epoch it closed, from the end of
+		// the track's previous cut, touched no migration. A flip cut ends
+		// where its migration's FlipPS is taken.
+		var freeMax int64
+		flipPause := map[int64]int64{}
+		for i := range res.Shards {
+			prevEnd := int64(-1)
+			for _, p := range track(t, res, i).Spans {
+				if p.Name != "ckpt-pause" {
+					continue
+				}
+				if prevEnd < 0 { // the populate cut
+					prevEnd = p.End
+					continue
+				}
+				epoch := window{prevEnd, p.Start}
+				prevEnd = p.End
+				for _, m := range res.Migrations {
+					if p.End == m.FlipPS {
+						flipPause[m.FlipPS] = max(flipPause[m.FlipPS], p.Ticks)
+					}
+				}
+				free := true
+				for _, b := range busy {
+					if b.lo < epoch.hi && epoch.lo < b.hi {
+						free = false
+					}
+				}
+				if free {
+					freeMax = max(freeMax, p.Ticks)
+				}
+			}
+		}
+		if freeMax == 0 || len(flipPause) != 2 {
+			t.Fatalf("open %v: largest migration-free cut %d ps, %d flip cuts found: the run proves nothing", open, freeMax, len(flipPause))
+		}
+		for at, ps := range flipPause {
+			t.Logf("open %v: flip cut landing at %d ps paused %d ps; largest migration-free cut %d ps", open, at, ps, freeMax)
+			if ps > freeMax {
+				t.Errorf("open %v: the flip cut landing at %d ps paused %d ps, longer than the largest migration-free cut (%d ps)", open, at, ps, freeMax)
+			}
+		}
+
+		svc, _ := run(open, 300_000, 32768, 4)
+		for _, m := range svc.migs {
 			// Replay the feed: the source's span writes per batch — it logs
 			// every one until the flip — and the first batch the destination
 			// serves the span in, the one after the flip cut's round.
@@ -309,15 +389,70 @@ func TestFlipResidualIsOneRound(t *testing.T) {
 				t.Fatalf("open %v: %s %d>%d: destination first served the span in batch %d", open, m.kind, m.src, m.dst, first)
 			}
 			flipAt := first - 1
-			st := res.Migrations[i]
+			// The pull set took over the rest of the last list and the
+			// residual: at most the entries of both.
+			took := len(m.catchup) + len(m.residual)
 			bound := writes[flipAt-1] + writes[flipAt]
-			t.Logf("open %v: %s %d>%d flipped after batch %d: %d ops applied by the flip cut, bound %d, %d catch-up ops in all",
-				open, m.kind, m.src, m.dst, flipAt, st.ResidualOps, bound, st.CatchupOps)
-			if st.ResidualOps == 0 || st.ResidualOps > bound {
-				t.Errorf("open %v: %s %d>%d: the flip cut applied %d ops, want 1..%d (the span writes of the two batches before it)",
-					open, m.kind, m.src, m.dst, st.ResidualOps, bound)
+			t.Logf("open %v: %s %d>%d flipped after batch %d: last list %d + residual %d entries, bound %d",
+				open, m.kind, m.src, m.dst, flipAt, len(m.catchup), len(m.residual), bound)
+			if took == 0 || took > bound {
+				t.Errorf("open %v: %s %d>%d: the last list and the residual hold %d entries, want 1..%d (the span writes of the two batches before the flip cut)",
+					open, m.kind, m.src, m.dst, took, bound)
 			}
 		}
+	}
+}
+
+// TestPullSettlesOwedState: a destination serving keys its pull set still
+// owes answers each request with the state the stream implies. A read or
+// read-modify-write applies its key's entry first and a scan the whole set;
+// an update or delete drops its key's entry and costs what it costs on a
+// shard that owes nothing.
+func TestPullSettlesOwedState(t *testing.T) {
+	stale := func() *shard {
+		sh := newCoreShard(t)
+		for k := uint64(1); k <= 6; k++ {
+			if err := sh.apply(int(k), workload.Op{Kind: workload.OpInsert, Key: k, Value: k}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sh
+	}
+	do := func(sh *shard, seq int, op workload.Op) int64 {
+		t.Helper()
+		t0 := sh.clock.NowPS()
+		if err := sh.apply(seq, op); err != nil {
+			t.Fatal(err)
+		}
+		return sh.clock.NowPS() - t0
+	}
+	sh, plain := stale(), stale()
+	sh.migWork = pullSet([]migEnt{{key: 1, val: 10}, {key: 2, val: 20}, {key: 3, del: true},
+		{key: 1, val: 11}, {key: 4, val: 40}, {key: 5, val: 50}, {key: 7, val: 70}})
+	if n := len(sh.migWork.items); n != 6 {
+		t.Fatalf("pull set of %d items, want 6: the last entry per key", n)
+	}
+
+	for i, op := range []workload.Op{{Kind: workload.OpUpdate, Key: 2, Value: 99}, {Kind: workload.OpDelete, Key: 5}} {
+		if got, want := do(sh, 10+i, op), do(plain, 10+i, op); got != want {
+			t.Errorf("%v of key %d took %d ps, %d on a shard that owes nothing: the owed entry was applied first", op.Kind, op.Key, got, want)
+		}
+	}
+	do(sh, 20, workload.Op{Kind: workload.OpRead, Key: 1})
+	if want := readMix(20, 11, true); sh.readSum != want {
+		t.Errorf("read of owed key 1 folded %#x into the read sum, want %#x (value 11)", sh.readSum, want)
+	}
+	do(sh, 21, workload.Op{Kind: workload.OpRMW, Key: 4, Value: 2})
+	do(sh, 22, workload.Op{Kind: workload.OpScan, Key: 0, ScanLen: 100})
+	if sh.migWork.pending() {
+		t.Errorf("a scan left %d keys owed", len(sh.migWork.owed))
+	}
+	want := map[uint64]uint64{1: 11, 2: 99, 4: 42, 6: 6, 7: 70}
+	if got := verifyKV(sh.kv, want); got != nil {
+		t.Errorf("KV after the pulls: %q", got)
+	}
+	if got := verifyKV(sh.kv, sh.shadow.live); got != nil {
+		t.Errorf("KV against the oracle: %q", got)
 	}
 }
 
@@ -351,7 +486,7 @@ func TestMergeDestinationCutFlushOpenLoop(t *testing.T) {
 	}
 	for i := range res.Shards {
 		for _, s := range track(t, res, i).Spans {
-			if quantumSpans[s.Name] || s.Name == spanMigResidual {
+			if quantumSpans[s.Name] {
 				busy = append(busy, window{s.Start, s.End})
 			}
 		}

@@ -33,15 +33,18 @@
 //	    destination has drained its last list, the source ships what it
 //	    has logged since as another catch-up list.
 //	flipReady ──next coordinated cut──▶ cleanup:
-//	    pre-flip, the destination applies the residual inside the
-//	    committing epoch — what it has not applied yet of its last list,
-//	    and what the source logged since that shipped: about one round of
-//	    span writes — and every rank flips its ring clone, binding the
-//	    flip to the cut's global epoch; the cut's commit+barrier then
-//	    publishes the flip atomically.
-//	    Post-commit the source owes the deletion of the moved keys
-//	    (next-epoch writes), again in quanta.
-//	cleanup ──source finished──▶ idle:
+//	    pre-flip, every rank flips its ring clone, and the destination takes
+//	    what it still owes of the span — the rest of its last list and what
+//	    the source logged since that shipped, about one round of span
+//	    writes — as its pull set, the last entry per key; the cut applies
+//	    none of it. From the next request on the destination serves the
+//	    span: a read or read-modify-write of an owed key applies its entry
+//	    first (a scan, the whole set), an update, insert or delete drops
+//	    it, idle-gap quanta apply the rest, and the flip binds to the cut
+//	    after this one, whose image of the destination is the first to
+//	    hold the whole span. Post-commit the source owes the deletion of
+//	    the moved keys (next-epoch writes), again in quanta.
+//	cleanup ──both finished, binding cut committed──▶ idle:
 //	    only now may the next migration start, and a merge source retires
 //	    (mpi.Leave) at the cut after this one, once its deletions are
 //	    durable.
@@ -54,11 +57,12 @@
 // span, and the end-of-run sequential replay (verifyOwnership) finds it.
 //
 // Crash anywhere in this pipeline is covered by the cut protocol: before
-// the flip cut commits everywhere, recovery lands on a pre-flip epoch
-// where the source still owns (and still stores) the span; from the flip
-// cut on, the destination's committed image contains the span. The ring
-// for the landing epoch is the boot ring with every migration record whose
-// flip epoch is at or below it replayed, in start order.
+// the flip's binding cut commits everywhere, recovery lands on an epoch
+// where the source still owns (and still stores) the span — it served the
+// span until the flip cut; from the binding cut on, the destination's
+// committed image contains the span. The ring for the landing epoch is the
+// boot ring with every migration record whose flip epoch is at or below it
+// replayed, in start order.
 package server
 
 import (
@@ -156,17 +160,28 @@ type migEnt struct {
 }
 
 // migCursor is a shard's pending migration work, at most one list at a
-// time: the snapshot to install or the delta log to replay (destination),
-// the moved keys to delete (source). Resumable, so migQuantum can retire it
-// a few items at a time wherever the shard finds idle time.
+// time: the snapshot to install, a delta log to replay or the pull set
+// (destination), the moved keys to delete (source). Resumable, so
+// migQuantum can retire it a few items at a time wherever the shard finds
+// idle time.
 type migCursor struct {
 	span    string // trace span name of this work's quanta
 	items   []migEnt
 	pos     int
 	readyPS int64 // simulated arrival of the items (ship latency); 0 for local work
+	// owed indexes the pull set — the one list whose keys the shard already
+	// serves — by key, for as long as an item is owed: a request may pull
+	// its key's item ahead of the cursor (pull), which then skips it. nil
+	// for every other list.
+	owed map[uint64]int
 }
 
-func (w *migCursor) pending() bool { return w.pos < len(w.items) }
+func (w *migCursor) pending() bool {
+	if w.owed != nil {
+		return len(w.owed) > 0
+	}
+	return w.pos < len(w.items)
+}
 
 // The trace span names of migration work, one per kind of item list.
 const (
@@ -191,18 +206,17 @@ type MigrationStat struct {
 	Src  int
 	Dst  int
 	// StartPS and FlipPS bound the live migration on the simulated clock;
-	// FlipEpoch is the global cut epoch the ownership flip rode.
+	// FlipEpoch is the global cut epoch the ownership flip binds to, the
+	// one after the cut it rode.
 	StartPS   int64
 	FlipPS    int64
 	FlipEpoch uint64
 	// MovedKeys is the snapshot size; CatchupOps the delta-log entries
 	// shipped after it (every catch-up list plus what the source logged
-	// after the last one); ResidualOps the entries the flip cut applied
-	// inline, inside its pause; SlotCount the ring slots reassigned.
-	MovedKeys   int
-	CatchupOps  int
-	ResidualOps int
-	SlotCount   int
+	// after the last one); SlotCount the ring slots reassigned.
+	MovedKeys  int
+	CatchupOps int
+	SlotCount  int
 }
 
 // MigSpan is one shard's device-primitive window for one migration phase,
@@ -221,11 +235,10 @@ type MigSpan struct {
 // and the record outlives it as the run's account of it (Result.Migrations,
 // in start order, since migrations run one at a time) and as the ring's
 // history: its span, dst and flipEpoch are the flip replayFlips replays.
-// Every field but residualOps is written by the source alone, before the
-// barrier that publishes it to the destination, so the barrier's
-// happens-before edge orders every access; a later migration gets a record
-// of its own, so a peer still finishing this one's cleanup never reads the
-// next one's.
+// Every field is written by the source alone, before the barrier that
+// publishes it to the destination, so the barrier's happens-before edge
+// orders every access; a later migration gets a record of its own, so a
+// peer still finishing this one's cleanup never reads the next one's.
 type migration struct {
 	kind     MigrateKind
 	src, dst int
@@ -243,14 +256,14 @@ type migration struct {
 	// latest catch-up list, the log the flip cut hands over — and when the
 	// first two arrive (ship latency); log is the source's span mutations
 	// since the last list was cut from it, and shipped the entries every
-	// catch-up list carried. residualOps is what the flip cut applied: the
-	// destination writes it there, and only the run's account reads it.
+	// catch-up list carried.
 	snap, catchup, residual []migEnt
 	snapAtPS, catchupAtPS   int64
 	log                     []migEnt
-	shipped, residualOps    int
+	shipped                 int
 	// startPS and flipPS bound the migration on the source's clock;
-	// flipEpoch is the global cut epoch the flip rode (0 until preFlip).
+	// flipEpoch is the global cut epoch the flip binds to: the one after
+	// the cut it rode (0 until preFlip).
 	startPS, flipPS int64
 	flipEpoch       uint64
 }
@@ -265,7 +278,6 @@ func (m *migration) stat() MigrationStat {
 	}
 	if m.flipEpoch > 0 {
 		st.CatchupOps = m.shipped + len(m.residual)
-		st.ResidualOps = m.residualOps
 	}
 	return st
 }
@@ -329,14 +341,28 @@ func (sh *shard) spanItems(slots map[int]bool, del bool) []migEnt {
 
 func markApplied(bits []uint64, seq int) { bits[seq>>6] |= 1 << (seq & 63) }
 
+// readMix is one point read's term in an order-independent read sum: its
+// sequence number, the value it returned and whether the key was found,
+// mixed so that a stale or missing value changes the sum.
+func readMix(seq int, val uint64, found bool) uint64 {
+	x := uint64(seq)*0x9E3779B97F4A7C15 ^ val
+	if found {
+		x ^= 0xD6E8FEB86659FD93
+	}
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
 // migLoad hands the shard its next list of migration work.
 func (sh *shard) migLoad(span string, items []migEnt, readyPS int64) {
 	sh.migWork = migCursor{span: span, items: items, readyPS: readyPS}
 }
 
 // migQuantum retires up to n items of the shard's migration work (n <= 0:
-// everything left) and is the only place that work is ever applied: real
-// device writes, so crash injection can land mid-quantum. The quantum runs
+// everything left), skipping what requests already pulled. The quantum runs
 // inside the backend's write-through scope — its stores are durable at its
 // end, so no cut inherits their flush, and so is the request dirt the gap's
 // pre-flush would have written back had the quantum not taken the gap.
@@ -346,26 +372,89 @@ func (sh *shard) migQuantum(n int) error {
 	if !w.pending() || sh.clock.NowPS() < w.readyPS {
 		return nil
 	}
-	end := len(w.items)
-	if n > 0 && w.pos+n < end {
-		end = w.pos + n
-	}
 	sh.rec.Begin(w.span)
 	sh.ctr.BeginWriteThrough()
-	for _, e := range w.items[w.pos:end] {
-		if e.del {
-			sh.kv.Delete(e.key)
-			sh.shadow.del(e.key)
-			continue
+	for k := 0; w.pending() && (n <= 0 || k < n); w.pos++ {
+		e := w.items[w.pos]
+		if w.owed != nil {
+			if _, ok := w.owed[e.key]; !ok {
+				continue // pulled by a request
+			}
+			delete(w.owed, e.key)
 		}
-		if err := sh.kv.Put(e.key, e.val); err != nil {
+		if err := sh.migApply(e); err != nil {
 			return err
 		}
-		sh.shadow.put(e.key, e.val)
+		k++
 	}
 	sh.ctr.EndWriteThrough()
 	sh.rec.End()
-	w.pos = end
+	return nil
+}
+
+// migApply is the only place migration work is ever applied: real device
+// writes, so crash injection can land on any of them, mirrored into the
+// oracle.
+func (sh *shard) migApply(e migEnt) error {
+	if e.del {
+		sh.kv.Delete(e.key)
+		sh.shadow.del(e.key)
+		return nil
+	}
+	if err := sh.kv.Put(e.key, e.val); err != nil {
+		return err
+	}
+	sh.shadow.put(e.key, e.val)
+	return nil
+}
+
+// pullSet is the work cursor a flip hands the destination: the last entry
+// per key of ents (entries are value-results, so the last one is exact),
+// indexed by key.
+func pullSet(ents []migEnt) migCursor {
+	var items []migEnt
+	owed := make(map[uint64]int)
+	for _, e := range ents {
+		if i, ok := owed[e.key]; ok {
+			items[i] = e
+			continue
+		}
+		owed[e.key] = len(items)
+		items = append(items, e)
+	}
+	return migCursor{span: spanMigResidual, items: items, owed: owed}
+}
+
+// pull settles, ahead of a request, what the pull set still owes it. A read
+// or read-modify-write of an owed key applies that key's entry first, one
+// charged KV write; a scan applies the whole set. An update, insert or
+// delete replaces the key's state whatever it was, so its entry is dropped
+// unapplied. Finding out costs nothing, like maybeLogMig's append: a DRAM
+// lookup. The pulled stores are the request's: no write-through scope, so
+// they join the epoch's dirt like the request's own.
+func (sh *shard) pull(op workload.Op) error {
+	w := &sh.migWork
+	if w.owed == nil {
+		return nil
+	}
+	switch op.Kind {
+	case workload.OpScan:
+		for _, e := range w.items[w.pos:] {
+			if _, ok := w.owed[e.key]; ok {
+				delete(w.owed, e.key)
+				if err := sh.migApply(e); err != nil {
+					return err
+				}
+			}
+		}
+	case workload.OpRead, workload.OpRMW:
+		if i, ok := w.owed[op.Key]; ok {
+			delete(w.owed, op.Key)
+			return sh.migApply(w.items[i])
+		}
+	default:
+		delete(w.owed, op.Key)
+	}
 	return nil
 }
 
@@ -375,15 +464,18 @@ func (sh *shard) migQuantum(n int) error {
 // end-of-run drain, starting pending specs regardless of AfterCuts and
 // advancing the destination's clock past ship latencies.
 //
-// Transfer, catch-up and cleanup each wait for one shard's work cursor to
-// drain; the round only asks whether it has. An open-loop run drains it in
-// the idle gaps between arrivals (idleUntil, serveLoop's batch tail). A
+// Transfer, catch-up and cleanup each wait for a work cursor to drain — the
+// destination's list, or in cleanup its pull set and the source's deletes;
+// the round only asks whether it has. An open-loop run drains it in the
+// idle gaps between arrivals (idleUntil, serveLoop's batch tail). A
 // closed-loop run has no arrivals to protect, and the forced drain none
 // left: both retire the whole remainder right here, in one quantum. A
 // flip-ready migration (serveLoop only brings it here at rounds that take
 // no cut) asks the same, and whether the source has logged anything to
-// ship: what the flip cut applies inline is then only the rest of the last
-// list and what the source logged after it.
+// ship: what the pull set takes over at the flip cut is then only the rest
+// of the last list and what the source logged after it. Cleanup also waits
+// for the flip's binding cut to commit, so no migration starts, and no
+// split rank provisions its ring, on a flip recovery could still undo.
 func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) error {
 	switch sh.migPhase {
 	case migIdle:
@@ -417,13 +509,14 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 	if sh.migPhase == migFlipReady && sh.id == m.src && len(m.log) == 0 {
 		hold = 1 // nothing logged since the last list
 	}
+	if sh.migPhase == migCleanup && !sh.flipBound() {
+		hold = 1
+	}
 	if c.AllreduceU64(hold, mpi.Max) != 0 {
 		return nil
 	}
 	if sh.migPhase == migCleanup {
-		if sh.id == m.src {
-			sh.markMigPhase("cleanup") // the destination owes nothing here
-		}
+		sh.markMigPhase("cleanup")
 		if m.kind == MigrateMerge {
 			// No cut is in flight at a policy round, so the next one
 			// commits every delete quantum.
@@ -576,13 +669,19 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 	return nil
 }
 
-// preFlip opens the cut that publishes the ownership flip (cutBegin calls
-// it when the migration is flip-ready): the source hands over what it
-// logged since its last catch-up list, the destination applies that and
-// whatever it has not applied yet of the list inside the committing epoch
-// (so the cut's image of the destination contains the complete span), and
-// every rank flips its ring clone, binding the flip to the cut's global
-// epoch.
+// preFlip opens the cut that carries the ownership flip (cutBegin calls it
+// when the migration is flip-ready), handing the span over post-copy: the
+// source hands over what it logged since its last catch-up list, the
+// destination loads that and whatever it has not applied yet of the list as
+// its pull set, and every rank flips its ring clone. The cut applies none of
+// it, so its image of the destination lacks the span's latest writes, while
+// the source's image, taken at the same cut, holds them all — the source
+// served the span until now. The flip therefore binds to the cut after this
+// one (cutBegin drains what is still owed before that one's image is
+// taken): a recovery landing on this cut routes on the pre-flip ring.
+//
+// The residual counts as delivered with this cut's barrier: its ship
+// latency is not charged.
 func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
 	m := sh.mig
 	if sh.id == m.src {
@@ -590,24 +689,23 @@ func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
 	}
 	c.Barrier() // publish the residual before the destination reads it
 	if sh.id == m.dst {
-		// About one round of span writes, arrived or not: run to
-		// completion, here.
 		w := &sh.migWork
-		rest := slices.Concat(w.items[w.pos:], m.residual)
-		m.residualOps = len(rest)
-		sh.migLoad(spanMigResidual, rest, 0)
-		if err := sh.migQuantum(0); err != nil {
-			return err
-		}
+		sh.migWork = pullSet(slices.Concat(w.items[w.pos:], m.residual))
 	}
 	gNext := sh.epochOff + sh.ctr.CommittedEpoch() + 1
 	if err := sh.ring.Move(m.span, m.dst); err != nil {
 		return fmt.Errorf("server: shard %d flipping ring: %w", sh.id, err)
 	}
 	if sh.id == m.src {
-		m.flipEpoch = gNext
+		m.flipEpoch = gNext + 1
 	}
 	return nil
+}
+
+// flipBound reports whether the in-flight migration's flip has bound: its
+// binding cut has committed, here and so on every rank.
+func (sh *shard) flipBound() bool {
+	return sh.mig.flipEpoch > 0 && sh.epochOff+sh.ctr.CommittedEpoch() >= sh.mig.flipEpoch
 }
 
 // postFlip closes every landed cut (cutLanded calls it; a no-op unless the
@@ -665,28 +763,33 @@ func (s *Service) retireRound(c *mpi.Comm, sh *shard) (done bool, err error) {
 // run closes out, so end-of-run verification always sees a quiescent
 // ring: pending specs start regardless of AfterCuts, ship latencies are
 // jumped on the destination clock, every work cursor drains in one quantum,
-// and flips ride forced cuts, taken through in place in the run's cut
-// style. A pending retirement is simply dropped — the merged-away source
-// stays a (empty) member and is verified normally.
+// and flips ride forced cuts, as do the cuts they bind to, taken through in
+// place in the run's cut style. A pending retirement is simply dropped —
+// the merged-away source stays a (empty) member and is verified normally.
 func (s *Service) migEndDrain(c *mpi.Comm, sh *shard) error {
+	stw := s.cfg.StepBudget == 0
 	for {
+		var err error
 		switch sh.migPhase {
 		case migIdle:
 			if sh.migIdx >= len(s.cfg.Migrations) {
 				return nil
 			}
 			spec := s.cfg.Migrations[sh.migIdx]
-			if err := s.migStart(c, sh, s.batches, spec.Kind, spec.Src, spec.Dst); err != nil {
-				return err
+			err = s.migStart(c, sh, s.batches, spec.Kind, spec.Src, spec.Dst)
+		case migCleanup:
+			if !sh.flipBound() {
+				err = s.cutThrough(c, sh, stw)
+				break
 			}
-		case migTransfer, migCatchup, migCleanup:
-			if err := s.migRound(c, sh, s.batches, false, true); err != nil {
-				return err
-			}
+			err = s.migRound(c, sh, s.batches, false, true)
+		case migTransfer, migCatchup:
+			err = s.migRound(c, sh, s.batches, false, true)
 		case migFlipReady:
-			if err := s.cutThrough(c, sh, s.cfg.StepBudget == 0); err != nil {
-				return err
-			}
+			err = s.cutThrough(c, sh, stw)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -827,11 +930,14 @@ func (s *Service) verifyApplied(res *Result) {
 }
 
 // verifyOwnership checks a clean run whose ring flipped: every member's ring
-// agrees with the migration records' flips replayed over the boot ring, and a
+// agrees with the migration records' flips replayed over the boot ring, a
 // sequential replay of the whole op stream matches each key's final owner's
-// state (no key lost, duplicated, or stranded on a former owner). A run that
-// never flipped routes on the boot ring throughout and has nothing to check
-// here.
+// state (no key lost, duplicated, or stranded on a former owner), and the
+// point reads the shards served sum to what the replay implies — a read
+// served from a span before its data arrived returns what the replay never
+// held, even where the shard's own oracle, mirroring the same stale state,
+// agrees with it. A run that never flipped routes on the boot ring
+// throughout and has nothing to check here.
 func (s *Service) verifyOwnership(res *Result) {
 	if len(s.migs) == 0 || s.migs[0].flipEpoch == 0 {
 		return
@@ -856,16 +962,75 @@ func (s *Service) verifyOwnership(res *Result) {
 		}
 	}
 
-	// Global ownership: sequential replay of the op stream vs the final
-	// ring's owners.
+	exp, reads := s.replayStream(s.cfg.Ops)
+	if d := s.ownership(exp, final, func(sh *shard) map[uint64]uint64 { return sh.shadow.live }); d != "" {
+		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ownership", Detail: d})
+	}
+	total := 0
+	var served uint64
+	for _, sh := range s.shards {
+		total += len(sh.shadow.live)
+		served += sh.readSum
+	}
+	if total != len(exp) {
+		res.Violations = append(res.Violations, Violation{
+			Shard: -1, Stage: "ownership",
+			Detail: fmt.Sprintf("shards hold %d keys total, sequential replay expects %d", total, len(exp)),
+		})
+	}
+	if served != reads {
+		res.Violations = append(res.Violations, Violation{
+			Shard: -1, Stage: "read",
+			Detail: fmt.Sprintf("the point reads served sum to %#x, the sequential replay's to %#x: a read returned what the stream never held there", served, reads),
+		})
+	}
+}
+
+// verifyLandingOwnership checks a crashed run that migrated: a sequential
+// replay of the ops the landing cut's image holds must match what each key's
+// owner under the landing ring recovered. Each shard matching its own oracle
+// does not imply it — a flip bound to a cut whose image of the destination
+// lacks the span's last writes passes that check on every shard.
+func (s *Service) verifyLandingOwnership(res *Result, landing uint64, rg *ring.Ring) {
+	n := -1
+	for _, sh := range s.shards {
+		if v, ok := sh.cutOps[landing]; ok {
+			n = v
+			break
+		}
+	}
+	if n < 0 {
+		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ownership", Detail: fmt.Sprintf("no shard began the cut of landing epoch %d", landing)})
+		return
+	}
+	exp, _ := s.replayStream(n)
+	if d := s.ownership(exp, rg, func(sh *shard) map[uint64]uint64 {
+		held := make(map[uint64]uint64, sh.kv.Len())
+		for _, p := range sh.kv.Scan(0, sh.kv.Len()) {
+			held[p.Key] = p.Value
+		}
+		return held
+	}); d != "" {
+		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ownership", Detail: fmt.Sprintf("at landing epoch %d: %s", landing, d)})
+	}
+}
+
+// replayStream applies the op stream's first n ops in sequence to the
+// populated key space: every key's state after them, and what the point
+// reads among them sum to (readMix).
+func (s *Service) replayStream(n int) (map[uint64]uint64, uint64) {
 	exp := make(map[uint64]uint64, s.cfg.Keys)
 	for k := uint64(0); k < s.cfg.Keys; k++ {
 		exp[k] = k
 	}
-	gens := s.newGenerators() // a fresh replay of the stream the run served
-	for i := 0; i < s.cfg.Ops; i++ {
+	var reads uint64
+	gens := s.newGenerators()
+	for i := 0; i < n; i++ {
 		op := gens[i%len(gens)].Next()
 		switch op.Kind {
+		case workload.OpRead:
+			v, ok := exp[op.Key]
+			reads += readMix(i, v, ok)
 		case workload.OpUpdate, workload.OpInsert:
 			exp[op.Key] = op.Value
 		case workload.OpRMW:
@@ -874,40 +1039,49 @@ func (s *Service) verifyOwnership(res *Result) {
 			delete(exp, op.Key)
 		}
 	}
-	misrouted, wrong := 0, 0
-	var firstBad string
+	return exp, reads
+}
+
+// ownership compares a sequential replay's state with what each key's owner
+// under rg holds (held, once per shard): keys missing on their owner, keys
+// holding another value there, and keys the replay deleted that their owner
+// still holds. It describes what it found, the smallest bad key first, or
+// returns "" if nothing.
+func (s *Service) ownership(exp map[uint64]uint64, rg *ring.Ring, held func(*shard) map[uint64]uint64) string {
+	kv := make([]map[uint64]uint64, len(s.shards))
+	for i, sh := range s.shards {
+		kv[i] = held(sh)
+	}
+	missing, wrong, extra := 0, 0, 0
+	first, firstBad := uint64(math.MaxUint64), ""
+	note := func(k uint64, f func() string) {
+		if k <= first {
+			first, firstBad = k, f()
+		}
+	}
 	for k, v := range exp {
-		owner := final.Owner(k)
-		got, ok := s.shards[owner].shadow.live[k]
-		switch {
+		owner := rg.Owner(k)
+		switch got, ok := kv[owner][k]; {
 		case !ok:
-			misrouted++
-			if firstBad == "" {
-				firstBad = fmt.Sprintf("key %d missing on owner %d", k, owner)
-			}
+			missing++
+			note(k, func() string { return fmt.Sprintf("key %d missing on owner %d", k, owner) })
 		case got != v:
 			wrong++
-			if firstBad == "" {
-				firstBad = fmt.Sprintf("key %d on owner %d: got %d want %d", k, owner, got, v)
+			note(k, func() string { return fmt.Sprintf("key %d on owner %d: got %d want %d", k, owner, got, v) })
+		}
+	}
+	for id, m := range kv {
+		for k, v := range m {
+			if _, ok := exp[k]; !ok && rg.Owner(k) == id {
+				extra++
+				note(k, func() string { return fmt.Sprintf("key %d on owner %d: got %d, the replay deleted it", k, id, v) })
 			}
 		}
 	}
-	total := 0
-	for _, sh := range s.shards {
-		total += len(sh.shadow.live)
+	if missing+wrong+extra == 0 {
+		return ""
 	}
-	if misrouted > 0 || wrong > 0 {
-		res.Violations = append(res.Violations, Violation{
-			Shard: -1, Stage: "ownership",
-			Detail: fmt.Sprintf("%d keys missing on their owner, %d wrong (%s)", misrouted, wrong, firstBad),
-		})
-	}
-	if total != len(exp) {
-		res.Violations = append(res.Violations, Violation{
-			Shard: -1, Stage: "ownership",
-			Detail: fmt.Sprintf("shards hold %d keys total, sequential replay expects %d", total, len(exp)),
-		})
-	}
+	return fmt.Sprintf("%d keys missing on their owner, %d wrong, %d deleted but held (%s)", missing, wrong, extra, firstBad)
 }
 
 // MigrationSpans reports each migration phase's device-primitive crash

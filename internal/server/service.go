@@ -43,7 +43,7 @@ import (
 )
 
 // foreverPS is idle time with no arrival at its end.
-const foreverPS = 1 << 60
+const foreverPS = core.Forever
 
 // ErrNoOps mirrors workload.ErrNoOps for the service: a run with no
 // requests has no epochs and no meaningful result.
@@ -429,7 +429,7 @@ type ShardStats struct {
 type Violation struct {
 	Shard int
 	// Stage names the check that failed: "verify", "replica", "applied",
-	// "ring", "ownership", "epoch", "recover" or "liveness".
+	// "ring", "ownership", "read", "epoch", "recover" or "liveness".
 	Stage  string
 	Detail string
 }
@@ -634,6 +634,7 @@ func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 	sh.deferCoW = s.cfg.StepBudget == 0 && s.cfg.Measure != nil && !s.noDeferCoW
 	sh.ring = s.ring.Clone()
 	sh.appliedBits = make([]uint64, (s.cfg.Ops+63)/64)
+	sh.cutOps = make(map[uint64]int)
 	s.shards[rank] = sh
 	c.AttachClock(sh.clock)
 	if cr := s.cfg.Crash; cr != nil && cr.Shard == rank {
@@ -751,6 +752,7 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 			sh.roundOps++
 			sh.maybeLogMig(so)
 		}
+		sh.issued = min((b+1)*s.cfg.BatchOps, s.cfg.Ops)
 		if sh.meas != nil && (served == 0 || sh.phase == cutIdle) {
 			// Open loop: whatever is left of the batch's arrival window after
 			// this shard's last request is idle time, for every tenant of a
@@ -759,8 +761,7 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 			// holds their acks for an incremental cut in flight goes straight
 			// to the boundary, whose quantum releases them: its tail is a few
 			// arrivals long, and the cut's quanta are budgeted per gap.
-			last := min((b+1)*s.cfg.BatchOps, s.cfg.Ops) - 1
-			if err := sh.idleTail(sh.msched.IntendedPS(last)); err != nil {
+			if err := sh.idleTail(sh.msched.IntendedPS(sh.issued - 1)); err != nil {
 				return err
 			}
 		}
@@ -768,7 +769,7 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 		// finishes first generates while the others still serve.
 		s.feed.batch(b + 1)
 		if s.cfg.Progress != nil && sh.reports {
-			s.cfg.Progress(min((b+1)*s.cfg.BatchOps, s.cfg.Ops), s.cfg.Ops)
+			s.cfg.Progress(sh.issued, s.cfg.Ops)
 		}
 		if sh.reps != nil {
 			// Batch boundary: install every shipped delta whose simulated
@@ -846,11 +847,12 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 	}
 	if sh.meas != nil {
 		// Past the last arrival the gap has no end: whatever the gaps still
-		// owe is done now, off every request's path. The close-out cut would
-		// do it anyway, inside its pause — with the last epoch's dirt left
-		// unflushed that pause is 75 us for 51 on the repo benchmark's
-		// split_merge (seed 1), whose pause p95 is 4.35 us over ~117 000
-		// stalls.
+		// owe is done now, off every request's path, the youngest dirt a
+		// bounded gap leaves to the cut included (core.PreFlush, Forever).
+		// The close-out cut would do it anyway, inside its pause — 75 us with
+		// the last epoch's dirt left unflushed, against 0.6 us (commit and
+		// barrier) on the repo benchmark's split_merge (seed 1), whose pause
+		// p95 is 4.35 us over ~117 000 stalls.
 		if err := sh.idleTail(foreverPS); err != nil {
 			return err
 		}
@@ -925,11 +927,13 @@ func (s *Service) dirtyEstimate(sh *shard) uint64 {
 // epoch closes out in exactly one place, cutLanded.
 
 // cutBegin opens one coordinated cut at a boundary every rank reached with
-// the identical decision. A flip-ready migration rides it: the residual is
-// handed over and every ring clone flips before the image is taken. The
-// shadow is then marked as the image of the epoch about to commit — before
-// the commit, so the image exists wherever inside the protocol a crash
-// lands — and the replica delta is captured while the dirty set is still
+// the identical decision. A flip the last cut carried binds to this one, so
+// a destination first applies whatever its idle gaps and requests have not
+// pulled yet of its pull set; a flip-ready migration rides it, and every
+// ring clone flips (preFlip). The cut records the op count it began at
+// (cutOps), and the shadow is marked as the image of the epoch about to
+// commit — before the commit, so the image exists wherever inside the
+// protocol a crash lands — and the replica delta is captured while the dirty set is still
 // intact (a pure DRAM copy: no device primitives, so crash-injection points
 // are untouched); it ships only once the cut has landed, so an aborted cut
 // never reaches a secondary.
@@ -941,11 +945,17 @@ func (s *Service) dirtyEstimate(sh *shard) uint64 {
 // count toward the next epoch — which is why sinceCut restarts at begin,
 // not at landing (stop-the-world, the two coincide).
 func (s *Service) cutBegin(c *mpi.Comm, sh *shard, stw bool) error {
+	if sh.migWork.owed != nil {
+		if err := sh.migQuantum(0); err != nil {
+			return err
+		}
+	}
 	if sh.migPhase == migFlipReady {
 		if err := s.preFlip(c, sh); err != nil {
 			return err
 		}
 	}
+	sh.cutOps[sh.epochOff+sh.ctr.CommittedEpoch()+1] = sh.issued
 	sh.snapshotForNextCut()
 	if sh.reps != nil {
 		sh.pendDelta = sh.reps.Capture(sh.core)
@@ -1004,9 +1014,9 @@ func (s *Service) cutStep(c *mpi.Comm, sh *shard) error {
 // plus barrier behind us, begun at pauseStartPS): the pause sample and the
 // epoch span, the replica delta — it rides that fence, so every
 // replicated delta corresponds to a cut recovery can land on — the cut
-// count and the policy's clocks, and the ring flip the cut carried, which
-// is published now: the source queues the deletion of its moved keys
-// (postFlip).
+// count and the policy's clocks, and the ring flip the cut carried, now
+// committed with it (binding at the next cut): the source queues the
+// deletion of its moved keys (postFlip).
 func (s *Service) cutLanded(sh *shard, pauseStartPS int64) error {
 	sh.observePause(sh.clock.NowPS() - pauseStartPS)
 	if sh.inEpoch {
@@ -1084,7 +1094,9 @@ func rankWorld(members []*shard, stage string, fn func(c *mpi.Comm, sh *shard) e
 // deferred, the ranks agree on the minimum committed epoch (rolling
 // back any shard that committed one ahead), and each recovered KV is
 // verified against the shadow snapshot of the landing epoch: zero
-// acked-across-a-cut ops lost, zero applied twice.
+// acked-across-a-cut ops lost, zero applied twice. A run that migrated is
+// also checked across shards, on the landing epoch's ring
+// (verifyLandingOwnership).
 //
 // Under replication the crashed shard's node is lost outright, device and
 // all. Its rank is then a Promotion of its most-current secondary — just
@@ -1200,6 +1212,9 @@ func (s *Service) recoverAll(res *Result) {
 		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ring", Detail: err.Error()})
 	} else {
 		s.ring = rg
+	}
+	if len(res.Violations) == 0 && len(s.migs) > 0 {
+		s.verifyLandingOwnership(res, epoch, rg)
 	}
 	if len(res.Violations) == 0 {
 		s.liveness(res, members)

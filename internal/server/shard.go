@@ -159,8 +159,8 @@ type shard struct {
 	epochOff uint64
 	// mig is the in-flight migration's record, shared by every rank (nil
 	// while idle); migPhase is this rank's position in it and migWork the
-	// bulk work it left on this shard (install, catch-up, delete), retired
-	// by migQuantum in idle time.
+	// bulk work it left on this shard (install, catch-up, pull set, delete),
+	// retired by migQuantum in idle time.
 	mig      *migration
 	migPhase migPhase
 	migIdx   int // next Config.Migrations entry to trigger
@@ -178,7 +178,17 @@ type shard struct {
 	// a clean run checks each op was applied exactly once service-wide (no
 	// loss, no double-apply across a handoff).
 	appliedBits []uint64
-	migSpans    []MigSpan
+	// readSum folds every point read the shard served (readMix), so a run
+	// whose ring flipped can check its reads against a sequential replay of
+	// the stream, whatever order the shards served them in.
+	readSum uint64
+	// issued is how many global ops the batches before the current boundary
+	// hold, and cutOps what it was at each cut this shard began, by the
+	// global epoch the cut commits: the op prefix the cut's image holds,
+	// which a crashed run's ownership check replays.
+	issued   int
+	cutOps   map[uint64]int
+	migSpans []MigSpan
 	// phaseStartPrim is the device primitive index the current migration
 	// phase started at, bounding the crash windows MigrationSpans reports.
 	phaseStartPrim int64
@@ -303,7 +313,9 @@ type pendAck struct {
 // apply executes one acked request against the KV and mirrors its effect
 // into the volatile shadow. seq is the request's global sequence number
 // (its round-robin interleave position across all clients). Latency is
-// the simulated time the request consumed on this shard.
+// the simulated time the request consumed on this shard, the pull of a key
+// it still owes from a flip included (pull); a point read's result goes
+// into readSum.
 //
 // Under the open-loop rig the request also has an intended arrival on the
 // shard's schedule: if the shard is idle ahead of it the gap is spent on
@@ -320,9 +332,13 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 		}
 	}
 	t0 := sh.clock.NowPS()
+	if err := sh.pull(op); err != nil {
+		return err
+	}
 	switch op.Kind {
 	case workload.OpRead:
-		sh.kv.Get(op.Key)
+		v, ok := sh.kv.Get(op.Key)
+		sh.readSum += readMix(seq, v, ok)
 	case workload.OpUpdate, workload.OpInsert:
 		if err := sh.kv.Put(op.Key, op.Value); err != nil {
 			return err

@@ -76,12 +76,13 @@ func TestMigrateSweepSplit(t *testing.T) {
 // quanta's write-through scopes. A split and the merge that folds it back
 // are crashed at strided points of every phase window under all standard
 // crash images, and then the split alone at EVERY primitive of its
-// destination's catch-up and flip windows (traffic-less, shard 2 runs
-// nothing but quanta there — the catch-up lists, then the lists the source
-// keeps shipping while the migration waits flip-ready, then the flip cut's
-// residual and commit: each store, each line of a scope's flush, its
-// fence). Zero violations, and every report is the same at any replay
-// parallelism.
+// destination's catch-up, flip and cleanup windows under every standard
+// crash image (traffic-less until the flip, shard 2 runs nothing but quanta
+// there — the catch-up lists, then the lists the source keeps shipping
+// while the migration waits flip-ready, then the flip cut's commit, then
+// the pull set the flip handed over and the cut the flip binds to: each
+// store, each line of a scope's flush, its fence). Zero violations, and
+// every report is the same at any replay parallelism.
 func TestMigrateSweepOpenLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration crash sweep is long")
@@ -110,7 +111,7 @@ func TestMigrateSweepOpenLoop(t *testing.T) {
 			quanta[sp.Name]++
 		}
 	}
-	for _, span := range []string{"mig-install", "mig-catchup", "mig-delete"} {
+	for _, span := range []string{"mig-install", "mig-catchup", "mig-residual", "mig-delete"} {
 		if quanta[span] < 2 {
 			t.Fatalf("%d %s quanta: the work did not run in the gaps", quanta[span], span)
 		}
@@ -144,6 +145,13 @@ func TestMigrateSweepOpenLoop(t *testing.T) {
 			}
 		}
 	}
+	for _, pol := range StandardPolicies(cfg.Seed) {
+		// Shard 1 is only ever a destination: its cleanup window is the
+		// merge's pull, under traffic, and the cut the flip binds to.
+		if strided.Points["shard1/cleanup/"+pol.Name] == 0 {
+			t.Errorf("no crash points in the merge destination's cleanup window under %s (points: %v)", pol.Name, strided.Points)
+		}
+	}
 	if serial := sweep(MigrateConfig{Stride: 331, Parallel: 1}); !reflect.DeepEqual(serial, strided) {
 		t.Fatalf("report differs between Parallel 1 and 8:\n%+v\n%+v", serial, strided)
 	}
@@ -154,24 +162,20 @@ func TestMigrateSweepOpenLoop(t *testing.T) {
 	splitOnly := cfg
 	splitOnly.Migrations, splitOnly.Mix = cfg.Migrations[:1], workload.YCSBB
 	splitOnly.Policy = server.OpsPolicy{Every: 4096}
-	everyCfg := MigrateConfig{Server: splitOnly, Phases: []string{"catchup", "flip"}, CrashShards: []int{2}, Stride: 1, Parallel: 8}
+	everyCfg := MigrateConfig{Server: splitOnly, Phases: []string{"catchup", "flip", "cleanup"}, CrashShards: []int{2}, Stride: 1, Parallel: 8}
 	every := sweep(everyCfg)
 	for _, phase := range everyCfg.Phases {
-		found := false
-		for key, n := range every.Points {
-			if strings.HasPrefix(key, "shard2/"+phase+"/") && n > 0 {
-				found = true
+		for _, pol := range StandardPolicies(cfg.Seed) {
+			if every.Points["shard2/"+phase+"/"+pol.Name] == 0 {
+				t.Errorf("no every-primitive crash points in the destination's %s window under %s (points: %v)", phase, pol.Name, every.Points)
 			}
-		}
-		if !found {
-			t.Errorf("no every-primitive crash points in the destination's %s window (points: %v)", phase, every.Points)
 		}
 	}
 	everyCfg.Parallel = 1
 	if serial := sweep(everyCfg); !reflect.DeepEqual(serial, every) {
 		t.Fatalf("every-primitive report differs between Parallel 1 and 8:\n%+v\n%+v", serial, every)
 	}
-	t.Logf("%d strided replays, %d every-primitive catch-up and flip replays (%v)", strided.Replays, every.Replays, every.Points)
+	t.Logf("%d strided replays, %d every-primitive catch-up, flip and cleanup replays (%v)", strided.Replays, every.Replays, every.Points)
 }
 
 // TestMigrateSweepRejects pins the input validation.

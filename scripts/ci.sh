@@ -59,9 +59,9 @@ migrate | p1p8 | serve_migrations                    | == | 3    | -ops 200000 -
 migrate | p1p8 |                                     |    |      | -shards 2 -clients 4 -ops 200000 -policy pause:2us -migrate split:0@2,merge:2>1@6 | live split+merge under the incremental pipeline, bytes identical at any -parallel
 migrate | p1p8 | serve_migrations                    | == | 3    | -shards 2 -clients 4 -ops 200000 -ds rbmap -backend buffered -migrate split:0@2,move:1>2@4,merge:2>0@6 | the source's snapshot and delete walk go through the red-black tree over the buffered backend, which no other row migrates: all three run, bytes identical at any -parallel
 migrate | p1p8 | serve_migrations                    | == | 2    | -shards 3 -clients 6 -ops 200000 -backend incll -mix crud -migrate split:0@2,merge:3>1@5 | the source's walk and catch-up reads go through incll under inserts and deletes, which no other row migrates: both run, bytes identical at any -parallel
+migrate | p1p8 | serve_migrations                    | == | 2    | -shards 2 -clients 4 -ops 200000 -mix e -migrate split:0@2,merge:2>1@6 | YCSB-E's scans reach both destinations while they still owe their pull sets, which no other row does: a scan applies the whole set first; both run, bytes identical at any -parallel
 migrate | p1p8 | serve_open_p99_us                   | <= | 50   | -shards 2 -clients 4 -keys 200000 -heap 33554432 -buckets 131072 -ops 1000000 -policy ops:16384 -target 1e6 -warmup 50000 -migrate split:0@2,merge:2>1@12 | migration work and the epochs' copy-on-write run in idle gaps; keep -buckets: a table that grows mid-install is one 30 ms Put (DESIGN.md §15.4)
-migrate | once | serve_worst_interval_open_p99_us    | <= | 200  | -shards 2 -clients 4 -keys 200000 -heap 33554432 -buckets 131072 -ops 1000000 -policy ops:16384 -target 1e6 -warmup 50000 -migrate split:0@2,merge:2>1@12 | a flip-ready migration keeps shipping its log, so the flip cut applies about one round of span writes: worst 1 ms interval 139.3 (the whole residual since catch-up inside the flip cut: 540.7)
-migrate | once | serve_worst_interval_open_p99_us    | <= | 110  | -shards 2 -clients 4 -keys 200000 -heap 33554432 -buckets 131072 -ops 1000000 -policy ops:16384 -target 1e6 -warmup 50000 -migrate split:0@2,merge:2>1@12 | a migration quantum's fence also writes back the shard's aged request dirt, so the merge destination's cuts while it installs flush what a migration-free cut does: worst 1 ms interval 86.0 (that dirt left to the cut: 139.3)
+migrate | once | serve_worst_interval_open_p99_us    | <= | 40   | -shards 2 -clients 4 -keys 200000 -heap 33554432 -buckets 131072 -ops 1000000 -policy ops:16384 -target 1e6 -warmup 50000 -migrate split:0@2,merge:2>1@12 | the flip cut applies nothing (the destination pulls the residual in the next epoch), and a migration quantum's fence also writes back the shard's aged request dirt: worst 1 ms interval 21.5 (the residual applied inside the flip cut: 86.0; the install's dirt left to the merge destination's cuts too: 139.3; the whole log since catch-up inside the flip cut: 540.7)
 migrate | p1p8 | serve_cuts                          | >= | 100  | -shards 2 -clients 4 -keys 200000 -heap 33554432 -buckets 131072 -ops 1000000 -policy pause:2us -target 1e6 -warmup 50000 -migrate split:0@2,merge:2>1@12 | a rank with no arrivals must drain its cut quanta in the batch window: 151 cuts (one quantum per batch boundary: 5)
 EOF
 }
