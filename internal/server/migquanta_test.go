@@ -245,50 +245,50 @@ func TestNextMigrationWaitsForCleanup(t *testing.T) {
 }
 
 // TestFlipCutAppliesNothing: the flip cut hands the span over post-copy.
-// The destination takes what it still owes — the rest of its last catch-up
-// list and what the source logged since — as a pull set and applies it in
-// the next epoch, so no mig-residual span overlaps any rank's cut pause,
-// and each flip cut pauses no longer than the run's largest migration-free
-// cut.
+// The destination takes what the source logged after the catch-up list
+// shipped as a pull set and applies it in the next epoch, so no
+// mig-residual span overlaps any rank's cut pause, and each flip cut pauses
+// no longer than the run's largest migration-free cut.
 //
-// The pull set stays small because a flip-ready migration keeps shipping:
-// the source ships its log at every round where the destination has
-// drained its last list, and every round finds it drained — a list's ship
-// latency and replay take tens of microseconds, against an open loop's 2 ms
-// batch window or a closed loop's replay at the round. So the last list and
-// the residual together, entry by entry, are at most the source's span
-// writes in the two batches before the flip cut: the last list carried the
-// first, what the source logged since the second. That half runs on rare
-// cuts (one per sixteen batches), so the migration waits flip-ready for
-// rounds on end: a pull set that took over everything logged since catch-up
-// ended would carry many batches of writes.
+// Every span write reaches the destination exactly once, in one of two
+// lists: the catch-up list (what the source logged during the transfer) and
+// the residual (everything after it, up to the flip cut). So the two hold,
+// entry by entry, the source's span writes from the migration's start
+// boundary through the batch the flip cut closed, and the pull set loaded at
+// the flip holds each residual key once, as its last entry.
 func TestFlipCutAppliesNothing(t *testing.T) {
-	run := func(open bool, ops int, cutEvery uint64, mergeAfter int) (*Service, *Result) {
+	for _, open := range []bool{true, false} {
 		cfg := openMigCfg()
-		cfg.Ops = ops
-		cfg.Policy = OpsPolicy{Every: cutEvery}
 		if !open {
 			cfg.Measure = nil
 		}
 		cfg.Migrations = []MigrateSpec{
 			{Kind: MigrateSplit, Src: 0, AfterCuts: 2},
-			{Kind: MigrateMerge, Src: 2, Dst: 1, AfterCuts: mergeAfter},
+			{Kind: MigrateMerge, Src: 2, Dst: 1, AfterCuts: 9},
 		}
 		svc := newService(t, cfg)
+		// The split's destination is the merge's source: its pull set is
+		// still loaded when the merge takes its snapshot. The merge's is
+		// still loaded at the end of the run.
+		loaded := map[*migration][]migEnt{}
+		svc.beforeSnapshot = func(sh *shard, _ *migration) {
+			if n := len(svc.migs); n > 0 {
+				loaded[svc.migs[n-1]] = sh.migWork.items
+			}
+		}
 		res, err := svc.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.OK() {
-			t.Fatalf("open %v, cut every %d: violations: %v", open, cutEvery, res.Violations)
+			t.Fatalf("open %v: violations: %v", open, res.Violations)
 		}
-		if len(res.Migrations) != 2 {
-			t.Fatalf("open %v, cut every %d: migrations %+v", open, cutEvery, res.Migrations)
+		if len(svc.migs) != 2 {
+			t.Fatalf("open %v: migrations %+v", open, res.Migrations)
 		}
-		return svc, res
-	}
-	for _, open := range []bool{true, false} {
-		_, res := run(open, 150_000, 8192, 9)
+		last := svc.migs[1]
+		loaded[last] = svc.shards[last.dst].migWork.items
+
 		type window struct{ lo, hi int64 }
 		var pauses, residual, busy []window
 		for _, m := range res.Migrations {
@@ -361,7 +361,6 @@ func TestFlipCutAppliesNothing(t *testing.T) {
 			}
 		}
 
-		svc, _ := run(open, 300_000, 32768, 4)
 		for _, m := range svc.migs {
 			// Replay the feed: the source's span writes per batch — it logs
 			// every one until the flip — and the first batch the destination
@@ -385,19 +384,30 @@ func TestFlipCutAppliesNothing(t *testing.T) {
 				}
 				writes = append(writes, n)
 			}
-			if first < 2 {
-				t.Fatalf("open %v: %s %d>%d: destination first served the span in batch %d", open, m.kind, m.src, m.dst, first)
+			if first <= m.batch+1 {
+				t.Fatalf("open %v: %s %d>%d started after batch %d, destination first served the span in batch %d", open, m.kind, m.src, m.dst, m.batch, first)
 			}
-			flipAt := first - 1
-			// The pull set took over the rest of the last list and the
-			// residual: at most the entries of both.
-			took := len(m.catchup) + len(m.residual)
-			bound := writes[flipAt-1] + writes[flipAt]
-			t.Logf("open %v: %s %d>%d flipped after batch %d: last list %d + residual %d entries, bound %d",
-				open, m.kind, m.src, m.dst, flipAt, len(m.catchup), len(m.residual), bound)
-			if took == 0 || took > bound {
-				t.Errorf("open %v: %s %d>%d: the last list and the residual hold %d entries, want 1..%d (the span writes of the two batches before the flip cut)",
-					open, m.kind, m.src, m.dst, took, bound)
+			want := 0
+			for _, n := range writes[m.batch+1 : first] {
+				want += n
+			}
+			t.Logf("open %v: %s %d>%d from batch %d through %d: catch-up %d + residual %d entries, %d span writes",
+				open, m.kind, m.src, m.dst, m.batch+1, first-1, len(m.catchup), len(m.residual), want)
+			if got := len(m.catchup) + len(m.residual); got != want {
+				t.Errorf("open %v: %s %d>%d: the catch-up list and the residual hold %d entries, the source wrote the span %d times",
+					open, m.kind, m.src, m.dst, got, want)
+			}
+
+			last, got := map[uint64]migEnt{}, map[uint64]migEnt{}
+			for _, e := range m.residual {
+				last[e.key] = e
+			}
+			for _, e := range loaded[m] {
+				got[e.key] = e
+			}
+			if len(got) != len(loaded[m]) || !reflect.DeepEqual(got, last) {
+				t.Errorf("open %v: %s %d>%d: pull set of %d items over %d keys, the residual has %d distinct keys: want each once, as its last entry",
+					open, m.kind, m.src, m.dst, len(loaded[m]), len(got), len(last))
 			}
 		}
 	}

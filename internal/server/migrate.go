@@ -28,22 +28,18 @@
 //	    the source publishes the delta log accumulated during the
 //	    transfer, which ships and is replayed the same way.
 //	catchup ──destination finished──▶ flipReady:
-//	    waits for the next policy cut, and keeps the destination current
-//	    meanwhile: at this round and at every later one where the
-//	    destination has drained its last list, the source ships what it
-//	    has logged since as another catch-up list.
+//	    waits for the next policy cut; the source keeps logging.
 //	flipReady ──next coordinated cut──▶ cleanup:
 //	    pre-flip, every rank flips its ring clone, and the destination takes
-//	    what it still owes of the span — the rest of its last list and what
-//	    the source logged since that shipped, about one round of span
-//	    writes — as its pull set, the last entry per key; the cut applies
-//	    none of it. From the next request on the destination serves the
-//	    span: a read or read-modify-write of an owed key applies its entry
-//	    first (a scan, the whole set), an update, insert or delete drops
-//	    it, idle-gap quanta apply the rest, and the flip binds to the cut
-//	    after this one, whose image of the destination is the first to
-//	    hold the whole span. Post-commit the source owes the deletion of
-//	    the moved keys (next-epoch writes), again in quanta.
+//	    what the source logged after the catch-up list shipped as its pull
+//	    set, the last entry per key; the cut applies none of it. From the
+//	    next request on the destination serves the span: a read or
+//	    read-modify-write of an owed key applies its entry first (a scan,
+//	    the whole set), an update, insert or delete drops it, idle-gap
+//	    quanta apply the rest, and the flip binds to the cut after this
+//	    one, whose image of the destination is the first to hold the whole
+//	    span. Post-commit the source owes the deletion of the moved keys
+//	    (next-epoch writes), again in quanta.
 //	cleanup ──both finished, binding cut committed──▶ idle:
 //	    only now may the next migration start, and a merge source retires
 //	    (mpi.Leave) at the cut after this one, once its deletions are
@@ -69,7 +65,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"libcrpm/internal/measure"
@@ -212,8 +207,8 @@ type MigrationStat struct {
 	FlipPS    int64
 	FlipEpoch uint64
 	// MovedKeys is the snapshot size; CatchupOps the delta-log entries
-	// shipped after it (every catch-up list plus what the source logged
-	// after the last one); SlotCount the ring slots reassigned.
+	// shipped after it (the catch-up list plus what the source logged
+	// after it); SlotCount the ring slots reassigned.
 	MovedKeys  int
 	CatchupOps int
 	SlotCount  int
@@ -252,15 +247,13 @@ type migration struct {
 	epoch uint64
 	next  int
 	sched measure.Schedule
-	// The destination's lists — the span snapshot (sorted by key), the
-	// latest catch-up list, the log the flip cut hands over — and when the
+	// The destination's three lists — the span snapshot (sorted by key),
+	// the catch-up list, the log the flip cut hands over — and when the
 	// first two arrive (ship latency); log is the source's span mutations
-	// since the last list was cut from it, and shipped the entries every
-	// catch-up list carried.
+	// since the last list was cut from it.
 	snap, catchup, residual []migEnt
 	snapAtPS, catchupAtPS   int64
 	log                     []migEnt
-	shipped                 int
 	// startPS and flipPS bound the migration on the source's clock;
 	// flipEpoch is the global cut epoch the flip binds to: the one after
 	// the cut it rode (0 until preFlip).
@@ -277,7 +270,7 @@ func (m *migration) stat() MigrationStat {
 		MovedKeys: len(m.snap), SlotCount: m.span.Len(),
 	}
 	if m.flipEpoch > 0 {
-		st.CatchupOps = m.shipped + len(m.residual)
+		st.CatchupOps = len(m.catchup) + len(m.residual)
 	}
 	return st
 }
@@ -470,12 +463,10 @@ func (sh *shard) pull(op workload.Op) error {
 // idle gaps between arrivals (idleUntil, serveLoop's batch tail). A
 // closed-loop run has no arrivals to protect, and the forced drain none
 // left: both retire the whole remainder right here, in one quantum. A
-// flip-ready migration (serveLoop only brings it here at rounds that take
-// no cut) asks the same, and whether the source has logged anything to
-// ship: what the pull set takes over at the flip cut is then only the rest
-// of the last list and what the source logged after it. Cleanup also waits
-// for the flip's binding cut to commit, so no migration starts, and no
-// split rank provisions its ring, on a flip recovery could still undo.
+// flip-ready migration has nothing to wait for but the cut that carries it
+// (cutBegin): no collective, no work. Cleanup also waits for the flip's
+// binding cut to commit, so no migration starts, and no split rank
+// provisions its ring, on a flip recovery could still undo.
 func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) error {
 	switch sh.migPhase {
 	case migIdle:
@@ -490,6 +481,8 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 			return s.autoSplitRound(c, sh, b)
 		}
 		return nil
+	case migFlipReady:
+		return nil // the flip rides the next coordinated cut (cutBegin)
 	}
 
 	w := &sh.migWork
@@ -506,16 +499,30 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 	if w.pending() || sh.clock.NowPS() < w.readyPS {
 		hold = 1
 	}
-	if sh.migPhase == migFlipReady && sh.id == m.src && len(m.log) == 0 {
-		hold = 1 // nothing logged since the last list
-	}
 	if sh.migPhase == migCleanup && !sh.flipBound() {
 		hold = 1
 	}
 	if c.AllreduceU64(hold, mpi.Max) != 0 {
 		return nil
 	}
-	if sh.migPhase == migCleanup {
+	switch sh.migPhase {
+	case migTransfer:
+		// The destination has installed the snapshot: the source ships what
+		// it logged meanwhile as the catch-up list.
+		if sh.id == m.src {
+			m.catchup, m.log = m.log, nil
+			m.catchupAtPS = sh.clock.NowPS() + shipLatencyPS(len(m.catchup))
+		}
+		c.Barrier() // publish the list before the destination reads it
+		if sh.id == m.dst {
+			sh.migLoad(spanMigCatchup, m.catchup, m.catchupAtPS)
+		}
+		sh.markMigPhase("transfer")
+		sh.migPhase = migCatchup
+	case migCatchup:
+		sh.markMigPhase("catchup")
+		sh.migPhase = migFlipReady
+	case migCleanup:
 		sh.markMigPhase("cleanup")
 		if m.kind == MigrateMerge {
 			// No cut is in flight at a policy round, so the next one
@@ -524,26 +531,6 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 		}
 		sh.migPhase = migIdle
 		sh.mig = nil
-		return nil
-	}
-	// The destination has drained its last list: the source ships what it
-	// has logged since as the next one.
-	if sh.id == m.src {
-		m.catchup, m.log = m.log, nil
-		m.shipped += len(m.catchup)
-		m.catchupAtPS = sh.clock.NowPS() + shipLatencyPS(len(m.catchup))
-	}
-	c.Barrier() // publish the list before the destination reads it
-	if sh.id == m.dst {
-		sh.migLoad(spanMigCatchup, m.catchup, m.catchupAtPS)
-	}
-	switch sh.migPhase {
-	case migTransfer:
-		sh.markMigPhase("transfer")
-		sh.migPhase = migCatchup
-	case migCatchup:
-		sh.markMigPhase("catchup")
-		sh.migPhase = migFlipReady
 	}
 	return nil
 }
@@ -671,14 +658,15 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 
 // preFlip opens the cut that carries the ownership flip (cutBegin calls it
 // when the migration is flip-ready), handing the span over post-copy: the
-// source hands over what it logged since its last catch-up list, the
-// destination loads that and whatever it has not applied yet of the list as
-// its pull set, and every rank flips its ring clone. The cut applies none of
-// it, so its image of the destination lacks the span's latest writes, while
-// the source's image, taken at the same cut, holds them all — the source
-// served the span until now. The flip therefore binds to the cut after this
-// one (cutBegin drains what is still owed before that one's image is
-// taken): a recovery landing on this cut routes on the pre-flip ring.
+// source hands over what it logged since the catch-up list shipped, the
+// destination loads it as its pull set (the catch-up list is drained: the
+// migration turned flip-ready only once it was), and every rank flips its
+// ring clone. The cut applies none of it, so its image of the destination
+// lacks the span's latest writes, while the source's image, taken at the
+// same cut, holds them all — the source served the span until now. The flip
+// therefore binds to the cut after this one (cutBegin drains what is still
+// owed before that one's image is taken): a recovery landing on this cut
+// routes on the pre-flip ring.
 //
 // The residual counts as delivered with this cut's barrier: its ship
 // latency is not charged.
@@ -689,8 +677,7 @@ func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
 	}
 	c.Barrier() // publish the residual before the destination reads it
 	if sh.id == m.dst {
-		w := &sh.migWork
-		sh.migWork = pullSet(slices.Concat(w.items[w.pos:], m.residual))
+		sh.migWork = pullSet(m.residual)
 	}
 	gNext := sh.epochOff + sh.ctr.CommittedEpoch() + 1
 	if err := sh.ring.Move(m.span, m.dst); err != nil {

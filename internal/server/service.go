@@ -795,24 +795,21 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 		round := time.Duration((now - sh.roundPS) / 1000)
 		sh.roundPS = now
 		doCut := ops > 0 && s.cfg.Policy.Cut(CutStats{Ops: ops, DirtyBytes: dirty, Since: since, Round: round, Shards: s.cfg.Shards})
-		if !(doCut && sh.migPhase == migFlipReady) {
-			// Advance the migration state machine — also right before a cut,
-			// or back-to-back cuts (a saturated incremental pipeline, a
-			// policy that fires every round) would starve it. A flip-ready
-			// migration waits for the cut instead: cutBegin carries it.
-			idle := sh.migPhase == migIdle
-			justCut := sh.cuts != sh.lastRoundCuts
-			sh.lastRoundCuts = sh.cuts
-			if err := s.migRound(c, sh, b, justCut, false); err != nil {
-				return err
-			}
-			if idle && sh.migPhase != migIdle {
-				// A migration started and may have grown the world; the
-				// spawned rank only joins the collective sequence at the
-				// next batch boundary. Push the cut to the next round, where
-				// it fires again with the newcomer in step.
-				doCut = false
-			}
+		// Advance the migration state machine — also right before a cut, or
+		// back-to-back cuts (a saturated incremental pipeline, a policy that
+		// fires every round) would starve it.
+		idle := sh.migPhase == migIdle
+		justCut := sh.cuts != sh.lastRoundCuts
+		sh.lastRoundCuts = sh.cuts
+		if err := s.migRound(c, sh, b, justCut, false); err != nil {
+			return err
+		}
+		if idle && sh.migPhase != migIdle {
+			// A migration started and may have grown the world; the spawned
+			// rank only joins the collective sequence at the next batch
+			// boundary. Push the cut to the next round, where it fires again
+			// with the newcomer in step.
+			doCut = false
 		}
 		if doCut {
 			if err := s.cutBegin(c, sh, stw); err != nil {

@@ -77,12 +77,12 @@ func TestMigrateSweepSplit(t *testing.T) {
 // are crashed at strided points of every phase window under all standard
 // crash images, and then the split alone at EVERY primitive of its
 // destination's catch-up, flip and cleanup windows under every standard
-// crash image (traffic-less until the flip, shard 2 runs nothing but quanta
-// there — the catch-up lists, then the lists the source keeps shipping
-// while the migration waits flip-ready, then the flip cut's commit, then
-// the pull set the flip handed over and the cut the flip binds to: each
-// store, each line of a scope's flush, its fence). Zero violations, and
-// every report is the same at any replay parallelism.
+// crash image (traffic-less until the flip, shard 2 runs nothing but the
+// catch-up list's quanta there, then the flip cut's commit; after it, it
+// serves the span while it pulls what the flip handed over — on demand and
+// in the gaps between arrivals — and then takes the cut the flip binds to:
+// each store, each line of a scope's flush, its fence). Zero violations,
+// and every report is the same at any replay parallelism.
 func TestMigrateSweepOpenLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration crash sweep is long")
@@ -156,12 +156,39 @@ func TestMigrateSweepOpenLoop(t *testing.T) {
 		t.Fatalf("report differs between Parallel 1 and 8:\n%+v\n%+v", serial, strided)
 	}
 	// Read-mostly, so the catch-up log — and with it the window — is short.
-	// Cuts are sparse, so the migration waits flip-ready for rounds on end
-	// and the flip window holds lists shipped meanwhile (one cut per four
-	// batches holds nothing but the flip cut's).
+	// The split flips at a policy cut mid-run, not at one the end-of-run
+	// drain forces, so shard 2's cleanup window holds the pull under
+	// arrivals: a mig-residual quantum between the flip cut's landing and
+	// the pause of the cut the flip binds to, which is not the run's last.
 	splitOnly := cfg
 	splitOnly.Migrations, splitOnly.Mix = cfg.Migrations[:1], workload.YCSBB
-	splitOnly.Policy = server.OpsPolicy{Every: 4096}
+	traced = splitOnly
+	traced.Trace = true
+	if ref, err = server.New(traced); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = ref.Run(); err != nil || !res.OK() {
+		t.Fatalf("split-only reference run: %v, %v", err, res)
+	}
+	flip := res.Migrations[0]
+	if flip.FlipEpoch >= res.Shards[0].Epoch {
+		t.Fatalf("the split's flip binds to epoch %d, the run's last cut: it rode a cut of the end-of-run drain", flip.FlipEpoch)
+	}
+	bind, pulled := int64(-1), false
+	for _, sp := range res.Trace.Tracks[2].Spans { // in the order they end
+		if sp.Name == "ckpt-pause" && sp.Start >= flip.FlipPS {
+			bind = sp.Start
+			break
+		}
+	}
+	for _, sp := range res.Trace.Tracks[2].Spans {
+		if sp.Name == "mig-residual" && sp.Start >= flip.FlipPS && sp.End <= bind {
+			pulled = true
+		}
+	}
+	if !pulled {
+		t.Fatalf("no mig-residual quantum on shard 2 between the flip cut (%d ps) and the cut it binds to (%d ps)", flip.FlipPS, bind)
+	}
 	everyCfg := MigrateConfig{Server: splitOnly, Phases: []string{"catchup", "flip", "cleanup"}, CrashShards: []int{2}, Stride: 1, Parallel: 8}
 	every := sweep(everyCfg)
 	for _, phase := range everyCfg.Phases {
