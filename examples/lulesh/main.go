@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -43,6 +44,13 @@ func containerOpts() core.Options {
 	}, core.ModeBuffered)
 }
 
+// runWorld runs fn on every rank and exits on the first rank's failure.
+func runWorld(fn func(c *mpi.Comm)) {
+	if err := errors.Join(mpi.NewWorld(ranks).Run(fn)...); err != nil {
+		log.Fatal(err)
+	}
+}
+
 // run executes the app to `iters` iterations on fresh devices, with or
 // without checkpointing, and returns final states + devices + sim time.
 func run(iters int, checkpointing bool) ([][]byte, []*nvm.Device, time.Duration) {
@@ -54,28 +62,27 @@ func run(iters int, checkpointing bool) ([][]byte, []*nvm.Device, time.Duration)
 	devs := make([]*nvm.Device, ranks)
 	states := make([][]byte, ranks)
 	var maxTime time.Duration
-	w := mpi.NewWorld(ranks)
-	w.Run(func(c *mpi.Comm) {
+	runWorld(func(c *mpi.Comm) {
 		devs[c.Rank()] = nvm.NewDevice(l.DeviceSize())
 		ctr, err := core.NewContainer(devs[c.Rank()], opts)
 		if err != nil {
-			log.Fatal(err)
+			c.Fail(err)
 		}
 		c.AttachClock(devs[c.Rank()].Clock())
 		sim, err := lulesh.New(cfg(c.Rank()), c, ctr)
 		if err != nil {
-			log.Fatal(err)
+			c.Fail(err)
 		}
 		every := 0
 		ckpt := func() error { return mpi.Checkpoint(c, ctr) }
 		if checkpointing {
 			every = ckptEvery
 			if err := ckpt(); err != nil {
-				log.Fatal(err)
+				c.Fail(err)
 			}
 		}
 		if err := sim.Run(iters, every, ckpt); err != nil {
-			log.Fatal(err)
+			c.Fail(err)
 		}
 		c.Barrier()
 		if c.Rank() == 0 {
@@ -111,21 +118,20 @@ func main() {
 	opts := containerOpts()
 	recovered := make([][]byte, ranks)
 	var recoveredIter int
-	w := mpi.NewWorld(ranks)
-	w.Run(func(c *mpi.Comm) {
+	runWorld(func(c *mpi.Comm) {
 		ctr, err := mpi.OpenAndRecover(c, devs[c.Rank()], opts)
 		if err != nil {
-			log.Fatal(err)
+			c.Fail(err)
 		}
 		sim, err := lulesh.Attach(cfg(c.Rank()), c, ctr)
 		if err != nil {
-			log.Fatal(err)
+			c.Fail(err)
 		}
 		if c.Rank() == 0 {
 			recoveredIter = sim.Iter()
 		}
 		if err := sim.Run(target, ckptEvery, func() error { return mpi.Checkpoint(c, ctr) }); err != nil {
-			log.Fatal(err)
+			c.Fail(err)
 		}
 		c.Barrier()
 		buf := make([]byte, len(ctr.Bytes()))

@@ -6,6 +6,7 @@ package apptest
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -140,24 +141,20 @@ func CrashEquality(t *testing.T, f Factory, ranks, target, ckptEvery, crashAt in
 			// Crashed run: advance to crashAt, crash all devices, recover,
 			// resume to target.
 			devs := make([]*nvm.Device, ranks)
-			w := mpi.NewWorld(ranks)
-			w.Run(func(c *mpi.Comm) {
+			runWorld(t, ranks, func(c *mpi.Comm) {
 				b, ckpt, err := sc.fresh(c, f.HeapSize, devs)
 				if err != nil {
-					t.Error(err)
-					return
+					c.Fail(err)
 				}
 				sim, err := f.New(c, b)
 				if err != nil {
-					t.Error(err)
-					return
+					c.Fail(err)
 				}
 				if err := ckpt(); err != nil { // persist the initial state
-					t.Error(err)
-					return
+					c.Fail(err)
 				}
 				if err := sim.Run(crashAt, ckptEvery, ckpt); err != nil {
-					t.Error(err)
+					c.Fail(err)
 				}
 			})
 			if t.Failed() {
@@ -168,22 +165,18 @@ func CrashEquality(t *testing.T, f Factory, ranks, target, ckptEvery, crashAt in
 				d.Crash(rng)
 			}
 			got := make([][]byte, ranks)
-			w2 := mpi.NewWorld(ranks)
-			w2.Run(func(c *mpi.Comm) {
+			runWorld(t, ranks, func(c *mpi.Comm) {
 				b, err := sc.reopen(c, f.HeapSize, devs)
 				if err != nil {
-					t.Errorf("rank %d reopen: %v", c.Rank(), err)
-					return
+					c.Fail(fmt.Errorf("reopen: %w", err))
 				}
 				sim, err := f.Attach(c, b)
 				if err != nil {
-					t.Errorf("rank %d attach: %v", c.Rank(), err)
-					return
+					c.Fail(fmt.Errorf("attach: %w", err))
 				}
 				resumed := sim.State().Iter()
 				if resumed > crashAt {
-					t.Errorf("rank %d resumed at iteration %d > crash point %d", c.Rank(), resumed, crashAt)
-					return
+					c.Fail(fmt.Errorf("resumed at iteration %d > crash point %d", resumed, crashAt))
 				}
 				ckpt := func() error { return nil }
 				switch bk := b.(type) {
@@ -199,8 +192,7 @@ func CrashEquality(t *testing.T, f Factory, ranks, target, ckptEvery, crashAt in
 					}
 				}
 				if err := sim.Run(target, ckptEvery, ckpt); err != nil {
-					t.Errorf("rank %d resume: %v", c.Rank(), err)
-					return
+					c.Fail(fmt.Errorf("resume: %w", err))
 				}
 				buf := make([]byte, len(b.Bytes()))
 				copy(buf, b.Bytes())
@@ -223,31 +215,36 @@ func referenceRun(t *testing.T, f Factory, sc Scenario, ranks, target, ckptEvery
 	t.Helper()
 	devs := make([]*nvm.Device, ranks)
 	want := make([][]byte, ranks)
-	w := mpi.NewWorld(ranks)
-	w.Run(func(c *mpi.Comm) {
+	runWorld(t, ranks, func(c *mpi.Comm) {
 		b, ckpt, err := sc.fresh(c, f.HeapSize, devs)
 		if err != nil {
-			t.Error(err)
-			return
+			c.Fail(err)
 		}
 		sim, err := f.New(c, b)
 		if err != nil {
-			t.Error(err)
-			return
+			c.Fail(err)
 		}
 		if err := ckpt(); err != nil {
-			t.Error(err)
-			return
+			c.Fail(err)
 		}
 		if err := sim.Run(target, ckptEvery, ckpt); err != nil {
-			t.Error(err)
-			return
+			c.Fail(err)
 		}
 		buf := make([]byte, len(b.Bytes()))
 		copy(buf, b.Bytes())
 		want[c.Rank()] = buf
 	})
 	return want
+}
+
+// runWorld runs fn on a world of ranks and reports each rank's failure.
+func runWorld(t *testing.T, ranks int, fn func(c *mpi.Comm)) {
+	t.Helper()
+	for r, err := range mpi.NewWorld(ranks).Run(fn) {
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
+		}
+	}
 }
 
 func firstDiff(a, b []byte) int {

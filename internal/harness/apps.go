@@ -96,18 +96,15 @@ func runParallelApp(spec appSpec, sc Scale, edge, iters int, system string) appR
 		ftis:       make([]*fti.Backend, ranks),
 		stateBytes: make([]int, ranks),
 	}
-	errs := make([]error, ranks)
 	times := make([]time.Duration, ranks)
-	w := mpi.NewWorld(ranks)
-	w.Run(func(c *mpi.Comm) {
+	errs := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) {
 		var b ckpt.Backend
 		var doCkpt func() error
 		switch system {
 		case "none", "FTI":
 			fb, err := fti.New(fti.Config{HeapSize: sc.AppHeap})
 			if err != nil {
-				errs[c.Rank()] = err
-				return
+				c.Fail(err)
 			}
 			res.ftis[c.Rank()] = fb
 			res.devs[c.Rank()] = fb.Device()
@@ -124,27 +121,23 @@ func runParallelApp(spec appSpec, sc Scale, edge, iters int, system string) appR
 			opts := mpi.ContainerOptions(reg, core.ModeBuffered)
 			l, err := region.NewLayout(opts.Region)
 			if err != nil {
-				errs[c.Rank()] = err
-				return
+				c.Fail(err)
 			}
 			res.devs[c.Rank()] = nvm.NewDevice(l.DeviceSize())
 			ctr, err := core.NewContainer(res.devs[c.Rank()], opts)
 			if err != nil {
-				errs[c.Rank()] = err
-				return
+				c.Fail(err)
 			}
 			res.containers[c.Rank()] = ctr
 			b = ctr
 			doCkpt = func() error { return mpi.Checkpoint(c, ctr) }
 		default:
-			errs[c.Rank()] = fmt.Errorf("harness: unknown app system %q", system)
-			return
+			c.Fail(fmt.Errorf("harness: unknown app system %q", system))
 		}
 		c.AttachClock(b.Device().Clock())
 		sim, err := spec.new(c, edge, ranks, b)
 		if err != nil {
-			errs[c.Rank()] = err
-			return
+			c.Fail(err)
 		}
 		res.stateBytes[c.Rank()] = sim.State().Allocator().Used()
 		if fb := res.ftis[c.Rank()]; fb != nil {
@@ -156,13 +149,11 @@ func runParallelApp(spec appSpec, sc Scale, edge, iters int, system string) appR
 		if system == "none" {
 			every = 0
 		} else if err := doCkpt(); err != nil { // initial checkpoint
-			errs[c.Rank()] = err
-			return
+			c.Fail(err)
 		}
 		start := b.Device().Clock().Now()
 		if err := sim.Run(iters, every, doCkpt); err != nil {
-			errs[c.Rank()] = err
-			return
+			c.Fail(err)
 		}
 		c.Barrier() // align clocks so every rank reads the global end time
 		times[c.Rank()] = b.Device().Clock().Now() - start
@@ -271,24 +262,20 @@ func RecoveryTime(sc Scale) (Table, error) {
 		resyncPS := make([]int64, ranks)
 		loadPS := make([]int64, ranks)
 		stateBytes := make([]int64, ranks)
-		errs := make([]error, ranks)
-		w := mpi.NewWorld(ranks)
-		w.Run(func(c *mpi.Comm) {
+		errs := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) {
 			reg := region.Config{HeapSize: sc.AppHeap, SegmentSize: 64 << 10, BlockSize: 256, BackupRatio: 1}
 			opts := mpi.ContainerOptions(reg, core.ModeBuffered)
 			before := run.devs[c.Rank()].Clock().CategoryPS(nvm.CatRecovery)
 			ctr, err := mpi.OpenAndRecover(c, run.devs[c.Rank()], opts)
 			if err != nil {
-				errs[c.Rank()] = err
-				return
+				c.Fail(err)
 			}
 			recPS[c.Rank()] = run.devs[c.Rank()].Clock().CategoryPS(nvm.CatRecovery) - before
 			ph := ctr.LastRecovery()
 			resyncPS[c.Rank()] = ph.ResyncPS
 			loadPS[c.Rank()] = ph.LoadPS
 			if _, err := lulesh.Attach(luleshCfg(c.Rank(), ranks, edge), c, ctr); err != nil {
-				errs[c.Rank()] = err
-				return
+				c.Fail(err)
 			}
 			stateBytes[c.Rank()] = ctr.Metrics().RecoveryBytes
 		})

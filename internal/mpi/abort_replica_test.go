@@ -2,6 +2,8 @@ package mpi_test
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -39,28 +41,16 @@ func TestAbortedIncrementalCutShipsNothing(t *testing.T) {
 			ctr.Write(off, b[:])
 		}
 
-		w := mpi.NewWorld(ranks)
-		w.Run(func(c *mpi.Comm) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(mpi.Aborted); !ok {
-						panic(r)
-					}
-				}
-			}()
+		errs := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) {
 			rank := c.Rank()
 			devs[rank] = nvm.NewDevice(l.DeviceSize())
 			ctr, err := core.NewContainer(devs[rank], opts)
 			if err != nil {
-				t.Error(err)
-				c.Abort()
-				return
+				c.Fail(err)
 			}
 			g, err := replica.NewGroup(rank, replica.Config{Replicas: 2, Opts: opts, DeviceSize: l.DeviceSize()})
 			if err != nil {
-				t.Error(err)
-				c.Abort()
-				return
+				c.Fail(err)
 			}
 			groups[rank] = g
 			// Epochs 1 and 2 commit globally; their deltas ship after the
@@ -69,15 +59,11 @@ func TestAbortedIncrementalCutShipsNothing(t *testing.T) {
 				write(ctr, 8*rank, e*1000+uint64(rank))
 				d := g.Capture(ctr)
 				if err := mpi.CheckpointIncremental(c, ctr, 512); err != nil {
-					t.Errorf("rank %d epoch %d: %v", rank, e, err)
-					c.Abort()
-					return
+					c.Fail(fmt.Errorf("epoch %d: %w", e, err))
 				}
 				g.Ship(d, 0)
 				if err := g.DeliverAll(); err != nil {
-					t.Errorf("rank %d epoch %d: %v", rank, e, err)
-					c.Abort()
-					return
+					c.Fail(fmt.Errorf("epoch %d: %w", e, err))
 				}
 			}
 			// Epoch 3: the delta is captured at the boundary, but the world
@@ -90,55 +76,48 @@ func TestAbortedIncrementalCutShipsNothing(t *testing.T) {
 				// 3, but the commit barrier never completes, so the discipline
 				// forbids shipping and recovery must roll this rank back.
 				if err := ctr.CheckpointBegin(); err != nil {
-					t.Error(err)
-					return
+					c.Fail(err)
 				}
 				if _, err := ctr.CheckpointStep(-1); err != nil {
-					t.Error(err)
-					return
+					c.Fail(err)
 				}
 				if err := ctr.CheckpointCommit(); err != nil {
-					t.Error(err)
-					return
+					c.Fail(err)
 				}
 				if err := ctr.CheckpointFinish(); err != nil {
-					t.Error(err)
-					return
+					c.Fail(err)
 				}
-				c.Barrier() // parks; unwinds when rank 1 aborts
+				c.Barrier() // parks; unwinds when rank 1 fails the world
 			case 1:
 				// Crashes on a device primitive mid-quantum.
 				if err := ctr.CheckpointBegin(); err != nil {
-					t.Error(err)
-					return
+					c.Fail(err)
 				}
-				devs[rank].FailAfter(devs[rank].PrimitiveCount() + 3)
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							if _, ok := r.(nvm.InjectedCrash); !ok {
-								panic(r)
-							}
-						}
-					}()
-					_, _ = ctr.CheckpointStep(512)
-				}()
-				c.Abort() // the failure detector unparks the survivors
+				// The failure detector fails the world to unpark the
+				// survivors.
+				devs[rank].FailAfter(1) // the quantum takes 5 (2 buffered)
+				defer mpi.FailOnCrash(c)
+				_, _ = ctr.CheckpointStep(512)
+				c.Fail(errors.New("no crash within 1 primitive"))
 			case 2:
 				// Mid-drain: one bounded quantum done, parked for the next
 				// coordination round.
 				if err := ctr.CheckpointBegin(); err != nil {
-					t.Error(err)
-					return
+					c.Fail(err)
 				}
 				if _, err := ctr.CheckpointStep(512); err != nil {
-					t.Error(err)
-					return
+					c.Fail(err)
 				}
 				c.Barrier()
 				t.Error("rank 2 passed the barrier of an aborted cut")
 			}
 		})
+
+		for r, err := range errs {
+			if _, crash := err.(nvm.InjectedCrash); (r == 1 && !crash) || (r != 1 && err != nil) {
+				t.Fatalf("mode %v rank %d: error %v, want an injected crash on rank 1 alone", mode, r, err)
+			}
+		}
 
 		// Global power failure, then inspect the divergence window: rank 0
 		// committed the aborted epoch locally, the others did not.

@@ -2,70 +2,167 @@ package mpi
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"libcrpm/internal/core"
 	"libcrpm/internal/nvm"
 	"libcrpm/internal/region"
 )
 
-// TestAbortUnparksRanks: ranks parked at a barrier a crashed rank will
-// never reach must unwind with the typed Aborted panic instead of
-// deadlocking the world.
+// TestAbortUnparksRanks: ranks parked at a barrier a failed rank will
+// never reach must unwind instead of deadlocking the world, and Run must
+// report the failed rank's error at its index alone.
 func TestAbortUnparksRanks(t *testing.T) {
 	const ranks = 4
-	var aborted atomic.Int32
-	w := NewWorld(ranks)
-	w.Run(func(c *Comm) {
-		defer func() {
-			if r := recover(); r != nil {
-				a, ok := r.(Aborted)
-				if !ok {
-					panic(r)
-				}
-				if a.Rank != 2 {
-					t.Errorf("aborted by rank %d, want 2", a.Rank)
-				}
-				aborted.Add(1)
-			}
-		}()
+	crashed := errors.New("crashed before the second barrier")
+	errs := NewWorld(ranks).Run(func(c *Comm) {
 		c.Barrier() // everyone reaches the first barrier
 		if c.Rank() == 2 {
-			c.Abort() // "crashed" before the second barrier
-			return
+			c.Fail(crashed)
+			t.Error("Fail returned")
 		}
-		c.Barrier() // parks until the abort, then panics Aborted
+		c.Barrier() // parks until the failure, then unwinds
 		t.Errorf("rank %d passed a barrier rank 2 never reached", c.Rank())
 	})
-	if got := aborted.Load(); got != ranks-1 {
-		t.Fatalf("%d ranks saw the abort, want %d", got, ranks-1)
+	wantOnly(t, errs, 2, crashed)
+}
+
+// wantOnly checks Run's errors hold want at rank and nil elsewhere.
+func wantOnly(t *testing.T, errs []error, rank int, want error) {
+	t.Helper()
+	for r, err := range errs {
+		if r != rank && err != nil || r == rank && err != want {
+			t.Errorf("rank %d: error %v", r, err)
+		}
 	}
 }
 
-// TestAbortDoesNotFailCompletedBarrier: an abort raised after a barrier's
+// TestAbortDoesNotFailCompletedBarrier: a failure raised after a barrier's
 // generation advanced must not retroactively fail ranks still waking from
 // it — only the next collective may fail.
 func TestAbortDoesNotFailCompletedBarrier(t *testing.T) {
 	const ranks = 8
 	for trial := 0; trial < 50; trial++ {
 		var completed atomic.Int32
-		w := NewWorld(ranks)
-		w.Run(func(c *Comm) {
-			defer func() { recover() }()
+		NewWorld(ranks).Run(func(c *Comm) {
 			c.Barrier()
 			completed.Add(1) // the barrier completed for this rank
 			if c.Rank() == 0 {
-				c.Abort()
-				return
+				c.Fail(errors.New("failed after the barrier"))
 			}
-			c.Barrier() // this one is allowed (and expected) to abort
+			c.Barrier() // this one is allowed (and expected) to unwind
 		})
 		if got := completed.Load(); got != ranks {
 			t.Fatalf("trial %d: only %d/%d ranks passed the completed barrier", trial, got, ranks)
 		}
 	}
+}
+
+// TestFailureUnwindsParkedPeers is the failure contract, call by call:
+// while every other rank is parked in a blocking call, one rank calls Fail
+// or panics. Run must return before the deadline with exactly that rank's
+// error at its index and nil elsewhere, or re-raise exactly its panic
+// value — never a bystander's unwind.
+func TestFailureUnwindsParkedPeers(t *testing.T) {
+	const (
+		ranks    = 3
+		failer   = 1
+		deadline = 5 * time.Second
+	)
+	calls := []struct {
+		name string
+		park func(c *Comm)
+	}{
+		{"Barrier", func(c *Comm) { c.Barrier() }},
+		{"AllreduceU64", func(c *Comm) { c.AllreduceU64(1, Sum) }},
+		{"AllreduceF64", func(c *Comm) { c.AllreduceF64(1, Max) }},
+		{"Grow", func(c *Comm) { c.Grow(ranks, func(*Comm) { t.Error("a rank joined a failed world") }) }},
+		{"Leave", func(c *Comm) { c.Leave() }},
+		{"Send", func(c *Comm) {
+			for { // fills the failer's mailbox, then parks
+				c.Send(failer, nil)
+			}
+		}},
+		{"Recv", func(c *Comm) { c.Recv(failer) }},
+	}
+	type boom struct{ rank int }
+	for _, call := range calls {
+		for _, panics := range []bool{false, true} {
+			how := "Fail"
+			if panics {
+				how = "panic"
+			}
+			t.Run(call.name+"/"+how, func(t *testing.T) {
+				failed := errors.New("rank 1 failed")
+				w := NewWorldCap(ranks, ranks+1)
+				type outcome struct {
+					errs []error
+					p    any
+				}
+				done := make(chan outcome, 1)
+				go func() {
+					var o outcome
+					defer func() {
+						o.p = recover()
+						done <- o
+					}()
+					o.errs = w.Run(func(c *Comm) {
+						if c.Rank() != failer {
+							call.park(c)
+							t.Errorf("rank %d returned from %s in a failed world", c.Rank(), call.name)
+							return
+						}
+						for parkedInComm() < ranks-1 {
+							runtime.Gosched()
+						}
+						if panics {
+							panic(boom{failer})
+						}
+						c.Fail(failed)
+					})
+				}()
+				var o outcome
+				select {
+				case o = <-done:
+				case <-time.After(deadline):
+					t.Fatalf("Run still waiting after %v", deadline)
+				}
+				if panics {
+					if o.p != (boom{failer}) {
+						t.Fatalf("Run re-raised %v, want rank %d's panic value", o.p, failer)
+					}
+					return
+				}
+				if o.p != nil {
+					t.Fatalf("Run panicked: %v", o.p)
+				}
+				if len(o.errs) != ranks {
+					t.Fatalf("Run returned %d errors, want %d", len(o.errs), ranks)
+				}
+				wantOnly(t, o.errs, failer, failed)
+			})
+		}
+	}
+}
+
+// parkedInComm counts the goroutines blocked inside a Comm method: on the
+// barrier's condition variable or on a mailbox.
+func parkedInComm() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		blocked := strings.Contains(g, "[sync.Cond.Wait") || strings.Contains(g, "[select") || strings.Contains(g, "[chan ")
+		if blocked && strings.Contains(g, "mpi.(*Comm).") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestCommitBarrierWindowConverges is the satellite coordinated-recovery
@@ -87,29 +184,17 @@ func TestCommitBarrierWindowConverges(t *testing.T) {
 		}
 		devs := make([]*nvm.Device, ranks)
 
-		w := NewWorld(ranks)
-		w.Run(func(c *Comm) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(Aborted); !ok {
-						panic(r)
-					}
-				}
-			}()
+		errs := NewWorld(ranks).Run(func(c *Comm) {
 			rank := c.Rank()
 			devs[rank] = nvm.NewDevice(l.DeviceSize())
 			ctr, err := core.NewContainer(devs[rank], opts)
 			if err != nil {
-				t.Error(err)
-				c.Abort()
-				return
+				c.Fail(err)
 			}
 			for e := 1; e <= preEpochs; e++ {
 				writeU64(ctr, 8*rank, uint64(1000*e+rank))
 				if err := Checkpoint(c, ctr); err != nil {
-					t.Error(err)
-					c.Abort()
-					return
+					c.Fail(err)
 				}
 			}
 			// Epoch 4: the window. All ranks have epoch-4 writes in flight.
@@ -118,28 +203,27 @@ func TestCommitBarrierWindowConverges(t *testing.T) {
 			case 0, 1:
 				// Committed epoch 4, crashed before reaching the barrier.
 				if err := ctr.Checkpoint(); err != nil {
-					t.Error(err)
+					c.Fail(err)
 				}
 			case 2:
 				// Crashes mid-commit: the injected panic fires on a device
-				// primitive inside the checkpoint protocol.
-				devs[rank].FailAfter(40)
-				func() {
-					defer func() {
-						r := recover()
-						if _, ok := r.(nvm.InjectedCrash); !ok && r != nil {
-							panic(r)
-						}
-					}()
-					_ = ctr.Checkpoint()
-				}()
-				c.Abort() // the failure detector: unpark the survivors
+				// primitive inside the checkpoint protocol, and the failure
+				// detector fails the world to unpark the survivors.
+				devs[rank].FailAfter(4) // the commit takes 12 (9 buffered)
+				defer FailOnCrash(c)
+				_ = ctr.Checkpoint()
+				c.Fail(errors.New("no crash within 4 primitives"))
 			case 3:
 				// Never starts its commit; parks at the coordination barrier.
 				c.Barrier()
 				t.Errorf("rank 3 passed the barrier of a crashed epoch")
 			}
 		})
+		for r, err := range errs {
+			if _, crash := err.(nvm.InjectedCrash); (r == 2 && !crash) || (r != 2 && err != nil) {
+				t.Fatalf("mode %v rank %d: error %v, want an injected crash on rank 2 alone", mode, r, err)
+			}
+		}
 
 		// Power-fail every device, then inspect the divergence window.
 		rng := rand.New(rand.NewSource(13))

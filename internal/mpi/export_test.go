@@ -1,6 +1,22 @@
 package mpi
 
-import "libcrpm/internal/core"
+import (
+	"libcrpm/internal/core"
+	"libcrpm/internal/nvm"
+)
+
+// FailOnCrash, deferred by a rank, is the failure detector the tests
+// model: an injected crash on the rank fails the world, so its peers
+// unwind; any other panic goes on.
+func FailOnCrash(c *Comm) {
+	switch r := recover().(type) {
+	case nil:
+	case nvm.InjectedCrash:
+		c.Fail(r)
+	default:
+		panic(r)
+	}
+}
 
 // CheckpointIncremental is the protocol reference the package's tests drive
 // (the server spells the same protocol out over its own lifecycle, one

@@ -117,34 +117,22 @@ func TestGrowThenLeaveRoundTrip(t *testing.T) {
 }
 
 // TestAbortUnparksGrow checks a crash while ranks are parked in a Grow
-// collective unwinds them with Aborted instead of deadlocking — the
-// mid-provisioning crash case of the migration torture sweep.
+// collective unwinds them instead of deadlocking — the mid-provisioning
+// crash case of the migration torture sweep — and the joined rank never
+// starts.
 func TestAbortUnparksGrow(t *testing.T) {
-	w := NewWorldCap(2, 3)
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected Run to re-raise the abort panic")
-		}
-	}()
-	w.Run(func(c *Comm) {
-		defer func() {
-			if p := recover(); p != nil {
-				var ab Aborted
-				if err, ok := p.(error); !ok || !errors.As(err, &ab) || ab.Rank != 1 {
-					panic(p) // not the abort we injected
-				}
-				if c.Rank() == 0 {
-					panic(p) // re-raise on one rank so Run reports it
-				}
-			}
-		}()
+	crashed := errors.New("crashed mid-provisioning")
+	errs := NewWorldCap(2, 3).Run(func(c *Comm) {
 		if c.Rank() == 1 {
-			c.Abort()
-			panic(Aborted{Rank: 1})
+			c.Fail(crashed)
 		}
-		c.Grow(2, func(nc *Comm) { nc.Barrier() })
+		c.Grow(2, func(nc *Comm) { t.Error("a rank joined a failed world") })
+		t.Error("Grow completed without rank 1")
 	})
+	if len(errs) != 2 {
+		t.Fatalf("%d ranks reported, want 2", len(errs))
+	}
+	wantOnly(t, errs, 1, crashed)
 }
 
 // TestGrowValidation pins the misuse panics: non-dense ids and growth past

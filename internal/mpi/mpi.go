@@ -7,6 +7,10 @@
 // Simulated clocks are aligned at barriers — ranks wait for the slowest, as
 // on a real machine — so end-to-end simulated times include synchronization
 // slack.
+//
+// A rank that panics or calls Comm.Fail fails its world, as MPI_Abort does:
+// every other rank unwinds at its next collective or mailbox call (or
+// wakes in the one it is parked in), and World.Run reports the failure.
 package mpi
 
 import (
@@ -28,8 +32,8 @@ type World struct {
 	cond    *sync.Cond
 	arrived int
 	gen     uint64
-	aborted bool
-	abortBy int
+	// failed is closed, under mu, when a rank fails the world.
+	failed chan struct{}
 
 	total   int    // ranks ever spawned; next Grow id
 	active  []bool // active[r]: rank r participates in collectives
@@ -39,7 +43,8 @@ type World struct {
 	growFn  func(c *Comm)
 
 	wg     sync.WaitGroup
-	panics []any
+	errs   []error // errs[r]: what rank r passed to Fail
+	panics []any   // panics[r]: rank r's panic value, if it panicked
 
 	clocks []*nvm.Clock
 
@@ -49,19 +54,9 @@ type World struct {
 	mail [][]chan []float64
 }
 
-// Aborted is the panic value raised on ranks parked in (or later entering)
-// a collective after another rank called Abort. It carries the aborting
-// rank so recovery logic can tell the failed rank from the bystanders.
-type Aborted struct {
-	// Rank is the rank that called Abort.
-	Rank int
-}
-
-// Error implements error so sched.PanicError.Unwrap and errors.As chains
-// can classify an escaped abort.
-func (a Aborted) Error() string {
-	return fmt.Sprintf("mpi: world aborted by rank %d", a.Rank)
-}
+// aborted is the panic value that unwinds a rank once its world has
+// failed. It never escapes Run.
+type aborted struct{}
 
 // NewWorld creates a world of n ranks with no growth headroom.
 func NewWorld(n int) *World { return NewWorldCap(n, n) }
@@ -83,6 +78,8 @@ func NewWorldCap(n, max int) *World {
 		active: make([]bool, max),
 		alive:  n,
 		growTo: -1,
+		failed: make(chan struct{}),
+		errs:   make([]error, max),
 		panics: make([]any, max),
 		clocks: make([]*nvm.Clock, max),
 		redU64: make([]uint64, max),
@@ -114,20 +111,52 @@ func (w *World) Alive() int {
 }
 
 // spawn starts a rank goroutine, tracked by the world's WaitGroup so Run
-// waits for joined ranks too. Callers hold w.mu or run before Run returns.
+// waits for joined ranks too. A panic other than the unwind fails the
+// world. Callers hold w.mu or run before Run returns.
 func (w *World) spawn(rank int, fn func(c *Comm)) {
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		defer func() { w.panics[rank] = recover() }()
+		defer func() {
+			if p := recover(); p != nil {
+				if _, ok := p.(aborted); !ok {
+					w.panics[rank] = p
+					w.fail()
+				}
+			}
+		}()
 		fn(&Comm{w: w, rank: rank})
 	}()
 }
 
+// fail marks the world failed and wakes every rank parked in a collective
+// or a mailbox call.
+func (w *World) fail() {
+	w.mu.Lock()
+	select {
+	case <-w.failed:
+	default:
+		close(w.failed)
+	}
+	w.cond.Broadcast()
+	w.mu.Unlock()
+}
+
+// unwindIfFailed unwinds the calling rank if its world has failed.
+func (w *World) unwindIfFailed() {
+	select {
+	case <-w.failed:
+		panic(aborted{})
+	default:
+	}
+}
+
 // Run executes fn on every initial rank concurrently and waits for all
-// ranks — including any joined via Grow — to finish. A panic on any rank
-// is re-raised on the caller after the others complete or park.
-func (w *World) Run(fn func(c *Comm)) {
+// ranks — including any joined via Grow — to finish or unwind. It returns
+// one error per rank ever spawned: what the rank passed to Fail, nil for a
+// rank that finished or was unwound. If any rank panicked, Run re-raises
+// the lowest-ranked panic value instead.
+func (w *World) Run(fn func(c *Comm)) []error {
 	w.mu.Lock()
 	n := w.total
 	w.mu.Unlock()
@@ -135,11 +164,12 @@ func (w *World) Run(fn func(c *Comm)) {
 		w.spawn(r, fn)
 	}
 	w.wg.Wait()
-	for r, p := range w.panics {
+	for _, p := range w.panics {
 		if p != nil {
-			panic(fmt.Sprintf("mpi: rank %d panicked: %v", r, p))
+			panic(p)
 		}
 	}
+	return w.errs[:w.total]
 }
 
 // Comm is one rank's communicator handle.
@@ -162,35 +192,31 @@ func (c *Comm) Size() int {
 // clocks to the slowest rank.
 func (c *Comm) AttachClock(clk *nvm.Clock) { c.w.clocks[c.rank] = clk }
 
-// Abort marks the world failed and wakes every rank parked in a collective;
-// they (and any rank entering one later) panic with Aborted. A crashed rank
-// calls Abort so its peers unwind instead of waiting forever at a barrier
-// the crashed rank will never reach. The world is unusable afterwards —
+// Fail records err as this rank's result, fails the world and unwinds the
+// calling rank: it does not return, like testing.T.FailNow, and must be
+// called from the rank's own goroutine. Every other rank unwinds at its
+// next collective or mailbox call; the world is unusable afterwards —
 // recovery builds a fresh one.
-func (c *Comm) Abort() {
-	w := c.w
-	w.mu.Lock()
-	if !w.aborted {
-		w.aborted = true
-		w.abortBy = c.rank
+func (c *Comm) Fail(err error) {
+	if err == nil {
+		panic("mpi: Fail(nil)")
 	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
+	c.w.errs[c.rank] = err
+	c.w.fail()
+	panic(aborted{})
 }
 
 // Barrier blocks until every active rank arrives, then aligns attached
 // clocks to the slowest active rank. Pending membership changes (Leave
 // intents, a Grow request) take effect as the barrier completes, so every
-// rank observes the same membership on the far side. If the world is
-// aborted — before, during, or after the wait — Barrier panics with
-// Aborted instead of completing.
+// rank observes the same membership on the far side. If the world has
+// failed — before or during the wait — Barrier unwinds the rank instead of
+// completing.
 func (c *Comm) Barrier() {
 	w := c.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.aborted {
-		panic(Aborted{Rank: w.abortBy})
-	}
+	w.unwindIfFailed()
 	gen := w.gen
 	w.arrived++
 	if w.arrived == w.alive {
@@ -233,12 +259,10 @@ func (c *Comm) Barrier() {
 		return
 	}
 	for w.gen == gen {
-		// An advanced gen means the barrier completed before any abort:
-		// return normally even if the flag was set concurrently afterwards,
+		// An advanced gen means the barrier completed before the world
+		// failed: return normally even if it failed concurrently afterwards,
 		// so a completed collective never retroactively fails.
-		if w.aborted {
-			panic(Aborted{Rank: w.abortBy})
-		}
+		w.unwindIfFailed()
 		w.cond.Wait()
 	}
 }
@@ -251,11 +275,8 @@ func (c *Comm) Barrier() {
 // must pass equivalent functions, as with any MPI collective argument.
 func (c *Comm) Grow(rank int, fn func(c *Comm)) {
 	w := c.w
+	w.unwindIfFailed()
 	w.mu.Lock()
-	if w.aborted {
-		w.mu.Unlock()
-		panic(Aborted{Rank: w.abortBy})
-	}
 	if rank != w.total {
 		w.mu.Unlock()
 		panic(fmt.Sprintf("mpi: Grow(%d) but next rank id is %d", rank, w.total))
@@ -284,11 +305,8 @@ func (c *Comm) Grow(rank int, fn func(c *Comm)) {
 // its id is never reused.
 func (c *Comm) Leave() {
 	w := c.w
+	w.unwindIfFailed()
 	w.mu.Lock()
-	if w.aborted {
-		w.mu.Unlock()
-		panic(Aborted{Rank: w.abortBy})
-	}
 	if !w.active[c.rank] {
 		w.mu.Unlock()
 		panic(fmt.Sprintf("mpi: rank %d left twice", c.rank))
@@ -309,62 +327,32 @@ const (
 )
 
 // AllreduceU64 combines one value per active rank and returns the result
-// on all. Retired ranks' stale slots are excluded; between the two
-// barriers the active set cannot change (a pending membership change
-// cannot complete until this collective's ranks advance), so every rank
-// folds the same contributor set.
-func (c *Comm) AllreduceU64(v uint64, op Op) uint64 {
-	w := c.w
-	w.mu.Lock()
-	w.redU64[c.rank] = v
-	w.mu.Unlock()
-	c.Barrier()
-	w.mu.Lock()
-	first := true
-	var out uint64
-	for r := 0; r < w.total; r++ {
-		if !w.active[r] {
-			continue
-		}
-		x := w.redU64[r]
-		if first {
-			out, first = x, false
-			continue
-		}
-		switch op {
-		case Min:
-			if x < out {
-				out = x
-			}
-		case Max:
-			if x > out {
-				out = x
-			}
-		case Sum:
-			out += x
-		}
-	}
-	w.mu.Unlock()
-	c.Barrier() // everyone has read before the buffer is reused
-	return out
-}
+// on all.
+func (c *Comm) AllreduceU64(v uint64, op Op) uint64 { return allreduce(c, c.w.redU64, v, op) }
 
 // AllreduceF64 combines one float per active rank and returns the result
 // on all.
-func (c *Comm) AllreduceF64(v float64, op Op) float64 {
+func (c *Comm) AllreduceF64(v float64, op Op) float64 { return allreduce(c, c.w.redF64, v, op) }
+
+// allreduce is both allreduces over their slot arrays. Retired ranks'
+// stale slots are excluded; between the two barriers the active set cannot
+// change (a pending membership change cannot complete until this
+// collective's ranks advance), so every rank folds the same contributor
+// set. Min and Max compare with < and >, so a NaN folds as it always has.
+func allreduce[T uint64 | float64](c *Comm, slots []T, v T, op Op) T {
 	w := c.w
 	w.mu.Lock()
-	w.redF64[c.rank] = v
+	slots[c.rank] = v
 	w.mu.Unlock()
 	c.Barrier()
 	w.mu.Lock()
 	first := true
-	var out float64
+	var out T
 	for r := 0; r < w.total; r++ {
 		if !w.active[r] {
 			continue
 		}
-		x := w.redF64[r]
+		x := slots[r]
 		if first {
 			out, first = x, false
 			continue
@@ -383,19 +371,32 @@ func (c *Comm) AllreduceF64(v float64, op Op) float64 {
 		}
 	}
 	w.mu.Unlock()
-	c.Barrier()
+	c.Barrier() // everyone has read before the slots are reused
 	return out
 }
 
 // Send posts a message to another rank (buffered; blocks when the mailbox
 // is full). The slice is handed over; the receiver owns it.
 func (c *Comm) Send(to int, data []float64) {
-	c.w.mail[to][c.rank] <- data
+	w := c.w
+	w.unwindIfFailed()
+	select {
+	case w.mail[to][c.rank] <- data:
+	case <-w.failed:
+		panic(aborted{})
+	}
 }
 
 // Recv takes the next message from a rank, blocking until one arrives.
 func (c *Comm) Recv(from int) []float64 {
-	return <-c.w.mail[c.rank][from]
+	w := c.w
+	w.unwindIfFailed()
+	select {
+	case data := <-w.mail[c.rank][from]:
+		return data
+	case <-w.failed:
+		panic(aborted{})
+	}
 }
 
 // SendRecv exchanges halos with a peer without deadlocking.

@@ -87,12 +87,16 @@ func TestClockAlignmentAtBarrier(t *testing.T) {
 
 func TestRankPanicPropagates(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("rank panic not propagated")
+		if p := recover(); p != "boom" {
+			t.Fatalf("Run re-raised %v, want rank 1's panic value", p)
 		}
 	}()
-	// Size 1 so no other rank parks at a barrier forever.
-	NewWorld(1).Run(func(c *Comm) { panic("boom") })
+	NewWorld(2).Run(func(c *Comm) {
+		if c.Rank() == 1 {
+			panic("boom")
+		}
+		c.Barrier() // unwinds once rank 1 fails the world
+	})
 }
 
 func regCfg() region.Config {

@@ -3,7 +3,10 @@ package server
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 // migCfg is the shared small-run base for migration tests.
@@ -412,6 +415,42 @@ func TestRecoveryRoutesOnLandingRing(t *testing.T) {
 		if misrouted > 0 {
 			t.Errorf("%d primitives before the end: %d recovered keys sit on a shard the landing ring does not route them to", back, misrouted)
 		}
+	}
+}
+
+// TestSnapshotPanicFailsTheRun: a panic on a split's source rank — an
+// index into an empty slice right before its snapshot — fails the world,
+// so Run re-raises that panic at once instead of leaving the other rank
+// parked at its next collective forever.
+func TestSnapshotPanicFailsTheRun(t *testing.T) {
+	cfg := migCfg()
+	cfg.Migrations = []MigrateSpec{{Kind: MigrateSplit, Src: 0, AfterCuts: 2}}
+	svc := newService(t, cfg)
+	var empty []int
+	panicking := make(chan struct{})
+	svc.beforeSnapshot = func(sh *shard, _ *migration) {
+		close(panicking)
+		_ = empty[sh.id]
+	}
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		_, _ = svc.Run()
+	}()
+	select {
+	case <-panicking:
+	case p := <-done:
+		t.Fatalf("Run ended (%v) before the source took its snapshot", p)
+	case <-time.After(time.Minute):
+		t.Fatal("the source never took its snapshot")
+	}
+	select {
+	case p := <-done:
+		if err, ok := p.(runtime.Error); !ok || !strings.Contains(err.Error(), "index out of range") {
+			t.Fatalf("Run re-raised %v, want the source rank's index panic", p)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Run still waiting a second after the source rank panicked")
 	}
 }
 

@@ -318,7 +318,6 @@ type Service struct {
 	feed       *opFeed
 	batches    int
 	shards     []*shard
-	errs       []error
 	// migs is every migration's record, in start order (migrate.go).
 	migs []*migration
 	// wholeQuanta is a test hook: every migration quantum retires all the
@@ -487,11 +486,9 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 }
 func (s *Service) Run() (*Result, error) {
 	maxN := s.maxShards()
 	s.shards = make([]*shard, maxN)
-	s.errs = make([]error, maxN)
 	s.feed = s.newFeed()
 	s.migs = nil
-	w := mpi.NewWorldCap(s.cfg.Shards, maxN)
-	w.Run(func(c *mpi.Comm) { s.serveRank(c) })
+	errs := mpi.NewWorldCap(s.cfg.Shards, maxN).Run(func(c *mpi.Comm) { s.serveRank(c) })
 
 	// Drop the capacity slots no split ever spawned into. Ids are dense
 	// (mpi.Grow enforces it), so only trailing entries can be nil.
@@ -499,13 +496,12 @@ func (s *Service) Run() (*Result, error) {
 		s.shards = s.shards[:len(s.shards)-1]
 	}
 	crashedRank := -1
-	for i, sh := range s.shards {
-		if sh != nil && sh.crashed {
+	for i, err := range errs {
+		switch err.(type) {
+		case nil:
+		case nvm.InjectedCrash:
 			crashedRank = i
-		}
-	}
-	for i, err := range s.errs {
-		if err != nil {
+		default:
 			return nil, fmt.Errorf("server: shard %d: %w", i, err)
 		}
 	}
@@ -593,38 +589,14 @@ func (s *Service) PrimitiveSpans() [][2]int64 {
 	return spans
 }
 
-// containCrash is the deferred tail of every rank loop: injected crashes
-// are recorded and turned into a world abort so peers parked at
-// coordination barriers unwind; peer aborts unwind silently.
-func (s *Service) containCrash(c *mpi.Comm, rank int) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	sh := s.shards[rank]
-	switch r.(type) {
-	case nvm.InjectedCrash:
-		sh.crashed = true
-		if sh.simEndPS == 0 {
-			sh.simEndPS = sh.clock.NowPS()
-		}
-		c.Abort()
-	case mpi.Aborted:
-		if sh != nil && sh.simEndPS == 0 {
-			sh.simEndPS = sh.clock.NowPS()
-		}
-	default:
-		panic(r)
-	}
-}
-
 // runRank is the shell every rank loop shares: a shard on a fresh device
 // with crash injection armed before the first container primitive, a
 // formatted backend with the allocator and KV inside it, then body. An
-// error aborts the world so peers parked at collectives unwind.
+// injected crash or an error fails the world, so peers parked at
+// collectives unwind; a rank that stops early, crashed or unwound, ends
+// its simulated time there.
 func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 	rank := c.Rank()
-	defer s.containCrash(c, rank)
 	sh := newShardShell(rank, s.deviceSize, s.cfg.StepBudget, s.cfg.Trace)
 	s.mapped(sh.dev)
 	if s.wholeQuanta {
@@ -637,6 +609,18 @@ func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 	sh.cutOps = make(map[uint64]int)
 	s.shards[rank] = sh
 	c.AttachClock(sh.clock)
+	defer func() {
+		if sh.simEndPS == 0 {
+			sh.simEndPS = sh.clock.NowPS()
+		}
+		switch r := recover().(type) {
+		case nil:
+		case nvm.InjectedCrash:
+			c.Fail(r)
+		default:
+			panic(r)
+		}
+	}()
 	if cr := s.cfg.Crash; cr != nil && cr.Shard == rank {
 		sh.dev.FailAfter(cr.At - 1) // primitive count is 0 here
 	}
@@ -651,8 +635,7 @@ func (s *Service) runRank(c *mpi.Comm, body func(sh *shard) error) {
 		err = body(sh)
 	}
 	if err != nil {
-		s.errs[rank] = err
-		c.Abort()
+		c.Fail(err)
 	}
 }
 
@@ -1058,23 +1041,14 @@ func (s *Service) crashPolicy(shardID int) nvm.CrashPolicy {
 
 // rankWorld runs fn as one mpi rank per member shard — rank i is
 // members[i], on the shard's clock — and reports every failed rank as a
-// violation of the given stage. A failing rank aborts the world, so peers
+// violation of the given stage. A failing rank fails the world, so peers
 // parked at collectives unwind instead of waiting for it forever.
 func rankWorld(members []*shard, stage string, fn func(c *mpi.Comm, sh *shard) error) []Violation {
-	errs := make([]error, len(members))
-	mpi.NewWorld(len(members)).Run(func(c *mpi.Comm) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(mpi.Aborted); !ok {
-					panic(r)
-				}
-			}
-		}()
+	errs := mpi.NewWorld(len(members)).Run(func(c *mpi.Comm) {
 		sh := members[c.Rank()]
 		c.AttachClock(sh.clock)
 		if err := fn(c, sh); err != nil {
-			errs[c.Rank()] = err
-			c.Abort()
+			c.Fail(err)
 		}
 	})
 	var bad []Violation

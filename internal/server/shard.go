@@ -146,8 +146,6 @@ type shard struct {
 	// traffic or a cut, never setup.
 	primBase, primEnd int64
 
-	crashed bool
-
 	// Elastic resharding (migrate.go). ring is this rank's private clone of
 	// the ownership table, the one every op is routed on, flipped
 	// identically on every rank at identical cut boundaries; epochOff maps
