@@ -465,17 +465,35 @@ func (c *Container) DirtyEstimateBytes() uint64 {
 	return uint64(n)
 }
 
-// DirtySegments returns the ascending indices of the main segments
-// modified in the current epoch — at a cut boundary, exactly the segments
-// whose committed images may differ from the previous cut's. Replication
-// captures these as the epoch's delta.
-func (c *Container) DirtySegments() []int {
-	if c.dirtySegs.Count() == 0 {
+// errPipelineInFlight is EpochRuns' refusal.
+var errPipelineInFlight = errors.New("core: epoch runs asked for with a pipeline in flight (staged stores are in no dirty set)")
+
+// EpochRuns calls fn(off, n) for every run of adjacent blocks written in the
+// current epoch, as heap byte ranges in ascending order: at a cut boundary,
+// every byte whose image may differ from the previous cut's. Default mode
+// reads the dirty blocks of the epoch's segments (early write-back leaves
+// them set), one segment at a time, buffered mode the epoch's written blocks.
+// Replication captures these as the epoch's delta.
+//
+// Stores the pipeline's write barrier staged sit in no dirty set until the
+// replay lifts them, so while a pipeline is in flight — an incremental cut,
+// or the replay DeferCoW scheduled — it calls fn for nothing and returns an
+// error.
+func (c *Container) EpochRuns(fn func(off, n int)) error {
+	if c.inc != nil {
+		return errPipelineInFlight
+	}
+	blk := c.l.BlkSize
+	run := func(b0, b1 int) { fn(b0*blk, (b1-b0)*blk) }
+	if c.opts.Mode == ModeBuffered {
+		c.curDirty.ForEachRunInRange(0, c.l.TotalBlocks(), run)
 		return nil
 	}
-	out := make([]int, 0, c.dirtySegs.Count())
-	c.dirtySegs.ForEach(func(i int) { out = append(out, i) })
-	return out
+	bps := c.l.BlocksPerSeg()
+	for s := c.dirtySegs.NextSet(0); s >= 0; s = c.dirtySegs.NextSet(s + 1) {
+		c.dirtyBlocks.ForEachRunInRange(s*bps, (s+1)*bps, run)
+	}
+	return nil
 }
 
 // DRAMFootprint returns the volatile memory the container uses: the

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"slices"
 	"testing"
 
 	"libcrpm/internal/nvm"
@@ -671,5 +673,89 @@ func TestDirtyEstimateCountsThisEpochOnly(t *testing.T) {
 	c.EndWriteThrough()
 	if est, pend := c.DirtyEstimateBytes(), c.PendingCutBytes(); est != 2*256 || pend != 256 {
 		t.Fatalf("one block stored, one written through: estimate %d B, pending cut %d B; want 512 and 256", est, pend)
+	}
+}
+
+// epochBlocks lists the blocks EpochRuns reports, failing the test unless the
+// runs are block-aligned, ascending and disjoint.
+func epochBlocks(t *testing.T, c *Container) ([]int, error) {
+	t.Helper()
+	var blocks []int
+	err := c.EpochRuns(func(off, n int) {
+		if off%256 != 0 || n <= 0 || n%256 != 0 {
+			t.Fatalf("run [%d,+%d) is not whole blocks", off, n)
+		}
+		if k := len(blocks); k > 0 && off/256 <= blocks[k-1] {
+			t.Fatalf("run at block %d after block %d: not ascending and disjoint", off/256, blocks[k-1])
+		}
+		for b := off / 256; b < (off+n)/256; b++ {
+			blocks = append(blocks, b)
+		}
+	})
+	return blocks, err
+}
+
+// TestEpochRuns pins the accessor a replica delta is captured with: exactly
+// the blocks the epoch wrote, in both modes — none a committed cut already
+// holds, however many differential bits outlive it — and, since stores the
+// write barrier staged sit in no dirty set until the replay lifts them, a
+// refusal while any pipeline is in flight (a deferred replay included)
+// rather than a run list that misses them.
+func TestEpochRuns(t *testing.T) {
+	for _, mode := range modes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, c := newTestContainer(t, incOpts(mode))
+			expect := func(stage string, want ...int) {
+				t.Helper()
+				got, err := epochBlocks(t, c)
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s: epoch blocks %v, %v; want %v", stage, got, err, want)
+				}
+			}
+			// Blocks 15 and 16 are adjacent across a segment boundary.
+			for _, off := range []int{8, 15*256 + 248, 16 * 256, 49*256 + 40} {
+				writeU64(c, off, 1)
+			}
+			expect("first epoch", 0, 15, 16, 49)
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			expect("after the cut")
+			writeU64(c, 17*256, 2)
+			expect("second epoch", 17)
+
+			if err := c.CheckpointBegin(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := epochBlocks(t, c); !errors.Is(err, errPipelineInFlight) {
+				t.Fatalf("incremental cut in flight: err %v, want errPipelineInFlight", err)
+			}
+			for _, step := range []func() error{func() error { _, err := c.CheckpointStep(-1); return err }, c.CheckpointCommit, c.CheckpointFinish} {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			expect("after the incremental cut")
+			if mode == ModeBuffered {
+				return
+			}
+
+			// Segment 1 owes the new epoch a copy: deferred, its first store
+			// is staged behind the write barrier.
+			if !c.DeferCoW(foreverPS) {
+				t.Fatal("fixture: no copy-on-write deferred")
+			}
+			writeU64(c, 18*256, 3)
+			if !c.inc.staged.Test(18) || c.dirtyBlocks.Test(18) {
+				t.Fatal("fixture: the store was not staged")
+			}
+			if _, err := epochBlocks(t, c); !errors.Is(err, errPipelineInFlight) {
+				t.Fatalf("deferred replay with a store staged: err %v, want errPipelineInFlight", err)
+			}
+			if c.StepCoW(0) != 0 {
+				t.Fatal("fixture: the replay did not drain")
+			}
+			expect("after the replay lifted the staged store", 18)
+		})
 	}
 }

@@ -57,7 +57,10 @@ func TestAbortedIncrementalCutShipsNothing(t *testing.T) {
 			// commit barrier and install everywhere.
 			for e := uint64(1); e <= 2; e++ {
 				write(ctr, 8*rank, e*1000+uint64(rank))
-				d := g.Capture(ctr)
+				d, err := g.Capture(ctr)
+				if err != nil {
+					c.Fail(fmt.Errorf("epoch %d: %w", e, err))
+				}
 				if err := mpi.CheckpointIncremental(c, ctr, 512); err != nil {
 					c.Fail(fmt.Errorf("epoch %d: %w", e, err))
 				}
@@ -69,7 +72,10 @@ func TestAbortedIncrementalCutShipsNothing(t *testing.T) {
 			// Epoch 3: the delta is captured at the boundary, but the world
 			// aborts inside the Begin/Step window, so it must never ship.
 			write(ctr, 8*rank, 3000+uint64(rank))
-			_ = g.Capture(ctr) // the pending delta the server would hold back
+			// The pending delta the server would hold back.
+			if _, err := g.Capture(ctr); err != nil {
+				c.Fail(err)
+			}
 			switch rank {
 			case 0:
 				// Races ahead through a full local pipeline: committed epoch

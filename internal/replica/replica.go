@@ -9,31 +9,32 @@ import (
 	"libcrpm/internal/obs"
 )
 
-// Delta is one committed cut's replication payload: the boundary images of
-// every segment the epoch dirtied, plus the epoch it commits. A delta is
-// captured atomically at the cut boundary (monolithic cuts capture just
-// before the commit; incremental cuts at CheckpointBegin, where the write
-// barrier freezes the boundary image), so installing it can never produce
-// a state between two cuts. Deltas are immutable and shared by every
-// secondary of the shard.
+// Delta is one committed cut's replication payload: the boundary image of
+// every run of blocks the epoch wrote, plus the epoch it commits. A delta is
+// captured atomically at the cut boundary (just before the cut begins, while
+// the epoch's dirty set is intact), so installing it can never produce a
+// state between two cuts. Deltas are immutable and shared by every secondary
+// of the shard.
 //
-// Shipping hands the images to the group: once every receive buffer that
-// held the delta has installed or dropped it, its images go back to the
-// group's free list and a later Capture copies into them.
+// Shipping hands the buffers to the group: once every receive buffer that
+// held the delta has installed or dropped it, its Runs and Payload go back to
+// the group's free list and a later Capture appends into them.
 type Delta struct {
 	// Epoch is the committed epoch this delta produces when installed.
 	Epoch uint64
-	// Segs are the dirty main-segment indices, ascending.
-	Segs []int
-	// Images holds each segment's boundary image, parallel to Segs. Nil
-	// once the last receive buffer has let go of the delta.
-	Images [][]byte
-	// Bytes is the payload size (sum of image lengths).
-	Bytes int
+	// Runs are the written heap ranges, ascending and disjoint. Nil once the
+	// last receive buffer has let go of the delta.
+	Runs []Run
+	// Payload is the runs' boundary images, back to back in Runs' order: what
+	// the delta ships. Nil once the last receive buffer has let go of it.
+	Payload []byte
 
 	// refs counts the receive buffers still holding the delta.
 	refs int
 }
+
+// Run is one heap range of a delta: Len bytes at heap offset Off.
+type Run struct{ Off, Len int }
 
 // Config parameterizes one shard's replica group.
 type Config struct {
@@ -126,7 +127,7 @@ func (s *Secondary) Installed() uint64 { return s.installed }
 // Disabled reports whether the replica is quarantined from reads.
 func (s *Secondary) Disabled() bool { return s.disabled }
 
-// install applies one delta: every segment image is written through the
+// install applies one delta: every run's image is written through the
 // container's instrumented path (so the secondary's own CoW protocol and
 // rollback window stay intact), then committed as a local checkpoint.
 // Deltas must install in epoch order.
@@ -135,12 +136,11 @@ func (s *Secondary) install(d *Delta) error {
 		return fmt.Errorf("replica: secondary %d at epoch %d cannot install delta for epoch %d", s.id, s.installed, d.Epoch)
 	}
 	s.rec.Begin("install")
-	l := s.ctr.Layout()
-	for i, seg := range d.Segs {
-		off := seg * l.SegSize
-		img := d.Images[i]
-		s.ctr.OnWrite(off, len(img))
-		s.ctr.Write(off, img)
+	img := d.Payload
+	for _, r := range d.Runs {
+		s.ctr.OnWrite(r.Off, r.Len)
+		s.ctr.Write(r.Off, img[:r.Len])
+		img = img[r.Len:]
 	}
 	err := s.ctr.Checkpoint()
 	s.rec.End()
@@ -158,11 +158,18 @@ func (s *Secondary) install(d *Delta) error {
 type Group struct {
 	shard int
 	secs  []*Secondary
-	// free holds the images of deltas no receive buffer holds any more, for
-	// Capture to copy into. An image joins it only when the last buffer lets
-	// go, so a reused image never aliases a queued delta; a release that
-	// never happens only leaves the image to the garbage collector.
-	free [][]byte
+	// free holds the buffers of deltas no receive buffer holds any more, for
+	// Capture to append into. A buffer joins it only when the last receive
+	// buffer lets go, so a reused one never aliases a queued delta; a release
+	// that never happens only leaves the buffers to the garbage collector.
+	free []buffers
+}
+
+// buffers is what a released delta leaves for the next Capture: its run list
+// and its payload, emptied, their capacity intact.
+type buffers struct {
+	runs    []Run
+	payload []byte
 }
 
 // NewGroup formats cfg.Replicas fresh secondaries for a shard. Every
@@ -202,48 +209,66 @@ func (g *Group) Len() int { return len(g.secs) }
 func (g *Group) Sec(i int) *Secondary { return g.secs[i] }
 
 // Capture snapshots the epoch ctr is about to commit as a delta: the
-// boundary image of every segment the epoch dirtied, copied off the working
-// image into images released deltas left behind where there are any. Pure
-// DRAM copies: no device primitives run and no simulated time passes, so
-// crash points and clocks are exactly those of an unreplicated run.
-func (g *Group) Capture(ctr *core.Container) *Delta {
-	segSize := ctr.Layout().SegSize
-	heap := ctr.Bytes()
-	segs := ctr.DirtySegments()
-	d := &Delta{Epoch: ctr.CommittedEpoch() + 1, Segs: segs, Images: make([][]byte, len(segs))}
-	for i, seg := range segs {
-		img := g.image(segSize)
-		copy(img, heap[seg*segSize:(seg+1)*segSize])
-		d.Images[i] = img
-		d.Bytes += segSize
+// boundary image of every run of blocks the epoch wrote (core's EpochRuns,
+// adjacent runs merged), copied off the working image into the buffers the
+// newest released delta left behind where they are large enough. Pure DRAM
+// copies: no device primitives run and no simulated time passes, so crash
+// points and clocks are exactly those of an unreplicated run. It fails while
+// ctr has a pipeline in flight, whose staged stores no dirty set shows.
+func (g *Group) Capture(ctr *core.Container) (*Delta, error) {
+	var b buffers
+	if k := len(g.free); k > 0 {
+		b = g.free[k-1]
+		g.free[k-1] = buffers{}
+		g.free = g.free[:k-1]
 	}
-	return d
+	d := &Delta{Epoch: ctr.CommittedEpoch() + 1, Runs: b.runs}
+	size := 0
+	err := ctr.EpochRuns(func(off, n int) {
+		if k := len(d.Runs) - 1; k >= 0 && d.Runs[k].Off+d.Runs[k].Len == off {
+			d.Runs[k].Len += n
+		} else {
+			d.Runs = append(d.Runs, Run{Off: off, Len: n})
+		}
+		size += n
+	})
+	if err != nil {
+		return nil, fmt.Errorf("replica: shard %d capture of epoch %d: %w", g.shard, d.Epoch, err)
+	}
+	d.Payload = b.payload
+	if cap(d.Payload) < size {
+		d.Payload = make([]byte, 0, size)
+	}
+	heap := ctr.Bytes()
+	for _, r := range d.Runs {
+		d.Payload = append(d.Payload, heap[r.Off:r.Off+r.Len]...)
+	}
+	return d, nil
 }
 
-// image returns an n-byte buffer for a segment image: the newest released
-// image when it has that size, a fresh one otherwise.
-func (g *Group) image(n int) []byte {
-	if k := len(g.free); k > 0 && len(g.free[k-1]) == n {
-		img := g.free[k-1]
-		g.free[k-1] = nil
-		g.free = g.free[:k-1]
-		return img
-	}
-	return make([]byte, n)
-}
+// keptPayloadMax bounds the payload a released delta leaves on the free list.
+// A larger one is a populate cut's, or a cut as large: its copy costs more
+// than its allocation, and kept for reuse it would pin its size in heap for
+// the rest of the run (replica_b's populate payload is ~5 MiB per shard; its
+// steady-state cuts carry ~70 KB).
+const keptPayloadMax = 1 << 20
 
 // release lets go of d for one receive buffer; the last to let go returns
-// its images to the free list.
+// its buffers to the free list.
 func (g *Group) release(d *Delta) {
 	if d.refs--; d.refs > 0 {
 		return
 	}
-	g.free = append(g.free, d.Images...)
-	d.Images = nil
+	b := buffers{runs: d.Runs[:0]}
+	if cap(d.Payload) <= keptPayloadMax {
+		b.payload = d.Payload[:0]
+	}
+	g.free = append(g.free, b)
+	d.Runs, d.Payload = nil, nil
 }
 
 // Ship pushes one delta into every secondary's receive buffer and hands
-// its images to the group until the last buffer lets go. The transfer
+// its buffers to the group until the last buffer lets go. The transfer
 // itself rides the cut's commit fence (the payload is durable on the
 // receiving nodes when Ship returns — this is what makes a committed, acked
 // cut survive the primary's loss); the install is scheduled asynchronously
@@ -251,7 +276,7 @@ func (g *Group) release(d *Delta) {
 func (g *Group) Ship(d *Delta, nowPS int64) {
 	d.refs += len(g.secs)
 	for _, s := range g.secs {
-		at := nowPS + ShipLatencyPS(s.id, d.Bytes)
+		at := nowPS + ShipLatencyPS(s.id, len(d.Payload))
 		s.queue = append(s.queue, inflight{d: d, installAtPS: at})
 	}
 }

@@ -3,8 +3,12 @@ package replica
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"libcrpm/internal/core"
 	"libcrpm/internal/mpi"
@@ -137,23 +141,28 @@ func TestPlanBoundedUnmetFallsBackToPrimary(t *testing.T) {
 // layout, returning heap geometry for delta fabrication.
 func testWorld(t *testing.T, replicas int) (*core.Container, *Group, *region.Layout) {
 	t.Helper()
-	return regionWorld(t, region.Config{HeapSize: 8 << 20, BackupRatio: 1}, replicas)
+	return regionWorld(t, region.Config{HeapSize: 8 << 20, BackupRatio: 1}, core.ModeDefault, replicas)
 }
 
 // smallSegWorld is testWorld on segs segments of 4 KiB, so a delta can carry
-// many images cheaply.
+// many runs cheaply.
 func smallSegWorld(t *testing.T, segs, replicas int) (*core.Container, *Group, *region.Layout) {
 	t.Helper()
-	return regionWorld(t, region.Config{HeapSize: segs * 4096, SegmentSize: 4096, BlockSize: 256, BackupRatio: 1}, replicas)
+	return regionWorld(t, smallSegs(segs), core.ModeDefault, replicas)
 }
 
-func regionWorld(t *testing.T, reg region.Config, replicas int) (*core.Container, *Group, *region.Layout) {
+// smallSegs is the geometry of segs segments of 4 KiB with 256 B blocks.
+func smallSegs(segs int) region.Config {
+	return region.Config{HeapSize: segs * 4096, SegmentSize: 4096, BlockSize: 256, BackupRatio: 1}
+}
+
+func regionWorld(t *testing.T, reg region.Config, mode core.Mode, replicas int) (*core.Container, *Group, *region.Layout) {
 	t.Helper()
 	l, err := region.NewLayout(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := mpi.ContainerOptions(reg, core.ModeDefault)
+	opts := mpi.ContainerOptions(reg, mode)
 	ctr, err := core.NewContainer(nvm.NewDevice(l.DeviceSize()), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +172,16 @@ func regionWorld(t *testing.T, reg region.Config, replicas int) (*core.Container
 		t.Fatal(err)
 	}
 	return ctr, g, l
+}
+
+// capture is Group.Capture on a container with no pipeline in flight.
+func capture(t *testing.T, g *Group, ctr *core.Container) *Delta {
+	t.Helper()
+	d, err := g.Capture(ctr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func writePattern(ctr *core.Container, l *region.Layout, seg int, fill byte) {
@@ -175,37 +194,93 @@ func writePattern(ctr *core.Container, l *region.Layout, seg int, fill byte) {
 	ctr.Write(off, buf)
 }
 
+// TestDeltaInstallConvergence drives seeded multi-epoch write patterns
+// through capture, ship and install in both modes. Every delta must carry
+// exactly the blocks its epoch wrote, and after every install each
+// secondary's whole heap must equal the primary's at the delta's cut. Block 0
+// is written in every odd epoch and left alone in the even ones, so a delta
+// that shipped a block only because it was written once would show.
 func TestDeltaInstallConvergence(t *testing.T) {
-	ctr, g, l := testWorld(t, 2)
-	for epoch := 1; epoch <= 3; epoch++ {
-		writePattern(ctr, l, epoch, byte(epoch))
-		d := g.Capture(ctr)
-		if err := ctr.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		g.Ship(d, 0)
-	}
-	// Nothing due yet at time zero: ship lag keeps installs in the future.
-	if n, err := g.Deliver(0); err != nil || n != 0 {
-		t.Fatalf("Deliver(0) = %d, %v; want no installs", n, err)
-	}
-	if err := g.DeliverAll(); err != nil {
-		t.Fatal(err)
-	}
-	want := ctr.Bytes()
-	for i := 0; i < g.Len(); i++ {
-		sec := g.Sec(i)
-		if sec.Installed() != 3 {
-			t.Fatalf("replica %d installed %d cuts, want 3", i, sec.Installed())
-		}
-		got := sec.Container().Bytes()
-		for seg := 1; seg <= 3; seg++ {
-			off := seg * l.SegSize
-			for b := 0; b < 256; b++ {
-				if got[off+b] != want[off+b] {
-					t.Fatalf("replica %d seg %d byte %d: got %d want %d", i, seg, b, got[off+b], want[off+b])
+	const segs, epochs = 16, 12
+	for _, mode := range []core.Mode{core.ModeDefault, core.ModeBuffered} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%v/seed%d", mode, seed), func(t *testing.T) {
+				ctr, g, l := regionWorld(t, smallSegs(segs), mode, 2)
+				rng := rand.New(rand.NewSource(seed))
+				images := map[uint64][]byte{}
+				// deliver installs every delta due by now, one at a time, and
+				// checks the secondary after each install.
+				deliver := func(now int64) {
+					t.Helper()
+					for _, sec := range g.secs {
+						for len(sec.queue) > 0 && sec.queue[0].installAtPS <= now {
+							if err := g.installNext(sec); err != nil {
+								t.Fatal(err)
+							}
+							if !bytes.Equal(sec.ctr.Bytes(), images[sec.installed]) {
+								t.Fatalf("replica %d's heap is not the primary's at cut %d", sec.id, sec.installed)
+							}
+						}
+					}
 				}
-			}
+				now := int64(0)
+				for e := uint64(1); e <= epochs; e++ {
+					written := make([]bool, l.TotalBlocks())
+					store := func(off int, src []byte) {
+						ctr.OnWrite(off, len(src))
+						ctr.Write(off, src)
+						for b := off / l.BlkSize; b <= (off+len(src)-1)/l.BlkSize; b++ {
+							written[b] = true
+						}
+					}
+					if e%2 == 1 {
+						store(8, []byte{byte(e)})
+					}
+					// Stores anywhere past block 0: short ones, and ones that
+					// span blocks and segment boundaries.
+					for i := rng.Intn(12); i >= 0; i-- {
+						n := 1 + rng.Intn(600)
+						off := l.BlkSize + rng.Intn(l.HeapSize()-l.BlkSize-n)
+						src := make([]byte, n)
+						rng.Read(src)
+						store(off, src)
+					}
+					d := capture(t, g, ctr)
+					var got []int
+					for i, r := range d.Runs {
+						if i > 0 && r.Off <= d.Runs[i-1].Off+d.Runs[i-1].Len {
+							t.Fatalf("epoch %d: run %d at %d is not past run %d and apart from it", e, i, r.Off, i-1)
+						}
+						for b := r.Off / l.BlkSize; b < (r.Off+r.Len)/l.BlkSize; b++ {
+							got = append(got, b)
+						}
+					}
+					var want []int
+					for b, w := range written {
+						if w {
+							want = append(want, b)
+						}
+					}
+					if !slices.Equal(got, want) || len(d.Payload) != len(want)*l.BlkSize {
+						t.Fatalf("epoch %d: delta carries blocks %v (%d B), the epoch wrote %v", e, got, len(d.Payload), want)
+					}
+					if err := ctr.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					images[e] = bytes.Clone(ctr.Bytes())
+					g.Ship(d, now)
+					// Cuts 40 µs apart against lags of 50 and 100 µs: receive
+					// buffers hold several deltas.
+					now += 40_000_000
+					deliver(now)
+				}
+				deliver(math.MaxInt64)
+				for _, sec := range g.secs {
+					if sec.installed != epochs {
+						t.Fatalf("replica %d at cut %d after the drain, want %d", sec.id, sec.installed, epochs)
+					}
+				}
+			})
 		}
 	}
 }
@@ -213,14 +288,18 @@ func TestDeltaInstallConvergence(t *testing.T) {
 func TestDeliverRespectsLag(t *testing.T) {
 	ctr, g, l := testWorld(t, 2)
 	writePattern(ctr, l, 1, 0xAA)
-	d := g.Capture(ctr)
+	d := capture(t, g, ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	g.Ship(d, 1_000_000)
+	// Nothing is due at the shipping instant: ship lag keeps installs ahead.
+	if n, err := g.Deliver(1_000_000); err != nil || n != 0 {
+		t.Fatalf("Deliver at the shipping instant = %d, %v; want no installs", n, err)
+	}
 	// Replica 0 lags by the base, replica 1 by twice that: a delivery
 	// point between the two installs exactly one.
-	mid := 1_000_000 + ShipLatencyPS(0, d.Bytes)
+	mid := 1_000_000 + ShipLatencyPS(0, len(d.Payload))
 	if n, err := g.Deliver(mid); err != nil || n != 1 {
 		t.Fatalf("Deliver(mid) = %d, %v; want exactly replica 0's install", n, err)
 	}
@@ -237,11 +316,26 @@ func TestOutOfOrderInstallRejected(t *testing.T) {
 	}
 }
 
+// TestCaptureRefusesPipelineInFlight: with an incremental cut open, stores
+// land staged where no dirty set shows them, so Capture fails rather than
+// ship a delta that misses them.
+func TestCaptureRefusesPipelineInFlight(t *testing.T) {
+	ctr, g, l := testWorld(t, 1)
+	writePattern(ctr, l, 1, 1)
+	if err := ctr.CheckpointBegin(); err != nil {
+		t.Fatal(err)
+	}
+	writePattern(ctr, l, 1, 2)
+	if d, err := g.Capture(ctr); err == nil {
+		t.Fatalf("captured %d runs with a cut in flight", len(d.Runs))
+	}
+}
+
 func TestPromotionFromQueue(t *testing.T) {
 	ctr, g, l := testWorld(t, 2)
 	// Epoch 1 installed everywhere; epoch 2 shipped but still queued.
 	writePattern(ctr, l, 1, 1)
-	d1 := g.Capture(ctr)
+	d1 := capture(t, g, ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +344,7 @@ func TestPromotionFromQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	writePattern(ctr, l, 2, 2)
-	d2 := g.Capture(ctr)
+	d2 := capture(t, g, ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +368,7 @@ func TestPromotionFromQueue(t *testing.T) {
 func TestPromotionRollbackDropsQueuedCut(t *testing.T) {
 	ctr, g, l := testWorld(t, 1)
 	writePattern(ctr, l, 1, 1)
-	d1 := g.Capture(ctr)
+	d1 := capture(t, g, ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +377,7 @@ func TestPromotionRollbackDropsQueuedCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	writePattern(ctr, l, 2, 2)
-	d2 := g.Capture(ctr)
+	d2 := capture(t, g, ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,12 +414,12 @@ func TestPromotionRollbackDropsQueuedCut(t *testing.T) {
 func TestPromotionRollbackFromInstalledState(t *testing.T) {
 	ctr, g, l := testWorld(t, 1)
 	writePattern(ctr, l, 1, 1)
-	d1 := g.Capture(ctr)
+	d1 := capture(t, g, ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	writePattern(ctr, l, 2, 2)
-	d2 := g.Capture(ctr)
+	d2 := capture(t, g, ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -358,12 +452,12 @@ func TestPromotionRollbackFromInstalledState(t *testing.T) {
 func TestDropAboveQuarantinesAheadReplica(t *testing.T) {
 	ctr, g, l := testWorld(t, 2)
 	writePattern(ctr, l, 1, 1)
-	d1 := g.Capture(ctr)
+	d1 := capture(t, g, ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	writePattern(ctr, l, 2, 2)
-	d2 := g.Capture(ctr)
+	d2 := capture(t, g, ctr)
 	if err := ctr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -398,57 +492,57 @@ func TestDropAboveQuarantinesAheadReplica(t *testing.T) {
 	}
 }
 
-// TestRecycledImagesNeverAlias pushes deltas whose images carry one byte
+// bases returns the backing arrays of d's run list and payload.
+func bases(d *Delta) []any {
+	return []any{unsafe.SliceData(d.Runs), unsafe.SliceData(d.Payload)}
+}
+
+// TestRecycledImagesNeverAlias pushes deltas whose payloads carry one byte
 // pattern per capture through every way a receive buffer lets go — an
 // install, DropAbove, a promotion's rollback and its recovery — while new
-// captures reuse the released images. Every live secondary's heap must equal
+// captures reuse the released buffers. Every live secondary's heap must equal
 // the primary's heap at the capture of its installed epoch, and no capture
-// may hand out an image a receive buffer still holds.
+// may hand out a run list or payload a receive buffer still holds.
 func TestRecycledImagesNeverAlias(t *testing.T) {
 	const nseg = 6
 	ctr, g, l := smallSegWorld(t, nseg, 3)
 	want := map[uint64][]byte{0: make([]byte, len(ctr.Bytes()))}
-	seen := map[*byte]bool{}
-	var last []*byte // the newest capture's images
+	seen := map[any]bool{}
+	var last []any // the newest capture's buffers
 	reused := 0
 	fill := byte(0)
-	capture := func() *Delta {
+	// captureSegs writes the first block of segments 0 to n-1, one run each,
+	// and captures the epoch.
+	captureSegs := func(n int) *Delta {
 		fill++
-		for seg := 0; seg <= int(fill)%nseg; seg++ {
+		for seg := 0; seg < n; seg++ {
 			writePattern(ctr, l, seg, fill)
 		}
-		queued := map[*byte]bool{}
+		queued := map[any]bool{}
 		for _, s := range g.secs {
 			for _, in := range s.queue {
-				for _, img := range in.d.Images {
-					queued[&img[0]] = true
+				for _, p := range bases(in.d) {
+					queued[p] = true
 				}
 			}
 		}
-		d := g.Capture(ctr)
-		last = last[:0]
-		for _, img := range d.Images {
-			p := &img[0]
+		d := capture(t, g, ctr)
+		last = bases(d)
+		for _, p := range last {
 			if queued[p] {
-				t.Fatalf("capture of epoch %d handed out an image a receive buffer still holds", d.Epoch)
+				t.Fatalf("capture of epoch %d handed out a buffer a receive buffer still holds", d.Epoch)
 			}
 			if seen[p] {
 				reused++
 			}
 			seen[p] = true
-			last = append(last, p)
 		}
 		want[d.Epoch] = bytes.Clone(ctr.Bytes())
 		return d
 	}
-	// tookAny reports whether the newest capture reused one of imgs.
-	tookAny := func(imgs [][]byte) bool {
-		for _, img := range imgs {
-			if slices.Contains(last, &img[0]) {
-				return true
-			}
-		}
-		return false
+	// tookAny reports whether the newest capture reused one of ps.
+	tookAny := func(ps []any) bool {
+		return slices.ContainsFunc(ps, func(p any) bool { return slices.Contains(last, p) })
 	}
 	check := func(stage string) {
 		t.Helper()
@@ -459,10 +553,10 @@ func TestRecycledImagesNeverAlias(t *testing.T) {
 		}
 	}
 	// The lags (50, 100 and 200 µs) span two to seven cuts 30 µs apart, so
-	// every buffer holds several deltas while images recycle.
+	// every buffer holds several deltas while buffers recycle.
 	now := int64(0)
-	cut := func() {
-		d := capture()
+	cut := func(n int) {
+		d := captureSegs(n)
 		if err := ctr.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -474,33 +568,34 @@ func TestRecycledImagesNeverAlias(t *testing.T) {
 		check("deliver")
 	}
 	for i := 0; i < 20; i++ {
-		cut()
+		cut(1 + i%nseg)
 	}
 	if reused == 0 {
-		t.Fatal("no capture reused an installed delta's images")
+		t.Fatal("no capture reused an installed delta's buffers")
 	}
 
 	// A cut that never globally committed is shipped, then dropped from every
-	// buffer; the primary recaptures the same epoch into the released images.
-	dropped := capture()
-	imgs := slices.Clone(dropped.Images)
+	// buffer; the primary recaptures the same epoch — the same dirty set, so
+	// the same footprint — into the released buffers.
+	dropped := captureSegs(nseg)
+	ps := bases(dropped)
 	g.Ship(dropped, now)
 	g.DropAbove(ctr.CommittedEpoch())
-	if dropped.Images != nil {
-		t.Fatal("a delta every buffer dropped still holds its images")
+	if dropped.Runs != nil || dropped.Payload != nil {
+		t.Fatal("a delta every buffer dropped still holds its buffers")
 	}
-	cut()
-	if !tookAny(imgs) {
-		t.Fatal("the recapture did not reuse the dropped delta's images")
+	cut(1)
+	if !tookAny(ps) {
+		t.Fatal("the recapture did not reuse the dropped delta's buffers")
 	}
 	for i := 0; i < 3; i++ {
-		cut()
+		cut(1 + i)
 	}
 
 	// The primary dies with deltas buffered everywhere; recovery lands one
 	// epoch below the most-current secondary's newest delta.
 	for i := 0; i < 3; i++ {
-		d := capture()
+		d := captureSegs(nseg)
 		if err := ctr.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +606,7 @@ func TestRecycledImagesNeverAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	newest := prom.sec.queue[len(prom.sec.queue)-1].d
-	imgs = slices.Clone(newest.Images)
+	ps = bases(newest)
 	if err := prom.RollbackOneEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -521,12 +616,12 @@ func TestRecycledImagesNeverAlias(t *testing.T) {
 	land := prom.CommittedEpoch()
 	g.DropAbove(land)
 	check("promotion")
-	if newest.Images != nil {
-		t.Fatal("the delta recovery rolled back still holds its images")
+	if newest.Runs != nil || newest.Payload != nil {
+		t.Fatal("the delta recovery rolled back still holds its buffers")
 	}
-	capture()
-	if !tookAny(imgs) {
-		t.Fatal("the next capture did not reuse the rolled-back delta's images")
+	captureSegs(1)
+	if !tookAny(ps) {
+		t.Fatal("the next capture did not reuse the rolled-back delta's buffers")
 	}
 	if err := g.DeliverAll(); err != nil {
 		t.Fatal(err)
@@ -539,20 +634,54 @@ func TestRecycledImagesNeverAlias(t *testing.T) {
 	check("drain")
 }
 
+// TestLargePayloadGoesToTheCollector: a released payload above
+// keptPayloadMax — a populate cut's — leaves the free list its run list only,
+// so it does not pin its size in heap for the rest of the run, and the next
+// capture gets a payload its own size.
+func TestLargePayloadGoesToTheCollector(t *testing.T) {
+	ctr, g, l := testWorld(t, 2)
+	big := make([]byte, keptPayloadMax+4096)
+	ctr.OnWrite(0, len(big))
+	ctr.Write(0, big)
+	cycle := func() *Delta {
+		d := capture(t, g, ctr)
+		if err := ctr.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		g.Ship(d, 0)
+		if err := g.DeliverAll(); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	cycle()
+	if n := len(g.free); n != 1 || g.free[0].payload != nil || cap(g.free[0].runs) == 0 {
+		t.Fatalf("free list after a %d B payload: %d entries, payload kept %v", len(big), n, n > 0 && g.free[0].payload != nil)
+	}
+	writePattern(ctr, l, 1, 7)
+	d := capture(t, g, ctr)
+	if cap(d.Payload) != 256 {
+		t.Fatalf("a one-block capture after it got a %d B payload, want 256", cap(d.Payload))
+	}
+}
+
 // TestCaptureShipDeliverAllocsConstant is the allocation guard of recycled
-// images: once warm, a capture → Ship → Deliver cycle allocates the same
-// whether the epoch dirtied one segment or 64, since every image comes off
-// the free list.
+// buffers: once warm, a capture → Ship → Deliver cycle allocates the same
+// whether the epoch wrote one run or 64, since the run list and payload come
+// off the free list.
 func TestCaptureShipDeliverAllocsConstant(t *testing.T) {
-	const segs = 64
-	ctr, g, l := smallSegWorld(t, segs, 2)
+	const runs = 64
+	ctr, g, l := smallSegWorld(t, runs, 2)
 	var word [8]byte
 	cycle := func(n int) {
 		for seg := 0; seg < n; seg++ {
 			ctr.OnWrite(seg*l.SegSize, len(word))
 			ctr.Write(seg*l.SegSize, word[:])
 		}
-		d := g.Capture(ctr)
+		d := capture(t, g, ctr)
+		if len(d.Runs) != n {
+			t.Fatalf("%d stores a segment apart captured as %d runs", n, len(d.Runs))
+		}
 		if err := ctr.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -561,11 +690,11 @@ func TestCaptureShipDeliverAllocsConstant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cycle(segs) // warm the free list at the largest footprint
+	cycle(runs) // warm the free list at the largest footprint
 	few := testing.AllocsPerRun(20, func() { cycle(1) })
-	many := testing.AllocsPerRun(20, func() { cycle(segs) })
-	t.Logf("allocs per cycle: %.0f at 1 dirty segment, %.0f at %d", few, many, segs)
+	many := testing.AllocsPerRun(20, func() { cycle(runs) })
+	t.Logf("allocs per cycle: %.0f at 1 dirty run, %.0f at %d", few, many, runs)
 	if few != many {
-		t.Fatalf("a cycle allocates %.0f objects at 1 dirty segment but %.0f at %d; want the same", few, many, segs)
+		t.Fatalf("a cycle allocates %.0f objects at 1 dirty run but %.0f at %d; want the same", few, many, runs)
 	}
 }

@@ -1,7 +1,7 @@
 // Package replica adds per-shard primary/secondary replication on top of
 // the coordinated checkpoint protocol: the differential cut is the
-// replication unit. At every cut boundary the primary captures the epoch's
-// dirty segment images as a Delta and pushes it into each secondary's
+// replication unit. At every cut boundary the primary captures the images of
+// the blocks the epoch wrote as a Delta and pushes it into each secondary's
 // receive buffer; secondaries install deltas asynchronously at their own
 // pace (simulated replication lag), each install being an ordinary local
 // checkpoint, so a secondary's container always sits exactly at some cut

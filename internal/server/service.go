@@ -60,9 +60,10 @@ const (
 )
 
 // ErrInCLLReplicas rejects Replicas > 0 with the incll backend: delta
-// shipping reads the container's dirty-segment set, which in-cache-line
-// logging does not maintain (it has no block-granular dirty tracking).
-var ErrInCLLReplicas = errors.New("server: the incll backend does not support replication (no dirty-segment capture)")
+// shipping reads the container's dirty blocks of the epoch (EpochRuns), which
+// in-cache-line logging does not maintain (it has no block-granular dirty
+// tracking).
+var ErrInCLLReplicas = errors.New("server: the incll backend does not support replication (no dirty-block capture)")
 
 // ErrInCLLIncremental rejects the incremental cut pipeline with the incll
 // backend: its checkpoint is already O(1) (an epoch-tag bump), so there is
@@ -938,7 +939,11 @@ func (s *Service) cutBegin(c *mpi.Comm, sh *shard, stw bool) error {
 	sh.cutOps[sh.epochOff+sh.ctr.CommittedEpoch()+1] = sh.issued
 	sh.snapshotForNextCut()
 	if sh.reps != nil {
-		sh.pendDelta = sh.reps.Capture(sh.core)
+		d, err := sh.reps.Capture(sh.core)
+		if err != nil {
+			return err
+		}
+		sh.pendDelta = d
 	}
 	sh.sinceCut = 0
 	t0 := sh.clock.NowPS()
