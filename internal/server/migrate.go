@@ -50,7 +50,7 @@
 // of what it holds, through a read-only view that charges nothing (the model
 // prices the snapshot as a DRAM copy), and each catch-up entry is the state
 // the op left in the KV. So a value only the KV got wrong moves with the
-// span, and the end-of-run sequential replay (verifyOwnership) finds it.
+// span, and the end-of-run sequential replay (owned) finds it.
 //
 // Crash anywhere in this pipeline is covered by the cut protocol: before
 // the flip's binding cut commits everywhere, recovery lands on an epoch
@@ -256,9 +256,11 @@ type migration struct {
 	log                     []migEnt
 	// startPS and flipPS bound the migration on the source's clock;
 	// flipEpoch is the global cut epoch the flip binds to: the one after
-	// the cut it rode (0 until preFlip).
-	startPS, flipPS int64
-	flipEpoch       uint64
+	// the cut it rode (0 until preFlip); cleanEpoch is the first whose
+	// image of the source lacks the span: the one after the cut it stood
+	// at when cleanup ended (0 until then).
+	startPS, flipPS       int64
+	flipEpoch, cleanEpoch uint64
 }
 
 // stat is the record's deterministic summary. A migration a crash cut short
@@ -524,9 +526,12 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 		sh.migPhase = migFlipReady
 	case migCleanup:
 		sh.markMigPhase("cleanup")
+		// No cut is in flight at a policy round, so the next one commits
+		// every delete quantum.
+		if sh.id == m.src {
+			m.cleanEpoch = sh.epochOff + sh.ctr.CommittedEpoch() + 1
+		}
 		if m.kind == MigrateMerge {
-			// No cut is in flight at a policy round, so the next one
-			// commits every delete quantum.
 			sh.retireQ = append(sh.retireQ, retirePlan{shard: m.src, whenCuts: sh.cuts + 1})
 		}
 		sh.migPhase = migIdle
@@ -871,23 +876,23 @@ func (s *Service) replayFlips(rg *ring.Ring, epoch uint64) error {
 	return nil
 }
 
-// verifyRetired checks a retired merge source's crashed image: it
+// recoverRetired readies a retired merge source for verification: it
 // recovers locally (its frozen committed epoch can only trail the
 // survivors' landing, never exceed it, so no rollback is ever needed) and
-// must match its own snapshot at that epoch.
-func (s *Service) verifyRetired(sh *shard, landing uint64) []string {
+// must then match its own oracle at the local epoch it landed on.
+func (s *Service) recoverRetired(sh *shard, landing uint64) (image, error) {
 	ctr, err := s.reopenBackend(sh.dev)
 	if err != nil {
-		return []string{fmt.Sprintf("reopen: %v", err)}
+		return image{}, fmt.Errorf("reopen: %v", err)
 	}
 	if err := ctr.Recover(); err != nil {
-		return []string{fmt.Sprintf("recover: %v", err)}
+		return image{}, fmt.Errorf("recover: %v", err)
 	}
 	local := ctr.CommittedEpoch()
 	if sh.epochOff+local > landing {
-		return []string{fmt.Sprintf("retired shard committed global epoch %d beyond landing %d", sh.epochOff+local, landing)}
+		return image{}, fmt.Errorf("retired shard committed global epoch %d beyond landing %d", sh.epochOff+local, landing)
 	}
-	return sh.verifyRecovered(ctr, s.cfg.DS, local)
+	return sh.rebind(ctr, s.cfg.DS, local)
 }
 
 // verifyApplied checks, after every clean run, that each global op was
@@ -916,23 +921,23 @@ func (s *Service) verifyApplied(res *Result) {
 	}
 }
 
-// verifyOwnership checks a clean run whose ring flipped: every member's ring
-// agrees with the migration records' flips replayed over the boot ring, a
-// sequential replay of the whole op stream matches each key's final owner's
-// state (no key lost, duplicated, or stranded on a former owner), and the
-// point reads the shards served sum to what the replay implies — a read
-// served from a span before its data arrived returns what the replay never
-// held, even where the shard's own oracle, mirroring the same stale state,
-// agrees with it. A run that never flipped routes on the boot ring
-// throughout and has nothing to check here.
-func (s *Service) verifyOwnership(res *Result) {
-	if len(s.migs) == 0 || s.migs[0].flipEpoch == 0 {
-		return
+// verifyOwnership prepares the fleet check of a clean run that migrated:
+// every member's ring agrees with the migration records' flips replayed
+// over the boot ring, and the point reads the shards served sum to what a
+// sequential replay of the whole op stream implies — a read served from a
+// span before its data arrived returns what the replay never held, even
+// where the shard's own oracle, mirroring the same stale state, agrees with
+// it. It returns the replay's state split by owner on the final ring, for
+// verify to hold each shard's KV against (nil for a run that never
+// migrated: it routes on the boot ring throughout).
+func (s *Service) verifyOwnership(res *Result) []share {
+	if len(s.migs) == 0 {
+		return nil
 	}
 	final, err := s.ringAt(math.MaxUint64)
 	if err != nil {
 		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ring", Detail: err.Error()})
-		return
+		return nil
 	}
 	for _, sh := range s.shards {
 		if sh.retired {
@@ -948,22 +953,10 @@ func (s *Service) verifyOwnership(res *Result) {
 			}
 		}
 	}
-
-	exp, reads := s.replayStream(s.cfg.Ops)
-	if d := s.ownership(exp, final, func(sh *shard) map[uint64]uint64 { return sh.shadow.live }); d != "" {
-		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ownership", Detail: d})
-	}
-	total := 0
+	owned, reads := s.replayStream(s.cfg.Ops, final)
 	var served uint64
 	for _, sh := range s.shards {
-		total += len(sh.shadow.live)
 		served += sh.readSum
-	}
-	if total != len(exp) {
-		res.Violations = append(res.Violations, Violation{
-			Shard: -1, Stage: "ownership",
-			Detail: fmt.Sprintf("shards hold %d keys total, sequential replay expects %d", total, len(exp)),
-		})
 	}
 	if served != reads {
 		res.Violations = append(res.Violations, Violation{
@@ -971,50 +964,71 @@ func (s *Service) verifyOwnership(res *Result) {
 			Detail: fmt.Sprintf("the point reads served sum to %#x, the sequential replay's to %#x: a read returned what the stream never held there", served, reads),
 		})
 	}
+	return owned
 }
 
-// verifyLandingOwnership checks a crashed run that migrated: a sequential
-// replay of the ops the landing cut's image holds must match what each key's
-// owner under the landing ring recovered. Each shard matching its own oracle
-// does not imply it — a flip bound to a cut whose image of the destination
-// lacks the span's last writes passes that check on every shard.
-func (s *Service) verifyLandingOwnership(res *Result, landing uint64, rg *ring.Ring) {
-	n := -1
+// landingOwnership is the fleet check of a crashed run that migrated: a
+// sequential replay of the ops the landing cut's image holds, split by
+// owner on the landing epoch's ring rg. Each shard matching its own oracle
+// does not imply that each matches its share of it — a flip bound to a cut
+// whose image of the destination lacks the span's last writes passes that
+// check on every shard.
+func (s *Service) landingOwnership(res *Result, landing uint64, rg *ring.Ring) []share {
 	for _, sh := range s.shards {
-		if v, ok := sh.cutOps[landing]; ok {
-			n = v
-			break
+		n, ok := sh.cutOps[landing]
+		if !ok {
+			continue
 		}
-	}
-	if n < 0 {
-		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ownership", Detail: fmt.Sprintf("no shard began the cut of landing epoch %d", landing)})
-		return
-	}
-	exp, _ := s.replayStream(n)
-	if d := s.ownership(exp, rg, func(sh *shard) map[uint64]uint64 {
-		held := make(map[uint64]uint64, sh.kv.Len())
-		for _, p := range sh.kv.Scan(0, sh.kv.Len()) {
-			held[p.Key] = p.Value
+		owned, _ := s.replayStream(n, rg)
+		// A crash inside a handover leaves its span on both parties, so the
+		// one rg does not give it to may hold it too: the destination until
+		// the flip binds, the source until its deletions commit. Only the
+		// last migration to start before the landing can be inside one: the
+		// next starts after the cut that commits those deletions, or (the
+		// end-of-run drain) at the round just before it, and start epochs
+		// never decrease.
+		if i := sort.Search(len(s.migs), func(i int) bool { return s.migs[i].epoch >= landing }); i > 0 {
+			if m := s.migs[i-1]; m.cleanEpoch == 0 || landing < m.cleanEpoch {
+				for _, id := range []int{m.src, m.dst} {
+					owned[id].stray = func(k uint64) bool { return m.slots[rg.Slot(k)] && rg.Owner(k) != id }
+				}
+			}
 		}
-		return held
-	}); d != "" {
-		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ownership", Detail: fmt.Sprintf("at landing epoch %d: %s", landing, d)})
+		return owned
 	}
+	res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ownership", Detail: fmt.Sprintf("no shard began the cut of landing epoch %d", landing)})
+	return nil
 }
+
+// share is a shard's part of a sequential replay: the keys a ring gives it,
+// which its KV must hold — no key stranded on a former owner, none missing
+// on its new one — and the keys it may hold all the same (nil: none).
+type share struct {
+	state map[uint64]uint64
+	stray func(key uint64) bool
+}
+
+func (sh share) image() image { return image{live: sh.state, n: len(sh.state)} }
 
 // replayStream applies the op stream's first n ops in sequence to the
-// populated key space: every key's state after them, and what the point
-// reads among them sum to (readMix).
-func (s *Service) replayStream(n int) (map[uint64]uint64, uint64) {
-	exp := make(map[uint64]uint64, s.cfg.Keys)
+// populated key space: every key's state after them, split by owner on rg
+// into one share per shard id, and what the point reads among them sum to
+// (readMix).
+func (s *Service) replayStream(n int, rg *ring.Ring) ([]share, uint64) {
+	owned := make([]share, len(s.shards))
+	slots := len(rg.Table())
+	for id := range owned {
+		owned[id].state = make(map[uint64]uint64, int(s.cfg.Keys)*rg.Weight(id)/slots)
+	}
+	at := func(k uint64) map[uint64]uint64 { return owned[rg.Owner(k)].state }
 	for k := uint64(0); k < s.cfg.Keys; k++ {
-		exp[k] = k
+		at(k)[k] = k
 	}
 	var reads uint64
 	gens := s.newGenerators()
 	for i := 0; i < n; i++ {
 		op := gens[i%len(gens)].Next()
-		switch op.Kind {
+		switch exp := at(op.Key); op.Kind {
 		case workload.OpRead:
 			v, ok := exp[op.Key]
 			reads += readMix(i, v, ok)
@@ -1026,49 +1040,7 @@ func (s *Service) replayStream(n int) (map[uint64]uint64, uint64) {
 			delete(exp, op.Key)
 		}
 	}
-	return exp, reads
-}
-
-// ownership compares a sequential replay's state with what each key's owner
-// under rg holds (held, once per shard): keys missing on their owner, keys
-// holding another value there, and keys the replay deleted that their owner
-// still holds. It describes what it found, the smallest bad key first, or
-// returns "" if nothing.
-func (s *Service) ownership(exp map[uint64]uint64, rg *ring.Ring, held func(*shard) map[uint64]uint64) string {
-	kv := make([]map[uint64]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		kv[i] = held(sh)
-	}
-	missing, wrong, extra := 0, 0, 0
-	first, firstBad := uint64(math.MaxUint64), ""
-	note := func(k uint64, f func() string) {
-		if k <= first {
-			first, firstBad = k, f()
-		}
-	}
-	for k, v := range exp {
-		owner := rg.Owner(k)
-		switch got, ok := kv[owner][k]; {
-		case !ok:
-			missing++
-			note(k, func() string { return fmt.Sprintf("key %d missing on owner %d", k, owner) })
-		case got != v:
-			wrong++
-			note(k, func() string { return fmt.Sprintf("key %d on owner %d: got %d want %d", k, owner, got, v) })
-		}
-	}
-	for id, m := range kv {
-		for k, v := range m {
-			if _, ok := exp[k]; !ok && rg.Owner(k) == id {
-				extra++
-				note(k, func() string { return fmt.Sprintf("key %d on owner %d: got %d, the replay deleted it", k, id, v) })
-			}
-		}
-	}
-	if missing+wrong+extra == 0 {
-		return ""
-	}
-	return fmt.Sprintf("%d keys missing on their owner, %d wrong, %d deleted but held (%s)", missing, wrong, extra, firstBad)
+	return owned, reads
 }
 
 // MigrationSpans reports each migration phase's device-primitive crash

@@ -13,6 +13,13 @@ type undo struct {
 	had bool
 }
 
+// journal is one interval's undo entries and the live map's size at the
+// cut it opened at: the size of that cut's image.
+type journal struct {
+	undo map[uint64]undo
+	size int
+}
+
 // oracle is a shard's verification model: the live map mirrors every acked
 // mutation, and a per-epoch undo journal stands in for a full copy of it at
 // every retained cut. Journal i covers the interval after cut first+i (up
@@ -32,7 +39,7 @@ type undo struct {
 type oracle struct {
 	live     map[uint64]uint64
 	first    uint64 // epoch of journals[0]
-	journals []map[uint64]undo
+	journals []journal
 	free     []map[uint64]undo // cleared journals awaiting reuse
 	marked   uint64            // epoch of the last cut
 	sessions []session         // per client (replicated runs only)
@@ -53,7 +60,7 @@ func (o *oracle) touch(key uint64) {
 	if len(o.journals) == 0 {
 		return
 	}
-	j := o.journals[len(o.journals)-1]
+	j := o.journals[len(o.journals)-1].undo
 	if _, seen := j[key]; !seen {
 		v, had := o.live[key]
 		j[key] = undo{val: v, had: had}
@@ -80,8 +87,8 @@ func (o *oracle) cut(next, floor uint64) {
 	o.marked = next
 	drop := 0
 	for drop < len(o.journals) && o.first < floor {
-		clear(o.journals[drop])
-		o.free = append(o.free, o.journals[drop])
+		clear(o.journals[drop].undo)
+		o.free = append(o.free, o.journals[drop].undo)
 		drop++
 		o.first++
 	}
@@ -96,47 +103,60 @@ func (o *oracle) cut(next, floor uint64) {
 	} else {
 		j = make(map[uint64]undo)
 	}
-	o.journals = append(o.journals, j)
+	o.journals = append(o.journals, journal{j, len(o.live)})
 }
 
-// retains reports whether epoch's image can still be reconstructed.
-func (o *oracle) retains(epoch uint64) bool {
-	return epoch >= o.first && epoch-o.first < uint64(len(o.journals))
+// image is what a KV must hold, looked up rather than copied: live with
+// undo, the journals from a cut on, undone oldest last; n is the number of
+// keys. The oracle's image of the open epoch, the one the next cut marks,
+// is its live map itself, as is a shard's share of a sequential replay.
+type image struct {
+	live map[uint64]uint64
+	undo []journal
+	n    int
 }
 
-// at is the point lookup into a retained cut's image: the oldest journal
-// from that cut on that saw the key knows what it held then; a key no
-// journal saw has not changed since.
-func (o *oracle) at(epoch, key uint64) (val uint64, ok bool) {
-	for _, j := range o.journals[epoch-o.first:] {
-		if u, seen := j[key]; seen {
+func (o *oracle) open() image { return image{live: o.live, n: len(o.live)} }
+
+// at is a retained cut's image (false if the epoch fell out of retention
+// or was never marked).
+func (o *oracle) at(epoch uint64) (image, bool) {
+	if epoch < o.first || epoch-o.first >= uint64(len(o.journals)) {
+		return image{}, false
+	}
+	js := o.journals[epoch-o.first:]
+	return image{live: o.live, undo: js, n: js[0].size}, true
+}
+
+// get is the point lookup: the oldest journal that saw the key knows what
+// it held at the cut; a key no journal saw has not changed since.
+func (im image) get(key uint64) (uint64, bool) {
+	for _, j := range im.undo {
+		if u, seen := j.undo[key]; seen {
 			return u.val, u.had
 		}
 	}
-	val, ok = o.live[key]
-	return val, ok
+	v, ok := im.live[key]
+	return v, ok
 }
 
-// snapAt materialises a retained cut's full image (crash and end-of-run
-// verification only — never per request).
-func (o *oracle) snapAt(epoch uint64) (map[uint64]uint64, bool) {
-	if !o.retains(epoch) {
-		return nil, false
-	}
-	img := make(map[uint64]uint64, len(o.live))
-	for k, v := range o.live {
-		img[k] = v
-	}
-	for i := len(o.journals) - 1; i >= int(epoch-o.first); i-- {
-		for k, u := range o.journals[i] {
-			if u.had {
-				img[k] = u.val
-			} else {
-				delete(img, k)
-			}
+// each calls f for every key of the image with its value, a key both the
+// live map and a journal hold more than once. It walks the whole live map:
+// for the failure path only.
+func (im image) each(f func(key, val uint64)) {
+	visit := func(k uint64) {
+		if v, ok := im.get(k); ok {
+			f(k, v)
 		}
 	}
-	return img, true
+	for k := range im.live {
+		visit(k)
+	}
+	for _, j := range im.undo {
+		for k := range j.undo {
+			visit(k)
+		}
+	}
 }
 
 // wrote records a mutation by client, which commits in the epoch the next cut

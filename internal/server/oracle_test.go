@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -15,14 +16,14 @@ import (
 
 // TestOracleJournalMatchesFullCopy is the journal ≡ full copy property:
 // under random put / RMW / delete / insert streams with cuts at random
-// points, the image the undo journal reconstructs for every retained cut —
-// materialised (snapAt) and by point lookup (at) — equals a reference full
-// copy of the live map taken at that cut, and epochs outside the retention
-// window are refused. The scenarios cover the three retention rules the
-// service uses: the plain two-cut recovery window, the replicated floor
-// (the slowest secondary's installed epoch, which lags arbitrarily), and a
-// split-spawned shard whose images are asked for by global epoch through
-// its join offset.
+// points, the image the undo journal gives every retained cut — its point
+// lookup, its size and its failure-path listing — equals a reference full
+// copy of the live map taken at that cut, the open epoch's image equals the
+// reference's present state, and epochs outside the retention window are
+// refused. The scenarios cover the three retention rules the service uses:
+// the plain two-cut recovery window, the replicated floor (the slowest
+// secondary's installed epoch, which lags arbitrarily), and a split-spawned
+// shard whose images are asked for by global epoch through its join offset.
 func TestOracleJournalMatchesFullCopy(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -47,45 +48,68 @@ func TestOracleJournalMatchesFullCopy(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", sc.name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				o := newOracle()
+				cur := map[uint64]uint64{}            // the reference's present state
 				ref := map[uint64]map[uint64]uint64{} // global epoch -> full copy
 				const keys = 64
 				fresh := uint64(keys)
+				put := func(k, v uint64) { o.put(k, v); cur[k] = v }
 				mutate := func() {
 					k := uint64(rng.Intn(keys))
 					switch rng.Intn(4) {
 					case 0:
-						o.put(k, rng.Uint64())
+						put(k, rng.Uint64())
 					case 1: // RMW
-						o.add(k, rng.Uint64())
+						d := rng.Uint64()
+						o.add(k, d)
+						cur[k] += d
 					case 2:
 						o.del(k)
+						delete(cur, k)
 					default: // insert of a never-seen key
-						o.put(fresh, rng.Uint64())
+						put(fresh, rng.Uint64())
 						fresh++
+					}
+				}
+				matches := func(what string, img image, want map[uint64]uint64) {
+					t.Helper()
+					for k := uint64(0); k < fresh; k++ {
+						gv, gok := img.get(k)
+						wv, wok := want[k]
+						if gv != wv || gok != wok {
+							t.Fatalf("%s key %d: get = %d,%v want %d,%v", what, k, gv, gok, wv, wok)
+						}
+					}
+					if img.n != len(want) {
+						t.Fatalf("%s: size %d, want %d", what, img.n, len(want))
+					}
+					listed := map[uint64]uint64{}
+					img.each(func(k, v uint64) {
+						if w, twice := listed[k]; twice && w != v {
+							t.Fatalf("%s: key %d listed with %d and %d", what, k, w, v)
+						}
+						listed[k] = v
+					})
+					if !reflect.DeepEqual(listed, want) {
+						t.Fatalf("%s: each lists %v, want %v", what, listed, want)
 					}
 				}
 				check := func(next, floor uint64) {
 					t.Helper()
 					for g, want := range ref {
 						local := g - sc.epochOff
-						got, ok := o.snapAt(local)
-						if !ok || !reflect.DeepEqual(got, want) {
-							t.Fatalf("cut %d (local %d): snapAt = %v, %v; want %v", g, local, got, ok, want)
+						img, ok := o.at(local)
+						if !ok {
+							t.Fatalf("cut %d (local %d) is not retained", g, local)
 						}
-						for k := uint64(0); k < fresh; k++ {
-							gv, gok := o.at(local, k)
-							wv, wok := want[k]
-							if gv != wv || gok != wok {
-								t.Fatalf("cut %d key %d: at = %d,%v want %d,%v", g, k, gv, gok, wv, wok)
-							}
-						}
+						matches(fmt.Sprintf("cut %d (local %d)", g, local), img, want)
 					}
+					matches("open epoch", o.open(), cur)
 					outside := []uint64{next + 1}
 					if floor > 0 {
 						outside = append(outside, floor-1)
 					}
 					for _, e := range outside {
-						if _, ok := o.snapAt(e); ok || o.retains(e) {
+						if _, ok := o.at(e); ok {
 							t.Fatalf("epoch %d outside [%d,%d] is still retained", e, floor, next)
 						}
 					}
@@ -94,7 +118,7 @@ func TestOracleJournalMatchesFullCopy(t *testing.T) {
 					// Populate before the first cut; a joined shard's first
 					// image (its bring-up checkpoint) is empty instead.
 					for k := uint64(0); k < keys; k++ {
-						o.put(k, k)
+						put(k, k)
 					}
 				}
 				var next, floor uint64
@@ -106,11 +130,7 @@ func TestOracleJournalMatchesFullCopy(t *testing.T) {
 						next++
 						floor = sc.floor(rng, next, floor)
 						o.cut(next, floor)
-						cp := make(map[uint64]uint64, len(o.live))
-						for k, v := range o.live {
-							cp[k] = v
-						}
-						ref[sc.epochOff+next] = cp
+						ref[sc.epochOff+next] = maps.Clone(cur)
 						for g := range ref {
 							if g-sc.epochOff < floor {
 								delete(ref, g)
@@ -298,7 +318,7 @@ func TestRMWMirrorsTheOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"1 wrong keys (first: 7, got 1004 want 105)"}
-	if got := verifyKV(sh.kv, sh.shadow.live); !reflect.DeepEqual(got, want) {
+	if got := verifyKV(dumpKV(sh.kv), sh.shadow.open(), nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("verifyKV = %q, want %q", got, want)
 	}
 }

@@ -144,35 +144,38 @@ func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState,
 // guarantees: a view of epoch e means exactly cut e's state, never a torn
 // or in-between image.
 func (sh *shard) checkSecondaryRead(plan replica.Plan, key, v uint64, ok bool) {
-	if !sh.shadow.retains(plan.View) {
+	img, retained := sh.shadow.at(plan.View)
+	if !retained {
 		sh.repViol = append(sh.repViol, fmt.Sprintf(
 			"replica %d served view %d with no retained snapshot", plan.Sec, plan.View))
 		return
 	}
-	wv, wok := sh.shadow.at(plan.View, key)
+	wv, wok := img.get(key)
 	if ok != wok || (ok && v != wv) {
 		sh.repViol = append(sh.repViol, fmt.Sprintf(
 			"replica %d view %d key %d: got %d,%v want %d,%v", plan.Sec, plan.View, key, v, ok, wv, wok))
 	}
 }
 
-// verifyReplicas is the end-of-run replica check of a clean run: every
-// quiesced secondary against the snapshot of its installed epoch.
-func (sh *shard) verifyReplicas() []string {
+// verifyReplicas is the end-of-run replica check: every secondary against
+// the oracle's image of its installed epoch. After a crash a secondary may
+// not have installed a cut yet, and the promoted one is the shard's own
+// container now, checked as the shard.
+func (sh *shard) verifyReplicas(recovered bool) []string {
 	if sh.reps == nil {
 		return nil
 	}
 	var bad []string
 	for i := 0; i < sh.reps.Len(); i++ {
 		sec := sh.reps.Sec(i)
-		if sec.Disabled() {
+		if sec.Disabled() || sec.Container() == sh.core || (recovered && sec.Installed() == 0) {
 			continue
 		}
 		if sec.Installed() == 0 {
 			bad = append(bad, fmt.Sprintf("replica %d never installed a cut", i))
 			continue
 		}
-		want, have := sh.shadow.snapAt(sec.Installed())
+		want, have := sh.shadow.at(sec.Installed())
 		if !have {
 			bad = append(bad, fmt.Sprintf("replica %d at epoch %d: no retained snapshot", i, sec.Installed()))
 			continue
@@ -182,7 +185,7 @@ func (sh *shard) verifyReplicas() []string {
 			bad = append(bad, err.Error())
 			continue
 		}
-		for _, d := range verifyKV(kv, want) {
+		for _, d := range verifyKV(dumpKV(kv), want, nil) {
 			bad = append(bad, fmt.Sprintf("replica %d: %s", i, d))
 		}
 	}

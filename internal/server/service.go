@@ -428,8 +428,11 @@ type ShardStats struct {
 // Violation is one consistency failure found by verification.
 type Violation struct {
 	Shard int
-	// Stage names the check that failed: "verify", "replica", "applied",
-	// "ring", "ownership", "read", "epoch", "recover" or "liveness".
+	// Stage names the check that failed: "verify" (the shard's KV against
+	// its oracle), "replica" (a secondary against its oracle), "ownership"
+	// (the shard's KV against the sequential replay's keys its ring gives
+	// it), "applied", "ring", "read", "epoch", "recover" or "liveness".
+	// Shard is -1 for a fleet-wide finding.
 	Stage  string
 	Detail string
 }
@@ -515,24 +518,7 @@ func (s *Service) Run() (*Result, error) {
 	if crashedRank >= 0 {
 		s.recoverAll(res)
 	} else {
-		// Clean run: every shard's KV must equal its live shadow, every
-		// quiesced secondary must equal the cut snapshot of its installed
-		// epoch, and every op was applied exactly once. The fan-out
-		// parallelism cannot change the result: each cell reads only its own
-		// shard (and its replicas), and reduction is in shard order.
-		vs := sched.Map(len(s.shards), sched.Options{Workers: s.cfg.Parallel}, func(i int) [2][]string {
-			return [2][]string{verifyKV(s.shards[i].kv, s.shards[i].shadow.live), s.shards[i].verifyReplicas()}
-		})
-		for i, bad := range vs {
-			for _, d := range bad[0] {
-				res.Violations = append(res.Violations, Violation{Shard: i, Stage: "verify", Detail: d})
-			}
-			for _, d := range bad[1] {
-				res.Violations = append(res.Violations, Violation{Shard: i, Stage: "replica", Detail: d})
-			}
-		}
-		s.verifyApplied(res)
-		s.verifyOwnership(res)
+		s.verifyClean(res)
 	}
 	// Online checks of routed reads (applyRead) count on either path: a
 	// crash does not excuse a read served before it.
@@ -1072,7 +1058,7 @@ func rankWorld(members []*shard, stage string, fn func(c *mpi.Comm, sh *shard) e
 // verified against the shadow snapshot of the landing epoch: zero
 // acked-across-a-cut ops lost, zero applied twice. A run that migrated is
 // also checked across shards, on the landing epoch's ring
-// (verifyLandingOwnership).
+// (landingOwnership).
 //
 // Under replication the crashed shard's node is lost outright, device and
 // all. Its rank is then a Promotion of its most-current secondary — just
@@ -1087,7 +1073,7 @@ func (s *Service) recoverAll(res *Result) {
 	// Membership at the failure: a merged-away source that already retired
 	// cannot rejoin the coordinated protocol — its committed epoch froze at
 	// its departure, which would trip the at-most-one-behind rule. It
-	// recovers locally instead (verifyRetired); everyone else forms the
+	// recovers locally instead (recoverRetired); everyone else forms the
 	// recovery world, with ranks remapped over the survivors. Epochs are
 	// compared in the global cut numbering via each shard's join offset.
 	var members, retired []*shard
@@ -1168,32 +1154,73 @@ func (s *Service) recoverAll(res *Result) {
 		// heap predates the allocator format).
 		return
 	}
-	vs := sched.Map(n, sched.Options{Workers: s.cfg.Parallel}, func(i int) []string {
-		return members[i].verifyRecovered(ctrs[i], s.cfg.DS, epoch-members[i].epochOff)
-	})
-	for i, bad := range vs {
-		for _, d := range bad {
-			res.Violations = append(res.Violations, Violation{Shard: members[i].id, Stage: "verify", Detail: d})
-		}
+	s.verifyLanding(res, epoch, members, retired, ctrs)
+	if len(res.Violations) == 0 {
+		s.liveness(res, members)
 	}
-	for _, sh := range retired {
-		for _, d := range s.verifyRetired(sh, epoch) {
-			res.Violations = append(res.Violations, Violation{Shard: sh.id, Stage: "verify", Detail: d})
-		}
-	}
+}
+
+// verifyClean is the tail of a clean run: every shard's KV must equal its
+// oracle's open epoch, and every op was applied exactly once.
+func (s *Service) verifyClean(res *Result) {
+	owned := s.verifyOwnership(res)
+	s.verify(res, s.shards, owned, func(i int) (image, error) { return s.shards[i].shadow.open(), nil })
+	s.verifyApplied(res)
+}
+
+// verifyLanding is the tail of a crashed run that landed on global epoch
+// epoch: members recovered into ctrs, each retired shard recovers on its
+// own, and every KV must equal its oracle's image of the landing.
+func (s *Service) verifyLanding(res *Result, epoch uint64, members, retired []*shard, ctrs []CutBackend) {
 	// Route on the landing epoch's ring from here on, so liveness probes
 	// route the way the recovered service would.
-	rg, err := s.ringAt(epoch)
-	if err != nil {
+	var owned []share
+	if rg, err := s.ringAt(epoch); err != nil {
 		res.Violations = append(res.Violations, Violation{Shard: -1, Stage: "ring", Detail: err.Error()})
 	} else {
 		s.ring = rg
+		if len(s.migs) > 0 {
+			owned = s.landingOwnership(res, epoch, rg)
+		}
 	}
-	if len(res.Violations) == 0 && len(s.migs) > 0 {
-		s.verifyLandingOwnership(res, epoch, rg)
-	}
-	if len(res.Violations) == 0 {
-		s.liveness(res, members)
+	all := slices.Concat(members, retired)
+	s.verify(res, all, owned, func(i int) (image, error) {
+		if i >= len(members) {
+			return s.recoverRetired(all[i], epoch)
+		}
+		return all[i].rebind(ctrs[i], s.cfg.DS, epoch-all[i].epochOff)
+	})
+}
+
+// verify is the end of every run, clean or crashed: one cell per shard,
+// which readies the shard (ready returns the oracle image its KV must
+// hold), checks the KV against that image and then the shard's replicas
+// against theirs, and then — in a run that migrated (owned != nil), once
+// the KV has matched its oracle — holds the KV against its share of the
+// sequential replay. The KV is walked, not the oracle, so the replay stays
+// an independent check. Each cell reads only its own shard, and reduction is
+// in shard order, so the fan-out's parallelism cannot change the result.
+func (s *Service) verify(res *Result, shards []*shard, owned []share, ready func(i int) (image, error)) {
+	vs := sched.Map(len(shards), sched.Options{Workers: s.cfg.Parallel}, func(i int) (bad [3][]string) {
+		want, err := ready(i)
+		if err != nil {
+			bad[0] = []string{err.Error()}
+			return bad
+		}
+		kv := dumpKV(shards[i].kv)
+		bad[0], bad[1] = verifyKV(kv, want, nil), shards[i].verifyReplicas(res.Recovered)
+		if bad[0] == nil && owned != nil {
+			o := owned[shards[i].id]
+			bad[2] = verifyKV(kv, o.image(), o.stray)
+		}
+		return bad
+	})
+	for i, bad := range vs {
+		for stage, details := range bad {
+			for _, d := range details {
+				res.Violations = append(res.Violations, Violation{Shard: shards[i].id, Stage: [...]string{"verify", "replica", "ownership"}[stage], Detail: d})
+			}
+		}
 	}
 }
 

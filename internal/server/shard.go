@@ -1,8 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"libcrpm/internal/alloc"
 	"libcrpm/internal/ckpt"
@@ -231,7 +232,7 @@ func newShardShell(id, deviceSize, stepBudget int, trace bool) *shard {
 
 // init formats the shard's allocator and KV over a freshly formatted
 // backend, persisting the KV root in the root array so recovery can rebind
-// it (verifyRecovered).
+// it (rebind).
 func (sh *shard) init(ctr CutBackend, ds DSKind, buckets int) error {
 	a, err := alloc.Format(heap.New(ctr))
 	if err != nil {
@@ -279,22 +280,22 @@ func openKV(b ckpt.Backend, ds DSKind) (pds.KV, error) {
 	return kv, nil
 }
 
-// verifyRecovered is the tail of every crash verification: it rebinds the
-// shard to its container as reopened from the (crashed, recovered) device
-// state — recovery itself is the caller's — and compares the KV with the
-// shadow's image of local epoch, the one the container landed on.
-func (sh *shard) verifyRecovered(ctr CutBackend, ds DSKind, local uint64) []string {
+// rebind readies a recovered shard for verification: it rebinds the shard
+// to its container as reopened from the (crashed, recovered) device state —
+// recovery itself is the caller's — and returns the oracle's image of local
+// epoch, the one the container landed on.
+func (sh *shard) rebind(ctr CutBackend, ds DSKind, local uint64) (image, error) {
 	kv, err := openKV(ctr, ds)
 	if err != nil {
-		return []string{fmt.Sprintf("server: shard %d: %v", sh.id, err)}
+		return image{}, fmt.Errorf("server: shard %d: %v", sh.id, err)
 	}
 	sh.ctr, sh.kv = ctr, kv
 	sh.core, _ = ctr.(*core.Container)
-	want, ok := sh.shadow.snapAt(local)
+	want, ok := sh.shadow.at(local)
 	if !ok {
-		return []string{fmt.Sprintf("no shadow snapshot for local epoch %d", local)}
+		return image{}, fmt.Errorf("no shadow snapshot for local epoch %d", local)
 	}
-	return verifyKV(kv, want)
+	return want, nil
 }
 
 // pendAck is one group-committed request awaiting its quantum fence:
@@ -522,57 +523,78 @@ func (sh *shard) snapshotForNextCut() {
 	sh.shadow.cut(next, floor)
 }
 
-// verifyKV compares a KV's full contents against an expected image,
-// returning deterministic violation details (keys reported in sorted
-// order, capped) — empty means the images match exactly.
-func verifyKV(kv pds.KV, want map[uint64]uint64) []string {
+// kvDump is a KV's Scan, sorted in place by key then value, and the key
+// count its Len reports: walked once per image it is checked against, each
+// key looked up there, so no map is built from either side. Sorted, a key
+// the scan repeats is one run of pairs, counted once, by the pair with the
+// largest value.
+type kvDump struct {
+	pairs []pds.Pair
+	n     int
+}
+
+func dumpKV(kv pds.KV) kvDump {
 	n := kv.Len()
-	var dump []pds.Pair
-	if n > 0 {
-		dump = kv.Scan(0, n)
+	d := kvDump{kv.Scan(0, n), n}
+	slices.SortFunc(d.pairs, func(a, b pds.Pair) int { return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Value, b.Value)) })
+	return d
+}
+
+// tally is one kind of bad key: how many, and the smallest, with the value
+// the KV holds there and the one the image does, as format words them.
+type tally struct {
+	format         string
+	n              int
+	key, got, want uint64
+}
+
+func (t *tally) note(key, got, want uint64) {
+	if t.n == 0 || key < t.key {
+		t.key, t.got, t.want = key, got, want
+	}
+	t.n++
+}
+
+// verifyKV compares a KV's full contents against an expected image,
+// returning deterministic violation details (the smallest bad key of each
+// kind first) — empty means the images match exactly. A key outside the
+// image that stray admits may be held all the same, unchecked (nil: none).
+func verifyKV(d kvDump, want image, stray func(key uint64) bool) []string {
+	missing := tally{format: "%[1]d missing keys (first: %[2]d, want %[4]d)"}
+	wrong := tally{format: "%[1]d wrong keys (first: %[2]d, got %[3]d want %[4]d)"}
+	extra := tally{format: "%[1]d extra keys (first: %[2]d, got %[3]d)"}
+	keys, held := 0, 0
+	for i, p := range d.pairs {
+		if i+1 < len(d.pairs) && d.pairs[i+1].Key == p.Key {
+			continue
+		}
+		keys++
+		switch v, ok := want.get(p.Key); {
+		case ok:
+			held++
+			if v != p.Value {
+				wrong.note(p.Key, p.Value, v)
+			}
+		case stray == nil || !stray(p.Key):
+			extra.note(p.Key, p.Value, 0)
+		}
+	}
+	if held < want.n {
+		want.each(func(k, v uint64) {
+			if _, found := slices.BinarySearchFunc(d.pairs, k, func(p pds.Pair, k uint64) int { return cmp.Compare(p.Key, k) }); !found {
+				missing.note(k, 0, v)
+			}
+		})
+		missing.n = want.n - held
 	}
 	var bad []string
-	got := make(map[uint64]uint64, len(dump))
-	for _, p := range dump {
-		got[p.Key] = p.Value
+	if keys != d.n {
+		bad = append(bad, fmt.Sprintf("scan returned %d keys, Len reports %d", keys, d.n))
 	}
-	if len(got) != n {
-		bad = append(bad, fmt.Sprintf("scan returned %d keys, Len reports %d", len(got), n))
-	}
-	var missing, wrong, extra []uint64
-	for k, v := range want {
-		g, ok := got[k]
-		switch {
-		case !ok:
-			missing = append(missing, k)
-		case g != v:
-			wrong = append(wrong, k)
+	for _, t := range []tally{missing, wrong, extra} {
+		if t.n > 0 {
+			bad = append(bad, fmt.Sprintf(t.format, t.n, t.key, t.got, t.want))
 		}
 	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			extra = append(extra, k)
-		}
-	}
-	report := func(kind string, keys []uint64) {
-		if len(keys) == 0 {
-			return
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		k := keys[0]
-		detail := fmt.Sprintf("%d %s keys (first: %d", len(keys), kind, k)
-		switch kind {
-		case "missing":
-			detail += fmt.Sprintf(", want %d)", want[k])
-		case "wrong":
-			detail += fmt.Sprintf(", got %d want %d)", got[k], want[k])
-		default:
-			detail += fmt.Sprintf(", got %d)", got[k])
-		}
-		bad = append(bad, detail)
-	}
-	report("missing", missing)
-	report("wrong", wrong)
-	report("extra", extra)
 	return bad
 }
