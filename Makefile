@@ -24,6 +24,8 @@ bench:
 fuzz:
 	$(GO) test -fuzz FuzzCrashNeverCorruptsFencedData -fuzztime 30s ./internal/nvm/
 	$(GO) test -fuzz FuzzReadDeviceFrom -fuzztime 30s ./internal/nvm/
+	$(GO) test -run '^$$' -fuzz FuzzDeviceHistory -fuzztime 30s ./internal/nvm/
+	$(GO) test -run '^$$' -fuzz FuzzDeviceReuse -fuzztime 30s ./internal/nvm/
 	$(GO) test -fuzz FuzzAllocFree -fuzztime 30s ./internal/alloc/
 	$(GO) test -fuzz FuzzRegionCheck -fuzztime 30s ./internal/region/
 

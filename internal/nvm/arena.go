@@ -10,11 +10,14 @@ import (
 // rather than what it declared. It holds the working array, the only
 // full-size image, then the slots that keep a line's media and undo bytes
 // while they differ from working (device.go): a per-line index, an undo log
-// that NT stores fill and each fence empties, and a pool with room for a
-// media and an undo slot per line. Pool slots are reused last-in first-out,
-// so the pool's resident pages track the peak number of diverged lines, and
-// the log's the most lines one fence epoch NT-stores. On unix outside the
-// race detector an arena is an anonymous mapping, off the Go heap:
+// that NT stores fill and each fence empties, the zero slot that every
+// all-zero media or undo shares, and a pool with room for a media and an
+// undo slot per line. Pool slots are reused last-in first-out, so the
+// pool's resident pages track the peak number of diverged lines whose media
+// is not zero, and the log's the most lines one fence epoch NT-stores. The
+// zero slot is never written, so it reads zero for the arena's whole life,
+// across every device that reuses it. On unix outside the race detector an
+// arena is an anonymous mapping, off the Go heap:
 // untouched pages cost nothing, no collector ever zeroes one again, and the
 // garbage collector neither sees nor paces against it (arena_mmap.go).
 // Elsewhere it is an ordinary slice (arena_heap.go).
@@ -23,10 +26,10 @@ import (
 // arena's length: working; per line a uint32 naming its media slot (0 for
 // none), then per line one naming its undo slot; the stack of free slot
 // numbers; and the slots, LineSize bytes each: slot 0, never handed out,
-// then lines for the undo log and 2*lines for the pool.
+// then lines for the undo log, the zero slot, and 2*lines for the pool.
 func arenaLayout(size int) (media, undo, free, slots, end int) {
 	lines := size / LineSize
-	n := 3*lines + 1
+	n := 3*lines + 2
 	media, undo, free = size, size+4*lines, size+8*lines
 	slots = (free + 4*n + LineSize - 1) / LineSize * LineSize
 	return media, undo, free, slots, slots + LineSize*n
@@ -40,8 +43,8 @@ func words(b []byte) []uint32 {
 // idle is the free list of closed devices' arenas, keyed by device size.
 // Every arena in it reads zero in working and names no media slot: Close
 // cleared what its device touched before pushing it. Undo entries, the free
-// stack and the slots are written before they are read, so they keep what
-// the last device left.
+// stack and the slots other than the zero slot are written before they are
+// read, so they keep what the last device left.
 var idle struct {
 	sync.Mutex
 	bySize map[int][][]byte

@@ -76,6 +76,13 @@ func runReuseScript(d *Device, script []byte) []int {
 	return seen
 }
 
+// reuseOp encodes one runReuseScript op of the given kind at byte offset
+// off, a multiple of LineSize/8.
+func reuseOp(kind byte, off int, arg byte) []byte {
+	v := off / (LineSize / 8)
+	return []byte{kind, byte(v >> 16), byte(v >> 8), byte(v), arg}
+}
+
 // reuseImage is a serialized device of reuseSize bytes whose media holds
 // seed's bytes spread over every chunk.
 func reuseImage(seed []byte) []byte {
@@ -91,10 +98,11 @@ func reuseImage(seed []byte) []byte {
 
 // FuzzDeviceReuse pins that reuse is invisible: a device on the arena a
 // closed device handed back reads zero before its first write — media,
-// working, and no line holding a media slot — and the same script on it and on freshly mapped
-// memory ends with identical media snapshots and working arrays (full
-// length), stats, clock, primitive count and crash outcomes — whatever the
-// closed device's own script wrote, and through which writer.
+// working, the zero slot, and no line holding a media slot — and the same
+// script on it and on freshly mapped memory ends with identical media
+// snapshots and working arrays (full length), stats, clock, primitive
+// count and crash outcomes — whatever the closed device's own script
+// wrote, and through which writer.
 func FuzzDeviceReuse(f *testing.F) {
 	// An NT store alone into the third chunk, then fenced.
 	f.Add(false, false, []byte{2, 0x04, 0x00, 0x00, 3, 8, 0, 0, 0, 0}, []byte{13, 0x04, 0x00, 0x00, 0})
@@ -107,6 +115,26 @@ func FuzzDeviceReuse(f *testing.F) {
 	}
 	f.Add(false, true, all, all)
 	f.Add(true, false, []byte("an image"), all)
+	// Each path a fresh line's zero media takes, then a fresh line's store,
+	// a crash and a load: a write that reached the shared zero slot would
+	// show on the reused device alone.
+	lineOff := func(l int) int { return l * LineSize }
+	store := func(l int) []byte { return reuseOp(0, lineOff(l), 0) }
+	storeFlush := func(l int) []byte { return slices.Concat(store(l), reuseOp(6, lineOff(l), 0)) }
+	then := slices.Concat(store(9), reuseOp(12, 0, 0), reuseOp(13, lineOff(9), 1))
+	for _, first := range [][]byte{
+		// A partial NT store over it.
+		slices.Concat(store(5), reuseOp(2, lineOff(5)+8, 0)),
+		// A media fault and a torn write on it.
+		slices.Concat(store(5), reuseOp(4, lineOff(5), 0)),
+		slices.Concat(store(5), reuseOp(5, lineOff(5), 100)),
+		// A second store and flush in the epoch of the first.
+		slices.Concat(storeFlush(5), storeFlush(5), reuseOp(8, 0, 0)),
+		// A pending line whose undo is the zero slot, at each crash.
+		slices.Concat(storeFlush(5), reuseOp(10, 0, 0), storeFlush(6), reuseOp(11, 0, 0), storeFlush(7), reuseOp(12, 0, 0)),
+	} {
+		f.Add(false, false, first, then)
+	}
 	f.Fuzz(func(t *testing.T, fromImage, evict bool, first, second []byte) {
 		if len(first) > 64*reuseOpLen || len(second) > 64*reuseOpLen {
 			return
@@ -145,6 +173,9 @@ func FuzzDeviceReuse(f *testing.F) {
 		}
 		if i := slices.IndexFunc(reused.mediaSlot, func(s uint32) bool { return s != 0 }); i >= 0 {
 			t.Fatalf("reused line %d has media slot %d before any write", i, reused.mediaSlot[i])
+		}
+		if i := slices.IndexFunc(reused.slot(reused.zeroSlot), nonzero); i >= 0 {
+			t.Fatalf("reused zero slot byte %d is nonzero", i)
 		}
 		mapped := fresh()
 		defer reused.Close()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"unsafe"
 
 	"libcrpm/internal/bitmap"
 )
@@ -29,14 +30,19 @@ type Device struct {
 	// mediaSlot[l] names the slot holding line l's media while the line
 	// diverges (0: none); undoSlot[l], read only while l is pending, the
 	// slot holding its pre-flush media. An NT store puts its lines' undo in
-	// the log, slots 1..logTop, which every fence empties. Slots past the
-	// log are the pool: a pool slot joins a line's media at its first store
-	// or WriteCache, turns into its undo at a flush, and is freed at the
-	// fence. Freed slots are reused last-in first-out: free holds nFree of
-	// them, and slotTop pool slots have been handed out.
-	mediaSlot, undoSlot, free []uint32
-	slots                     []byte
-	slotTop, nFree, logTop    uint32
+	// the log, slots 1..logTop, which every fence empties. The slot just
+	// past the log, zeroSlot, is never written, so it reads zero: it is the
+	// media of every line whose media is all zero, as a fresh line's is, and
+	// zeroRefs counts the media and undo entries naming it. Slots past it
+	// are the pool: a line whose media is not zero gets a pool slot at its
+	// first store or WriteCache; a line's media slot turns into its undo at
+	// a flush and is freed at the fence. Freed slots are reused last-in
+	// first-out: free holds nFree of them, and slotTop pool slots have been
+	// handed out.
+	mediaSlot, undoSlot, free        []uint32
+	slots                            []byte
+	slotTop, nFree, logTop, zeroRefs uint32
+	zeroSlot                         uint32
 	// touched flags every touchChunk-sized chunk a writer of working
 	// reached. Only lines there hold slots, so Close clears, and a crash
 	// looks for diverged lines, only there.
@@ -181,6 +187,7 @@ func NewDevice(size int, opts ...Option) *Device {
 		undoSlot:  words(arena[undo:free]),
 		free:      words(arena[free:slots]),
 		slots:     arena[slots:end:end],
+		zeroSlot:  uint32(size/LineSize) + 1,
 		touched:   make([]bool, (size+touchChunk-1)/touchChunk),
 		dirty:     bitmap.New(size / LineSize),
 		pending:   bitmap.New(size / LineSize),
@@ -245,22 +252,47 @@ func line(b []byte, l int) []byte { return b[l*LineSize : (l+1)*LineSize] }
 
 func (d *Device) slot(s uint32) []byte { return line(d.slots, int(s)) }
 
-// newSlot returns a pool slot holding a copy of src, the most recently freed
-// one first; an empty stack first gets a slot never handed out.
+// newSlot returns a slot holding a copy of src: the zero slot when src is
+// all zero, which copies nothing, and a pool slot otherwise.
 func (d *Device) newSlot(src []byte) uint32 {
-	if d.nFree == 0 {
-		d.slotTop++
-		d.freeSlot(uint32(len(d.mediaSlot)) + d.slotTop)
+	if zeroLine(src) {
+		d.zeroRefs++
+		return d.zeroSlot
 	}
-	d.nFree--
-	s := d.free[d.nFree]
+	s := d.poolSlot()
 	*(*[LineSize]byte)(d.slot(s)) = *(*[LineSize]byte)(src)
 	return s
 }
 
+// poolSlot hands out a pool slot, the most recently freed one first; an
+// empty stack gives a slot never handed out. Its bytes are stale.
+func (d *Device) poolSlot() uint32 {
+	if d.nFree == 0 {
+		d.slotTop++
+		return d.zeroSlot + d.slotTop
+	}
+	d.nFree--
+	return d.free[d.nFree]
+}
+
+// freeSlot drops a media or undo entry's slot: a pool slot goes back on
+// the stack, the zero slot loses a reference.
 func (d *Device) freeSlot(s uint32) {
+	if s == d.zeroSlot {
+		d.zeroRefs--
+		return
+	}
 	d.free[d.nFree] = s
 	d.nFree++
+}
+
+// zeroLine reports whether the line b holds only zero bytes.
+func zeroLine(b []byte) bool {
+	var or uint64
+	for _, w := range (*[LineSize / 8]uint64)(unsafe.Pointer(unsafe.SliceData(b))) {
+		or |= w
+	}
+	return or == 0
 }
 
 // media returns line l's media bytes: its media slot while it diverges,
@@ -270,6 +302,18 @@ func (d *Device) media(l int) []byte {
 		return d.slot(s)
 	}
 	return line(d.working, l)
+}
+
+// ownMedia returns line l's media bytes for a writer that edits them in
+// place. A line whose media is the zero slot first gets a zeroed pool slot
+// of its own, so the edit reaches no other line.
+func (d *Device) ownMedia(l int) []byte {
+	if d.mediaSlot[l] == d.zeroSlot {
+		d.zeroRefs--
+		d.mediaSlot[l] = d.poolSlot()
+		clear(d.slot(d.mediaSlot[l]))
+	}
+	return d.media(l)
 }
 
 // converge frees line l's media slot: its media equals working again.
@@ -283,7 +327,7 @@ func (d *Device) converge(l int) {
 // eachDiverged calls fn with every line that diverges and its media bytes,
 // in ascending order.
 func (d *Device) eachDiverged(fn func(l int, media []byte)) {
-	if d.slotTop == d.nFree && d.logTop == 0 {
+	if d.slotTop == d.nFree && d.logTop == 0 && d.zeroRefs == 0 {
 		return // no slot is live, so no line diverges
 	}
 	d.eachTouched(func(lo, hi int) {
@@ -469,9 +513,9 @@ func (d *Device) NTStore(off int, src []byte) {
 	for l := first; l <= last; l++ {
 		if l >= fc0 && l < fc1 {
 			d.converge(l)
-		} else if m := d.mediaSlot[l]; m != 0 {
+		} else if d.mediaSlot[l] != 0 {
 			lo, hi := max(off, l*LineSize), min(off+n, (l+1)*LineSize)
-			copy(d.slot(m)[lo-l*LineSize:], src[lo-off:hi-off])
+			copy(d.ownMedia(l)[lo-l*LineSize:], src[lo-off:hi-off])
 		}
 	}
 	d.dirty.ClearRange(fc0, max(fc0, fc1))
@@ -671,7 +715,7 @@ func (d *Device) CrashWith(p CrashPolicy) int {
 		copy(line(d.working, l), m)
 		d.mediaSlot[l] = 0
 	})
-	d.slotTop, d.nFree, d.logTop = 0, 0, 0
+	d.slotTop, d.nFree, d.logTop, d.zeroRefs = 0, 0, 0, 0
 	return persisted
 }
 
@@ -700,7 +744,7 @@ func (d *Device) CorruptRange(off, n int) {
 	d.touch(off, n)
 	for l := off / LineSize; l <= (off+n-1)/LineSize; l++ {
 		lo, hi := max(off, l*LineSize), min(off+n, (l+1)*LineSize)
-		m := d.media(l)[lo-l*LineSize : hi-l*LineSize]
+		m := d.ownMedia(l)[lo-l*LineSize : hi-l*LineSize]
 		for i := range m {
 			m[i] ^= 0xff
 		}

@@ -18,8 +18,9 @@
 // The device holds one full-size image, the CPU's view. Only the lines a
 // crash could change — dirty ones, ones written to the cache alone, and ones
 // flushed since the last fence — keep their media or pre-flush bytes apart,
-// in a pool of line-sized slots, so the host memory a device costs follows
-// its cache traffic rather than its size.
+// in a pool of line-sized slots, and only when those bytes are not all zero,
+// so the host memory a device costs follows its cache traffic over written
+// media rather than its size.
 //
 // Every primitive advances a deterministic simulated clock whose cost
 // constants are calibrated against published DCPMM latencies. Time is

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -202,23 +203,39 @@ func (m *lineModel) crash(p CrashPolicy) int {
 }
 
 // slotCounts returns the live media and undo slots and the pool's
-// high-water mark, failing t where the pool's own books disagree.
+// high-water mark, failing t where the slots' own books disagree: the
+// entries naming a pool slot against the pool's live slots, those naming
+// the zero slot against its reference count, or the zero slot no longer
+// reads zero. The zero slot is a media or undo slot but no pool slot.
 func (d *Device) slotCounts(t testing.TB) (media, undo, top int) {
 	t.Helper()
-	pooled := 0
+	pooled, zero := 0, 0
+	count := func(s uint32) {
+		switch {
+		case s == d.zeroSlot:
+			zero++
+		case s > d.zeroSlot:
+			pooled++
+		}
+	}
 	for l := range d.mediaSlot {
-		if d.mediaSlot[l] != 0 {
+		if s := d.mediaSlot[l]; s != 0 {
 			media++
+			count(s)
 		}
 		if d.pending.Test(l) {
 			undo++
-			if d.undoSlot[l] > uint32(len(d.undoSlot)) {
-				pooled++
-			}
+			count(d.undoSlot[l])
 		}
 	}
-	if live := int(d.slotTop - d.nFree); media+pooled != live {
-		t.Fatalf("%d media and %d undo slots live in the pool, the pool says %d", media, pooled, live)
+	if live := int(d.slotTop - d.nFree); pooled != live {
+		t.Fatalf("%d media and undo slots live in the pool, the pool says %d", pooled, live)
+	}
+	if zero != int(d.zeroRefs) {
+		t.Fatalf("%d media and undo entries name the zero slot, its count says %d", zero, d.zeroRefs)
+	}
+	if i := slices.IndexFunc(d.slot(d.zeroSlot), func(b byte) bool { return b != 0 }); i >= 0 {
+		t.Fatalf("zero slot byte %d reads %#x", i, d.slot(d.zeroSlot)[i])
 	}
 	return media, undo, int(d.slotTop)
 }
@@ -232,7 +249,12 @@ func (d *Device) slotCounts(t testing.TB) (media, undo, top int) {
 // policies. It fails at the first step where the two disagree on the clock,
 // the counters, the dirty or pending count, the media or the CPU view, or
 // where a pending line has no undo slot or a dirty line no media slot.
-func deviceHistory(t testing.TB, seed int64, failAfter bool) {
+//
+// script, two bytes a step, picks the first steps' op (the cases of the
+// switch below, modulo 16) and line; op endRound ends the round at once.
+// The seed still draws every other choice, and the history goes on at
+// random once the script runs out.
+func deviceHistory(t testing.TB, seed int64, failAfter bool, script []byte) {
 	t.Helper()
 	var opts []Option
 	evictSeed := rand.New(rand.NewSource(seed))
@@ -296,6 +318,17 @@ func deviceHistory(t testing.TB, seed int64, failAfter bool) {
 		{"PersistAll", func(int) CrashPolicy { return PersistAll }},
 		{"Alternating", func(round int) CrashPolicy { return Alternating(round) }},
 	}
+	// next picks a step's op and line. A random step draws the line first,
+	// so a seed without a script keeps the history it always had.
+	next := func() (op, l int) {
+		if len(script) >= 2 {
+			op, l = int(script[0]%16), int(script[1])
+			script = script[2:]
+			return op, l
+		}
+		l = pick()
+		return rng.Intn(15), l
+	}
 	buf := make([]byte, 3*LineSize)
 	storeFlush := func(l int) {
 		d.Store(l*LineSize, buf[:8])
@@ -304,10 +337,11 @@ func deviceHistory(t testing.TB, seed int64, failAfter bool) {
 		m.clwb(l)
 	}
 	for round := 0; round < 3; round++ {
+	steps:
 		for step := 0; step < 300; step++ {
 			rng.Read(buf)
-			l := pick()
-			switch rng.Intn(15) {
+			op, l := next()
+			switch op {
 			case 0, 1:
 				off := l*LineSize + rng.Intn(LineSize-8)
 				d.Store(off, buf[:8])
@@ -380,6 +414,8 @@ func deviceHistory(t testing.TB, seed int64, failAfter bool) {
 					d.FailAfter(1 << 40)
 				}
 				m.reopen()
+			case endRound:
+				break steps
 			default:
 				d.SFence()
 				m.sfence()
@@ -412,30 +448,68 @@ func deviceHistory(t testing.TB, seed int64, failAfter bool) {
 // per-line path.
 func TestPendingRunsMatchNaiveModel(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		deviceHistory(t, seed, false)
+		deviceHistory(t, seed, false, nil)
 	}
-	deviceHistory(t, 99, true)
+	deviceHistory(t, 99, true, nil)
 }
 
-// FuzzDeviceHistory runs deviceHistory on arbitrary seeds: a seed picks the
-// history, and whether eviction fuzz and the per-line flush path are on.
+// endRound is the script op that ends deviceHistory's round: a WBINVD or a
+// crash follows at once.
+const endRound = 15
+
+// zeroMediaScripts are deviceHistory scripts over fresh lines, whose media
+// is the zero slot, one for each path that slot takes. Each runs on two
+// seeds, so their rounds end under all five policies.
+var zeroMediaScripts = [][]byte{
+	// A partial NT store over a dirty fresh line, beside another, then a
+	// fresh line after the fence.
+	{0, 6, 9, 5, 13, 0, 0, 7},
+	// A media fault on a dirty fresh line and one beside it.
+	{0, 6, 0, 5, 10, 5, 0, 7},
+	// A torn write over a chunk holding dirty fresh lines.
+	{0, 4, 0, 5, 11, 5, 0, 7},
+	// A second store and flush in the epoch of the first: the line's undo
+	// is the zero slot, its new media a pool slot.
+	{0, 5, 0, 6, 0, 7, 2, 5, 2, 6, 2, 7, 0, 5, 0, 6, 0, 7, 2, 5, 2, 6, 2, 7, 13, 0, 0, 5},
+	// A pending line whose undo is the zero slot at each round's end.
+	{0, 5, 2, 5, endRound, 0, 0, 6, 2, 6, endRound, 0, 0, 7, 2, 7, endRound, 0},
+}
+
+// FuzzDeviceHistory runs deviceHistory on arbitrary seeds and scripts: a
+// seed picks the history, and whether eviction fuzz and the per-line flush
+// path are on.
 func FuzzDeviceHistory(f *testing.F) {
 	for seed := int64(1); seed <= 12; seed++ {
-		f.Add(seed)
+		f.Add(seed, []byte(nil))
 	}
-	f.Fuzz(func(t *testing.T, seed int64) { deviceHistory(t, seed, seed%5 == 4) })
+	for _, script := range zeroMediaScripts {
+		f.Add(int64(1), script)
+		f.Add(int64(4), script)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) { deviceHistory(t, seed, seed%5 == 4, script) })
 }
 
-// TestSlotPoolTracksDivergedLines pins the pool's bounds: no undo slot
-// outlives its fence, no slot outlives a crash or a WBINVD and its fence,
-// and over a populate-then-cut script the pool never grows past the peak
-// number of dirty plus pending lines.
+// TestSlotPoolTracksDivergedLines pins the pool's bounds: a fresh device's
+// first epoch takes no pool slot, since every line it dirties had zero
+// media; no undo slot outlives its fence, no slot outlives a crash or a
+// WBINVD and its fence, and over a populate-then-cut script the pool never
+// grows past the peak number of dirty plus pending lines.
 func TestSlotPoolTracksDivergedLines(t *testing.T) {
 	d := NewDevice(1 << 20)
 	defer d.Close()
 	rng := rand.New(rand.NewSource(1))
 	var word [8]byte
 	seg := make([]byte, 4096)
+	rng.Read(word[:])
+	rng.Read(seg)
+	for i := 0; i < 4000; i++ {
+		d.Store(rng.Intn(d.Size()/len(word))*len(word), word[:])
+	}
+	d.FlushRange(0, d.Size())
+	d.SFence()
+	if _, _, top := d.slotCounts(t); top != 0 {
+		t.Fatalf("a fresh device's first epoch took %d pool slots, want 0", top)
+	}
 	peak := 0
 	note := func() { peak = max(peak, d.DirtyLineCount()+d.PendingLineCount()) }
 	populate := func(n int) {

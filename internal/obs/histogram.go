@@ -13,9 +13,15 @@ import (
 // function of the observation multiset — independent of observation order,
 // worker count, and scheduling. The zero value is not usable; construct with
 // NewHistogram.
+//
+// Only the buckets a histogram has seen cost memory: counts[i] is bucket
+// lo+i's count, and every bucket outside [lo, lo+len(counts)) is empty. A
+// sample outside the window at least doubles it, so a histogram
+// reallocates O(log buckets) times however its samples arrive.
 type Histogram struct {
 	bounds []int64
 	counts []int64
+	lo     int
 	n      int64
 	sum    int64
 	max    int64
@@ -30,16 +36,36 @@ func NewHistogram(bounds []int64) *Histogram {
 			panic(fmt.Sprintf("obs: bounds not ascending at %d: %d after %d", i, bounds[i], bounds[i-1]))
 		}
 	}
-	return &Histogram{
-		bounds: bounds,
-		counts: make([]int64, len(bounds)+1),
+	return &Histogram{bounds: bounds}
+}
+
+// cover widens the window to hold buckets [a, b), at least doubling it,
+// toward the side that needs room, within the len(bounds)+1 buckets there
+// are.
+func (h *Histogram) cover(a, b int) {
+	hi := h.lo + len(h.counts)
+	if len(h.counts) == 0 {
+		h.lo, hi = a, a
 	}
+	if a >= h.lo && b <= hi {
+		return
+	}
+	lo := min(a, h.lo)
+	n := min(max(2*len(h.counts), max(b, hi)-lo), len(h.bounds)+1)
+	if a < h.lo {
+		lo = max(b, hi) - n // grow downward: keep the top, take the room below
+	}
+	lo = min(max(lo, 0), len(h.bounds)+1-n)
+	counts := make([]int64, n)
+	copy(counts[h.lo-lo:], h.counts)
+	h.counts, h.lo = counts, lo
 }
 
 // Observe adds one sample.
 func (h *Histogram) Observe(v int64) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.counts[i]++
+	h.cover(i, i+1)
+	h.counts[i-h.lo]++
 	h.n++
 	h.sum += v
 	if v > h.max {
@@ -84,10 +110,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			if i == len(h.bounds) {
+			if h.lo+i == len(h.bounds) {
 				return h.max
 			}
-			return h.bounds[i]
+			return h.bounds[h.lo+i]
 		}
 	}
 	return h.max
@@ -109,8 +135,17 @@ func (h *Histogram) Merge(other *Histogram) error {
 			return fmt.Errorf("obs: merging histograms with different bounds at %d: %d vs %d", i, h.bounds[i], other.bounds[i])
 		}
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	// Only other's non-empty buckets need room in h.
+	a, b := 0, len(other.counts)
+	for other.counts[a] == 0 {
+		a++
+	}
+	for other.counts[b-1] == 0 {
+		b--
+	}
+	h.cover(other.lo+a, other.lo+b)
+	for i, c := range other.counts[a:b] {
+		h.counts[other.lo+a+i-h.lo] += c
 	}
 	h.n += other.n
 	h.sum += other.sum

@@ -87,9 +87,9 @@ func TestObserve(t *testing.T) {
 	}
 	// Buckets: <=10 gets 5 and 10; <=100 gets 11; +Inf gets 1000.
 	want := []int64{2, 1, 1}
-	for i, c := range h.counts {
-		if c != want[i] {
-			t.Fatalf("bucket %d: got %d want %d (all %v)", i, c, want[i], h.counts)
+	for i := range want {
+		if c := h.count(i); c != want[i] {
+			t.Fatalf("bucket %d: got %d want %d (window %d, %v)", i, c, want[i], h.lo, h.counts)
 		}
 	}
 	if h.N() != 4 || h.Sum() != 1026 || h.Max() != 1000 {
