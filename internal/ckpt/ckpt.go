@@ -33,7 +33,8 @@ type Backend interface {
 	// updates, copy-on-write, page-fault simulation, undo logging.
 	OnWrite(off, n int)
 	// Write performs the store itself. Callers must have called OnWrite for
-	// the same range first.
+	// the same range first. Write never mutates src, so callers may pass a
+	// buffer they share (heap.Zero passes one zero buffer to every backend).
 	Write(off int, src []byte)
 	// Checkpoint ends the current epoch, making the present working state
 	// the recoverable checkpoint state.

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"libcrpm/internal/ckpt"
 )
@@ -104,8 +105,27 @@ func (h *Heap) WriteBytes(off int, src []byte) {
 	h.b.Write(off, src)
 }
 
-// Zero clears [off, off+n).
+// Zero clears [off, off+n): one Write of n zero bytes, taken from a buffer
+// every heap shares, since Write never mutates its source.
 func (h *Heap) Zero(off, n int) {
 	h.b.OnWrite(off, n)
-	h.b.Write(off, make([]byte, n))
+	h.b.Write(off, zeros(n))
+}
+
+// zeroBuf is the read-only buffer of zero bytes Zero writes from, grown to
+// the largest length any heap has cleared.
+var zeroBuf atomic.Pointer[[]byte]
+
+// zeros returns n zero bytes that no one may write to.
+func zeros(n int) []byte {
+	for {
+		p := zeroBuf.Load()
+		if p != nil && len(*p) >= n {
+			return (*p)[:n]
+		}
+		b := make([]byte, n)
+		if zeroBuf.CompareAndSwap(p, &b) {
+			return b
+		}
+	}
 }

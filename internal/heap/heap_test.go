@@ -3,6 +3,7 @@ package heap
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"libcrpm/internal/baselines/nvmnp"
@@ -43,6 +44,10 @@ func TestBytesAndZero(t *testing.T) {
 	if !bytes.Equal(h.ReadBytes(100, 5), make([]byte, 5)) {
 		t.Fatal("Zero did not clear")
 	}
+	// The zero buffer grows once, in the warm-up call, and is shared after.
+	if n := testing.AllocsPerRun(10, func() { h.Zero(0, 4096) }); n != 0 {
+		t.Fatalf("Zero allocates %.1f objects per call, want 0", n)
+	}
 }
 
 func TestLittleEndianLayout(t *testing.T) {
@@ -74,4 +79,24 @@ func TestChargesCosts(t *testing.T) {
 	if b.Device().Clock().NowPS() <= before {
 		t.Fatal("accessors advanced no simulated time")
 	}
+}
+
+// TestZerosSharedAcrossGoroutines has heaps on several goroutines take zero
+// buffers of growing lengths at once: each gets its length, all zero.
+func TestZerosSharedAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := g + 1; n < 1<<14; n = n*3 + g {
+				z := zeros(n)
+				if len(z) != n || !bytes.Equal(z, make([]byte, n)) {
+					t.Errorf("zeros(%d) gave %d bytes, or bytes that are not zero", n, len(z))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -14,12 +14,13 @@ import (
 // all-zero media or undo shares, and a pool with room for a media and an
 // undo slot per line. Pool slots are reused last-in first-out, so the
 // pool's resident pages track the peak number of diverged lines whose media
-// is not zero, and the log's the most lines one fence epoch NT-stores. The
-// zero slot is never written, so it reads zero for the arena's whole life,
-// across every device that reuses it. On unix outside the race detector an
-// arena is an anonymous mapping, off the Go heap:
-// untouched pages cost nothing, no collector ever zeroes one again, and the
-// garbage collector neither sees nor paces against it (arena_mmap.go).
+// is not zero, and the log's the most lines one fence epoch NT-stores whose
+// media is not zero. The zero slot is never written, so it reads zero for
+// the arena's whole life, across every device that reuses it. On unix
+// outside the race detector an arena is an anonymous mapping, off the Go
+// heap: untouched pages cost nothing, no collector ever zeroes one again,
+// and the garbage collector neither sees nor paces against it
+// (arena_mmap.go).
 // Elsewhere it is an ordinary slice (arena_heap.go).
 
 // arenaLayout returns where the parts of a device's arena begin and the

@@ -7,8 +7,10 @@ import (
 	"bytes"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -96,4 +98,45 @@ func TestUnclosedDevicesAreUnmapped(t *testing.T) {
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestNTStoreOfHeldBytesWritesNoWorkingLine pins that an NT store writes
+// working only where it changes it. With working mapped read-only, a 2 MiB
+// NT store of zeros onto zero lines, and one of the bytes the lines already
+// hold, must both complete: one written line would fault.
+func TestNTStoreOfHeldBytesWritesNoWorkingLine(t *testing.T) {
+	const n = 2 << 20
+	d := NewDevice(n)
+	defer d.Close()
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i%251 + 1)
+	}
+	d.NTStore(0, make([]byte, n))
+	d.SFence()
+	if t.Run("zeros onto zeros", func(t *testing.T) { ntStoreReadOnly(t, d, make([]byte, n)) }) {
+		d.NTStore(0, data)
+		d.SFence()
+		t.Run("bytes onto the same bytes", func(t *testing.T) { ntStoreReadOnly(t, d, data) })
+	}
+}
+
+// ntStoreReadOnly NT-stores src at the start of d, fenced, with d's working
+// array mapped read-only, and fails t if the store wrote it.
+func ntStoreReadOnly(t *testing.T, d *Device, src []byte) {
+	protect := func(prot int) {
+		if err := syscall.Mprotect(d.working, prot); err != nil {
+			t.Fatalf("mprotect: %v", err)
+		}
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	protect(syscall.PROT_READ)
+	defer protect(syscall.PROT_READ | syscall.PROT_WRITE)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("the NT store wrote working: %v", r)
+		}
+	}()
+	d.NTStore(0, src)
+	d.SFence()
 }

@@ -37,7 +37,7 @@ func runReuseScript(d *Device, script []byte) []int {
 		for k := range buf[:n] {
 			buf[k] = byte(i + k*31 + 1)
 		}
-		switch op[0] % 15 {
+		switch op[0] % 16 {
 		case 0:
 			d.Store(off, buf[:min(n, 8)])
 		case 1:
@@ -71,6 +71,8 @@ func runReuseScript(d *Device, script []byte) []int {
 			}
 		case 14:
 			d.ChargeLoad()
+		case 15: // an NT store of the bytes working holds
+			d.NTStore(off, buf[:copy(buf[:n], d.Working()[off:])])
 		}
 	}
 	return seen
@@ -109,8 +111,8 @@ func FuzzDeviceReuse(f *testing.F) {
 	// A flushed and fenced store: clean at Close, but on the media.
 	f.Add(false, false, []byte{0, 0x02, 0x00, 0x10, 0, 6, 0x02, 0x00, 0x10, 0, 8, 0, 0, 0, 0}, []byte{12, 0, 0, 0, 0})
 	// Every writer and crash path, then a second script with eviction.
-	all := make([]byte, 0, 15*reuseOpLen)
-	for k := byte(0); k < 15; k++ {
+	all := make([]byte, 0, 16*reuseOpLen)
+	for k := byte(0); k < 16; k++ {
 		all = append(all, k, k*17, k*5, k, k*9)
 	}
 	f.Add(false, true, all, all)
@@ -134,6 +136,19 @@ func FuzzDeviceReuse(f *testing.F) {
 		slices.Concat(storeFlush(5), reuseOp(10, 0, 0), storeFlush(6), reuseOp(11, 0, 0), storeFlush(7), reuseOp(12, 0, 0)),
 	} {
 		f.Add(false, false, first, then)
+	}
+	// An NT store of the bytes a line holds, then each later writer before
+	// the fence — a store, an NT store of other bytes, a cache-only write, a
+	// media fault and a torn write — and each end: a WBINVD and the three
+	// crashes. The line's media is not zero: a fenced store put bytes there.
+	fenced := slices.Concat(storeFlush(5), reuseOp(8, 0, 0))
+	for _, writer := range [][]byte{
+		store(5), reuseOp(2, lineOff(5)+8, 0), reuseOp(3, lineOff(5), 0),
+		reuseOp(4, lineOff(5), 0), reuseOp(5, lineOff(5), 100),
+	} {
+		for _, end := range []byte{9, 10, 11, 12} {
+			f.Add(false, false, slices.Concat(fenced, reuseOp(15, lineOff(5), 3), writer, reuseOp(end, 0, 0)), then)
+		}
 	}
 	f.Fuzz(func(t *testing.T, fromImage, evict bool, first, second []byte) {
 		if len(first) > 64*reuseOpLen || len(second) > 64*reuseOpLen {

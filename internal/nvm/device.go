@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -29,20 +30,24 @@ type Device struct {
 	working []byte
 	// mediaSlot[l] names the slot holding line l's media while the line
 	// diverges (0: none); undoSlot[l], read only while l is pending, the
-	// slot holding its pre-flush media. An NT store puts its lines' undo in
-	// the log, slots 1..logTop, which every fence empties. The slot just
-	// past the log, zeroSlot, is never written, so it reads zero: it is the
-	// media of every line whose media is all zero, as a fresh line's is, and
-	// zeroRefs counts the media and undo entries naming it. Slots past it
-	// are the pool: a line whose media is not zero gets a pool slot at its
-	// first store or WriteCache; a line's media slot turns into its undo at
-	// a flush and is freed at the fence. Freed slots are reused last-in
-	// first-out: free holds nFree of them, and slotTop pool slots have been
-	// handed out.
+	// slot holding its pre-flush media (0: the media itself, which an NT
+	// store that left the line's bytes alone did not change). An NT store
+	// puts its lines' undo in the log, slots 1..logTop, which every fence
+	// empties. The slot just past the log, zeroSlot, is never written, so it
+	// reads zero: it is the media and the undo of every line whose media is
+	// all zero, as a fresh line's is, and zeroRefs counts the media and undo
+	// entries naming it. Slots past it are the pool: a line whose media is
+	// not zero gets a pool slot at its first store or WriteCache; a line's
+	// media slot turns into its undo at a flush and is freed at the fence.
+	// Freed slots are reused last-in first-out: free holds nFree of them,
+	// and slotTop pool slots have been handed out.
 	mediaSlot, undoSlot, free        []uint32
 	slots                            []byte
 	slotTop, nFree, logTop, zeroRefs uint32
 	zeroSlot                         uint32
+	// held counts the pending lines whose undo is 0, so that a writer looks
+	// for such a line to give a real undo (keepUndo) only while one exists.
+	held uint32
 	// touched flags every touchChunk-sized chunk a writer of working
 	// reached. Only lines there hold slots, so Close clears, and a crash
 	// looks for diverged lines, only there.
@@ -286,13 +291,26 @@ func (d *Device) freeSlot(s uint32) {
 	d.nFree++
 }
 
+// words64 views the line b begins as the words it holds.
+func words64(b []byte) *[LineSize / 8]uint64 {
+	return (*[LineSize / 8]uint64)(unsafe.Pointer(unsafe.SliceData(b)))
+}
+
 // zeroLine reports whether the line b holds only zero bytes.
 func zeroLine(b []byte) bool {
-	var or uint64
-	for _, w := range (*[LineSize / 8]uint64)(unsafe.Pointer(unsafe.SliceData(b))) {
-		or |= w
+	w := words64(b)
+	return w[0]|w[1]|w[2]|w[3]|w[4]|w[5]|w[6]|w[7] == 0
+}
+
+// sameLine reports whether the lines a and b begin hold the same bytes.
+func sameLine(a, b []byte) bool {
+	x, y := words64(a), words64(b)
+	for i := range x {
+		if x[i] != y[i] {
+			return false
+		}
 	}
-	return or == 0
+	return true
 }
 
 // media returns line l's media bytes: its media slot while it diverges,
@@ -489,6 +507,13 @@ func (d *Device) Load(off int, dst []byte) {
 // Lines fully covered by the write leave the cache-dirty set. Charged at NVM
 // write bandwidth; this models the AVX-512 non-temporal copy path the paper
 // uses for segment and block copies.
+//
+// The host copies only what changes. src is compared with working a stride
+// at a time, and a stride that already holds its bytes is not written. Each
+// line the store makes pending takes an undo (ntUndo), a copy in the log
+// only where its media is not zero and the store changes it or the line
+// diverges. None of this moves the clock, the counters or the pending set,
+// so every CrashPolicy draws the image it always drew.
 func (d *Device) NTStore(off int, src []byte) {
 	d.tick(OpStore)
 	n := len(src)
@@ -497,14 +522,13 @@ func (d *Device) NTStore(off int, src []byte) {
 	}
 	d.checkRange(off, n)
 	first, last := off/LineSize, (off+n-1)/LineSize
-	// Each run of lines not yet pending snapshots its media into the log.
-	for l := first; l <= last; l++ {
-		if p := d.pending.NextSetInRange(l, last+1); p != l {
-			if p < 0 {
-				p = last + 1
-			}
-			d.snapshot(l, p)
-			l = p
+	for lo, hi := off, 0; lo < off+n; lo = hi {
+		hi = min(off+n, (lo/ntStride+1)*ntStride)
+		w, s := d.working[lo:hi], src[lo-off:hi-off]
+		same := bytes.Equal(w, s)
+		d.ntUndo(lo, s, same)
+		if !same {
+			copy(w, s)
 		}
 	}
 	// Lines fc0..fc1-1 lie wholly inside the write: no newer cached data is
@@ -519,7 +543,8 @@ func (d *Device) NTStore(off int, src []byte) {
 		}
 	}
 	d.dirty.ClearRange(fc0, max(fc0, fc1))
-	copy(d.working[off:], src)
+	// Every chunk holding a pending line stays flagged, written or not: a
+	// crash looks for the lines it rolls back only there.
 	d.touch(off, n)
 	d.stats.NTStoreBytes += int64(n)
 	// Write-combining fills whole lines: a small NT store still moves a
@@ -528,19 +553,98 @@ func (d *Device) NTStore(off int, src []byte) {
 	d.clock.Advance(chargeBytes * d.cost.NVMWriteBytePS)
 }
 
-// snapshot makes lines [from, to) pending, their media the next slots of
-// the log: working's bytes in one copy, then each diverged line's slot.
-func (d *Device) snapshot(from, to int) {
-	copy(d.slots[int(d.logTop+1)*LineSize:], d.working[from*LineSize:to*LineSize])
-	for l := from; l < to; l++ {
-		d.logTop++
-		if m := d.mediaSlot[l]; m != 0 {
-			copy(d.slot(d.logTop), d.slot(m))
+// ntStride is the span NTStore compares src with working in, a whole
+// number of lines: a stride that already holds its bytes costs one compare
+// and no copy.
+const ntStride = 16 * LineSize
+
+// ntUndo readies the lines of one stride of an NT store, s written at lo,
+// before working or media change; same reports that working already holds
+// s. Each run of lines not yet pending joins the pending set, each line
+// taking as its undo the first of these that fits:
+//   - where the line diverges, its media slot's bytes: the zero slot if
+//     they are all zero, a copy in the log if not;
+//   - in a stride that already holds s, 0, "equals media": nothing to copy
+//     until a later writer changes the line (keepUndo);
+//   - the zero slot, where the line's media, its working bytes, is all zero;
+//   - 0, where the line already holds its part of s;
+//   - a copy of its working bytes in the log.
+//
+// A line already pending keeps its undo, unless it is 0 and the stride
+// changes.
+func (d *Device) ntUndo(lo int, s []byte, same bool) {
+	hi := lo + len(s)
+	var held, zero uint32
+	for l, end := lo/LineSize, (hi-1)/LineSize+1; l < end; l++ {
+		p := d.pending.NextSetInRange(l, end)
+		if p < 0 {
+			p = end
 		}
-		d.undoSlot[l] = d.logTop
+		if p > l {
+			d.pending.SetRange(l, p)
+			d.addRun(l, p)
+		}
+		for ; l < p; l++ {
+			switch m := d.mediaSlot[l]; {
+			case m != 0:
+				d.undoSlot[l] = d.logSlot(d.slot(m))
+			case same:
+				d.undoSlot[l] = 0
+				held++
+			case zeroLine(line(d.working, l)):
+				d.undoSlot[l] = d.zeroSlot
+				zero++
+			case d.holds(l, lo, s):
+				d.undoSlot[l] = 0
+				held++
+			default:
+				d.undoSlot[l] = d.logCopy(line(d.working, l))
+			}
+		}
+		if l < end && !same {
+			d.keepUndo(l)
+		}
 	}
-	d.pending.SetRange(from, to)
-	d.addRun(from, to)
+	d.held += held
+	d.zeroRefs += zero
+}
+
+// holds reports whether line l of working already holds the bytes of s,
+// written at lo, that fall in it.
+func (d *Device) holds(l, lo int, s []byte) bool {
+	a, b := max(lo, l*LineSize), min(lo+len(s), (l+1)*LineSize)
+	if b-a == LineSize {
+		return sameLine(d.working[a:], s[a-lo:])
+	}
+	return bytes.Equal(d.working[a:b], s[a-lo:b-lo])
+}
+
+// logSlot returns an undo slot holding a copy of src: the zero slot when src
+// is all zero, which copies nothing, and the log's next slot otherwise.
+func (d *Device) logSlot(src []byte) uint32 {
+	if zeroLine(src) {
+		d.zeroRefs++
+		return d.zeroSlot
+	}
+	return d.logCopy(src)
+}
+
+// logCopy copies the line src into the log's next slot and returns it.
+func (d *Device) logCopy(src []byte) uint32 {
+	d.logTop++
+	*(*[LineSize]byte)(d.slot(d.logTop)) = *(*[LineSize]byte)(src)
+	return d.logTop
+}
+
+// keepUndo gives pending line l a real undo before a writer changes it. An
+// NT store that left a line's bytes as they were gave it undo 0, "equals
+// media": true only while nothing else writes the line, whose media is
+// then its working bytes.
+func (d *Device) keepUndo(l int) {
+	if d.held > 0 && d.pending.Test(l) && d.undoSlot[l] == 0 {
+		d.held--
+		d.undoSlot[l] = d.logSlot(line(d.working, l))
+	}
 }
 
 // WriteCache puts src at off into the CPU view only, as a store that stays
@@ -553,6 +657,7 @@ func (d *Device) WriteCache(off int, src []byte) {
 	// A line's media moves to a slot before working first differs from it;
 	// a line that has one keeps it.
 	for l := off / LineSize; l <= (off+len(src)-1)/LineSize; l++ {
+		d.keepUndo(l)
 		if d.mediaSlot[l] == 0 {
 			d.mediaSlot[l] = d.newSlot(line(d.working, l))
 		}
@@ -644,7 +749,7 @@ func (d *Device) drain() {
 	}
 	d.stats.MediaWriteBytes += chunks.bytes()
 	d.clearPending()
-	d.logTop = 0
+	d.logTop, d.held = 0, 0
 }
 
 // WBINVD writes back and invalidates the entire cache: every dirty line and
@@ -715,7 +820,7 @@ func (d *Device) CrashWith(p CrashPolicy) int {
 		copy(line(d.working, l), m)
 		d.mediaSlot[l] = 0
 	})
-	d.slotTop, d.nFree, d.logTop, d.zeroRefs = 0, 0, 0, 0
+	d.slotTop, d.nFree, d.logTop, d.zeroRefs, d.held = 0, 0, 0, 0, 0
 	return persisted
 }
 
@@ -744,6 +849,7 @@ func (d *Device) CorruptRange(off, n int) {
 	d.touch(off, n)
 	for l := off / LineSize; l <= (off+n-1)/LineSize; l++ {
 		lo, hi := max(off, l*LineSize), min(off+n, (l+1)*LineSize)
+		d.keepUndo(l)
 		m := d.ownMedia(l)[lo-l*LineSize : hi-l*LineSize]
 		for i := range m {
 			m[i] ^= 0xff
@@ -772,6 +878,7 @@ func (d *Device) TornWrite(off, cut int) {
 	d.touch(chunk, MediaGranularity)
 	for l := chunk / LineSize; l < (chunk+MediaGranularity)/LineSize; l++ {
 		k := min(max(chunk+cut-l*LineSize, 0), LineSize)
+		d.keepUndo(l)
 		copy(line(d.working, l)[k:], d.media(l)[k:])
 		d.converge(l)
 	}

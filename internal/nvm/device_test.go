@@ -93,6 +93,43 @@ func TestNTStorePartialCoverKeepsDirty(t *testing.T) {
 	}
 }
 
+// TestNTStoreLogsOnlyMediaThatIsNotZero pins where a 2 MiB NT store's undo
+// goes. Zeros onto zero lines take no log slot, and neither do bytes onto
+// zero media, whose undo is the zero slot; bytes onto media that is not
+// zero take one log slot a line. Every line joins the pending set
+// whichever undo it took.
+func TestNTStoreLogsOnlyMediaThatIsNotZero(t *testing.T) {
+	const n = 2 << 20
+	d := NewDevice(n)
+	defer d.Close()
+	data, other := make([]byte, n), make([]byte, n)
+	for i := range data {
+		data[i] = byte(i%251 + 1)
+		other[i] = data[i] ^ 0x80
+	}
+	for _, c := range []struct {
+		name string
+		src  []byte
+		log  int
+	}{
+		{"zeros onto zeros", make([]byte, n), 0},
+		{"bytes onto zero media", data, 0},
+		{"bytes onto bytes", other, n / LineSize},
+	} {
+		d.NTStore(0, c.src)
+		if got := d.LogLines(); got != c.log {
+			t.Errorf("%s: the log holds %d lines, want %d", c.name, got, c.log)
+		}
+		if got := d.PendingLineCount(); got != n/LineSize {
+			t.Errorf("%s: %d lines pending, want %d", c.name, got, n/LineSize)
+		}
+		d.SFence()
+		if !bytes.Equal(d.MediaSnapshot(), c.src) {
+			t.Fatalf("%s: the fenced media is not the stored bytes", c.name)
+		}
+	}
+}
+
 func TestWBINVDFlushesEverything(t *testing.T) {
 	d := NewDevice(1 << 16)
 	for i := 0; i < 100; i++ {

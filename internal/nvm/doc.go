@@ -20,7 +20,10 @@
 // flushed since the last fence — keep their media or pre-flush bytes apart,
 // in a pool of line-sized slots, and only when those bytes are not all zero,
 // so the host memory a device costs follows its cache traffic over written
-// media rather than its size.
+// media rather than its size. A non-temporal store copies only what it
+// changes: the CPU view only in the kilobyte strides whose bytes differ, and
+// a line's pre-store media only where that media is not zero and the store
+// changes the line or the line diverges.
 //
 // Every primitive advances a deterministic simulated clock whose cost
 // constants are calibrated against published DCPMM latencies. Time is

@@ -205,25 +205,42 @@ func (m *lineModel) crash(p CrashPolicy) int {
 // slotCounts returns the live media and undo slots and the pool's
 // high-water mark, failing t where the slots' own books disagree: the
 // entries naming a pool slot against the pool's live slots, those naming
-// the zero slot against its reference count, or the zero slot no longer
-// reads zero. The zero slot is a media or undo slot but no pool slot.
+// the zero slot against its reference count, those naming a log slot
+// against the log's length, undo entries of 0 against the device's count
+// of them, or the zero slot no longer reads zero. The zero slot is a media
+// or undo slot but no pool slot, and an NT store's undo is the zero slot
+// rather than a log slot wherever the media it saves is all zero. A log
+// slot is only ever an undo, and undo 0, "equals media", only that of a
+// line whose media is its working bytes.
 func (d *Device) slotCounts(t testing.TB) (media, undo, top int) {
 	t.Helper()
-	pooled, zero := 0, 0
+	pooled, zero, logged, held := 0, 0, 0, 0
 	count := func(s uint32) {
 		switch {
 		case s == d.zeroSlot:
 			zero++
 		case s > d.zeroSlot:
 			pooled++
+		case s > d.logTop:
+			t.Fatalf("undo slot %d lies past the log's %d slots", s, d.logTop)
+		case s != 0:
+			logged++
+		default:
+			held++
 		}
 	}
 	for l := range d.mediaSlot {
 		if s := d.mediaSlot[l]; s != 0 {
+			if s < d.zeroSlot {
+				t.Fatalf("line %d's media is log slot %d", l, s)
+			}
 			media++
 			count(s)
 		}
 		if d.pending.Test(l) {
+			if d.undoSlot[l] == 0 && d.mediaSlot[l] != 0 {
+				t.Fatalf("line %d's undo says it equals its media, but the line diverges", l)
+			}
 			undo++
 			count(d.undoSlot[l])
 		}
@@ -234,6 +251,12 @@ func (d *Device) slotCounts(t testing.TB) (media, undo, top int) {
 	if zero != int(d.zeroRefs) {
 		t.Fatalf("%d media and undo entries name the zero slot, its count says %d", zero, d.zeroRefs)
 	}
+	if logged != int(d.logTop) {
+		t.Fatalf("%d undo entries name a log slot, the log holds %d", logged, d.logTop)
+	}
+	if held != int(d.held) {
+		t.Fatalf("%d undo entries are 0, the device counts %d", held, d.held)
+	}
 	if i := slices.IndexFunc(d.slot(d.zeroSlot), func(b byte) bool { return b != 0 }); i >= 0 {
 		t.Fatalf("zero slot byte %d reads %#x", i, d.slot(d.zeroSlot)[i])
 	}
@@ -242,13 +265,15 @@ func (d *Device) slotCounts(t testing.TB) (media, undo, top int) {
 
 // deviceHistory drives a device and the line model through one seeded
 // random history over every writer — stores, bulk stores, cache-only
-// writes, NT stores whole and partial (often over dirty lines), media
-// faults and torn writes — and every flush and fence, with eviction fuzz on
+// writes, NT stores whole and partial (often over dirty lines), NT stores
+// of the bytes their lines already hold, media faults and torn writes — and
+// every flush and fence, with eviction fuzz on
 // every third seed and a WriteMediaTo→ReadDeviceFrom round trip now and
 // then. Every round ends with a WBINVD or a crash under one of five
 // policies. It fails at the first step where the two disagree on the clock,
 // the counters, the dirty or pending count, the media or the CPU view, or
-// where a pending line has no undo slot or a dirty line no media slot.
+// where a pending line has no undo slot or a dirty line no media slot, or
+// the slots' books disagree (slotCounts).
 //
 // script, two bytes a step, picks the first steps' op (the cases of the
 // switch below, modulo 16) and line; op endRound ends the round at once.
@@ -414,6 +439,17 @@ func deviceHistory(t testing.TB, seed int64, failAfter bool, script []byte) {
 					d.FailAfter(1 << 40)
 				}
 				m.reopen()
+			case heldNT: // an NT store of the bytes its lines hold, often over pending or dirty lines
+				off := min(l*LineSize+rng.Intn(LineSize), d.Size()-1)
+				n := copy(buf[:1+rng.Intn(min(len(buf), d.Size()-off))], d.Working()[off:])
+				// Half the stores that reach past their first line change
+				// their last byte: lines that hold their bytes beside one
+				// that does not.
+				if (off+n-1)/LineSize > off/LineSize && rng.Intn(2) == 0 {
+					buf[n-1] ^= 0xff
+				}
+				d.NTStore(off, buf[:n])
+				m.ntStore(off, buf[:n])
 			case endRound:
 				break steps
 			default:
@@ -453,9 +489,14 @@ func TestPendingRunsMatchNaiveModel(t *testing.T) {
 	deviceHistory(t, 99, true, nil)
 }
 
-// endRound is the script op that ends deviceHistory's round: a WBINVD or a
-// crash follows at once.
-const endRound = 15
+// Three of deviceHistory's ops: heldNT is an NT store of the bytes its
+// lines already hold, fence an SFence, and endRound ends the round, a
+// WBINVD or a crash following at once.
+const (
+	heldNT = 13 + iota
+	fence
+	endRound
+)
 
 // zeroMediaScripts are deviceHistory scripts over fresh lines, whose media
 // is the zero slot, one for each path that slot takes. Each runs on two
@@ -463,17 +504,39 @@ const endRound = 15
 var zeroMediaScripts = [][]byte{
 	// A partial NT store over a dirty fresh line, beside another, then a
 	// fresh line after the fence.
-	{0, 6, 9, 5, 13, 0, 0, 7},
+	{0, 6, 9, 5, fence, 0, 0, 7},
 	// A media fault on a dirty fresh line and one beside it.
 	{0, 6, 0, 5, 10, 5, 0, 7},
 	// A torn write over a chunk holding dirty fresh lines.
 	{0, 4, 0, 5, 11, 5, 0, 7},
 	// A second store and flush in the epoch of the first: the line's undo
 	// is the zero slot, its new media a pool slot.
-	{0, 5, 0, 6, 0, 7, 2, 5, 2, 6, 2, 7, 0, 5, 0, 6, 0, 7, 2, 5, 2, 6, 2, 7, 13, 0, 0, 5},
+	{0, 5, 0, 6, 0, 7, 2, 5, 2, 6, 2, 7, 0, 5, 0, 6, 0, 7, 2, 5, 2, 6, 2, 7, fence, 0, 0, 5},
 	// A pending line whose undo is the zero slot at each round's end.
 	{0, 5, 2, 5, endRound, 0, 0, 6, 2, 6, endRound, 0, 0, 7, 2, 7, endRound, 0},
 }
+
+// ntUndoScripts are deviceHistory scripts for each undo an NT store takes
+// short of a log copy. Each ends its first round at once, and runs on five
+// seeds, so that round ends under all five policies.
+var ntUndoScripts = func() [][]byte {
+	scripts := [][]byte{
+		// An NT store over a fresh line's zero media, and over a dirty fresh
+		// line, whose media is the zero slot: the zero slot is the undo.
+		{4, 5, endRound, 0},
+		{0, 5, 4, 5, endRound, 0},
+	}
+	// An NT store of the bytes a line holds takes undo 0, which each later
+	// writer before the fence must first turn into a copy: a store, a bulk
+	// store, an NT store of other bytes, a cache-only write, a store and a
+	// partial NT store, a media fault and a torn write. The line's media is
+	// zero, or not zero after a fenced store.
+	for _, writer := range []byte{0, 7, 4, 8, 9, 10, 11} {
+		held := []byte{heldNT, 5, writer, 5, endRound, 0}
+		scripts = append(scripts, held, slices.Concat([]byte{0, 5, 2, 5, fence, 0}, held))
+	}
+	return scripts
+}()
 
 // FuzzDeviceHistory runs deviceHistory on arbitrary seeds and scripts: a
 // seed picks the history, and whether eviction fuzz and the per-line flush
@@ -485,6 +548,11 @@ func FuzzDeviceHistory(f *testing.F) {
 	for _, script := range zeroMediaScripts {
 		f.Add(int64(1), script)
 		f.Add(int64(4), script)
+	}
+	for _, script := range ntUndoScripts {
+		for seed := int64(1); seed <= 5; seed++ {
+			f.Add(seed, script)
+		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) { deviceHistory(t, seed, seed%5 == 4, script) })
 }

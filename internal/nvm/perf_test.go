@@ -46,6 +46,10 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	d.NTStore(0, nt)
 	d.SFence()
 
+	// Two patterns that are not zero, so each NT store of the other one
+	// changes every line and logs its media.
+	ntPattern := [2][]byte{bytes.Repeat([]byte{1}, 4096), bytes.Repeat([]byte{2}, 4096)}
+	ntFlip := 0
 	// Two pending lines at opposite ends of the device, and a few hundred
 	// lines flushed in descending order (one run each, sorted at the fence).
 	span := func() { spanFence(d) }
@@ -74,6 +78,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		},
 		"FlushRange": func() { d.FlushRange(0, 4096) },
 		"NTStore":    func() { d.NTStore(8192, nt) },
+		"NTStoreChanged": func() {
+			ntFlip = 1 - ntFlip
+			d.NTStore(8192, ntPattern[ntFlip])
+			d.SFence()
+		},
 		"StoreFlushFence": func() {
 			d.Store(512, buf[:])
 			d.CLWB(512)
@@ -227,7 +236,8 @@ func BenchmarkSFenceSpan(b *testing.B) {
 }
 
 // BenchmarkNTStore4K tracks the non-temporal bulk-copy path used by
-// segment CoW and recovery resync.
+// segment CoW and recovery resync, for a copy that changes nothing: zero
+// pages onto zero lines cost one compare a stride and copy no byte.
 func BenchmarkNTStore4K(b *testing.B) {
 	const size = 1 << 20
 	d := NewDevice(size)
@@ -237,6 +247,23 @@ func BenchmarkNTStore4K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		off := (i * 4096) & (size - 4096)
 		d.NTStore(off, src)
+		d.SFence()
+	}
+}
+
+// BenchmarkNTStore4KChanged is BenchmarkNTStore4K with every line changed:
+// two patterns that are not zero take turns, a pass over the device each,
+// so after the first pass each store compares, logs every line's media and
+// copies the page.
+func BenchmarkNTStore4KChanged(b *testing.B) {
+	const size = 1 << 20
+	d := NewDevice(size)
+	src := [2][]byte{bytes.Repeat([]byte{1}, 4096), bytes.Repeat([]byte{2}, 4096)}
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		off := (i * 4096) & (size - 4096)
+		d.NTStore(off, src[i*4096/size%2])
 		d.SFence()
 	}
 }
