@@ -154,17 +154,6 @@ func (m *Map) Delete(key uint64) bool { return false }
 // returns nil; ordered range queries belong on the libcrpm-backed RBMap.
 func (m *Map) Scan(start uint64, n int) []pds.Pair { return nil }
 
-// SupportsOp implements pds.OpSupport: Delete and Scan are the documented
-// no-ops above and report a typed pds.ErrUnsupportedOp so callers can
-// route around them instead of misreading false/nil results.
-func (m *Map) SupportsOp(op pds.Op) error {
-	switch op {
-	case pds.OpDelete, pds.OpScan:
-		return fmt.Errorf("dali: %v: %w", op, pds.ErrUnsupportedOp)
-	}
-	return nil
-}
-
 // Len returns the number of live keys.
 func (m *Map) Len() int { return m.lenCache }
 

@@ -1,13 +1,11 @@
 package dali
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"libcrpm/internal/nvm"
-	"libcrpm/internal/pds"
 	"libcrpm/internal/sched"
 )
 
@@ -373,25 +371,4 @@ var crashPolicies = []struct {
 	{"seeded", nil},
 	{"persist-all", nvm.PersistAll},
 	{"drop-all", nvm.DropAll},
-}
-
-// TestSupportsOp: Dalí's capability surface — Delete and Scan are
-// documented no-ops and must report the typed pds.ErrUnsupportedOp so
-// callers route around them instead of misreading false/nil results.
-func TestSupportsOp(t *testing.T) {
-	m, err := New(cfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []pds.Op{pds.OpPut, pds.OpGet} {
-		if err := pds.Supports(m, op); err != nil {
-			t.Fatalf("Supports(%v) = %v, want nil", op, err)
-		}
-	}
-	for _, op := range []pds.Op{pds.OpDelete, pds.OpScan} {
-		err := pds.Supports(m, op)
-		if !errors.Is(err, pds.ErrUnsupportedOp) {
-			t.Fatalf("Supports(%v) = %v, want ErrUnsupportedOp", op, err)
-		}
-	}
 }

@@ -11,61 +11,10 @@
 package pds
 
 import (
-	"errors"
 	"fmt"
 
 	"libcrpm/internal/alloc"
 )
-
-// ErrUnsupportedOp is wrapped by SupportsOp for operations a backend
-// cannot execute (Dalí's Delete and Scan). Layers that would otherwise
-// misread the in-band failure values — Delete's false, Scan's nil — as
-// ordinary results (the replica read router, workload audits) branch on
-// this instead.
-var ErrUnsupportedOp = errors.New("pds: unsupported operation")
-
-// Op names a KV operation for support queries.
-type Op int
-
-// The KV operations a backend may declare unsupported.
-const (
-	OpPut Op = iota
-	OpGet
-	OpDelete
-	OpScan
-)
-
-// String names the operation.
-func (o Op) String() string {
-	switch o {
-	case OpPut:
-		return "put"
-	case OpGet:
-		return "get"
-	case OpDelete:
-		return "delete"
-	case OpScan:
-		return "scan"
-	default:
-		return "op(?)"
-	}
-}
-
-// OpSupport is optionally implemented by KV backends with operation gaps.
-// SupportsOp returns nil if the operation executes faithfully, or an
-// error wrapping ErrUnsupportedOp if it is a documented no-op.
-type OpSupport interface {
-	SupportsOp(op Op) error
-}
-
-// Supports reports whether kv executes op faithfully: backends that do
-// not implement OpSupport support everything.
-func Supports(kv KV, op Op) error {
-	if s, ok := kv.(OpSupport); ok {
-		return s.SupportsOp(op)
-	}
-	return nil
-}
 
 // Pair is one key-value entry returned by Scan.
 type Pair struct {

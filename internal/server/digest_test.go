@@ -151,6 +151,11 @@ func digestRows() []digestRow {
 			return c
 		}},
 		{name: "open/stw-crash", cfg: func() Config { return open(smallCfg(), 2e6) }, crashShard: 1, crashFrac: 0.5},
+		// Late in the span, so requests are served before the kill: the span
+		// opens with the populated segments' copy-on-write, drained ahead of
+		// the first arrival.
+		{name: "replicas/open-stw", cfg: func() Config { return open(replCfg(), 2e6) }},
+		{name: "replicas/open-stw-kill", cfg: func() Config { return open(replCfg(), 2e6) }, crashShard: 1, crashFrac: 0.9},
 	}
 }
 

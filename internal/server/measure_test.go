@@ -159,7 +159,8 @@ func TestMeasureTimeBounded(t *testing.T) {
 	}
 }
 
-// TestMeasureValidation pins the rig's config rejections.
+// TestMeasureValidation pins the rig's config rejections, and that
+// replication is not one of them.
 func TestMeasureValidation(t *testing.T) {
 	cfg := measuredCfg(0) // zero target
 	if _, err := New(cfg); !errors.Is(err, measure.ErrBadConfig) {
@@ -167,8 +168,8 @@ func TestMeasureValidation(t *testing.T) {
 	}
 	cfg = measuredCfg(1e6)
 	cfg.Replicas = 1
-	if _, err := New(cfg); !errors.Is(err, ErrMeasureReplicas) {
-		t.Fatalf("measure+replicas: got %v, want ErrMeasureReplicas", err)
+	if res := mustRun(t, cfg); !res.OK() {
+		t.Fatalf("measure+replicas: %d violations, first: %v", len(res.Violations), res.Violations[0])
 	}
 	cfg = measuredCfg(1e6)
 	cfg.Ops = 0 // no duration either: no op count derivable

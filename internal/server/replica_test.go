@@ -1,10 +1,16 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"libcrpm/internal/core"
+	"libcrpm/internal/mpi"
 	"libcrpm/internal/replica"
 	"libcrpm/internal/workload"
 )
@@ -132,8 +138,7 @@ func TestSLALatencyUnmetDegradesToPrimary(t *testing.T) {
 }
 
 // TestReplicatedScanFallsBackToPrimary: the scan-heavy mix under
-// replication must stay consistent even though secondaries can serve
-// scans only when the backend supports them faithfully.
+// replication stays consistent, its scans routed by SLA like point reads.
 func TestReplicatedScanFallsBackToPrimary(t *testing.T) {
 	cfg := replCfg()
 	cfg.Mix = workload.YCSBE
@@ -341,5 +346,128 @@ func TestReplicatedTraceTracks(t *testing.T) {
 	want := cfg.Shards * (1 + cfg.Replicas)
 	if res.Trace == nil || len(res.Trace.Tracks) != want {
 		t.Fatalf("trace has %d tracks, want %d", len(res.Trace.Tracks), want)
+	}
+}
+
+// TestOpenLoopReplicated: open loop × replicas is a product like any other.
+// Under stop-the-world and incremental cuts, with and without a killed
+// primary, every run verifies and reports the same bytes at any Parallel;
+// and every read, routed to a primary or a secondary, is booked from its
+// intended arrival: the open track's read count is the stream's measured
+// reads.
+func TestOpenLoopReplicated(t *testing.T) {
+	for _, pol := range []struct {
+		name string
+		p    Policy
+	}{{"stw", OpsPolicy{Every: 2048}}, {"pause", NewPausePolicy(2 * time.Microsecond)}} {
+		for _, kill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/kill=%v", pol.name, kill), func(t *testing.T) {
+				cfg := measuredCfg(2e6)
+				cfg.Replicas, cfg.Mix, cfg.Policy = 2, workload.YCSBB, pol.p
+				if kill {
+					ref := newService(t, cfg)
+					if _, err := ref.Run(); err != nil {
+						t.Fatal(err)
+					}
+					// Late in the span, so requests are served before the
+					// kill: the span opens with the populated segments'
+					// copy-on-write, drained ahead of the first arrival, and
+					// YCSB-B's reads add no primitive.
+					span := ref.PrimitiveSpans()[1]
+					cfg.Crash = &CrashSpec{Shard: 1, At: span[0] + (span[1]-span[0])*9/10}
+				}
+				var js [2][]byte
+				var res *Result
+				for i, par := range []int{1, 8} {
+					cfg.Parallel = par
+					res = mustRun(t, cfg)
+					if !res.OK() {
+						t.Fatalf("%d violations, first: %v", len(res.Violations), res.Violations[0])
+					}
+					if res.FailedOver != kill {
+						t.Fatalf("failed over %v, want %v", res.FailedOver, kill)
+					}
+					var err error
+					if js[i], err = json.Marshal(res); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(js[0], js[1]) {
+					t.Fatal("Parallel 1 and 8 report different results")
+				}
+				if res.SecReads == 0 {
+					t.Fatal("no read served by a secondary")
+				}
+				if kill {
+					return
+				}
+				gens := newService(t, cfg).newGenerators()
+				want := int64(0)
+				for seq := 0; seq < cfg.Ops; seq++ {
+					if op := gens[seq%len(gens)].Next(); op.Kind == workload.OpRead && seq >= cfg.Measure.WarmupOps {
+						want++
+					}
+				}
+				got := int64(-1)
+				for _, k := range res.Measure.Open {
+					if k.Kind == workload.OpRead.String() {
+						got = k.N
+					}
+				}
+				if got != want {
+					t.Fatalf("open track booked %d reads, the stream measures %d", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestCutFinishesDeferredCoWBeforeCapture: a replicated cut that finds a
+// deferred copy-on-write replay unfinished finishes it before it captures
+// the delta — until then the replay's staged stores are in no dirty set
+// (core.EpochRuns refuses) — so the delta carries them and the secondaries
+// install the cut's exact image.
+func TestCutFinishesDeferredCoWBeforeCapture(t *testing.T) {
+	cfg := replCfg()
+	cfg.Shards, cfg.Clients = 1, 1
+	s := newService(t, cfg)
+	s.shards = make([]*shard, 1)
+	errs := mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+		s.runRank(c, func(sh *shard) error {
+			if err := s.initReplicas(sh); err != nil {
+				return err
+			}
+			for k := uint64(0); k < 64; k++ {
+				if err := sh.kv.Put(k, k); err != nil {
+					return err
+				}
+				sh.shadow.put(k, k)
+			}
+			if err := s.cutThrough(c, sh, true); err != nil {
+				return err
+			}
+			if !sh.ctr.DeferCoW(foreverPS) {
+				return errors.New("populate cut left no copy-on-write to defer")
+			}
+			if err := sh.kv.Put(7, 70); err != nil {
+				return err
+			}
+			sh.shadow.put(7, 70)
+			if err := s.cutThrough(c, sh, true); err != nil {
+				return err
+			}
+			if err := sh.reps.DeliverAll(); err != nil {
+				return err
+			}
+			if bad := sh.verifyReplicas(false); len(bad) > 0 {
+				return errors.New(bad[0])
+			}
+			return nil
+		})
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -29,6 +29,7 @@ func (s *Service) initReplicas(sh *shard) error {
 	sh.reps = g
 	sh.secKV = make([]pds.KV, g.Len())
 	sh.cstate = make([]replica.ClientState, s.cfg.Clients)
+	sh.slas = s.cfg.SLAs
 	sh.shadow.sessions = make([]session, s.cfg.Clients)
 	sh.readLat = obs.NewHistogram(latencyBounds)
 	sh.stale = obs.NewHistogram(obs.StalenessBounds)
@@ -51,92 +52,63 @@ func (sh *shard) secondaryKV(i int) (pds.KV, error) {
 	return kv, nil
 }
 
-// applySLA executes one request under replication. Mutations run on the
-// primary exactly as without replication, stamped with the cut epoch that
-// will make them durable; reads go through the Pileus optimizer, may be
-// served by a secondary, and are verified online either way.
-func (s *Service) applySLA(sh *shard, seq int, op workload.Op) error {
-	client := seq % s.cfg.Clients
+// routeRead serves one read under replication, a branch of apply's read
+// arm: the client's SLA picks the node (the Pileus optimizer), the read is
+// verified online — the routing against the client's session
+// (oracle.read), a secondary-served value against the cut snapshot of the
+// view the replica claims — and acknowledged at once, the round trip plus
+// the serving node's work after its dispatch. Reads carry no durability, so
+// none waits for a cut's group commit.
+func (sh *shard) routeRead(p pendAck, op workload.Op) error {
+	client := p.seq % len(sh.cstate)
 	cs := &sh.cstate[client]
-	switch op.Kind {
-	case workload.OpRead, workload.OpScan:
-		return s.applyRead(sh, seq, client, cs, op)
-	}
-	next := sh.ctr.NextWriteEpoch()
-	if err := sh.apply(seq, op); err != nil {
-		return err
-	}
-	cs.WriteEpoch = next
-	if op.Kind == workload.OpRMW {
-		// The read-modify-write observed the primary's live state, which
-		// commits no later than the cut the write rides.
-		cs.ObserveRead(next)
-	}
-	sh.shadow.wrote(client, op.Kind == workload.OpRMW)
-	return nil
-}
-
-// applyRead routes one read by the client's SLA, serves it, and verifies
-// it: the routing against the client's session (oracle.read), any
-// secondary-served value against the cut snapshot of the view the replica
-// claims. Reads carry no durability, so they acknowledge immediately even
-// while a cut is group-committing writes.
-func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState, op workload.Op) error {
-	sla := s.cfg.SLAs[client%len(s.cfg.SLAs)]
+	sla := sh.slas[client%len(sh.slas)]
 	committed := sh.ctr.CommittedEpoch()
-	live := sh.ctr.NextWriteEpoch()
-	plan := sh.reps.Plan(sla, *cs, committed, live)
-	if plan.Sec >= 0 && op.Kind == workload.OpScan {
-		kv, err := sh.secondaryKV(plan.Sec)
-		if err != nil {
+	plan := sh.reps.Plan(sla, *cs, committed, sh.ctr.NextWriteEpoch())
+	kv, clk := sh.kv, sh.clock
+	if plan.Sec >= 0 {
+		var err error
+		if kv, err = sh.secondaryKV(plan.Sec); err != nil {
 			return err
 		}
-		if pds.Supports(kv, pds.OpScan) != nil {
-			// The replica's backend cannot execute scans faithfully; this
-			// is a capability gap, not an SLA miss — serve the primary.
-			plan = sh.reps.Plan(replica.SLA{Level: replica.Strong}, *cs, committed, live)
-		}
-	}
-	var lat int64
-	if plan.Sec < 0 {
-		t0 := sh.clock.NowPS()
-		switch op.Kind {
-		case workload.OpRead:
-			sh.kv.Get(op.Key)
-		case workload.OpScan:
-			sh.kv.Scan(op.Key, op.ScanLen)
-		}
-		lat = (sh.clock.NowPS() - t0) + plan.RTTPS
-	} else {
-		kv, err := sh.secondaryKV(plan.Sec)
-		if err != nil {
-			return err
-		}
-		clk := sh.reps.Sec(plan.Sec).Clock()
-		t0 := clk.NowPS()
-		switch op.Kind {
-		case workload.OpRead:
-			v, ok := kv.Get(op.Key)
-			sh.checkSecondaryRead(plan, op.Key, v, ok)
-		case workload.OpScan:
-			kv.Scan(op.Key, op.ScanLen)
-		}
-		lat = (clk.NowPS() - t0) + plan.RTTPS
+		clk = sh.reps.Sec(plan.Sec).Clock()
 		sh.secReads++
 		sh.stale.Observe(int64(plan.Staleness))
 	}
+	t0 := clk.NowPS()
+	switch op.Kind {
+	case workload.OpRead:
+		v, ok := kv.Get(op.Key)
+		if plan.Sec >= 0 {
+			sh.checkSecondaryRead(plan, op.Key, v, ok)
+		}
+	case workload.OpScan:
+		kv.Scan(op.Key, op.ScanLen)
+	}
+	lat := clk.NowPS() - t0 + plan.RTTPS
 	if bad := sh.shadow.read(client, sla, plan.Sec, plan.View, committed); bad != "" {
-		sh.repViol = append(sh.repViol, fmt.Sprintf("read seq %d, client %d (%s): %s", seq, client, sla.Name(), bad))
+		sh.repViol = append(sh.repViol, fmt.Sprintf("read seq %d, client %d (%s): %s", p.seq, client, sla.Name(), bad))
 	}
 	if plan.Unmet {
 		sh.unmetReads++
 	}
 	cs.ObserveRead(plan.View)
 	sh.readLat.Observe(lat)
-	// No arrival schedule to charge against: the open-loop rig excludes
-	// replication (ErrMeasureReplicas).
-	sh.ack(pendAck{kind: op.Kind, seq: seq}, lat)
+	sh.ack(p, lat)
 	return nil
+}
+
+// stampWrite records an applied write in its client's session: the epoch
+// whose cut makes it durable, and for a read-modify-write the read of the
+// primary's live state, which commits no later than that cut.
+func (sh *shard) stampWrite(seq int, kind workload.OpKind) {
+	client := seq % len(sh.cstate)
+	cs := &sh.cstate[client]
+	cs.WriteEpoch = sh.ctr.NextWriteEpoch()
+	if kind == workload.OpRMW {
+		cs.ObserveRead(cs.WriteEpoch)
+	}
+	sh.shadow.wrote(client, kind == workload.OpRMW)
 }
 
 // checkSecondaryRead verifies a secondary-served value against the cut

@@ -70,12 +70,6 @@ var ErrInCLLReplicas = errors.New("server: the incll backend does not support re
 // nothing to drain through bounded quanta.
 var ErrInCLLIncremental = errors.New("server: the incll backend does not support the incremental cut pipeline (checkpoints are already O(1))")
 
-// ErrMeasureReplicas rejects Replicas > 0 with the open-loop measurement
-// rig: SLA-routed reads acknowledge on replica clocks outside the arrival
-// schedule, so open-loop latency accounting would mix clock domains. The
-// throughput-vs-p99 study is a backend × cut-policy surface.
-var ErrMeasureReplicas = errors.New("server: the open-loop measurement rig does not support replication (SLA reads acknowledge outside the arrival schedule)")
-
 // exclusions is the feature-compatibility table, the one place the rules
 // live: each row is a pair of Config features no run combines and the error
 // New rejects the pair with (the reason is the error's own text and comment).
@@ -85,14 +79,12 @@ var exclusions = []struct {
 	a, b func(*Config) bool
 	err  error
 }{
-	{(*Config).openLoop, (*Config).replicated, ErrMeasureReplicas},
 	{(*Config).inCLL, (*Config).incremental, ErrInCLLIncremental},
 	{(*Config).inCLL, (*Config).replicated, ErrInCLLReplicas},
 	{(*Config).elastic, (*Config).replicated, ErrMigrateReplicas},
 	{(*Config).scheduled, (*Config).autoSplit, errors.New("server: explicit migrations and autosplit are mutually exclusive")},
 }
 
-func (c *Config) openLoop() bool   { return c.Measure != nil }
 func (c *Config) replicated() bool { return c.Replicas > 0 }
 func (c *Config) inCLL() bool      { return c.Backend == BackendInCLL }
 func (c *Config) scheduled() bool  { return len(c.Migrations) > 0 }
@@ -520,7 +512,7 @@ func (s *Service) Run() (*Result, error) {
 	} else {
 		s.verifyClean(res)
 	}
-	// Online checks of routed reads (applyRead) count on either path: a
+	// Online checks of routed reads (routeRead) count on either path: a
 	// crash does not excuse a read served before it.
 	for _, sh := range s.shards {
 		for _, d := range sh.repViol {
@@ -709,13 +701,7 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 				continue
 			}
 			served++
-			var err error
-			if sh.reps != nil {
-				err = s.applySLA(sh, so.seq, so.op)
-			} else {
-				err = sh.apply(so.seq, so.op)
-			}
-			if err != nil {
+			if err := sh.apply(so.seq, so.op); err != nil {
 				return err
 			}
 			markApplied(sh.appliedBits, so.seq)
@@ -924,15 +910,19 @@ func (s *Service) cutBegin(c *mpi.Comm, sh *shard, stw bool) error {
 	}
 	sh.cutOps[sh.epochOff+sh.ctr.CommittedEpoch()+1] = sh.issued
 	sh.snapshotForNextCut()
+	sh.sinceCut = 0
+	t0 := sh.clock.NowPS()
 	if sh.reps != nil {
+		// The stores of a deferred copy-on-write replay still in flight are
+		// staged in no dirty set (core.EpochRuns): the cut finishes it first,
+		// inside its pause, as the checkpoint itself would.
+		sh.ctr.StepCoW(0)
 		d, err := sh.reps.Capture(sh.core)
 		if err != nil {
 			return err
 		}
 		sh.pendDelta = d
 	}
-	sh.sinceCut = 0
-	t0 := sh.clock.NowPS()
 	if stw {
 		sh.rec.Begin("ckpt-pause")
 		if err := mpi.Checkpoint(c, sh.ctr); err != nil {

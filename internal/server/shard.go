@@ -203,7 +203,8 @@ type shard struct {
 	readLat              *obs.Histogram // SLA-routed read latency (RTT + replica work)
 	stale                *obs.Histogram // staleness of secondary-served reads, epochs
 	secReads, unmetReads uint64
-	repViol              []string // online read verification failures (applyRead)
+	slas                 []replica.SLA // Config.SLAs, assigned to clients round-robin
+	repViol              []string      // online read verification failures (routeRead)
 }
 
 // newShardShell builds the volatile half of a shard — device, clock,
@@ -298,10 +299,10 @@ func (sh *shard) rebind(ctr CutBackend, ds DSKind, local uint64) (image, error) 
 	return want, nil
 }
 
-// pendAck is one group-committed request awaiting its quantum fence:
-// enough identity to acknowledge it later on both the closed-loop track
-// (latency from dispatch) and, under the measurement rig, the open-loop
-// track (latency from intended start).
+// pendAck is a request's identity for its ack — a group-committed one's
+// while it awaits its quantum fence: enough to acknowledge it on both the
+// closed-loop track (latency from dispatch) and, under the measurement rig,
+// the open-loop track (latency from intended start).
 type pendAck struct {
 	kind       workload.OpKind
 	seq        int
@@ -310,11 +311,13 @@ type pendAck struct {
 }
 
 // apply executes one acked request against the KV and mirrors its effect
-// into the volatile shadow. seq is the request's global sequence number
-// (its round-robin interleave position across all clients). Latency is
-// the simulated time the request consumed on this shard, the pull of a key
-// it still owes from a flip included (pull); a point read's result goes
-// into readSum.
+// into the volatile shadow: every request enters the shard here. seq is the
+// request's global sequence number (its round-robin interleave position
+// across all clients). Latency is the simulated time the request consumed on
+// this shard, the pull of a key it still owes from a flip included (pull); a
+// point read's result goes into readSum. Under replication a read is routed
+// by its client's SLA instead (routeRead), and a write stamps its client's
+// session (stampWrite).
 //
 // Under the open-loop rig the request also has an intended arrival on the
 // shard's schedule: if the shard is idle ahead of it the gap is spent on
@@ -323,19 +326,26 @@ type pendAck struct {
 // and the open-loop latency charges that wait — the
 // coordinated-omission-free accounting the rig exists for.
 func (sh *shard) apply(seq int, op workload.Op) error {
-	var intended int64
+	p := pendAck{kind: op.Kind, seq: seq}
 	if sh.meas != nil {
-		intended = sh.msched.IntendedPS(seq)
-		if err := sh.idleUntil(intended); err != nil {
+		p.intendedPS = sh.msched.IntendedPS(seq)
+		if err := sh.idleUntil(p.intendedPS); err != nil {
 			return err
 		}
 	}
-	t0 := sh.clock.NowPS()
+	p.startPS = sh.clock.NowPS()
 	if err := sh.pull(op); err != nil {
 		return err
 	}
 	switch op.Kind {
-	case workload.OpRead:
+	case workload.OpRead, workload.OpScan:
+		if sh.reps != nil {
+			return sh.routeRead(p, op)
+		}
+		if op.Kind == workload.OpScan {
+			sh.kv.Scan(op.Key, op.ScanLen)
+			break
+		}
 		v, ok := sh.kv.Get(op.Key)
 		sh.readSum += readMix(seq, v, ok)
 	case workload.OpUpdate, workload.OpInsert:
@@ -343,8 +353,6 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 			return err
 		}
 		sh.shadow.put(op.Key, op.Value)
-	case workload.OpScan:
-		sh.kv.Scan(op.Key, op.ScanLen)
 	case workload.OpRMW:
 		old, _ := sh.kv.Get(op.Key)
 		if err := sh.kv.Put(op.Key, old+op.Value); err != nil {
@@ -357,12 +365,14 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 	default:
 		return fmt.Errorf("server: shard %d: unknown op kind %v", sh.id, op.Kind)
 	}
-	p := pendAck{kind: op.Kind, seq: seq, startPS: t0, intendedPS: intended}
+	if sh.reps != nil { // a write: routed reads returned above
+		sh.stampWrite(seq, op.Kind)
+	}
 	if sh.phase != cutIdle {
 		sh.pendAcks = append(sh.pendAcks, p)
 		return nil
 	}
-	sh.ack(p, sh.clock.NowPS()-t0)
+	sh.ack(p, sh.clock.NowPS()-p.startPS)
 	return nil
 }
 

@@ -318,6 +318,7 @@ func crashedClock(t *testing.T, srv server.Config, sh int, k int64) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer svc.Close()
 	crashed, err := svc.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -44,6 +44,7 @@ replica | once |                                     |    |      | -shards 4 -cl
 replica | p1p8 |                                     |    |      | -shards 4 -clients 8 -mix b -ops 200000 -replicas 2 -sla mix -killprimary 2 | failover bytes identical at any -parallel
 replica | p1p8 |                                     |    |      | -shards 4 -clients 8 -mix b -ops 200000 -replicas 2 -sla mix -policy pause:2us -killprimary 2 | failover under the incremental pipeline, bytes identical at any -parallel
 replica | p1p8 |                                     |    |      | -shards 2 -clients 4 -keys 200000 -heap 33554432 -buckets 131072 -mix b -ops 300000 -policy ops:16384 -replicas 2 -sla mix -killprimary 1 | recycled delta buffers at replica_b's fleet shape, through DropAbove and promotion: bytes identical at any -parallel
+replica | p1p8 |                                     |    |      | -mix b -replicas 2 -sla mix -target 3e6 -warmup 20000 -killprimary 1 | open loop x replicas through a kill-primary: every read, primary- or secondary-served, acked against its intended arrival; failover bytes identical at any -parallel
 measure | once |                                     |    |      | -shards 4 -clients 8 -mix a -target 4e6 -duration 50ms -warmup 20000 -dist uniform | open-loop smoke, time-bounded at a fixed offered load
 measure | once |                                     |    |      | -shards 4 -clients 8 -mix b -target 8e6 -ops 400000 -dist hotspot -policy pause:2us | open-loop smoke past the knee, incremental cuts, hotspot keys
 measure | once |                                     |    |      | -shards 4 -clients 8 -mix a -ops 200000 -dist exponential | exponential key distribution smoke
