@@ -100,7 +100,7 @@ func run() int {
 	format := flag.String("format", "text", "output format: text | csv")
 	list := flag.Bool("list", false, "list experiments and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (after the experiments finish) to this file; simulated devices are mapped off the Go heap and not in it")
+	memProfile := flag.String("memprofile", "", "write a heap profile (after the experiments finish) to this file; simulated devices and the backends' DRAM images are mapped off the Go heap and not in it")
 	parallel := flag.Int("parallel", 0, "experiment cells in flight (0 = GOMAXPROCS, 1 = serial); tables are byte-identical at any setting")
 	jsonOut := flag.Bool("json", false, "also write a BENCH_<scale>.json perf trajectory (wall-clock per experiment, simulated-clock and checkpoint-byte metrics)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the traced experiments' phase spans to this file; timestamps are simulated, so the file is byte-identical at any -parallel")

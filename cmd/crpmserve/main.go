@@ -231,7 +231,7 @@ func run() int {
 	migrateSpec := flag.String("migrate", "", "live shard migrations: comma-separated KIND:SRC[>DST][@CUTS] entries, e.g. 'split:0@2,move:1>2@4,merge:3>1@6'")
 	autosplit := flag.Int("autosplit", 0, "grow the service by splitting the hottest shard up to this many live shards (0 = off)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (after the run finishes) to this file; simulated devices are mapped off the Go heap and not in it")
+	memProfile := flag.String("memprofile", "", "write a heap profile (after the run finishes) to this file; simulated devices and the backends' DRAM images are mapped off the Go heap and not in it")
 	flag.Parse()
 
 	mix, err := workload.YCSBByName(*mixName)

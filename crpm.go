@@ -95,7 +95,9 @@ const (
 )
 
 // NewDevice creates a simulated NVM device of the given byte size. Close it
-// when done: its memory then goes to the next device of the same size.
+// when done: its memory then goes to the next device of the same size, and
+// the DRAM its containers took for their working images (buffered mode's
+// buffer) is unmapped, so no Store on it may be used afterwards.
 func NewDevice(size int, opts ...nvm.Option) *Device { return nvm.NewDevice(size, opts...) }
 
 // DefaultCostModel returns the calibrated simulation constants.

@@ -52,7 +52,7 @@ type Config struct {
 type Backend struct {
 	cfg Config
 	dev *nvm.Device
-	buf []byte // DRAM working state
+	buf []byte // DRAM working state, the device's (nvm.Device.DRAM)
 
 	slotOff [2]int
 	// protected is the prefix of the heap that checkpoints serialize;
@@ -72,6 +72,7 @@ func New(cfg Config) (*Backend, error) {
 		return nil, err
 	}
 	b.dev = nvm.NewDevice(b.deviceSize())
+	b.buf = b.dev.DRAM(b.cfg.HeapSize)
 	var b8 [8]byte
 	binary.LittleEndian.PutUint64(b8[:], Magic)
 	b.dev.Store(offMagic, b8[:])
@@ -102,19 +103,22 @@ func Open(cfg Config, dev *nvm.Device) (*Backend, error) {
 	if got := int(binary.LittleEndian.Uint64(w[offSize:])); got != cfg.HeapSize {
 		return nil, fmt.Errorf("fti: size mismatch: %d vs %d", got, cfg.HeapSize)
 	}
+	b.buf = dev.DRAM(b.cfg.HeapSize)
 	if err := b.Recover(); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
+// layout is the geometry of a cfg container, without its buffer: New and
+// Open take that from the device's DRAM once the device exists.
 func layout(cfg Config) (*Backend, error) {
 	if cfg.HeapSize <= 0 {
 		return nil, errors.New("fti: heap size must be positive")
 	}
 	n := (cfg.HeapSize + HashBlockSize - 1) / HashBlockSize * HashBlockSize
 	cfg.HeapSize = n
-	b := &Backend{cfg: cfg, buf: make([]byte, n), protected: n}
+	b := &Backend{cfg: cfg, protected: n}
 	b.slotOff[0] = metaSize
 	b.slotOff[1] = metaSize + n
 	if cfg.Incremental {

@@ -23,7 +23,10 @@ type Backend interface {
 	Size() int
 	// Bytes returns the application-visible working memory. Callers may
 	// read it directly after calling OnRead, but must perform every
-	// mutation through OnWrite+Write.
+	// mutation through OnWrite+Write. It is valid until the backend's
+	// device closes: it is the device's working array or its DRAM
+	// (nvm.Device.DRAM), and Close unmaps or reuses both, so a caller
+	// that reads it must also hold the backend or its device.
 	Bytes() []byte
 	// OnRead charges the cost of reading n bytes at off (DRAM- or
 	// NVM-resident, depending on the system).

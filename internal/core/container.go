@@ -142,7 +142,7 @@ type Container struct {
 	preLag int
 
 	// Buffered-mode state.
-	buf           []byte      // DRAM working buffer
+	buf           []byte      // DRAM working buffer, the device's (nvm.Device.DRAM)
 	curDirty      *bitmap.Set // blocks written in the current epoch
 	pendingMain   *bitmap.Set // blocks where the main region differs from the committed state
 	pendingBackup *bitmap.Set // blocks where backup copies differ from the committed state
@@ -175,11 +175,7 @@ func NewContainer(dev *nvm.Device, opts Options) (*Container, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := newContainer(dev, meta, l, opts)
-	if opts.Mode == ModeBuffered {
-		c.buf = make([]byte, l.HeapSize())
-	}
-	return c, nil
+	return newContainer(dev, meta, l, opts), nil
 }
 
 // OpenContainer opens an existing container after a restart (or crash) and
@@ -233,11 +229,7 @@ func OpenContainerDeferRecovery(dev *nvm.Device, opts Options) (*Container, erro
 			}
 		}
 	}
-	c := newContainer(dev, meta, l, opts)
-	if opts.Mode == ModeBuffered {
-		c.buf = make([]byte, l.HeapSize())
-	}
-	return c, nil
+	return newContainer(dev, meta, l, opts), nil
 }
 
 func newContainer(dev *nvm.Device, meta *region.Meta, l *region.Layout, opts Options) *Container {
@@ -257,6 +249,7 @@ func newContainer(dev *nvm.Device, meta *region.Meta, l *region.Layout, opts Opt
 	}
 	c.metrics.MetadataBytes = int64(l.MetadataSize())
 	if opts.Mode == ModeBuffered {
+		c.buf = dev.DRAM(l.HeapSize())
 		c.curDirty = bitmap.New(l.TotalBlocks())
 		c.pendingMain = bitmap.New(l.TotalBlocks())
 		c.pendingBackup = bitmap.New(l.TotalBlocks())

@@ -91,7 +91,8 @@ type Backend struct {
 	// mirror is the contiguous application view: device data portions are
 	// interleaved with meta lines, so Bytes() cannot alias the device. It
 	// stands in for the CPU's cached view; every mutation goes through
-	// Write, which keeps both in sync.
+	// Write, which keeps both in sync. It is the device's DRAM
+	// (nvm.Device.DRAM), unmapped when the device closes.
 	mirror []byte
 
 	committed   uint64      // volatile cache of the committed-epoch word
@@ -133,14 +134,10 @@ func DeviceSize(heapSize int) (int, error) {
 // DeviceSize(heapSize) bytes — for callers that must own the device before
 // any primitive runs on it (e.g. to arm crash injection).
 func Format(heapSize int, dev *nvm.Device) (*Backend, error) {
-	b, err := newBackend(heapSize)
+	b, err := newBackend(heapSize, dev)
 	if err != nil {
 		return nil, err
 	}
-	if dev.Size() < b.deviceSize() {
-		return nil, errors.New("incll: device too small")
-	}
-	b.dev = dev
 	var b8 [8]byte
 	binary.LittleEndian.PutUint64(b8[:], Magic)
 	b.dev.Store(offMagic, b8[:])
@@ -170,14 +167,10 @@ func Open(heapSize int, dev *nvm.Device) (*Backend, error) {
 // coordinated (mpi) recovery: the caller inspects CommittedEpoch, possibly
 // calls RollbackOneEpoch, then must call Recover before using the arena.
 func OpenDeferRecovery(heapSize int, dev *nvm.Device) (*Backend, error) {
-	b, err := newBackend(heapSize)
+	b, err := newBackend(heapSize, dev)
 	if err != nil {
 		return nil, err
 	}
-	if dev.Size() < b.deviceSize() {
-		return nil, errors.New("incll: device too small")
-	}
-	b.dev = dev
 	w := dev.Working()
 	if got := binary.LittleEndian.Uint64(w[offMagic:]); got != Magic {
 		return nil, fmt.Errorf("incll: bad magic %#x", got)
@@ -208,14 +201,18 @@ func layout(heapSize int) (*Backend, error) {
 	return b, nil
 }
 
-// newBackend is layout plus the mirror and side-log bookkeeping a backend
-// works with.
-func newBackend(heapSize int) (*Backend, error) {
+// newBackend is layout on dev plus the mirror, taken from dev's DRAM, and
+// the side-log bookkeeping a backend works with.
+func newBackend(heapSize int, dev *nvm.Device) (*Backend, error) {
 	b, err := layout(heapSize)
 	if err != nil {
 		return nil, err
 	}
-	b.mirror = make([]byte, heapSize)
+	if dev.Size() < b.deviceSize() {
+		return nil, errors.New("incll: device too small")
+	}
+	b.dev = dev
+	b.mirror = dev.DRAM(heapSize)
 	b.sideCovered = bitmap.New(b.n)
 	return b, nil
 }

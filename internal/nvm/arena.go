@@ -21,7 +21,9 @@ import (
 // heap: untouched pages cost nothing, no collector ever zeroes one again,
 // and the garbage collector neither sees nor paces against it
 // (arena_mmap.go).
-// Elsewhere it is an ordinary slice (arena_heap.go).
+// Elsewhere it is an ordinary slice (arena_heap.go). A DRAM region
+// (Device.DRAM) is mapped the same way but never pooled: its device's Close
+// unmaps it.
 
 // arenaLayout returns where the parts of a device's arena begin and the
 // arena's length: working; per line a uint32 naming its media slot (0 for

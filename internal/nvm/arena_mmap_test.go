@@ -42,12 +42,13 @@ func mapCount(t *testing.T) int {
 }
 
 // TestUnclosedDevicesAreUnmapped pins the leak guard: devices nobody closes
-// are unmapped once collected, so a run that forgets Close costs address
-// space and mappings only until the next collection, never resident memory
-// for the whole device.
+// are unmapped once collected, their DRAM regions with them, so a run that
+// forgets Close costs address space and mappings only until the next
+// collection, never resident memory for the whole device.
 func TestUnclosedDevicesAreUnmapped(t *testing.T) {
 	const (
 		size    = 64 << 20
+		dram    = 16 << 20
 		devices = 4000
 		every   = 100
 	)
@@ -64,6 +65,7 @@ func TestUnclosedDevicesAreUnmapped(t *testing.T) {
 	for i := 1; i <= devices; i++ {
 		d := NewDevice(size)
 		d.Store(i%(size/LineSize)*LineSize, line[:])
+		d.DRAM(dram)[i%(dram/LineSize)*LineSize] = 1
 		if i%every == 0 {
 			virt, rss := statm(t)
 			peakRSS, peakVirt = max(peakRSS, rss), max(peakVirt, virt)
@@ -81,15 +83,16 @@ func TestUnclosedDevicesAreUnmapped(t *testing.T) {
 	// devices, plus whatever the cleanup goroutine has not reached yet —
 	// never all of them.
 	_, _, _, _, arena := arenaLayout(size)
-	if arenas := (peakVirt - virt0) / int64(arena); arenas >= devices/2 {
-		t.Errorf("address space peaked %d arenas above the start, want far fewer than %d", arenas, devices)
+	perDevice := int64(arena + dram)
+	if n := (peakVirt - virt0) / perDevice; n >= devices/2 {
+		t.Errorf("address space peaked %d devices' arena and DRAM above the start, want far fewer than %d", n, devices)
 	}
 	// Cleanups run after the collection that found their device dead; give
-	// them time, then every arena must be gone.
+	// them time, then every arena and DRAM region must be gone.
 	runtime.GC()
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		virt, _ := statm(t)
-		if virt-virt0 < int64(arena) {
+		if virt-virt0 < int64(min(arena, dram)) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -139,4 +142,86 @@ func ntStoreReadOnly(t *testing.T, d *Device, src []byte) {
 	}()
 	d.NTStore(0, src)
 	d.SFence()
+}
+
+// TestDRAMIsDistinctZeroedMemory pins what Device.DRAM hands out: zero bytes,
+// apart from every other region and device, whatever an earlier region of
+// the same size held.
+func TestDRAMIsDistinctZeroedMemory(t *testing.T) {
+	const n = 1 << 20
+	var regions [][]byte
+	for range 3 {
+		d := NewDevice(n)
+		defer d.Close()
+		for range 2 {
+			b := d.DRAM(n)
+			if len(b) != n || !holdsOnly(b, 0) {
+				t.Fatalf("region %d: %d bytes, not %d zero bytes", len(regions), len(b), n)
+			}
+			for i := range b {
+				b[i] = byte(len(regions) + 1)
+			}
+			regions = append(regions, b)
+		}
+	}
+	for i, b := range regions {
+		if !holdsOnly(b, byte(i+1)) {
+			t.Fatalf("region %d no longer holds what it was written: another region shares its memory", i)
+		}
+	}
+	// A closed device's regions are unmapped, not pooled: a region taken
+	// after one closed reads zero.
+	d := NewDevice(n)
+	d.DRAM(n)[0] = 1
+	d.Close()
+	d = NewDevice(n)
+	defer d.Close()
+	if !holdsOnly(d.DRAM(n), 0) {
+		t.Fatal("a region taken after a device closed holds bytes a closed region held")
+	}
+}
+
+// holdsOnly reports whether every byte of b is v.
+func holdsOnly(b []byte, v byte) bool {
+	for _, x := range b {
+		if x != v {
+			return false
+		}
+	}
+	return true
+}
+
+// sink keeps a faulting read from being compiled away.
+var sink byte
+
+// TestDRAMFaultsAfterClose pins that Close unmaps a device's DRAM regions:
+// any access through a slice kept past Close faults instead of reading or
+// writing memory another device may own.
+func TestDRAMFaultsAfterClose(t *testing.T) {
+	const n = 64 << 10
+	d := NewDevice(n)
+	a, b := d.DRAM(n), d.DRAM(3*n)
+	a[0], b[len(b)-1] = 1, 2
+	d.Close()
+	for _, access := range []struct {
+		name string
+		fn   func()
+	}{
+		{"read of the first region", func() { sink = a[n/2] }},
+		{"write of the first region", func() { a[0] = 3 }},
+		{"read of the second region", func() { sink = b[len(b)-1] }},
+		{"write of the second region", func() { b[n] = 4 }},
+	} {
+		if !faults(access.fn) {
+			t.Errorf("%s after Close did not fault", access.name)
+		}
+	}
+}
+
+// faults reports whether fn faulted on a memory access.
+func faults(fn func()) (faulted bool) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() { faulted = recover() != nil }()
+	fn()
+	return false
 }

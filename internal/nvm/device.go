@@ -52,7 +52,8 @@ type Device struct {
 	// reached. Only lines there hold slots, so Close clears, and a crash
 	// looks for diverged lines, only there.
 	touched []bool
-	// guard unmaps the arena of a device nobody closed; Close disarms it.
+	// guard holds the arena and the DRAM regions, and unmaps them for a
+	// device nobody closed; Close disarms it.
 	guard *arenaGuard
 
 	// dirty marks cache lines written but not yet flushed.
@@ -205,29 +206,61 @@ func NewDevice(size int, opts ...Option) *Device {
 	}
 	// The leak guard unmaps and never pools: a device nobody closed may
 	// still have a Working() slice out, which must fault, not alias.
-	d.guard = &arenaGuard{arena}
+	d.guard = &arenaGuard{arena: arena}
 	runtime.SetFinalizer(d.guard, (*arenaGuard).unmap)
 	return d
 }
 
-// arenaGuard is the leak guard's handle on an arena. Only its device points
-// to it, so it becomes unreachable with the device and its finalizer unmaps
-// the arena; a finalizer on the Device itself would hold the device's own
-// memory for another collection.
-type arenaGuard struct{ arena []byte }
+// arenaGuard is the leak guard's handle on an arena and on the DRAM regions
+// its device handed out. Only its device points to it, so it becomes
+// unreachable with the device and its finalizer unmaps them all; a finalizer
+// on the Device itself would hold the device's own memory for another
+// collection.
+type arenaGuard struct {
+	arena []byte
+	dram  [][]byte
+}
 
-func (g *arenaGuard) unmap() { unmapArena(g.arena) }
+func (g *arenaGuard) unmap() {
+	unmapArena(g.arena)
+	g.unmapDRAM()
+}
+
+func (g *arenaGuard) unmapDRAM() {
+	for _, b := range g.dram {
+		unmapArena(b)
+	}
+	g.dram = nil
+}
+
+// DRAM returns n zero bytes of the simulated machine's DRAM beside this
+// device, for a backend's heap-sized volatile image (buffered mode's working
+// buffer, InCLL's mirror, FTI's buffer). It is mapped like the arena, off
+// the Go heap, and lives as long as the device: Close unmaps it, and so does
+// the leak guard for a device nobody closed. It is never pooled, so a slice
+// of it used after Close faults instead of aliasing another device's
+// memory. A crash leaves it alone: a backend reopened on the device asks for
+// a fresh one.
+func (d *Device) DRAM(n int) []byte {
+	if d.arena == nil {
+		panic("nvm: DRAM of a closed device")
+	}
+	b := mapArena(n)
+	d.guard.dram = append(d.guard.dram, b)
+	return b
+}
 
 // Close hands the device's memory back for a later NewDevice of the same
 // size: it drops the cache as a power failure would, clears the touched
-// chunks of working, and puts the arena on the free list.
-// Every later access panics, and a slice Working() returned must not be used
-// again. Closing twice is a no-op.
+// chunks of working, puts the arena on the free list and unmaps every DRAM
+// region. Every later access panics, and a slice Working() or DRAM returned
+// must not be used again. Closing twice is a no-op.
 func (d *Device) Close() {
 	if d.arena == nil {
 		return
 	}
 	runtime.SetFinalizer(d.guard, nil)
+	d.guard.unmapDRAM()
 	d.guard = nil
 	d.CrashWith(DropAll) // empties the slot index and the pool
 	d.eachTouched(func(lo, hi int) { clear(d.working[lo:hi]) })

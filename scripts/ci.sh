@@ -156,11 +156,11 @@ test)
   # from under bench/ fails here, not in the benchmark run.
   (cd bench && go test .)
   scripts/loc.sh
-  # A race build keeps device arenas on the Go heap (internal/nvm/arena_heap.go),
-  # and at the default GOGC their garbage piles up: the server binary alone
-  # passed 7 GB resident, and still passes 2 GB within its first minute. A
-  # soft limit has the collector return it sooner (the server step peaks at
-  # 3.6 GB, the test binary's max RSS).
+  # A race build keeps device arenas and backends' DRAM regions on the Go heap
+  # (internal/nvm/arena_heap.go), and at the default GOGC their garbage piles
+  # up: the server binary alone passed 7 GB resident, and still passes 2 GB
+  # within its first minute. A soft limit has the collector return it sooner
+  # (the server step peaks at 3.6 GB, the test binary's max RSS).
   GOMEMLIMIT=2GiB go test -race -short ./internal/core/ ./internal/nvm/ ./internal/bitmap/ ./internal/mpi/ ./internal/sched/ ./internal/harness/ .
   GOMEMLIMIT=2GiB go test -race ./internal/server/ ./internal/incll/ ./internal/conformance/
   doclint
