@@ -338,14 +338,16 @@ func run() int {
 	defer stopProf()
 	wallStart := time.Now()
 	if *killPrimary >= 0 {
-		// The kill point is the middle of the victim's serving span, so a
-		// reference run measures the span first. Both runs are pure
-		// functions of the flags; the failover line is too.
+		// The kill point is the middle of the victim's request span (an
+		// open loop's serving span opens with the populate's copy-on-write,
+		// drained before the first request), so a reference run measures
+		// the span first. Both runs are pure functions of the flags; the
+		// failover line is too.
 		if _, err := svc.Run(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		span := svc.PrimitiveSpans()[*killPrimary]
+		span := svc.RequestSpans()[*killPrimary]
 		svc.Close()
 		cfg.Crash = &server.CrashSpec{Shard: *killPrimary, At: span[0] + (span[1]-span[0])/2}
 		if svc, err = newService(cfg); err != nil {

@@ -23,7 +23,7 @@ import (
 // (arena_mmap.go).
 // Elsewhere it is an ordinary slice (arena_heap.go). A DRAM region
 // (Device.DRAM) is mapped the same way but never pooled: its device's Close
-// unmaps it.
+// unmaps it, or FreeDRAM before that.
 
 // arenaLayout returns where the parts of a device's arena begin and the
 // arena's length: working; per line a uint32 naming its media slot (0 for

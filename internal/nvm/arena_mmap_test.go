@@ -225,3 +225,61 @@ func faults(fn func()) (faulted bool) {
 	fn()
 	return false
 }
+
+// TestFreeDRAMUnmapsOneRegion pins FreeDRAM: the freed region faults at once,
+// the device's other regions stay usable, and Close unmaps those and never
+// the freed one again — not even once a region of another device has taken
+// its addresses.
+func TestFreeDRAMUnmapsOneRegion(t *testing.T) {
+	const n = 64 << 10
+	d := NewDevice(n)
+	a, b := d.DRAM(2*n), d.DRAM(n)
+	a[0], b[0] = 1, 2
+	d.FreeDRAM(a[:0])
+	if !faults(func() { sink = a[n] }) {
+		t.Error("a read of a freed region did not fault")
+	}
+	if faults(func() { b[n-1] = 3 }) {
+		t.Fatal("freeing one region unmapped another")
+	}
+	other := NewDevice(n)
+	defer other.Close()
+	c := other.DRAM(2 * n)
+	c[0] = 4
+	d.Close()
+	if !faults(func() { sink = b[0] }) {
+		t.Error("Close did not unmap the region left after a FreeDRAM")
+	}
+	if faults(func() { c[len(c)-1] = 5 }) || c[0] != 4 {
+		t.Error("Close unmapped a freed region's addresses again, now another device's region")
+	}
+}
+
+// TestFreeDRAMRefusesForeignMemory: a device frees only the regions it
+// handed out and still holds.
+func TestFreeDRAMRefusesForeignMemory(t *testing.T) {
+	const n = 64 << 10
+	d, other := NewDevice(n), NewDevice(n)
+	defer d.Close()
+	defer other.Close()
+	freed := d.DRAM(n)
+	d.FreeDRAM(freed)
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{
+		{"a Go slice", make([]byte, n)},
+		{"another device's region", other.DRAM(n)},
+		{"the device's region past its start", d.DRAM(n)[LineSize:]},
+		{"a region freed already", freed},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FreeDRAM of %s did not panic", c.name)
+				}
+			}()
+			d.FreeDRAM(c.b)
+		}()
+	}
+}

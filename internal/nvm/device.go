@@ -250,6 +250,24 @@ func (d *Device) DRAM(n int) []byte {
 	return b
 }
 
+// FreeDRAM unmaps a region DRAM handed out, before its device closes, for
+// DRAM whose use ends before the device's (a replica delta's payload): the
+// region leaves the leak guard, so Close unmaps it no second time. Any later
+// access through b faults. b must be a region of this open device, whole or
+// resliced from its start.
+func (d *Device) FreeDRAM(b []byte) {
+	if d.arena == nil {
+		panic("nvm: FreeDRAM on a closed device")
+	}
+	g := d.guard
+	i := slices.IndexFunc(g.dram, func(r []byte) bool { return unsafe.SliceData(r) == unsafe.SliceData(b) })
+	if i < 0 {
+		panic("nvm: FreeDRAM of memory this device did not hand out")
+	}
+	unmapArena(g.dram[i])
+	g.dram = slices.Delete(g.dram, i, i+1)
+}
+
 // Close hands the device's memory back for a later NewDevice of the same
 // size: it drops the cache as a power failure would, clears the touched
 // chunks of working, puts the arena on the free list and unmaps every DRAM

@@ -24,8 +24,9 @@
 // changes: the CPU view only in the kilobyte strides whose bytes differ, and
 // a line's pre-store media only where that media is not zero and the store
 // changes the line or the line diverges. A device also hands out the
-// simulated machine's DRAM for a backend's heap-sized volatile image
-// (Device.DRAM), mapped like its own memory and unmapped with it.
+// simulated machine's DRAM for a backend's heap-sized volatile image or a
+// replica's populate-sized payload (Device.DRAM), mapped like its own memory
+// and unmapped with it or, by FreeDRAM, before.
 //
 // Every primitive advances a deterministic simulated clock whose cost
 // constants are calibrated against published DCPMM latencies. Time is

@@ -52,10 +52,12 @@ const (
 	KindRBMap   Kind = "map"
 )
 
-// rootedKV is a KV that knows the heap offset it reopens from.
+// rootedKV is a KV that knows the heap offset it reopens from and walks
+// every pair it holds: fn returning false stops the walk.
 type rootedKV interface {
 	KV
 	Root() int
+	ForEach(fn func(k, v uint64) bool)
 }
 
 // Bind is the one place a structure's kind becomes a KV inside an allocator:

@@ -475,22 +475,8 @@ func (t *RBMap) Scan(start uint64, n int) []Pair {
 }
 
 // ForEach visits pairs in ascending key order; fn returning false stops.
-func (t *RBMap) ForEach(fn func(k, v uint64) bool) {
-	var walk func(n int) bool
-	walk = func(n int) bool {
-		if n == 0 {
-			return true
-		}
-		if !walk(t.left(n)) {
-			return false
-		}
-		if !fn(t.key(n), t.h.ReadU64(n+rnVal)) {
-			return false
-		}
-		return walk(t.right(n))
-	}
-	walk(t.root())
-}
+// It is Scan's walk, so it reads what a Scan of as many pairs reads.
+func (t *RBMap) ForEach(fn func(k, v uint64) bool) { t.Range(0, ^uint64(0), fn) }
 
 // CheckInvariants verifies the red-black properties, returning an error
 // describing the first violation. Used by tests and available to callers as

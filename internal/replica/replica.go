@@ -18,7 +18,9 @@ import (
 //
 // Shipping hands the buffers to the group: once every receive buffer that
 // held the delta has installed or dropped it, its Runs and Payload go back to
-// the group's free list and a later Capture appends into them.
+// the group's free list and a later Capture appends into them — or, for a
+// payload larger than keptPayloadMax, which is mapped off the Go heap, the
+// payload is unmapped.
 type Delta struct {
 	// Epoch is the committed epoch this delta produces when installed.
 	Epoch uint64
@@ -211,10 +213,13 @@ func (g *Group) Sec(i int) *Secondary { return g.secs[i] }
 // Capture snapshots the epoch ctr is about to commit as a delta: the
 // boundary image of every run of blocks the epoch wrote (core's EpochRuns,
 // adjacent runs merged), copied off the working image into the buffers the
-// newest released delta left behind where they are large enough. Pure DRAM
-// copies: no device primitives run and no simulated time passes, so crash
-// points and clocks are exactly those of an unreplicated run. It fails while
-// ctr has a pipeline in flight, whose staged stores no dirty set shows.
+// newest released delta left behind where they are large enough. A payload
+// larger than keptPayloadMax (a populate cut's) is copied into simulated
+// DRAM of secondary 0's device instead, off the Go heap, and unmapped at its
+// last release. Pure DRAM copies: no device primitives run and no simulated
+// time passes, so crash points and clocks are exactly those of an
+// unreplicated run. It fails while ctr has a pipeline in flight, whose
+// staged stores no dirty set shows.
 func (g *Group) Capture(ctr *core.Container) (*Delta, error) {
 	var b buffers
 	if k := len(g.free); k > 0 {
@@ -236,7 +241,10 @@ func (g *Group) Capture(ctr *core.Container) (*Delta, error) {
 		return nil, fmt.Errorf("replica: shard %d capture of epoch %d: %w", g.shard, d.Epoch, err)
 	}
 	d.Payload = b.payload
-	if cap(d.Payload) < size {
+	switch {
+	case size > keptPayloadMax:
+		d.Payload = g.dram().DRAM(size)[:0]
+	case cap(d.Payload) < size:
 		d.Payload = make([]byte, 0, size)
 	}
 	heap := ctr.Bytes()
@@ -246,15 +254,21 @@ func (g *Group) Capture(ctr *core.Container) (*Delta, error) {
 	return d, nil
 }
 
-// keptPayloadMax bounds the payload a released delta leaves on the free list.
-// A larger one is a populate cut's, or a cut as large: its copy costs more
-// than its allocation, and kept for reuse it would pin its size in heap for
-// the rest of the run (replica_b's populate payload is ~5 MiB per shard; its
-// steady-state cuts carry ~70 KB).
+// keptPayloadMax bounds the payload a Capture copies onto the Go heap and a
+// released delta leaves on the free list. A larger one is a populate cut's,
+// or a cut as large: its copy costs more than its mapping, and on the heap it
+// would raise the collector's goal for the rest of the run, whose pages then
+// stay resident (replica_b's populate payload is ~4.8 MiB per shard; its
+// steady-state cuts carry ~70 KB). So it is mapped, and unmapped at its last
+// release; a payload never released (a crash between Capture and Ship, a
+// receive buffer still full at the end) is unmapped with the device.
 const keptPayloadMax = 1 << 20
 
+// dram is the device whose simulated DRAM holds the group's mapped payloads.
+func (g *Group) dram() *nvm.Device { return g.secs[0].ctr.Device() }
+
 // release lets go of d for one receive buffer; the last to let go returns
-// its buffers to the free list.
+// its buffers to the free list, or unmaps a mapped payload.
 func (g *Group) release(d *Delta) {
 	if d.refs--; d.refs > 0 {
 		return
@@ -262,6 +276,8 @@ func (g *Group) release(d *Delta) {
 	b := buffers{runs: d.Runs[:0]}
 	if cap(d.Payload) <= keptPayloadMax {
 		b.payload = d.Payload[:0]
+	} else {
+		g.dram().FreeDRAM(d.Payload)
 	}
 	g.free = append(g.free, b)
 	d.Runs, d.Payload = nil, nil

@@ -635,8 +635,8 @@ func TestRecycledImagesNeverAlias(t *testing.T) {
 }
 
 // TestLargePayloadGoesToTheCollector: a released payload above
-// keptPayloadMax — a populate cut's — leaves the free list its run list only,
-// so it does not pin its size in heap for the rest of the run, and the next
+// keptPayloadMax — a populate cut's, mapped off the Go heap — leaves the free
+// list its run list only, so its memory goes back with it, and the next
 // capture gets a payload its own size.
 func TestLargePayloadGoesToTheCollector(t *testing.T) {
 	ctr, g, l := testWorld(t, 2)

@@ -458,10 +458,10 @@ func TestPullSettlesOwedState(t *testing.T) {
 		t.Errorf("a scan left %d keys owed", len(sh.migWork.owed))
 	}
 	want := map[uint64]uint64{1: 11, 2: 99, 4: 42, 6: 6, 7: 70}
-	if got := verifyKV(dumpKV(sh.kv), image{live: want, n: len(want)}, nil); got != nil {
+	if got := verifyKV(sh.kv, image{live: want, n: len(want)}, nil); got != nil {
 		t.Errorf("KV after the pulls: %q", got)
 	}
-	if got := verifyKV(dumpKV(sh.kv), sh.shadow.open(), nil); got != nil {
+	if got := verifyKV(sh.kv, sh.shadow.open(), nil); got != nil {
 		t.Errorf("KV against the oracle: %q", got)
 	}
 }

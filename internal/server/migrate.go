@@ -325,11 +325,12 @@ func (sh *shard) maybeLogMig(so seqOp) {
 // state (the snapshot) or as its deletion (the post-flip cleanup).
 func (sh *shard) spanItems(slots map[int]bool, del bool) []migEnt {
 	var items []migEnt
-	for _, p := range sh.view.Scan(0, sh.view.Len()) {
-		if slots[sh.ring.Slot(p.Key)] {
-			items = append(items, migEnt{key: p.Key, val: p.Value, del: del})
+	sh.view.ForEach(func(k, v uint64) bool {
+		if slots[sh.ring.Slot(k)] {
+			items = append(items, migEnt{key: k, val: v, del: del})
 		}
-	}
+		return true
+	})
 	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
 	return items
 }
@@ -835,6 +836,7 @@ func (s *Service) provisionJoined(sh *shard) error {
 		sh.meas = measure.NewCollector(*mc, sh.msched)
 	}
 	sh.primBase = sh.dev.PrimitiveCount()
+	sh.reqBase = sh.primBase
 	sh.phaseStartPrim = sh.primBase
 	sh.cutStartPS = sh.clock.NowPS()
 	sh.roundPS = sh.cutStartPS

@@ -318,7 +318,7 @@ func TestRMWMirrorsTheOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"1 wrong keys (first: 7, got 1004 want 105)"}
-	if got := verifyKV(dumpKV(sh.kv), sh.shadow.open(), nil); !reflect.DeepEqual(got, want) {
+	if got := verifyKV(sh.kv, sh.shadow.open(), nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("verifyKV = %q, want %q", got, want)
 	}
 }

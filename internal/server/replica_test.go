@@ -282,6 +282,33 @@ func TestCrashedRunReportsReplicaReads(t *testing.T) {
 	t.Fatalf("no replica violation on shard 0 among %d: %v", len(res.Violations), res.Violations)
 }
 
+// TestOpenLoopKillLandsAmidRequests: an open-loop run's serving span opens
+// with the populate's copy-on-write, drained ahead of the first arrival, so
+// its middle can fall before the shard has served one request. A kill at the
+// middle of its request span, as crpmserve -killprimary aims, lands after
+// the victim has served some.
+func TestOpenLoopKillLandsAmidRequests(t *testing.T) {
+	cfg := measuredCfg(2e6)
+	cfg.Mix, cfg.Replicas = workload.YCSBB, 2
+	ref := newService(t, cfg)
+	if _, err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	const victim = 1
+	all, req := ref.PrimitiveSpans()[victim], ref.RequestSpans()[victim]
+	if req[0] <= all[0] || req[1] != all[1] {
+		t.Fatalf("request span %v does not start past the drain inside serving span %v", req, all)
+	}
+	cfg.Crash = &CrashSpec{Shard: victim, At: req[0] + (req[1]-req[0])/2}
+	res := mustRun(t, cfg)
+	if !res.OK() || !res.FailedOver {
+		t.Fatalf("failover failed: %+v", res.Violations)
+	}
+	if ops := res.Shards[victim].Ops; ops == 0 {
+		t.Fatalf("shard %d was killed at primitive %d before serving a request", victim, cfg.Crash.At)
+	}
+}
+
 // TestFailoverDeterminism: the same kill-primary point yields the same
 // Result — promotion choice included — on every run.
 func TestFailoverDeterminism(t *testing.T) {

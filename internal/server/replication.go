@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"libcrpm/internal/obs"
-	"libcrpm/internal/pds"
 	"libcrpm/internal/replica"
 	"libcrpm/internal/workload"
 )
@@ -27,7 +26,7 @@ func (s *Service) initReplicas(sh *shard) error {
 		s.mapped(g.Sec(i).Container().Device())
 	}
 	sh.reps = g
-	sh.secKV = make([]pds.KV, g.Len())
+	sh.secKV = make([]storeKV, g.Len())
 	sh.cstate = make([]replica.ClientState, s.cfg.Clients)
 	sh.slas = s.cfg.SLAs
 	sh.shadow.sessions = make([]session, s.cfg.Clients)
@@ -40,7 +39,7 @@ func (s *Service) initReplicas(sh *shard) error {
 // Valid once the replica has installed the populate cut (the optimizer
 // never routes to a replica before that); the handle reads every node
 // through heap offsets, so later delta installs never invalidate it.
-func (sh *shard) secondaryKV(i int) (pds.KV, error) {
+func (sh *shard) secondaryKV(i int) (storeKV, error) {
 	if sh.secKV[i] != nil {
 		return sh.secKV[i], nil
 	}
@@ -157,7 +156,7 @@ func (sh *shard) verifyReplicas(recovered bool) []string {
 			bad = append(bad, err.Error())
 			continue
 		}
-		for _, d := range verifyKV(dumpKV(kv), want, nil) {
+		for _, d := range verifyKV(kv, want, nil) {
 			bad = append(bad, fmt.Sprintf("replica %d: %s", i, d))
 		}
 	}

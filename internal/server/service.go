@@ -568,6 +568,18 @@ func (s *Service) PrimitiveSpans() [][2]int64 {
 	return spans
 }
 
+// RequestSpans is PrimitiveSpans less an open-loop run's drain of the
+// populate's copy-on-write ahead of the first arrival: each shard's range
+// [first request's, end) from the last completed Run, where a crash kills
+// a primary that is serving.
+func (s *Service) RequestSpans() [][2]int64 {
+	spans := make([][2]int64, len(s.shards))
+	for i, sh := range s.shards {
+		spans[i] = [2]int64{sh.reqBase, sh.primEnd}
+	}
+	return spans
+}
+
 // runRank is the shell every rank loop shares: a shard on a fresh device
 // with crash injection armed before the first container primitive, a
 // formatted backend with the allocator and KV inside it, then body. An
@@ -653,6 +665,7 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 		return err
 	}
 	sh.primBase = sh.dev.PrimitiveCount()
+	sh.reqBase = sh.primBase
 	if m := s.cfg.Measure; m != nil {
 		// Everything up to the first arrival is idle time of unbounded
 		// length, and the first requests would otherwise pay for the epoch's
@@ -665,6 +678,7 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 		// protect and keeps its copy-on-write lazy.
 		sh.ctr.DeferCoW(foreverPS)
 		sh.ctr.StepCoW(0)
+		sh.reqBase = sh.dev.PrimitiveCount()
 		// The barrier realigns the clocks, so every rank reads the identical
 		// timestamp here: anchoring the arrival schedule at it gives all
 		// shards the same intended timestamps with no extra coordination.
@@ -1187,8 +1201,9 @@ func (s *Service) verifyLanding(res *Result, epoch uint64, members, retired []*s
 // hold), checks the KV against that image and then the shard's replicas
 // against theirs, and then — in a run that migrated (owned != nil), once
 // the KV has matched its oracle — holds the KV against its share of the
-// sequential replay. The KV is walked, not the oracle, so the replay stays
-// an independent check. Each cell reads only its own shard, and reduction is
+// sequential replay, walking it through the shard's view, which charges no
+// reads. The KV is walked, not the oracle, so the replay stays an
+// independent check. Each cell reads only its own shard, and reduction is
 // in shard order, so the fan-out's parallelism cannot change the result.
 func (s *Service) verify(res *Result, shards []*shard, owned []share, ready func(i int) (image, error)) {
 	vs := sched.Map(len(shards), sched.Options{Workers: s.cfg.Parallel}, func(i int) (bad [3][]string) {
@@ -1197,11 +1212,11 @@ func (s *Service) verify(res *Result, shards []*shard, owned []share, ready func
 			bad[0] = []string{err.Error()}
 			return bad
 		}
-		kv := dumpKV(shards[i].kv)
-		bad[0], bad[1] = verifyKV(kv, want, nil), shards[i].verifyReplicas(res.Recovered)
+		sh := shards[i]
+		bad[0], bad[1] = verifyKV(sh.kv, want, nil), sh.verifyReplicas(res.Recovered)
 		if bad[0] == nil && owned != nil {
-			o := owned[shards[i].id]
-			bad[2] = verifyKV(kv, o.image(), o.stray)
+			o := owned[sh.id]
+			bad[2] = verifyKV(sh.view, o.image(), o.stray)
 		}
 		return bad
 	})

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"libcrpm/internal/alloc"
 	"libcrpm/internal/ckpt"
@@ -26,6 +24,13 @@ const (
 	DSHashMap = pds.KindHashMap
 	DSRBMap   = pds.KindRBMap
 )
+
+// storeKV is a structure as pds.Bind returns it: a KV that also walks every
+// pair it holds, for the end-of-run check and a migration source's span.
+type storeKV interface {
+	pds.KV
+	ForEach(fn func(k, v uint64) bool)
+}
 
 // kvRootSlot is the allocator root slot holding each shard's structure
 // root, written once at shard creation so recovery can rebind it.
@@ -85,12 +90,13 @@ type shard struct {
 	// core is the typed handle when ctr is a *core.Container (nil for the
 	// incll backend); the incremental pipeline and replication require it.
 	core *core.Container
-	kv   pds.KV
+	kv   storeKV
 	// view reads the same working image as kv through a readOnly backend,
 	// for the shard's own walks of what it holds (a migration source's
-	// span), which charge nothing and may not write. Bound once, at init: a
-	// crash ends the serving it is read in.
-	view pds.KV
+	// span, the end-of-run check's second walk), which charge nothing and
+	// may not write. Bound at init, and by rebind over the container a
+	// crashed run recovered.
+	view storeKV
 	rec  *obs.Recorder
 
 	// shadow mirrors every acked mutation and journals enough undo to
@@ -144,8 +150,10 @@ type shard struct {
 
 	// primBase and primEnd bound the serving phase in device primitive
 	// indices: crash points in [primBase, primEnd) hit live request
-	// traffic or a cut, never setup.
-	primBase, primEnd int64
+	// traffic or a cut, never setup. reqBase is where the requests begin:
+	// past the open loop's drain of the populate's copy-on-write, primBase
+	// elsewhere.
+	primBase, reqBase, primEnd int64
 
 	// Elastic resharding (migrate.go). ring is this rank's private clone of
 	// the ownership table, the one every op is routed on, flipped
@@ -197,7 +205,7 @@ type shard struct {
 	// without them).
 	ds                   DSKind
 	reps                 *replica.Group
-	secKV                []pds.KV       // lazily opened read handles over secondary containers
+	secKV                []storeKV      // lazily opened read handles over secondary containers
 	pendDelta            *replica.Delta // captured at cutBegin, shipped by cutLanded
 	cstate               []replica.ClientState
 	readLat              *obs.Histogram // SLA-routed read latency (RTT + replica work)
@@ -265,7 +273,7 @@ func (readOnly) OnWrite(int, int) { panic("server: write through a read-only vie
 
 // openKV rebinds the structure persisted in a formatted store, through its
 // allocator, from the root init recorded.
-func openKV(b ckpt.Backend, ds DSKind) (pds.KV, error) {
+func openKV(b ckpt.Backend, ds DSKind) (storeKV, error) {
 	a, err := alloc.Open(heap.New(b))
 	if err != nil {
 		return nil, fmt.Errorf("allocator reopen: %w", err)
@@ -290,7 +298,11 @@ func (sh *shard) rebind(ctr CutBackend, ds DSKind, local uint64) (image, error) 
 	if err != nil {
 		return image{}, fmt.Errorf("server: shard %d: %v", sh.id, err)
 	}
-	sh.ctr, sh.kv = ctr, kv
+	view, err := openKV(readOnly{ctr}, ds)
+	if err != nil {
+		return image{}, fmt.Errorf("server: shard %d: %v", sh.id, err)
+	}
+	sh.ctr, sh.kv, sh.view = ctr, kv, view
 	sh.core, _ = ctr.(*core.Container)
 	want, ok := sh.shadow.at(local)
 	if !ok {
@@ -533,27 +545,9 @@ func (sh *shard) snapshotForNextCut() {
 	sh.shadow.cut(next, floor)
 }
 
-// kvDump is a KV's Scan, sorted in place by key then value, and the key
-// count its Len reports: walked once per image it is checked against, each
-// key looked up there, so no map is built from either side. Sorted, a key
-// the scan repeats is one run of pairs, counted once, by the pair with the
-// largest value.
-type kvDump struct {
-	pairs []pds.Pair
-	n     int
-}
-
-func dumpKV(kv pds.KV) kvDump {
-	n := kv.Len()
-	d := kvDump{kv.Scan(0, n), n}
-	slices.SortFunc(d.pairs, func(a, b pds.Pair) int { return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Value, b.Value)) })
-	return d
-}
-
 // tally is one kind of bad key: how many, and the smallest, with the value
-// the KV holds there and the one the image does, as format words them.
+// the KV holds there and the one the image does, as tallyFormats word them.
 type tally struct {
-	format         string
 	n              int
 	key, got, want uint64
 }
@@ -565,45 +559,104 @@ func (t *tally) note(key, got, want uint64) {
 	t.n++
 }
 
+// tallyFormats words the missing, wrong and extra tallies, in that order.
+var tallyFormats = [...]string{
+	"%[1]d missing keys (first: %[2]d, want %[4]d)",
+	"%[1]d wrong keys (first: %[2]d, got %[3]d want %[4]d)",
+	"%[1]d extra keys (first: %[2]d, got %[3]d)",
+}
+
 // verifyKV compares a KV's full contents against an expected image,
 // returning deterministic violation details (the smallest bad key of each
 // kind first) — empty means the images match exactly. A key outside the
 // image that stray admits may be held all the same, unchecked (nil: none).
-func verifyKV(d kvDump, want image, stray func(key uint64) bool) []string {
-	missing := tally{format: "%[1]d missing keys (first: %[2]d, want %[4]d)"}
-	wrong := tally{format: "%[1]d wrong keys (first: %[2]d, got %[3]d want %[4]d)"}
-	extra := tally{format: "%[1]d extra keys (first: %[2]d, got %[3]d)"}
-	keys, held := 0, 0
-	for i, p := range d.pairs {
-		if i+1 < len(d.pairs) && d.pairs[i+1].Key == p.Key {
-			continue
+//
+// Nothing is copied from either side: the KV is walked once, up to the
+// pairs its Len counts and reading nothing past the last (a container's
+// reads are charged), and each key is looked up in the image. The set of
+// keys walked counts distinct keys against Len and, when the walk held fewer
+// of the image's keys than it has, names the missing ones; keys are dense —
+// [0, Keys) plus the clients' strided inserts — so it is a bit per key, in
+// pages of 4096 keys. A key the walk repeats counts once, by its pair with
+// the largest value; only then is the KV walked a second time, with every
+// repeated key held back until all its values are seen.
+func verifyKV(kv storeKV, want image, stray func(key uint64) bool) []string {
+	n := kv.Len()
+	var (
+		keys, held int
+		tallies    [3]tally // missing, wrong, extra
+		seen       map[uint64]*[64]uint64
+	)
+	// mark adds k to the keys walked, reporting whether it was there.
+	mark := func(k uint64) bool {
+		pg := seen[k>>12]
+		if pg == nil {
+			pg = new([64]uint64)
+			seen[k>>12] = pg
 		}
+		w, b := &pg[k>>6&63], uint64(1)<<(k&63)
+		had := *w&b != 0
+		*w |= b
+		return had
+	}
+	check := func(k, v uint64) {
 		keys++
-		switch v, ok := want.get(p.Key); {
+		switch iv, ok := want.get(k); {
 		case ok:
 			held++
-			if v != p.Value {
-				wrong.note(p.Key, p.Value, v)
+			if iv != v {
+				tallies[1].note(k, v, iv)
 			}
-		case stray == nil || !stray(p.Key):
-			extra.note(p.Key, p.Value, 0)
+		case stray == nil || !stray(k):
+			tallies[2].note(k, v, 0)
+		}
+	}
+	// walk checks each key of the first n pairs, once: a key walked before
+	// goes into rep with the largest value of its later pairs, and a key rep
+	// already holds only raises its value there.
+	walk := func(rep map[uint64]uint64) map[uint64]uint64 {
+		keys, held, tallies, seen = 0, 0, [3]tally{}, map[uint64]*[64]uint64{}
+		pairs := 0
+		kv.ForEach(func(k, v uint64) bool {
+			if r, ok := rep[k]; ok {
+				rep[k] = max(r, v)
+			} else if !mark(k) {
+				check(k, v)
+			} else {
+				if rep == nil {
+					rep = make(map[uint64]uint64)
+				}
+				rep[k] = v
+			}
+			pairs++
+			return pairs < n
+		})
+		return rep
+	}
+	if n > 0 {
+		if rep := walk(nil); rep != nil {
+			walk(rep)
+			for k, v := range rep {
+				mark(k)
+				check(k, v)
+			}
 		}
 	}
 	if held < want.n {
 		want.each(func(k, v uint64) {
-			if _, found := slices.BinarySearchFunc(d.pairs, k, func(p pds.Pair, k uint64) int { return cmp.Compare(p.Key, k) }); !found {
-				missing.note(k, 0, v)
+			if pg := seen[k>>12]; pg == nil || pg[k>>6&63]&(1<<(k&63)) == 0 {
+				tallies[0].note(k, 0, v)
 			}
 		})
-		missing.n = want.n - held
+		tallies[0].n = want.n - held
 	}
 	var bad []string
-	if keys != d.n {
-		bad = append(bad, fmt.Sprintf("scan returned %d keys, Len reports %d", keys, d.n))
+	if keys != n {
+		bad = append(bad, fmt.Sprintf("scan returned %d keys, Len reports %d", keys, n))
 	}
-	for _, t := range []tally{missing, wrong, extra} {
+	for i, t := range tallies {
 		if t.n > 0 {
-			bad = append(bad, fmt.Sprintf(t.format, t.n, t.key, t.got, t.want))
+			bad = append(bad, fmt.Sprintf(tallyFormats[i], t.n, t.key, t.got, t.want))
 		}
 	}
 	return bad

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -12,23 +11,32 @@ import (
 	"libcrpm/internal/workload"
 )
 
-// fakeKV is a KV whose Scan and Len are given outright: the corruptions a
-// real structure cannot be driven into on purpose. Scan returns the first n
-// of pairs, as a structure bounded by its own count would.
+// fakeKV is a KV whose walk and Len are given outright: the corruptions a
+// real structure cannot be driven into on purpose. ForEach walks every one
+// of pairs, in order, until fn stops it: verifyKV stops after the first n,
+// as Scan(0, n) would.
 type fakeKV struct {
 	pds.KV
 	pairs []pds.Pair
 	n     int
 }
 
-func (k fakeKV) Scan(_ uint64, n int) []pds.Pair { return slices.Clone(k.pairs[:min(n, len(k.pairs))]) }
-func (k fakeKV) Len() int                        { return k.n }
+func (k fakeKV) Len() int { return k.n }
+
+func (k fakeKV) ForEach(fn func(k, v uint64) bool) {
+	for _, p := range k.pairs {
+		if !fn(p.Key, p.Value) {
+			return
+		}
+	}
+}
 
 // TestVerifyKVDetails pins every detail line verifyKV reports, against an
-// image of keys 3, 7 and 9: the scan/Len count (a scan that repeats a pair
+// image of keys 3, 7 and 9: the scan/Len count (a walk that repeats a pair
 // or drops one Len counts), and the missing, wrong and extra keys, each
-// kind counted and named by its smallest key, in that order. A key a scan
-// repeats counts once, by its pair with the largest value.
+// kind counted and named by its smallest key, in that order. A key a walk
+// repeats counts once, by its pair with the largest value. Only the keys
+// walked find a walk of Len pairs that repeats one key and drops another.
 func TestVerifyKVDetails(t *testing.T) {
 	want := image{live: map[uint64]uint64{3: 103, 7: 105, 9: 109}, n: 3}
 	p := func(k, v uint64) pds.Pair { return pds.Pair{Key: k, Value: v} }
@@ -56,8 +64,10 @@ func TestVerifyKVDetails(t *testing.T) {
 		{"repeat, last wrong", []pds.Pair{p(7, 2000), p(3, 103), p(7, 1), p(9, 109)}, 4,
 			[]string{"scan returned 3 keys, Len reports 4", "1 wrong keys (first: 7, got 2000 want 105)"}},
 		{"empty", nil, 0, []string{"3 missing keys (first: 3, want 103)"}},
+		{"repeat for a drop", []pds.Pair{p(3, 103), p(9, 109), p(3, 103)}, 3,
+			[]string{"scan returned 2 keys, Len reports 3", "1 missing keys (first: 7, want 105)"}},
 	} {
-		if got := verifyKV(dumpKV(fakeKV{pairs: c.pairs, n: c.n}), want, nil); !reflect.DeepEqual(got, c.want) {
+		if got := verifyKV(fakeKV{pairs: c.pairs, n: c.n}, want, nil); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: verifyKV = %q, want %q", c.name, got, c.want)
 		}
 	}
