@@ -22,12 +22,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzCrashNeverCorruptsFencedData -fuzztime 30s ./internal/nvm/
-	$(GO) test -run '^$$' -fuzz FuzzReadDeviceFrom -fuzztime 30s ./internal/nvm/
-	$(GO) test -run '^$$' -fuzz FuzzDeviceHistory -fuzztime 30s ./internal/nvm/
-	$(GO) test -run '^$$' -fuzz FuzzDeviceReuse -fuzztime 30s ./internal/nvm/
-	$(GO) test -run '^$$' -fuzz FuzzAllocFree -fuzztime 30s ./internal/alloc/
-	$(GO) test -run '^$$' -fuzz FuzzRegionCheck -fuzztime 30s ./internal/region/
+	$(GO) test -run '^$$' -fuzz FuzzCrashNeverCorruptsFencedData -fuzztime 30s -fuzzminimizetime 2s ./internal/nvm/
+	$(GO) test -run '^$$' -fuzz FuzzReadDeviceFrom -fuzztime 30s -fuzzminimizetime 2s ./internal/nvm/
+	$(GO) test -run '^$$' -fuzz FuzzDeviceHistory -fuzztime 30s -fuzzminimizetime 2s ./internal/nvm/
+	$(GO) test -run '^$$' -fuzz FuzzDeviceReuse -fuzztime 30s -fuzzminimizetime 2s ./internal/nvm/
+	$(GO) test -run '^$$' -fuzz FuzzAllocFree -fuzztime 30s -fuzzminimizetime 2s ./internal/alloc/
+	$(GO) test -run '^$$' -fuzz FuzzRegionCheck -fuzztime 30s -fuzzminimizetime 2s ./internal/region/
 
 # Regenerate every table and figure of the paper's evaluation into the
 # committed reference (simulated values only: a diff is a behaviour change).

@@ -96,7 +96,7 @@ func main() { os.Exit(run()) }
 // writers execute before the process exits.
 func run() int {
 	exp := flag.String("exp", "all", "experiment to run (or 'all')")
-	scaleName := flag.String("scale", "small", "input scale: small | medium | paper (paper needs ~10GB RAM and hours)")
+	scaleName := flag.String("scale", "small", "input scale: small | medium | paper (paper maps an 8.6-25.9 GiB arena per data-structure cell; see ROADMAP item 11)")
 	format := flag.String("format", "text", "output format: text | csv")
 	list := flag.Bool("list", false, "list experiments and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")

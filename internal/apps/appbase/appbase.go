@@ -3,7 +3,9 @@
 // from a container, plus an iteration counter, all reachable through the
 // allocator's root array so a recovered process re-attaches with nothing but
 // the backend handle — the paper's "replace memory allocation functions and
-// add checkpoint logic" porting recipe (§5.2.2).
+// add checkpoint logic" porting recipe (§5.2.2). It also gives a rank its
+// backend by system name (rank.go): Format a fresh one, Recover one with its
+// peers after a crash; every system then checkpoints through mpi.Checkpoint.
 package appbase
 
 import (

@@ -1,10 +1,12 @@
 package appbase
 
 import (
+	"strings"
 	"testing"
 
 	"libcrpm/internal/baselines/nvmnp"
 	"libcrpm/internal/core"
+	"libcrpm/internal/mpi"
 	"libcrpm/internal/nvm"
 	"libcrpm/internal/region"
 )
@@ -131,5 +133,26 @@ func TestSurvivesContainerCrash(t *testing.T) {
 	}
 	if s2.Iter() != 5 || s2.Array(0).Get(3) != 42 {
 		t.Fatalf("recovered iter=%d val=%v, want 5/42", s2.Iter(), s2.Array(0).Get(3))
+	}
+}
+
+// An unknown system name is an error from both Format and Recover, never a
+// libcrpm rank of some default mode; names are the paper's, case and all.
+func TestUnknownSystemRejected(t *testing.T) {
+	dev := nvm.NewDevice(1 << 16)
+	defer dev.Close()
+	for _, sys := range []string{"", "none", "libcrpm-buffered", "fti", "InCLL"} {
+		if b, err := Format(sys, 1<<20); err == nil || !strings.Contains(err.Error(), "unknown system") {
+			t.Errorf("Format(%q) = %v, %v; want an unknown-system error", sys, b, err)
+		}
+		for _, err := range mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+			if b, err := Recover(c, sys, 1<<20, dev); err == nil || !strings.Contains(err.Error(), "unknown system") {
+				t.Errorf("Recover(%q) = %v, %v; want an unknown-system error", sys, b, err)
+			}
+		}) {
+			if err != nil {
+				t.Errorf("Recover(%q): rank failed: %v", sys, err)
+			}
+		}
 	}
 }

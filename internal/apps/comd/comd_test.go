@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"libcrpm/internal/apps/appbase"
 	"libcrpm/internal/apps/apptest"
 	"libcrpm/internal/baselines/nvmnp"
 	"libcrpm/internal/ckpt"
@@ -86,10 +87,10 @@ func TestAtomsMove(t *testing.T) {
 func TestCrashRecoveryEquality(t *testing.T) {
 	cfg := testCfg()
 	f := apptest.Factory{
-		New: func(c *mpi.Comm, b ckpt.Backend) (apptest.Runner, error) {
+		New: func(c *mpi.Comm, b ckpt.Backend) (appbase.Runner, error) {
 			return New(cfg, c, b)
 		},
-		Attach: func(c *mpi.Comm, b ckpt.Backend) (apptest.Runner, error) {
+		Attach: func(c *mpi.Comm, b ckpt.Backend) (appbase.Runner, error) {
 			return Attach(cfg, c, b)
 		},
 		HeapSize: 4 << 20,

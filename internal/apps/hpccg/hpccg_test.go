@@ -3,6 +3,7 @@ package hpccg
 import (
 	"testing"
 
+	"libcrpm/internal/apps/appbase"
 	"libcrpm/internal/apps/apptest"
 	"libcrpm/internal/baselines/nvmnp"
 	"libcrpm/internal/ckpt"
@@ -94,10 +95,10 @@ func TestMultiRankMatchesSingleRank(t *testing.T) {
 func TestCrashRecoveryEquality(t *testing.T) {
 	cfg := testCfg()
 	f := apptest.Factory{
-		New: func(c *mpi.Comm, b ckpt.Backend) (apptest.Runner, error) {
+		New: func(c *mpi.Comm, b ckpt.Backend) (appbase.Runner, error) {
 			return New(cfg, c, b)
 		},
-		Attach: func(c *mpi.Comm, b ckpt.Backend) (apptest.Runner, error) {
+		Attach: func(c *mpi.Comm, b ckpt.Backend) (appbase.Runner, error) {
 			return Attach(cfg, c, b)
 		},
 		HeapSize: 1 << 20,

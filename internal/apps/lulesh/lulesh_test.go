@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"libcrpm/internal/apps/appbase"
 	"libcrpm/internal/apps/apptest"
 	"libcrpm/internal/baselines/nvmnp"
 	"libcrpm/internal/ckpt"
@@ -84,10 +85,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestCrashRecoveryEquality(t *testing.T) {
 	f := apptest.Factory{
-		New: func(c *mpi.Comm, b ckpt.Backend) (apptest.Runner, error) {
+		New: func(c *mpi.Comm, b ckpt.Backend) (appbase.Runner, error) {
 			return New(testCfg(c.Rank(), c.Size()), c, b)
 		},
-		Attach: func(c *mpi.Comm, b ckpt.Backend) (apptest.Runner, error) {
+		Attach: func(c *mpi.Comm, b ckpt.Backend) (appbase.Runner, error) {
 			return Attach(testCfg(c.Rank(), c.Size()), c, b)
 		},
 		HeapSize: 4 << 20,

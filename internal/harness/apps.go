@@ -14,20 +14,13 @@ import (
 	"libcrpm/internal/core"
 	"libcrpm/internal/mpi"
 	"libcrpm/internal/nvm"
-	"libcrpm/internal/region"
 	"libcrpm/internal/sched"
 )
-
-// appRunner abstracts the three mini-apps for the harness.
-type appRunner interface {
-	Run(target, ckptEvery int, ckpt func() error) error
-	State() *appbase.State
-}
 
 // appSpec builds an app for a rank.
 type appSpec struct {
 	name string
-	new  func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error)
+	new  func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appbase.Runner, error)
 }
 
 func luleshCfg(rank, ranks, edge int) lulesh.Config {
@@ -42,21 +35,21 @@ func luleshCfg(rank, ranks, edge int) lulesh.Config {
 }
 
 // luleshSpec is the app of the recovery and storage studies as well.
-var luleshSpec = appSpec{"LULESH", func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
+var luleshSpec = appSpec{"LULESH", func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appbase.Runner, error) {
 	return lulesh.New(luleshCfg(c.Rank(), ranks, edge), c, b)
 }}
 
 func appSpecs() []appSpec {
 	return []appSpec{
 		luleshSpec,
-		{"HPCCG", func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
+		{"HPCCG", func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appbase.Runner, error) {
 			nz := edge / ranks
 			if nz < 1 {
 				nz = 1
 			}
 			return hpccg.New(hpccg.Config{NX: edge, NY: edge, NZLocal: nz}, c, b)
 		}},
-		{"CoMD", func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appRunner, error) {
+		{"CoMD", func(c *mpi.Comm, edge, ranks int, b ckpt.Backend) (appbase.Runner, error) {
 			cps := edge / 3
 			if cps < 2 {
 				cps = 2
@@ -69,87 +62,55 @@ func appSpecs() []appSpec {
 // appResult is one measured parallel run.
 type appResult struct {
 	simTime    time.Duration
-	devs       []*nvm.Device
-	containers []*core.Container // non-nil for the libcrpm system
-	ftis       []*fti.Backend    // non-nil for the FTI system
-	stateBytes []int             // per rank, allocator high-water mark
+	backends   []ckpt.Backend // per rank, nil where formatting failed
+	stateBytes []int          // per rank, allocator high-water mark
 	err        error
 }
 
 // close hands every rank's device back.
 func (r appResult) close() {
-	for _, d := range r.devs {
-		if d != nil {
-			d.Close()
+	for _, b := range r.backends {
+		if b != nil {
+			b.Device().Close()
 		}
 	}
 }
 
-// runParallelApp executes one app with the given checkpoint system.
-// system is "none" (DRAM execution, no checkpoints), "FTI", or
-// "libcrpm-Buffered".
+// runParallelApp executes one app with the given checkpoint system: an
+// appbase system name, or "none" (an FTI backend that never checkpoints).
 func runParallelApp(spec appSpec, sc Scale, edge, iters int, system string) appResult {
 	ranks := sc.Ranks
 	res := appResult{
-		devs:       make([]*nvm.Device, ranks),
-		containers: make([]*core.Container, ranks),
-		ftis:       make([]*fti.Backend, ranks),
+		backends:   make([]ckpt.Backend, ranks),
 		stateBytes: make([]int, ranks),
 	}
 	times := make([]time.Duration, ranks)
 	errs := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) {
-		var b ckpt.Backend
-		var doCkpt func() error
-		switch system {
-		case "none", "FTI":
-			fb, err := fti.New(fti.Config{HeapSize: sc.AppHeap})
-			if err != nil {
-				c.Fail(err)
-			}
-			res.ftis[c.Rank()] = fb
-			res.devs[c.Rank()] = fb.Device()
-			b = fb
-			doCkpt = func() error {
-				if err := fb.Checkpoint(); err != nil {
-					return err
-				}
-				c.Barrier()
-				return nil
-			}
-		case "libcrpm-Buffered":
-			reg := region.Config{HeapSize: sc.AppHeap, SegmentSize: 64 << 10, BlockSize: 256, BackupRatio: 1}
-			opts := mpi.ContainerOptions(reg, core.ModeBuffered)
-			l, err := region.NewLayout(opts.Region)
-			if err != nil {
-				c.Fail(err)
-			}
-			res.devs[c.Rank()] = nvm.NewDevice(l.DeviceSize())
-			ctr, err := core.NewContainer(res.devs[c.Rank()], opts)
-			if err != nil {
-				c.Fail(err)
-			}
-			res.containers[c.Rank()] = ctr
-			b = ctr
-			doCkpt = func() error { return mpi.Checkpoint(c, ctr) }
-		default:
-			c.Fail(fmt.Errorf("harness: unknown app system %q", system))
+		sys, every := system, sc.CkptEvery
+		if system == "none" {
+			sys, every = appbase.FTI, 0
 		}
+		b, err := appbase.Format(sys, sc.AppHeap)
+		if err != nil {
+			c.Fail(err)
+		}
+		res.backends[c.Rank()] = b
 		c.AttachClock(b.Device().Clock())
 		sim, err := spec.new(c, edge, ranks, b)
 		if err != nil {
 			c.Fail(err)
 		}
 		res.stateBytes[c.Rank()] = sim.State().Allocator().Used()
-		if fb := res.ftis[c.Rank()]; fb != nil {
+		if fb, ok := b.(*fti.Backend); ok {
 			// FTI applications register their state with FTI_Protect; only
 			// the registered region is serialized at checkpoints.
 			fb.Protect(res.stateBytes[c.Rank()])
 		}
-		every := sc.CkptEvery
-		if system == "none" {
-			every = 0
-		} else if err := doCkpt(); err != nil { // initial checkpoint
-			c.Fail(err)
+		doCkpt := func() error { return mpi.Checkpoint(c, b) }
+		if system != "none" {
+			if err := doCkpt(); err != nil { // initial checkpoint
+				c.Fail(err)
+			}
 		}
 		start := b.Device().Clock().Now()
 		if err := sim.Run(iters, every, doCkpt); err != nil {
@@ -194,12 +155,12 @@ func Fig8Apps(sc Scale) (Table, error) {
 		if base.err != nil {
 			return nil, fmt.Errorf("%s base: %w", spec.name, base.err)
 		}
-		ftiRun := runParallelApp(spec, sc, edge, iters, "FTI")
+		ftiRun := runParallelApp(spec, sc, edge, iters, appbase.FTI)
 		ftiRun.close()
 		if ftiRun.err != nil {
 			return nil, fmt.Errorf("%s FTI: %w", spec.name, ftiRun.err)
 		}
-		crpmRun := runParallelApp(spec, sc, edge, iters, "libcrpm-Buffered")
+		crpmRun := runParallelApp(spec, sc, edge, iters, appbase.Buffered)
 		crpmRun.close()
 		if crpmRun.err != nil {
 			return nil, fmt.Errorf("%s crpm: %w", spec.name, crpmRun.err)
@@ -244,7 +205,7 @@ func RecoveryTime(sc Scale) (Table, error) {
 	// are doubled relative to the throughput runs so the two states span
 	// different numbers of segments.
 	rows, err := sweep([]int{2 * sc.EdgeSmall, 2 * sc.EdgeLarge}, func(edge int) ([]string, error) {
-		run := runParallelApp(luleshSpec, sc, edge, sc.AppItersS, "libcrpm-Buffered")
+		run := runParallelApp(luleshSpec, sc, edge, sc.AppItersS, appbase.Buffered)
 		defer run.close()
 		if run.err != nil {
 			return nil, run.err
@@ -253,8 +214,8 @@ func RecoveryTime(sc Scale) (Table, error) {
 		// randomness is seeded from its own identity, not drawn from a
 		// loop-shared rng, so the damage a rank takes is a function of
 		// (dataset, rank) alone.
-		for rank, d := range run.devs {
-			d.Crash(rand.New(rand.NewSource(sched.SeedFor(fmt.Sprintf("recovery/%d/rank%d", edge, rank)))))
+		for rank, b := range run.backends {
+			b.Device().Crash(rand.New(rand.NewSource(sched.SeedFor(fmt.Sprintf("recovery/%d/rank%d", edge, rank)))))
 		}
 		// Restart with coordinated recovery; measure the recovery category.
 		ranks := sc.Ranks
@@ -263,14 +224,14 @@ func RecoveryTime(sc Scale) (Table, error) {
 		loadPS := make([]int64, ranks)
 		stateBytes := make([]int64, ranks)
 		errs := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) {
-			reg := region.Config{HeapSize: sc.AppHeap, SegmentSize: 64 << 10, BlockSize: 256, BackupRatio: 1}
-			opts := mpi.ContainerOptions(reg, core.ModeBuffered)
-			before := run.devs[c.Rank()].Clock().CategoryPS(nvm.CatRecovery)
-			ctr, err := mpi.OpenAndRecover(c, run.devs[c.Rank()], opts)
+			dev := run.backends[c.Rank()].Device()
+			before := dev.Clock().CategoryPS(nvm.CatRecovery)
+			b, err := appbase.Recover(c, appbase.Buffered, sc.AppHeap, dev)
 			if err != nil {
 				c.Fail(err)
 			}
-			recPS[c.Rank()] = run.devs[c.Rank()].Clock().CategoryPS(nvm.CatRecovery) - before
+			recPS[c.Rank()] = dev.Clock().CategoryPS(nvm.CatRecovery) - before
+			ctr := b.(*core.Container)
 			ph := ctr.LastRecovery()
 			resyncPS[c.Rank()] = ph.ResyncPS
 			loadPS[c.Rank()] = ph.LoadPS
@@ -319,7 +280,7 @@ func StorageCost(sc Scale) (Table, error) {
 		Title:  fmt.Sprintf("§5.6: storage cost, LULESH %d^3, libcrpm-Buffered vs FTI (%s scale)", sc.EdgeSmall, sc.Name),
 		Header: []string{"metric", "libcrpm-Buffered", "FTI"},
 	}
-	runs, err := sweep([]string{"libcrpm-Buffered", "FTI"}, func(sys string) (appResult, error) {
+	runs, err := sweep([]string{appbase.Buffered, appbase.FTI}, func(sys string) (appResult, error) {
 		r := runParallelApp(luleshSpec, sc, sc.EdgeSmall, sc.AppItersS, sys)
 		return r, r.err
 	})
@@ -329,8 +290,8 @@ func StorageCost(sc Scale) (Table, error) {
 	crpmRun, ftiRun := runs[0], runs[1]
 	defer crpmRun.close()
 	defer ftiRun.close()
-	ctr := crpmRun.containers[0]
-	fb := ftiRun.ftis[0]
+	ctr := crpmRun.backends[0].(*core.Container)
+	fb := ftiRun.backends[0].(*fti.Backend)
 	m, fm := ctr.Metrics(), fb.Metrics()
 	perEpoch := func(m ckpt.Metrics) string { return byteSize(int(m.CheckpointBytes / max(m.Epochs, 1))) }
 	bitmapBytes := ctr.Layout().TotalBlocks() / 8

@@ -172,9 +172,12 @@ func SmallScale() Scale {
 
 // PaperScale mirrors the paper's experimental parameters exactly: 24 M
 // keys, 5 M operations, 128 ms epochs, 8 processes, 90³/110³ LULESH meshes.
-// It needs on the order of 10 GB of RAM (the simulated device holds two
-// copies of a multi-GB heap) and hours of wall time; use it to verify scale
-// trends, not for routine runs.
+// It does not start on a host with 8 GiB of RAM: a device's arena takes
+// 4.3125 bytes per device byte (nvm's arenaLayout), so a data-structure
+// cell's arena over the 2 GiB heap is 8.6 GiB for NVM-NP's one image, 17.3
+// GiB for libcrpm's main and backup regions and 25.9 GiB for mprotect's three
+// page images, and under vm.overcommit_memory=0 the kernel refuses a private
+// mapping larger than RAM plus swap. ROADMAP item 11 tracks making it run.
 func PaperScale() Scale {
 	return Scale{
 		Name:     "paper",

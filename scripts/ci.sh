@@ -199,8 +199,10 @@ torture)
   # A device on a closed device's memory must be indistinguishable from one
   # on fresh memory, whatever the closed one wrote; and the device's one
   # image plus slots must match the three-array line model on any history.
-  go test -run '^$' -fuzz FuzzDeviceReuse -fuzztime 30s ./internal/nvm
-  go test -run '^$' -fuzz FuzzDeviceHistory -fuzztime 30s ./internal/nvm
+  # Minimizing a new input is bounded: unbounded, both workers could spend
+  # the rest of the 30 s minimizing and mutate nothing.
+  go test -run '^$' -fuzz FuzzDeviceReuse -fuzztime 30s -fuzzminimizetime 2s ./internal/nvm
+  go test -run '^$' -fuzz FuzzDeviceHistory -fuzztime 30s -fuzzminimizetime 2s ./internal/nvm
   go build -o "$out/crpmtorture" ./cmd/crpmtorture
   "$out/crpmtorture"
   "$out/crpmtorture" -quick -checksums=false -adversarial
