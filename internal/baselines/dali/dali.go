@@ -16,9 +16,9 @@ package dali
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"libcrpm/internal/bitmap"
+	"libcrpm/internal/ckpt"
 	"libcrpm/internal/nvm"
 	"libcrpm/internal/pds"
 )
@@ -30,11 +30,10 @@ var _ pds.KV = (*Map)(nil)
 const Magic uint64 = 0x4352504d44414c49 // "CRPMDALI"
 
 const (
-	offMagic     = 0
-	offNBuckets  = 8
-	offCommitted = 16
-	offBump      = 24
-	metaSize     = 4096
+	// offBump follows the commit word, the committed epoch, so one 16-byte
+	// store at ckpt.OffCommit persists both.
+	offBump  = ckpt.HeaderSize
+	metaSize = 4096
 
 	bucketSize = 64 // three 16-byte slots + padding, one cache line
 	slotCount  = 3
@@ -82,18 +81,13 @@ type Config struct {
 
 // New formats a fresh map on its own device.
 func New(cfg Config) (*Map, error) {
-	if cfg.Buckets <= 0 || cfg.Capacity <= 0 {
-		return nil, errors.New("dali: Buckets and Capacity must be positive")
+	m, err := layout(cfg)
+	if err != nil {
+		return nil, err
 	}
-	m := layout(cfg)
 	m.dev = nvm.NewDevice(m.deviceSize())
+	ckpt.FormatHeader(m.dev, Magic, cfg.Buckets)
 	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], Magic)
-	m.dev.Store(offMagic, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], uint64(cfg.Buckets))
-	m.dev.Store(offNBuckets, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], 0)
-	m.dev.Store(offCommitted, b8[:])
 	binary.LittleEndian.PutUint64(b8[:], uint64(m.arenaOff))
 	m.dev.Store(offBump, b8[:])
 	m.dev.FlushRange(0, 32)
@@ -105,25 +99,24 @@ func New(cfg Config) (*Map, error) {
 
 // Open attaches to an existing device after a crash and recovers.
 func Open(cfg Config, dev *nvm.Device) (*Map, error) {
-	m := layout(cfg)
-	if dev.Size() < m.deviceSize() {
-		return nil, errors.New("dali: device too small")
+	m, err := layout(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := ckpt.CheckHeader(dev, "dali", m.deviceSize(), Magic, "bucket count", m.nBuckets); err != nil {
+		return nil, err
 	}
 	m.dev = dev
-	w := dev.Working()
-	if got := binary.LittleEndian.Uint64(w[offMagic:]); got != Magic {
-		return nil, fmt.Errorf("dali: bad magic %#x", got)
-	}
-	if got := int(binary.LittleEndian.Uint64(w[offNBuckets:])); got != m.nBuckets {
-		return nil, fmt.Errorf("dali: bucket count mismatch: %d vs %d", got, m.nBuckets)
-	}
 	if err := m.Recover(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-func layout(cfg Config) *Map {
+func layout(cfg Config) (*Map, error) {
+	if cfg.Buckets <= 0 || cfg.Capacity <= 0 {
+		return nil, errors.New("dali: Buckets and Capacity must be positive")
+	}
 	m := &Map{
 		nBuckets:     cfg.Buckets,
 		bucketOff:    metaSize,
@@ -131,7 +124,7 @@ func layout(cfg Config) *Map {
 	}
 	m.arenaOff = metaSize + cfg.Buckets*bucketSize
 	m.arenaCap = cfg.Capacity * entrySize
-	return m
+	return m, nil
 }
 
 func (m *Map) deviceSize() int { return m.arenaOff + m.arenaCap }
@@ -156,10 +149,6 @@ func (m *Map) Scan(start uint64, n int) []pds.Pair { return nil }
 
 // Len returns the number of live keys.
 func (m *Map) Len() int { return m.lenCache }
-
-func (m *Map) committed() uint64 {
-	return binary.LittleEndian.Uint64(m.dev.Working()[offCommitted:])
-}
 
 // slot reads bucket b's slot s: (epoch, head), charging one NVM load.
 func (m *Map) slot(b, s int) (uint64, uint64) {
@@ -330,8 +319,8 @@ func (m *Map) EpochPersist() error {
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[:8], m.committedCache+1)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(m.bump))
-	m.dev.Store(offCommitted, buf[:])
-	m.dev.FlushRange(offCommitted, 16)
+	m.dev.Store(ckpt.OffCommit, buf[:])
+	m.dev.FlushRange(ckpt.OffCommit, 16)
 	m.dev.SFence()
 	m.committedCache++
 	m.epochStartBump = m.bump
@@ -383,7 +372,7 @@ func (m *Map) Recover() error {
 	prev := clock.SetCategory(nvm.CatRecovery)
 	defer clock.SetCategory(prev)
 
-	m.committedCache = m.committed()
+	m.committedCache = ckpt.CommitWord(m.dev)
 	m.bump = int(binary.LittleEndian.Uint64(m.dev.Working()[offBump:]))
 	if m.bump == 0 {
 		m.bump = m.arenaOff

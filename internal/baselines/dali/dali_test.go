@@ -238,9 +238,18 @@ func TestOpenRejectsBadDevice(t *testing.T) {
 	}
 }
 
+// TestBadConfig: New refuses a config without buckets or capacity, and Open
+// refuses it with New's error rather than sizing its bucket bitmap from a
+// negative count.
 func TestBadConfig(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("zero config accepted")
+	for _, bad := range []Config{{}, {Buckets: -1, Capacity: 16}} {
+		_, want := New(bad)
+		if want == nil {
+			t.Fatalf("New(%+v) accepted", bad)
+		}
+		if _, err := Open(bad, nvm.NewDevice(4<<20)); err == nil || err.Error() != want.Error() {
+			t.Fatalf("Open(%+v) = %v, want New's %v", bad, err, want)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@
 package fti
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -24,12 +23,7 @@ const Magic uint64 = 0x4352504d46544920 // "CRPMFTI "
 // HashBlockSize is the granularity of the incremental-hash mode.
 const HashBlockSize = 256
 
-const (
-	offMagic  = 0
-	offSize   = 8
-	offCommit = 16 // epoch (high 32) | slot (low 32), atomically updated
-	metaSize  = 4096
-)
+const metaSize = 4096
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
@@ -73,16 +67,10 @@ func New(cfg Config) (*Backend, error) {
 	}
 	b.dev = nvm.NewDevice(b.deviceSize())
 	b.buf = b.dev.DRAM(b.cfg.HeapSize)
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], Magic)
-	b.dev.Store(offMagic, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], uint64(cfg.HeapSize))
-	b.dev.Store(offSize, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], 0)
-	b.dev.Store(offCommit, b8[:])
-	b.dev.FlushRange(0, 24)
+	ckpt.FormatHeader(b.dev, Magic, cfg.HeapSize)
+	b.dev.FlushRange(0, ckpt.HeaderSize)
 	b.dev.SFence()
-	b.m.MetadataBytes = 24
+	b.m.MetadataBytes = ckpt.HeaderSize
 	return b, nil
 }
 
@@ -92,17 +80,10 @@ func Open(cfg Config, dev *nvm.Device) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dev.Size() < b.deviceSize() {
-		return nil, errors.New("fti: device too small")
+	if err := ckpt.CheckHeader(dev, "fti", b.deviceSize(), Magic, "size", cfg.HeapSize); err != nil {
+		return nil, err
 	}
 	b.dev = dev
-	w := dev.Working()
-	if got := binary.LittleEndian.Uint64(w[offMagic:]); got != Magic {
-		return nil, fmt.Errorf("fti: bad magic %#x", got)
-	}
-	if got := int(binary.LittleEndian.Uint64(w[offSize:])); got != cfg.HeapSize {
-		return nil, fmt.Errorf("fti: size mismatch: %d vs %d", got, cfg.HeapSize)
-	}
 	b.buf = dev.DRAM(b.cfg.HeapSize)
 	if err := b.Recover(); err != nil {
 		return nil, err
@@ -131,16 +112,15 @@ func layout(cfg Config) (*Backend, error) {
 
 func (b *Backend) deviceSize() int { return metaSize + 2*b.cfg.HeapSize }
 
+// commit unpacks the commit word: epoch (high 32 bits) and slot (low 32),
+// atomically updated together.
 func (b *Backend) commit() (epoch, slot uint32) {
-	v := binary.LittleEndian.Uint64(b.dev.Working()[offCommit:])
+	v := ckpt.CommitWord(b.dev)
 	return uint32(v >> 32), uint32(v)
 }
 
 func (b *Backend) setCommit(epoch, slot uint32) {
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], uint64(epoch)<<32|uint64(slot))
-	b.dev.Store(offCommit, b8[:])
-	b.dev.FlushRange(offCommit, 8)
+	ckpt.SetCommitWord(b.dev, uint64(epoch)<<32|uint64(slot))
 }
 
 // Protect restricts serialization to the first n bytes of the heap,
@@ -176,9 +156,7 @@ func (b *Backend) Device() *nvm.Device { return b.dev }
 
 // Metrics implements ckpt.Backend.
 func (b *Backend) Metrics() ckpt.Metrics {
-	m := b.m
-	m.FlushedLines = b.dev.Stats().FlushedLines
-	return m
+	return b.m
 }
 
 // OnRead implements ckpt.Backend: DRAM-resident reads.

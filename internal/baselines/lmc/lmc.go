@@ -27,12 +27,7 @@ const slotSize = 64 + GranuleSize
 // Magic identifies a formatted LMC container.
 const Magic uint64 = 0x4352504d4c4d4343 // "CRPMLMCC"
 
-const (
-	offMagic     = 0
-	offNGranules = 8
-	offCommitted = 16
-	metaSize     = 4096
-)
+const metaSize = 4096
 
 // Backend is one LMC-protected container.
 type Backend struct {
@@ -53,16 +48,10 @@ func New(heapSize int) (*Backend, error) {
 		return nil, err
 	}
 	b.dev = nvm.NewDevice(b.deviceSize())
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], Magic)
-	b.dev.Store(offMagic, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], uint64(b.n))
-	b.dev.Store(offNGranules, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], 0)
-	b.dev.Store(offCommitted, b8[:])
-	b.dev.FlushRange(0, 24)
+	ckpt.FormatHeader(b.dev, Magic, b.n)
+	b.dev.FlushRange(0, ckpt.HeaderSize)
 	b.dev.SFence()
-	b.m.MetadataBytes = 24
+	b.m.MetadataBytes = ckpt.HeaderSize
 	return b, nil
 }
 
@@ -73,17 +62,10 @@ func Open(heapSize int, dev *nvm.Device) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dev.Size() < b.deviceSize() {
-		return nil, errors.New("lmc: device too small")
+	if err := ckpt.CheckHeader(dev, "lmc", b.deviceSize(), Magic, "granule count", b.n); err != nil {
+		return nil, err
 	}
 	b.dev = dev
-	w := dev.Working()
-	if got := binary.LittleEndian.Uint64(w[offMagic:]); got != Magic {
-		return nil, fmt.Errorf("lmc: bad magic %#x", got)
-	}
-	if got := int(binary.LittleEndian.Uint64(w[offNGranules:])); got != b.n {
-		return nil, fmt.Errorf("lmc: granule count mismatch: %d vs %d", got, b.n)
-	}
 	if err := b.Recover(); err != nil {
 		return nil, err
 	}
@@ -102,10 +84,6 @@ func layout(heapSize int) (*Backend, error) {
 }
 
 func (b *Backend) deviceSize() int { return b.shadowOff + b.n*slotSize }
-
-func (b *Backend) committed() uint64 {
-	return binary.LittleEndian.Uint64(b.dev.Working()[offCommitted:])
-}
 
 func (b *Backend) slotEpoch(g int) uint64 {
 	return binary.LittleEndian.Uint64(b.dev.Working()[b.shadowOff+g*slotSize:])
@@ -127,9 +105,7 @@ func (b *Backend) Device() *nvm.Device { return b.dev }
 
 // Metrics implements ckpt.Backend.
 func (b *Backend) Metrics() ckpt.Metrics {
-	m := b.m
-	m.FlushedLines = b.dev.Stats().FlushedLines
-	return m
+	return b.m
 }
 
 // OnRead implements ckpt.Backend.
@@ -150,7 +126,7 @@ func (b *Backend) OnWrite(off, n int) {
 	}
 	clock := b.dev.Clock()
 	prev := clock.SetCategory(nvm.CatTrace)
-	cur := b.committed() + 1
+	cur := ckpt.CommitWord(b.dev) + 1
 	first, last := off/GranuleSize, (off+n-1)/GranuleSize
 	for g := first; g <= last; g++ {
 		if !b.logged.Set(g) {
@@ -188,10 +164,7 @@ func (b *Backend) Checkpoint() error {
 		b.dev.FlushRange(b.workOff+g*GranuleSize, GranuleSize)
 	}
 	b.dev.SFence()
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], b.committed()+1)
-	b.dev.Store(offCommitted, b8[:])
-	b.dev.FlushRange(offCommitted, 8)
+	ckpt.SetCommitWord(b.dev, ckpt.CommitWord(b.dev)+1)
 	b.dev.SFence()
 	b.logged.ClearAll()
 	b.m.Epochs++
@@ -205,7 +178,7 @@ func (b *Backend) Recover() error {
 	prev := clock.SetCategory(nvm.CatRecovery)
 	defer clock.SetCategory(prev)
 
-	crashed := b.committed() + 1
+	crashed := ckpt.CommitWord(b.dev) + 1
 	w := b.dev.Working()
 	for g := 0; g < b.n; g++ {
 		if b.slotEpoch(g) != crashed {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"libcrpm/internal/ckpt"
 	"libcrpm/internal/nvm"
 	"libcrpm/internal/sched"
 )
@@ -190,7 +191,7 @@ func TestCrashSweepInsideProtocol(t *testing.T) {
 			if err != nil {
 				return struct{}{}, err
 			}
-			e := b2.committed()
+			e := ckpt.CommitWord(b2.Device())
 			want, ok := shadows[e]
 			if !ok {
 				return struct{}{}, fmt.Errorf("%s fail %d: recovered to unseen epoch %d", pol.name, fail, e)

@@ -3,6 +3,8 @@ package mprotect
 import (
 	"encoding/binary"
 	"testing"
+
+	"libcrpm/internal/nvm"
 )
 
 func TestWrapperRoundTrip(t *testing.T) {
@@ -40,5 +42,14 @@ func TestOpenWrongSize(t *testing.T) {
 	}
 	if _, err := Open(128*1024, b.Device()); err == nil {
 		t.Fatal("size mismatch accepted")
+	}
+}
+
+// TestOpenBadConfig: Open refuses a heap size New refuses, with New's error.
+func TestOpenBadConfig(t *testing.T) {
+	_, want := New(-16 * 1024)
+	_, err := Open(-16*1024, nvm.NewDevice(1<<20))
+	if want == nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("Open error %v, want New's %v", err, want)
 	}
 }

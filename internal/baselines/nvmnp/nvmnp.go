@@ -61,9 +61,7 @@ func (b *Backend) Device() *nvm.Device { return b.dev }
 
 // Metrics implements ckpt.Backend.
 func (b *Backend) Metrics() ckpt.Metrics {
-	m := b.m
-	m.FlushedLines = b.dev.Stats().FlushedLines
-	return m
+	return b.m
 }
 
 var _ ckpt.Backend = (*Backend)(nil)

@@ -19,7 +19,6 @@
 package pagecow
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -52,13 +51,9 @@ type Config struct {
 	EpochScanPSPerPage int64
 }
 
-// Metadata layout.
-const (
-	offMagic     = 0
-	offNPages    = 8
-	offCommitted = 16
-	offStates    = 24 // two page-state arrays follow (1 byte per page each)
-)
+// offStates is where the two page-state arrays (1 byte per page each)
+// follow the device header.
+const offStates = ckpt.HeaderSize
 
 // Page states in the two state arrays (same trick as the core layout: the
 // array indexed by committed%2 is active).
@@ -89,42 +84,42 @@ func (b *Backend) SetTrace(r *obs.Recorder) { b.rec = r }
 
 // New formats a fresh container on its own device.
 func New(cfg Config) (*Backend, error) {
-	if cfg.HeapSize <= 0 {
-		return nil, errors.New("pagecow: HeapSize must be positive")
+	b, err := layout(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MarkGranularityPages < 1 {
-		cfg.MarkGranularityPages = 1
-	}
-	b := layout(cfg)
 	b.dev = nvm.NewDevice(b.deviceSize())
-	b.format()
+	ckpt.FormatHeader(b.dev, Magic, b.n)
+	b.dev.StoreBulk(offStates, make([]byte, 2*b.n))
+	b.dev.FlushRange(0, offStates+2*b.n)
+	b.dev.SFence()
+	b.m.MetadataBytes = int64(offStates + 2*b.n)
 	return b, nil
 }
 
 // Open attaches to an existing device after a crash and recovers.
 func Open(cfg Config, dev *nvm.Device) (*Backend, error) {
-	if cfg.MarkGranularityPages < 1 {
-		cfg.MarkGranularityPages = 1
+	b, err := layout(cfg)
+	if err != nil {
+		return nil, err
 	}
-	b := layout(cfg)
-	if dev.Size() < b.deviceSize() {
-		return nil, errors.New("pagecow: device too small")
+	if err := ckpt.CheckHeader(dev, "pagecow", b.deviceSize(), Magic, "page count", b.n); err != nil {
+		return nil, err
 	}
 	b.dev = dev
-	w := dev.Working()
-	if got := binary.LittleEndian.Uint64(w[offMagic:]); got != Magic {
-		return nil, fmt.Errorf("pagecow: bad magic %#x", got)
-	}
-	if got := int(binary.LittleEndian.Uint64(w[offNPages:])); got != b.n {
-		return nil, fmt.Errorf("pagecow: page count mismatch: %d vs %d", got, b.n)
-	}
 	if err := b.Recover(); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-func layout(cfg Config) *Backend {
+func layout(cfg Config) (*Backend, error) {
+	if cfg.HeapSize <= 0 {
+		return nil, errors.New("pagecow: HeapSize must be positive")
+	}
+	if cfg.MarkGranularityPages < 1 {
+		cfg.MarkGranularityPages = 1
+	}
 	n := (cfg.HeapSize + PageSize - 1) / PageSize
 	meta := offStates + 2*n
 	meta = (meta + PageSize - 1) / PageSize * PageSize
@@ -137,28 +132,10 @@ func layout(cfg Config) *Backend {
 	b.workOff = meta
 	b.copyOff[0] = meta + n*PageSize
 	b.copyOff[1] = meta + 2*n*PageSize
-	return b
+	return b, nil
 }
 
 func (b *Backend) deviceSize() int { return b.metaN + 3*b.n*PageSize }
-
-func (b *Backend) format() {
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], Magic)
-	b.dev.Store(offMagic, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], uint64(b.n))
-	b.dev.Store(offNPages, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], 0)
-	b.dev.Store(offCommitted, b8[:])
-	b.dev.StoreBulk(offStates, make([]byte, 2*b.n))
-	b.dev.FlushRange(0, offStates+2*b.n)
-	b.dev.SFence()
-	b.m.MetadataBytes = int64(offStates + 2*b.n)
-}
-
-func (b *Backend) committed() uint64 {
-	return binary.LittleEndian.Uint64(b.dev.Working()[offCommitted:])
-}
 
 func (b *Backend) pageState(arr, p int) byte {
 	return b.dev.Working()[offStates+arr*b.n+p]
@@ -184,9 +161,7 @@ func (b *Backend) Device() *nvm.Device { return b.dev }
 
 // Metrics implements ckpt.Backend.
 func (b *Backend) Metrics() ckpt.Metrics {
-	m := b.m
-	m.FlushedLines = b.dev.Stats().FlushedLines
-	return m
+	return b.m
 }
 
 // OnRead implements ckpt.Backend.
@@ -237,7 +212,7 @@ func (b *Backend) Checkpoint() error {
 
 	b.rec.Begin("checkpoint")
 	defer b.rec.End()
-	e := b.committed()
+	e := ckpt.CommitWord(b.dev)
 	eIdx, neIdx := int(e%2), int((e+1)%2)
 	// The per-epoch tracing maintenance: re-protect (mprotect) or walk and
 	// clear soft-dirty bits — charged over the whole heap.
@@ -280,10 +255,7 @@ func (b *Backend) Checkpoint() error {
 	b.rec.Begin("commit")
 	b.dev.FlushRange(offStates+neIdx*b.n, b.n)
 	b.dev.SFence()
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], e+1)
-	b.dev.Store(offCommitted, b8[:])
-	b.dev.FlushRange(offCommitted, 8)
+	ckpt.SetCommitWord(b.dev, e+1)
 	b.dev.SFence()
 	b.rec.End()
 
@@ -302,7 +274,7 @@ func (b *Backend) Recover() error {
 
 	b.rec.Begin("recovery")
 	defer b.rec.End()
-	eIdx := int(b.committed() % 2)
+	eIdx := int(ckpt.CommitWord(b.dev) % 2)
 	work := b.dev.Working()
 	zero := make([]byte, PageSize)
 	for p := 0; p < b.n; p++ {

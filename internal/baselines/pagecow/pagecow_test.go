@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"libcrpm/internal/ckpt"
 	"libcrpm/internal/nvm"
 	"libcrpm/internal/sched"
 )
@@ -187,7 +188,7 @@ func TestRandomizedCrashSweep(t *testing.T) {
 			if err != nil {
 				return struct{}{}, err
 			}
-			e := binary.LittleEndian.Uint64(b.Device().Working()[offCommitted:])
+			e := ckpt.CommitWord(b.Device())
 			want, ok := shadows[e]
 			if !ok {
 				return struct{}{}, fmt.Errorf("%s trial %d: recovered to unseen epoch %d", pol.name, trial, e)
@@ -222,6 +223,17 @@ func TestOpenRejectsBadDevice(t *testing.T) {
 	}
 	if _, err := Open(cfg, nvm.NewDevice(4<<20)); err == nil {
 		t.Fatal("Open on unformatted device succeeded")
+	}
+}
+
+// TestOpenBadConfig: Open refuses a heap size New refuses, with New's error,
+// rather than sizing its dirty bitmap from a negative page count.
+func TestOpenBadConfig(t *testing.T) {
+	bad := mprotectCfg(-4 * PageSize)
+	_, want := New(bad)
+	_, err := Open(bad, nvm.NewDevice(1<<20))
+	if want == nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("Open error %v, want New's %v", err, want)
 	}
 }
 

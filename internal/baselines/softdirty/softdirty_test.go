@@ -3,6 +3,8 @@ package softdirty
 import (
 	"encoding/binary"
 	"testing"
+
+	"libcrpm/internal/nvm"
 )
 
 func TestWrapperRoundTrip(t *testing.T) {
@@ -34,5 +36,14 @@ func TestWrapperRoundTrip(t *testing.T) {
 	}
 	if got := binary.LittleEndian.Uint64(b2.Bytes()); got != 88 {
 		t.Fatalf("recovered %d", got)
+	}
+}
+
+// TestOpenBadConfig: Open refuses a heap size New refuses, with New's error.
+func TestOpenBadConfig(t *testing.T) {
+	_, want := New(-16 * 1024)
+	_, err := Open(-16*1024, nvm.NewDevice(1<<20))
+	if want == nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("Open error %v, want New's %v", err, want)
 	}
 }

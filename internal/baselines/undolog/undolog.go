@@ -26,15 +26,7 @@ const recordSize = 320
 // Magic identifies a formatted undo-log container.
 const Magic uint64 = 0x4352504d554e444f // "CRPMUNDO"
 
-const (
-	offMagic     = 0
-	offNGranules = 8
-	// offCommitHead packs the committed epoch (high 32 bits) and the log
-	// head (low 32 bits) into one atomically-updatable word, so commit and
-	// truncation are a single 8-byte persist.
-	offCommitHead = 16
-	metaSize      = 4096
-)
+const metaSize = 4096
 
 // ErrLogFull is thrown (as a panic, since the write hook cannot return an
 // error) when one epoch modifies more granules than the log can hold.
@@ -66,16 +58,10 @@ func New(heapSize int) (*Backend, error) {
 		return nil, err
 	}
 	b.dev = nvm.NewDevice(b.deviceSize())
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], Magic)
-	b.dev.Store(offMagic, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], uint64(b.n))
-	b.dev.Store(offNGranules, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], 0)
-	b.dev.Store(offCommitHead, b8[:])
-	b.dev.FlushRange(0, 24)
+	ckpt.FormatHeader(b.dev, Magic, b.n)
+	b.dev.FlushRange(0, ckpt.HeaderSize)
 	b.dev.SFence()
-	b.m.MetadataBytes = 24
+	b.m.MetadataBytes = ckpt.HeaderSize
 	return b, nil
 }
 
@@ -87,17 +73,10 @@ func Open(heapSize int, dev *nvm.Device) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dev.Size() < b.deviceSize() {
-		return nil, errors.New("undolog: device too small")
+	if err := ckpt.CheckHeader(dev, "undolog", b.deviceSize(), Magic, "granule count", b.n); err != nil {
+		return nil, err
 	}
 	b.dev = dev
-	w := dev.Working()
-	if got := binary.LittleEndian.Uint64(w[offMagic:]); got != Magic {
-		return nil, fmt.Errorf("undolog: bad magic %#x", got)
-	}
-	if got := int(binary.LittleEndian.Uint64(w[offNGranules:])); got != b.n {
-		return nil, fmt.Errorf("undolog: granule count mismatch: %d vs %d", got, b.n)
-	}
 	if err := b.Recover(); err != nil {
 		return nil, err
 	}
@@ -117,16 +96,16 @@ func layout(heapSize int) (*Backend, error) {
 
 func (b *Backend) deviceSize() int { return b.logOff + b.logCap*recordSize }
 
+// commitHead unpacks the commit word: the committed epoch (high 32 bits)
+// and the log head (low 32 bits) share one atomically-updatable word, so
+// commit and truncation are a single 8-byte persist.
 func (b *Backend) commitHead() (epoch, head uint32) {
-	v := binary.LittleEndian.Uint64(b.dev.Working()[offCommitHead:])
+	v := ckpt.CommitWord(b.dev)
 	return uint32(v >> 32), uint32(v)
 }
 
 func (b *Backend) setCommitHead(epoch, head uint32) {
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], uint64(epoch)<<32|uint64(head))
-	b.dev.Store(offCommitHead, b8[:])
-	b.dev.FlushRange(offCommitHead, 8)
+	ckpt.SetCommitWord(b.dev, uint64(epoch)<<32|uint64(head))
 }
 
 // Name implements ckpt.Backend.
@@ -145,9 +124,7 @@ func (b *Backend) Device() *nvm.Device { return b.dev }
 
 // Metrics implements ckpt.Backend.
 func (b *Backend) Metrics() ckpt.Metrics {
-	m := b.m
-	m.FlushedLines = b.dev.Stats().FlushedLines
-	return m
+	return b.m
 }
 
 // OnRead implements ckpt.Backend.

@@ -1,7 +1,8 @@
 // Package ckpt defines the contract every checkpoint-recovery system in this
-// repository implements: the paper's libcrpm (default and buffered modes)
-// and the baselines it is evaluated against (mprotect, soft-dirty bit,
-// undo-log, LMC, NVM-NP, FTI).
+// repository implements: the paper's libcrpm (default and buffered modes),
+// the baselines it is evaluated against (mprotect, soft-dirty bit, undo-log,
+// LMC, NVM-NP, FTI, and Dalí's hash map, which implements pds.KV instead of
+// Backend), and InCLL.
 //
 // A Backend owns an application-visible memory arena. All application writes
 // are funnelled through OnWrite + Write — the moral equivalent of the
@@ -10,9 +11,20 @@
 // faults, undo records, nothing at all). Checkpoint ends an epoch and makes
 // the current state recoverable; Recover rebuilds the working state from the
 // last committed checkpoint after a crash.
+//
+// The six systems that own one whole device (LMC, undo-log, page-CoW behind
+// mprotect and soft-dirty, FTI, InCLL and Dalí) start it with the same
+// 24-byte header, formatted, checked and committed through FormatHeader,
+// CheckHeader, CommitWord and SetCommitWord.
 package ckpt
 
-import "libcrpm/internal/nvm"
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+
+	"libcrpm/internal/nvm"
+)
 
 // Backend is a checkpoint-recovery system managing one container of
 // application state.
@@ -65,11 +77,6 @@ type Metrics struct {
 	TraceEvents int64
 	// RecoveryBytes counts bytes copied during recoveries.
 	RecoveryBytes int64
-	// FlushedLines counts 64-byte cache lines the system flushed to media
-	// (CLWB, flush ranges, fence-drained pending lines). This attributes
-	// flush traffic per backend: differential checkpointing pays it in
-	// bursts at checkpoint time, logging schemes pay it per write.
-	FlushedLines int64
 	// MetadataBytes is the persistent metadata footprint of the container.
 	MetadataBytes int64
 }
@@ -81,7 +88,60 @@ func (m Metrics) Sub(o Metrics) Metrics {
 		CheckpointBytes: m.CheckpointBytes - o.CheckpointBytes,
 		TraceEvents:     m.TraceEvents - o.TraceEvents,
 		RecoveryBytes:   m.RecoveryBytes - o.RecoveryBytes,
-		FlushedLines:    m.FlushedLines - o.FlushedLines,
 		MetadataBytes:   m.MetadataBytes,
 	}
+}
+
+// The device header: a system's magic, its geometry (the granule, page,
+// bucket or byte count its layout derives from) and its commit word, one
+// 8-byte word each at the start of the device.
+const (
+	OffMagic   = 0
+	OffGeom    = 8
+	OffCommit  = 16
+	HeaderSize = 24
+)
+
+// FormatHeader stores magic, geom and a zero commit word. It neither flushes
+// nor fences: the caller persists the header together with whatever else its
+// format writes.
+func FormatHeader(dev *nvm.Device, magic uint64, geom int) {
+	var b8 [8]byte
+	binary.LittleEndian.PutUint64(b8[:], magic)
+	dev.Store(OffMagic, b8[:])
+	binary.LittleEndian.PutUint64(b8[:], uint64(geom))
+	dev.Store(OffGeom, b8[:])
+	binary.LittleEndian.PutUint64(b8[:], 0)
+	dev.Store(OffCommit, b8[:])
+}
+
+// CheckHeader reports why dev cannot hold system name's container: it is
+// smaller than need bytes, its magic is not magic, or its geometry (what,
+// e.g. "granule count") is not geom.
+func CheckHeader(dev *nvm.Device, name string, need int, magic uint64, what string, geom int) error {
+	if dev.Size() < need {
+		return errors.New(name + ": device too small")
+	}
+	w := dev.Working()
+	if got := binary.LittleEndian.Uint64(w[OffMagic:]); got != magic {
+		return fmt.Errorf("%s: bad magic %#x", name, got)
+	}
+	if got := int(binary.LittleEndian.Uint64(w[OffGeom:])); got != geom {
+		return fmt.Errorf("%s: %s mismatch: %d vs %d", name, what, got, geom)
+	}
+	return nil
+}
+
+// CommitWord reads the commit word as the working image holds it.
+func CommitWord(dev *nvm.Device) uint64 {
+	return binary.LittleEndian.Uint64(dev.Working()[OffCommit:])
+}
+
+// SetCommitWord stores v as the commit word and flushes it; the caller
+// fences.
+func SetCommitWord(dev *nvm.Device, v uint64) {
+	var b8 [8]byte
+	binary.LittleEndian.PutUint64(b8[:], v)
+	dev.Store(OffCommit, b8[:])
+	dev.FlushRange(OffCommit, 8)
 }

@@ -15,8 +15,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"libcrpm/internal/baselines/dali"
 	"libcrpm/internal/baselines/fti"
 	"libcrpm/internal/baselines/lmc"
 	"libcrpm/internal/baselines/mprotect"
@@ -31,11 +33,13 @@ import (
 
 const heapSize = 32 * 1024
 
-// system describes one backend under contract test.
+// system describes one backend under contract test. header marks the
+// systems whose device starts with the shared ckpt header.
 type system struct {
 	name   string
 	fresh  func() (ckpt.Backend, error)
 	reopen func(dev *nvm.Device) (ckpt.Backend, error)
+	header bool
 }
 
 func crpmOpts(mode core.Mode) core.Options {
@@ -65,43 +69,49 @@ func systems() []system {
 		mk(core.ModeDefault),
 		mk(core.ModeBuffered),
 		{
-			name:  "Mprotect",
-			fresh: func() (ckpt.Backend, error) { return mprotect.New(heapSize) },
+			name:   "Mprotect",
+			header: true,
+			fresh:  func() (ckpt.Backend, error) { return mprotect.New(heapSize) },
 			reopen: func(dev *nvm.Device) (ckpt.Backend, error) {
 				return mprotect.Open(heapSize, dev)
 			},
 		},
 		{
-			name:  "Soft-dirty bit",
-			fresh: func() (ckpt.Backend, error) { return softdirty.New(heapSize) },
+			name:   "Soft-dirty bit",
+			header: true,
+			fresh:  func() (ckpt.Backend, error) { return softdirty.New(heapSize) },
 			reopen: func(dev *nvm.Device) (ckpt.Backend, error) {
 				return softdirty.Open(heapSize, dev)
 			},
 		},
 		{
-			name:  "Undo-log",
-			fresh: func() (ckpt.Backend, error) { return undolog.New(heapSize) },
+			name:   "Undo-log",
+			header: true,
+			fresh:  func() (ckpt.Backend, error) { return undolog.New(heapSize) },
 			reopen: func(dev *nvm.Device) (ckpt.Backend, error) {
 				return undolog.Open(heapSize, dev)
 			},
 		},
 		{
-			name:  "LMC",
-			fresh: func() (ckpt.Backend, error) { return lmc.New(heapSize) },
+			name:   "LMC",
+			header: true,
+			fresh:  func() (ckpt.Backend, error) { return lmc.New(heapSize) },
 			reopen: func(dev *nvm.Device) (ckpt.Backend, error) {
 				return lmc.Open(heapSize, dev)
 			},
 		},
 		{
-			name:  "FTI",
-			fresh: func() (ckpt.Backend, error) { return fti.New(fti.Config{HeapSize: heapSize}) },
+			name:   "FTI",
+			header: true,
+			fresh:  func() (ckpt.Backend, error) { return fti.New(fti.Config{HeapSize: heapSize}) },
 			reopen: func(dev *nvm.Device) (ckpt.Backend, error) {
 				return fti.Open(fti.Config{HeapSize: heapSize}, dev)
 			},
 		},
 		{
-			name:  "InCLL",
-			fresh: func() (ckpt.Backend, error) { return incll.New(heapSize) },
+			name:   "InCLL",
+			header: true,
+			fresh:  func() (ckpt.Backend, error) { return incll.New(heapSize) },
 			reopen: func(dev *nvm.Device) (ckpt.Backend, error) {
 				return incll.Open(heapSize, dev)
 			},
@@ -249,6 +259,57 @@ func matchesSomeShadow(got []byte, shadows [][]byte) error {
 		}
 	}
 	return fmt.Errorf("recovered state matches no committable snapshot")
+}
+
+// TestReopenRejectsForeignDevice: every system whose device starts with the
+// shared header, Dalí's map included, refuses to reopen a device another
+// system formatted (its magic is not the system's) and one too small for its
+// layout, instead of recovering from bytes it does not own.
+func TestReopenRejectsForeignDevice(t *testing.T) {
+	type reopener struct {
+		name string
+		open func(dev *nvm.Device) error
+	}
+	rs := []reopener{{"Dali", func(dev *nvm.Device) error {
+		_, err := dali.Open(dali.Config{Buckets: 64, Capacity: 256}, dev)
+		return err
+	}}}
+	for _, sys := range systems() {
+		if sys.header {
+			rs = append(rs, reopener{sys.name, func(dev *nvm.Device) error {
+				_, err := sys.reopen(dev)
+				return err
+			}})
+		}
+	}
+	for _, r := range rs {
+		t.Run(r.name, func(t *testing.T) {
+			// Mprotect and soft-dirty share page-CoW's magic, so the foreign
+			// device is InCLL's, or LMC's for InCLL; at four times the heap
+			// it is large enough for any system here.
+			var other ckpt.Backend
+			var err error
+			if r.name == "InCLL" {
+				other, err = lmc.New(4 * heapSize)
+			} else {
+				other, err = incll.New(4 * heapSize)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(other.Device().Close)
+			small := nvm.NewDevice(4096)
+			t.Cleanup(small.Close)
+			for _, c := range []struct {
+				dev  *nvm.Device
+				want string
+			}{{other.Device(), "bad magic"}, {small, "device too small"}} {
+				if err := r.open(c.dev); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("reopen = %v, want %q", err, c.want)
+				}
+			}
+		})
+	}
 }
 
 // TestReadOnlyContract: Bytes and OnRead must not mutate state; a

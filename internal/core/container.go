@@ -423,9 +423,7 @@ func (c *Container) SetTrace(r *obs.Recorder) { c.rec = r }
 
 // Metrics implements ckpt.Backend.
 func (c *Container) Metrics() ckpt.Metrics {
-	m := c.metrics
-	m.FlushedLines = c.dev.Stats().FlushedLines
-	return m
+	return c.metrics
 }
 
 // CoWBytes returns cumulative copy-on-write traffic (execution-period

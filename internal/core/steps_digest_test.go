@@ -209,7 +209,7 @@ func (sh stepHasher) observe(dev *nvm.Device, c *Container) {
 	}
 	dev.Stats().Visit(func(_ string, v int64) { sh.put(v) })
 	m := c.Metrics()
-	sh.put(m.Epochs, m.CheckpointBytes, m.TraceEvents, m.RecoveryBytes, m.FlushedLines, m.MetadataBytes)
+	sh.put(m.Epochs, m.CheckpointBytes, m.TraceEvents, m.RecoveryBytes, dev.Stats().FlushedLines, m.MetadataBytes)
 	sh.put(c.CoWBytes(), int64(c.PendingCutBytes()), int64(c.CommittedEpoch()))
 }
 

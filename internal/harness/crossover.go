@@ -96,7 +96,7 @@ func runArena(b ckpt.Backend, heapSize, ops, ckptEvery int, cell arenaCell, labe
 	buf := make([]byte, cell.size)
 	rng.Read(buf)
 	clock := b.Device().Clock()
-	m0 := b.Metrics()
+	m0, flushed0 := b.Metrics(), b.Device().Stats().FlushedLines
 	startPS := clock.NowPS()
 	for i := 0; i < ops; i++ {
 		var slot int
@@ -129,11 +129,10 @@ func runArena(b ckpt.Backend, heapSize, ops, ckptEvery int, cell arenaCell, labe
 	if simPS <= 0 {
 		simPS = 1
 	}
-	m := b.Metrics().Sub(m0)
 	return arenaResult{
 		mops:      float64(ops) * 1e6 / float64(simPS),
-		ckptBytes: m.CheckpointBytes,
-		flushed:   m.FlushedLines,
+		ckptBytes: b.Metrics().Sub(m0).CheckpointBytes,
+		flushed:   b.Device().Stats().FlushedLines - flushed0,
 	}, nil
 }
 

@@ -6,8 +6,8 @@ package incll
 
 import (
 	"encoding/binary"
-	"fmt"
 
+	"libcrpm/internal/ckpt"
 	"libcrpm/internal/nvm"
 )
 
@@ -30,14 +30,11 @@ func DeadRanges(dev *nvm.Device, heapSize int) ([]Range, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dev.Size() < b.deviceSize() {
-		return nil, fmt.Errorf("incll: device too small for heap %d", heapSize)
+	if err := ckpt.CheckHeader(dev, "incll", b.deviceSize(), Magic, "heap size", heapSize); err != nil {
+		return nil, err
 	}
 	w := dev.Working()
-	if got := binary.LittleEndian.Uint64(w[offMagic:]); got != Magic {
-		return nil, fmt.Errorf("incll: bad magic %#x", got)
-	}
-	committed := binary.LittleEndian.Uint64(w[offCommitted:])
+	committed := ckpt.CommitWord(dev)
 	var out []Range
 	for l := 0; l < b.n; l++ {
 		out = append(out, Range{b.metaOff(l) + 8 + SlotSize, nvm.LineSize - 8 - SlotSize})

